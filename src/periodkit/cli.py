@@ -1,8 +1,8 @@
 """The ``pk`` command line tool.
 
 All results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
-0 success, 1 verification-property failure, 2 parse error, 3 the Hodge
-data has a (p,p)-class, 4 the evaluation point is not critical.
+0 success, 1 verification-property failure, 2 parse or usage error, 3 the
+Hodge data has a (p,p)-class, 4 the evaluation point is not critical.
 """
 
 from __future__ import annotations
@@ -149,9 +149,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    summary = suites.run_suites(
-        args.suite, seed=args.seed, trials=args.trials, max_rank=args.max_rank
-    )
+    try:
+        summary = suites.run_suites(
+            args.suite, seed=args.seed, trials=args.trials, max_rank=args.max_rank
+        )
+    except ValueError as exc:  # configuration, such as a bad PK_MAX_ORACLE_SIZE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     _emit(summary)
     if not summary["ok"]:
         failing = [p["name"] for p in summary["properties"] if p["failures"]]

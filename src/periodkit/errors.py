@@ -65,7 +65,8 @@ class SizeLimitError(PeriodKitError):
     def __init__(self, size: int, bound: int):
         super().__init__(
             f"matrix size {size} exceeds the configured bound {bound} "
-            "(cofactor cost grows factorially; raise PK_MAX_ORACLE_SIZE to override)"
+            "(the determinant costs 2^size column subsets times the terms per "
+            "subset; raise PK_MAX_ORACLE_SIZE to override)"
         )
         self.size = size
         self.bound = bound

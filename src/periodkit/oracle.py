@@ -3,21 +3,25 @@
 The coefficient matrix of the comparison isomorphism, restricted to the
 basis vectors outside the index sets A and T, is assembled over a
 Laurent-polynomial ring with one variable per matrix coefficient A_ia,
-B_jb and per period Q_t, Q'_u.  Its exact determinant, multiplied by the
-cleared period monomial, must agree up to a global sign (a column-order
-choice) with det(A)^n' det(B)^n, the determinant of the Kronecker
-product.  The check runs over exact integers; there is no floating
-point and no modular shortcut.
+B_jb and per period Q_t, Q'_u.  Its columns are the columns of the
+Kronecker product A⊗B, permuted by some σ, with the T-block columns
+scaled by inverse periods.  So its exact determinant, multiplied by the
+cleared period monomial, must equal sgn(σ)·det(A)^n' det(B)^n, and the
+check asserts that predicted sign.  It runs over exact integers; there
+is no floating point and no modular shortcut.
 
-The determinant uses dynamic programming over column subsets (row-major
-Laplace expansion with memoization), with exponent vectors packed into
-single integers so that monomial multiplication is one addition.  Cost
-grows as 2^size, hence the configurable size bound.
+Every polynomial of the ring stores its exponent vectors packed into
+single integers, so monomial multiplication is one integer addition
+throughout.  The determinant uses dynamic programming over column
+subsets (row-major Laplace expansion with memoization): its cost is the
+2^size column subsets times the number of terms each subset's partial
+determinant holds, hence the configurable size bound.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -38,103 +42,202 @@ def configured_size_limit() -> int:
         raise ValueError(f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
+# Python hashes an int as its value mod 2^61 - 1, which folds the fields
+# onto each other.  At 6 bits, distinct keys of a 3x4 determinant share a
+# hash; at 8 they do not, and the low bits that pick a dict slot vary most.
+_MIN_WIDTH = 8
+
+
+def _width_for(bound: int) -> int:
+    """The field width, in bits, that holds every exponent of size <= bound."""
+    return max(_MIN_WIDTH, bound.bit_length() + 1)
+
+
+def _pack(exps, width: int) -> int:
+    return sum(e << (width * i) for i, e in enumerate(exps))
+
+
+def _unpack(key: int, nv: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(nv):
+        e = key & mask
+        if e >= half:
+            e -= 1 << width
+        out.append(e)
+        key = (key - e) >> width
+    return tuple(out)
+
+
+def _drop_zeros(terms: dict[int, int]) -> None:
+    if 0 in terms.values():
+        for key in [key for key, c in terms.items() if not c]:
+            del terms[key]
+
+
 class LaurentPoly:
     """Multivariate Laurent polynomial with exact integer coefficients.
 
     Terms map exponent vectors (one slot per variable, negatives allowed)
     to non-zero integers.  The variable table is a shared tuple of names;
     operations require both operands to carry the same table.
+
+    Each exponent vector is stored as one integer, sum(e_i << width*i),
+    whose signed digits e_i lie in [-2^(width-1), 2^(width-1)).  Every
+    polynomial carries its width and a bound on its |e_i|.  Adding two
+    keys adds their vectors whenever the two bounds sum to less than
+    2^(width-1), so before it multiplies, every operation widens the
+    field (repacking its operands) until that holds.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_keys", "_width", "_bound")
 
     def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int] | None = None):
+        terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        for key in terms:
+            if len(key) != len(vars):
+                raise ValueError(f"exponent vector {key} does not match {len(vars)} variables")
+        bound = max((abs(e) for key in terms for e in key), default=0)
+        width = _width_for(bound)
         self.vars = vars
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        self._keys = {_pack(key, width): c for key, c in terms.items()}
+        self._width = width
+        self._bound = bound
+
+    @classmethod
+    def _packed(
+        cls, vars: tuple[str, ...], keys: dict[int, int], width: int, bound: int
+    ) -> "LaurentPoly":
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly._keys = keys
+        poly._width = width
+        poly._bound = bound
+        return poly
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls(vars)
+        return cls._packed(vars, {}, _MIN_WIDTH, 0)
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls(vars, {(0,) * len(vars): 1})
+        return cls._packed(vars, {0: 1}, _MIN_WIDTH, 0)
 
     @classmethod
     def monomial(
         cls, vars: tuple[str, ...], exps: dict[int, int], coeff: int = 1
     ) -> "LaurentPoly":
-        key = [0] * len(vars)
-        for idx, e in exps.items():
-            key[idx] += e
-        return cls(vars, {tuple(key): coeff})
+        for idx in exps:
+            if not 0 <= idx < len(vars):
+                raise IndexError(f"variable index {idx} out of range")
+        if coeff == 0:
+            return cls.zero(vars)
+        bound = max((abs(e) for e in exps.values()), default=0)
+        width = _width_for(bound)
+        key = sum(e << (width * idx) for idx, e in exps.items())
+        return cls._packed(vars, {key: coeff}, width, bound)
 
     @classmethod
     def var(cls, vars: tuple[str, ...], idx: int, exp: int = 1) -> "LaurentPoly":
         return cls.monomial(vars, {idx: exp})
 
+    @property
+    def terms(self) -> "Terms":
+        """The terms, as a read-only mapping from exponent tuples to coefficients."""
+        return Terms(self)
+
+    def _items(self):
+        """(exponent tuple, coefficient) for every term, decoded."""
+        nv, width = len(self.vars), self._width
+        return ((_unpack(k, nv, width), c) for k, c in self._keys.items())
+
+    def _keys_at(self, width: int) -> dict[int, int]:
+        """The packed terms at ``width``, which must hold this polynomial's bound."""
+        if width == self._width:
+            return self._keys
+        return {_pack(key, width): c for key, c in self._items()}
+
     def _check(self, other: "LaurentPoly") -> None:
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("operands live over different variable tables")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        width = max(self._width, other._width)
+        terms = dict(self._keys_at(width))
+        for k, c in other._keys_at(width).items():
             n = terms.get(k, 0) + c
             if n:
                 terms[k] = n
-            elif k in terms:
+            else:
                 del terms[k]
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._packed(self.vars, terms, width, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {k: -c for k, c in self.terms.items()})
+        keys = {k: -c for k, c in self._keys.items()}
+        return LaurentPoly._packed(self.vars, keys, self._width, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                n = out.get(k, 0) + ca * cb
-                if n:
-                    out[k] = n
-                elif k in out:
-                    del out[k]
-        return LaurentPoly(self.vars, out)
+        bound = self._bound + other._bound
+        width = max(self._width, other._width, _width_for(bound))
+        big, small = self._keys_at(width), other._keys_at(width)
+        if len(big) < len(small):
+            big, small = small, big
+        if len(small) == 1:
+            # A monomial factor shifts every key by the same amount, so no
+            # two products meet and none is zero.
+            ((ks, cs),) = small.items()
+            out = {kb + ks: cb * cs for kb, cb in big.items()}
+        else:
+            out = {}
+            get = out.get
+            for ks, cs in small.items():
+                for kb, cb in big.items():
+                    k = kb + ks
+                    out[k] = get(k, 0) + cb * cs
+            _drop_zeros(out)
+        return LaurentPoly._packed(self.vars, out, width, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("only non-negative powers are supported")
         out = LaurentPoly.one(self.vars)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        if not isinstance(other, LaurentPoly) or (
+            self.vars is not other.vars and self.vars != other.vars
+        ):
+            return False
+        if len(self._keys) != len(other._keys):
+            return False
+        width = max(self._width, other._width)
+        return self._keys_at(width) == other._keys_at(width)
 
     def __hash__(self):  # pragma: no cover - polynomials are not dict keys
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, tuple(sorted(self._items()))))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._keys:
             return "0"
         chunks = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
+        for key, c in sorted(self._items()):
             names = [
                 f"{self.vars[i]}^{e}" if e != 1 else self.vars[i]
                 for i, e in enumerate(key)
@@ -146,6 +249,38 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by exponent tuples.
+
+    ``len`` reads the packed store directly; iteration decodes each key.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: LaurentPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._keys)
+
+    def __iter__(self):
+        return (key for key, _ in self._poly._items())
+
+    def __getitem__(self, key) -> int:
+        poly = self._poly
+        half = 1 << (poly._width - 1)
+        if (
+            not isinstance(key, tuple)
+            or len(key) != len(poly.vars)
+            or not all(-half <= e < half for e in key)
+        ):
+            raise KeyError(key)
+        return poly._keys[_pack(key, poly._width)]
+
+    def __repr__(self) -> str:
+        return f"Terms({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -165,9 +300,10 @@ class SymMatrix:
 def sym_det(mx: SymMatrix) -> LaurentPoly:
     """Exact determinant by column-subset dynamic programming.
 
-    Exponent vectors are packed into single integers with a per-variable
-    bit field wide enough for every intermediate product, so the result
-    is exact and independent of evaluation order.
+    A term of the determinant takes one entry from each row, so its
+    exponents are bounded by the sum over rows of the largest entry
+    bound.  The DP runs on packed keys at a width that holds that sum, so
+    the result is exact and independent of evaluation order.
     """
     k = mx.size
     if k == 0:
@@ -175,59 +311,43 @@ def sym_det(mx: SymMatrix) -> LaurentPoly:
     for row in mx.rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    nv = len(mx.vars)
-    max_abs = 1
-    for row in mx.rows:
-        for poly in row:
-            for key in poly.terms:
-                for e in key:
-                    if abs(e) > max_abs:
-                        max_abs = abs(e)
-    width = (k * max_abs + 1).bit_length() + 1
-    bias = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bias_key = sum(bias << (width * i) for i in range(nv))
+    bound = sum(max(poly._bound for poly in row) for row in mx.rows)
+    width = max(_width_for(bound), *(poly._width for row in mx.rows for poly in row))
+    rows = [[poly._keys_at(width) for poly in row] for row in mx.rows]
 
-    def pack(key: tuple[int, ...]) -> int:
-        return sum((e + bias) << (width * i) for i, e in enumerate(key))
-
-    packed_rows = [
-        [{pack(key): c for key, c in poly.terms.items()} for poly in row]
-        for row in mx.rows
-    ]
-
-    states: dict[int, dict[int, int]] = {0: {bias_key: 1}}
-    for r in range(k):
-        new_states: dict[int, dict[int, int]] = {}
-        for col_mask, poly in states.items():
-            for c in range(k):
+    # Column set used by rows 0..r-1 -> partial determinant.  Each layer is
+    # consumed as the next is built, so at most about two layers are alive.
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for entries in rows:
+        layer: dict[int, dict[int, int]] = {}
+        while states:
+            used, partial = states.popitem()
+            for c, entry in enumerate(entries):
                 bit = 1 << c
-                if col_mask & bit:
+                if used & bit or not entry:
                     continue
-                entry = packed_rows[r][c]
-                if not entry:
+                # Laplace sign: the number of used columns right of c.
+                sign = -1 if (used >> (c + 1)).bit_count() & 1 else 1
+                target = layer.get(used | bit)
+                if target is None and len(entry) == 1:
+                    ((ke, ce),) = entry.items()
+                    ce *= sign
+                    layer[used | bit] = {kp + ke: ce * cp for kp, cp in partial.items()}
                     continue
-                negative = bin(col_mask >> (c + 1)).count("1") % 2 == 1
-                target = new_states.setdefault(col_mask | bit, {})
+                if target is None:
+                    target = layer[used | bit] = {}
+                get = target.get
                 for ke, ce in entry.items():
-                    if negative:
-                        ce = -ce
-                    shift = ke - bias_key
-                    for kp, cp in poly.items():
-                        nk = kp + shift
-                        n = target.get(nk, 0) + ce * cp
-                        if n:
-                            target[nk] = n
-                        elif nk in target:
-                            del target[nk]
-        states = new_states
+                    ce *= sign
+                    for kp, cp in partial.items():
+                        nk = kp + ke
+                        target[nk] = get(nk, 0) + ce * cp
+        for target in layer.values():
+            _drop_zeros(target)
+        states = layer
 
     final = states.get((1 << k) - 1, {})
-    terms: dict[tuple[int, ...], int] = {}
-    for packed, c in final.items():
-        key = tuple(((packed >> (width * i)) & mask) - bias for i in range(nv))
-        terms[key] = c
-    return LaurentPoly(mx.vars, terms)
+    return LaurentPoly._packed(mx.vars, final, width, bound)
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:
@@ -360,26 +480,47 @@ def _coefficient_block(pv: PairVariables, which: str) -> SymMatrix:
     return SymMatrix(pv.names, rows)
 
 
+def _kronecker_column_sign(ctx: PairContext) -> int:
+    """sgn(σ), where σ takes the columns of A⊗B to the columns of Mat1.
+
+    Column (a, b) outside A of Mat1 is column (a, b) of A⊗B, and column
+    (t, u) outside T is column (n+1-t, n'+1-u) of A⊗B, scaled by periods;
+    A⊗B orders its columns (a, b) lexicographically, like Mat1 its rows.
+    """
+    n, np_ = ctx.M.rank, ctx.Mp.rank
+    cols_a, cols_t = _complement_columns(ctx)
+    order = [(a - 1) * np_ + (b - 1) for a, b in cols_a]
+    order += [(n - t) * np_ + (np_ - u) for t, u in cols_t]
+    inversions = sum(1 for i, x in enumerate(order) for y in order[i + 1 :] if x > y)
+    return -1 if inversions % 2 else 1
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the determinant identity check for one tensor pair."""
+    """Outcome of the determinant identity check for one tensor pair.
+
+    ``rhs`` is the predicted right-hand side predicted_sign·det(A)^n'
+    det(B)^n.  ``sign`` is the observed s with lhs = s·det(A)^n' det(B)^n,
+    or None when neither sign holds; ``ok`` requires it to be the
+    predicted one.
+    """
 
     size: int
     ok: bool
     sign: int | None
     lhs: LaurentPoly
     rhs: LaurentPoly
+    predicted_sign: int
 
     def to_json(self) -> dict:
         return {"size": self.size, "ok": self.ok, "sign": self.sign}
 
 
 def verify_proposition(ctx: PairContext, size_limit: int | None = None) -> VerificationReport:
-    """Check det(Mat1) * cleared periods = +/- det(A)^n' det(B)^n exactly.
+    """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
-    The column order of Mat1 is a convention the period relation absorbs
-    into the coefficient field, so equality is asserted up to a recorded
-    global sign.
+    σ is the column permutation taking A⊗B to Mat1, so the sign is
+    predicted, not chosen to fit.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     size = n * np_
@@ -387,14 +528,18 @@ def verify_proposition(ctx: PairContext, size_limit: int | None = None) -> Verif
     if size > bound:
         raise SizeLimitError(size, bound)
     lhs = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
+    predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
-    det_a = sym_det(_coefficient_block(pv, "A"))
-    det_b = sym_det(_coefficient_block(pv, "B"))
-    rhs = det_a ** np_ * det_b ** n
+    a_part = sym_det(_coefficient_block(pv, "A")) ** np_
+    if predicted < 0:
+        a_part = -a_part  # negate the small factor, not a copy of the product
+    rhs = a_part * sym_det(_coefficient_block(pv, "B")) ** n
     if lhs == rhs:
-        ok, sign = True, 1
-    elif lhs == -rhs:
-        ok, sign = True, -1
+        sign = predicted
+    elif lhs == -rhs:  # only on failure: the identity holds with the other sign
+        sign = -predicted
     else:  # pragma: no cover - would indicate a real defect
-        ok, sign = False, None
-    return VerificationReport(size=size, ok=ok, sign=sign, lhs=lhs, rhs=rhs)
+        sign = None
+    return VerificationReport(
+        size=size, ok=sign == predicted, sign=sign, lhs=lhs, rhs=rhs, predicted_sign=predicted
+    )

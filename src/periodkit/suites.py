@@ -270,6 +270,10 @@ def _suite_rewrite(seed: int, trials: int, max_rank: int) -> list[PropertyResult
 
 
 def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
+    # A malformed limit is a configuration error, not a property failure,
+    # so it is read here, outside every trial.
+    size_limit = orc.configured_size_limit()
+
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
         k = rng.randint(1, 4)
@@ -325,7 +329,7 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
                     ctx = dl.PairContext.build(
                         *smp.random_pp_free_pair(rng, max_rank, ranks=(n, np_))
                     )
-                    ok = orc.verify_proposition(ctx).ok
+                    ok = orc.verify_proposition(ctx, size_limit).ok
                 except Exception as exc:
                     ok = False
                     if not detail:

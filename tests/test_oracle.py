@@ -15,7 +15,12 @@ from periodkit import (
     sym_det,
     verify_proposition,
 )
-from periodkit.oracle import PairVariables, cleared_period_product, naive_det
+from periodkit.oracle import (
+    PairVariables,
+    _coefficient_block,
+    cleared_period_product,
+    naive_det,
+)
 from periodkit.sampling import random_pp_free_pair
 
 XV = ("x", "y", "z", "w")
@@ -182,3 +187,88 @@ class TestVerifyProposition:
             verify_proposition(ctx)
         monkeypatch.setenv("PK_MAX_ORACLE_SIZE", "4")
         assert verify_proposition(ctx).ok
+
+
+class TestPackedRing:
+    def test_width_grows_with_the_exponent_bound(self):
+        x = LaurentPoly.var(XV, 0)
+        assert x ** 200 * LaurentPoly.var(XV, 0, -1) ** 199 == x
+
+    def test_sym_det_with_large_exponents_matches_permutation_sum(self):
+        rng = random.Random(68)
+        for _ in range(10):
+            k = rng.randint(2, 4)
+            rows = tuple(
+                tuple(
+                    poly_of(
+                        [(tuple(rng.choice((-40, -1, 0, 1, 40)) for _ in XV), rng.randint(-3, 3))
+                         for _ in range(rng.randint(1, 2))]
+                    )
+                    for _ in range(k)
+                )
+                for _ in range(k)
+            )
+            mx = SymMatrix(XV, rows)
+            assert sym_det(mx) == naive_det(mx)
+
+    def test_power_matches_repeated_multiplication(self):
+        p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 1, 0), -1), ((0, 0, 0, 3), 1)])
+        want = LaurentPoly.one(XV)
+        for k in range(8):
+            assert p ** k == want
+            want = want * p
+
+    def test_terms_view(self):
+        old = {(1, 0, 0, 0): 2, (0, -1, 0, 0): -1, (0, 0, 5, -7): 3}
+        p = LaurentPoly(XV, old)
+        terms = p.terms
+        assert len(terms) == 3
+        assert sorted(terms) == sorted(old)
+        assert terms[(0, 0, 5, -7)] == 3
+        assert (2, 0, 0, 0) not in terms
+        assert (0, 0, 0, 1000) not in terms
+        assert dict(terms) == old
+        assert dict(terms.items()) == old
+        with pytest.raises(TypeError):
+            terms[(1, 0, 0, 0)] = 5
+
+
+class TestPredictedSign:
+    def test_predicted_sign_is_the_observed_sign_on_every_shape(self):
+        for n in range(1, 4):
+            for np_ in range(1, 4):
+                rng = random.Random(f"predicted-sign/{n}x{np_}")
+                for _ in range(5):
+                    ctx = PairContext.build(*random_pp_free_pair(rng, 3, ranks=(n, np_)))
+                    rep = verify_proposition(ctx)
+                    pv = PairVariables.build(n, np_)
+                    det_a = sym_det(_coefficient_block(pv, "A"))
+                    det_b = sym_det(_coefficient_block(pv, "B"))
+                    unsigned = det_a ** np_ * det_b ** n
+                    observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
+                    assert rep.ok
+                    assert observed == rep.sign == rep.predicted_sign
+                    assert rep.to_json() == {"size": n * np_, "ok": True, "sign": observed}
+
+    def test_wrong_prediction_fails_the_check(self, monkeypatch):
+        import periodkit.oracle as orc
+
+        ctx = PairContext.build(
+            RegularMotiveData("M", 1, (1, 0)), RegularMotiveData("M'", 0, (1,))
+        )
+        right = verify_proposition(ctx)
+        monkeypatch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
+        wrong = verify_proposition(ctx)
+        assert right.ok and not wrong.ok
+        assert wrong.sign == right.sign == -wrong.predicted_sign
+
+
+def test_cli_reports_a_malformed_size_limit_as_a_usage_error(monkeypatch, capsys):
+    from periodkit.cli import main
+
+    monkeypatch.setenv("PK_MAX_ORACLE_SIZE", "abc")
+    rc = main(["verify", "--suite", "oracle", "--trials", "2", "--max-rank", "2"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("error: PK_MAX_ORACLE_SIZE must be an integer")
