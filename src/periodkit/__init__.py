@@ -51,13 +51,9 @@ from .hodge import (
     HalfInt,
     HodgeMultiset,
     RegularMotiveData,
-    conjugate,
-    determinant_motive,
-    dual,
     has_no_pp_class,
     restriction,
     restriction_tensor,
-    tate_twist,
 )
 from .lfactor import (
     CriticalInterval,
@@ -87,10 +83,7 @@ from .periods import (
     derive_grouped_period_identity,
     expand,
     mono_eq,
-    mono_mul,
-    mono_pow,
     motive_tag,
-    p_sup,
     q,
     q_paren,
     q_sup,

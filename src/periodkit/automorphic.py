@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .combinatorics import split_lengths
-from .deligne import PairContext, conjecture_rhs_motivic
+from .combinatorics import SplitIndices, split_lengths
+from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
 from .errors import (
     AlgebraicityError,
     NonIntegerExponentError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .hodge import HalfInt, RegularMotiveData
 from .lfactor import pair_critical_points
-from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag, p_sup, two_pi_i
+from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
 
 #: Gap size from which an infinity type counts as very regular.
 VERY_REGULAR_GAP = 3
@@ -115,8 +115,6 @@ def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData):
 
     Matches the motive-side split indices of the dictionary images.
     """
-    from .combinatorics import SplitIndices
-
     w2 = Fraction(pi.w + pip.w, 2)
     cuts = [-a - w2 for a in reversed(pi.a)]  # decreasing
     try:
@@ -147,15 +145,11 @@ def conjecture_rhs_automorphic(
     lead = m * n * np_
     if lead.denominator != 1:  # unreachable for m on the critical grid
         raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
-    sp = split_indices_auto(pi, pip)
-    sp_sym = split_indices_auto(pip, pi)
-    tp, tpp = rep_tag(pi), rep_tag(pip)
-    out = two_pi_i(int(lead)).with_label("EE';K")
-    for j in range(n + 1):
-        out = out * p_sup(j, tp) ** sp[j]
-    for k in range(np_ + 1):
-        out = out * p_sup(k, tpp) ** sp_sym[k]
-    return out
+    groups = (
+        (rep_tag(pi), split_indices_auto(pi, pip)),
+        (rep_tag(pip), split_indices_auto(pip, pi)),
+    )
+    return grouped_period_product("P", int(lead), groups, "EE';K")
 
 
 def substitute_p_periods(
@@ -211,6 +205,45 @@ def _csd_and_descent(pi: InfinityTypeData, role: str) -> list[str]:
     return fails
 
 
+def _both_factors(big: InfinityTypeData, small: InfinityTypeData) -> list[str]:
+    return _csd_and_descent(big, "first factor") + _csd_and_descent(small, "second factor")
+
+
+def _shared_gap(big: InfinityTypeData, small: InfinityTypeData) -> list[str]:
+    try:
+        sp = list(split_indices_auto(big, small).values)
+    except NotCriticalPairError:
+        return []  # already reported by _base_failures
+    if max(sp) <= 1:
+        return []
+    return [f"two exponents of the smaller factor fall in the same gap (split indices {sp})"]
+
+
+def _base_failures(big: InfinityTypeData, small: InfinityTypeData, m: Fraction) -> list[str]:
+    fails = []
+    if not big.is_very_regular():
+        fails.append(f"{big.label}: some gap a_i - a_(i+1) is below {VERY_REGULAR_GAP}")
+    if not small.is_very_regular():
+        fails.append(f"{small.label}: some gap a_i - a_(i+1) is below {VERY_REGULAR_GAP}")
+    try:
+        if m not in pair_critical_points(big, small):
+            fails.append(f"m = {m} is not critical for the pair")
+    except NotCriticalPairError:
+        fails.append("the pair has no critical points at all")
+    return fails
+
+
+# (case, shape predicate on (big, small, m), case-specific failures), in order.
+_CASES = (
+    ("case1", lambda big, small, m: small.n == 1,
+     lambda big, small: _csd_and_descent(big, "first factor")),
+    ("case2", lambda big, small, m: big.n > small.n and (big.n - small.n) % 2 == 1,
+     lambda big, small: _both_factors(big, small) + _shared_gap(big, small)),
+    ("case3", lambda big, small, m: m == 1 and (big.n - small.n) % 2 == 0,
+     _both_factors),
+)
+
+
 def classify_known_case(
     pi: InfinityTypeData, pip: InfinityTypeData, m: Fraction | int
 ) -> CaseReport:
@@ -226,58 +259,15 @@ def classify_known_case(
     m = Fraction(m)
     vr_pi, vr_pip = pi.is_very_regular(), pip.is_very_regular()
     big, small = (pi, pip) if pi.n >= pip.n else (pip, pi)
-
-    def base_failures() -> list[str]:
-        fails = []
-        if not big.is_very_regular():
-            fails.append(f"{big.label}: some gap a_i - a_(i+1) is below {VERY_REGULAR_GAP}")
-        if not small.is_very_regular():
-            fails.append(f"{small.label}: some gap a_i - a_(i+1) is below {VERY_REGULAR_GAP}")
-        try:
-            if m not in pair_critical_points(big, small):
-                fails.append(f"m = {m} is not critical for the pair")
-        except NotCriticalPairError:
-            fails.append("the pair has no critical points at all")
-        return fails
-
     failures: list[str] = []
-    triggered = False
-
-    if small.n == 1:
-        triggered = True
-        fails = base_failures() + _csd_and_descent(big, "first factor")
+    for case, shape, case_failures in _CASES:
+        if not shape(big, small, m):
+            continue
+        fails = _base_failures(big, small, m) + case_failures(big, small)
         if not fails:
-            return CaseReport(vr_pi, vr_pip, "case1", ())
-        failures += [f"case1: {f}" for f in fails]
-
-    if big.n > small.n and (big.n - small.n) % 2 == 1:
-        triggered = True
-        fails = base_failures()
-        fails += _csd_and_descent(big, "first factor")
-        fails += _csd_and_descent(small, "second factor")
-        try:
-            sp = split_indices_auto(big, small)
-            if any(v > 1 for v in sp.values):
-                fails.append(
-                    "two exponents of the smaller factor fall in the same gap "
-                    f"(split indices {list(sp.values)})"
-                )
-        except NotCriticalPairError:
-            pass  # already reported by base_failures
-        if not fails:
-            return CaseReport(vr_pi, vr_pip, "case2", ())
-        failures += [f"case2: {f}" for f in fails]
-
-    if m == 1 and (big.n - small.n) % 2 == 0:
-        triggered = True
-        fails = base_failures()
-        fails += _csd_and_descent(big, "first factor")
-        fails += _csd_and_descent(small, "second factor")
-        if not fails:
-            return CaseReport(vr_pi, vr_pip, "case3", ())
-        failures += [f"case3: {f}" for f in fails]
-
-    if not triggered:
+            return CaseReport(vr_pi, vr_pip, case, ())
+        failures += [f"{case}: {f}" for f in fails]
+    if not failures:  # a matched shape either returns or adds failures
         failures.append(
             "no case shape matches: need rank-one second factor, opposite "
             "parity with bigger first rank, or m = 1 with equal parity"

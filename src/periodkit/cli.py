@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import automorphic as am
 from . import deligne as dl
@@ -24,6 +23,7 @@ from .errors import (
     NotCriticalPairError,
     ParseError,
     PpClassError,
+    SizeLimitError,
 )
 from .hodge import restriction, restriction_tensor
 
@@ -32,6 +32,15 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_PP_CLASS = 3
 EXIT_NOT_CRITICAL = 4
+
+# Domain errors that end a command; a subclass takes its nearest listed ancestor's code.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    SizeLimitError: EXIT_PARSE,
+    PpClassError: EXIT_PP_CLASS,
+    NotCriticalPairError: EXIT_NOT_CRITICAL,
+    NotCriticalError: EXIT_NOT_CRITICAL,
+}
 
 
 def _emit(payload: dict) -> None:
@@ -53,13 +62,6 @@ def _multiset_from_paths(paths: list[str]):
     mp = fileio.parse_motive(paths[1])
     set_A(m, mp)  # surfaces a (p,p)-class with the offending index pair named
     return restriction_tensor(m, mp)
-
-
-def _parse_m(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational for m: {text!r}") from None
 
 
 def _cmd_critical(args) -> int:
@@ -120,7 +122,7 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    m = _parse_m(args.m)
+    m = fileio.decode_rational(args.m)
     if args.rep:
         pi = fileio.parse_rep(args.motive[0])
         pip = fileio.parse_rep(args.motive[1])
@@ -143,17 +145,19 @@ def _cmd_conjecture(args) -> int:
 def _cmd_classify(args) -> int:
     pi = fileio.parse_rep(args.rep[0])
     pip = fileio.parse_rep(args.rep[1])
-    report = am.classify_known_case(pi, pip, _parse_m(args.m))
+    report = am.classify_known_case(pi, pip, fileio.decode_rational(args.m))
     _emit(report.to_json())
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     try:
         summary = suites.run_suites(
             args.suite, seed=args.seed, trials=args.trials, max_rank=args.max_rank
         )
-    except ValueError as exc:  # configuration, such as a bad PK_MAX_ORACLE_SIZE
+    except ValueError as exc:  # bad arguments or configuration, such as PK_MAX_ORACLE_SIZE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _emit(summary)
@@ -231,18 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PpClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PP_CLASS
-    except NotCriticalPairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CRITICAL
-    except NotCriticalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CRITICAL
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

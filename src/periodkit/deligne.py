@@ -11,6 +11,11 @@ Three closed forms are assembled over the formal period alphabet:
 * the conjectural right-hand side for a critical point m, which replaces
   the leading power by (2πi)^(nn'm).
 
+The simplified form, the motivic right-hand side and the automorphic one
+(P[j;Π] in place of Qs[j;M]) are one product, built by
+:func:`grouped_period_product`; each caller supplies its own leading
+exponent after its own criticality checks.
+
 Signs are dropped throughout: for motives restricted from a quadratic
 imaginary field the two Deligne periods agree up to the coefficient
 field.
@@ -25,7 +30,7 @@ from .combinatorics import IndexPairSet, SplitIndices, set_A, set_T, split_indic
 from .errors import NonIntegerExponentError, NotCriticalError
 from .hodge import RegularMotiveData, restriction_tensor
 from .lfactor import critical_interval
-from .periods import PeriodMonomial, delta, motive_tag, q, q_sup, two_pi_i
+from .periods import PeriodMonomial, PeriodSymbol, motive_tag
 
 
 @dataclass(frozen=True)
@@ -64,30 +69,39 @@ class PairContext:
         )
 
 
+def grouped_period_product(kind: str, lead: int, groups, field_label: str) -> PeriodMonomial:
+    """(2πi)^lead * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).
+
+    ``groups`` holds (MotiveTag, SplitIndices) pairs; ``kind`` is ``"Qs"``
+    on the motivic side and ``"P"`` on the automorphic one.
+    """
+    factors = [(PeriodSymbol("2pi"), lead)]
+    for tag, sp in groups:
+        factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp.values)]
+    return PeriodMonomial(factors, field_label)
+
+
 def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
     """The Deligne period as a product over the index set A."""
     tm = motive_tag(ctx.M)
     tmp = motive_tag(ctx.Mp)
-    out = PeriodMonomial.one("EE'")
+    factors = []
     for a, b in ctx.A.sorted_members():
-        out = out * q(a, tm) * q(b, tmp)
-    out = out * delta(tm) ** ctx.Mp.rank * delta(tmp) ** ctx.M.rank
-    return out
+        factors += [(PeriodSymbol("Q", a, tm), 1), (PeriodSymbol("Q", b, tmp), 1)]
+    factors += [
+        (PeriodSymbol("d", None, tm), ctx.Mp.rank),
+        (PeriodSymbol("d", None, tmp), ctx.M.rank),
+    ]
+    return PeriodMonomial(factors, "EE'")
 
 
 def deligne_period_simplified(ctx: PairContext) -> PeriodMonomial:
     """The Deligne period grouped through the Qs periods and split indices."""
     n, np_ = ctx.M.rank, ctx.Mp.rank
-    tm = motive_tag(ctx.M)
-    tmp = motive_tag(ctx.Mp)
     lead = -n * np_ * (n + np_ - 2)
     assert lead % 2 == 0
-    out = two_pi_i(lead // 2).with_label("EE'")
-    for j in range(n + 1):
-        out = out * q_sup(j, tm) ** ctx.sp[j]
-    for k in range(np_ + 1):
-        out = out * q_sup(k, tmp) ** ctx.sp_sym[k]
-    return out
+    groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
+    return grouped_period_product("Qs", lead // 2, groups, "EE'")
 
 
 def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomial:
@@ -105,11 +119,5 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
     lead = m * n * np_
     if lead.denominator != 1:  # unreachable for m on the critical grid
         raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
-    tm = motive_tag(ctx.M)
-    tmp = motive_tag(ctx.Mp)
-    out = two_pi_i(int(lead)).with_label("EE'")
-    for j in range(n + 1):
-        out = out * q_sup(j, tm) ** ctx.sp[j]
-    for k in range(np_ + 1):
-        out = out * q_sup(k, tmp) ** ctx.sp_sym[k]
-    return out
+    groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
+    return grouped_period_product("Qs", int(lead), groups, "EE'")

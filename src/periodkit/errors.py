@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code protocol: parse errors exit 2,
-a (p,p)-class (no critical points) exits 3, a non-critical evaluation
-point exits 4.
+The CLI maps these onto its exit-code protocol: parse errors and an
+exceeded oracle size bound exit 2, a (p,p)-class (no critical points)
+exits 3, a non-critical evaluation point exits 4.
 """
 
 from __future__ import annotations

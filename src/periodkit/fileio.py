@@ -66,7 +66,7 @@ def _require(payload: dict, key: str, kind, where: str):
 
 def parse_motive(source) -> RegularMotiveData:
     payload = _load_payload(source)
-    where = getattr(source, "name", None) or str(source) if not isinstance(source, dict) else "motive"
+    where = "motive" if isinstance(source, dict) else str(source)
     label = _require(payload, "label", str, where)
     rank = _require(payload, "rank", int, where)
     weight = _require(payload, "weight", int, where)
@@ -92,7 +92,7 @@ def dump_motive(m: RegularMotiveData) -> dict:
 
 def parse_rep(source) -> InfinityTypeData:
     payload = _load_payload(source)
-    where = str(source) if not isinstance(source, dict) else "rep"
+    where = "rep" if isinstance(source, dict) else str(source)
     label = _require(payload, "label", str, where)
     n = _require(payload, "n", int, where)
     w = _require(payload, "w", int, where)

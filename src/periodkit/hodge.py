@@ -48,14 +48,6 @@ class HalfInt(Fraction):
         return self.numerator * (2 // self.denominator)
 
 
-def is_half_integral(x: Fraction | int) -> bool:
-    return Fraction(x).denominator in (1, 2)
-
-
-def is_integral(x: Fraction | int) -> bool:
-    return Fraction(x).denominator == 1
-
-
 @dataclass(frozen=True)
 class RegularMotiveData:
     """Rank, purity weight and strictly decreasing Hodge p-indices.
@@ -88,10 +80,6 @@ class RegularMotiveData:
     def rank(self) -> int:
         return len(self.hodge_p)
 
-    @property
-    def hodge_q(self) -> tuple[int, ...]:
-        return tuple(self.weight - p for p in self.hodge_p)
-
     def hodge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((p, self.weight - p) for p in self.hodge_p)
 
@@ -117,22 +105,6 @@ class RegularMotiveData:
         return RegularMotiveData(
             self.label, self.rank * self.weight, (sum(self.hodge_p),)
         )
-
-
-def conjugate(m: RegularMotiveData) -> RegularMotiveData:
-    return m.conjugate()
-
-
-def dual(m: RegularMotiveData) -> RegularMotiveData:
-    return m.dual()
-
-
-def tate_twist(m: RegularMotiveData, k: int) -> RegularMotiveData:
-    return m.tate_twist(k)
-
-
-def determinant_motive(m: RegularMotiveData) -> RegularMotiveData:
-    return m.determinant()
 
 
 @dataclass(frozen=True)

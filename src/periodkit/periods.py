@@ -146,8 +146,8 @@ def motive_tag(m, csd: bool = False) -> MotiveTag:
 
 
 _KIND_ORDER = {"2pi": 0, "Q": 1, "d": 2, "D": 3, "Qp": 4, "Qs": 5, "P": 6, "Qxi": 7}
-_INDEXED_FROM_ONE = {"Q"}
-_INDEXED_FROM_ZERO = {"Qp", "Qs", "P"}
+# The smallest index of each indexed kind; the other kinds carry no index.
+_INDEX_START = {"Q": 1, "Qp": 0, "Qs": 0, "P": 0}
 
 
 @dataclass(frozen=True)
@@ -167,23 +167,18 @@ class PeriodSymbol:
             return
         if self.tag is None:
             raise ValueError(f"symbol {self.kind} needs a motive tag")
+        start = _INDEX_START.get(self.kind)
+        if start is None:
+            if self.index is not None:
+                raise ValueError(f"{self.kind} carries no index")
+            return
+        if self.index is None or self.index < start:
+            raise ValueError(f"{self.kind} index starts at {start}, got {self.index}")
         rank = self.tag.rank_value
-        if self.kind in _INDEXED_FROM_ONE:
-            if self.index is None or self.index < 1:
-                raise ValueError(f"{self.kind} index starts at 1, got {self.index}")
-            if rank is not None and self.index > rank:
-                raise ValueError(
-                    f"{self.kind} index {self.index} exceeds rank {rank} of {self.tag.text()}"
-                )
-        elif self.kind in _INDEXED_FROM_ZERO:
-            if self.index is None or self.index < 0:
-                raise ValueError(f"{self.kind} index starts at 0, got {self.index}")
-            if rank is not None and self.index > rank:
-                raise ValueError(
-                    f"{self.kind} index {self.index} exceeds rank {rank} of {self.tag.text()}"
-                )
-        elif self.index is not None:
-            raise ValueError(f"{self.kind} carries no index")
+        if rank is not None and self.index > rank:
+            raise ValueError(
+                f"{self.kind} index {self.index} exceeds rank {rank} of {self.tag.text()}"
+            )
 
     def text(self) -> str:
         if self.kind == "2pi":
@@ -263,10 +258,6 @@ class PeriodMonomial:
     def __hash__(self) -> int:
         return hash(self.factors)
 
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
-
     def exponent(self, sym: PeriodSymbol) -> int:
         for s, e in self.factors:
             if s == sym:
@@ -303,14 +294,6 @@ class PeriodMonomial:
         return f"PeriodMonomial({self.text()!r})"
 
 
-def mono_mul(x: PeriodMonomial, y: PeriodMonomial) -> PeriodMonomial:
-    return x * y
-
-
-def mono_pow(x: PeriodMonomial, k: int) -> PeriodMonomial:
-    return x ** k
-
-
 def mono_eq(x: PeriodMonomial, y: PeriodMonomial) -> bool:
     return x == y
 
@@ -339,10 +322,6 @@ def q_sup(j: int, tag: MotiveTag) -> PeriodMonomial:
     return PeriodMonomial(((PeriodSymbol("Qs", j, tag), 1),))
 
 
-def p_sup(j: int, tag: MotiveTag) -> PeriodMonomial:
-    return PeriodMonomial(((PeriodSymbol("P", j, tag), 1),))
-
-
 def q_xi(tag: MotiveTag) -> PeriodMonomial:
     return PeriodMonomial(((PeriodSymbol("Qxi", None, tag), 1),))
 
@@ -352,11 +331,20 @@ def delta_tate(k: int) -> PeriodMonomial:
     return apply_rule(delta(TRIVIAL.twist(k)), "delta_twist") if k else PeriodMonomial.one()
 
 
-def _q_range(tag: MotiveTag, j: int) -> PeriodMonomial:
-    out = PeriodMonomial.one()
-    for i in range(1, j + 1):
-        out = out * q(i, tag)
-    return out
+# Factor lists: the helpers below return (symbol, exponent) pairs, so that
+# a rewrite collects every piece and builds its monomial once.
+_Factors = list[tuple[PeriodSymbol, int]]
+
+
+def _q_range(tag: MotiveTag, j: int, exp: int) -> _Factors:
+    """Q[1;T]...Q[j;T], each to the power exp."""
+    return [(PeriodSymbol("Q", i, tag), exp) for i in range(1, j + 1)]
+
+
+def _normalized_delta(tag: MotiveTag, exp: int) -> _Factors:
+    """D[T] = (2πi)^(n(n-1)/2) d[T], to the power exp."""
+    n = tag.require_rank()
+    return [(_TWO_PI, n * (n - 1) // 2 * exp), (PeriodSymbol("d", None, tag), exp)]
 
 
 def expand(x: PeriodMonomial) -> PeriodMonomial:
@@ -365,44 +353,39 @@ def expand(x: PeriodMonomial) -> PeriodMonomial:
     Idempotent on base symbols and a group homomorphism.  Opaque symbols
     (P, Qxi) pass through untouched.
     """
-    out = PeriodMonomial.one(x.field_label)
+    factors: _Factors = []
     for sym, exp in x.factors:
-        if sym.kind == "D":
-            n = sym.tag.require_rank()
-            piece = two_pi_i(n * (n - 1) // 2) * delta(sym.tag)
-        elif sym.kind == "Qp":
-            piece = _q_range(sym.tag, sym.index)
-        elif sym.kind == "Qs":
-            n = sym.tag.require_rank()
-            piece = _q_range(sym.tag, sym.index) * two_pi_i(n * (n - 1) // 2) * delta(sym.tag)
-        else:
-            piece = PeriodMonomial(((sym, 1),))
-        out = out * piece ** exp
-    return out
+        if sym.kind in ("Qp", "Qs"):
+            factors += _q_range(sym.tag, sym.index, exp)
+        if sym.kind in ("D", "Qs"):
+            factors += _normalized_delta(sym.tag, exp)
+        if sym.kind not in ("D", "Qp", "Qs"):
+            factors.append((sym, exp))
+    return PeriodMonomial(factors, x.field_label)
 
 
 # ---------------------------------------------------------------------------
-# Rewrite rules.  Each matcher maps (symbol, exponent) to a replacement
-# monomial, or None when the symbol does not match.
+# Rewrite rules.  Each matcher maps (symbol, exponent) to the factors of
+# its replacement, or None when the symbol does not match.
 
-def _rule_q_conj(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_q_conj(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "Q":
         return None
     n = sym.tag.require_rank()
-    return q(n + 1 - sym.index, sym.tag.conj()) ** (-exp)
+    return [(PeriodSymbol("Q", n + 1 - sym.index, sym.tag.conj()), -exp)]
 
 
-def _rule_delta_conj(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_delta_conj(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "d":
         return None
     base = sym.tag.peel(_CONJ)
     if base is None:
         return None
     n = base.require_rank()
-    return (_q_range(base, n) * delta(base)) ** exp
+    return _q_range(base, n, exp) + [(PeriodSymbol("d", None, base), exp)]
 
 
-def _rule_delta_twist(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_delta_twist(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "d":
         return None
     peeled = sym.tag.peel("t")
@@ -410,56 +393,55 @@ def _rule_delta_twist(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
         return None
     base, k = peeled
     n = base.require_rank()
-    return (two_pi_i(k * n) * delta(base)) ** exp
+    return [(_TWO_PI, k * n * exp), (PeriodSymbol("d", None, base), exp)]
 
 
-def _rule_delta_dual(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_delta_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "d":
         return None
     base = sym.tag.peel(_DUAL)
     if base is None:
         return None
-    return delta(base) ** (-exp)
+    return [(PeriodSymbol("d", None, base), -exp)]
 
 
-def _rule_conj_as_dual(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_conj_as_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "d" or not sym.tag.csd:
         return None
     base = sym.tag.peel(_CONJ)
     if base is None:
         return None
     n = base.require_rank()
-    return delta(base.dual().twist(1 - n)) ** exp
+    return [(PeriodSymbol("d", None, base.dual().twist(1 - n)), exp)]
 
 
-def _rule_q_dual(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_q_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "Q" or not sym.tag.csd:
         return None
     base = sym.tag.peel(_DUAL)
     if base is None:
         return None
     n = base.require_rank()
-    return q(n + 1 - sym.index, base) ** (-exp)
+    return [(PeriodSymbol("Q", n + 1 - sym.index, base), -exp)]
 
 
-def _rule_xi_to_delta(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_xi_to_delta(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "Qxi" or not sym.tag.csd:
         return None
-    n = sym.tag.require_rank()
-    return (two_pi_i(-(n * (n - 1) // 2)) * delta(sym.tag).inv()) ** exp
+    return _normalized_delta(sym.tag, -exp)
 
 
-def _rule_det_q(sym: PeriodSymbol, exp: int) -> PeriodMonomial | None:
+def _rule_det_q(sym: PeriodSymbol, exp: int) -> _Factors | None:
     if sym.kind != "Q" or sym.index != 1:
         return None
     base = sym.tag.peel(_DET)
     if base is None:
         return None
     n = base.require_rank()
-    return _q_range(base, n) ** exp
+    return _q_range(base, n, exp)
 
 
-_Rule = Callable[[PeriodSymbol, int], "PeriodMonomial | None"]
+_Rule = Callable[[PeriodSymbol, int], "_Factors | None"]
 
 RULES: dict[str, tuple[_Rule, str]] = {
     "q_conj": (_rule_q_conj, "E"),
@@ -478,18 +460,18 @@ def apply_rule(x: PeriodMonomial, rule: str) -> PeriodMonomial:
     if rule not in RULES:
         raise KeyError(f"unknown rule {rule!r}; known: {sorted(RULES)}")
     matcher, label = RULES[rule]
-    out = PeriodMonomial.one(join_field_labels(x.field_label, label))
+    factors: _Factors = []
     matched = False
     for sym, exp in x.factors:
         piece = matcher(sym, exp)
         if piece is None:
-            piece = PeriodMonomial(((sym, exp),))
+            factors.append((sym, exp))
         else:
             matched = True
-        out = out * piece
+            factors += piece
     if not matched:
         raise RuleNotApplicable(f"rule {rule!r} matches no factor of {x.text()}")
-    return out
+    return PeriodMonomial(factors, join_field_labels(x.field_label, label))
 
 
 class DerivationResult(NamedTuple):
@@ -521,7 +503,7 @@ def derive_delta_square_identity(n: int, label: str = "M") -> DerivationResult:
     d_inv = delta(tag).inv()
     lhs = via_dual * d_inv
     rhs = via_conj * d_inv
-    ok = lhs == two_pi_i(n * (1 - n)) * delta(tag) ** -2 and rhs == _q_range(tag, n)
+    ok = lhs == two_pi_i(n * (1 - n)) * delta(tag) ** -2 and rhs == expand(q_paren(n, tag))
     return DerivationResult(lhs, rhs, ok)
 
 
@@ -537,10 +519,7 @@ def derive_grouped_period_identity(n: int, s: int, label: str = "M") -> Derivati
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     tag = MotiveTag(label, rank=n, csd=True)
     lhs = expand(q_sup(s, tag))
-    rhs = PeriodMonomial.one()
-    for i in range(1, n - s + 1):
-        rhs = rhs * q(i, tag.dual())
-    rhs = rhs * q_xi(tag)
+    rhs = expand(q_paren(n - s, tag.dual())) * q_xi(tag)
     if s < n:
         rhs = apply_rule(rhs, "q_dual")
     identity = derive_delta_square_identity(n, label)

@@ -16,6 +16,10 @@ from .hodge import HodgeMultiset, RegularMotiveData, has_no_pp_class, restrictio
 
 _P_SPAN = 9
 _W_SPAN = 4
+_A_SPAN = 8
+
+#: The largest rank both generators can draw: each samples n distinct values from its span.
+MAX_RANK = min(2 * _P_SPAN + 1, 2 * _A_SPAN + 1)
 
 
 def random_motive(rng: random.Random, n: int, label: str = "M") -> RegularMotiveData:
@@ -58,7 +62,7 @@ def random_infinity_type(
     csd: bool = False,
     ds_split: bool = False,
 ) -> InfinityTypeData:
-    offsets = sorted(rng.sample(range(-8, 9), n), reverse=True)
+    offsets = sorted(rng.sample(range(-_A_SPAN, _A_SPAN + 1), n), reverse=True)
     half = Fraction(n - 1, 2)
     return InfinityTypeData(
         label,

@@ -20,6 +20,7 @@ from . import lfactor as lf
 from . import oracle as orc
 from . import periods as pd
 from . import sampling as smp
+from .errors import SizeLimitError
 
 SUITES = ("combinatorics", "oracle", "rewrite")
 
@@ -177,23 +178,18 @@ def _suite_combinatorics(seed: int, trials: int, max_rank: int) -> list[Property
 
 def _random_monomial(rng: random.Random) -> pd.PeriodMonomial:
     tag = pd.MotiveTag(rng.choice(["M", "M'"]), rank=rng.randint(1, 4))
-    out = pd.PeriodMonomial.one()
+    factors = []
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice(["2pi", "Q", "d", "D", "Qp", "Qs"])
         e = rng.choice([-2, -1, 1, 2])
         if kind == "2pi":
-            out = out * pd.two_pi_i(rng.randint(-3, 3))
-        elif kind == "Q":
-            out = out * pd.q(rng.randint(1, tag.rank), tag) ** e
-        elif kind == "d":
-            out = out * pd.delta(tag) ** e
-        elif kind == "D":
-            out = out * pd.delta_cap(tag) ** e
-        elif kind == "Qp":
-            out = out * pd.q_paren(rng.randint(0, tag.rank), tag) ** e
+            factors.append((pd.PeriodSymbol("2pi"), rng.randint(-3, 3)))
+        elif kind in ("d", "D"):
+            factors.append((pd.PeriodSymbol(kind, None, tag), e))
         else:
-            out = out * pd.q_sup(rng.randint(0, tag.rank), tag) ** e
-    return out
+            index = rng.randint(1 if kind == "Q" else 0, tag.rank)
+            factors.append((pd.PeriodSymbol(kind, index, tag), e))
+    return pd.PeriodMonomial(factors)
 
 
 _DELTA_SQUARE_RANKS = tuple(range(1, 9))
@@ -269,11 +265,7 @@ def _suite_rewrite(seed: int, trials: int, max_rank: int) -> list[PropertyResult
 # oracle suite
 
 
-def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
-    # A malformed limit is a configuration error, not a property failure,
-    # so it is read here, outside every trial.
-    size_limit = orc.configured_size_limit()
-
+def _suite_oracle(seed: int, trials: int, max_rank: int, size_limit: int) -> list[PropertyResult]:
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
         k = rng.randint(1, 4)
@@ -297,15 +289,18 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
         if coeff != 1:
             return False
         raw = dl.deligne_period_raw(ctx)
-        for a in range(1, ctx.M.rank + 1):
-            want = raw.exponent(pd.PeriodSymbol("Q", a, pd.motive_tag(ctx.M)))
-            if key[pv.q_idx(a)] != want:
-                return False
-        for b in range(1, ctx.Mp.rank + 1):
-            want = raw.exponent(pd.PeriodSymbol("Q", b, pd.motive_tag(ctx.Mp)))
-            if key[pv.qp_idx(b)] != want:
-                return False
-        return True
+        return all(
+            key[idx(a)] == raw.exponent(pd.PeriodSymbol("Q", a, pd.motive_tag(m)))
+            for m, idx in ((ctx.M, pv.q_idx), (ctx.Mp, pv.qp_idx))
+            for a in range(1, m.rank + 1)
+        )
+
+    def determinant_identity(ranks):
+        def check(rng, _):
+            ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank, ranks=ranks))
+            return orc.verify_proposition(ctx, size_limit).ok
+
+        return check
 
     results = [
         _run_property(seed, "determinant_vs_permutation_sum", min(trials, 40), det_vs_naive),
@@ -315,29 +310,18 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
     ]
 
     # The determinant identity runs `trials` seed-fixed configurations for
-    # every rank shape (n, n') up to max_rank.
+    # every rank shape (n, n') up to max_rank, each shape under its own name.
     name = "deligne_period_determinant_identity"
-    failures = 0
-    detail = ""
-    instances = 0
-    for n in range(1, max_rank + 1):
-        for np_ in range(1, max_rank + 1):
-            for t in range(trials):
-                instances += 1
-                rng = _trial_rng(seed, f"{name}/{n}x{np_}", t)
-                try:
-                    ctx = dl.PairContext.build(
-                        *smp.random_pp_free_pair(rng, max_rank, ranks=(n, np_))
-                    )
-                    ok = orc.verify_proposition(ctx, size_limit).ok
-                except Exception as exc:
-                    ok = False
-                    if not detail:
-                        detail = f"shape {n}x{np_} trial {t}: {type(exc).__name__}: {exc}"
-                if not ok:
-                    failures += 1
-                    if not detail:
-                        detail = f"first failure at shape {n}x{np_} trial {t}"
+    shapes = {
+        f"{n}x{np_}": (n, np_) for n in range(1, max_rank + 1) for np_ in range(1, max_rank + 1)
+    }
+    per_shape = [
+        (shape, _run_property(seed, f"{name}/{shape}", trials, determinant_identity(ranks)))
+        for shape, ranks in shapes.items()
+    ]
+    detail = next((f"shape {shape} {r.detail}" for shape, r in per_shape if r.detail), "")
+    instances = sum(r.instances for _, r in per_shape)
+    failures = sum(r.failures for _, r in per_shape)
     results.append(PropertyResult(name, instances, failures, detail))
     return results
 
@@ -357,14 +341,28 @@ def run_suites(
 ) -> dict:
     """Run one suite (or ``all``) and return a JSON-ready summary."""
     names = list(SUITES) if suite == "all" else [suite]
+    runs = []
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-    results: list[PropertyResult] = []
-    for name in names:
         t = trials if trials is not None else _DEFAULT_TRIALS[name]
         r = max_rank if max_rank is not None else _DEFAULT_MAX_RANK[name]
-        results.extend(_SUITE_FNS[name](seed, t, r))
+        if not 1 <= r <= smp.MAX_RANK:
+            raise ValueError(
+                f"max_rank must lie in 1..{smp.MAX_RANK}, the ranks the samplers draw; got {r}"
+            )
+        args = (seed, t, r)
+        if name == "oracle":
+            # A malformed or too small size bound is a configuration error,
+            # not a property failure, so it is read once, before any suite runs.
+            size_limit = orc.configured_size_limit()
+            if r**2 > size_limit:
+                raise SizeLimitError(r**2, size_limit)
+            args += (size_limit,)
+        runs.append((_SUITE_FNS[name], args))
+    results: list[PropertyResult] = []
+    for fn, args in runs:
+        results.extend(fn(*args))
     return {
         "suite": suite,
         "seed": seed,

@@ -186,3 +186,34 @@ class TestClassifier:
         report = classify_known_case(pi, pip, 2)  # same parity, m != 1
         assert report.case == "unknown"
         assert any("no case shape" in f for f in report.failed_conditions)
+
+
+def test_classifier_failures_of_two_triggered_cases_in_order():
+    # Rank 2 against rank 1 triggers case 1 and case 2; gap 1 and no flags fail both.
+    pi = rep("Pi", 0, [Fraction(1, 2), Fraction(-1, 2)])
+    pip = rep("Pi'", 0, [0])
+    report = classify_known_case(pi, pip, Fraction(3, 2))
+    assert report.case == "unknown"
+    assert (report.very_regular_pi, report.very_regular_pip) == (False, True)
+    assert report.failed_conditions == (
+        "case1: Pi: some gap a_i - a_(i+1) is below 3",
+        "case1: m = 3/2 is not critical for the pair",
+        "case1: first factor Pi is not flagged conjugate self-dual",
+        "case1: first factor Pi has even rank but lacks the discrete-series-at-a-split-place flag",
+        "case2: Pi: some gap a_i - a_(i+1) is below 3",
+        "case2: m = 3/2 is not critical for the pair",
+        "case2: first factor Pi is not flagged conjugate self-dual",
+        "case2: first factor Pi has even rank but lacks the discrete-series-at-a-split-place flag",
+        "case2: second factor Pi' is not flagged conjugate self-dual",
+    )
+
+
+def test_classifier_case2_names_a_shared_gap_last():
+    pi = rep("Pi", 0, [3, 0, -3], csd=True)
+    pip = rep("Pi'", 0, [Fraction(5, 2), Fraction(1, 2)], csd=True)
+    report = classify_known_case(pip, pi, Fraction(1, 2))
+    assert report.failed_conditions == (
+        "case2: Pi': some gap a_i - a_(i+1) is below 3",
+        "case2: second factor Pi' has even rank but lacks the discrete-series-at-a-split-place flag",
+        "case2: two exponents of the smaller factor fall in the same gap (split indices [0, 2, 0, 0])",
+    )

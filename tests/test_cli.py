@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
-from periodkit import InfinityTypeData, RegularMotiveData
+import pytest
+
+from periodkit import InfinityTypeData, ParseError, RegularMotiveData
 from periodkit.cli import main
 from periodkit.fileio import dump_motive, dump_rep, parse_motive, parse_rep
 
@@ -254,3 +257,76 @@ class TestClassifyAndVerify:
         rc1, p1, _ = run(capsys, ["verify", "--suite", "oracle", "--trials", "3", "--max-rank", "2", "--seed", "9"])
         rc2, p2, _ = run(capsys, ["verify", "--suite", "oracle", "--trials", "3", "--max-rank", "2", "--seed", "9"])
         assert rc1 == rc2 == 0 and p1 == p2
+
+
+def test_verify_all_seed42_matches_recorded_output(capsys):
+    recorded = Path(__file__).parent / "data" / "verify_all_seed42.json"
+    rc = main(["verify", "--suite", "all", "--seed", "42"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode() == recorded.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "m.json", "mp.json", "--m", "abc"],
+        ["conjecture", "m.json", "mp.json", "--m", "1/0"],
+        ["classify", "r.json", "rp.json", "--m", "x"],
+    ],
+)
+def test_malformed_m_exits_2(tmp_path, capsys, argv):
+    write(tmp_path, "m.json", ELLIPTIC)
+    write(tmp_path, "mp.json", RANK_ONE)
+    write(tmp_path, "r.json", REP2)
+    write(tmp_path, "rp.json", REP1)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args, phrase",
+    [
+        (["--trials", "-1"], "trials"),
+        (["--trials", "0"], "trials"),
+        (["--max-rank", "0"], "max_rank"),
+        (["--max-rank", "30"], "max_rank"),
+        (["--suite", "combinatorics", "--max-rank", "18"], "max_rank"),
+        (["--suite", "oracle", "--max-rank", "20"], "max_rank"),
+    ],
+)
+def test_verify_rejects_bad_arguments_as_usage_errors(capsys, args, phrase):
+    rc = main(["verify", *args])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and phrase in out.err
+
+
+def test_verify_accepts_the_largest_drawable_rank(capsys):
+    rc = main(["verify", "--suite", "combinatorics", "--max-rank", "17", "--trials", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_verify_size_bound_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.delenv("PK_MAX_ORACLE_SIZE", raising=False)
+    rc = main(["verify", "--suite", "oracle", "--max-rank", "4", "--trials", "1"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and "PK_MAX_ORACLE_SIZE" in out.err
+
+
+@pytest.mark.parametrize("parse", [parse_motive, parse_rep])
+def test_parse_error_names_the_whole_path(tmp_path, parse):
+    path = tmp_path / "inputs" / "bad.json"
+    path.parent.mkdir()
+    path.write_text("{}")
+    with pytest.raises(ParseError) as info:
+        parse(path)
+    assert str(info.value).startswith(f"{path}: missing field")
