@@ -157,7 +157,7 @@ def _cmd_verify(args) -> int:
         summary = suites.run_suites(
             args.suite, seed=args.seed, trials=args.trials, max_rank=args.max_rank
         )
-    except ValueError as exc:  # bad arguments or configuration, such as PK_MAX_ORACLE_SIZE
+    except ValueError as exc:  # a --max-rank outside the ranks the samplers draw
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _emit(summary)

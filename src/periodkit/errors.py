@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code protocol: parse errors and an
-exceeded oracle size bound exit 2, a (p,p)-class (no critical points)
-exits 3, a non-critical evaluation point exits 4.
+oracle shape above ``oracle.MAX_SIZE`` exit 2, a (p,p)-class (no
+critical points) exits 3, a non-critical evaluation point exits 4.
 """
 
 from __future__ import annotations
@@ -60,13 +60,12 @@ class NonIntegerExponentError(PeriodKitError):
 
 
 class SizeLimitError(PeriodKitError):
-    """The symbolic determinant exceeds the configured size bound."""
+    """The symbolic determinant exceeds the oracle's size bound."""
 
     def __init__(self, size: int, bound: int):
         super().__init__(
-            f"matrix size {size} exceeds the configured bound {bound} "
-            "(the determinant costs 2^size column subsets times the terms per "
-            "subset; raise PK_MAX_ORACLE_SIZE to override)"
+            f"matrix size {size} exceeds the bound {bound} "
+            "(the determinant costs 2^size column subsets times the terms per subset)"
         )
         self.size = size
         self.bound = bound

@@ -15,12 +15,12 @@ single integers, so monomial multiplication is one integer addition
 throughout.  The determinant uses dynamic programming over column
 subsets (row-major Laplace expansion with memoization): its cost is the
 2^size column subsets times the number of terms each subset's partial
-determinant holds, hence the configurable size bound.
+determinant holds, hence the size bound.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations
@@ -28,18 +28,9 @@ from itertools import permutations
 from .deligne import PairContext
 from .errors import SizeLimitError
 
-DEFAULT_SIZE_LIMIT = 12
-SIZE_LIMIT_ENV = "PK_MAX_ORACLE_SIZE"
-
-
-def configured_size_limit() -> int:
-    raw = os.environ.get(SIZE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}") from None
+# The largest nn' checked: det(A)^n' det(B)^n has 221,760 terms at 3x4
+# (size 12) and 102,961,609 at 4x4.
+MAX_SIZE = 12
 
 
 # Python hashes an int as its value mod 2^61 - 1, which folds the fields
@@ -226,9 +217,6 @@ class LaurentPoly:
         width = max(self._width, other._width)
         return self._keys_at(width) == other._keys_at(width)
 
-    def __hash__(self):  # pragma: no cover - polynomials are not dict keys
-        return hash((self.vars, tuple(sorted(self._items()))))
-
     @property
     def is_zero(self) -> bool:
         return not self._keys
@@ -405,66 +393,55 @@ class PairVariables:
         return self.n * self.n + self.np * self.np + self.n + (u - 1)
 
 
-def _complement_columns(ctx: PairContext) -> tuple[list, list]:
+def _mat1_columns(ctx: PairContext) -> list[tuple[tuple, int, int, int]]:
+    """Each column of Mat1 in order, as (col_desc entry, a, b, s).
+
+    The column is column (a, b) of A⊗B scaled by (Q_a Q'_b)^-s.  The pairs
+    outside A come first, each giving itself with s = 0; a pair (t, u)
+    outside T gives (n+1-t, n'+1-u) with s = 1, as a conjugate coefficient
+    is the plain one divided by its period.
+    """
     n, np_ = ctx.M.rank, ctx.Mp.rank
-    all_pairs = [(x, y) for x in range(1, n + 1) for y in range(1, np_ + 1)]
-    cols_a = [p for p in all_pairs if p not in ctx.A.members]
-    cols_t = [p for p in all_pairs if p not in ctx.T.members]
-    return cols_a, cols_t
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, np_ + 1)]
+    cols = [(("A-complement", a, b), a, b, 0) for a, b in pairs if (a, b) not in ctx.A.members]
+    cols += [
+        (("T-complement", t, u), n + 1 - t, np_ + 1 - u, 1)
+        for t, u in pairs
+        if (t, u) not in ctx.T.members
+    ]
+    return cols
 
 
 def build_mat1(ctx: PairContext) -> SymMatrix:
     """The nn' x nn' coefficient matrix of the comparison isomorphism.
 
-    Rows run over (i, j) lexicographically.  Columns list first the pairs
-    (a, b) outside A with entries A_ia B_jb, then the pairs (t, u)
-    outside T with entries Q_{n+1-t}^-1 Q'_{n'+1-u}^-1 A_{i,n+1-t}
-    B_{j,n'+1-u}, using that the conjugate coefficients are the plain
-    ones divided by the matching period.
+    Rows run over (i, j) lexicographically; the entry in the column
+    (a, b, s) of ``_mat1_columns`` is A_ia B_jb Q_a^-s Q'_b^-s.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
-    cols_a, cols_t = _complement_columns(ctx)
-    col_desc = tuple(("A-complement",) + p for p in cols_a) + tuple(
-        ("T-complement",) + p for p in cols_t
+    cols = _mat1_columns(ctx)
+    row_desc = tuple((i, j) for i in range(1, n + 1) for j in range(1, np_ + 1))
+    rows = tuple(
+        tuple(
+            LaurentPoly.monomial(
+                pv.names,
+                {pv.a_idx(i, a): 1, pv.b_idx(j, b): 1, pv.q_idx(a): -s, pv.qp_idx(b): -s},
+            )
+            for _, a, b, s in cols
+        )
+        for i, j in row_desc
     )
-    rows = []
-    row_desc = []
-    for i in range(1, n + 1):
-        for j in range(1, np_ + 1):
-            row_desc.append((i, j))
-            row = []
-            for a, b in cols_a:
-                row.append(
-                    LaurentPoly.monomial(pv.names, {pv.a_idx(i, a): 1, pv.b_idx(j, b): 1})
-                )
-            for t, u in cols_t:
-                row.append(
-                    LaurentPoly.monomial(
-                        pv.names,
-                        {
-                            pv.q_idx(n + 1 - t): -1,
-                            pv.qp_idx(np_ + 1 - u): -1,
-                            pv.a_idx(i, n + 1 - t): 1,
-                            pv.b_idx(j, np_ + 1 - u): 1,
-                        },
-                    )
-                )
-            rows.append(tuple(row))
-    return SymMatrix(pv.names, tuple(rows), tuple(row_desc), col_desc)
+    return SymMatrix(pv.names, rows, row_desc, tuple(desc for desc, *_ in cols))
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
-    """The monomial prod_{(t,u) not in T} Q_{n+1-t} Q'_{n'+1-u}."""
-    n, np_ = ctx.M.rank, ctx.Mp.rank
-    pv = PairVariables.build(n, np_)
-    exps: dict[int, int] = {}
-    _, cols_t = _complement_columns(ctx)
-    for t, u in cols_t:
-        qi = pv.q_idx(n + 1 - t)
-        qpu = pv.qp_idx(np_ + 1 - u)
-        exps[qi] = exps.get(qi, 0) + 1
-        exps[qpu] = exps.get(qpu, 0) + 1
+    """The monomial prod Q_a Q'_b over the period-scaled columns of Mat1."""
+    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
+    exps: Counter[int] = Counter()
+    for _, a, b, s in _mat1_columns(ctx):
+        exps[pv.q_idx(a)] += s
+        exps[pv.qp_idx(b)] += s
     return LaurentPoly.monomial(pv.names, exps)
 
 
@@ -483,14 +460,10 @@ def _coefficient_block(pv: PairVariables, which: str) -> SymMatrix:
 def _kronecker_column_sign(ctx: PairContext) -> int:
     """sgn(σ), where σ takes the columns of A⊗B to the columns of Mat1.
 
-    Column (a, b) outside A of Mat1 is column (a, b) of A⊗B, and column
-    (t, u) outside T is column (n+1-t, n'+1-u) of A⊗B, scaled by periods;
     A⊗B orders its columns (a, b) lexicographically, like Mat1 its rows.
     """
-    n, np_ = ctx.M.rank, ctx.Mp.rank
-    cols_a, cols_t = _complement_columns(ctx)
-    order = [(a - 1) * np_ + (b - 1) for a, b in cols_a]
-    order += [(n - t) * np_ + (np_ - u) for t, u in cols_t]
+    np_ = ctx.Mp.rank
+    order = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
     inversions = sum(1 for i, x in enumerate(order) for y in order[i + 1 :] if x > y)
     return -1 if inversions % 2 else 1
 
@@ -516,7 +489,7 @@ class VerificationReport:
         return {"size": self.size, "ok": self.ok, "sign": self.sign}
 
 
-def verify_proposition(ctx: PairContext, size_limit: int | None = None) -> VerificationReport:
+def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
     σ is the column permutation taking A⊗B to Mat1, so the sign is
@@ -524,9 +497,8 @@ def verify_proposition(ctx: PairContext, size_limit: int | None = None) -> Verif
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     size = n * np_
-    bound = configured_size_limit() if size_limit is None else size_limit
-    if size > bound:
-        raise SizeLimitError(size, bound)
+    if size > MAX_SIZE:
+        raise SizeLimitError(size, MAX_SIZE)
     lhs = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)

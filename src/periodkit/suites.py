@@ -22,12 +22,6 @@ from . import periods as pd
 from . import sampling as smp
 from .errors import SizeLimitError
 
-SUITES = ("combinatorics", "oracle", "rewrite")
-
-_DEFAULT_TRIALS = {"combinatorics": 1000, "rewrite": 500, "oracle": 100}
-_DEFAULT_MAX_RANK = {"combinatorics": 4, "rewrite": 4, "oracle": 3}
-
-
 @dataclass
 class PropertyResult:
     name: str
@@ -37,7 +31,7 @@ class PropertyResult:
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0
+        return self.instances > 0 and self.failures == 0
 
     def to_json(self) -> dict:
         out = {"name": self.name, "instances": self.instances, "failures": self.failures}
@@ -265,7 +259,7 @@ def _suite_rewrite(seed: int, trials: int, max_rank: int) -> list[PropertyResult
 # oracle suite
 
 
-def _suite_oracle(seed: int, trials: int, max_rank: int, size_limit: int) -> list[PropertyResult]:
+def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
         k = rng.randint(1, 4)
@@ -298,7 +292,7 @@ def _suite_oracle(seed: int, trials: int, max_rank: int, size_limit: int) -> lis
     def determinant_identity(ranks):
         def check(rng, _):
             ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank, ranks=ranks))
-            return orc.verify_proposition(ctx, size_limit).ok
+            return orc.verify_proposition(ctx).ok
 
         return check
 
@@ -326,11 +320,13 @@ def _suite_oracle(seed: int, trials: int, max_rank: int, size_limit: int) -> lis
     return results
 
 
-_SUITE_FNS = {
-    "combinatorics": _suite_combinatorics,
-    "rewrite": _suite_rewrite,
-    "oracle": _suite_oracle,
+# name -> (suite function, default trials, default max rank), in the order ``all`` runs them.
+_SUITES = {
+    "combinatorics": (_suite_combinatorics, 1000, 4),
+    "oracle": (_suite_oracle, 100, 3),
+    "rewrite": (_suite_rewrite, 500, 4),
 }
+SUITES = tuple(_SUITES)
 
 
 def run_suites(
@@ -343,26 +339,23 @@ def run_suites(
     names = list(SUITES) if suite == "all" else [suite]
     runs = []
     for name in names:
-        if name not in _SUITE_FNS:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-        t = trials if trials is not None else _DEFAULT_TRIALS[name]
-        r = max_rank if max_rank is not None else _DEFAULT_MAX_RANK[name]
+        fn, default_trials, default_rank = _SUITES[name]
+        t = default_trials if trials is None else trials
+        r = default_rank if max_rank is None else max_rank
         if not 1 <= r <= smp.MAX_RANK:
             raise ValueError(
                 f"max_rank must lie in 1..{smp.MAX_RANK}, the ranks the samplers draw; got {r}"
             )
-        args = (seed, t, r)
-        if name == "oracle":
-            # A malformed or too small size bound is a configuration error,
-            # not a property failure, so it is read once, before any suite runs.
-            size_limit = orc.configured_size_limit()
-            if r**2 > size_limit:
-                raise SizeLimitError(r**2, size_limit)
-            args += (size_limit,)
-        runs.append((_SUITE_FNS[name], args))
+        if name == "oracle" and r**2 > orc.MAX_SIZE:
+            # A shape the oracle cannot check is a usage error, not a
+            # property failure, so it is raised before any suite runs.
+            raise SizeLimitError(r**2, orc.MAX_SIZE)
+        runs.append((fn, t, r))
     results: list[PropertyResult] = []
-    for fn, args in runs:
-        results.extend(fn(*args))
+    for fn, t, r in runs:
+        results.extend(fn(seed, t, r))
     return {
         "suite": suite,
         "seed": seed,

@@ -313,13 +313,12 @@ def test_verify_accepts_the_largest_drawable_rank(capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_verify_size_bound_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.delenv("PK_MAX_ORACLE_SIZE", raising=False)
+def test_verify_size_bound_is_a_usage_error(capsys):
     rc = main(["verify", "--suite", "oracle", "--max-rank", "4", "--trials", "1"])
     out = capsys.readouterr()
     assert rc == 2
     assert out.out == ""
-    assert out.err.startswith("error:") and "PK_MAX_ORACLE_SIZE" in out.err
+    assert out.err.startswith("error:") and "exceeds the bound 12" in out.err
 
 
 @pytest.mark.parametrize("parse", [parse_motive, parse_rep])

@@ -179,15 +179,6 @@ class TestVerifyProposition:
         with pytest.raises(SizeLimitError):
             verify_proposition(ctx)
 
-    def test_size_limit_env_override(self, monkeypatch):
-        rng = random.Random(66)
-        ctx = PairContext.build(*random_pp_free_pair(rng, 2, ranks=(2, 2)))
-        monkeypatch.setenv("PK_MAX_ORACLE_SIZE", "3")
-        with pytest.raises(SizeLimitError):
-            verify_proposition(ctx)
-        monkeypatch.setenv("PK_MAX_ORACLE_SIZE", "4")
-        assert verify_proposition(ctx).ok
-
 
 class TestPackedRing:
     def test_width_grows_with_the_exponent_bound(self):
@@ -261,14 +252,3 @@ class TestPredictedSign:
         wrong = verify_proposition(ctx)
         assert right.ok and not wrong.ok
         assert wrong.sign == right.sign == -wrong.predicted_sign
-
-
-def test_cli_reports_a_malformed_size_limit_as_a_usage_error(monkeypatch, capsys):
-    from periodkit.cli import main
-
-    monkeypatch.setenv("PK_MAX_ORACLE_SIZE", "abc")
-    rc = main(["verify", "--suite", "oracle", "--trials", "2", "--max-rank", "2"])
-    out = capsys.readouterr()
-    assert rc == 2
-    assert out.out == ""
-    assert out.err.startswith("error: PK_MAX_ORACLE_SIZE must be an integer")
