@@ -82,7 +82,6 @@ from .periods import (
     derive_delta_square_identity,
     derive_grouped_period_identity,
     expand,
-    mono_eq,
     motive_tag,
     q,
     q_paren,

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .combinatorics import SplitIndices, split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
-from .errors import (
-    AlgebraicityError,
-    NonIntegerExponentError,
-    NotCriticalError,
-    NotCriticalPairError,
-)
+from .errors import AlgebraicityError, NotCriticalError, NotCriticalPairError
 from .hodge import HalfInt, RegularMotiveData
 from .lfactor import pair_critical_points
 from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
@@ -141,15 +136,11 @@ def conjecture_rhs_automorphic(
             f"m = {m} is not critical for the pair; critical m lie in {interval}",
             interval=interval,
         )
-    n, np_ = pi.n, pip.n
-    lead = m * n * np_
-    if lead.denominator != 1:  # unreachable for m on the critical grid
-        raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
     groups = (
         (rep_tag(pi), split_indices_auto(pi, pip)),
         (rep_tag(pip), split_indices_auto(pip, pi)),
     )
-    return grouped_period_product("P", int(lead), groups, "EE';K")
+    return grouped_period_product("P", m, groups, "EE';K")
 
 
 def substitute_p_periods(

@@ -12,9 +12,10 @@ Three closed forms are assembled over the formal period alphabet:
   the leading power by (2πi)^(nn'm).
 
 The simplified form, the motivic right-hand side and the automorphic one
-(P[j;Π] in place of Qs[j;M]) are one product, built by
-:func:`grouped_period_product`; each caller supplies its own leading
-exponent after its own criticality checks.
+(P[j;Π] in place of Qs[j;M]) are one product with leading exponent nn'm,
+built by :func:`grouped_period_product` from the evaluation point m; the
+simplified form is the case m = -(n+n'-2)/2.  Each caller checks its own
+m for criticality.
 
 Signs are dropped throughout: for motives restricted from a quadratic
 imaginary field the two Deligne periods agree up to the coefficient
@@ -69,13 +70,18 @@ class PairContext:
         )
 
 
-def grouped_period_product(kind: str, lead: int, groups, field_label: str) -> PeriodMonomial:
-    """(2πi)^lead * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).
+def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> PeriodMonomial:
+    """(2πi)^(m n n') * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).
 
-    ``groups`` holds (MotiveTag, SplitIndices) pairs; ``kind`` is ``"Qs"``
-    on the motivic side and ``"P"`` on the automorphic one.
+    ``groups`` holds the two (MotiveTag, SplitIndices) pairs, whose tags
+    carry the ranks n and n'; ``kind`` is ``"Qs"`` on the motivic side and
+    ``"P"`` on the automorphic one.
     """
-    factors = [(PeriodSymbol("2pi"), lead)]
+    n, np_ = (tag.rank for tag, _ in groups)
+    lead = m * n * np_
+    if lead.denominator != 1:  # unreachable for m on the critical grid
+        raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
+    factors = [(PeriodSymbol("2pi"), int(lead))]
     for tag, sp in groups:
         factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp.values)]
     return PeriodMonomial(factors, field_label)
@@ -97,11 +103,9 @@ def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
 
 def deligne_period_simplified(ctx: PairContext) -> PeriodMonomial:
     """The Deligne period grouped through the Qs periods and split indices."""
-    n, np_ = ctx.M.rank, ctx.Mp.rank
-    lead = -n * np_ * (n + np_ - 2)
-    assert lead % 2 == 0
+    m = -Fraction(ctx.M.rank + ctx.Mp.rank - 2, 2)
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", lead // 2, groups, "EE'")
+    return grouped_period_product("Qs", m, groups, "EE'")
 
 
 def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomial:
@@ -116,8 +120,5 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
             f"m = {m} is not critical for the pair; critical m lie in {legal}",
             interval=interval,
         )
-    lead = m * n * np_
-    if lead.denominator != 1:  # unreachable for m on the critical grid
-        raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", int(lead), groups, "EE'")
+    return grouped_period_product("Qs", m, groups, "EE'")

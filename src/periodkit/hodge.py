@@ -128,6 +128,10 @@ class HodgeMultiset:
             raise ValueError("a Hodge multiset is non-empty")
         counts = {}
         for p, q, mult in self.pairs:
+            if not (isinstance(p, int) and isinstance(q, int) and isinstance(mult, int)):
+                raise ValueError(
+                    f"class ({p!r},{q!r}) with multiplicity {mult!r}: entries must be integers"
+                )
             if mult <= 0:
                 raise ValueError(f"multiplicities are positive, got {mult} at ({p},{q})")
             if p + q != self.weight:
@@ -149,9 +153,12 @@ class HodgeMultiset:
     @classmethod
     def of(cls, weight: int, pq_iterable: Iterable[tuple[int, int]]) -> "HodgeMultiset":
         """Build from an iterable of (p, q) classes, repeats allowed."""
-        counter = Counter((int(p), int(q)) for p, q in pq_iterable)
-        pairs = tuple(sorted((p, q, m) for (p, q), m in counter.items()))
-        return cls(weight, pairs)
+        pairs = []
+        for (p, q), m in Counter(pq_iterable).items():
+            if p != int(p) or q != int(q):
+                raise ValueError(f"class ({p},{q}) is not integral")
+            pairs.append((int(p), int(q), m))
+        return cls(weight, tuple(sorted(pairs)))
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.pairs)

@@ -20,18 +20,24 @@ Scalars from the coefficient field are invisible at this level, so a
 monomial carries only exponents; the ``field_label`` annotation records
 which field the relation is taken over and never affects equality.
 
-The rewrite rules are the standard period relations:
+The rewrite rules are the standard period relations.  Each names the
+symbol kind it rewrites, the decoration that must end the symbol's tag
+(``-`` for none) and whether the tag must be conjugate self-dual;
+:func:`apply_rule` reads these three from ``RULES`` and nothing else
+decides a match.
 
-=================  ==========================================================
-``q_conj``         Q[i;T] -> Q[n+1-i; T^c]^-1            (conjugation toggle)
-``delta_conj``     d[T^c] -> (prod_i Q[i;T]) d[T]
-``delta_twist``    d[T(k)] -> (2πi)^(k n) d[T]
-``delta_dual``     d[T^v] -> d[T]^-1
-``conj_as_dual``   d[T^c] -> d[T^v(1-n)]      (conjugate self-dual tags only)
-``q_dual``         Q[i;T^v] -> Q[n+1-i;T]^-1  (conjugate self-dual tags only)
-``xi_to_delta``    Qxi[T] -> (2πi)^(-n(n-1)/2) d[T]^-1   (csd tags only)
-``det_q``          Q[1;det(T)] -> prod_i Q[i;T]
-=================  ==========================================================
+================  ====  ==========  ===  ==============================================
+rule              kind  decoration  csd  relation
+================  ====  ==========  ===  ==============================================
+``q_conj``        Q     -           no   Q[i;T] -> Q[n+1-i; T^c]^-1   (conjugation toggle)
+``delta_conj``    d     ^c          no   d[T^c] -> (prod_i Q[i;T]) d[T]
+``delta_twist``   d     (k)         no   d[T(k)] -> (2πi)^(k n) d[T]
+``delta_dual``    d     ^v          no   d[T^v] -> d[T]^-1
+``conj_as_dual``  d     ^c          yes  d[T^c] -> d[T^v(1-n)]
+``q_dual``        Q     ^v          yes  Q[i;T^v] -> Q[n+1-i;T]^-1
+``xi_to_delta``   Qxi   -           yes  Qxi[T] -> (2πi)^(-n(n-1)/2) d[T]^-1
+``det_q``         Q     det         no   Q[1;det(T)] -> prod_i Q[i;T]
+================  ====  ==========  ===  ==============================================
 
 The determinant period of the trivial motive is rational, so ``d`` of the
 undecorated trivial tag is dropped when a monomial is assembled; with the
@@ -45,10 +51,11 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import RuleNotApplicable, UnknownRankError
 
-# Tag decorations.  Conjugate and dual are self-cancelling; twists merge.
-_CONJ = "c"
-_DUAL = "v"
-_DET = "det"
+# Tag decorations are (kind, argument) pairs; only a twist has an argument.
+# Conjugate and dual are self-cancelling; twists merge.
+_CONJ = ("c", None)
+_DUAL = ("v", None)
+_DET = ("det", None)
 
 
 @dataclass(frozen=True)
@@ -66,18 +73,19 @@ class MotiveTag:
     csd: bool = False
     ops: tuple = ()
 
-    def conj(self) -> "MotiveTag":
-        if self.ops and self.ops[-1] == _CONJ:
+    def _toggle(self, op) -> "MotiveTag":
+        if self.ops and self.ops[-1] == op:
             return replace(self, ops=self.ops[:-1])
-        return replace(self, ops=self.ops + (_CONJ,))
+        return replace(self, ops=self.ops + (op,))
+
+    def conj(self) -> "MotiveTag":
+        return self._toggle(_CONJ)
 
     def dual(self) -> "MotiveTag":
-        if self.ops and self.ops[-1] == _DUAL:
-            return replace(self, ops=self.ops[:-1])
-        return replace(self, ops=self.ops + (_DUAL,))
+        return self._toggle(_DUAL)
 
     def twist(self, k: int) -> "MotiveTag":
-        if self.ops and isinstance(self.ops[-1], tuple):
+        if self.ops and self.ops[-1][0] == "t":
             k = k + self.ops[-1][1]
             base = self.ops[:-1]
         else:
@@ -91,11 +99,7 @@ class MotiveTag:
 
     @property
     def rank_value(self) -> int | None:
-        r = self.rank
-        for op in self.ops:
-            if op == _DET:
-                r = 1
-        return r
+        return 1 if _DET in self.ops else self.rank
 
     def require_rank(self) -> int:
         r = self.rank_value
@@ -103,33 +107,17 @@ class MotiveTag:
             raise UnknownRankError(f"tag {self.text()} carries no rank")
         return r
 
-    def peel(self, kind: str):
-        """Strip a trailing decoration of the given kind, or return None.
-
-        For a twist, returns (base_tag, k); otherwise the base tag.
-        """
-        if not self.ops:
-            return None
-        last = self.ops[-1]
-        if kind == "t":
-            if isinstance(last, tuple) and last[0] == "t":
-                return replace(self, ops=self.ops[:-1]), last[1]
-            return None
-        if last == kind:
-            return replace(self, ops=self.ops[:-1])
-        return None
-
     def text(self) -> str:
         s = self.label
-        for op in self.ops:
-            if op == _CONJ:
+        for kind, arg in self.ops:
+            if kind == "c":
                 s += "^c"
-            elif op == _DUAL:
+            elif kind == "v":
                 s += "^v"
-            elif op == _DET:
+            elif kind == "det":
                 s = f"det({s})"
             else:
-                s += f"({op[1]})"
+                s += f"({arg})"
         return s
 
     def sort_key(self):
@@ -183,7 +171,7 @@ class PeriodSymbol:
     def text(self) -> str:
         if self.kind == "2pi":
             return "(2πi)"
-        if self.kind in ("d", "D", "Qxi"):
+        if self.index is None:
             return f"{self.kind}[{self.tag.text()}]"
         return f"{self.kind}[{self.index};{self.tag.text()}]"
 
@@ -294,10 +282,6 @@ class PeriodMonomial:
         return f"PeriodMonomial({self.text()!r})"
 
 
-def mono_eq(x: PeriodMonomial, y: PeriodMonomial) -> bool:
-    return x == y
-
-
 def two_pi_i(k: int = 1) -> PeriodMonomial:
     return PeriodMonomial(((_TWO_PI, k),))
 
@@ -365,93 +349,62 @@ def expand(x: PeriodMonomial) -> PeriodMonomial:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite rules.  Each matcher maps (symbol, exponent) to the factors of
-# its replacement, or None when the symbol does not match.
+# Rewrite rules.  A replacement maps (symbol, tag with the rule's decoration
+# removed, that decoration's argument, exponent) to the factors that stand
+# in for the symbol; a rule that names no decoration gets the tag as it is.
 
-def _rule_q_conj(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "Q":
-        return None
+def _rule_q_conj(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     n = sym.tag.require_rank()
     return [(PeriodSymbol("Q", n + 1 - sym.index, sym.tag.conj()), -exp)]
 
 
-def _rule_delta_conj(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "d":
-        return None
-    base = sym.tag.peel(_CONJ)
-    if base is None:
-        return None
+def _rule_delta_conj(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     n = base.require_rank()
     return _q_range(base, n, exp) + [(PeriodSymbol("d", None, base), exp)]
 
 
-def _rule_delta_twist(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "d":
-        return None
-    peeled = sym.tag.peel("t")
-    if peeled is None:
-        return None
-    base, k = peeled
+def _rule_delta_twist(sym: PeriodSymbol, base: MotiveTag, k: int, exp: int) -> _Factors:
     n = base.require_rank()
     return [(_TWO_PI, k * n * exp), (PeriodSymbol("d", None, base), exp)]
 
 
-def _rule_delta_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "d":
-        return None
-    base = sym.tag.peel(_DUAL)
-    if base is None:
-        return None
+def _rule_delta_dual(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     return [(PeriodSymbol("d", None, base), -exp)]
 
 
-def _rule_conj_as_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "d" or not sym.tag.csd:
-        return None
-    base = sym.tag.peel(_CONJ)
-    if base is None:
-        return None
+def _rule_conj_as_dual(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     n = base.require_rank()
     return [(PeriodSymbol("d", None, base.dual().twist(1 - n)), exp)]
 
 
-def _rule_q_dual(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "Q" or not sym.tag.csd:
-        return None
-    base = sym.tag.peel(_DUAL)
-    if base is None:
-        return None
+def _rule_q_dual(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     n = base.require_rank()
     return [(PeriodSymbol("Q", n + 1 - sym.index, base), -exp)]
 
 
-def _rule_xi_to_delta(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "Qxi" or not sym.tag.csd:
-        return None
+def _rule_xi_to_delta(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
     return _normalized_delta(sym.tag, -exp)
 
 
-def _rule_det_q(sym: PeriodSymbol, exp: int) -> _Factors | None:
-    if sym.kind != "Q" or sym.index != 1:
-        return None
-    base = sym.tag.peel(_DET)
-    if base is None:
-        return None
+def _rule_det_q(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:
+    # A Q on a det(...) tag has index 1: the tag's rank_value is 1.
     n = base.require_rank()
     return _q_range(base, n, exp)
 
 
-_Rule = Callable[[PeriodSymbol, int], "_Factors | None"]
+_Replacement = Callable[[PeriodSymbol, MotiveTag, "int | None", int], _Factors]
 
-RULES: dict[str, tuple[_Rule, str]] = {
-    "q_conj": (_rule_q_conj, "E"),
-    "delta_conj": (_rule_delta_conj, "E"),
-    "delta_twist": (_rule_delta_twist, "E;K"),
-    "delta_dual": (_rule_delta_dual, "E"),
-    "conj_as_dual": (_rule_conj_as_dual, "E"),
-    "q_dual": (_rule_q_dual, "E"),
-    "xi_to_delta": (_rule_xi_to_delta, "E;K"),
-    "det_q": (_rule_det_q, "E"),
+#: rule -> (symbol kind, trailing tag decoration or None, csd tags only,
+#: field label, replacement); see the table in the module docstring.
+RULES: dict[str, tuple[str, str | None, bool, str, _Replacement]] = {
+    "q_conj": ("Q", None, False, "E", _rule_q_conj),
+    "delta_conj": ("d", "c", False, "E", _rule_delta_conj),
+    "delta_twist": ("d", "t", False, "E;K", _rule_delta_twist),
+    "delta_dual": ("d", "v", False, "E", _rule_delta_dual),
+    "conj_as_dual": ("d", "c", True, "E", _rule_conj_as_dual),
+    "q_dual": ("Q", "v", True, "E", _rule_q_dual),
+    "xi_to_delta": ("Qxi", None, True, "E;K", _rule_xi_to_delta),
+    "det_q": ("Q", "det", False, "E", _rule_det_q),
 }
 
 
@@ -459,16 +412,21 @@ def apply_rule(x: PeriodMonomial, rule: str) -> PeriodMonomial:
     """Replace every factor matching the named rule by its right-hand side."""
     if rule not in RULES:
         raise KeyError(f"unknown rule {rule!r}; known: {sorted(RULES)}")
-    matcher, label = RULES[rule]
+    kind, decoration, csd_only, label, replacement = RULES[rule]
     factors: _Factors = []
     matched = False
     for sym, exp in x.factors:
-        piece = matcher(sym, exp)
-        if piece is None:
-            factors.append((sym, exp))
-        else:
+        tag, arg = sym.tag, None
+        hit = sym.kind == kind and (tag.csd or not csd_only)
+        if hit and decoration is not None:
+            hit = bool(tag.ops) and tag.ops[-1][0] == decoration
+            if hit:
+                arg, tag = tag.ops[-1][1], replace(tag, ops=tag.ops[:-1])
+        if hit:
             matched = True
-            factors += piece
+            factors += replacement(sym, tag, arg, exp)
+        else:
+            factors.append((sym, exp))
     if not matched:
         raise RuleNotApplicable(f"rule {rule!r} matches no factor of {x.text()}")
     return PeriodMonomial(factors, join_field_labels(x.field_label, label))

@@ -1,6 +1,7 @@
 """Hodge data model: functors, restriction, and the no-(p,p) predicate."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,17 @@ class TestConstruction:
     def test_multiset_rejects_unswapped(self):
         with pytest.raises(ValueError):
             HodgeMultiset.of(1, [(1, 0)])
+
+    def test_multiset_rejects_non_integral_classes(self):
+        half = [(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))]
+        with pytest.raises(ValueError, match=r"class \(3/2,-1/2\) is not integral"):
+            HodgeMultiset.of(1, half)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            HodgeMultiset(1, tuple(sorted((p, q, 1) for p, q in half)))
+        assert HodgeMultiset.of(1, [(Fraction(1), 0), (0, Fraction(1))]).pairs == (
+            (0, 1, 1),
+            (1, 0, 1),
+        )
 
     def test_restriction_single(self):
         h = restriction(mot(0, [2]))
