@@ -69,11 +69,6 @@ class InfinityTypeData:
     def rank(self) -> int:  # so motive_tag() applies to representations too
         return len(self.a)
 
-    @property
-    def b(self) -> tuple[HalfInt, ...]:
-        """The conjugate exponents b_i = -w - a_i."""
-        return tuple(HalfInt(-self.w - x) for x in self.a)
-
     def is_very_regular(self) -> bool:
         return all(x - y >= VERY_REGULAR_GAP for x, y in zip(self.a, self.a[1:]))
 

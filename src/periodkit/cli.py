@@ -122,6 +122,9 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    stray = [f"--{flag}" for flag in ("auto", "classify") if getattr(args, flag)]
+    if stray and not args.rep:
+        raise ParseError(f"{' and '.join(stray)} need --rep")
     m = fileio.decode_rational(args.m)
     if args.rep:
         pi = fileio.parse_rep(args.motive[0])

@@ -59,16 +59,6 @@ class PairContext:
             sp_sym=split_indices(mp, m),
         )
 
-    def consistent(self) -> bool:
-        """Recompute the cached sets and indices and compare."""
-        fresh = PairContext.build(self.M, self.Mp)
-        return (
-            self.A == fresh.A
-            and self.T == fresh.T
-            and self.sp == fresh.sp
-            and self.sp_sym == fresh.sp_sym
-        )
-
 
 def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> PeriodMonomial:
     """(2πi)^(m n n') * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).

@@ -11,11 +11,11 @@ check asserts that predicted sign.  It runs over exact integers; there
 is no floating point and no modular shortcut.
 
 Every polynomial of the ring stores its exponent vectors packed into
-single integers, so monomial multiplication is one integer addition
-throughout.  The determinant uses dynamic programming over column
-subsets (row-major Laplace expansion with memoization): its cost is the
-2^size column subsets times the number of terms each subset's partial
-determinant holds, hence the size bound.
+single integers, one signed 8-bit field per variable, so monomial
+multiplication is one integer addition.  The determinant uses dynamic
+programming over column subsets (row-major Laplace expansion with
+memoization): its cost is the 2^size column subsets times the number of
+terms each subset's partial determinant holds, hence the size bound.
 """
 
 from __future__ import annotations
@@ -33,31 +33,33 @@ from .errors import SizeLimitError
 MAX_SIZE = 12
 
 
-# Python hashes an int as its value mod 2^61 - 1, which folds the fields
-# onto each other.  At 6 bits, distinct keys of a 3x4 determinant share a
-# hash; at 8 they do not, and the low bits that pick a dict slot vary most.
-_MIN_WIDTH = 8
+# Every exponent lives in a signed 8-bit field of its key.  Python hashes
+# an int as its value mod 2^61 - 1, which folds the fields onto each other:
+# at 6 bits distinct keys of a 3x4 determinant share a hash, at 8 they do
+# not.  The largest exponent bound the identity check meets is 24.
+_WIDTH = 8
+_LIMIT = 1 << (_WIDTH - 1)
 
 
-def _width_for(bound: int) -> int:
-    """The field width, in bits, that holds every exponent of size <= bound."""
-    return max(_MIN_WIDTH, bound.bit_length() + 1)
+def _checked(bound: int) -> int:
+    """Return ``bound``, or raise if an exponent of that size does not fit the field."""
+    if bound >= _LIMIT:
+        raise OverflowError(f"exponent bound {bound} does not fit the {_WIDTH}-bit field")
+    return bound
 
 
-def _pack(exps, width: int) -> int:
-    return sum(e << (width * i) for i, e in enumerate(exps))
+def _pack(exps) -> int:
+    return sum(e << (_WIDTH * i) for i, e in enumerate(exps))
 
 
-def _unpack(key: int, nv: int, width: int) -> tuple[int, ...]:
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
+def _unpack(key: int, nv: int) -> tuple[int, ...]:
     out = []
     for _ in range(nv):
-        e = key & mask
-        if e >= half:
-            e -= 1 << width
+        e = key & ((1 << _WIDTH) - 1)
+        if e >= _LIMIT:
+            e -= 1 << _WIDTH
         out.append(e)
-        key = (key - e) >> width
+        key = (key - e) >> _WIDTH
     return tuple(out)
 
 
@@ -74,46 +76,37 @@ class LaurentPoly:
     to non-zero integers.  The variable table is a shared tuple of names;
     operations require both operands to carry the same table.
 
-    Each exponent vector is stored as one integer, sum(e_i << width*i),
-    whose signed digits e_i lie in [-2^(width-1), 2^(width-1)).  Every
-    polynomial carries its width and a bound on its |e_i|.  Adding two
-    keys adds their vectors whenever the two bounds sum to less than
-    2^(width-1), so before it multiplies, every operation widens the
-    field (repacking its operands) until that holds.
+    Each exponent vector is stored as one integer, sum(e_i << 8*i), and
+    each polynomial carries a bound on its |e_i|.  A polynomial, product
+    or determinant whose bound would reach 128 raises ``OverflowError``.
     """
 
-    __slots__ = ("vars", "_keys", "_width", "_bound")
+    __slots__ = ("vars", "_keys", "_bound")
 
     def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int] | None = None):
         terms = {k: c for k, c in (terms or {}).items() if c != 0}
         for key in terms:
             if len(key) != len(vars):
                 raise ValueError(f"exponent vector {key} does not match {len(vars)} variables")
-        bound = max((abs(e) for key in terms for e in key), default=0)
-        width = _width_for(bound)
         self.vars = vars
-        self._keys = {_pack(key, width): c for key, c in terms.items()}
-        self._width = width
-        self._bound = bound
+        self._bound = _checked(max((abs(e) for key in terms for e in key), default=0))
+        self._keys = {_pack(key): c for key, c in terms.items()}
 
     @classmethod
-    def _packed(
-        cls, vars: tuple[str, ...], keys: dict[int, int], width: int, bound: int
-    ) -> "LaurentPoly":
+    def _packed(cls, vars: tuple[str, ...], keys: dict[int, int], bound: int) -> "LaurentPoly":
         poly = object.__new__(cls)
         poly.vars = vars
         poly._keys = keys
-        poly._width = width
         poly._bound = bound
         return poly
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls._packed(vars, {}, _MIN_WIDTH, 0)
+        return cls._packed(vars, {}, 0)
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls._packed(vars, {0: 1}, _MIN_WIDTH, 0)
+        return cls._packed(vars, {0: 1}, 0)
 
     @classmethod
     def monomial(
@@ -124,10 +117,9 @@ class LaurentPoly:
                 raise IndexError(f"variable index {idx} out of range")
         if coeff == 0:
             return cls.zero(vars)
-        bound = max((abs(e) for e in exps.values()), default=0)
-        width = _width_for(bound)
-        key = sum(e << (width * idx) for idx, e in exps.items())
-        return cls._packed(vars, {key: coeff}, width, bound)
+        bound = _checked(max((abs(e) for e in exps.values()), default=0))
+        key = sum(e << (_WIDTH * idx) for idx, e in exps.items())
+        return cls._packed(vars, {key: coeff}, bound)
 
     @classmethod
     def var(cls, vars: tuple[str, ...], idx: int, exp: int = 1) -> "LaurentPoly":
@@ -140,14 +132,8 @@ class LaurentPoly:
 
     def _items(self):
         """(exponent tuple, coefficient) for every term, decoded."""
-        nv, width = len(self.vars), self._width
-        return ((_unpack(k, nv, width), c) for k, c in self._keys.items())
-
-    def _keys_at(self, width: int) -> dict[int, int]:
-        """The packed terms at ``width``, which must hold this polynomial's bound."""
-        if width == self._width:
-            return self._keys
-        return {_pack(key, width): c for key, c in self._items()}
+        nv = len(self.vars)
+        return ((_unpack(k, nv), c) for k, c in self._keys.items())
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars is not other.vars and self.vars != other.vars:
@@ -155,28 +141,26 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        width = max(self._width, other._width)
-        terms = dict(self._keys_at(width))
-        for k, c in other._keys_at(width).items():
+        terms = dict(self._keys)
+        for k, c in other._keys.items():
             n = terms.get(k, 0) + c
             if n:
                 terms[k] = n
             else:
                 del terms[k]
-        return LaurentPoly._packed(self.vars, terms, width, max(self._bound, other._bound))
+        return LaurentPoly._packed(self.vars, terms, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
         keys = {k: -c for k, c in self._keys.items()}
-        return LaurentPoly._packed(self.vars, keys, self._width, self._bound)
+        return LaurentPoly._packed(self.vars, keys, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        bound = self._bound + other._bound
-        width = max(self._width, other._width, _width_for(bound))
-        big, small = self._keys_at(width), other._keys_at(width)
+        bound = _checked(self._bound + other._bound)
+        big, small = self._keys, other._keys
         if len(big) < len(small):
             big, small = small, big
         if len(small) == 1:
@@ -192,7 +176,7 @@ class LaurentPoly:
                     k = kb + ks
                     out[k] = get(k, 0) + cb * cs
             _drop_zeros(out)
-        return LaurentPoly._packed(self.vars, out, width, bound)
+        return LaurentPoly._packed(self.vars, out, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -212,10 +196,7 @@ class LaurentPoly:
             self.vars is not other.vars and self.vars != other.vars
         ):
             return False
-        if len(self._keys) != len(other._keys):
-            return False
-        width = max(self._width, other._width)
-        return self._keys_at(width) == other._keys_at(width)
+        return self._keys == other._keys
 
     @property
     def is_zero(self) -> bool:
@@ -258,14 +239,13 @@ class Terms(Mapping):
 
     def __getitem__(self, key) -> int:
         poly = self._poly
-        half = 1 << (poly._width - 1)
         if (
             not isinstance(key, tuple)
             or len(key) != len(poly.vars)
-            or not all(-half <= e < half for e in key)
+            or not all(-_LIMIT <= e < _LIMIT for e in key)
         ):
             raise KeyError(key)
-        return poly._keys[_pack(key, poly._width)]
+        return poly._keys[_pack(key)]
 
     def __repr__(self) -> str:
         return f"Terms({dict(self)!r})"
@@ -290,8 +270,8 @@ def sym_det(mx: SymMatrix) -> LaurentPoly:
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound.  The DP runs on packed keys at a width that holds that sum, so
-    the result is exact and independent of evaluation order.
+    bound.  That sum must fit the field, and then the DP on packed keys
+    is exact and independent of evaluation order.
     """
     k = mx.size
     if k == 0:
@@ -299,12 +279,11 @@ def sym_det(mx: SymMatrix) -> LaurentPoly:
     for row in mx.rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    bound = sum(max(poly._bound for poly in row) for row in mx.rows)
-    width = max(_width_for(bound), *(poly._width for row in mx.rows for poly in row))
-    rows = [[poly._keys_at(width) for poly in row] for row in mx.rows]
+    bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
 
     # Column set used by rows 0..r-1 -> partial determinant.  Each layer is
     # consumed as the next is built, so at most about two layers are alive.
+    rows = [[poly._keys for poly in row] for row in mx.rows]
     states: dict[int, dict[int, int]] = {0: {0: 1}}
     for entries in rows:
         layer: dict[int, dict[int, int]] = {}
@@ -335,7 +314,7 @@ def sym_det(mx: SymMatrix) -> LaurentPoly:
         states = layer
 
     final = states.get((1 << k) - 1, {})
-    return LaurentPoly._packed(mx.vars, final, width, bound)
+    return LaurentPoly._packed(mx.vars, final, bound)
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:

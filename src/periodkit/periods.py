@@ -73,6 +73,15 @@ class MotiveTag:
     csd: bool = False
     ops: tuple = ()
 
+    def __post_init__(self):
+        for op in self.ops:
+            twist = type(op) is tuple and len(op) == 2 and op[0] == "t" and type(op[1]) is int
+            if op not in (_CONJ, _DUAL, _DET) and not (twist and op[1]):
+                raise ValueError(
+                    f"unknown tag decoration {op!r}: expected ('c', None), ('v', None),"
+                    " ('det', None) or ('t', k) with k a nonzero int"
+                )
+
     def _toggle(self, op) -> "MotiveTag":
         if self.ops and self.ops[-1] == op:
             return replace(self, ops=self.ops[:-1])
@@ -121,7 +130,7 @@ class MotiveTag:
         return s
 
     def sort_key(self):
-        return (self.text(), self.rank if self.rank is not None else -1)
+        return (self.text(), self.rank if self.rank is not None else -1, self.csd)
 
 
 #: The trivial motive (rank one, weight zero); its twists are the Tate motives.

@@ -288,6 +288,17 @@ def test_malformed_m_exits_2(tmp_path, capsys, argv):
     assert out.err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [["--auto"], ["--classify"], ["--auto", "--classify"]])
+def test_rep_only_flags_without_rep_exit_2_before_reading_files(tmp_path, capsys, flags):
+    missing = str(tmp_path / "missing.json")
+    rc = main(["conjecture", missing, missing, "--m", "1/2", *flags])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert all(flag in out.err for flag in flags) and "--rep" in out.err
+    assert "missing" not in out.err
+
+
 @pytest.mark.parametrize(
     "args, phrase",
     [

@@ -84,12 +84,6 @@ class TestSimplifiedPeriod:
                 deligne_period_raw(ctx)
             )
 
-    def test_context_cache_consistent(self):
-        rng = random.Random(43)
-        for _ in range(20):
-            ctx = PairContext.build(*random_pp_free_pair(rng, 4))
-            assert ctx.consistent()
-
 
 class TestConjectureRhs:
     def test_worked_example(self):

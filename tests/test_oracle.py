@@ -1,7 +1,8 @@
 """Laurent-polynomial ring, symbolic determinant, and the period identity."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -181,9 +182,21 @@ class TestVerifyProposition:
 
 
 class TestPackedRing:
-    def test_width_grows_with_the_exponent_bound(self):
+    def test_an_exponent_outside_the_field_raises(self):
         x = LaurentPoly.var(XV, 0)
-        assert x ** 200 * LaurentPoly.var(XV, 0, -1) ** 199 == x
+        assert x ** 63 * LaurentPoly.var(XV, 0, -1) ** 62 == x
+        assert LaurentPoly.var(XV, 0, 127).terms[(127, 0, 0, 0)] == 1
+        with pytest.raises(OverflowError, match="bound 128"):
+            LaurentPoly.var(XV, 0, 128)
+        with pytest.raises(OverflowError, match="bound 128"):
+            x ** 128
+        with pytest.raises(OverflowError, match="bound 128"):
+            LaurentPoly.var(XV, 0, 64) * LaurentPoly.var(XV, 0, 64)
+        with pytest.raises(OverflowError, match="bound 128"):
+            LaurentPoly(XV, {(128, 0, 0, 0): 1})
+        rows = ((LaurentPoly.var(XV, 1, -100), x), (x, LaurentPoly.var(XV, 2, 28)))
+        with pytest.raises(OverflowError, match="bound 128"):
+            sym_det(SymMatrix(XV, rows))
 
     def test_sym_det_with_large_exponents_matches_permutation_sum(self):
         rng = random.Random(68)
@@ -200,7 +213,17 @@ class TestPackedRing:
                 for _ in range(k)
             )
             mx = SymMatrix(XV, rows)
-            assert sym_det(mx) == naive_det(mx)
+            # A determinant term takes one entry per row, so its exponents
+            # are bounded by the sum of the rows' largest exponents.
+            bound = sum(
+                max((abs(e) for p in row for key in p.terms for e in key), default=0)
+                for row in rows
+            )
+            if bound < 128:
+                assert sym_det(mx) == naive_det(mx)
+            else:
+                with pytest.raises(OverflowError):
+                    sym_det(mx)
 
     def test_power_matches_repeated_multiplication(self):
         p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 1, 0), -1), ((0, 0, 0, 3), 1)])
@@ -252,3 +275,27 @@ class TestPredictedSign:
         wrong = verify_proposition(ctx)
         assert right.ok and not wrong.ok
         assert wrong.sign == right.sign == -wrong.predicted_sign
+
+
+def _interleaved_pair(n, np_, slots):
+    """The pair whose Hodge indices interleave as ``slots`` says.
+
+    M takes 2x+1 at each slot x in ``slots``, M' takes -2x at the others;
+    every p_a + r_b is odd, so no pair of classes is a (p,p)-class.
+    """
+    others = [x for x in range(n + np_) if x not in slots]
+    m = RegularMotiveData("M", 0, tuple(sorted((2 * x + 1 for x in slots), reverse=True)))
+    mp = RegularMotiveData("M'", 0, tuple(sorted((-2 * x for x in others), reverse=True)))
+    return m, mp
+
+
+@pytest.mark.parametrize(
+    "n, np_", [(n, np_) for n in range(1, 4) for np_ in range(1, 4)] + [(2, 4), (4, 2)]
+)
+def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
+    seen = set()
+    for slots in combinations(range(n + np_), n):
+        ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
+        seen.add((ctx.A.members, ctx.T.members))
+        assert verify_proposition(ctx).ok, (n, np_, slots)
+    assert len(seen) == comb(n + np_, n)

@@ -74,6 +74,25 @@ class TestCanonicalText:
         assert delta(M2.dual().twist(2)).text() == "d[M^v(2)]"
         assert q(1, M2.det()).text() == "Q[1;det(M)]"
 
+    def test_order_separates_tags_that_differ_only_in_csd(self):
+        csd = MotiveTag("M", rank=2, csd=True)
+        left, right = q(1, M2) * q(1, csd), q(1, csd) * q(1, M2)
+        assert left == right
+        assert hash(left) == hash(right)
+        assert [s.tag.csd for s, _ in left.factors] == [False, True]
+
+    @pytest.mark.parametrize(
+        "ops", [("c",), (("x", 5),), (("t", 0),), (("t", True),), (("t", 1.5),), (("c", 1),)]
+    )
+    def test_unknown_decoration_is_rejected(self, ops):
+        with pytest.raises(ValueError, match="unknown tag decoration") as err:
+            MotiveTag("M", rank=2, ops=ops)
+        assert repr(ops[0]) in str(err.value)
+
+    def test_every_known_decoration_is_accepted(self):
+        ops = (("c", None), ("v", None), ("t", -3), ("det", None))
+        assert MotiveTag("M", rank=2, ops=ops).text() == "det(M^c^v(-3))"
+
 
 class TestExpand:
     def test_q_sup_zero(self):
