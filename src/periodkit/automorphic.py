@@ -65,10 +65,6 @@ class InfinityTypeData:
     def n(self) -> int:
         return len(self.a)
 
-    @property
-    def rank(self) -> int:  # so motive_tag() applies to representations too
-        return len(self.a)
-
     def is_very_regular(self) -> bool:
         return all(x - y >= VERY_REGULAR_GAP for x, y in zip(self.a, self.a[1:]))
 

@@ -48,8 +48,6 @@ def _emit(payload: dict) -> None:
 
 
 def _interval_json(iv: lf.CriticalInterval) -> dict:
-    if iv.empty:
-        return {"lo": None, "hi": None, "empty": True}
     return {"lo": fileio.encode_rational(iv.lo), "hi": fileio.encode_rational(iv.hi), "empty": False}
 
 

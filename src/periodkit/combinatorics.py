@@ -84,8 +84,7 @@ def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
                 raise PpClassError(
                     f"p_{a} + r_{b} equals w/2: the tensor product has a "
                     "(p,p)-class at indices "
-                    f"({a},{b})",
-                    pair=(a, b),
+                    f"({a},{b})"
                 )
             if d > 0:
                 members.add((a, b))

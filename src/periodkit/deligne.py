@@ -104,7 +104,7 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
     m = Fraction(m)
     shift = Fraction(n + np_ - 2, 2)
     interval = critical_interval(restriction_tensor(ctx.M, ctx.Mp))
-    if (m + shift).denominator != 1 or (m + shift) not in interval:
+    if m + shift not in interval:
         legal = f"[{interval.lo - shift}, {interval.hi - shift}]"
         raise NotCriticalError(
             f"m = {m} is not critical for the pair; critical m lie in {legal}",

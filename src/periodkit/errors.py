@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code protocol: parse errors and an
-oracle shape above ``oracle.MAX_SIZE`` exit 2, a (p,p)-class (no
-critical points) exits 3, a non-critical evaluation point exits 4.
+oracle shape that ``oracle.require_shape`` refuses exit 2, a (p,p)-class
+(no critical points) exits 3, a non-critical evaluation point exits 4.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ class ParseError(PeriodKitError):
 
 
 class PpClassError(PeriodKitError):
-    """The Hodge data carries a (p,p)-class, so no critical point exists.
-
-    ``pair`` holds the offending (p,p) class or index pair when known.
-    """
-
-    def __init__(self, message: str, pair: tuple | None = None):
-        super().__init__(message)
-        self.pair = pair
+    """The Hodge data carries a (p,p)-class, so no critical point exists."""
 
 
 class NotCriticalError(PeriodKitError):
@@ -37,10 +30,6 @@ class NotCriticalError(PeriodKitError):
 
 class NotCriticalPairError(PeriodKitError):
     """The pair of representations admits no critical point at all."""
-
-    def __init__(self, message: str, pair: tuple | None = None):
-        super().__init__(message)
-        self.pair = pair
 
 
 class AlgebraicityError(PeriodKitError):
@@ -60,12 +49,4 @@ class NonIntegerExponentError(PeriodKitError):
 
 
 class SizeLimitError(PeriodKitError):
-    """The symbolic determinant exceeds the oracle's size bound."""
-
-    def __init__(self, size: int, bound: int):
-        super().__init__(
-            f"matrix size {size} exceeds the bound {bound} "
-            "(the determinant costs 2^size column subsets times the terms per subset)"
-        )
-        self.size = size
-        self.bound = bound
+    """The pair's shape is outside the bound of ``oracle.require_shape``."""

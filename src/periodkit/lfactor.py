@@ -46,18 +46,22 @@ class CriticalInterval:
 
     Endpoints are integers on the motivic side and may be half-integers
     on the automorphic side; in both cases the points form lo, lo+1, ...
+
+    An interval is never empty: ``lo <= hi`` is checked on construction.
+    For a swap-closed Hodge multiset without (p,p)-class every class with
+    p < q has p < w/2 < q, so 1 + max p <= min q.
     """
 
     lo: int | Fraction
     hi: int | Fraction
 
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(
+                f"critical interval needs lo <= hi, got lo = {self.lo}, hi = {self.hi}"
+            )
 
     def __contains__(self, m) -> bool:
-        if self.empty:
-            return False
         return self.lo <= m <= self.hi and Fraction(m - self.lo).denominator == 1
 
     def points(self) -> Iterator[int | Fraction]:
@@ -67,18 +71,13 @@ class CriticalInterval:
             m = m + 1
 
     def __str__(self) -> str:
-        if self.empty:
-            return "(empty)"
         return f"[{self.lo}, {self.hi}]"
 
 
 def _require_no_pp(h: HodgeMultiset) -> None:
     p = h.pp_class()
     if p is not None:
-        raise PpClassError(
-            f"Hodge multiset has a ({p},{p})-class; no critical points exist",
-            pair=(p, p),
-        )
+        raise PpClassError(f"Hodge multiset has a ({p},{p})-class; no critical points exist")
 
 
 def gamma_factor(h: HodgeMultiset) -> GammaFactor:
@@ -104,7 +103,6 @@ def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
     factor of h has no pole at m and the factor of the dual has no pole
     at 1 - m.
     """
-    _require_no_pp(h)
     g = gamma_factor(h)
     g_dual = gamma_factor(h.dual())
     indices = [v for p, q, _ in h.items() for v in (p, q)]
@@ -114,9 +112,7 @@ def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
         for m in range(lo_scan, hi_scan + 1)
         if not g.has_pole_at(m) and not g_dual.has_pole_at(1 - m)
     ]
-    if not kept:
-        return CriticalInterval(0, -1)
-    if kept != list(range(kept[0], kept[-1] + 1)):
+    if not kept or kept != list(range(kept[0], kept[-1] + 1)):
         raise AssertionError(f"pole scan produced a non-interval: {kept}")
     return CriticalInterval(kept[0], kept[-1])
 
@@ -140,8 +136,7 @@ def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> Cri
             if s == forbidden:
                 raise NotCriticalPairError(
                     f"exponent sum a_{i} + b_{j} = {s} hits -(w+w')/2; "
-                    "the pair has no critical values",
-                    pair=(i, j),
+                    "the pair has no critical values"
                 )
             if s > forbidden:
                 lows.append(-s)

@@ -15,7 +15,7 @@ single integers, one signed 8-bit field per variable, so monomial
 multiplication is one integer addition.  The determinant uses dynamic
 programming over column subsets (row-major Laplace expansion with
 memoization): its cost is the 2^size column subsets times the number of
-terms each subset's partial determinant holds, hence the size bound.
+terms each subset's partial determinant holds, hence the shape bound.
 """
 
 from __future__ import annotations
@@ -28,9 +28,20 @@ from itertools import permutations
 from .deligne import PairContext
 from .errors import SizeLimitError
 
-# The largest nn' checked: det(A)^n' det(B)^n has 221,760 terms at 3x4
-# (size 12) and 102,961,609 at 4x4.
+# The shapes checked: n, n' <= 4 with nn' <= 12.  The cost follows the
+# terms of det(A)^n' det(B)^n: 221,760 at 3x4, 102,961,609 at 4x4, and
+# at 1x11 det(B) alone has 11! terms.
+MAX_RANK = 4
 MAX_SIZE = 12
+
+
+def require_shape(n: int, np_: int) -> None:
+    """Raise ``SizeLimitError`` unless n, n' <= MAX_RANK and nn' <= MAX_SIZE."""
+    if max(n, np_) > MAX_RANK or n * np_ > MAX_SIZE:
+        raise SizeLimitError(
+            f"shape {n}x{np_} is outside the oracle's bound n, n' <= {MAX_RANK} and "
+            f"nn' <= {MAX_SIZE} (the cost follows the terms of det(A)^n' det(B)^n)"
+        )
 
 
 # Every exponent lives in a signed 8-bit field of its key.  Python hashes
@@ -61,6 +72,27 @@ def _unpack(key: int, nv: int) -> tuple[int, ...]:
         out.append(e)
         key = (key - e) >> _WIDTH
     return tuple(out)
+
+
+def _mul_add(out: dict[int, int] | None, a: dict[int, int], b: dict[int, int], sign: int):
+    """out + sign·a·b on packed keys, with None for an empty ``out``.
+
+    A non-empty ``out`` is updated in place; zero coefficients may remain.
+    """
+    if len(b) == 1 and not out:
+        # A monomial factor shifts every key by the same amount, so no
+        # two products meet and none is zero.
+        ((kb, cb),) = b.items()
+        cb *= sign
+        return {ka + kb: ca * cb for ka, ca in a.items()}
+    out = {} if out is None else out
+    get = out.get
+    for kb, cb in b.items():
+        cb *= sign
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 def _drop_zeros(terms: dict[int, int]) -> None:
@@ -163,19 +195,8 @@ class LaurentPoly:
         big, small = self._keys, other._keys
         if len(big) < len(small):
             big, small = small, big
-        if len(small) == 1:
-            # A monomial factor shifts every key by the same amount, so no
-            # two products meet and none is zero.
-            ((ks, cs),) = small.items()
-            out = {kb + ks: cb * cs for kb, cb in big.items()}
-        else:
-            out = {}
-            get = out.get
-            for ks, cs in small.items():
-                for kb, cb in big.items():
-                    k = kb + ks
-                    out[k] = get(k, 0) + cb * cs
-            _drop_zeros(out)
+        out = _mul_add(None, big, small, 1)
+        _drop_zeros(out)
         return LaurentPoly._packed(self.vars, out, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -257,7 +278,6 @@ class SymMatrix:
 
     vars: tuple[str, ...]
     rows: tuple[tuple[LaurentPoly, ...], ...]
-    row_desc: tuple = ()
     col_desc: tuple = ()
 
     @property
@@ -295,20 +315,7 @@ def sym_det(mx: SymMatrix) -> LaurentPoly:
                     continue
                 # Laplace sign: the number of used columns right of c.
                 sign = -1 if (used >> (c + 1)).bit_count() & 1 else 1
-                target = layer.get(used | bit)
-                if target is None and len(entry) == 1:
-                    ((ke, ce),) = entry.items()
-                    ce *= sign
-                    layer[used | bit] = {kp + ke: ce * cp for kp, cp in partial.items()}
-                    continue
-                if target is None:
-                    target = layer[used | bit] = {}
-                get = target.get
-                for ke, ce in entry.items():
-                    ce *= sign
-                    for kp, cp in partial.items():
-                        nk = kp + ke
-                        target[nk] = get(nk, 0) + ce * cp
+                layer[used | bit] = _mul_add(layer.get(used | bit), partial, entry, sign)
         for target in layer.values():
             _drop_zeros(target)
         states = layer
@@ -400,7 +407,6 @@ def build_mat1(ctx: PairContext) -> SymMatrix:
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
     cols = _mat1_columns(ctx)
-    row_desc = tuple((i, j) for i in range(1, n + 1) for j in range(1, np_ + 1))
     rows = tuple(
         tuple(
             LaurentPoly.monomial(
@@ -409,9 +415,10 @@ def build_mat1(ctx: PairContext) -> SymMatrix:
             )
             for _, a, b, s in cols
         )
-        for i, j in row_desc
+        for i in range(1, n + 1)
+        for j in range(1, np_ + 1)
     )
-    return SymMatrix(pv.names, rows, row_desc, tuple(desc for desc, *_ in cols))
+    return SymMatrix(pv.names, rows, tuple(desc for desc, *_ in cols))
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
@@ -475,9 +482,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     predicted, not chosen to fit.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
-    size = n * np_
-    if size > MAX_SIZE:
-        raise SizeLimitError(size, MAX_SIZE)
+    require_shape(n, np_)
     lhs = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
@@ -492,5 +497,5 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     else:  # pragma: no cover - would indicate a real defect
         sign = None
     return VerificationReport(
-        size=size, ok=sign == predicted, sign=sign, lhs=lhs, rhs=rhs, predicted_sign=predicted
+        size=n * np_, ok=sign == predicted, sign=sign, lhs=lhs, rhs=rhs, predicted_sign=predicted
     )

@@ -39,9 +39,10 @@ rule              kind  decoration  csd  relation
 ``det_q``         Q     det         no   Q[1;det(T)] -> prod_i Q[i;T]
 ================  ====  ==========  ===  ==============================================
 
-The determinant period of the trivial motive is rational, so ``d`` of the
-undecorated trivial tag is dropped when a monomial is assembled; with the
-twist rule this gives the canonical form (2πi)^k for the Tate motives.
+A monomial keeps every factor it is given, ``d[Z]`` of the trivial motive
+included.  That period is rational, and :func:`delta_tate` is the one
+place that uses this: it divides the twist rule's result by ``d[Z]``,
+which gives the canonical form (2πi)^k for the Tate motives.
 """
 
 from __future__ import annotations
@@ -213,17 +214,9 @@ class PeriodMonomial:
     def __init__(self, factors: Iterable[tuple[PeriodSymbol, int]] = (), field_label: str = ""):
         merged: dict[PeriodSymbol, int] = {}
         for sym, exp in factors:
-            if exp == 0:
-                continue
-            # The trivial motive's comparison is rational: drop its delta.
-            if sym.kind == "d" and sym.tag == TRIVIAL:
-                continue
             merged[sym] = merged.get(sym, 0) + exp
-        canon = tuple(
-            (sym, exp)
-            for sym, exp in sorted(merged.items(), key=lambda kv: kv[0].sort_key())
-            if exp != 0
-        )
+        nonzero = [(sym, exp) for sym, exp in merged.items() if exp]
+        canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key()))
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "field_label", field_label)
 
@@ -320,8 +313,14 @@ def q_xi(tag: MotiveTag) -> PeriodMonomial:
 
 
 def delta_tate(k: int) -> PeriodMonomial:
-    """Canonical determinant period of the Tate motive: (2πi)^k."""
-    return apply_rule(delta(TRIVIAL.twist(k)), "delta_twist") if k else PeriodMonomial.one()
+    """Canonical determinant period of the Tate motive Z(k): (2πi)^k.
+
+    The twist rule gives (2πi)^k d[Z]; d[Z] is rational, so it is divided
+    out here, and nowhere else.
+    """
+    if not k:
+        return PeriodMonomial.one()
+    return apply_rule(delta(TRIVIAL.twist(k)), "delta_twist") / delta(TRIVIAL)
 
 
 # Factor lists: the helpers below return (symbol, exponent) pairs, so that

@@ -20,7 +20,6 @@ from . import lfactor as lf
 from . import oracle as orc
 from . import periods as pd
 from . import sampling as smp
-from .errors import SizeLimitError
 
 @dataclass
 class PropertyResult:
@@ -122,7 +121,7 @@ def _suite_combinatorics(seed: int, trials: int, max_rank: int) -> list[Property
         h = smp.random_swap_closed_multiset(rng)
         iv = lf.critical_interval(h)
         ivp = lf.critical_interval_via_poles(h)
-        return iv == ivp and not iv.empty and iv.lo + iv.hi == h.weight + 1
+        return iv == ivp and iv.lo + iv.hi == h.weight + 1
 
     def pair_criticality_matches_hodge(rng, _):
         pi = smp.random_infinity_type(rng, rng.randint(1, max_rank), "Pi")
@@ -348,10 +347,10 @@ def run_suites(
             raise ValueError(
                 f"max_rank must lie in 1..{smp.MAX_RANK}, the ranks the samplers draw; got {r}"
             )
-        if name == "oracle" and r**2 > orc.MAX_SIZE:
+        if name == "oracle":
             # A shape the oracle cannot check is a usage error, not a
             # property failure, so it is raised before any suite runs.
-            raise SizeLimitError(r**2, orc.MAX_SIZE)
+            orc.require_shape(r, r)
         runs.append((fn, t, r))
     results: list[PropertyResult] = []
     for fn, t, r in runs:

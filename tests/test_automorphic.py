@@ -152,6 +152,23 @@ class TestClassifier:
         report = classify_known_case(pi, pip, Fraction(1, 2))
         assert report.case == "case2"
 
+    def test_case2_with_rank_gap_three(self):
+        pi = rep("Pi", 0, [6, 3, 0, -3, -6], csd=True)
+        pip = rep("Pi'", 0, [Fraction(3, 2), Fraction(-3, 2)], csd=True, ds_split=True)
+        assert split_indices_auto(pi, pip).values == (0, 0, 1, 1, 0, 0)
+        assert classify_known_case(pi, pip, Fraction(1, 2)).case == "case2"
+        assert classify_known_case(pip, pi, Fraction(1, 2)).case == "case2"
+
+    def test_equal_ranks_keep_pi_as_first_factor(self):
+        pi = rep("Pi", 0, [Fraction(3, 2), Fraction(-3, 2)])
+        pip = rep("Pi'", 0, [Fraction(5, 2), Fraction(-1, 2)], csd=True, ds_split=True)
+        report = classify_known_case(pi, pip, 1)
+        assert report.failed_conditions == (
+            "case3: first factor Pi is not flagged conjugate self-dual",
+            "case3: first factor Pi has even rank but lacks the "
+            "discrete-series-at-a-split-place flag",
+        )
+
     def test_case3(self):
         pi = rep("Pi", 0, [Fraction(3, 2), Fraction(-3, 2)], csd=True, ds_split=True)
         pip = rep("Pi'", 0, [Fraction(5, 2), Fraction(-1, 2)], csd=True, ds_split=True)

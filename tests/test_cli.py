@@ -1,5 +1,6 @@
 """CLI contract: JSON round trips, outputs, and the exit-code protocol."""
 
+import importlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -144,6 +145,14 @@ class TestPeriod:
         _, raw, _ = run(capsys, ["period", m, mp, "--form", "raw"])
         _, expanded, _ = run(capsys, ["period", m, mp, "--form", "expanded"])
         assert raw["monomial"]["text"] == expanded["monomial"]["text"]
+
+    def test_raw_form_keeps_the_delta_of_a_motive_labelled_z(self, tmp_path, capsys):
+        # A rank-1 motive labelled Z carries the trivial motive's tag.
+        m = write(tmp_path, "m.json", ELLIPTIC)
+        z = write(tmp_path, "z.json", dict(RANK_ONE, label="Z"))
+        rc, payload, _ = run(capsys, ["period", m, z, "--form", "raw"])
+        assert rc == 0
+        assert payload["monomial"]["text"] == "Q[1;M] * Q[2;M] * Q[1;Z]^2 * d[M] * d[Z]^2"
 
     def test_empty_A_raw_text(self, tmp_path, capsys):
         m = write(tmp_path, "m.json", {"label": "M", "rank": 1, "weight": 2, "hodge_p": [0]})
@@ -329,7 +338,8 @@ def test_verify_size_bound_is_a_usage_error(capsys):
     out = capsys.readouterr()
     assert rc == 2
     assert out.out == ""
-    assert out.err.startswith("error:") and "exceeds the bound 12" in out.err
+    assert out.err.startswith("error: shape 4x4 is outside the oracle's bound")
+    assert "n, n' <= 4 and nn' <= 12" in out.err
 
 
 @pytest.mark.parametrize("parse", [parse_motive, parse_rep])
@@ -340,3 +350,11 @@ def test_parse_error_names_the_whole_path(tmp_path, parse):
     with pytest.raises(ParseError) as info:
         parse(path)
     assert str(info.value).startswith(f"{path}: missing field")
+
+
+def test_pk_console_script_is_the_tested_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["pk"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

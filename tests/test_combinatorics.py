@@ -5,6 +5,7 @@ import random
 import pytest
 
 from periodkit import (
+    IndexPairSet,
     PpClassError,
     RegularMotiveData,
     set_A,
@@ -12,6 +13,8 @@ from periodkit import (
     split_indices,
     verify_cardinality_lemma,
 )
+from periodkit import combinatorics
+from periodkit.combinatorics import SplitIndices
 from periodkit.sampling import random_pp_free_pair
 
 M = RegularMotiveData("M", 1, (1, 0))
@@ -45,6 +48,13 @@ class TestSets:
                     assert ((tt, uu) in t.members) == (
                         (m.rank + 1 - tt, mp.rank + 1 - uu) not in a.members
                     )
+
+    @pytest.mark.parametrize(
+        "members", [{(1, 1), (1, 2), (2, 2)}, {(1, 2)}, {(2, 1)}, {(1, 1), (2, 2)}]
+    )
+    def test_a_set_with_a_hole_is_not_a_tableau(self, members):
+        assert not IndexPairSet(2, 2, frozenset(members)).is_tableau()
+        assert IndexPairSet(2, 2, frozenset(members | {(1, 1), (1, 2), (2, 1)})).is_tableau()
 
     def test_tableau_on_random_pairs(self):
         rng = random.Random(22)
@@ -85,6 +95,16 @@ class TestCardinalityLemma:
         mp = RegularMotiveData("M'", 0, (0,))
         assert set_A(m, mp).members == frozenset()
         assert verify_cardinality_lemma(m, mp)
+
+    def test_wrong_split_in_row_one_only_is_caught(self, monkeypatch):
+        m = RegularMotiveData("M", 2, (2, 1, 0))
+        mp = RegularMotiveData("M'", 1, (1, 0))
+        assert split_indices(m, mp).values == (0, 1, 1, 0)
+        assert verify_cardinality_lemma(m, mp)
+        # Moving one unit from sp(1) to sp(0) changes the sum for row 1 only: 1, not 2.
+        wrong = SplitIndices((1, 0, 1, 0))
+        monkeypatch.setattr(combinatorics, "split_indices", lambda *_: wrong)
+        assert not verify_cardinality_lemma(m, mp)
 
     def test_random_instances(self):
         rng = random.Random(24)

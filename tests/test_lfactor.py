@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from periodkit import (
+    CriticalInterval,
     HodgeMultiset,
     InfinityTypeData,
     NotCriticalPairError,
@@ -46,7 +47,7 @@ class TestGammaFactor:
 class TestCriticalInterval:
     def test_elliptic_shape(self):
         iv = critical_interval(ELLIPTIC)
-        assert (iv.lo, iv.hi) == (1, 1) and not iv.empty
+        assert (iv.lo, iv.hi) == (1, 1) and iv.lo <= iv.hi
 
     def test_four_pair(self):
         assert critical_interval(FOUR_PAIR) == critical_interval_via_poles(FOUR_PAIR)
@@ -63,8 +64,13 @@ class TestCriticalInterval:
             h = random_swap_closed_multiset(rng)
             iv = critical_interval(h)
             assert iv == critical_interval_via_poles(h)
-            assert not iv.empty
+            assert iv.lo <= iv.hi
             assert iv.lo + iv.hi == h.weight + 1
+
+    def test_lo_above_hi_raises(self):
+        with pytest.raises(ValueError, match="lo = 2, hi = 1"):
+            CriticalInterval(2, 1)
+        assert list(CriticalInterval(1, 1).points()) == [1]
 
     def test_membership_respects_grid(self):
         iv = critical_interval(HodgeMultiset.of(1, [(3, -2), (-2, 3)]))

@@ -1,6 +1,7 @@
 """Laurent-polynomial ring, symbolic determinant, and the period identity."""
 
 import random
+import time
 from itertools import combinations, permutations
 from math import comb
 
@@ -21,6 +22,7 @@ from periodkit.oracle import (
     _coefficient_block,
     cleared_period_product,
     naive_det,
+    require_shape,
 )
 from periodkit.sampling import random_pp_free_pair
 
@@ -47,6 +49,12 @@ class TestLaurentPoly:
         xinv = LaurentPoly.var(XV, 0, -1)
         x = LaurentPoly.var(XV, 0)
         assert x * xinv == LaurentPoly.one(XV)
+
+    def test_monomial_index_must_name_a_variable(self):
+        assert LaurentPoly.monomial(XV, {3: 1}) == LaurentPoly.var(XV, 3)
+        for idx in (4, -1):
+            with pytest.raises(IndexError, match=f"variable index {idx} out of range"):
+                LaurentPoly.monomial(XV, {idx: 1})
 
     def test_str_is_canonical(self):
         p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 0, 0), -1)])
@@ -179,6 +187,38 @@ class TestVerifyProposition:
         ctx = PairContext.build(*random_pp_free_pair(rng, 4, ranks=(4, 4)))
         with pytest.raises(SizeLimitError):
             verify_proposition(ctx)
+
+
+class TestShapeGate:
+    def test_admitted_shapes(self):
+        admitted = {
+            (n, np_) for n in range(1, 13) for np_ in range(1, 13) if _admits(n, np_)
+        }
+        assert admitted == {
+            (n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12
+        }
+        assert len(admitted) == 15
+
+    @pytest.mark.parametrize("n, np_", [(1, 5), (5, 1), (2, 6), (1, 11)])
+    def test_refused_shape_raises_before_any_work(self, n, np_):
+        ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"shape {n}x{np_} is outside"):
+            verify_proposition(ctx)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1)])
+    def test_admitted_rank_four_shape_passes(self, n, np_):
+        ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+        assert verify_proposition(ctx).ok
+
+
+def _admits(n, np_):
+    try:
+        require_shape(n, np_)
+    except SizeLimitError:
+        return False
+    return True
 
 
 class TestPackedRing:

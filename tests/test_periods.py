@@ -22,6 +22,7 @@ from periodkit import (
     q_xi,
     two_pi_i,
 )
+from periodkit.periods import TRIVIAL, PeriodSymbol
 
 M2 = MotiveTag("M", rank=2)
 M3 = MotiveTag("M", rank=3)
@@ -67,6 +68,17 @@ class TestCanonicalText:
         mp = MotiveTag("M'", rank=1)
         mono = q_sup(1, mp) ** 2 * q_sup(2, M2) * two_pi_i(-1)
         assert mono.text() == "(2πi)^-1 * Qs[2;M] * Qs[1;M']^2"
+
+    def test_all_eight_kinds_print_in_the_documented_order(self):
+        # Tag labels fall as the kinds rise, so two kinds that shared a
+        # sort slot would print in the opposite order.
+        t = {k: MotiveTag(f"M{k}", rank=2) for k in range(1, 8)}
+        p = PeriodMonomial(((PeriodSymbol("P", 1, t[2]), 1),))
+        mono = q_xi(t[1]) * p * q_sup(1, t[3]) * q_paren(1, t[4]) * delta_cap(t[5])
+        mono = mono * delta(t[6]) * q(1, t[7]) * two_pi_i(2)
+        assert mono.text() == (
+            "(2πi)^2 * Q[1;M7] * d[M6] * D[M5] * Qp[1;M4] * Qs[1;M3] * P[1;M2] * Qxi[M1]"
+        )
 
     def test_tag_decorations(self):
         t = M2.conj()
@@ -148,7 +160,19 @@ class TestRules:
     def test_tate_motive_closed_form(self):
         assert delta_tate(1).text() == "(2πi)^1"
         assert delta_tate(0) == PeriodMonomial.one()
-        assert delta_tate(-3) == two_pi_i(-3)
+        for k in range(-4, 5):
+            assert delta_tate(k) == two_pi_i(k)
+
+    def test_trivial_motive_keeps_its_delta(self):
+        assert delta(TRIVIAL).text() == "d[Z]"
+        assert (q(1, TRIVIAL) * delta(TRIVIAL) ** 2).text() == "Q[1;Z] * d[Z]^2"
+        assert delta(TRIVIAL) == delta(MotiveTag("Z", rank=1))
+
+    def test_twists_compose(self):
+        tag = MotiveTag("M", rank=2)
+        assert tag.twist(2).twist(3) == tag.twist(5)
+        assert tag.twist(2).twist(-2) == tag
+        assert tag.twist(-1).twist(3).ops == (("t", 2),)
 
     def test_csd_rules_gated(self):
         with pytest.raises(RuleNotApplicable):
