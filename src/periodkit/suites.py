@@ -23,17 +23,22 @@ from . import sampling as smp
 
 @dataclass
 class PropertyResult:
+    """Trials run, checks that returned false, and checks that raised."""
+
     name: str
     instances: int
     failures: int
+    errors: int = 0
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.instances > 0 and self.failures == 0
+        return self.instances > 0 and self.failures == 0 and self.errors == 0
 
     def to_json(self) -> dict:
         out = {"name": self.name, "instances": self.instances, "failures": self.failures}
+        if self.errors:
+            out["errors"] = self.errors
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -44,22 +49,26 @@ def _trial_rng(seed: int, name: str, trial: int) -> random.Random:
 
 
 def _run_property(seed: int, name: str, trials: int, check) -> PropertyResult:
-    """Run ``check(rng, trial_index)`` for every trial; raises count as failures."""
-    failures = 0
-    detail = ""
+    """Run ``check(rng, trial_index)`` for every trial.
+
+    A check that returns false is a failure; one that raises (a sampler
+    or configuration fault, not a counterexample) is an error.  The
+    detail names the first exception, or else the first failing trial.
+    """
+    failures = errors = 0
+    first_failure = first_error = ""
     for t in range(trials):
         rng = _trial_rng(seed, name, t)
         try:
             ok = check(rng, t)
         except Exception as exc:
-            ok = False
-            if not detail:
-                detail = f"trial {t}: {type(exc).__name__}: {exc}"
+            errors += 1
+            first_error = first_error or f"trial {t}: {type(exc).__name__}: {exc}"
+            continue
         if not ok:
             failures += 1
-            if not detail:
-                detail = f"first failing trial: {t}"
-    return PropertyResult(name, trials, failures, detail)
+            first_failure = first_failure or f"first failing trial: {t}"
+    return PropertyResult(name, trials, failures, errors, first_error or first_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +282,9 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
                 row.append(poly)
             rows.append(tuple(row))
         mx = orc.SymMatrix(vars_, tuple(rows))
-        return orc.sym_det(mx) == orc.naive_det(mx)
+        top = rng.sample(range(k), rng.randint(0, k))
+        want = orc.naive_det(mx)
+        return orc.sym_det(mx) == want and orc.sym_det(mx, top) == want
 
     def cleared_matches_raw_q(rng, _):
         ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank))
@@ -315,7 +326,8 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
     detail = next((f"shape {shape} {r.detail}" for shape, r in per_shape if r.detail), "")
     instances = sum(r.instances for _, r in per_shape)
     failures = sum(r.failures for _, r in per_shape)
-    results.append(PropertyResult(name, instances, failures, detail))
+    errors = sum(r.errors for _, r in per_shape)
+    results.append(PropertyResult(name, instances, failures, errors, detail))
     return results
 
 

@@ -101,7 +101,18 @@ class TestSymDet:
                     row.append(p)
                 rows.append(tuple(row))
             mx = SymMatrix(XV, tuple(rows))
-            assert sym_det(mx) == naive_det(mx)
+            want = naive_det(mx)
+            assert sym_det(mx) == want
+            for size in range(k + 1):
+                for top in combinations(range(k), size):
+                    assert sym_det(mx, top) == want, top
+
+    @pytest.mark.parametrize("top", [(0, 0), (1, 1, 2), (-1,), (3,), (0, 7)])
+    def test_top_must_hold_distinct_row_indices_in_range(self, top):
+        entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
+        mx = SymMatrix(XV, tuple(map(tuple, entries)))
+        with pytest.raises(ValueError, match="distinct row indices"):
+            sym_det(mx, top)
 
 
 class TestMat1:
@@ -207,7 +218,7 @@ class TestShapeGate:
             verify_proposition(ctx)
         assert time.perf_counter() - start < 0.1
 
-    @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1)])
+    @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1), (3, 4), (4, 3)])
     def test_admitted_rank_four_shape_passes(self, n, np_):
         ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
         assert verify_proposition(ctx).ok
