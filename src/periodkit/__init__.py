@@ -23,7 +23,6 @@ from .automorphic import (
 )
 from .combinatorics import (
     IndexPairSet,
-    SplitIndices,
     set_A,
     set_T,
     split_indices,
@@ -48,7 +47,6 @@ from .errors import (
     UnknownRankError,
 )
 from .hodge import (
-    HalfInt,
     HodgeMultiset,
     RegularMotiveData,
     has_no_pp_class,

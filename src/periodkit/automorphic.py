@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .combinatorics import SplitIndices, split_lengths
+from .combinatorics import split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
 from .errors import AlgebraicityError, NotCriticalError, NotCriticalPairError
-from .hodge import HalfInt, RegularMotiveData
+from .hodge import RegularMotiveData
 from .lfactor import pair_critical_points
 from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
 
@@ -59,7 +59,6 @@ class InfinityTypeData:
                 raise AlgebraicityError(
                     f"exponent {x} is not in Z + (n-1)/2 for n = {n}"
                 )
-        object.__setattr__(self, "a", tuple(HalfInt(x) for x in self.a))
 
     @property
     def n(self) -> int:
@@ -96,7 +95,7 @@ def pair_is_critical(pi: InfinityTypeData, pip: InfinityTypeData) -> bool:
     return all(a + b != forbidden for a in pi.a for b in pip.a)
 
 
-def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData):
+def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData) -> tuple[int, ...]:
     """sp(j, pi; pip): the b-exponents split by the cuts -a_i - (w+w')/2.
 
     Matches the motive-side split indices of the dictionary images.
@@ -104,12 +103,11 @@ def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData):
     w2 = Fraction(pi.w + pip.w, 2)
     cuts = [-a - w2 for a in reversed(pi.a)]  # decreasing
     try:
-        lengths = split_lengths(list(pip.a), cuts)
+        return split_lengths(list(pip.a), cuts)
     except ValueError:
         raise NotCriticalPairError(
             "an exponent sum hits -(w+w')/2; the pair has no critical values"
         ) from None
-    return SplitIndices(lengths)
 
 
 def conjecture_rhs_automorphic(
@@ -193,7 +191,7 @@ def _both_factors(big: InfinityTypeData, small: InfinityTypeData) -> list[str]:
 
 def _shared_gap(big: InfinityTypeData, small: InfinityTypeData) -> list[str]:
     try:
-        sp = list(split_indices_auto(big, small).values)
+        sp = list(split_indices_auto(big, small))
     except NotCriticalPairError:
         return []  # already reported by _base_failures
     if max(sp) <= 1:

@@ -103,7 +103,7 @@ def _cmd_sets(args) -> int:
 
 def _cmd_split(args) -> int:
     ctx = _pair_context(args)
-    _emit({"sp": list(ctx.sp.values), "sp_sym": list(ctx.sp_sym.values)})
+    _emit({"sp": list(ctx.sp), "sp_sym": list(ctx.sp_sym)})
     return EXIT_OK
 
 
@@ -163,7 +163,11 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     _emit(summary)
     if not summary["ok"]:
-        failing = [p["name"] for p in summary["properties"] if p["failures"]]
+        failing = [
+            p["name"]
+            for p in summary["properties"]
+            if p["failures"] or p.get("errors") or p["instances"] < 1
+        ]
         print(f"error: failing properties: {', '.join(failing)}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK

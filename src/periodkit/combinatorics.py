@@ -29,10 +29,8 @@ from .hodge import RegularMotiveData
 
 @dataclass(frozen=True)
 class IndexPairSet:
-    """A set of 1-based index pairs inside [1..n] x [1..np]."""
+    """A set of 1-based index pairs (a, b)."""
 
-    n: int
-    np: int
     members: frozenset[tuple[int, int]]
 
     def is_tableau(self) -> bool:
@@ -46,27 +44,6 @@ class IndexPairSet:
 
     def sorted_members(self) -> list[tuple[int, int]]:
         return sorted(self.members)
-
-
-@dataclass(frozen=True)
-class SplitIndices:
-    """Part lengths sp(0..n); they always sum to the other rank."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"split indices are non-negative: {self.values}")
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def total(self) -> int:
-        return sum(self.values)
 
 
 def _doubled_sum_vs_weight(m: RegularMotiveData, mp: RegularMotiveData, a: int, b: int) -> int:
@@ -88,7 +65,7 @@ def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
                 )
             if d > 0:
                 members.add((a, b))
-    return IndexPairSet(m.rank, mp.rank, frozenset(members))
+    return IndexPairSet(frozenset(members))
 
 
 def set_T(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
@@ -116,7 +93,7 @@ def split_lengths(values_desc: Sequence, cuts_desc: Sequence) -> tuple[int, ...]
     return tuple(lengths)
 
 
-def split_indices(m: RegularMotiveData, mp: RegularMotiveData) -> SplitIndices:
+def split_indices(m: RegularMotiveData, mp: RegularMotiveData) -> tuple[int, ...]:
     """sp(i, M; M') for 0 <= i <= rank(M); the parts sum to rank(M')."""
     w = m.weight + mp.weight
     values = [-2 * r for r in reversed(mp.hodge_p)]  # doubled -r_{n'} > ... > -r_1
@@ -127,9 +104,8 @@ def split_indices(m: RegularMotiveData, mp: RegularMotiveData) -> SplitIndices:
         raise PpClassError(
             "some p_i + r_j equals w/2: the tensor product has a (p,p)-class"
         ) from None
-    sp = SplitIndices(lengths)
-    assert sp.total() == mp.rank
-    return sp
+    assert sum(lengths) == mp.rank
+    return lengths
 
 
 def verify_cardinality_lemma(m: RegularMotiveData, mp: RegularMotiveData) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import IndexPairSet, SplitIndices, set_A, set_T, split_indices
+from .combinatorics import IndexPairSet, set_A, set_T, split_indices
 from .errors import NonIntegerExponentError, NotCriticalError
 from .hodge import RegularMotiveData, restriction_tensor
 from .lfactor import critical_interval
@@ -45,8 +45,8 @@ class PairContext:
     Mp: RegularMotiveData
     A: IndexPairSet
     T: IndexPairSet
-    sp: SplitIndices
-    sp_sym: SplitIndices
+    sp: tuple[int, ...]
+    sp_sym: tuple[int, ...]
 
     @classmethod
     def build(cls, m: RegularMotiveData, mp: RegularMotiveData) -> "PairContext":
@@ -63,7 +63,7 @@ class PairContext:
 def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> PeriodMonomial:
     """(2πi)^(m n n') * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).
 
-    ``groups`` holds the two (MotiveTag, SplitIndices) pairs, whose tags
+    ``groups`` holds the two (MotiveTag, split-index tuple) pairs, whose tags
     carry the ranks n and n'; ``kind`` is ``"Qs"`` on the motivic side and
     ``"P"`` on the automorphic one.
     """
@@ -73,7 +73,7 @@ def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> 
         raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
     factors = [(PeriodSymbol("2pi"), int(lead))]
     for tag, sp in groups:
-        factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp.values)]
+        factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp)]
     return PeriodMonomial(factors, field_label)
 
 

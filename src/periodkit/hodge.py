@@ -13,7 +13,7 @@ downstream act on this shadow through closed-form index arithmetic:
 * tensor + restriction to the rationals: a Hodge multiset of 2nn' classes
 
 Everything is exact integer arithmetic; half-integers appear only on the
-automorphic side and are handled by :class:`HalfInt`.  All values are
+automorphic side, as :class:`fractions.Fraction` values.  All values are
 immutable and every operation is a pure function.
 """
 
@@ -21,31 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
-
-
-class HalfInt(Fraction):
-    """An exact rational whose double is an integer.
-
-    Arithmetic is inherited from :class:`fractions.Fraction` (results are
-    plain fractions, still exact); construction checks that the
-    denominator divides 2.
-    """
-
-    def __new__(cls, numerator=0, denominator=None):
-        if denominator is None:
-            self = super().__new__(cls, numerator)
-        else:
-            self = super().__new__(cls, numerator, denominator)
-        if self.denominator not in (1, 2):
-            raise ValueError(f"not a half-integer: {self}")
-        return self
-
-    @property
-    def twice(self) -> int:
-        """The doubled value as an exact integer."""
-        return self.numerator * (2 // self.denominator)
 
 
 @dataclass(frozen=True)

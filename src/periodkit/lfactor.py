@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import NotCriticalPairError, PpClassError
-from .hodge import HalfInt, HodgeMultiset
+from .hodge import HodgeMultiset
 
 if TYPE_CHECKING:  # pragma: no cover
     from .automorphic import InfinityTypeData
@@ -149,4 +149,4 @@ def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> Cri
     grid = Fraction(pi.n + pip.n, 2)
     if Fraction(lo - grid).denominator != 1:  # pragma: no cover - parity guard
         raise AssertionError(f"interval endpoint {lo} off the Z+(n+n')/2 grid")
-    return CriticalInterval(HalfInt(lo), HalfInt(hi))
+    return CriticalInterval(lo, hi)

@@ -237,8 +237,7 @@ class LaurentPoly:
                 for i, e in enumerate(key)
                 if e
             ]
-            body = "*".join(names) if names else "1"
-            chunks.append(f"{c}*{body}" if c != 1 or not names else body)
+            chunks.append("*".join(names if c == 1 and names else [str(c), *names]))
         return " + ".join(chunks)
 
     def __repr__(self) -> str:

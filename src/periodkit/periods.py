@@ -138,9 +138,9 @@ class MotiveTag:
 TRIVIAL = MotiveTag("Z", rank=1)
 
 
-def motive_tag(m, csd: bool = False) -> MotiveTag:
+def motive_tag(m) -> MotiveTag:
     """Tag for anything exposing ``label`` and ``rank`` attributes."""
-    return MotiveTag(m.label, rank=m.rank, csd=csd)
+    return MotiveTag(m.label, rank=m.rank)
 
 
 _KIND_ORDER = {"2pi": 0, "Q": 1, "d": 2, "D": 3, "Qp": 4, "Qs": 5, "P": 6, "Qxi": 7}
@@ -446,7 +446,7 @@ class DerivationResult(NamedTuple):
     ok: bool
 
 
-def derive_delta_square_identity(n: int, label: str = "M") -> DerivationResult:
+def derive_delta_square_identity(n: int) -> DerivationResult:
     """Derive d[M]^-2 (2πi)^(n(1-n)) = prod_i Q[i;M] for a csd motive.
 
     The determinant period of the conjugate is rewritten two ways: via
@@ -457,7 +457,7 @@ def derive_delta_square_identity(n: int, label: str = "M") -> DerivationResult:
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    tag = MotiveTag(label, rank=n, csd=True)
+    tag = MotiveTag("M", rank=n, csd=True)
     dc = delta(tag.conj())
     via_conj = apply_rule(dc, "delta_conj")
     via_dual = apply_rule(dc, "conj_as_dual")
@@ -473,7 +473,7 @@ def derive_delta_square_identity(n: int, label: str = "M") -> DerivationResult:
     return DerivationResult(lhs, rhs, ok)
 
 
-def derive_grouped_period_identity(n: int, s: int, label: str = "M") -> DerivationResult:
+def derive_grouped_period_identity(n: int, s: int) -> DerivationResult:
     """Match Qs[s;M] against the dual-period expression of the s-th period.
 
     The right-hand side starts from Q[1;M^v]...Q[n-s;M^v] * Qxi[M], is
@@ -483,12 +483,12 @@ def derive_grouped_period_identity(n: int, s: int, label: str = "M") -> Derivati
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    tag = MotiveTag(label, rank=n, csd=True)
+    tag = MotiveTag("M", rank=n, csd=True)
     lhs = expand(q_sup(s, tag))
     rhs = expand(q_paren(n - s, tag.dual())) * q_xi(tag)
     if s < n:
         rhs = apply_rule(rhs, "q_dual")
-    identity = derive_delta_square_identity(n, label)
+    identity = derive_delta_square_identity(n)
     rhs = rhs * identity.rhs * identity.lhs.inv()  # multiply by 1 in the period algebra
     rhs = apply_rule(rhs, "xi_to_delta")
     return DerivationResult(lhs, rhs, lhs == rhs)

@@ -90,7 +90,7 @@ def test_criterion_3_combinatorial_lemmas():
             m, mp = random_pp_free_pair(rng, 4)
             n, np_ = m.rank, mp.rank
             sp = split_indices(m, mp)
-            assert sp.total() == np_
+            assert sum(sp) == np_
             spc = split_indices(m.conjugate(), mp.conjugate())
             assert all(sp[i] == spc[n - i] for i in range(n + 1))
             assert verify_cardinality_lemma(m, mp)
@@ -145,7 +145,7 @@ def test_criterion_6_dictionary_checks():
             assert crosscheck_conjecture(pi, pip, m_point), (trial, m_point)
 
 
-def test_criterion_7_cli_contract(tmp_path, capsys):
+def test_criterion_7_cli_contract(tmp_path, verify_all_seed42):
     with criterion(7, "CLI round trip, exit codes, verify --suite all"):
         # parse -> print -> parse identity
         motive = {"label": "M", "rank": 2, "weight": 1, "hodge_p": [1, 0]}
@@ -168,11 +168,8 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
         mpfile.write_text(json.dumps({"label": "M'", "rank": 1, "weight": 0, "hodge_p": [1]}))
         assert main(["conjecture", str(mfile), str(mpfile), "--m", "10"]) == 4
 
-        capsys.readouterr()
-        start = time.monotonic()
-        rc = main(["verify", "--suite", "all", "--seed", str(SEED)])
-        elapsed = time.monotonic() - start
-        out = capsys.readouterr().out
+        assert SEED == 42  # the seed of the shared run
+        rc, out, elapsed = verify_all_seed42
         summary = json.loads(out)
         assert rc == 0 and summary["ok"] is True
         assert elapsed < 300.0, f"verify --suite all took {elapsed:.1f}s"

@@ -94,7 +94,7 @@ class TestAutoSplitIndices:
         # b_1 = 5 sits above every cut -a_i - w/2, so sp = (1, 0, 0, 0)
         pi = rep("Pi", 0, [4, 0, -4])
         pip = rep("Pi'", 0, [5])
-        assert split_indices_auto(pi, pip).values == (1, 0, 0, 0)
+        assert split_indices_auto(pi, pip) == (1, 0, 0, 0)
 
     def test_matches_motive_side_random(self):
         rng = random.Random(53)
@@ -148,14 +148,14 @@ class TestClassifier:
     def test_case2(self):
         pi = rep("Pi", 0, [3, 0, -3], csd=True)
         pip = rep("Pi'", 0, [Fraction(5, 2), Fraction(-5, 2)], csd=True, ds_split=True)
-        assert split_indices_auto(pi, pip).values == (0, 1, 1, 0)
+        assert split_indices_auto(pi, pip) == (0, 1, 1, 0)
         report = classify_known_case(pi, pip, Fraction(1, 2))
         assert report.case == "case2"
 
     def test_case2_with_rank_gap_three(self):
         pi = rep("Pi", 0, [6, 3, 0, -3, -6], csd=True)
         pip = rep("Pi'", 0, [Fraction(3, 2), Fraction(-3, 2)], csd=True, ds_split=True)
-        assert split_indices_auto(pi, pip).values == (0, 0, 1, 1, 0, 0)
+        assert split_indices_auto(pi, pip) == (0, 0, 1, 1, 0, 0)
         assert classify_known_case(pi, pip, Fraction(1, 2)).case == "case2"
         assert classify_known_case(pip, pi, Fraction(1, 2)).case == "case2"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from periodkit import InfinityTypeData, ParseError, RegularMotiveData
+from periodkit import InfinityTypeData, ParseError, RegularMotiveData, suites
 from periodkit.cli import main
 from periodkit.fileio import dump_motive, dump_rep, parse_motive, parse_rep
 
@@ -268,10 +268,27 @@ class TestClassifyAndVerify:
         assert rc1 == rc2 == 0 and p1 == p2
 
 
-def test_verify_all_seed42_matches_recorded_output(capsys):
+def test_verify_names_a_property_that_fails_only_by_raising(capsys, monkeypatch):
+    def boom(rng, t):
+        raise KeyError("sampler fault")
+
+    def run_suite(seed, trials, max_rank):
+        return [suites._run_property(seed, name, n, boom) for name, n in (("boom", 1), ("none", 0))]
+
+    monkeypatch.setitem(suites._SUITES, "rewrite", (run_suite, 1, 1))
+    rc, payload, err = run(capsys, ["verify", "--suite", "rewrite"])
+    assert rc == 1
+    assert payload["properties"] == [
+        {"name": "boom", "instances": 1, "failures": 0, "errors": 1,
+         "detail": "trial 0: KeyError: 'sampler fault'"},
+        {"name": "none", "instances": 0, "failures": 0},
+    ]
+    assert err == "error: failing properties: boom, none\n"
+
+
+def test_verify_all_seed42_matches_recorded_output(verify_all_seed42):
     recorded = Path(__file__).parent / "data" / "verify_all_seed42.json"
-    rc = main(["verify", "--suite", "all", "--seed", "42"])
-    out = capsys.readouterr().out
+    rc, out, _ = verify_all_seed42
     assert rc == 0
     assert out.encode() == recorded.read_bytes()
 

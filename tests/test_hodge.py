@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from periodkit import (
-    HalfInt,
     HodgeMultiset,
     RegularMotiveData,
     has_no_pp_class,
@@ -17,22 +16,6 @@ from periodkit import (
 
 def mot(weight, ps, label="M"):
     return RegularMotiveData(label, weight, tuple(ps))
-
-
-class TestHalfInt:
-    def test_construction_and_twice(self):
-        assert HalfInt(3, 2).twice == 3
-        assert HalfInt(2).twice == 4
-        assert HalfInt(-1, 2) + HalfInt(1, 2) == 0
-
-    def test_rejects_other_denominators(self):
-        with pytest.raises(ValueError):
-            HalfInt(1, 3)
-
-    def test_arithmetic_is_exact(self):
-        x = HalfInt(1, 2)
-        total = sum([x] * 10001)
-        assert total * 2 == 10001
 
 
 class TestConjugate:

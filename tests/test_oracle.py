@@ -61,6 +61,12 @@ class TestLaurentPoly:
         q = poly_of([((0, -1, 0, 0), -1), ((1, 0, 0, 0), 2)])
         assert str(p) == str(q) == "-1*y^-1 + 2*x"
 
+    def test_str_of_a_constant_is_its_coefficient(self):
+        assert str(LaurentPoly.one(XV)) == str(sym_det(SymMatrix(("x",), ()))) == "1"
+        assert str(poly_of([((0, 0, 0, 0), 3)])) == "3"
+        assert str(poly_of([((0, 0, 0, 0), -2)])) == "-2"
+        assert str(poly_of([((0, 0, 0, 0), -2), ((0, 1, 0, 0), 1)])) == "-2 + y"
+
 
 class TestSymDet:
     def test_one_by_one(self):
