@@ -7,6 +7,10 @@ its conjectural L-value counterpart as canonical monomials over formal
 period symbols, mirrors the constructions on the automorphic side, and
 re-derives the underlying determinant identity over an exact
 Laurent-polynomial ring.  Everything is exact; nothing is floating point.
+
+The determinant oracle lives in ``periodkit.oracle`` and is not imported
+here: a one-shot ``pk`` call never needs it, and only ``pk verify``
+(through ``periodkit.suites``) loads it.
 """
 
 from .automorphic import (
@@ -60,14 +64,6 @@ from .lfactor import (
     critical_interval_via_poles,
     gamma_factor,
     pair_critical_points,
-)
-from .oracle import (
-    LaurentPoly,
-    SymMatrix,
-    VerificationReport,
-    build_mat1,
-    sym_det,
-    verify_proposition,
 )
 from .periods import (
     MotiveTag,

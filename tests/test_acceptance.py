@@ -34,11 +34,11 @@ from periodkit import (
     split_indices,
     split_indices_auto,
     verify_cardinality_lemma,
-    verify_proposition,
 )
 from periodkit.automorphic import crosscheck_conjecture
 from periodkit.cli import main
 from periodkit.fileio import dump_motive, dump_rep, parse_motive, parse_rep
+from periodkit.oracle import verify_proposition
 from periodkit.sampling import (
     random_critical_rep_pair,
     random_pp_free_pair,

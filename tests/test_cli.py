@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -334,6 +337,7 @@ def test_rep_only_flags_without_rep_exit_2_before_reading_files(tmp_path, capsys
         (["--max-rank", "30"], "max_rank"),
         (["--suite", "combinatorics", "--max-rank", "18"], "max_rank"),
         (["--suite", "oracle", "--max-rank", "20"], "max_rank"),
+        (["--suite", "bogus"], "unknown suite"),
     ],
 )
 def test_verify_rejects_bad_arguments_as_usage_errors(capsys, args, phrase):
@@ -357,6 +361,52 @@ def test_verify_size_bound_is_a_usage_error(capsys):
     assert out.out == ""
     assert out.err.startswith("error: shape 4x4 is outside the oracle's bound")
     assert "n, n' <= 4 and nn' <= 12" in out.err
+
+
+LAZY_PROBE = """
+import sys
+from periodkit.cli import main
+
+VERIFY_ONLY = ("periodkit.oracle", "periodkit.suites", "periodkit.sampling")
+m, mp, pi, pip = sys.argv[1:]
+for argv in (
+    ["critical", m],
+    ["gamma", m, mp],
+    ["sets", m, mp],
+    ["split", m, mp],
+    ["period", m, mp, "--form", "expanded"],
+    ["conjecture", m, mp, "--m", "1/2"],
+    ["conjecture", pi, pip, "--m", "1/2", "--rep", "--auto", "--classify"],
+    ["classify", pi, pip, "--m", "1/2"],
+):
+    assert main(argv) == 0, argv
+    loaded = [name for name in VERIFY_ONLY if name in sys.modules]
+    assert not loaded, f"pk {argv[0]} loaded {loaded}"
+assert main(["verify", "--suite", "oracle", "--trials", "1", "--max-rank", "1"]) == 0
+missing = [name for name in VERIFY_ONLY if name not in sys.modules]
+assert not missing, f"pk verify did not load {missing}"
+"""
+
+
+def test_one_shot_commands_leave_the_verify_modules_unimported(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    files = [
+        write(tmp_path, name, payload)
+        for name, payload in [
+            ("m.json", ELLIPTIC),
+            ("mp.json", RANK_ONE),
+            ("r.json", REP2),
+            ("rp.json", REP1),
+        ]
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, *files],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("parse", [parse_motive, parse_rep])

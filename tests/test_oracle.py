@@ -7,22 +7,18 @@ from math import comb
 
 import pytest
 
-from periodkit import (
-    LaurentPoly,
-    PairContext,
-    RegularMotiveData,
-    SizeLimitError,
-    SymMatrix,
-    build_mat1,
-    sym_det,
-    verify_proposition,
-)
+from periodkit import PairContext, RegularMotiveData, SizeLimitError
 from periodkit.oracle import (
+    LaurentPoly,
     PairVariables,
+    SymMatrix,
     _coefficient_block,
+    build_mat1,
     cleared_period_product,
     naive_det,
     require_shape,
+    sym_det,
+    verify_proposition,
 )
 from periodkit.sampling import random_pp_free_pair
 

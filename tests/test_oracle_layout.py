@@ -15,8 +15,8 @@ import random
 import sys
 from pathlib import Path
 
-from periodkit import PairContext, build_mat1
-from periodkit.oracle import _kronecker_column_sign, cleared_period_product
+from periodkit import PairContext
+from periodkit.oracle import _kronecker_column_sign, build_mat1, cleared_period_product
 from periodkit.sampling import random_pp_free_pair
 
 RECORDED = Path(__file__).parent / "data" / "oracle_layout.json"
