@@ -11,12 +11,9 @@ import argparse
 import json
 import sys
 
-from . import automorphic as am
-from . import deligne as dl
 from . import fileio
 from . import lfactor as lf
-from . import periods as pd
-from .combinatorics import set_A
+from .combinatorics import set_A, set_T, split_indices
 from .errors import (
     NotCriticalError,
     NotCriticalPairError,
@@ -50,13 +47,16 @@ def _interval_json(iv: lf.CriticalInterval) -> dict:
     return {"lo": fileio.encode_rational(iv.lo), "hi": fileio.encode_rational(iv.hi), "empty": False}
 
 
+def _motive_pair(paths: list[str]):
+    return fileio.parse_motive(paths[0]), fileio.parse_motive(paths[1])
+
+
 def _multiset_from_paths(paths: list[str]):
     if len(paths) > 2:
         raise ParseError(f"expected one or two motive files, got {len(paths)}")
     if len(paths) == 1:
         return restriction(fileio.parse_motive(paths[0]))
-    m = fileio.parse_motive(paths[0])
-    mp = fileio.parse_motive(paths[1])
+    m, mp = _motive_pair(paths)
     set_A(m, mp)  # surfaces a (p,p)-class with the offending index pair named
     return restriction_tensor(m, mp)
 
@@ -80,34 +80,33 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _pair_context(args) -> dl.PairContext:
-    m = fileio.parse_motive(args.motive[0])
-    mp = fileio.parse_motive(args.motive[1])
-    return dl.PairContext.build(m, mp)
-
-
 def _cmd_sets(args) -> int:
-    ctx = _pair_context(args)
+    m, mp = _motive_pair(args.motive)
+    a_set = set_A(m, mp)
     _emit(
         {
-            "n": ctx.M.rank,
-            "np": ctx.Mp.rank,
-            "A": [list(p) for p in ctx.A.sorted_members()],
-            "T": [list(p) for p in ctx.T.sorted_members()],
-            "A_is_tableau": ctx.A.is_tableau(),
+            "n": m.rank,
+            "np": mp.rank,
+            "A": [list(p) for p in a_set.sorted_members()],
+            "T": [list(p) for p in set_T(m, mp).sorted_members()],
+            "A_is_tableau": a_set.is_tableau(),
         }
     )
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    ctx = _pair_context(args)
-    _emit({"sp": list(ctx.sp), "sp_sym": list(ctx.sp_sym)})
+    m, mp = _motive_pair(args.motive)
+    set_A(m, mp)  # surfaces a (p,p)-class with the offending index pair named
+    _emit({"sp": list(split_indices(m, mp)), "sp_sym": list(split_indices(mp, m))})
     return EXIT_OK
 
 
 def _cmd_period(args) -> int:
-    ctx = _pair_context(args)
+    from . import deligne as dl
+    from . import periods as pd
+
+    ctx = dl.PairContext.build(*_motive_pair(args.motive))
     if args.form == "raw":
         mono = dl.deligne_period_raw(ctx)
     elif args.form == "simplified":
@@ -124,6 +123,8 @@ def _cmd_conjecture(args) -> int:
         raise ParseError(f"{' and '.join(stray)} need --rep")
     m = fileio.decode_rational(args.m)
     if args.rep:
+        from . import automorphic as am
+
         pi = fileio.parse_rep(args.motive[0])
         pip = fileio.parse_rep(args.motive[1])
         mono = am.conjecture_rhs_automorphic(pi, pip, m)
@@ -136,13 +137,17 @@ def _cmd_conjecture(args) -> int:
         if payload.get("crosscheck") == "mismatch":
             return EXIT_PROPERTY_FAILURE
         return EXIT_OK
-    ctx = _pair_context(args)
+    from . import deligne as dl
+
+    ctx = dl.PairContext.build(*_motive_pair(args.motive))
     mono = dl.conjecture_rhs_motivic(ctx, m)
     _emit({"m": fileio.encode_rational(m), "monomial": mono.to_json()})
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    from . import automorphic as am
+
     pi = fileio.parse_rep(args.rep[0])
     pip = fileio.parse_rep(args.rep[1])
     report = am.classify_known_case(pi, pip, fileio.decode_rational(args.m))

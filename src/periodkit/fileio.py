@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .automorphic import InfinityTypeData
 from .errors import ParseError, PeriodKitError
 from .hodge import RegularMotiveData
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .automorphic import InfinityTypeData
 
 
 def encode_rational(x: Fraction | int) -> int | str:
@@ -41,13 +44,17 @@ def _load_payload(source) -> dict:
     if isinstance(source, dict):
         return source
     try:
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8: {exc}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError(f"{source}: expected a JSON object")
     return payload
@@ -91,6 +98,8 @@ def dump_motive(m: RegularMotiveData) -> dict:
 
 
 def parse_rep(source) -> InfinityTypeData:
+    from .automorphic import InfinityTypeData
+
     payload = _load_payload(source)
     where = "rep" if isinstance(source, dict) else str(source)
     label = _require(payload, "label", str, where)

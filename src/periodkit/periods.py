@@ -254,13 +254,6 @@ class PeriodMonomial:
                 return e
         return 0
 
-    @property
-    def two_pi_exponent(self) -> int:
-        return self.exponent(_TWO_PI)
-
-    def with_label(self, field_label: str) -> "PeriodMonomial":
-        return PeriodMonomial(self.factors, field_label)
-
     def text(self) -> str:
         """Canonical rendering; (2πi) always shows its exponent."""
         if not self.factors:
@@ -294,10 +287,6 @@ def q(i: int, tag: MotiveTag) -> PeriodMonomial:
 
 def delta(tag: MotiveTag) -> PeriodMonomial:
     return PeriodMonomial(((PeriodSymbol("d", None, tag), 1),))
-
-
-def delta_cap(tag: MotiveTag) -> PeriodMonomial:
-    return PeriodMonomial(((PeriodSymbol("D", None, tag), 1),))
 
 
 def q_paren(j: int, tag: MotiveTag) -> PeriodMonomial:

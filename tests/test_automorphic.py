@@ -5,21 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from periodkit import (
-    AlgebraicityError,
+from periodkit.automorphic import (
     InfinityTypeData,
-    NotCriticalError,
     classify_known_case,
     conjecture_rhs_automorphic,
     crosscheck_conjecture,
     dict_to_motive,
-    has_no_pp_class,
-    pair_critical_points,
     pair_is_critical,
-    restriction_tensor,
-    split_indices,
     split_indices_auto,
 )
+from periodkit.combinatorics import split_indices
+from periodkit.errors import AlgebraicityError, NotCriticalError
+from periodkit.hodge import has_no_pp_class, restriction_tensor
+from periodkit.lfactor import pair_critical_points
+from periodkit.periods import PeriodSymbol
 from periodkit.sampling import random_critical_rep_pair, random_infinity_type
 
 
@@ -120,7 +119,7 @@ class TestConjectureRhs:
             pi, pip = random_critical_rep_pair(rng, 4)
             for m in pair_critical_points(pi, pip).points():
                 mono = conjecture_rhs_automorphic(pi, pip, m)
-                assert isinstance(mono.two_pi_exponent, int)
+                assert isinstance(mono.exponent(PeriodSymbol("2pi")), int)
 
     def test_illegal_m(self):
         pi = rep("Pi", 0, [Fraction(1, 2), Fraction(-1, 2)], csd=True)

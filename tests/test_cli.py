@@ -10,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from periodkit import InfinityTypeData, ParseError, RegularMotiveData, suites
+import periodkit
+from periodkit import suites
+from periodkit.automorphic import InfinityTypeData
 from periodkit.cli import main
+from periodkit.errors import ParseError
 from periodkit.fileio import dump_motive, dump_rep, parse_motive, parse_rep
+from periodkit.hodge import RegularMotiveData
 
 ELLIPTIC = {"label": "M", "rank": 2, "weight": 1, "hodge_p": [1, 0]}
 RANK_ONE = {"label": "M'", "rank": 1, "weight": 0, "hodge_p": [1]}
@@ -70,17 +74,31 @@ class TestCritical:
         )
         assert rc == 0 and payload["interval"] == {"lo": 1, "hi": 1, "empty": False}
 
-    def test_pp_class_pair_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", ["critical", "gamma", "sets", "split", "period", "conjecture"]
+    )
+    def test_pp_class_pair_exits_3(self, tmp_path, capsys, command):
         m = write(tmp_path, "m.json", ELLIPTIC)
-        rc, _, err = run(capsys, ["critical", m, m])
+        extra = ["--m", "1/2"] if command == "conjecture" else []
+        rc, _, err = run(capsys, [command, m, m, *extra])
         assert rc == 3
         assert "(1,2)" in err  # the offending index pair (a, b)
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b"\xff\xfe" + json.dumps(ELLIPTIC).encode("utf-16-le"),
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["not-json", "not-utf8", "nested-too-deep"],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(content)
         rc, _, err = run(capsys, ["critical", str(bad)])
         assert rc == 2 and "error" in err
+        assert err.startswith(f"error: {bad}: ")
 
     def test_invalid_invariant_exits_2(self, tmp_path, capsys):
         rc, _, _ = run(
@@ -365,22 +383,33 @@ def test_verify_size_bound_is_a_usage_error(capsys):
 
 LAZY_PROBE = """
 import sys
+
+import periodkit
+
+loaded = [name for name in sys.modules if name.startswith("periodkit.")]
+assert not loaded, f"import periodkit loaded {loaded}"
+
 from periodkit.cli import main
 
+PERIOD = ("periodkit.periods", "periodkit.deligne")
+REP = ("periodkit.automorphic",)
 VERIFY_ONLY = ("periodkit.oracle", "periodkit.suites", "periodkit.sampling")
 m, mp, pi, pip = sys.argv[1:]
-for argv in (
-    ["critical", m],
-    ["gamma", m, mp],
-    ["sets", m, mp],
-    ["split", m, mp],
-    ["period", m, mp, "--form", "expanded"],
-    ["conjecture", m, mp, "--m", "1/2"],
-    ["conjecture", pi, pip, "--m", "1/2", "--rep", "--auto", "--classify"],
-    ["classify", pi, pip, "--m", "1/2"],
+# The light commands run first, so a module one of them loads is not hidden
+# by a heavier command that loaded it earlier.
+for argv, unloaded in (
+    (["critical", m], PERIOD + REP + VERIFY_ONLY),
+    (["critical", m, mp], PERIOD + REP + VERIFY_ONLY),
+    (["gamma", m, mp], PERIOD + REP + VERIFY_ONLY),
+    (["sets", m, mp], PERIOD + REP + VERIFY_ONLY),
+    (["split", m, mp], PERIOD + REP + VERIFY_ONLY),
+    (["period", m, mp, "--form", "expanded"], REP + VERIFY_ONLY),
+    (["conjecture", m, mp, "--m", "1/2"], REP + VERIFY_ONLY),
+    (["conjecture", pi, pip, "--m", "1/2", "--rep", "--auto", "--classify"], VERIFY_ONLY),
+    (["classify", pi, pip, "--m", "1/2"], VERIFY_ONLY),
 ):
     assert main(argv) == 0, argv
-    loaded = [name for name in VERIFY_ONLY if name in sys.modules]
+    loaded = [name for name in unloaded if name in sys.modules]
     assert not loaded, f"pk {argv[0]} loaded {loaded}"
 assert main(["verify", "--suite", "oracle", "--trials", "1", "--max-rank", "1"]) == 0
 missing = [name for name in VERIFY_ONLY if name not in sys.modules]
@@ -425,3 +454,10 @@ def test_pk_console_script_is_the_tested_main():
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["pk"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert periodkit.__version__ == project["version"]

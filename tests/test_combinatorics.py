@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from periodkit import (
+from periodkit import combinatorics
+from periodkit.combinatorics import (
     IndexPairSet,
-    PpClassError,
-    RegularMotiveData,
     set_A,
     set_T,
     split_indices,
     verify_cardinality_lemma,
 )
-from periodkit import combinatorics
+from periodkit.errors import PpClassError
+from periodkit.hodge import RegularMotiveData
 from periodkit.sampling import random_pp_free_pair
 
 M = RegularMotiveData("M", 1, (1, 0))

@@ -5,23 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from periodkit import (
-    NotCriticalError,
+from periodkit.deligne import (
     PairContext,
-    PpClassError,
-    RegularMotiveData,
     conjecture_rhs_motivic,
-    critical_interval,
     deligne_period_raw,
     deligne_period_simplified,
-    delta,
-    expand,
-    motive_tag,
-    q,
-    q_sup,
-    restriction_tensor,
-    two_pi_i,
 )
+from periodkit.errors import NotCriticalError, PpClassError
+from periodkit.hodge import RegularMotiveData, restriction_tensor
+from periodkit.lfactor import critical_interval
+from periodkit.periods import PeriodSymbol, delta, expand, motive_tag, q, q_sup, two_pi_i
 from periodkit.sampling import random_pp_free_pair
 
 M = RegularMotiveData("M", 1, (1, 0))
@@ -121,4 +114,4 @@ class TestConjectureRhs:
             shift = Fraction(ctx.M.rank + ctx.Mp.rank - 2, 2)
             for mm in iv.points():
                 mono = conjecture_rhs_motivic(ctx, mm - shift)
-                assert isinstance(mono.two_pi_exponent, int)
+                assert isinstance(mono.exponent(PeriodSymbol("2pi")), int)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodkit import (
+from periodkit.hodge import (
     HodgeMultiset,
     RegularMotiveData,
     has_no_pp_class,

@@ -5,19 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from periodkit import (
+from periodkit.automorphic import InfinityTypeData, dict_to_motive
+from periodkit.errors import NotCriticalPairError, PpClassError
+from periodkit.hodge import HodgeMultiset, RegularMotiveData, restriction_tensor
+from periodkit.lfactor import (
     CriticalInterval,
-    HodgeMultiset,
-    InfinityTypeData,
-    NotCriticalPairError,
-    PpClassError,
-    RegularMotiveData,
     critical_interval,
     critical_interval_via_poles,
-    dict_to_motive,
     gamma_factor,
     pair_critical_points,
-    restriction_tensor,
 )
 from periodkit.sampling import random_swap_closed_multiset
 

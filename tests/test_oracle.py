@@ -7,7 +7,9 @@ from math import comb
 
 import pytest
 
-from periodkit import PairContext, RegularMotiveData, SizeLimitError
+from periodkit.deligne import PairContext
+from periodkit.errors import SizeLimitError
+from periodkit.hodge import RegularMotiveData
 from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
@@ -178,8 +180,8 @@ class TestVerifyProposition:
             assert verify_proposition(ctx).ok
 
     def test_cleared_periods_match_raw_q_part(self):
-        from periodkit import deligne_period_raw, motive_tag
-        from periodkit.periods import PeriodSymbol
+        from periodkit.deligne import deligne_period_raw
+        from periodkit.periods import PeriodSymbol, motive_tag
 
         rng = random.Random(67)
         for _ in range(50):

@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from periodkit import PairContext
+from periodkit.deligne import PairContext
 from periodkit.oracle import _kronecker_column_sign, build_mat1, cleared_period_product
 from periodkit.sampling import random_pp_free_pair
 

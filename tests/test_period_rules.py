@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from periodkit import MotiveTag, PeriodMonomial, RuleNotApplicable, apply_rule, expand
-from periodkit.periods import RULES, PeriodSymbol
+from periodkit.errors import RuleNotApplicable
+from periodkit.periods import RULES, MotiveTag, PeriodMonomial, PeriodSymbol, apply_rule, expand
 
 RECORDED = Path(__file__).parent / "data" / "period_rules.json"
 
