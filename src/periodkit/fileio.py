@@ -51,7 +51,7 @@ def _load_payload(source) -> dict:
         raise ParseError(f"{source}: not UTF-8: {exc}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{source}: invalid JSON: nested too deeply") from None

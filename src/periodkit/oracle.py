@@ -13,13 +13,13 @@ is no floating point and no modular shortcut.
 Every polynomial of the ring stores its exponent vectors packed into
 single integers, one signed 8-bit field per variable, so monomial
 multiplication is one integer addition.  The determinant is Laplace's
-generalized expansion along a set of rows: one dynamic program over
-column subsets gives the minors of those rows, another those of the
-other rows, each ending at C(size, |top|) column sets, and one pass
-combines them.  Its cost is the DP states times the terms each partial
-determinant holds, plus the term pairs of the combine, hence the shape
-bound.  Mat1 is split along whole row blocks of A⊗B, which keep both
-halves' minors small (``_half_blocks``).
+generalized expansion over a partition of the rows into blocks.  One
+dynamic program over column subsets gives each block's minors.  A block
+whose nonzero minors are all c·x^e·P for one polynomial P keeps only the
+monomials c·x^e, and P is multiplied in once at the end.  Mat1's i-blocks
+all factor so (``_row_blocks``), which leaves a DP over monomial minors
+to combine the blocks and one final product whose term pairs are about the
+determinant's terms: 221,760 at 3x4.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ def _drop_zeros(terms: dict[int, int]) -> None:
     if 0 in terms.values():
         for key in [key for key, c in terms.items() if not c]:
             del terms[key]
+
+
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a·b on packed keys, with the longer factor in the inner loop."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = _mul_add(None, a, b, 1)
+    _drop_zeros(out)
+    return out
 
 
 class LaurentPoly:
@@ -196,12 +205,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         bound = _checked(self._bound + other._bound)
-        big, small = self._keys, other._keys
-        if len(big) < len(small):
-            big, small = small, big
-        out = _mul_add(None, big, small, 1)
-        _drop_zeros(out)
-        return LaurentPoly._packed(self.vars, out, bound)
+        return LaurentPoly._packed(self.vars, _product(self._keys, other._keys), bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -314,47 +318,106 @@ def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
     return states
 
 
-def sym_det(mx: SymMatrix, top: Iterable[int] = ()) -> LaurentPoly:
-    """Exact determinant by Laplace expansion along the rows ``top``.
+def _factor_out(
+    minors: dict[int, dict[int, int]],
+) -> tuple[dict[int, int], dict[int, dict[int, int]]] | None:
+    """(P, {S: {e: c}}) if every nonzero minor on S equals c·x^e·P, else None.
 
-    det = sum over column sets S of (-1)^(sum top + sum S) times the minor
-    on (top, S) times the minor on (the other rows, the other columns).
-    Each side's minors come from one column-subset DP, so the cost is two
-    DPs that end at C(size, |top|) column sets plus one combine pass over
-    their products; with ``top=()`` it is one DP over every row.  Which
-    rows to put in ``top`` is the caller's choice: for Mat1, whole row
-    blocks of A⊗B keep both sides' minors small (``_half_blocks``).  A
-    duplicate or out-of-range index in ``top`` raises ``ValueError``.
+    P is the first nonzero minor.  Packing is linear and integer addition
+    keeps order, so x^e·P has its smallest key at e + min(P): e is the
+    difference of the smallest keys.  Each quotient is checked term by
+    term, so a ratio of leading coefficients that is not an integer fails.
+    """
+    common = base = lead = None
+    monomials = {}
+    for cols, minor in minors.items():
+        if not minor:
+            continue
+        low = min(minor)
+        if common is None:
+            common, base, lead = minor, low, minor[low]
+        c, shift = minor[low] // lead, low - base
+        if len(minor) != len(common) or any(
+            minor.get(key + shift) != c * coeff for key, coeff in common.items()
+        ):
+            return None
+        monomials[cols] = {shift: c}
+    return None if common is None else (common, monomials)
+
+
+def sym_det(mx: SymMatrix, blocks: Iterable[Iterable[int]] | None = None) -> LaurentPoly:
+    """Exact determinant by Laplace expansion over a partition of the rows.
+
+    det = sum over ordered choices (S_1, ..., S_m) of disjoint column sets,
+    |S_b| = |block b|, of the sign of the row and column orders times the
+    product of the minors on (block b, S_b); ``None`` is one block holding
+    every row.  Each block's minors come from one column-subset DP.  If
+    every nonzero minor of a block is c·x^e·P for one polynomial P
+    (``_factor_out``), the block's minors become those monomials and P
+    joins a product taken once at the end; otherwise the block keeps its
+    minors.  One more DP over the blocks, on column subsets, combines the
+    minors.  So the cost is the blocks' minor DPs, a DP over mostly
+    monomials, and one final product.  Which rows form a block is the
+    caller's choice: for Mat1, the i-blocks of A⊗B all factor
+    (``_row_blocks``).  A row that is missing, repeated or out of range
+    raises ``ValueError``; an empty block is allowed.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound.  That sum must fit the field, and then the result on packed
-    keys is exact and independent of evaluation order.
+    bound.  That sum must fit the field.  A factored shift e is a
+    difference of two minors' exponents, so it reaches twice that sum;
+    the blocks are factored only when twice the sum fits as well, and then
+    every packed key along the way decodes to its exponents.
     """
     k = mx.size
     for row in mx.rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    top = sorted(top)
-    if len(set(top)) != len(top) or not set(top) <= set(range(k)):
-        raise ValueError(f"top must hold distinct row indices in 0..{k - 1}; got {top}")
+    blocks = [list(range(k))] if blocks is None else [sorted(block) for block in blocks]
+    order = [r for block in blocks for r in block]
+    if sorted(order) != list(range(k)):
+        raise ValueError(
+            f"blocks must hold every row index 0..{k - 1} exactly once; got {blocks}"
+        )
     bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
+    factor = 2 * bound < _LIMIT
 
     rows = [[poly._keys for poly in row] for row in mx.rows]
-    upper = _minors([rows[r] for r in top])
-    lower = _minors([row for r, row in enumerate(rows) if r not in top])
-    full = (1 << k) - 1
-    # The parity of a column set's index sum is the parity of its odd members.
-    odd = sum(1 << c for c in range(1, k, 2))
-    parity = sum(top) & 1
-    out: dict[int, int] | None = None
-    for cols, minor in upper.items():
-        rest = lower.get(full ^ cols)
-        if rest is not None:
-            sign = -1 if ((cols & odd).bit_count() + parity) & 1 else 1
-            out = _mul_add(out, rest, minor, sign)
-    out = out or {}
-    _drop_zeros(out)
+    # Listing the rows block by block permutes them: start from its sign.
+    swaps = sum(1 for i, r in enumerate(order) for s in order[i + 1 :] if r > s)
+    states: dict[int, dict[int, int]] = {0: {0: -1 if swaps & 1 else 1}}
+    commons = []
+    for block in blocks:
+        minors = _minors([rows[r] for r in block])
+        split = _factor_out(minors) if factor else None
+        if split is not None:
+            common, minors = split
+            commons.append(common)
+        chosen = [
+            (cols, minor, [c for c in range(k) if cols >> c & 1])
+            for cols, minor in minors.items()
+            if minor
+        ]
+        layer: dict[int, dict[int, int]] = {}
+        for used, partial in states.items():
+            for cols, minor, members in chosen:
+                if used & cols:
+                    continue
+                # Column sign: the used columns right of each new column.
+                flips = sum((used >> (c + 1)).bit_count() for c in members)
+                target = used | cols
+                layer[target] = _mul_add(layer.get(target), partial, minor, -1 if flips & 1 else 1)
+        for target in layer.values():
+            _drop_zeros(target)
+        states = layer
+    out = states.get((1 << k) - 1) or {}
+    if out:
+        # The commons multiply first: their product is small, so the one
+        # large product is the last.
+        common = {0: 1}
+        for poly in commons:
+            common = _product(common, poly)
+        out = _product(out, common)
     return LaurentPoly._packed(mx.vars, out, bound)
 
 
@@ -488,24 +551,17 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _half_blocks(n: int, np_: int) -> list[int]:
-    """The Mat1 rows (i, j) with i <= n/2 if n is even, else those with j <= n'/2.
+def _row_blocks(n: int, np_: int) -> list[list[int]]:
+    """The Mat1 rows of each i-block {(i, 1), ..., (i, n')}, i = 1..n.
 
-    The split follows row blocks because row (i, j) of Mat1 is row (i, j)
-    of A⊗B, entries A_ia B_jb, with some columns scaled by periods.  Every
-    row of the i-block uses the same row A_i·, so a minor on whole
-    i-blocks draws its A-part from few variables and its terms collide
-    often; the same holds for j-blocks and B, and for the complementary
-    blocks.  A split that cuts a block loses this.  On a 3x4 Mat1 the
-    split at j <= 2 leaves 30,996 terms in each half's minors and 4.5M
-    term pairs to combine; the first six rows (i = 1 and half of i = 2)
-    leave 81,972 and 13.8M, and on a Xeon core under Python 3.11 took
-    6.6 s against 4.8 s with no split and 2.0 s at j <= 2.
+    Row (i, j) of Mat1 is row A_i· ⊗ B_j· of A⊗B with some columns scaled
+    by periods, so the i-block's minor on a column set is the product of
+    its A_ia and period factors, a monomial, times the minor of B on the
+    columns' b-indices: ±monomial·det(B), or 0 when a b-index repeats.
+    Every i-block therefore factors (``_factor_out``), and the DP over
+    the blocks only meets monomials.
     """
-    rows = [(i, j) for i in range(1, n + 1) for j in range(1, np_ + 1)]
-    if n % 2 == 0:
-        return [r for r, (i, _) in enumerate(rows) if i <= n // 2]
-    return [r for r, (_, j) in enumerate(rows) if j <= np_ // 2]
+    return [list(range(i * np_, (i + 1) * np_)) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -537,7 +593,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
-    lhs = sym_det(build_mat1(ctx), _half_blocks(n, np_)) * cleared_period_product(ctx)
+    lhs = sym_det(build_mat1(ctx), _row_blocks(n, np_)) * cleared_period_product(ctx)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_

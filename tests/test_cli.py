@@ -90,8 +90,14 @@ class TestCritical:
             b"{not json",
             b"\xff\xfe" + json.dumps(ELLIPTIC).encode("utf-16-le"),
             b"[" * 100000 + b"]" * 100000,
+            pytest.param(
+                b'{"label": "M", "rank": 1, "weight": 0, "hodge_p": [' + b"9" * 5000 + b"]}",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+                ),
+            ),
         ],
-        ids=["not-json", "not-utf8", "nested-too-deep"],
+        ids=["not-json", "not-utf8", "nested-too-deep", "too-many-digits"],
     )
     def test_malformed_json_exits_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"

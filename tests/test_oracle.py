@@ -3,7 +3,7 @@
 import random
 import time
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -15,6 +15,8 @@ from periodkit.oracle import (
     PairVariables,
     SymMatrix,
     _coefficient_block,
+    _factor_out,
+    _minors,
     build_mat1,
     cleared_period_product,
     naive_det,
@@ -107,16 +109,69 @@ class TestSymDet:
             mx = SymMatrix(XV, tuple(rows))
             want = naive_det(mx)
             assert sym_det(mx) == want
-            for size in range(k + 1):
-                for top in combinations(range(k), size):
-                    assert sym_det(mx, top) == want, top
+            for blocks in _ordered_partitions(list(range(k))):
+                assert sym_det(mx, blocks) == want, blocks
 
-    @pytest.mark.parametrize("top", [(0, 0), (1, 1, 2), (-1,), (3,), (0, 7)])
-    def test_top_must_hold_distinct_row_indices_in_range(self, top):
+    def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
+        # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
+        # integer multiple of the first, so the block keeps its minors.
+        p = poly_of([((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1)])
+        z, w = LaurentPoly.var(XV, 2), LaurentPoly.var(XV, 3)
+        two, three = p + p, p + p + p
+        assert _factor_out({0b001: two._keys, 0b010: three._keys}) is None
+        mx = SymMatrix(XV, ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z)))
+        for blocks in ([[0], [1, 2]], [[1, 2], [0]], [[0], [1], [2]]):
+            assert sym_det(mx, blocks) == naive_det(mx), blocks
+
+    def test_block_whose_minors_share_no_factor(self):
+        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        assert _factor_out({0b01: (x + y)._keys, 0b10: (x + z)._keys}) is None
+        mx = SymMatrix(XV, ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z)))
+        for blocks in ([[0], [1, 2]], [[0, 1], [2]], [[2], [0], [1]]):
+            assert sym_det(mx, blocks) == naive_det(mx), blocks
+
+    def test_rows_whose_bounds_sum_past_half_the_field(self):
+        # A⊗B with exponents 20: every i-block would factor, but its shifts
+        # could reach twice the bound 80 and leave the 8-bit field.
+        a = (((20, 0, 0, 0), (0, 20, 0, 0)), ((0, 0, 20, 0), (1, 0, 0, 1)))
+        b = (((0, 1, 0, 0), (0, 0, 0, -20)), ((-20, 0, 0, 0), (0, 0, 1, 0)))
+        rows = tuple(
+            tuple(
+                poly_of([(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2]))), 1)])
+                for c in range(4)
+            )
+            for i in range(2)
+            for j in range(2)
+        )
+        for block in ([0, 1], [2, 3]):
+            assert _factor_out(_minors([[p._keys for p in rows[r]] for r in block])) is not None
+        mx = SymMatrix(XV, rows)
+        want = naive_det(mx)
+        assert not want.is_zero
+        for blocks in ([[0, 1], [2, 3]], [[0, 2], [1, 3]], None):
+            assert sym_det(mx, blocks) == want, blocks
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[0, 0], [1, 2]], [[0], [1, 1], [2]], [[0, 1]], [[-1], [0, 1, 2]], [[0, 1, 2, 3]]],
+    )
+    def test_blocks_must_hold_every_row_once(self, blocks):
         entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
         mx = SymMatrix(XV, tuple(map(tuple, entries)))
-        with pytest.raises(ValueError, match="distinct row indices"):
-            sym_det(mx, top)
+        with pytest.raises(ValueError, match="every row index 0..2 exactly once"):
+            sym_det(mx, blocks)
+
+
+def _ordered_partitions(items):
+    """Every ordered partition of ``items`` into non-empty blocks."""
+    if not items:
+        yield []
+        return
+    for size in range(1, len(items) + 1):
+        for first in combinations(items, size):
+            rest = [x for x in items if x not in first]
+            for tail in _ordered_partitions(rest):
+                yield [list(first), *tail]
 
 
 class TestMat1:
@@ -345,7 +400,8 @@ def _interleaved_pair(n, np_, slots):
 
 
 @pytest.mark.parametrize(
-    "n, np_", [(n, np_) for n in range(1, 4) for np_ in range(1, 4)] + [(2, 4), (4, 2)]
+    "n, np_",
+    [(n, np_) for n in range(1, 4) for np_ in range(1, 4)] + [(1, 4), (4, 1), (2, 4), (4, 2)],
 )
 def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
     seen = set()
@@ -354,3 +410,28 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
         seen.add((ctx.A.members, ctx.T.members))
         assert verify_proposition(ctx).ok, (n, np_, slots)
     assert len(seen) == comb(n + np_, n)
+
+
+@pytest.mark.parametrize(
+    "n, np_", [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
+)
+def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
+    # sym_det's fast route: in verify_proposition, each i-block of Mat1
+    # factors into one ±monomial·det(B) and monomials, one per choice of
+    # n' distinct b-indices; det(A) and det(B) are one block each.
+    import periodkit.oracle as orc
+
+    splits = []
+
+    def spy(minors):
+        splits.append(_factor_out(minors))
+        return splits[-1]
+
+    monkeypatch.setattr(orc, "_factor_out", spy)
+    ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+    assert verify_proposition(ctx).ok
+    assert len(splits) == n + 2 and None not in splits
+    for common, monomials in splits[:n]:
+        assert len(common) == factorial(np_)
+        assert len(monomials) == n ** np_
+        assert all(len(m) == 1 for m in monomials.values())
