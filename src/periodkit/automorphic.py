@@ -122,8 +122,7 @@ def conjecture_rhs_automorphic(
     interval = pair_critical_points(pi, pip)
     if m not in interval:
         raise NotCriticalError(
-            f"m = {m} is not critical for the pair; critical m lie in {interval}",
-            interval=interval,
+            f"m = {m} is not critical for the pair; critical m lie in {interval}"
         )
     groups = (
         (rep_tag(pi), split_indices_auto(pi, pip)),

@@ -106,9 +106,6 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
     interval = critical_interval(restriction_tensor(ctx.M, ctx.Mp))
     if m + shift not in interval:
         legal = f"[{interval.lo - shift}, {interval.hi - shift}]"
-        raise NotCriticalError(
-            f"m = {m} is not critical for the pair; critical m lie in {legal}",
-            interval=interval,
-        )
+        raise NotCriticalError(f"m = {m} is not critical for the pair; critical m lie in {legal}")
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
     return grouped_period_product("Qs", m, groups, "EE'")

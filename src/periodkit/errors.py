@@ -23,10 +23,6 @@ class PpClassError(PeriodKitError):
 class NotCriticalError(PeriodKitError):
     """The requested evaluation point lies outside the critical set."""
 
-    def __init__(self, message: str, interval=None):
-        super().__init__(message)
-        self.interval = interval
-
 
 class NotCriticalPairError(PeriodKitError):
     """The pair of representations admits no critical point at all."""

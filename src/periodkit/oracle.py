@@ -13,19 +13,20 @@ is no floating point and no modular shortcut.
 Every polynomial of the ring stores its exponent vectors packed into
 single integers, one signed 8-bit field per variable, so monomial
 multiplication is one integer addition.  The determinant is Laplace's
-generalized expansion over a partition of the rows into blocks.  One
-dynamic program over column subsets gives each block's minors.  A block
-whose nonzero minors are all c·x^e·P for one polynomial P keeps only the
-monomials c·x^e, and P is multiplied in once at the end.  Mat1's i-blocks
-all factor so (``_row_blocks``), which leaves a DP over monomial minors
-to combine the blocks and one final product whose term pairs are about the
-determinant's terms: 221,760 at 3x4.
+generalized expansion over consecutive groups of rows, and one dynamic
+program over column subsets does it all: run over single rows it gives a
+group's minors, run over the groups it combines them.  A group whose
+nonzero minors are all c·x^e·P for one polynomial P keeps only the
+monomials c·x^e, and P is multiplied in once at the end.  Mat1's groups
+of n' rows all factor so, which leaves a DP over monomial minors and one
+final product whose term pairs are about the determinant's terms: 221,760
+at 3x4.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -292,30 +293,53 @@ class SymMatrix:
         return len(self.rows)
 
 
-def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
-    """{column set S: det of ``rows`` on the columns S}, for every S of size len(rows).
+def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
+    """(column set, sign mask, minor) for each nonzero minor of a group of rows.
 
-    Row-by-row dynamic programming over column subsets; zero partial
-    determinants may remain as empty dicts.
+    Adding the column set S after the used columns costs one swap per used
+    column right of each column of S.  Only the parity counts, so the sign
+    is (-1)^(used columns in the mask), and the mask holds the columns right
+    of an odd number of S's columns.
     """
-    # Column set used by rows 0..r-1 -> partial determinant.  Each layer is
-    # consumed as the next is built, so at most about two layers are alive.
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for entries in rows:
+    part = []
+    for cols, minor in minors.items():
+        if minor:
+            mask, rest = 0, cols
+            while rest:
+                low = rest & -rest
+                mask ^= -(low << 1)  # every column right of this one
+                rest ^= low
+            part.append((cols, mask, minor))
+    return part
+
+
+def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Extend ``states``, {used column set: partial determinant}, by each part in turn.
+
+    A part is a group of rows given by ``_part``; a row is the part of its
+    entries.  Zero partial determinants may remain as empty dicts.
+    """
+    # Each layer is consumed as the next is built, so at most about two
+    # layers are alive.
+    for part in parts:
         layer: dict[int, dict[int, int]] = {}
         while states:
             used, partial = states.popitem()
-            for c, entry in enumerate(entries):
-                bit = 1 << c
-                if used & bit or not entry:
+            for cols, mask, minor in part:
+                if used & cols:
                     continue
-                # Laplace sign: the number of used columns right of c.
-                sign = -1 if (used >> (c + 1)).bit_count() & 1 else 1
-                layer[used | bit] = _mul_add(layer.get(used | bit), partial, entry, sign)
+                sign = -1 if (used & mask).bit_count() & 1 else 1
+                layer[used | cols] = _mul_add(layer.get(used | cols), partial, minor, sign)
         for target in layer.values():
             _drop_zeros(target)
         states = layer
     return states
+
+
+def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
+    """{column set S: det of ``rows`` on the columns S}, for every S of size len(rows)."""
+    parts = [_part({1 << c: entry for c, entry in enumerate(row)}) for row in rows]
+    return _laplace(parts, {0: {0: 1}})
 
 
 def _factor_out(
@@ -345,80 +369,50 @@ def _factor_out(
     return None if common is None else (common, monomials)
 
 
-def sym_det(mx: SymMatrix, blocks: Iterable[Iterable[int]] | None = None) -> LaurentPoly:
-    """Exact determinant by Laplace expansion over a partition of the rows.
+def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
+    """Exact determinant by Laplace expansion over consecutive groups of rows.
 
-    det = sum over ordered choices (S_1, ..., S_m) of disjoint column sets,
-    |S_b| = |block b|, of the sign of the row and column orders times the
-    product of the minors on (block b, S_b); ``None`` is one block holding
-    every row.  Each block's minors come from one column-subset DP.  If
-    every nonzero minor of a block is c·x^e·P for one polynomial P
-    (``_factor_out``), the block's minors become those monomials and P
-    joins a product taken once at the end; otherwise the block keeps its
-    minors.  One more DP over the blocks, on column subsets, combines the
-    minors.  So the cost is the blocks' minor DPs, a DP over mostly
-    monomials, and one final product.  Which rows form a block is the
-    caller's choice: for Mat1, the i-blocks of A⊗B all factor
-    (``_row_blocks``).  A row that is missing, repeated or out of range
-    raises ``ValueError``; an empty block is allowed.
+    The rows go in groups of ``group``, the last of them possibly shorter;
+    ``None`` is one group of every row, and a ``group`` below 1 raises
+    ``ValueError``.  det = sum over ordered choices (S_1, ..., S_m) of
+    disjoint column sets, |S_g| = |group g|, of the sign of the column
+    order times the product of the minors on (group g, S_g).  The one DP
+    of ``_laplace`` gives each group's minors and then combines them.  If
+    every nonzero minor of a group is c·x^e·P for one polynomial P
+    (``_factor_out``), the group's minors become those monomials and P
+    joins a product taken once at the end; otherwise the group keeps its
+    minors.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound.  That sum must fit the field.  A factored shift e is a
-    difference of two minors' exponents, so it reaches twice that sum;
-    the blocks are factored only when twice the sum fits as well, and then
-    every packed key along the way decodes to its exponents.
+    bound, and that sum must fit the field.  A factored shift e may leave
+    the field, but packing is additive on exponent vectors, so the result
+    is still the packed determinant, whose exponents that sum bounds.
     """
     k = mx.size
     for row in mx.rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    blocks = [list(range(k))] if blocks is None else [sorted(block) for block in blocks]
-    order = [r for block in blocks for r in block]
-    if sorted(order) != list(range(k)):
-        raise ValueError(
-            f"blocks must hold every row index 0..{k - 1} exactly once; got {blocks}"
-        )
+    if group is None:
+        group = max(k, 1)
+    elif group < 1:
+        raise ValueError(f"a row group needs at least 1 row, got {group}")
     bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
-    factor = 2 * bound < _LIMIT
 
     rows = [[poly._keys for poly in row] for row in mx.rows]
-    # Listing the rows block by block permutes them: start from its sign.
-    swaps = sum(1 for i, r in enumerate(order) for s in order[i + 1 :] if r > s)
-    states: dict[int, dict[int, int]] = {0: {0: -1 if swaps & 1 else 1}}
-    commons = []
-    for block in blocks:
-        minors = _minors([rows[r] for r in block])
-        split = _factor_out(minors) if factor else None
+    parts = []
+    common = {0: 1}
+    for start in range(0, k, group):
+        minors = _minors(rows[start : start + group])
+        split = _factor_out(minors)
         if split is not None:
-            common, minors = split
-            commons.append(common)
-        chosen = [
-            (cols, minor, [c for c in range(k) if cols >> c & 1])
-            for cols, minor in minors.items()
-            if minor
-        ]
-        layer: dict[int, dict[int, int]] = {}
-        for used, partial in states.items():
-            for cols, minor, members in chosen:
-                if used & cols:
-                    continue
-                # Column sign: the used columns right of each new column.
-                flips = sum((used >> (c + 1)).bit_count() for c in members)
-                target = used | cols
-                layer[target] = _mul_add(layer.get(target), partial, minor, -1 if flips & 1 else 1)
-        for target in layer.values():
-            _drop_zeros(target)
-        states = layer
-    out = states.get((1 << k) - 1) or {}
-    if out:
-        # The commons multiply first: their product is small, so the one
-        # large product is the last.
-        common = {0: 1}
-        for poly in commons:
-            common = _product(common, poly)
-        out = _product(out, common)
-    return LaurentPoly._packed(mx.vars, out, bound)
+            # The commons multiply as they come: their product is small,
+            # so the one large product is the last.
+            common = _product(common, split[0])
+            minors = split[1]
+        parts.append(_part(minors))
+    out = _laplace(parts, {0: {0: 1}}).get((1 << k) - 1)
+    return LaurentPoly._packed(mx.vars, _product(out, common) if out else {}, bound)
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:
@@ -551,19 +545,6 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _row_blocks(n: int, np_: int) -> list[list[int]]:
-    """The Mat1 rows of each i-block {(i, 1), ..., (i, n')}, i = 1..n.
-
-    Row (i, j) of Mat1 is row A_i· ⊗ B_j· of A⊗B with some columns scaled
-    by periods, so the i-block's minor on a column set is the product of
-    its A_ia and period factors, a monomial, times the minor of B on the
-    columns' b-indices: ±monomial·det(B), or 0 when a b-index repeats.
-    Every i-block therefore factors (``_factor_out``), and the DP over
-    the blocks only meets monomials.
-    """
-    return [list(range(i * np_, (i + 1) * np_)) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the determinant identity check for one tensor pair.
@@ -581,9 +562,6 @@ class VerificationReport:
     rhs: LaurentPoly
     predicted_sign: int
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "ok": self.ok, "sign": self.sign}
-
 
 def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
@@ -593,7 +571,12 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
-    lhs = sym_det(build_mat1(ctx), _row_blocks(n, np_)) * cleared_period_product(ctx)
+    # Row (i, j) of Mat1 is row A_i· ⊗ B_j· of A⊗B with some columns scaled
+    # by periods, so the minor of the i-block {(i, 1), ..., (i, n')} on a
+    # column set is a monomial of A_ia and period factors times the minor
+    # of B on the columns' b-indices: ±monomial·det(B), or 0 when a b-index
+    # repeats.  So each group of n' rows factors.
+    lhs = sym_det(build_mat1(ctx), np_) * cleared_period_product(ctx)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_

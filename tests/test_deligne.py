@@ -85,9 +85,8 @@ class TestConjectureRhs:
         assert got == want
 
     def test_outside_interval(self):
-        with pytest.raises(NotCriticalError) as err:
+        with pytest.raises(NotCriticalError, match=r"critical m lie in \["):
             conjecture_rhs_motivic(CTX, Fraction(7, 2))
-        assert err.value.interval is not None
 
     def test_off_grid_m(self):
         with pytest.raises(NotCriticalError):

@@ -16,7 +16,6 @@ from periodkit.oracle import (
     SymMatrix,
     _coefficient_block,
     _factor_out,
-    _minors,
     build_mat1,
     cleared_period_product,
     naive_det,
@@ -27,6 +26,21 @@ from periodkit.oracle import (
 from periodkit.sampling import random_pp_free_pair
 
 XV = ("x", "y", "z", "w")
+
+
+@pytest.fixture
+def factor_splits(monkeypatch):
+    """Every result of ``oracle._factor_out`` in the test, in call order."""
+    import periodkit.oracle as orc
+
+    splits = []
+
+    def spy(minors):
+        splits.append(_factor_out(minors))
+        return splits[-1]
+
+    monkeypatch.setattr(orc, "_factor_out", spy)
+    return splits
 
 
 def poly_of(pairs):
@@ -108,9 +122,8 @@ class TestSymDet:
                 rows.append(tuple(row))
             mx = SymMatrix(XV, tuple(rows))
             want = naive_det(mx)
-            assert sym_det(mx) == want
-            for blocks in _ordered_partitions(list(range(k))):
-                assert sym_det(mx, blocks) == want, blocks
+            for group in (*range(1, k + 1), None):
+                assert sym_det(mx, group) == want, group
 
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
         # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
@@ -120,19 +133,20 @@ class TestSymDet:
         two, three = p + p, p + p + p
         assert _factor_out({0b001: two._keys, 0b010: three._keys}) is None
         mx = SymMatrix(XV, ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z)))
-        for blocks in ([[0], [1, 2]], [[1, 2], [0]], [[0], [1], [2]]):
-            assert sym_det(mx, blocks) == naive_det(mx), blocks
+        for group in (1, 2):
+            assert sym_det(mx, group) == naive_det(mx), group
 
     def test_block_whose_minors_share_no_factor(self):
         x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
         assert _factor_out({0b01: (x + y)._keys, 0b10: (x + z)._keys}) is None
         mx = SymMatrix(XV, ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z)))
-        for blocks in ([[0], [1, 2]], [[0, 1], [2]], [[2], [0], [1]]):
-            assert sym_det(mx, blocks) == naive_det(mx), blocks
+        for group in (1, 2):
+            assert sym_det(mx, group) == naive_det(mx), group
 
-    def test_rows_whose_bounds_sum_past_half_the_field(self):
-        # A⊗B with exponents 20: every i-block would factor, but its shifts
-        # could reach twice the bound 80 and leave the 8-bit field.
+    def test_rows_whose_bounds_sum_past_half_the_field(self, factor_splits):
+        # A⊗B with exponents 20: both i-blocks factor, and their shifts may
+        # reach twice the bound 80 and leave the 8-bit field, yet the packed
+        # result decodes to the determinant.
         a = (((20, 0, 0, 0), (0, 20, 0, 0)), ((0, 0, 20, 0), (1, 0, 0, 1)))
         b = (((0, 1, 0, 0), (0, 0, 0, -20)), ((-20, 0, 0, 0), (0, 0, 1, 0)))
         rows = tuple(
@@ -143,35 +157,18 @@ class TestSymDet:
             for i in range(2)
             for j in range(2)
         )
-        for block in ([0, 1], [2, 3]):
-            assert _factor_out(_minors([[p._keys for p in rows[r]] for r in block])) is not None
         mx = SymMatrix(XV, rows)
         want = naive_det(mx)
         assert not want.is_zero
-        for blocks in ([[0, 1], [2, 3]], [[0, 2], [1, 3]], None):
-            assert sym_det(mx, blocks) == want, blocks
+        assert sym_det(mx, 2) == want
+        assert len(factor_splits) == 2 and None not in factor_splits
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [[[0, 0], [1, 2]], [[0], [1, 1], [2]], [[0, 1]], [[-1], [0, 1, 2]], [[0, 1, 2, 3]]],
-    )
-    def test_blocks_must_hold_every_row_once(self, blocks):
+    @pytest.mark.parametrize("group", [0, -1])
+    def test_group_below_one_raises(self, group):
         entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
         mx = SymMatrix(XV, tuple(map(tuple, entries)))
-        with pytest.raises(ValueError, match="every row index 0..2 exactly once"):
-            sym_det(mx, blocks)
-
-
-def _ordered_partitions(items):
-    """Every ordered partition of ``items`` into non-empty blocks."""
-    if not items:
-        yield []
-        return
-    for size in range(1, len(items) + 1):
-        for first in combinations(items, size):
-            rest = [x for x in items if x not in first]
-            for tail in _ordered_partitions(rest):
-                yield [list(first), *tail]
+        with pytest.raises(ValueError, match=f"at least 1 row, got {group}"):
+            sym_det(mx, group)
 
 
 class TestMat1:
@@ -372,7 +369,7 @@ class TestPredictedSign:
                     observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
                     assert rep.ok
                     assert observed == rep.sign == rep.predicted_sign
-                    assert rep.to_json() == {"size": n * np_, "ok": True, "sign": observed}
+                    assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
 
     def test_wrong_prediction_fails_the_check(self, monkeypatch):
         import periodkit.oracle as orc
@@ -415,23 +412,14 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
 @pytest.mark.parametrize(
     "n, np_", [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
 )
-def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
+def test_every_row_block_of_mat1_factors(n, np_, factor_splits):
     # sym_det's fast route: in verify_proposition, each i-block of Mat1
     # factors into one ±monomial·det(B) and monomials, one per choice of
     # n' distinct b-indices; det(A) and det(B) are one block each.
-    import periodkit.oracle as orc
-
-    splits = []
-
-    def spy(minors):
-        splits.append(_factor_out(minors))
-        return splits[-1]
-
-    monkeypatch.setattr(orc, "_factor_out", spy)
     ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
     assert verify_proposition(ctx).ok
-    assert len(splits) == n + 2 and None not in splits
-    for common, monomials in splits[:n]:
+    assert len(factor_splits) == n + 2 and None not in factor_splits
+    for common, monomials in factor_splits[:n]:
         assert len(common) == factorial(np_)
         assert len(monomials) == n ** np_
         assert all(len(m) == 1 for m in monomials.values())
