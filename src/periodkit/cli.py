@@ -169,11 +169,7 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     _emit(summary)
     if not summary["ok"]:
-        failing = [
-            p["name"]
-            for p in summary["properties"]
-            if p["failures"] or p.get("errors") or p["instances"] < 1
-        ]
+        failing = [p["name"] for p in summary["properties"] if not suites.PropertyResult(**p).ok]
         print(f"error: failing properties: {', '.join(failing)}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK

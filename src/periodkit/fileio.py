@@ -9,6 +9,7 @@ equal object.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,6 +34,8 @@ def decode_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+            raise ParseError(f"bad rational {v!r}: expected an integer or 'p/q'")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

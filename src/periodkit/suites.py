@@ -1,9 +1,11 @@
 """Reproducible verification suites behind ``pk verify``.
 
-Each property is a predicate run on sampled or enumerated instances; the
-sub-seed of every trial is derived from (seed, property name, trial
-index), so the summary is independent of execution order and the trials
-could run concurrently without changing it.
+A suite is a list of rows ``(property name, trial count, check)``; each
+check is a predicate run on sampled or enumerated instances.  Only
+``run_suites`` runs the rows, each through ``_run_property``, and every
+trial's sub-seed is derived from (seed, property name, trial index), so
+that triple alone rebuilds a trial, the summary is independent of
+execution order, and the trials could run concurrently without changing it.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _run_property(seed: int, name: str, trials: int, check) -> PropertyResult:
 # combinatorics suite
 
 
-def _suite_combinatorics(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
+def _suite_combinatorics(trials: int, max_rank: int) -> list[tuple]:
     def pair(rng):
         return smp.random_pp_free_pair(rng, max_rank)
 
@@ -158,20 +160,19 @@ def _suite_combinatorics(seed: int, trials: int, max_rank: int) -> list[Property
         shift = Fraction(pi.n + pip.n - 2, 2)
         return auto.lo == iv.lo - shift and auto.hi == iv.hi - shift
 
-    checks = [
-        ("functor_involutions", functor_involutions),
-        ("tensor_swap_closure_and_size", tensor_shape),
-        ("set_A_is_tableau", tableau),
-        ("A_T_index_duality", at_duality),
-        ("split_indices_sum_to_rank", split_sum),
-        ("split_conjugation_symmetry", split_conjugation),
-        ("cardinality_lemma", cardinality),
-        ("critical_interval_cross_oracle", critical_cross_oracle),
-        ("pair_criticality_matches_hodge_side", pair_criticality_matches_hodge),
-        ("auto_split_matches_motive_split", auto_split_matches_motive),
-        ("pair_points_match_shifted_interval", pair_points_match_shifted_interval),
+    return [
+        ("functor_involutions", trials, functor_involutions),
+        ("tensor_swap_closure_and_size", trials, tensor_shape),
+        ("set_A_is_tableau", trials, tableau),
+        ("A_T_index_duality", trials, at_duality),
+        ("split_indices_sum_to_rank", trials, split_sum),
+        ("split_conjugation_symmetry", trials, split_conjugation),
+        ("cardinality_lemma", trials, cardinality),
+        ("critical_interval_cross_oracle", trials, critical_cross_oracle),
+        ("pair_criticality_matches_hodge_side", trials, pair_criticality_matches_hodge),
+        ("auto_split_matches_motive_split", trials, auto_split_matches_motive),
+        ("pair_points_match_shifted_interval", trials, pair_points_match_shifted_interval),
     ]
-    return [_run_property(seed, name, trials, fn) for name, fn in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ _DELTA_SQUARE_RANKS = tuple(range(1, 9))
 _COMPARISON_CASES = tuple((n, s) for n in range(1, 9) for s in range(n + 1))
 
 
-def _suite_rewrite(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
+def _suite_rewrite(trials: int, max_rank: int) -> list[tuple]:
     def group_laws(rng, _):
         x, y, z = (_random_monomial(rng) for _ in range(3))
         return (
@@ -250,24 +251,28 @@ def _suite_rewrite(seed: int, trials: int, max_rank: int) -> list[PropertyResult
         m = rng.choice(list(lf.pair_critical_points(pi, pip).points()))
         return am.crosscheck_conjecture(pi, pip, m)
 
-    checks = [
-        ("monomial_group_laws", group_laws, trials),
-        ("expand_is_homomorphism", expand_homomorphism, trials),
-        ("q_conjugation_involution", q_conj_involution, trials),
-        ("tate_delta_closed_forms", tate_closed_forms, trials),
-        ("csd_delta_square_identity", delta_square_chain, len(_DELTA_SQUARE_RANKS)),
-        ("grouped_period_comparison", comparison_chain, len(_COMPARISON_CASES)),
-        ("simplified_matches_raw_expansion", simplified_equals_raw, trials),
-        ("automorphic_matches_motivic_rhs", conjecture_p_to_q, trials),
+    return [
+        ("monomial_group_laws", trials, group_laws),
+        ("expand_is_homomorphism", trials, expand_homomorphism),
+        ("q_conjugation_involution", trials, q_conj_involution),
+        ("tate_delta_closed_forms", trials, tate_closed_forms),
+        ("csd_delta_square_identity", len(_DELTA_SQUARE_RANKS), delta_square_chain),
+        ("grouped_period_comparison", len(_COMPARISON_CASES), comparison_chain),
+        ("simplified_matches_raw_expansion", trials, simplified_equals_raw),
+        ("automorphic_matches_motivic_rhs", trials, conjecture_p_to_q),
     ]
-    return [_run_property(seed, name, count, fn) for name, fn, count in checks]
 
 
 # ---------------------------------------------------------------------------
 # oracle suite
 
 
-def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]:
+def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
+    # A shape the oracle cannot check is a usage error, not a property failure:
+    # it raises while run_suites builds the rows, before any trial runs.
+    orc.require_shape(max_rank, max_rank)
+    shapes = [(n, np_) for n in range(1, max_rank + 1) for np_ in range(1, max_rank + 1)]
+
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
         k = rng.randint(1, 4)
@@ -298,36 +303,17 @@ def _suite_oracle(seed: int, trials: int, max_rank: int) -> list[PropertyResult]
             for a in range(1, m.rank + 1)
         )
 
-    def determinant_identity(ranks):
-        def check(rng, _):
-            ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank, ranks=ranks))
-            return orc.verify_proposition(ctx).ok
+    def determinant_identity(rng, t):
+        # `trials` seed-fixed configurations for every rank shape (n, n') up to max_rank.
+        ranks = shapes[t // trials]
+        ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank, ranks=ranks))
+        return orc.verify_proposition(ctx).ok
 
-        return check
-
-    results = [
-        _run_property(seed, "determinant_vs_permutation_sum", min(trials, 40), det_vs_naive),
-        _run_property(
-            seed, "cleared_periods_match_raw_q_part", min(trials, 200), cleared_matches_raw_q
-        ),
+    return [
+        ("determinant_vs_permutation_sum", min(trials, 40), det_vs_naive),
+        ("cleared_periods_match_raw_q_part", min(trials, 200), cleared_matches_raw_q),
+        ("deligne_period_determinant_identity", trials * len(shapes), determinant_identity),
     ]
-
-    # The determinant identity runs `trials` seed-fixed configurations for
-    # every rank shape (n, n') up to max_rank, each shape under its own name.
-    name = "deligne_period_determinant_identity"
-    shapes = {
-        f"{n}x{np_}": (n, np_) for n in range(1, max_rank + 1) for np_ in range(1, max_rank + 1)
-    }
-    per_shape = [
-        (shape, _run_property(seed, f"{name}/{shape}", trials, determinant_identity(ranks)))
-        for shape, ranks in shapes.items()
-    ]
-    detail = next((f"shape {shape} {r.detail}" for shape, r in per_shape if r.detail), "")
-    instances = sum(r.instances for _, r in per_shape)
-    failures = sum(r.failures for _, r in per_shape)
-    errors = sum(r.errors for _, r in per_shape)
-    results.append(PropertyResult(name, instances, failures, errors, detail))
-    return results
 
 
 # name -> (suite function, default trials, default max rank), in the order ``all`` runs them.
@@ -345,27 +331,19 @@ def run_suites(
     trials: int | None = None,
     max_rank: int | None = None,
 ) -> dict:
-    """Run one suite (or ``all``) and return a JSON-ready summary."""
-    names = list(SUITES) if suite == "all" else [suite]
-    runs = []
-    for name in names:
+    """Build the rows of one suite (or ``all``), then run them; return a JSON-ready summary."""
+    rows = []
+    for name in list(SUITES) if suite == "all" else [suite]:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
         fn, default_trials, default_rank = _SUITES[name]
-        t = default_trials if trials is None else trials
         r = default_rank if max_rank is None else max_rank
         if not 1 <= r <= smp.MAX_RANK:
             raise ValueError(
                 f"max_rank must lie in 1..{smp.MAX_RANK}, the ranks the samplers draw; got {r}"
             )
-        if name == "oracle":
-            # A shape the oracle cannot check is a usage error, not a
-            # property failure, so it is raised before any suite runs.
-            orc.require_shape(r, r)
-        runs.append((fn, t, r))
-    results: list[PropertyResult] = []
-    for fn, t, r in runs:
-        results.extend(fn(seed, t, r))
+        rows.extend(fn(default_trials if trials is None else trials, r))
+    results = [_run_property(seed, name, count, check) for name, count, check in rows]
     return {
         "suite": suite,
         "seed": seed,

@@ -55,6 +55,10 @@ class TestRoundTrip:
         assert parse_rep(dump_rep(pi)) == pi
         assert dump_rep(pi)["a"] == [2, 0, -2]
 
+    def test_rep_exponent_outside_the_rational_grammar(self):
+        with pytest.raises(ParseError, match="bad rational '1e5000'"):
+            parse_rep({"label": "Pi", "n": 1, "w": 0, "a": ["1e5000"]})
+
 
 class TestCritical:
     def test_single_motive(self, tmp_path, capsys):
@@ -299,8 +303,8 @@ def test_verify_names_a_property_that_fails_only_by_raising(capsys, monkeypatch)
     def boom(rng, t):
         raise KeyError("sampler fault")
 
-    def run_suite(seed, trials, max_rank):
-        return [suites._run_property(seed, name, n, boom) for name, n in (("boom", 1), ("none", 0))]
+    def run_suite(trials, max_rank):
+        return [("boom", 1, boom), ("none", 0, boom)]
 
     monkeypatch.setitem(suites._SUITES, "rewrite", (run_suite, 1, 1))
     rc, payload, err = run(capsys, ["verify", "--suite", "rewrite"])
@@ -326,6 +330,8 @@ def test_verify_all_seed42_matches_recorded_output(verify_all_seed42):
         ["conjecture", "m.json", "mp.json", "--m", "abc"],
         ["conjecture", "m.json", "mp.json", "--m", "1/0"],
         ["classify", "r.json", "rp.json", "--m", "x"],
+        ["conjecture", "m.json", "mp.json", "--m", "1e5000"],
+        ["conjecture", "m.json", "mp.json", "--m", "0.5"],
     ],
 )
 def test_malformed_m_exits_2(tmp_path, capsys, argv):
