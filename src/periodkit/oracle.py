@@ -12,22 +12,28 @@ is no floating point and no modular shortcut.
 
 Every polynomial of the ring stores its exponent vectors packed into
 single integers, one signed 8-bit field per variable, so monomial
-multiplication is one integer addition.  The determinant is Laplace's
-generalized expansion over consecutive groups of rows, and one dynamic
-program over column subsets does it all: run over single rows it gives a
-group's minors, run over the groups it combines them.  A group whose
-nonzero minors are all c·x^e·P for one polynomial P keeps only the
-monomials c·x^e, and P is multiplied in once at the end.  Mat1's groups
-of n' rows all factor so, which leaves a DP over monomial minors and one
-final product whose term pairs are about the determinant's terms: 221,760
-at 3x4.
+multiplication is one integer addition.  A product whose term pairs all
+land on distinct keys, as for factors in disjoint variables, is one dict
+comprehension; any other product is an accumulating loop.
+
+The determinant is Laplace's generalized expansion over consecutive
+groups of rows, and one dynamic program over column subsets does it all:
+run over single rows it gives a group's minors, run over the groups it
+combines them.  A group whose nonzero minors are all c·x^e·P for one
+polynomial P keeps only the monomials c·x^e, and P is multiplied in once
+at the end.  Mat1's groups of n' rows all factor so, which leaves a DP
+over monomial minors and one final product whose term pairs are about
+the determinant's terms: 221,760 at 3x4.  The check's left side gets its
+cleared period factor in row 0 of Mat1, before the expansion, so that
+product and the right side's, det(A)^n' times det(B)^n, are the only
+ones that large, and both are single comprehensions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .deligne import PairContext
@@ -107,9 +113,17 @@ def _drop_zeros(terms: dict[int, int]) -> None:
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a·b on packed keys, with the longer factor in the inner loop."""
+    """a·b on packed keys, with the longer factor in the inner loop.
+
+    One comprehension tries first.  If it holds a key per term pair, no two
+    pairs met, so nothing was summed and no coefficient is zero; else the
+    pairs that met overwrote each other, and the accumulating loop redoes it.
+    """
     if len(a) < len(b):
         a, b = b, a
+    out = {ka + kb: ca * cb for kb, cb in b.items() for ka, ca in a.items()}
+    if len(out) == len(a) * len(b):
+        return out
     out = _mul_add(None, a, b, 1)
     _drop_zeros(out)
     return out
@@ -575,8 +589,14 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # by periods, so the minor of the i-block {(i, 1), ..., (i, n')} on a
     # column set is a monomial of A_ia and period factors times the minor
     # of B on the columns' b-indices: ±monomial·det(B), or 0 when a b-index
-    # repeats.  So each group of n' rows factors.
-    lhs = sym_det(build_mat1(ctx), np_) * cleared_period_product(ctx)
+    # repeats.  So each group of n' rows factors.  A determinant is linear
+    # in each row, so scaling row 0 by the cleared monomial scales det(Mat1)
+    # by it without copying the determinant, and row 0's group still
+    # factors, its P scaled by that monomial.
+    mat1 = build_mat1(ctx)
+    cleared = cleared_period_product(ctx)
+    rows = (tuple(entry * cleared for entry in mat1.rows[0]), *mat1.rows[1:])
+    lhs = sym_det(replace(mat1, rows=rows), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_

@@ -16,6 +16,7 @@ from periodkit.oracle import (
     SymMatrix,
     _coefficient_block,
     _factor_out,
+    _product,
     build_mat1,
     cleared_period_product,
     naive_det,
@@ -26,6 +27,7 @@ from periodkit.oracle import (
 from periodkit.sampling import random_pp_free_pair
 
 XV = ("x", "y", "z", "w")
+ADMITTED_SHAPES = [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
 
 
 @pytest.fixture
@@ -80,6 +82,64 @@ class TestLaurentPoly:
         assert str(poly_of([((0, 0, 0, 0), 3)])) == "3"
         assert str(poly_of([((0, 0, 0, 0), -2)])) == "-2"
         assert str(poly_of([((0, 0, 0, 0), -2), ((0, 1, 0, 0), 1)])) == "-2 + y"
+
+
+def _accumulated(a, b):
+    """a·b on packed keys by a plain accumulating loop, zero terms dropped."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+class TestProduct:
+    @pytest.fixture
+    def mul_adds(self, monkeypatch):
+        """How often ``_product`` falls back to the accumulating loop."""
+        import periodkit.oracle as orc
+
+        calls = []
+        mul_add = orc._mul_add
+
+        def spy(*args):
+            calls.append(len(args[1]) * len(args[2]))
+            return mul_add(*args)
+
+        monkeypatch.setattr(orc, "_mul_add", spy)
+        return calls
+
+    def test_pairs_that_meet_are_summed_and_zeros_dropped(self, mul_adds):
+        x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(XV, 1)
+        cancels = (x + y) * (x - y)
+        assert cancels == x * x - y * y
+        assert dict(cancels.terms) == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
+        sums = (x + y) * (x + y)
+        assert dict(sums.terms) == {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
+        assert mul_adds == [4, 4]
+
+    def test_matches_an_accumulating_loop(self):
+        rng = random.Random(69)
+        for _ in range(50):
+            p, q = (
+                poly_of(
+                    [(tuple(rng.randint(-1, 1) for _ in XV), rng.randint(-2, 2))
+                     for _ in range(rng.randint(0, 6))]
+                )
+                for _ in range(2)
+            )
+            got = _product(p._keys, q._keys)
+            assert got == _accumulated(p._keys, q._keys)
+            assert 0 not in got.values()
+
+    def test_factors_in_disjoint_variables_take_one_comprehension(self, mul_adds):
+        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        p = x * x - x * y + y - LaurentPoly.one(XV)
+        q = z + z * w * w - LaurentPoly.var(XV, 3, -1)
+        got = p * q
+        assert len(got.terms) == len(p.terms) * len(q.terms) == 12
+        assert got._keys == _accumulated(p._keys, q._keys)
+        assert mul_adds == []
 
 
 class TestSymDet:
@@ -219,11 +279,15 @@ class TestVerifyProposition:
         assert verify_proposition(ctx).ok
 
     def test_lhs_matches_det_times_cleared(self):
+        # verify_proposition scales a row of Mat1 by the cleared monomial;
+        # the reference multiplies the plain, one-group determinant by it.
         rng = random.Random(63)
-        for _ in range(20):
-            ctx = PairContext.build(*random_pp_free_pair(rng, 2))
+        for n, np_ in ADMITTED_SHAPES:
+            slots = sorted(rng.sample(range(n + np_), n))
+            ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
             rep = verify_proposition(ctx)
-            assert rep.lhs == sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
+            want = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
+            assert rep.lhs == want, (n, np_, slots)
 
     def test_random_small_shapes(self):
         rng = random.Random(64)
@@ -409,9 +473,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
     assert len(seen) == comb(n + np_, n)
 
 
-@pytest.mark.parametrize(
-    "n, np_", [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
-)
+@pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_every_row_block_of_mat1_factors(n, np_, factor_splits):
     # sym_det's fast route: in verify_proposition, each i-block of Mat1
     # factors into one ±monomial·det(B) and monomials, one per choice of

@@ -1,11 +1,13 @@
 """The verification suites behind ``pk verify``."""
 
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 import periodkit.oracle as orc
 from periodkit import suites
+from periodkit.deligne import PairContext
 from periodkit.errors import SizeLimitError
 from periodkit.sampling import random_pp_free_pair
 from periodkit.suites import SUITES, PropertyResult, _run_property, _trial_rng, run_suites
@@ -75,6 +77,8 @@ def test_every_row_runs_once_through_run_property(run_calls):
 
 
 def test_identity_trial_t_checks_its_shape_from_the_trial_seed(monkeypatch):
+    # Trial t draws its pair from its own sub-seed, and each (ranks, A, T)
+    # is checked once, on the first trial that reaches it; all 900 count.
     name = "deligne_period_determinant_identity"
     shapes = [(n, np_) for n in range(1, 4) for np_ in range(1, 4)]
     checked = []
@@ -87,9 +91,33 @@ def test_identity_trial_t_checks_its_shape_from_the_trial_seed(monkeypatch):
     monkeypatch.setattr(orc, "verify_proposition", spy)
     summary = run_suites("oracle", seed=42)
     assert summary["properties"][-1] == {"name": name, "instances": 900, "failures": 0}
-    assert len(checked) == 900
-    for t, ctx in enumerate(checked):
-        pair = random_pp_free_pair(_trial_rng(42, name, t), 3, ranks=shapes[t // 100])
-        assert (ctx.M, ctx.Mp) == pair, t
-    tableaux = {(ctx.M.rank, ctx.Mp.rank, ctx.A.members, ctx.T.members) for ctx in checked}
-    assert len(tableaux) == sum(comb(n + np_, n) for n, np_ in shapes) == 62
+    first = {}
+    for t in range(900):
+        ranks = shapes[t // 100]
+        pair = random_pp_free_pair(_trial_rng(42, name, t), 3, ranks=ranks)
+        ctx = PairContext.build(*pair)
+        first.setdefault((ranks, ctx.A.members, ctx.T.members), pair)
+    assert [(ctx.M, ctx.Mp) for ctx in checked] == list(first.values())
+    assert len(checked) == sum(comb(n + np_, n) for n, np_ in shapes) == 62
+
+
+def test_identity_counts_every_trial_on_a_checked_tableau(monkeypatch):
+    # A failing tableau fails each of its trials; a check that raises is not
+    # remembered, so each of its trials raises and counts as an error.
+    calls = []
+
+    def stub(ctx):
+        calls.append((ctx.M.rank, ctx.Mp.rank))
+        if (ctx.M.rank, ctx.Mp.rank) == (1, 2):
+            raise RuntimeError("stub")
+        return SimpleNamespace(ok=(ctx.M.rank, ctx.Mp.rank) != (2, 2))
+
+    monkeypatch.setattr(orc, "verify_proposition", stub)
+    summary = run_suites("oracle", seed=42, trials=10, max_rank=2)
+    identity = summary["properties"][-1]
+    assert identity["instances"] == 40
+    assert (identity["failures"], identity["errors"]) == (10, 10)
+    assert calls.count((1, 2)) == 10
+    # An n x n' shape has comb(n + n', n) tableaux, each checked at most once.
+    for n, np_ in ((1, 1), (2, 1), (2, 2)):
+        assert 1 <= calls.count((n, np_)) <= comb(n + np_, n)
