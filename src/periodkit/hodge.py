@@ -166,26 +166,21 @@ class HodgeMultiset:
 def restriction_tensor(m: RegularMotiveData, mp: RegularMotiveData) -> HodgeMultiset:
     """Hodge multiset of the tensor product restricted to the rationals.
 
-    The Betti realization is (M x M') + (M^c x M'^c), so the classes are
-    the 2nn' sums p_a + r_b and p^c_t + r^c_u with their complements.
-    The result is swap-closed by construction.
+    The Betti realization is (M x M') + (M^c x M'^c).  Conjugation sends
+    each sum s = p_a + r_b to w - s, so the second summand's classes are
+    the swaps (w - s, s) of the first summand's classes (s, w - s).
     """
     weight = m.weight + mp.weight
-    classes = []
-    for p in m.hodge_p:
-        for r in mp.hodge_p:
-            classes.append((p + r, weight - p - r))
-    for pc in m.conjugate().hodge_p:
-        for rc in mp.conjugate().hodge_p:
-            classes.append((pc + rc, weight - pc - rc))
-    return HodgeMultiset.of(weight, classes)
+    sums = [p + r for p in m.hodge_p for r in mp.hodge_p]
+    return HodgeMultiset.of(
+        weight, [(s, weight - s) for s in sums] + [(weight - s, s) for s in sums]
+    )
 
 
 def restriction(m: RegularMotiveData) -> HodgeMultiset:
-    """Hodge multiset of a single motive restricted to the rationals."""
-    return HodgeMultiset.of(
-        m.weight, m.hodge_pairs() + m.conjugate().hodge_pairs()
-    )
+    """Hodge multiset of a single motive restricted to the rationals: (p, q) and (q, p)."""
+    pairs = m.hodge_pairs()
+    return HodgeMultiset.of(m.weight, pairs + tuple((q, p) for p, q in pairs))
 
 
 def has_no_pp_class(h: HodgeMultiset) -> bool:

@@ -12,18 +12,20 @@ is no floating point and no modular shortcut.
 
 Every polynomial of the ring stores its exponent vectors packed into
 single integers, one signed 8-bit field per variable, so monomial
-multiplication is one integer addition.  A product whose term pairs all
-land on distinct keys, as for factors in disjoint variables, is one dict
-comprehension; any other product is an accumulating loop.
+multiplication is one integer addition; the one constructor takes that
+store and its exponent bound.  A product whose term pairs all land on
+distinct keys, as for factors in disjoint variables, is one dict
+comprehension; a power, or any product whose pairs meet, is a loop.
 
 The determinant is Laplace's generalized expansion over consecutive
 groups of rows, and one dynamic program over column subsets does it all:
 run over single rows it gives a group's minors, run over the groups it
 combines them.  A group whose nonzero minors are all c·x^e·P for one
 polynomial P keeps only the monomials c·x^e, and P is multiplied in once
-at the end.  Mat1's groups of n' rows all factor so, which leaves a DP
-over monomial minors and one final product whose term pairs are about
-the determinant's terms: 221,760 at 3x4.  The check's left side gets its
+at the end (P = 1 if the group does not factor).  Mat1's groups of n'
+rows all factor so, which leaves a DP over monomial minors and one final
+product whose term pairs are about the determinant's terms: 221,760 at
+3x4.  The check's left side gets its
 cleared period factor in row 0 of Mat1, before the expansion, so that
 product and the right side's, det(A)^n' times det(B)^n, are the only
 ones that large, and both are single comprehensions.
@@ -70,8 +72,9 @@ def _checked(bound: int) -> int:
     return bound
 
 
-def _pack(exps) -> int:
-    return sum(e << (_WIDTH * i) for i, e in enumerate(exps))
+def _pack(pairs) -> int:
+    """The packed key of (variable index, exponent) pairs."""
+    return sum(e << (_WIDTH * i) for i, e in pairs)
 
 
 def _unpack(key: int, nv: int) -> tuple[int, ...]:
@@ -112,6 +115,15 @@ def _drop_zeros(terms: dict[int, int]) -> None:
             del terms[key]
 
 
+def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a·b on packed keys by the accumulating loop: for factors whose pairs meet."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = _mul_add(None, a, b, 1)
+    _drop_zeros(out)
+    return out
+
+
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a·b on packed keys, with the longer factor in the inner loop.
 
@@ -124,9 +136,7 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = {ka + kb: ca * cb for kb, cb in b.items() for ka, ca in a.items()}
     if len(out) == len(a) * len(b):
         return out
-    out = _mul_add(None, a, b, 1)
-    _drop_zeros(out)
-    return out
+    return _summed_product(a, b)
 
 
 class LaurentPoly:
@@ -137,36 +147,26 @@ class LaurentPoly:
     operations require both operands to carry the same table.
 
     Each exponent vector is stored as one integer, sum(e_i << 8*i), and
-    each polynomial carries a bound on its |e_i|.  A polynomial, product
-    or determinant whose bound would reach 128 raises ``OverflowError``.
+    each polynomial carries a bound on its |e_i|.  The one constructor
+    takes both as they are; every polynomial starts as ``monomial``,
+    ``var``, ``zero`` or ``one``.  A monomial, product, power or
+    determinant whose bound would reach 128 raises ``OverflowError``.
     """
 
     __slots__ = ("vars", "_keys", "_bound")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int] | None = None):
-        terms = {k: c for k, c in (terms or {}).items() if c != 0}
-        for key in terms:
-            if len(key) != len(vars):
-                raise ValueError(f"exponent vector {key} does not match {len(vars)} variables")
+    def __init__(self, vars: tuple[str, ...], keys: dict[int, int], bound: int):
         self.vars = vars
-        self._bound = _checked(max((abs(e) for key in terms for e in key), default=0))
-        self._keys = {_pack(key): c for key, c in terms.items()}
-
-    @classmethod
-    def _packed(cls, vars: tuple[str, ...], keys: dict[int, int], bound: int) -> "LaurentPoly":
-        poly = object.__new__(cls)
-        poly.vars = vars
-        poly._keys = keys
-        poly._bound = bound
-        return poly
+        self._keys = keys
+        self._bound = bound
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls._packed(vars, {}, 0)
+        return cls(vars, {}, 0)
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls._packed(vars, {0: 1}, 0)
+        return cls(vars, {0: 1}, 0)
 
     @classmethod
     def monomial(
@@ -178,8 +178,7 @@ class LaurentPoly:
         if coeff == 0:
             return cls.zero(vars)
         bound = _checked(max((abs(e) for e in exps.values()), default=0))
-        key = sum(e << (_WIDTH * idx) for idx, e in exps.items())
-        return cls._packed(vars, {key: coeff}, bound)
+        return cls(vars, {_pack(exps.items()): coeff}, bound)
 
     @classmethod
     def var(cls, vars: tuple[str, ...], idx: int, exp: int = 1) -> "LaurentPoly":
@@ -208,11 +207,11 @@ class LaurentPoly:
                 terms[k] = n
             else:
                 del terms[k]
-        return LaurentPoly._packed(self.vars, terms, max(self._bound, other._bound))
+        return LaurentPoly(self.vars, terms, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
         keys = {k: -c for k, c in self._keys.items()}
-        return LaurentPoly._packed(self.vars, keys, self._bound)
+        return LaurentPoly(self.vars, keys, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -220,20 +219,20 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         bound = _checked(self._bound + other._bound)
-        return LaurentPoly._packed(self.vars, _product(self._keys, other._keys), bound)
+        return LaurentPoly(self.vars, _product(self._keys, other._keys), bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("only non-negative powers are supported")
-        out = LaurentPoly.one(self.vars)
-        base = self
+        bound = _checked(self._bound * k)
+        out, base = {0: 1}, self._keys
         while k:
             if k & 1:
-                out = out * base
+                out = _summed_product(out, base)
             k >>= 1
             if k:
-                base = base * base
-        return out
+                base = _summed_product(base, base)
+        return LaurentPoly(self.vars, out, bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly) or (
@@ -241,10 +240,6 @@ class LaurentPoly:
         ):
             return False
         return self._keys == other._keys
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._keys
 
     def __str__(self) -> str:
         if not self._keys:
@@ -288,7 +283,7 @@ class Terms(Mapping):
             or not all(-_LIMIT <= e < _LIMIT for e in key)
         ):
             raise KeyError(key)
-        return poly._keys[_pack(key)]
+        return poly._keys[_pack(enumerate(key))]
 
     def __repr__(self) -> str:
         return f"Terms({dict(self)!r})"
@@ -296,11 +291,10 @@ class Terms(Mapping):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A square matrix of Laurent polynomials with labeled rows and columns."""
+    """A square matrix of Laurent polynomials over one variable table."""
 
     vars: tuple[str, ...]
     rows: tuple[tuple[LaurentPoly, ...], ...]
-    col_desc: tuple = ()
 
     @property
     def size(self) -> int:
@@ -358,8 +352,8 @@ def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
 
 def _factor_out(
     minors: dict[int, dict[int, int]],
-) -> tuple[dict[int, int], dict[int, dict[int, int]]] | None:
-    """(P, {S: {e: c}}) if every nonzero minor on S equals c·x^e·P, else None.
+) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """(P, {S: {e: c}}) if every nonzero minor on S is c·x^e·P, else (1, minors).
 
     P is the first nonzero minor.  Packing is linear and integer addition
     keeps order, so x^e·P has its smallest key at e + min(P): e is the
@@ -378,9 +372,9 @@ def _factor_out(
         if len(minor) != len(common) or any(
             minor.get(key + shift) != c * coeff for key, coeff in common.items()
         ):
-            return None
+            return {0: 1}, minors
         monomials[cols] = {shift: c}
-    return None if common is None else (common, monomials)
+    return ({0: 1}, minors) if common is None else (common, monomials)
 
 
 def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
@@ -394,8 +388,8 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     of ``_laplace`` gives each group's minors and then combines them.  If
     every nonzero minor of a group is c·x^e·P for one polynomial P
     (``_factor_out``), the group's minors become those monomials and P
-    joins a product taken once at the end; otherwise the group keeps its
-    minors.
+    joins a product taken once at the end; otherwise P is 1 and the group
+    keeps its minors.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
@@ -417,16 +411,12 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     parts = []
     common = {0: 1}
     for start in range(0, k, group):
-        minors = _minors(rows[start : start + group])
-        split = _factor_out(minors)
-        if split is not None:
-            # The commons multiply as they come: their product is small,
-            # so the one large product is the last.
-            common = _product(common, split[0])
-            minors = split[1]
-        parts.append(_part(minors))
+        factor, quotients = _factor_out(_minors(rows[start : start + group]))
+        # The factors multiply as they come: their product is small.
+        common = _summed_product(common, factor)
+        parts.append(_part(quotients))
     out = _laplace(parts, {0: {0: 1}}).get((1 << k) - 1)
-    return LaurentPoly._packed(mx.vars, _product(out, common) if out else {}, bound)
+    return LaurentPoly(mx.vars, _product(out, common) if out else {}, bound)
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:
@@ -434,14 +424,16 @@ def naive_det(mx: SymMatrix) -> LaurentPoly:
     k = mx.size
     out = LaurentPoly.zero(mx.vars)
     for perm in permutations(range(k)):
-        inversions = sum(
-            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-        )
         term = LaurentPoly.one(mx.vars)
         for r in range(k):
             term = term * mx.rows[r][perm[r]]
-        out = out + (-term if inversions % 2 else term)
+        out = out + (-term if _parity(perm) else term)
     return out
+
+
+def _parity(seq) -> int:
+    """The parity of the number of inversions of ``seq``: 0 even, 1 odd."""
+    return sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +477,7 @@ class PairVariables:
 
 
 def _mat1_columns(ctx: PairContext) -> list[tuple[tuple, int, int, int]]:
-    """Each column of Mat1 in order, as (col_desc entry, a, b, s).
+    """Each column of Mat1 in order, as (description, a, b, s).
 
     The column is column (a, b) of A⊗B scaled by (Q_a Q'_b)^-s.  The pairs
     outside A come first, each giving itself with s = 0; a pair (t, u)
@@ -523,7 +515,7 @@ def build_mat1(ctx: PairContext) -> SymMatrix:
         for i in range(1, n + 1)
         for j in range(1, np_ + 1)
     )
-    return SymMatrix(pv.names, rows, tuple(desc for desc, *_ in cols))
+    return SymMatrix(pv.names, rows)
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
@@ -555,8 +547,7 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
     """
     np_ = ctx.Mp.rank
     order = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
-    inversions = sum(1 for i, x in enumerate(order) for y in order[i + 1 :] if x > y)
-    return -1 if inversions % 2 else 1
+    return -1 if _parity(order) else 1
 
 
 @dataclass(frozen=True)

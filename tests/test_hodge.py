@@ -108,6 +108,45 @@ class TestRestrictionTensor:
             assert all(h.multiplicity(q, p) == mult for p, q, mult in h.items())
 
 
+def _random_motive(rng, label):
+    rank = rng.randint(1, 6)
+    return mot(rng.randint(-4, 4), sorted(rng.sample(range(-8, 9), rank), reverse=True), label)
+
+
+class TestRestrictionWithoutConjugates:
+    """The restrictions list the classes and their swaps; the reference
+    builds the conjugate motives, as the Betti realization reads."""
+
+    def test_tensor_matches_the_conjugate_built_form(self):
+        rng = random.Random(8)
+        pp_pairs = 0
+        for _ in range(2000):
+            m, mp = _random_motive(rng, "M"), _random_motive(rng, "M'")
+            w = m.weight + mp.weight
+            classes = [
+                (p + r, w - p - r)
+                for a, b in ((m, mp), (m.conjugate(), mp.conjugate()))
+                for p in a.hodge_p
+                for r in b.hodge_p
+            ]
+            h = restriction_tensor(m, mp)
+            assert h == HodgeMultiset.of(w, classes), (m, mp)
+            pp_pairs += not has_no_pp_class(h)
+        assert 100 < pp_pairs < 1900
+
+    def test_single_matches_the_conjugate_built_form(self):
+        rng = random.Random(9)
+        pp_motives = 0
+        for _ in range(2000):
+            m = _random_motive(rng, "M")
+            h = restriction(m)
+            assert h == HodgeMultiset.of(
+                m.weight, m.hodge_pairs() + m.conjugate().hodge_pairs()
+            ), m
+            pp_motives += not has_no_pp_class(h)
+        assert 100 < pp_motives < 1900
+
+
 class TestPpClass:
     def test_odd_weight_never_has_pp(self):
         h = HodgeMultiset.of(1, [(1, 0), (0, 1)])

@@ -16,7 +16,12 @@ import sys
 from pathlib import Path
 
 from periodkit.deligne import PairContext
-from periodkit.oracle import _kronecker_column_sign, build_mat1, cleared_period_product
+from periodkit.oracle import (
+    _kronecker_column_sign,
+    _mat1_columns,
+    build_mat1,
+    cleared_period_product,
+)
 from periodkit.sampling import random_pp_free_pair
 
 RECORDED = Path(__file__).parent / "data" / "oracle_layout.json"
@@ -36,7 +41,7 @@ def oracle_layout() -> list[dict]:
                 entry = {
                     "shape": f"{n}x{np_}",
                     "pair": pair,
-                    "col_desc": [list(c) for c in mx.col_desc],
+                    "col_desc": [list(desc) for desc, *_ in _mat1_columns(ctx)],
                     "cleared": list(cleared),
                     "sign": _kronecker_column_sign(ctx),
                 }
