@@ -34,13 +34,15 @@ class IndexPairSet:
     members: frozenset[tuple[int, int]]
 
     def is_tableau(self) -> bool:
-        """Downward closure: (t, u) in the set forces all (t', u') below it."""
-        for t, u in self.members:
-            for tp in range(1, t + 1):
-                for up in range(1, u + 1):
-                    if (tp, up) not in self.members:
-                        return False
-        return True
+        """Downward closure: (t, u) in the set forces all (t', u') below it.
+
+        Checking each member's two neighbours (t-1, u) and (t, u-1) suffices:
+        they are members too, so by induction so is everything below.
+        """
+        return all(
+            (t < 2 or (t - 1, u) in self.members) and (u < 2 or (t, u - 1) in self.members)
+            for t, u in self.members
+        )
 
     def sorted_members(self) -> list[tuple[int, int]]:
         return sorted(self.members)

@@ -56,9 +56,6 @@ class RegularMotiveData:
     def rank(self) -> int:
         return len(self.hodge_p)
 
-    def hodge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p, self.weight - p) for p in self.hodge_p)
-
     def conjugate(self) -> "RegularMotiveData":
         """Hodge data of the conjugate realization: p_i -> w - p_{n+1-i}."""
         ps = tuple(self.weight - p for p in reversed(self.hodge_p))
@@ -83,14 +80,15 @@ class RegularMotiveData:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HodgeMultiset:
     """Multiset of (p, q) classes with multiplicities, pure of one weight.
 
     This is the Hodge type of a (generally non-regular) motive over the
-    rationals, e.g. the restriction of a tensor product.  Invariants:
-    p + q equals the weight for every class, and the multiset is closed
-    under the swap (p, q) -> (q, p).
+    rationals, e.g. the restriction of a tensor product.  It is built
+    from an iterable of (p, q) classes, repeats allowed, which must be
+    non-empty, integral, pure of ``weight`` (p + q equals the weight) and
+    closed under the swap (p, q) -> (q, p).
 
     ``pairs`` is the canonical sorted tuple of (p, q, multiplicity).
     """
@@ -98,43 +96,24 @@ class HodgeMultiset:
     weight: int
     pairs: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(tuple(t) for t in self.pairs))
-        if not self.pairs:
+    def __init__(self, weight: int, classes: Iterable[tuple[int, int]]):
+        counts = Counter(classes)
+        if not counts:
             raise ValueError("a Hodge multiset is non-empty")
-        counts = {}
-        for p, q, mult in self.pairs:
-            if not (isinstance(p, int) and isinstance(q, int) and isinstance(mult, int)):
-                raise ValueError(
-                    f"class ({p!r},{q!r}) with multiplicity {mult!r}: entries must be integers"
-                )
-            if mult <= 0:
-                raise ValueError(f"multiplicities are positive, got {mult} at ({p},{q})")
-            if p + q != self.weight:
-                raise ValueError(
-                    f"class ({p},{q}) is not pure of weight {self.weight}"
-                )
-            if (p, q) in counts:
-                raise ValueError(f"class ({p},{q}) listed twice")
-            counts[(p, q)] = mult
         for (p, q), mult in counts.items():
-            if counts.get((q, p)) != mult:
-                raise ValueError(
-                    f"not closed under swap: ({p},{q}) has multiplicity {mult}, "
-                    f"({q},{p}) has {counts.get((q, p), 0)}"
-                )
-        if self.pairs != tuple(sorted(self.pairs)):
-            raise ValueError("pairs must be in canonical sorted order; use .of()")
-
-    @classmethod
-    def of(cls, weight: int, pq_iterable: Iterable[tuple[int, int]]) -> "HodgeMultiset":
-        """Build from an iterable of (p, q) classes, repeats allowed."""
-        pairs = []
-        for (p, q), m in Counter(pq_iterable).items():
             if p != int(p) or q != int(q):
                 raise ValueError(f"class ({p},{q}) is not integral")
-            pairs.append((int(p), int(q), m))
-        return cls(weight, tuple(sorted(pairs)))
+            if p + q != weight:
+                raise ValueError(f"class ({p},{q}) is not pure of weight {weight}")
+            if counts[(q, p)] != mult:
+                raise ValueError(
+                    f"not closed under swap: ({p},{q}) has multiplicity {mult}, "
+                    f"({q},{p}) has {counts[(q, p)]}"
+                )
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(
+            self, "pairs", tuple(sorted((int(p), int(q), m) for (p, q), m in counts.items()))
+        )
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.pairs)
@@ -157,7 +136,7 @@ class HodgeMultiset:
 
     def dual(self) -> "HodgeMultiset":
         """Multiset of the dual: classes (-p, -q), weight negated."""
-        return HodgeMultiset.of(
+        return HodgeMultiset(
             -self.weight,
             (pq for p, q, m in self.pairs for pq in [(-p, -q)] * m),
         )
@@ -172,15 +151,14 @@ def restriction_tensor(m: RegularMotiveData, mp: RegularMotiveData) -> HodgeMult
     """
     weight = m.weight + mp.weight
     sums = [p + r for p in m.hodge_p for r in mp.hodge_p]
-    return HodgeMultiset.of(
+    return HodgeMultiset(
         weight, [(s, weight - s) for s in sums] + [(weight - s, s) for s in sums]
     )
 
 
 def restriction(m: RegularMotiveData) -> HodgeMultiset:
-    """Hodge multiset of a single motive restricted to the rationals: (p, q) and (q, p)."""
-    pairs = m.hodge_pairs()
-    return HodgeMultiset.of(m.weight, pairs + tuple((q, p) for p, q in pairs))
+    """Hodge multiset of a single motive over the rationals: R(M) = R(M x Z(0)), Z(0) the unit."""
+    return restriction_tensor(m, RegularMotiveData("Z", 0, (0,)))
 
 
 def has_no_pp_class(h: HodgeMultiset) -> bool:

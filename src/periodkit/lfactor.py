@@ -9,9 +9,10 @@ evaluated at 1 - s has a pole at m.
 Two independent computations of the critical set are provided:
 
 * :func:`critical_interval` uses the closed form p < m < q + 1;
-* :func:`critical_interval_via_poles` scans integers and tests the two
-  pole conditions directly (Gamma has poles at the non-positive
-  integers).
+* :func:`critical_interval_via_poles` scans the integers stretch by
+  stretch, cut next to each class index, and tests the two pole
+  conditions directly at each stretch (Gamma has poles at the
+  non-positive integers).
 
 Their agreement is a cross-check exercised by the verification suite.
 """
@@ -98,23 +99,25 @@ def critical_interval(h: HodgeMultiset) -> CriticalInterval:
 def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
     """Critical set by direct pole scan, independent of the closed form.
 
-    Scans every integer m in [min(p,q)-1, max(p,q)+1]; outside that range
-    one of the two pole conditions always fires.  m survives when the
-    factor of h has no pole at m and the factor of the dual has no pole
-    at 1 - m.
+    m survives when the factor of h has no pole at m and the factor of
+    the dual has no pole at 1 - m.  A pole condition can change only next
+    to a class index, so the integers from min(p,q)-1 to max(p,q)+1 are
+    cut at v-1, v and v+1 for every class index v, and each stretch
+    between consecutive cuts is tested once, at its start.  Below the
+    first cut and from the last one on, one of the two conditions always
+    fires.
     """
     g = gamma_factor(h)
     g_dual = gamma_factor(h.dual())
-    indices = [v for p, q, _ in h.items() for v in (p, q)]
-    lo_scan, hi_scan = min(indices) - 1, max(indices) + 1
+    cuts = sorted({v + d for p, q, _ in h.items() for v in (p, q) for d in (-1, 0, 1)})
     kept = [
-        m
-        for m in range(lo_scan, hi_scan + 1)
-        if not g.has_pole_at(m) and not g_dual.has_pole_at(1 - m)
+        (lo, hi - 1)
+        for lo, hi in zip(cuts, cuts[1:])
+        if not g.has_pole_at(lo) and not g_dual.has_pole_at(1 - lo)
     ]
-    if not kept or kept != list(range(kept[0], kept[-1] + 1)):
-        raise AssertionError(f"pole scan produced a non-interval: {kept}")
-    return CriticalInterval(kept[0], kept[-1])
+    if not kept or any(b[0] != a[1] + 1 for a, b in zip(kept, kept[1:])):
+        raise AssertionError(f"pole scan produced a non-interval: stretches {kept}")
+    return CriticalInterval(kept[0][0], kept[-1][1])
 
 
 def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> CriticalInterval:

@@ -52,7 +52,7 @@ def random_swap_closed_multiset(rng: random.Random) -> HodgeMultiset:
             classes.append((p, weight - p))
             classes.append((weight - p, p))
         if classes:
-            return HodgeMultiset.of(weight, classes)
+            return HodgeMultiset(weight, classes)
 
 
 def random_infinity_type(

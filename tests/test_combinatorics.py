@@ -55,6 +55,18 @@ class TestSets:
         assert not IndexPairSet(frozenset(members)).is_tableau()
         assert IndexPairSet(frozenset(members | {(1, 1), (1, 2), (2, 1)})).is_tableau()
 
+    def test_neighbour_rule_matches_the_definition_on_the_3x3_grid(self):
+        grid = [(t, u) for t in range(1, 4) for u in range(1, 4)]
+        for bits in range(1 << len(grid)):
+            members = frozenset(c for k, c in enumerate(grid) if bits >> k & 1)
+            closed = all(
+                (tp, up) in members
+                for t, u in members
+                for tp in range(1, t + 1)
+                for up in range(1, u + 1)
+            )
+            assert IndexPairSet(members).is_tableau() == closed, sorted(members)
+
     def test_tableau_on_random_pairs(self):
         rng = random.Random(22)
         for _ in range(200):

@@ -7,9 +7,10 @@ import pytest
 
 from periodkit.automorphic import InfinityTypeData, dict_to_motive
 from periodkit.errors import NotCriticalPairError, PpClassError
-from periodkit.hodge import HodgeMultiset, RegularMotiveData, restriction_tensor
+from periodkit.hodge import HodgeMultiset, RegularMotiveData, restriction, restriction_tensor
 from periodkit.lfactor import (
     CriticalInterval,
+    GammaFactor,
     critical_interval,
     critical_interval_via_poles,
     gamma_factor,
@@ -17,7 +18,7 @@ from periodkit.lfactor import (
 )
 from periodkit.sampling import random_swap_closed_multiset
 
-ELLIPTIC = HodgeMultiset.of(1, [(1, 0), (0, 1)])
+ELLIPTIC = HodgeMultiset(1, [(1, 0), (0, 1)])
 FOUR_PAIR = restriction_tensor(
     RegularMotiveData("M", 1, (1, 0)), RegularMotiveData("M'", 0, (1,))
 )
@@ -31,11 +32,11 @@ class TestGammaFactor:
         assert gamma_factor(FOUR_PAIR).shifts == ((-1, 1), (0, 1))
 
     def test_wide_pair(self):
-        h = HodgeMultiset.of(1, [(2, -1), (-1, 2)])
+        h = HodgeMultiset(1, [(2, -1), (-1, 2)])
         assert gamma_factor(h).shifts == ((-1, 1),)
 
     def test_pp_class_rejected(self):
-        h = HodgeMultiset.of(0, [(0, 0)])
+        h = HodgeMultiset(0, [(0, 0)])
         with pytest.raises(PpClassError):
             gamma_factor(h)
 
@@ -50,7 +51,7 @@ class TestCriticalInterval:
         assert (critical_interval(FOUR_PAIR).lo, critical_interval(FOUR_PAIR).hi) == (1, 1)
 
     def test_wide(self):
-        iv = critical_interval(HodgeMultiset.of(1, [(3, -2), (-2, 3)]))
+        iv = critical_interval(HodgeMultiset(1, [(3, -2), (-2, 3)]))
         assert (iv.lo, iv.hi) == (-1, 3)
         assert list(iv.points()) == [-1, 0, 1, 2, 3]
 
@@ -63,13 +64,24 @@ class TestCriticalInterval:
             assert iv.lo <= iv.hi
             assert iv.lo + iv.hi == h.weight + 1
 
+    def test_pole_scan_tests_each_stretch_once(self, monkeypatch):
+        calls = []
+        has_pole_at = GammaFactor.has_pole_at
+        monkeypatch.setattr(
+            GammaFactor, "has_pole_at", lambda g, s: calls.append(s) or has_pole_at(g, s)
+        )
+        h = restriction(RegularMotiveData("M", 0, (10**4, -(10**4))))
+        assert critical_interval_via_poles(h) == CriticalInterval(1 - 10**4, 10**4)
+        # five stretches, the first two stopped by the factor's own pole
+        assert len(calls) == 8
+
     def test_lo_above_hi_raises(self):
         with pytest.raises(ValueError, match="lo = 2, hi = 1"):
             CriticalInterval(2, 1)
         assert list(CriticalInterval(1, 1).points()) == [1]
 
     def test_membership_respects_grid(self):
-        iv = critical_interval(HodgeMultiset.of(1, [(3, -2), (-2, 3)]))
+        iv = critical_interval(HodgeMultiset(1, [(3, -2), (-2, 3)]))
         assert 0 in iv and 3 in iv and 4 not in iv
         assert Fraction(1, 2) not in iv
 
