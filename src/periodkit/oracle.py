@@ -21,29 +21,34 @@ The determinant is Laplace's generalized expansion over consecutive
 groups of rows, and one dynamic program over column subsets does it all:
 run over single rows it gives a group's minors, run over the groups it
 combines them.  A group whose nonzero minors are all c·x^e·P for one
-polynomial P keeps only the monomials c·x^e, and P is multiplied in once
-at the end (P = 1 if the group does not factor).  Mat1's groups of n'
-rows all factor so, which leaves a DP over monomial minors and one final
-product whose term pairs are about the determinant's terms: 221,760 at
-3x4.  The check's left side gets its
-cleared period factor in row 0 of Mat1, before the expansion, so that
-product and the right side's, det(A)^n' times det(B)^n, are the only
-ones that large, and both are single comprehensions.
+polynomial P keeps only the monomials c·x^e, and P is set aside (P = 1
+if the group does not factor): the DP leaves a polynomial ``out`` and the
+list of P's, and ``sym_det`` multiplies them once.  The check gets its
+cleared period factor in row 0 of Mat1, before the expansion, and then
+expands neither side.  Each of Mat1's groups of n' rows factors with
+P = c_g·x^(e_g)·det(B), and ``out`` = c·x^e·det(A)^n'; when the shifts
+sum to zero and c·Π c_g is ±1, the product of these equalities is the
+identity with its sign.  Only if one of them fails does the check
+multiply out both sides, 221,760 terms each at 3x4, and compare them.
+The report expands a side only when it is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from itertools import permutations
+from math import prod
 
 from .deligne import PairContext
 from .errors import SizeLimitError
 
-# The shapes checked: n, n' <= 4 with nn' <= 12.  The cost follows the
-# terms of det(A)^n' det(B)^n: 221,760 at 3x4, 102,961,609 at 4x4, and
-# at 1x11 det(B) alone has 11! terms.
+# The shapes checked: n, n' <= 4 with nn' <= 12.  The factored check stays
+# small past them, but its fallback multiplies out det(A)^n' det(B)^n:
+# 221,760 terms at 3x4, 102,961,609 at 4x4, and at 1x11 det(B) alone has
+# 11! terms.
 MAX_RANK = 4
 MAX_SIZE = 12
 
@@ -53,7 +58,7 @@ def require_shape(n: int, np_: int) -> None:
     if max(n, np_) > MAX_RANK or n * np_ > MAX_SIZE:
         raise SizeLimitError(
             f"shape {n}x{np_} is outside the oracle's bound n, n' <= {MAX_RANK} and "
-            f"nn' <= {MAX_SIZE} (the cost follows the terms of det(A)^n' det(B)^n)"
+            f"nn' <= {MAX_SIZE} (the fallback comparison multiplies out det(A)^n' det(B)^n)"
         )
 
 
@@ -350,31 +355,84 @@ def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
     return _laplace(parts, {0: {0: 1}})
 
 
+def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
+    """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None.
+
+    Packing is linear and integer addition keeps order, so x^e·ref has its
+    smallest key at e + min(ref): e is the difference of the smallest keys.
+    The quotient is checked term by term, so a ratio of leading
+    coefficients that is not an integer fails.
+    """
+    if not poly or len(poly) != len(ref):
+        return None
+    low, base = min(poly), min(ref)
+    c, e = poly[low] // ref[base], low - base
+    if any(poly.get(key + e) != c * coeff for key, coeff in ref.items()):
+        return None
+    return c, e
+
+
 def _factor_out(
     minors: dict[int, dict[int, int]],
 ) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
     """(P, {S: {e: c}}) if every nonzero minor on S is c·x^e·P, else (1, minors).
 
-    P is the first nonzero minor.  Packing is linear and integer addition
-    keeps order, so x^e·P has its smallest key at e + min(P): e is the
-    difference of the smallest keys.  Each quotient is checked term by
-    term, so a ratio of leading coefficients that is not an integer fails.
+    P is the first nonzero minor, and ``_shift`` tests each minor against it.
     """
-    common = base = lead = None
+    common = None
     monomials = {}
     for cols, minor in minors.items():
         if not minor:
             continue
-        low = min(minor)
         if common is None:
-            common, base, lead = minor, low, minor[low]
-        c, shift = minor[low] // lead, low - base
-        if len(minor) != len(common) or any(
-            minor.get(key + shift) != c * coeff for key, coeff in common.items()
-        ):
+            common = minor
+        found = _shift(minor, common)
+        if found is None:
             return {0: 1}, minors
-        monomials[cols] = {shift: c}
+        c, e = found
+        monomials[cols] = {e: c}
     return ({0: 1}, minors) if common is None else (common, monomials)
+
+
+def _det_factors(
+    mx: SymMatrix, group: int | None
+) -> tuple[int, dict[int, int], list[dict[int, int]]]:
+    """(bound, out, [P_g]) with det(mx) = out · Π P_g on packed keys.
+
+    The Laplace expansion of ``sym_det``: P_g is group g's common factor
+    from ``_factor_out`` and ``out`` the DP's result over the quotients, {}
+    for a zero determinant.  ``bound`` is the determinant's exponent bound,
+    checked to fit the field before any work.
+    """
+    k = mx.size
+    for row in mx.rows:
+        if len(row) != k:
+            raise ValueError("matrix is not square")
+    if group is None:
+        group = max(k, 1)
+    elif group < 1:
+        raise ValueError(f"a row group needs at least 1 row, got {group}")
+    bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
+
+    rows = [[poly._keys for poly in row] for row in mx.rows]
+    parts, factors = [], []
+    for start in range(0, k, group):
+        factor, quotients = _factor_out(_minors(rows[start : start + group]))
+        factors.append(factor)
+        parts.append(_part(quotients))
+    out = _laplace(parts, {0: {0: 1}}).get((1 << k) - 1) or {}
+    return bound, out, factors
+
+
+def _expand(
+    vars: tuple[str, ...], bound: int, out: dict[int, int], factors: list[dict[int, int]]
+) -> LaurentPoly:
+    """out · Π factors, the determinant that ``_det_factors`` split."""
+    common = {0: 1}
+    for factor in factors:
+        # The factors multiply as they come: their product is small.
+        common = _summed_product(common, factor)
+    return LaurentPoly(vars, _product(out, common) if out else {}, bound)
 
 
 def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
@@ -397,26 +455,7 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     the field, but packing is additive on exponent vectors, so the result
     is still the packed determinant, whose exponents that sum bounds.
     """
-    k = mx.size
-    for row in mx.rows:
-        if len(row) != k:
-            raise ValueError("matrix is not square")
-    if group is None:
-        group = max(k, 1)
-    elif group < 1:
-        raise ValueError(f"a row group needs at least 1 row, got {group}")
-    bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
-
-    rows = [[poly._keys for poly in row] for row in mx.rows]
-    parts = []
-    common = {0: 1}
-    for start in range(0, k, group):
-        factor, quotients = _factor_out(_minors(rows[start : start + group]))
-        # The factors multiply as they come: their product is small.
-        common = _summed_product(common, factor)
-        parts.append(_part(quotients))
-    out = _laplace(parts, {0: {0: 1}}).get((1 << k) - 1)
-    return LaurentPoly(mx.vars, _product(out, common) if out else {}, bound)
+    return _expand(mx.vars, *_det_factors(mx, group))
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:
@@ -554,25 +593,66 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
 class VerificationReport:
     """Outcome of the determinant identity check for one tensor pair.
 
-    ``rhs`` is the predicted right-hand side predicted_sign·det(A)^n'
-    det(B)^n.  ``sign`` is the observed s with lhs = s·det(A)^n' det(B)^n,
+    ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
     or None when neither sign holds; ``ok`` requires it to be the
-    predicted one.
+    predicted one.  ``lhs``, det(Mat1)·cleared, and ``rhs``, the predicted
+    side predicted_sign·det(A)^n' det(B)^n, are multiplied out on their
+    first read: the check itself needs neither unless it falls back.
     """
 
     size: int
     ok: bool
     sign: int | None
-    lhs: LaurentPoly
-    rhs: LaurentPoly
     predicted_sign: int
+    _lhs: Callable[[], LaurentPoly] = field(repr=False, compare=False)
+    _rhs: Callable[[], LaurentPoly] = field(repr=False, compare=False)
+
+    @property
+    def lhs(self) -> LaurentPoly:
+        return self._lhs()
+
+    @property
+    def rhs(self) -> LaurentPoly:
+        return self._rhs()
+
+
+def _factored_unit(
+    out: dict[int, int],
+    factors: list[dict[int, int]],
+    a_part: dict[int, int],
+    det_b: dict[int, int],
+    n: int,
+) -> int | None:
+    """The unit u with out · Π factors = u·a_part·det_b^n, or None if the shift tests fail.
+
+    They pass if there are n factors, each c_g·x^(e_g)·det_b, if out is
+    c·x^e·a_part, and if e + Σ e_g = 0; then u = c·Π c_g.
+    """
+    found = [_shift(out, a_part), *(_shift(factor, det_b) for factor in factors)]
+    if len(factors) != n or None in found or sum(e for _, e in found):
+        return None
+    return prod(c for c, _ in found)
+
+
+def _expanded_sign(lhs: LaurentPoly, rhs: LaurentPoly, predicted: int) -> int | None:
+    """The full comparison: predicted if lhs = rhs, -predicted if lhs = -rhs, else None."""
+    if lhs == rhs:
+        return predicted
+    if lhs == -rhs:  # only on failure: the identity holds with the other sign
+        return -predicted
+    return None  # pragma: no cover - would indicate a real defect
 
 
 def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
     σ is the column permutation taking A⊗B to Mat1, so the sign is
-    predicted, not chosen to fit.
+    predicted, not chosen to fit.  The check compares factors:
+    det(Mat1)·cleared = out · Π P_g by ``_det_factors``, and
+    ``_factored_unit`` finds that product to be u·det(A)^n' det(B)^n, so
+    the observed sign is u if u = ±1.  Otherwise ``_expanded_sign``
+    multiplies both sides out and compares them, so the verdict is always
+    the one the full comparison gives.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
@@ -580,26 +660,24 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # by periods, so the minor of the i-block {(i, 1), ..., (i, n')} on a
     # column set is a monomial of A_ia and period factors times the minor
     # of B on the columns' b-indices: ±monomial·det(B), or 0 when a b-index
-    # repeats.  So each group of n' rows factors.  A determinant is linear
-    # in each row, so scaling row 0 by the cleared monomial scales det(Mat1)
-    # by it without copying the determinant, and row 0's group still
-    # factors, its P scaled by that monomial.
+    # repeats.  So each group of n' rows factors, and as the identity
+    # holds, the DP over the monomial minors leaves a monomial times
+    # det(A)^n'.  A determinant is linear in each row, so scaling row 0 by
+    # the cleared monomial scales det(Mat1) by it without copying the
+    # determinant, and row 0's group still factors, its P scaled by that
+    # monomial.
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
     rows = (tuple(entry * cleared for entry in mat1.rows[0]), *mat1.rows[1:])
-    lhs = sym_det(replace(mat1, rows=rows), np_)
+    bound, out, factors = _det_factors(replace(mat1, rows=rows), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_
-    if predicted < 0:
-        a_part = -a_part  # negate the small factor, not a copy of the product
-    rhs = a_part * sym_det(_coefficient_block(pv, "B")) ** n
-    if lhs == rhs:
-        sign = predicted
-    elif lhs == -rhs:  # only on failure: the identity holds with the other sign
-        sign = -predicted
-    else:  # pragma: no cover - would indicate a real defect
-        sign = None
-    return VerificationReport(
-        size=n * np_, ok=sign == predicted, sign=sign, lhs=lhs, rhs=rhs, predicted_sign=predicted
-    )
+    det_b = sym_det(_coefficient_block(pv, "B"))
+    lhs = cache(partial(_expand, mat1.vars, bound, out, factors))
+    # Negate the small factor, not a copy of the product.
+    rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
+    sign = _factored_unit(out, factors, a_part._keys, det_b._keys, n)
+    if sign not in (1, -1):
+        sign = _expanded_sign(lhs(), rhs(), predicted)
+    return VerificationReport(n * np_, sign == predicted, sign, predicted, lhs, rhs)

@@ -46,6 +46,39 @@ def factor_splits(monkeypatch):
     return splits
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The predicted sign of every full comparison ``verify_proposition`` falls back to."""
+    import periodkit.oracle as orc
+
+    calls = []
+    expanded_sign = orc._expanded_sign
+
+    def spy(lhs, rhs, predicted):
+        calls.append(predicted)
+        return expanded_sign(lhs, rhs, predicted)
+
+    monkeypatch.setattr(orc, "_expanded_sign", spy)
+    return calls
+
+
+def _forced_fallback(patch):
+    """Make every determinant split report one factor too many, a unit.
+
+    The product is unchanged, but Mat1 no longer splits into n factors, so
+    ``verify_proposition`` must fall back to the full comparison.
+    """
+    import periodkit.oracle as orc
+
+    det_factors = orc._det_factors
+
+    def split_with_a_spare_unit(mx, group):
+        bound, out, factors = det_factors(mx, group)
+        return bound, out, [*factors, {0: 1}]
+
+    patch.setattr(orc, "_det_factors", split_with_a_spare_unit)
+
+
 def poly_of(pairs):
     out = LaurentPoly.zero(XV)
     for exps, coeff in pairs:
@@ -350,7 +383,11 @@ class TestShapeGate:
     @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1), (3, 4), (4, 3)])
     def test_admitted_rank_four_shape_passes(self, n, np_):
         ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
-        assert verify_proposition(ctx).ok
+        rep = verify_proposition(ctx)
+        assert rep.ok
+        if n * np_ == 12:
+            # README and perfbench state this count of the side read on demand.
+            assert len(rep.rhs.terms) == 221_760
 
 
 def _admits(n, np_):
@@ -442,17 +479,62 @@ class TestPredictedSign:
                     assert observed == rep.sign == rep.predicted_sign
                     assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
 
-    def test_wrong_prediction_fails_the_check(self, monkeypatch):
+    def test_wrong_prediction_fails_the_check(self, monkeypatch, fallbacks):
+        # On every shape, by its factors and by the full comparison.
         import periodkit.oracle as orc
 
-        ctx = PairContext.build(
-            RegularMotiveData("M", 1, (1, 0)), RegularMotiveData("M'", 0, (1,))
-        )
-        right = verify_proposition(ctx)
-        monkeypatch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
-        wrong = verify_proposition(ctx)
-        assert right.ok and not wrong.ok
-        assert wrong.sign == right.sign == -wrong.predicted_sign
+        for n, np_ in ADMITTED_SHAPES:
+            ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+            right = verify_proposition(ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
+                wrong = verify_proposition(ctx)
+                assert fallbacks == []
+                _forced_fallback(patch)
+                expanded = verify_proposition(ctx)
+                assert fallbacks == [wrong.predicted_sign]
+            fallbacks.clear()
+            for rep in (wrong, expanded):
+                assert right.ok and not rep.ok, (n, np_)
+                assert rep.sign == right.sign == -rep.predicted_sign, (n, np_)
+
+
+class TestFactoredCheck:
+    @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+    def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch, fallbacks):
+        rng = random.Random(f"fallback/{n}x{np_}")
+        ctx = PairContext.build(*_interleaved_pair(n, np_, sorted(rng.sample(range(n + np_), n))))
+        factored = verify_proposition(ctx)
+        assert fallbacks == []
+        _forced_fallback(monkeypatch)
+        expanded = verify_proposition(ctx)
+        assert fallbacks == [expanded.predicted_sign]
+        for name in ("size", "ok", "sign", "predicted_sign", "lhs", "rhs"):
+            assert getattr(expanded, name) == getattr(factored, name), name
+
+    def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch, fallbacks):
+        import periodkit.oracle as orc
+
+        ctx = PairContext.build(*_interleaved_pair(2, 2, range(2)))
+        monkeypatch.setattr(orc, "_factored_unit", lambda *args: 2)
+        rep = verify_proposition(ctx)
+        assert fallbacks == [rep.predicted_sign]
+        assert rep.ok and rep.sign == rep.predicted_sign
+
+    def test_factored_unit_needs_every_factor_and_zero_total_shift(self):
+        import periodkit.oracle as orc
+
+        x, y, z = (LaurentPoly.var(XV, i)._keys for i in range(3))
+        (kx,) = x
+        ref_a, ref_b = {**x, **y}, {**y, **z}  # x + y and y + z
+        # out = -x·(x + y), factors 2x^-1·(y + z) and (y + z): unit -2, shifts cancel.
+        out = {k + kx: -c for k, c in ref_a.items()}
+        p0 = {k - kx: 2 * c for k, c in ref_b.items()}
+        assert orc._factored_unit(out, [p0, ref_b], ref_a, ref_b, 2) == -2
+        assert orc._factored_unit(out, [p0, ref_b], ref_a, ref_b, 3) is None
+        assert orc._factored_unit(out, [p0, ref_a], ref_a, ref_b, 2) is None
+        assert orc._factored_unit(out, [ref_b, ref_b], ref_a, ref_b, 2) is None
+        assert orc._factored_unit({}, [p0, ref_b], ref_a, ref_b, 2) is None
 
 
 def _interleaved_pair(n, np_, slots):
@@ -467,17 +549,16 @@ def _interleaved_pair(n, np_, slots):
     return m, mp
 
 
-@pytest.mark.parametrize(
-    "n, np_",
-    [(n, np_) for n in range(1, 4) for np_ in range(1, 4)] + [(1, 4), (4, 1), (2, 4), (4, 2)],
-)
-def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
+@pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks):
+    # Every tableau is decided by its factors; the full comparison never runs.
     seen = set()
     for slots in combinations(range(n + np_), n):
         ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
         seen.add((ctx.A.members, ctx.T.members))
         assert verify_proposition(ctx).ok, (n, np_, slots)
     assert len(seen) == comb(n + np_, n)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
