@@ -10,14 +10,19 @@ For a pair of infinity types the critical points, the split indices and
 the conjectural right-hand side are defined directly on the exponents;
 each construction agrees with its Hodge-side counterpart through the
 dictionary, and those agreements are exercised by the verification
-suite.  Conjugate self-duality and the discrete-series-at-a-split-place
-hypothesis are input flags: they concern finite-place data outside this
-model.
+suite.  Every sum a_i + b_j is a half-integer, so these constructions
+work on the doubled exponents 2a_i, which are integers, and compare
+them against -(w + w') as :mod:`periodkit.combinatorics` compares
+doubled Hodge indices.  :class:`fractions.Fraction` appears only in the
+exponents a type is built from, in the endpoints of a critical
+interval, and in error messages.  Conjugate self-duality and the
+discrete-series-at-a-split-place hypothesis are input flags: they
+concern finite-place data outside this model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from .combinatorics import split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
@@ -36,6 +41,8 @@ class InfinityTypeData:
 
     ``a`` holds the z-exponents in strictly decreasing order; regularity
     is the strict decrease, algebraicity the membership in Z + (n-1)/2.
+    ``a2`` holds the doubled exponents 2a_i as ints, derived from ``a``
+    once its checks pass.
     """
 
     label: str
@@ -43,6 +50,7 @@ class InfinityTypeData:
     a: tuple[Fraction, ...]
     conjugate_self_dual: bool = False
     discrete_series_split_place: bool = False
+    a2: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
@@ -54,18 +62,21 @@ class InfinityTypeData:
             if x <= y:
                 raise ValueError(f"exponents must be strictly decreasing, got {self.a}")
         n = len(self.a)
+        half = Fraction(n - 1, 2)
         for x in self.a:
-            if (x - Fraction(n - 1, 2)).denominator != 1:
+            if (x - half).denominator != 1:
                 raise AlgebraicityError(
                     f"exponent {x} is not in Z + (n-1)/2 for n = {n}"
                 )
+        # Each denominator is now 1 or 2, so 2x is an integer.
+        object.__setattr__(self, "a2", tuple(2 * x.numerator // x.denominator for x in self.a))
 
     @property
     def n(self) -> int:
         return len(self.a)
 
     def is_very_regular(self) -> bool:
-        return all(x - y >= VERY_REGULAR_GAP for x, y in zip(self.a, self.a[1:]))
+        return all(x - y >= 2 * VERY_REGULAR_GAP for x, y in zip(self.a2, self.a2[1:]))
 
 
 def rep_tag(pi: InfinityTypeData) -> MotiveTag:
@@ -75,13 +86,13 @@ def rep_tag(pi: InfinityTypeData) -> MotiveTag:
 def dict_to_motive(pi: InfinityTypeData) -> RegularMotiveData:
     """Hodge data of the motive conjecturally attached to an infinity type."""
     n = pi.n
-    half = Fraction(n - 1, 2)
     ps = []
-    for a in reversed(pi.a):  # p_i = -a_{n+1-i} + (n-1)/2, decreasing
-        p = -a + half
-        if p.denominator != 1:
-            raise AlgebraicityError(f"-({a}) + (n-1)/2 = {p} is not an integer")
-        ps.append(int(p))
+    # p_i = -a_{n+1-i} + (n-1)/2, decreasing; p2 is 2p_i.
+    for a, a2 in zip(reversed(pi.a), reversed(pi.a2)):
+        p2 = n - 1 - a2
+        if p2 % 2:
+            raise AlgebraicityError(f"-({a}) + (n-1)/2 = {Fraction(p2, 2)} is not an integer")
+        ps.append(p2 // 2)
     return RegularMotiveData(f"M({pi.label})", pi.w + n - 1, tuple(ps))
 
 
@@ -91,8 +102,8 @@ def pair_is_critical(pi: InfinityTypeData, pip: InfinityTypeData) -> bool:
     Equivalent to the restricted tensor product of the dictionary motives
     having no (p,p)-class.
     """
-    forbidden = Fraction(-(pi.w + pip.w), 2)
-    return all(a + b != forbidden for a in pi.a for b in pip.a)
+    forbidden = -(pi.w + pip.w)  # doubled
+    return all(a + b != forbidden for a in pi.a2 for b in pip.a2)
 
 
 def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData) -> tuple[int, ...]:
@@ -100,10 +111,10 @@ def split_indices_auto(pi: InfinityTypeData, pip: InfinityTypeData) -> tuple[int
 
     Matches the motive-side split indices of the dictionary images.
     """
-    w2 = Fraction(pi.w + pip.w, 2)
-    cuts = [-a - w2 for a in reversed(pi.a)]  # decreasing
+    w = pi.w + pip.w
+    cuts = [-a - w for a in reversed(pi.a2)]  # doubled, decreasing
     try:
-        return split_lengths(list(pip.a), cuts)
+        return split_lengths(pip.a2, cuts)
     except ValueError:
         raise NotCriticalPairError(
             "an exponent sum hits -(w+w')/2; the pair has no critical values"

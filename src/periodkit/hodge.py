@@ -12,9 +12,11 @@ downstream act on this shadow through closed-form index arithmetic:
 * determinant:          rank-one with p = sum of the p_i
 * tensor + restriction to the rationals: a Hodge multiset of 2nn' classes
 
-Everything is exact integer arithmetic; half-integers appear only on the
-automorphic side, as :class:`fractions.Fraction` values.  All values are
-immutable and every operation is a pure function.
+Everything is exact integer arithmetic.  Half-integers appear only on
+the automorphic side, where exponents are given as
+:class:`fractions.Fraction` values and the arithmetic runs on their
+doubles, which are integers (:mod:`periodkit.automorphic`).  All values
+are immutable and every operation is a pure function.
 """
 
 from __future__ import annotations

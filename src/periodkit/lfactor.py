@@ -128,28 +128,22 @@ def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> Cri
     must satisfy -a_i - b_j < m < a_i + b_j + W + 1, otherwise
     a_i + b_j + W < m < -a_i - b_j + 1.  All bounds lie on the same
     half-integer grid as m, so the strict inequalities tighten by 1.
+
+    In the doubled exponents, with t = 2(a_i + b_j) + W, both cases read
+    (W - |t|)/2 < m < (W + |t|)/2 + 1, so the points run from
+    (W - d)/2 + 1 to (W + d)/2 for d the smallest |t|: d points in all.
     """
     w_sum = pi.w + pip.w
-    forbidden = Fraction(-w_sum, 2)
-    lows: list[Fraction] = []
-    highs: list[Fraction] = []
-    for i, a in enumerate(pi.a, start=1):
-        for j, b in enumerate(pip.a, start=1):
-            s = a + b
-            if s == forbidden:
-                raise NotCriticalPairError(
-                    f"exponent sum a_{i} + b_{j} = {s} hits -(w+w')/2; "
-                    "the pair has no critical values"
-                )
-            if s > forbidden:
-                lows.append(-s)
-                highs.append(s + w_sum + 1)
-            else:
-                lows.append(s + w_sum)
-                highs.append(-s + 1)
-    lo = max(lows) + 1
-    hi = min(highs) - 1
-    grid = Fraction(pi.n + pip.n, 2)
-    if Fraction(lo - grid).denominator != 1:  # pragma: no cover - parity guard
-        raise AssertionError(f"interval endpoint {lo} off the Z+(n+n')/2 grid")
-    return CriticalInterval(lo, hi)
+    dists = [abs(a + b + w_sum) for a in pi.a2 for b in pip.a2]
+    d = min(dists)
+    if d == 0:
+        i, j = divmod(dists.index(0), pip.n)
+        raise NotCriticalPairError(
+            f"exponent sum a_{i + 1} + b_{j + 1} = {pi.a[i] + pip.a[j]} hits -(w+w')/2; "
+            "the pair has no critical values"
+        )
+    if (w_sum - d - pi.n - pip.n) % 2:  # pragma: no cover - parity guard
+        raise AssertionError(
+            f"interval endpoint {Fraction(w_sum - d + 2, 2)} off the Z+(n+n')/2 grid"
+        )
+    return CriticalInterval(Fraction(w_sum - d + 2, 2), Fraction(w_sum + d, 2))

@@ -330,7 +330,8 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     """Extend ``states``, {used column set: partial determinant}, by each part in turn.
 
     A part is a group of rows given by ``_part``; a row is the part of its
-    entries.  Zero partial determinants may remain as empty dicts.
+    entries.  Zero partial determinants may remain as empty dicts, and are
+    not extended: they only spread more of them.
     """
     # Each layer is consumed as the next is built, so at most about two
     # layers are alive.
@@ -338,6 +339,8 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
         layer: dict[int, dict[int, int]] = {}
         while states:
             used, partial = states.popitem()
+            if not partial:
+                continue
             for cols, mask, minor in part:
                 if used & cols:
                     continue

@@ -47,7 +47,7 @@ which gives the canonical form (2πi)^k for the Tate motives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import RuleNotApplicable, UnknownRankError
@@ -150,13 +150,25 @@ _INDEX_START = {"Q": 1, "Qp": 0, "Qs": 0, "P": 0}
 
 @dataclass(frozen=True)
 class PeriodSymbol:
-    """One letter of the period alphabet; see the module docstring."""
+    """One letter of the period alphabet; see the module docstring.
+
+    ``sort_key`` orders symbols in a monomial's canonical print order.  It
+    is built once, after the checks, and the hash is taken from it;
+    equality still compares the three fields.
+    """
 
     kind: str
     index: int | None = None
     tag: MotiveTag | None = None
+    sort_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check()
+        tag_key = self.tag.sort_key() if self.tag is not None else ("", -1)
+        key = (_KIND_ORDER[self.kind], tag_key, self.index if self.index is not None else -1)
+        object.__setattr__(self, "sort_key", key)
+
+    def _check(self) -> None:
         if self.kind not in _KIND_ORDER:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.kind == "2pi":
@@ -178,16 +190,15 @@ class PeriodSymbol:
                 f"{self.kind} index {self.index} exceeds rank {rank} of {self.tag.text()}"
             )
 
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
     def text(self) -> str:
         if self.kind == "2pi":
             return "(2πi)"
         if self.index is None:
             return f"{self.kind}[{self.tag.text()}]"
         return f"{self.kind}[{self.index};{self.tag.text()}]"
-
-    def sort_key(self):
-        tag_key = self.tag.sort_key() if self.tag is not None else ("", -1)
-        return (_KIND_ORDER[self.kind], tag_key, self.index if self.index is not None else -1)
 
 
 _TWO_PI = PeriodSymbol("2pi")
@@ -216,7 +227,7 @@ class PeriodMonomial:
         for sym, exp in factors:
             merged[sym] = merged.get(sym, 0) + exp
         nonzero = [(sym, exp) for sym, exp in merged.items() if exp]
-        canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key()))
+        canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key))
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "field_label", field_label)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from periodkit.automorphic import (
+    VERY_REGULAR_GAP,
     InfinityTypeData,
     classify_known_case,
     conjecture_rhs_automorphic,
@@ -14,10 +15,10 @@ from periodkit.automorphic import (
     pair_is_critical,
     split_indices_auto,
 )
-from periodkit.combinatorics import split_indices
-from periodkit.errors import AlgebraicityError, NotCriticalError
-from periodkit.hodge import has_no_pp_class, restriction_tensor
-from periodkit.lfactor import pair_critical_points
+from periodkit.combinatorics import split_indices, split_lengths
+from periodkit.errors import AlgebraicityError, NotCriticalError, NotCriticalPairError
+from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
+from periodkit.lfactor import CriticalInterval, pair_critical_points
 from periodkit.periods import PeriodSymbol
 from periodkit.sampling import random_critical_rep_pair, random_infinity_type
 
@@ -58,6 +59,119 @@ class TestDictionary:
             rep("Pi", 0, [1, 0])  # n=2 needs Z+1/2
         with pytest.raises(AlgebraicityError):
             rep("Pi", 0, [Fraction(1, 2)])  # n=1 needs Z
+
+
+# The Fraction formulas the doubled-integer code replaced, kept as the
+# reference it must agree with.
+
+def _fraction_dict_to_motive(pi):
+    n = pi.n
+    half = Fraction(n - 1, 2)
+    ps = []
+    for a in reversed(pi.a):
+        p = -a + half
+        if p.denominator != 1:
+            raise AlgebraicityError(f"-({a}) + (n-1)/2 = {p} is not an integer")
+        ps.append(int(p))
+    return RegularMotiveData(f"M({pi.label})", pi.w + n - 1, tuple(ps))
+
+
+def _fraction_is_very_regular(pi):
+    return all(x - y >= VERY_REGULAR_GAP for x, y in zip(pi.a, pi.a[1:]))
+
+
+def _fraction_pair_is_critical(pi, pip):
+    forbidden = Fraction(-(pi.w + pip.w), 2)
+    return all(a + b != forbidden for a in pi.a for b in pip.a)
+
+
+def _fraction_split_indices_auto(pi, pip):
+    w2 = Fraction(pi.w + pip.w, 2)
+    cuts = [-a - w2 for a in reversed(pi.a)]
+    try:
+        return split_lengths(list(pip.a), cuts)
+    except ValueError:
+        raise NotCriticalPairError(
+            "an exponent sum hits -(w+w')/2; the pair has no critical values"
+        ) from None
+
+
+def _fraction_pair_critical_points(pi, pip):
+    w_sum = pi.w + pip.w
+    forbidden = Fraction(-w_sum, 2)
+    lows, highs = [], []
+    for i, a in enumerate(pi.a, start=1):
+        for j, b in enumerate(pip.a, start=1):
+            s = a + b
+            if s == forbidden:
+                raise NotCriticalPairError(
+                    f"exponent sum a_{i} + b_{j} = {s} hits -(w+w')/2; "
+                    "the pair has no critical values"
+                )
+            if s > forbidden:
+                lows.append(-s)
+                highs.append(s + w_sum + 1)
+            else:
+                lows.append(s + w_sum)
+                highs.append(-s + 1)
+    return CriticalInterval(max(lows) + 1, min(highs) - 1)
+
+
+def _outcome(f, *args):
+    """The value with the types of its parts, or the error's type and text."""
+    try:
+        value = f(*args)
+    except (AlgebraicityError, NotCriticalPairError) as err:
+        return type(err), str(err)
+    if isinstance(value, CriticalInterval):
+        return value, type(value.lo), type(value.hi)
+    if isinstance(value, RegularMotiveData):
+        return value, [type(p) for p in value.hodge_p]
+    return value, type(value)
+
+
+class TestDoubledAgainstFraction:
+    PAIR_PATHS = (
+        (pair_is_critical, _fraction_pair_is_critical),
+        (split_indices_auto, _fraction_split_indices_auto),
+        (pair_critical_points, _fraction_pair_critical_points),
+    )
+
+    def test_every_path_matches_the_fraction_formula(self):
+        rng = random.Random(56)
+        seen = set()
+        for _ in range(600):
+            pi = random_infinity_type(rng, rng.randint(1, 6), "Pi")
+            pip = random_infinity_type(rng, rng.randint(1, 6), "Pi'")
+            for x in (pi, pip):
+                assert _outcome(dict_to_motive, x) == _outcome(_fraction_dict_to_motive, x)
+                assert x.is_very_regular() == _fraction_is_very_regular(x)
+                seen.add(("very regular", x.is_very_regular()))
+            for x, y in ((pi, pip), (pip, pi)):
+                for fast, ref in self.PAIR_PATHS:
+                    assert _outcome(fast, x, y) == _outcome(ref, x, y)
+            seen.add(("critical", pair_is_critical(pi, pip)))
+        # Both branches of each test were drawn.
+        assert seen == {(k, v) for k in ("very regular", "critical") for v in (True, False)}
+
+    def test_doubled_exponents_are_ints(self):
+        pi = rep("Pi", 3, [Fraction(5, 2), Fraction(-1, 2)])
+        assert pi.a2 == (5, -1) and all(type(x) is int for x in pi.a2)
+        assert pi == rep("Pi", 3, [Fraction(5, 2), Fraction(-1, 2)])
+        assert "a2" not in repr(pi)
+
+    def test_dictionary_error_prints_the_half_integer(self):
+        # Unreachable through the constructor, which checks the exponents.
+        pi = rep("Pi", 0, [Fraction(1, 2), Fraction(-1, 2)])
+        object.__setattr__(pi, "a", (Fraction(1), Fraction(0)))
+        object.__setattr__(pi, "a2", (2, 0))
+        expected = (AlgebraicityError, "-(0) + (n-1)/2 = 1/2 is not an integer")
+        assert _outcome(dict_to_motive, pi) == _outcome(_fraction_dict_to_motive, pi) == expected
+
+    def test_constructor_error_text(self):
+        with pytest.raises(AlgebraicityError) as err:
+            rep("Pi", 0, [Fraction(1, 2), 0, -1])
+        assert str(err.value) == "exponent 1/2 is not in Z + (n-1)/2 for n = 3"
 
 
 class TestPairCriticality:

@@ -219,6 +219,34 @@ class TestSymDet:
             for group in (*range(1, k + 1), None):
                 assert sym_det(mx, group) == want, group
 
+    def test_rows_whose_two_by_two_minors_vanish(self, monkeypatch):
+        # The minor on columns {0, 1} of rows 0-1 and of rows 2-3 is zero,
+        # and in the second matrix rows 0 and 1 are proportional, so every
+        # minor of theirs is zero.  A zero partial determinant is not
+        # extended: no _mul_add call gets one.
+        import periodkit.oracle as orc
+
+        partials = []
+        mul_add = orc._mul_add
+
+        def spy(*args):
+            partials.append(len(args[1]))
+            return mul_add(*args)
+
+        monkeypatch.setattr(orc, "_mul_add", spy)
+        one = LaurentPoly.one(XV)
+        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        top = (x, y, z, w)
+        bottom = ((z, w, one, x), (z * x, w * x, y, one))
+        for second, singular in (((x * y, y * y, w, z), False), (tuple(x * e for e in top), True)):
+            mx = SymMatrix(XV, (top, second, *bottom))
+            want = naive_det(mx)
+            assert (want == LaurentPoly.zero(XV)) is singular
+            for group in (1, 2, 3, 4, None):
+                partials.clear()
+                assert sym_det(mx, group) == want, group
+                assert partials and 0 not in partials, group
+
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
         # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
         # integer multiple of the first, so the block keeps its minors.

@@ -1,6 +1,7 @@
 """Period monomial algebra: group laws, expansion, rules, derivations."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -95,6 +96,42 @@ class TestCanonicalText:
         assert left == right
         assert hash(left) == hash(right)
         assert [s.tag.csd for s, _ in left.factors] == [False, True]
+
+    def test_every_order_of_the_factors_gives_one_monomial(self):
+        # Six factors, one symbol twice, each on a freshly built tag.
+        def factors():
+            m3 = MotiveTag("M", rank=3)
+            return [
+                (PeriodSymbol("Q", 2, m3), 1),
+                (PeriodSymbol("d", None, MotiveTag("M", rank=2).dual().twist(2)), -1),
+                (PeriodSymbol("Q", 1, MotiveTag("M", rank=3, csd=True)), 2),
+                (PeriodSymbol("2pi"), 3),
+                (PeriodSymbol("Qs", 0, MotiveTag("M'", rank=1)), 1),
+                (PeriodSymbol("Q", 2, MotiveTag("M", rank=3)), 1),
+            ]
+
+        first = PeriodMonomial(factors())
+        assert first.text() == "(2πi)^3 * Q[2;M]^2 * Q[1;M]^2 * d[M^v(2)]^-1 * Qs[0;M']"
+        for order in permutations(range(6)):
+            fresh = factors()
+            mono = PeriodMonomial([fresh[i] for i in order])
+            assert mono.factors == first.factors and mono.text() == first.text()
+
+    def test_equal_symbols_hash_equal(self):
+        def build():
+            csd = MotiveTag("M", rank=3, csd=True)
+            return [
+                PeriodSymbol("2pi"),
+                PeriodSymbol("Q", 3, csd.conj()),
+                PeriodSymbol("d", None, csd.dual().twist(-2)),
+                PeriodSymbol("Qp", 0, MotiveTag("M", rank=2).det()),
+                PeriodSymbol("P", 1, MotiveTag("Pi'", rank=1)),
+                PeriodSymbol("Qxi", None, csd),
+            ]
+
+        for x, y in zip(build(), build()):
+            assert x is not y and x == y and hash(x) == hash(y)
+            assert x.sort_key == y.sort_key
 
     @pytest.mark.parametrize(
         "ops", [("c",), (("x", 5),), (("t", 0),), (("t", True),), (("t", 1.5),), (("c", 1),)]
