@@ -10,19 +10,19 @@ For a pair of infinity types the critical points, the split indices and
 the conjectural right-hand side are defined directly on the exponents;
 each construction agrees with its Hodge-side counterpart through the
 dictionary, and those agreements are exercised by the verification
-suite.  Every sum a_i + b_j is a half-integer, so these constructions
-work on the doubled exponents 2a_i, which are integers, and compare
-them against -(w + w') as :mod:`periodkit.combinatorics` compares
-doubled Hodge indices.  :class:`fractions.Fraction` appears only in the
-exponents a type is built from, in the endpoints of a critical
-interval, and in error messages.  Conjugate self-duality and the
-discrete-series-at-a-split-place hypothesis are input flags: they
-concern finite-place data outside this model.
+suite.  A type stores only its doubled exponents 2a_i, which are
+integers: its constructor reads the exponents as Fractions once and
+checks them in integers, and each construction compares doubled sums
+against -(w + w') as :mod:`periodkit.combinatorics` compares doubled
+Hodge indices.  :class:`fractions.Fraction` is left in the input
+exponents, critical-interval endpoints and error messages.  Conjugate
+self-duality and discrete series at a split place are input flags:
+they concern finite-place data outside this model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from .combinatorics import split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
@@ -35,45 +35,50 @@ from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
 VERY_REGULAR_GAP = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InfinityTypeData:
     """Archimedean parameters of a cuspidal representation.
 
-    ``a`` holds the z-exponents in strictly decreasing order; regularity
-    is the strict decrease, algebraicity the membership in Z + (n-1)/2.
-    ``a2`` holds the doubled exponents 2a_i as ints, derived from ``a``
-    once its checks pass.
+    Built from z-exponents a_1 > ... > a_n (regular) in Z + (n-1)/2
+    (algebraic), it stores only the ints 2a_i, as ``a2``; ``a`` is a_i.
     """
 
     label: str
     w: int
-    a: tuple[Fraction, ...]
-    conjugate_self_dual: bool = False
-    discrete_series_split_place: bool = False
-    a2: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    a2: tuple[int, ...]
+    conjugate_self_dual: bool
+    discrete_series_split_place: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        if not self.a:
+    def __init__(
+        self, label: str, w: int, a, conjugate_self_dual=False, discrete_series_split_place=False
+    ):
+        a = [Fraction(x) for x in a]
+        if not a:
             raise ValueError("an infinity type has positive rank")
-        if not isinstance(self.w, int):
-            raise ValueError(f"purity weight must be an integer, got {self.w!r}")
-        for x, y in zip(self.a, self.a[1:]):
-            if x <= y:
-                raise ValueError(f"exponents must be strictly decreasing, got {self.a}")
-        n = len(self.a)
-        half = Fraction(n - 1, 2)
-        for x in self.a:
-            if (x - half).denominator != 1:
-                raise AlgebraicityError(
-                    f"exponent {x} is not in Z + (n-1)/2 for n = {n}"
-                )
-        # Each denominator is now 1 or 2, so 2x is an integer.
-        object.__setattr__(self, "a2", tuple(2 * x.numerator // x.denominator for x in self.a))
+        if not isinstance(w, int):
+            raise ValueError(f"purity weight must be an integer, got {w!r}")
+        ratios = [x.as_integer_ratio() for x in a]
+        if any(p * s <= r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
+            got = ", ".join(map(str, a))
+            raise ValueError(f"exponents must be strictly decreasing, got [{got}]")
+        n = len(a)
+        den = 2 - n % 2  # the denominator of every number in Z + (n-1)/2
+        for x in a:
+            if x.denominator != den:
+                raise AlgebraicityError(f"exponent {x} is not in Z + (n-1)/2 for n = {n}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "a2", tuple(p * 2 // den for p, _ in ratios))
+        object.__setattr__(self, "conjugate_self_dual", conjugate_self_dual)
+        object.__setattr__(self, "discrete_series_split_place", discrete_series_split_place)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, 2) for x in self.a2)
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self.a2)
 
     def is_very_regular(self) -> bool:
         return all(x - y >= 2 * VERY_REGULAR_GAP for x, y in zip(self.a2, self.a2[1:]))
@@ -86,14 +91,9 @@ def rep_tag(pi: InfinityTypeData) -> MotiveTag:
 def dict_to_motive(pi: InfinityTypeData) -> RegularMotiveData:
     """Hodge data of the motive conjecturally attached to an infinity type."""
     n = pi.n
-    ps = []
-    # p_i = -a_{n+1-i} + (n-1)/2, decreasing; p2 is 2p_i.
-    for a, a2 in zip(reversed(pi.a), reversed(pi.a2)):
-        p2 = n - 1 - a2
-        if p2 % 2:
-            raise AlgebraicityError(f"-({a}) + (n-1)/2 = {Fraction(p2, 2)} is not an integer")
-        ps.append(p2 // 2)
-    return RegularMotiveData(f"M({pi.label})", pi.w + n - 1, tuple(ps))
+    # p_i = (n - 1 - 2a_{n+1-i})/2, decreasing; the constructor made it an integer.
+    ps = tuple((n - 1 - a2) // 2 for a2 in reversed(pi.a2))
+    return RegularMotiveData(f"M({pi.label})", pi.w + n - 1, ps)
 
 
 def pair_is_critical(pi: InfinityTypeData, pip: InfinityTypeData) -> bool:

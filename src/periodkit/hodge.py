@@ -13,10 +13,10 @@ downstream act on this shadow through closed-form index arithmetic:
 * tensor + restriction to the rationals: a Hodge multiset of 2nn' classes
 
 Everything is exact integer arithmetic.  Half-integers appear only on
-the automorphic side, where exponents are given as
-:class:`fractions.Fraction` values and the arithmetic runs on their
-doubles, which are integers (:mod:`periodkit.automorphic`).  All values
-are immutable and every operation is a pure function.
+the automorphic side, where exponents are read as
+:class:`fractions.Fraction` values but stored, checked and used as
+their doubles, which are integers (:mod:`periodkit.automorphic`).  All
+values are immutable and every operation is a pure function.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class GammaFactor:
 
     def has_pole_at(self, s: int | Fraction) -> bool:
         """Gamma_C(s - p) has a pole iff s - p is a non-positive integer."""
-        return any(s <= p for p, _ in self.shifts)
+        return Fraction(s).denominator == 1 and any(s <= p for p, _ in self.shifts)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Infinity types: dictionary, criticality, split indices, case classifier."""
 
 import random
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,60 @@ def _fraction_pair_critical_points(pi, pip):
     return CriticalInterval(max(lows) + 1, min(highs) - 1)
 
 
+@dataclass(frozen=True)
+class _FractionInfinityType:
+    """The constructor checks in Fraction arithmetic, as the doubled form replaced them.
+
+    Only the decrease message differs: it prints the rationals as a rep
+    file writes them, not their reprs.
+    """
+
+    label: str
+    w: int
+    a: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        if not self.a:
+            raise ValueError("an infinity type has positive rank")
+        if not isinstance(self.w, int):
+            raise ValueError(f"purity weight must be an integer, got {self.w!r}")
+        for x, y in zip(self.a, self.a[1:]):
+            if x <= y:
+                got = ", ".join(map(str, self.a))
+                raise ValueError(f"exponents must be strictly decreasing, got [{got}]")
+        n = len(self.a)
+        half = Fraction(n - 1, 2)
+        for x in self.a:
+            if (x - half).denominator != 1:
+                raise AlgebraicityError(f"exponent {x} is not in Z + (n-1)/2 for n = {n}")
+
+
+def _random_constructor_input(rng):
+    """Ints and Fractions of denominators 1-4, sorted or not, with repeats and bad weights."""
+    n = rng.randint(0, 5)
+    if rng.random() < 0.5:  # on the Z + (n-1)/2 grid, mostly algebraic
+        xs = [o + Fraction(n - 1, 2) for o in rng.sample(range(-4, 5), n)]
+    else:
+        xs = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
+    if xs and rng.random() < 0.2:
+        xs.insert(rng.randrange(len(xs)), rng.choice(xs))
+    if rng.random() < 0.7:
+        xs.sort(reverse=True)
+    a = [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in xs]
+    w = rng.choice([0, 1, -2]) if rng.random() < 0.8 else rng.choice([Fraction(1, 2), 1.0, "0"])
+    return rng.choice(["Pi", "Pi'"]), w, a
+
+
+def _construct(cls, label, w, a):
+    """The object or None, then its fields and exponent types, or the error's type and text."""
+    try:
+        pi = cls(label, w, a)
+    except (ValueError, AlgebraicityError) as err:
+        return None, (type(err), str(err))
+    return pi, (pi.label, pi.w, pi.a, [type(x) for x in pi.a])
+
+
 def _outcome(f, *args):
     """The value with the types of its parts, or the error's type and text."""
     try:
@@ -157,21 +212,44 @@ class TestDoubledAgainstFraction:
     def test_doubled_exponents_are_ints(self):
         pi = rep("Pi", 3, [Fraction(5, 2), Fraction(-1, 2)])
         assert pi.a2 == (5, -1) and all(type(x) is int for x in pi.a2)
+        assert pi.a == (Fraction(5, 2), Fraction(-1, 2))
         assert pi == rep("Pi", 3, [Fraction(5, 2), Fraction(-1, 2)])
-        assert "a2" not in repr(pi)
+        # The doubles are the one stored form of the exponents.
+        assert [f.name for f in fields(pi)] == [
+            "label", "w", "a2", "conjugate_self_dual", "discrete_series_split_place"
+        ]
 
-    def test_dictionary_error_prints_the_half_integer(self):
-        # Unreachable through the constructor, which checks the exponents.
-        pi = rep("Pi", 0, [Fraction(1, 2), Fraction(-1, 2)])
-        object.__setattr__(pi, "a", (Fraction(1), Fraction(0)))
-        object.__setattr__(pi, "a2", (2, 0))
-        expected = (AlgebraicityError, "-(0) + (n-1)/2 = 1/2 is not an integer")
-        assert _outcome(dict_to_motive, pi) == _outcome(_fraction_dict_to_motive, pi) == expected
+    def test_constructor_rejects_integer_exponents_at_rank_two(self):
+        with pytest.raises(AlgebraicityError) as err:
+            rep("Pi", 0, [1, 0])
+        assert str(err.value) == "exponent 1 is not in Z + (n-1)/2 for n = 2"
+
+    def test_constructor_matches_the_fraction_constructor(self):
+        rng = random.Random(57)
+        built, seen = [], set()
+        for _ in range(3000):
+            label, w, a = _random_constructor_input(rng)
+            pi, outcome = _construct(InfinityTypeData, label, w, a)
+            ref, ref_outcome = _construct(_FractionInfinityType, label, w, a)
+            assert outcome == ref_outcome
+            seen.add(outcome[1].split()[0] if pi is None else "accepted")
+            if pi is not None:
+                built.append((pi, ref))
+        # Every check rejected some input: rank, weight, decrease, algebraicity.
+        assert seen == {"accepted", "an", "purity", "exponents", "exponent"}
+        built.sort(key=lambda b: (b[1].label, b[1].w, b[1].a))  # equal ones adjacent
+        for (x, ref_x), (y, ref_y) in zip(built, built[1:]):
+            assert (x == y) == (ref_x == ref_y)
+            assert x != y or hash(x) == hash(y)
+        assert sum(x == y for (x, _), (y, _) in zip(built, built[1:])) > 100
 
     def test_constructor_error_text(self):
         with pytest.raises(AlgebraicityError) as err:
             rep("Pi", 0, [Fraction(1, 2), 0, -1])
         assert str(err.value) == "exponent 1/2 is not in Z + (n-1)/2 for n = 3"
+        with pytest.raises(ValueError) as err:
+            rep("Pi", 0, [Fraction(1, 2), 2, Fraction(-3, 4)])
+        assert str(err.value) == "exponents must be strictly decreasing, got [1/2, 2, -3/4]"
 
 
 class TestPairCriticality:

@@ -276,6 +276,12 @@ class TestClassifyAndVerify:
         )
         assert rc == 0 and payload["case"] == "case1"
 
+    def test_classify_prints_repeated_exponents_as_the_file_writes_them(self, tmp_path, capsys):
+        bad = write(tmp_path, "r.json", {"label": "Pi", "n": 2, "w": 0, "a": ["1/2", "1/2"]})
+        rc, _, err = run(capsys, ["classify", bad, write(tmp_path, "rp.json", REP1), "--m", "1/2"])
+        assert rc == 2
+        assert err == f"error: {bad}: exponents must be strictly decreasing, got [1/2, 1/2]\n"
+
     def test_verify_small(self, capsys):
         rc, payload, _ = run(
             capsys,

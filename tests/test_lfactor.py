@@ -35,6 +35,12 @@ class TestGammaFactor:
         h = HodgeMultiset(1, [(2, -1), (-1, 2)])
         assert gamma_factor(h).shifts == ((-1, 1),)
 
+    def test_pole_needs_an_integral_distance(self):
+        g = GammaFactor(((1, 1),))  # Gamma_C(s - 1)
+        assert g.has_pole_at(1) and g.has_pole_at(-3) and g.has_pole_at(Fraction(0))
+        assert not g.has_pole_at(2)
+        assert not g.has_pole_at(Fraction(1, 2)) and not g.has_pole_at(Fraction(-7, 2))
+
     def test_pp_class_rejected(self):
         h = HodgeMultiset(0, [(0, 0)])
         with pytest.raises(PpClassError):
