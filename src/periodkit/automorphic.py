@@ -41,6 +41,7 @@ class InfinityTypeData:
 
     Built from z-exponents a_1 > ... > a_n (regular) in Z + (n-1)/2
     (algebraic), it stores only the ints 2a_i, as ``a2``; ``a`` is a_i.
+    Each a_i must be an int or a Fraction and w an int: no bool, float or str.
     """
 
     label: str
@@ -52,10 +53,13 @@ class InfinityTypeData:
     def __init__(
         self, label: str, w: int, a, conjugate_self_dual=False, discrete_series_split_place=False
     ):
-        a = [Fraction(x) for x in a]
+        a = tuple(a)
+        for x in a:
+            if type(x) not in (int, Fraction):
+                raise ValueError(f"exponents must be ints or Fractions, got {x!r}")
         if not a:
             raise ValueError("an infinity type has positive rank")
-        if not isinstance(w, int):
+        if type(w) is not int:
             raise ValueError(f"purity weight must be an integer, got {w!r}")
         ratios = [x.as_integer_ratio() for x in a]
         if any(p * s <= r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):

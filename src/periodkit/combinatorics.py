@@ -96,7 +96,7 @@ def split_lengths(values_desc: Sequence, cuts_desc: Sequence) -> tuple[int, ...]
 
 
 def split_indices(m: RegularMotiveData, mp: RegularMotiveData) -> tuple[int, ...]:
-    """sp(i, M; M') for 0 <= i <= rank(M); the parts sum to rank(M')."""
+    """sp(i, M; M') for 0 <= i <= rank(M); the parts partition rank(M')."""
     w = m.weight + mp.weight
     values = [-2 * r for r in reversed(mp.hodge_p)]  # doubled -r_{n'} > ... > -r_1
     cuts = [2 * p - w for p in m.hodge_p]  # doubled p_i - w/2
@@ -106,7 +106,6 @@ def split_indices(m: RegularMotiveData, mp: RegularMotiveData) -> tuple[int, ...
         raise PpClassError(
             "some p_i + r_j equals w/2: the tensor product has a (p,p)-class"
         ) from None
-    assert sum(lengths) == mp.rank
     return lengths
 
 

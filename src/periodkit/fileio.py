@@ -83,8 +83,6 @@ def parse_motive(source) -> RegularMotiveData:
     hodge_p = _require(payload, "hodge_p", list, where)
     if len(hodge_p) != rank:
         raise ParseError(f"{where}: rank {rank} does not match {len(hodge_p)} Hodge indices")
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in hodge_p):
-        raise ParseError(f"{where}: hodge_p entries must be integers")
     try:
         return RegularMotiveData(label, weight, tuple(hodge_p))
     except (ValueError, PeriodKitError) as exc:
@@ -111,12 +109,12 @@ def parse_rep(source) -> InfinityTypeData:
     a_raw = _require(payload, "a", list, where)
     if len(a_raw) != n:
         raise ParseError(f"{where}: n = {n} does not match {len(a_raw)} exponents")
-    a = tuple(decode_rational(v) for v in a_raw)
     csd = payload.get("conjugate_self_dual", False)
     ds_split = payload.get("discrete_series_split_place", False)
     if not isinstance(csd, bool) or not isinstance(ds_split, bool):
         raise ParseError(f"{where}: the two flags must be booleans")
     try:
+        a = tuple(decode_rational(v) for v in a_raw)
         return InfinityTypeData(
             label, w, a, conjugate_self_dual=csd, discrete_series_split_place=ds_split
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class RegularMotiveData:
 
     The implied q-indices are q_i = weight - p_i.  Construction rejects
     a repeated p-index: regularity is a running assumption and merging
-    silently would corrupt every downstream index computation.
+    silently would corrupt every downstream index computation.  It also
+    rejects a weight or p-index whose type is not int, a bool included.
     """
 
     label: str
@@ -44,9 +45,9 @@ class RegularMotiveData:
         if not self.hodge_p:
             raise ValueError("a motive has positive rank: hodge_p is empty")
         for p in self.hodge_p:
-            if not isinstance(p, int):
+            if type(p) is not int:
                 raise ValueError(f"Hodge p-indices must be integers, got {p!r}")
-        if not isinstance(self.weight, int):
+        if type(self.weight) is not int:
             raise ValueError(f"weight must be an integer, got {self.weight!r}")
         for a, b in zip(self.hodge_p, self.hodge_p[1:]):
             if a <= b:
@@ -90,9 +91,10 @@ class HodgeMultiset:
     rationals, e.g. the restriction of a tensor product.  It is built
     from an iterable of (p, q) classes, repeats allowed, which must be
     non-empty, integral, pure of ``weight`` (p + q equals the weight) and
-    closed under the swap (p, q) -> (q, p).
-
-    ``pairs`` is the canonical sorted tuple of (p, q, multiplicity).
+    closed under the swap (p, q) -> (q, p); nothing downstream checks
+    these again.  The read API is ``weight``, ``pairs``, :meth:`pp_class`
+    and :meth:`dual`.  ``pairs`` is the canonical sorted tuple of (p, q,
+    multiplicity): as q = weight - p, each p occurs once, in increasing order.
     """
 
     weight: int
@@ -116,18 +118,6 @@ class HodgeMultiset:
         object.__setattr__(
             self, "pairs", tuple(sorted((int(p), int(q), m) for (p, q), m in counts.items()))
         )
-
-    def items(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self.pairs)
-
-    def multiplicity(self, p: int, q: int) -> int:
-        for pp, qq, m in self.pairs:
-            if (pp, qq) == (p, q):
-                return m
-        return 0
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, _, m in self.pairs)
 
     def pp_class(self) -> int | None:
         """Return p if the fixed class (p, p) occurs, else None."""

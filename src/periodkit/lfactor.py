@@ -84,15 +84,14 @@ def _require_no_pp(h: HodgeMultiset) -> None:
 def gamma_factor(h: HodgeMultiset) -> GammaFactor:
     """Shifts of the archimedean factor: the p of every class with p < q."""
     _require_no_pp(h)
-    shifts = tuple(sorted((p, m) for p, q, m in h.items() if p < q))
-    return GammaFactor(shifts)
+    return GammaFactor(tuple((p, m) for p, q, m in h.pairs if p < q))
 
 
 def critical_interval(h: HodgeMultiset) -> CriticalInterval:
     """Closed-form critical set: 1 + max p <= m <= min q over classes p < q."""
     _require_no_pp(h)
-    ps = [p for p, q, _ in h.items() if p < q]
-    qs = [q for p, q, _ in h.items() if p < q]
+    ps = [p for p, q, _ in h.pairs if p < q]
+    qs = [q for p, q, _ in h.pairs if p < q]
     return CriticalInterval(1 + max(ps), min(qs))
 
 
@@ -109,7 +108,7 @@ def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
     """
     g = gamma_factor(h)
     g_dual = gamma_factor(h.dual())
-    cuts = sorted({v + d for p, q, _ in h.items() for v in (p, q) for d in (-1, 0, 1)})
+    cuts = sorted({v + d for p, q, _ in h.pairs for v in (p, q) for d in (-1, 0, 1)})
     kept = [
         (lo, hi - 1)
         for lo, hi in zip(cuts, cuts[1:])
@@ -132,6 +131,8 @@ def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> Cri
     In the doubled exponents, with t = 2(a_i + b_j) + W, both cases read
     (W - |t|)/2 < m < (W + |t|)/2 + 1, so the points run from
     (W - d)/2 + 1 to (W + d)/2 for d the smallest |t|: d points in all.
+    Both endpoints lie on Z + (n+n')/2: the constructors fix 2a_i = n-1 and
+    2b_j = n'-1 mod 2, so d, t and W+n+n' share a parity, as do W+d and n+n'.
     """
     w_sum = pi.w + pip.w
     dists = [abs(a + b + w_sum) for a in pi.a2 for b in pip.a2]
@@ -141,9 +142,5 @@ def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> Cri
         raise NotCriticalPairError(
             f"exponent sum a_{i + 1} + b_{j + 1} = {pi.a[i] + pip.a[j]} hits -(w+w')/2; "
             "the pair has no critical values"
-        )
-    if (w_sum - d - pi.n - pip.n) % 2:  # pragma: no cover - parity guard
-        raise AssertionError(
-            f"interval endpoint {Fraction(w_sum - d + 2, 2)} off the Z+(n+n')/2 grid"
         )
     return CriticalInterval(Fraction(w_sum - d + 2, 2), Fraction(w_sum + d, 2))

@@ -425,3 +425,37 @@ def test_classifier_case2_names_a_shared_gap_last():
         "case2: second factor Pi' has even rank but lacks the discrete-series-at-a-split-place flag",
         "case2: two exponents of the smaller factor fall in the same gap (split indices [0, 2, 0, 0])",
     )
+
+
+def test_classifier_case2_on_a_pair_without_critical_points_reports_it_once():
+    # 2·0 + 2·(-1/2) = -(w + w'): the split indices do not exist, so no gap line.
+    pi = rep("Pi", 0, [4, 0, -4], csd=True)
+    pip = rep("Pi'", 1, [Fraction(7, 2), Fraction(-1, 2)], csd=True, ds_split=True)
+    assert not pair_is_critical(pi, pip)
+    report = classify_known_case(pi, pip, Fraction(1, 2))
+    assert report.failed_conditions == ("case2: the pair has no critical points at all",)
+
+
+class TestConstructorTypes:
+    """Exponents are ints or Fractions and the weight an int; bools are refused."""
+
+    @pytest.mark.parametrize(
+        "a, shown",
+        [
+            ([0.5, -0.5], "0.5"),
+            (["1/2", "-1/2"], "'1/2'"),
+            ([True], "True"),
+            ([Fraction(1, 2), -0.5], "-0.5"),
+        ],
+        ids=["floats", "strings", "bool", "a-float-after-a-fraction"],
+    )
+    def test_exponents(self, a, shown):
+        with pytest.raises(ValueError) as err:
+            InfinityTypeData("Pi", 0, a)
+        assert str(err.value) == f"exponents must be ints or Fractions, got {shown}"
+
+    @pytest.mark.parametrize("w", [True, False, 0.0, Fraction(0), "0"])
+    def test_weight(self, w):
+        with pytest.raises(ValueError) as err:
+            InfinityTypeData("Pi", w, [0])
+        assert str(err.value) == f"purity weight must be an integer, got {w!r}"

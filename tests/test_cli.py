@@ -124,6 +124,13 @@ class TestCritical:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("entry, shown", [(True, "True"), (1.5, "1.5"), ("1", "'1'")])
+    def test_an_index_that_is_not_an_int_exits_2_naming_it(self, tmp_path, capsys, entry, shown):
+        bad = write(tmp_path, "m.json", {**ELLIPTIC, "weight": 0, "hodge_p": [entry, 0]})
+        rc, _, err = run(capsys, ["critical", bad])
+        assert rc == 2
+        assert err == f"error: {bad}: Hodge p-indices must be integers, got {shown}\n"
+
 
 class TestGammaSetsSplit:
     def test_gamma(self, tmp_path, capsys):
@@ -281,6 +288,14 @@ class TestClassifyAndVerify:
         rc, _, err = run(capsys, ["classify", bad, write(tmp_path, "rp.json", REP1), "--m", "1/2"])
         assert rc == 2
         assert err == f"error: {bad}: exponents must be strictly decreasing, got [1/2, 1/2]\n"
+
+    @pytest.mark.parametrize(
+        "field", [{"a": [0.5, -0.5]}, {"a": [True, False]}, {"w": True}, {"w": 0.0}]
+    )
+    def test_rep_with_a_float_or_bool_exits_2(self, tmp_path, capsys, field):
+        bad = write(tmp_path, "r.json", {**REP2, **field})
+        rc, _, err = run(capsys, ["classify", bad, write(tmp_path, "rp.json", REP1), "--m", "1/2"])
+        assert rc == 2 and err.startswith(f"error: {bad}: ")
 
     def test_verify_small(self, capsys):
         rc, payload, _ = run(

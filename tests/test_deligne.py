@@ -10,11 +10,21 @@ from periodkit.deligne import (
     conjecture_rhs_motivic,
     deligne_period_raw,
     deligne_period_simplified,
+    grouped_period_product,
 )
-from periodkit.errors import NotCriticalError, PpClassError
+from periodkit.errors import NonIntegerExponentError, NotCriticalError, PpClassError
 from periodkit.hodge import RegularMotiveData, restriction_tensor
 from periodkit.lfactor import critical_interval
-from periodkit.periods import PeriodSymbol, delta, expand, motive_tag, q, q_sup, two_pi_i
+from periodkit.periods import (
+    MotiveTag,
+    PeriodSymbol,
+    delta,
+    expand,
+    motive_tag,
+    q,
+    q_sup,
+    two_pi_i,
+)
 from periodkit.sampling import random_pp_free_pair
 
 M = RegularMotiveData("M", 1, (1, 0))
@@ -114,3 +124,10 @@ class TestConjectureRhs:
             for mm in iv.points():
                 mono = conjecture_rhs_motivic(ctx, mm - shift)
                 assert isinstance(mono.exponent(PeriodSymbol("2pi")), int)
+
+
+def test_grouped_product_refuses_a_non_integral_two_pi_exponent():
+    # Off the critical grid: m nn' = 1/3 at n = n' = 1.
+    groups = ((MotiveTag("M", rank=1), (1, 0)), (MotiveTag("M'", rank=1), (0, 1)))
+    with pytest.raises(NonIntegerExponentError, match=r"\(2πi\) exponent 1/3 is not an integer"):
+        grouped_period_product("Qs", Fraction(1, 3), groups, "EE'")

@@ -104,8 +104,11 @@ class TestRestrictionTensor:
             m = mot(rng.randint(-3, 3), sorted(rng.sample(range(-6, 7), rng.randint(1, 4)), reverse=True))
             mp = mot(rng.randint(-3, 3), sorted(rng.sample(range(-6, 7), rng.randint(1, 4)), reverse=True), "M'")
             h = restriction_tensor(m, mp)
-            assert h.total_multiplicity() == 2 * m.rank * mp.rank
-            assert all(h.multiplicity(q, p) == mult for p, q, mult in h.items())
+            assert sum(mult for _, _, mult in h.pairs) == 2 * m.rank * mp.rank
+            counts = {(p, q): mult for p, q, mult in h.pairs}
+            assert all(counts[(q, p)] == mult for (p, q), mult in counts.items())
+            # Sorted by p, each p once: the order gamma_factor relies on.
+            assert [p for p, _, _ in h.pairs] == sorted({p for p, _, _ in h.pairs})
 
 
 def _random_motive(rng, label):
@@ -179,6 +182,18 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             mot(0, [])
+
+    @pytest.mark.parametrize("p", [True, 1.0, Fraction(1), "1"])
+    def test_rejects_an_index_that_is_not_an_int(self, p):
+        with pytest.raises(ValueError) as err:
+            mot(0, [p, -1])
+        assert str(err.value) == f"Hodge p-indices must be integers, got {p!r}"
+
+    @pytest.mark.parametrize("w", [True, 0.0, Fraction(0)])
+    def test_rejects_a_weight_that_is_not_an_int(self, w):
+        with pytest.raises(ValueError) as err:
+            mot(w, [0])
+        assert str(err.value) == f"weight must be an integer, got {w!r}"
 
     def test_multiset_rejects_impure(self):
         with pytest.raises(ValueError):

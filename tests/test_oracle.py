@@ -16,6 +16,7 @@ from periodkit.oracle import (
     SymMatrix,
     _coefficient_block,
     _factor_out,
+    _kronecker_column_sign,
     _mat1_columns,
     _product,
     build_mat1,
@@ -105,6 +106,16 @@ class TestLaurentPoly:
         for idx in (4, -1):
             with pytest.raises(IndexError, match=f"variable index {idx} out of range"):
                 LaurentPoly.monomial(XV, {idx: 1})
+
+    def test_operands_over_different_tables_raise(self):
+        x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(("x", "y"), 0)
+        for op in (lambda: x + y, lambda: x * y, lambda: y - x):
+            with pytest.raises(ValueError, match="different variable tables"):
+                op()
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="only non-negative powers"):
+            LaurentPoly.var(XV, 0) ** -1
 
     def test_str_is_canonical(self):
         p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 0, 0), -1)])
@@ -289,6 +300,12 @@ class TestSymDet:
         assert len(factor_splits) == 2
         for _, quotients in factor_splits:
             assert all(len(q) == 1 for q in quotients.values())
+
+    def test_non_square_matrix_raises(self):
+        x = LaurentPoly.var(XV, 0)
+        for rows in (((x, x),), ((x,), (x, x))):
+            with pytest.raises(ValueError, match="matrix is not square"):
+                sym_det(SymMatrix(XV, rows))
 
     @pytest.mark.parametrize("group", [0, -1])
     def test_group_below_one_raises(self, group):
@@ -506,6 +523,23 @@ class TestPredictedSign:
                     assert rep.ok
                     assert observed == rep.sign == rep.predicted_sign
                     assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
+
+    def test_sign_of_sigma_in_closed_form_on_every_shape_up_to_6x6(self):
+        # σ lists A's complement in order, then A in reverse order, so with
+        # pos(a, b) = (a-1)n' + (b-1), sgn(σ) = (-1)^Σ_{(a,b) ∈ A} (nn' - 1 - pos(a, b)).
+        shapes = 0
+        for n in range(1, 7):
+            for np_ in range(1, 7):
+                for slots in combinations(range(n + np_), n):
+                    ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
+                    sigma = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
+                    assert sorted(sigma) == list(range(n * np_)), (n, np_, slots)
+                    exponent = sum(
+                        n * np_ - 1 - ((a - 1) * np_ + (b - 1)) for a, b in ctx.A.members
+                    )
+                    assert _kronecker_column_sign(ctx) == (-1) ** exponent, (n, np_, slots)
+                    shapes += 1
+        assert shapes == 3418
 
     def test_wrong_prediction_fails_the_check(self, monkeypatch, fallbacks):
         # On every shape, by its factors and by the full comparison.

@@ -267,3 +267,43 @@ class TestDerivations:
         assert all(
             derive_grouped_period_identity(n, s).ok for n in range(1, 9) for s in range(n + 1)
         )
+
+
+class TestErrorBranches:
+    """Each refusal of a malformed symbol, rule name or derivation argument."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("Z", None, M2), "unknown symbol kind 'Z'"),
+            (("2pi", 1, None), "(2πi) carries no index or tag"),
+            (("2pi", None, M2), "(2πi) carries no index or tag"),
+            (("Q", 1, None), "symbol Q needs a motive tag"),
+            (("d", 1, M2), "d carries no index"),
+            (("Q", None, M2), "Q index starts at 1, got None"),
+            (("Q", 0, M2), "Q index starts at 1, got 0"),
+            (("Qs", -1, M2), "Qs index starts at 0, got -1"),
+            (("P", 3, M2), "P index 3 exceeds rank 2 of M"),
+        ],
+    )
+    def test_symbol_check(self, args, message):
+        with pytest.raises(ValueError) as err:
+            PeriodSymbol(*args)
+        assert str(err.value) == message
+
+    def test_a_tag_without_rank_bounds_no_index(self):
+        assert PeriodSymbol("Q", 7, MotiveTag("M")).index == 7
+
+    def test_unknown_rule(self):
+        with pytest.raises(KeyError, match="unknown rule 'q_twist'"):
+            apply_rule(q(1, M2), "q_twist")
+
+    def test_delta_square_needs_a_positive_rank(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            derive_delta_square_identity(0)
+
+    @pytest.mark.parametrize("n, s", [(2, 3), (2, -1), (0, 1)])
+    def test_grouped_period_needs_s_between_0_and_n(self, n, s):
+        with pytest.raises(ValueError) as err:
+            derive_grouped_period_identity(n, s)
+        assert str(err.value) == f"need 0 <= s <= n, got s={s}, n={n}"
