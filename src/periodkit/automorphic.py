@@ -22,7 +22,6 @@ they concern finite-place data outside this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from .combinatorics import split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
@@ -35,7 +34,6 @@ from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
 VERY_REGULAR_GAP = 3
 
 
-@dataclass(frozen=True, init=False)
 class InfinityTypeData:
     """Archimedean parameters of a cuspidal representation.
 
@@ -44,11 +42,7 @@ class InfinityTypeData:
     Each a_i must be an int or a Fraction and w an int: no bool, float or str.
     """
 
-    label: str
-    w: int
-    a2: tuple[int, ...]
-    conjugate_self_dual: bool
-    discrete_series_split_place: bool
+    __slots__ = ("label", "w", "a2", "conjugate_self_dual", "discrete_series_split_place")
 
     def __init__(
         self, label: str, w: int, a, conjugate_self_dual=False, discrete_series_split_place=False
@@ -75,6 +69,22 @@ class InfinityTypeData:
         object.__setattr__(self, "a2", tuple(p * 2 // den for p, _ in ratios))
         object.__setattr__(self, "conjugate_self_dual", conjugate_self_dual)
         object.__setattr__(self, "discrete_series_split_place", discrete_series_split_place)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InfinityTypeData is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return (
+            self.label, self.w, self.a2, self.conjugate_self_dual, self.discrete_series_split_place
+        )
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -169,14 +179,25 @@ def crosscheck_conjecture(
     return substitute_p_periods(auto, mapping) == motivic
 
 
-@dataclass(frozen=True)
 class CaseReport:
     """Outcome of matching a pair against the proven cases."""
 
-    very_regular_pi: bool
-    very_regular_pip: bool
-    case: str  # "case1" | "case2" | "case3" | "unknown"
-    failed_conditions: tuple[str, ...]
+    __slots__ = ("very_regular_pi", "very_regular_pip", "case", "failed_conditions")
+
+    def __init__(
+        self,
+        very_regular_pi: bool,
+        very_regular_pip: bool,
+        case: str,  # "case1" | "case2" | "case3" | "unknown"
+        failed_conditions: tuple[str, ...],
+    ):
+        object.__setattr__(self, "very_regular_pi", very_regular_pi)
+        object.__setattr__(self, "very_regular_pip", very_regular_pip)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "failed_conditions", failed_conditions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CaseReport is immutable")
 
     def to_json(self) -> dict:
         return {

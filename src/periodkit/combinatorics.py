@@ -20,18 +20,22 @@ stays in the integers; a tie is exactly a (p,p)-class and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PpClassError
 from .hodge import RegularMotiveData
 
 
-@dataclass(frozen=True)
 class IndexPairSet:
     """A set of 1-based index pairs (a, b)."""
 
-    members: frozenset[tuple[int, int]]
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexPairSet is immutable")
 
     def is_tableau(self) -> bool:
         """Downward closure: (t, u) in the set forces all (t', u') below it.

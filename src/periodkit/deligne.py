@@ -24,7 +24,6 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import IndexPairSet, set_A, set_T, split_indices
@@ -34,19 +33,32 @@ from .lfactor import critical_interval
 from .periods import PeriodMonomial, PeriodSymbol, motive_tag
 
 
-@dataclass(frozen=True)
 class PairContext:
     """A tensor pair with its index sets and split indices precomputed.
 
     ``sp`` is sp(., M; M') and ``sp_sym`` is sp(., M'; M).
     """
 
-    M: RegularMotiveData
-    Mp: RegularMotiveData
-    A: IndexPairSet
-    T: IndexPairSet
-    sp: tuple[int, ...]
-    sp_sym: tuple[int, ...]
+    __slots__ = ("M", "Mp", "A", "T", "sp", "sp_sym")
+
+    def __init__(
+        self,
+        M: RegularMotiveData,
+        Mp: RegularMotiveData,
+        A: IndexPairSet,
+        T: IndexPairSet,
+        sp: tuple[int, ...],
+        sp_sym: tuple[int, ...],
+    ):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "Mp", Mp)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "sp", sp)
+        object.__setattr__(self, "sp_sym", sp_sym)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairContext is immutable")
 
     @classmethod
     def build(cls, m: RegularMotiveData, mp: RegularMotiveData) -> "PairContext":

@@ -16,17 +16,17 @@ Everything is exact integer arithmetic.  Half-integers appear only on
 the automorphic side, where exponents are read as
 :class:`fractions.Fraction` values but stored, checked and used as
 their doubles, which are integers (:mod:`periodkit.automorphic`).  All
-values are immutable and every operation is a pure function.
+values are immutable: each class stores its fields in ``__slots__`` and
+its ``__setattr__`` refuses every assignment.  Every operation is a pure
+function.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class RegularMotiveData:
     """Rank, purity weight and strictly decreasing Hodge p-indices.
 
@@ -36,24 +36,38 @@ class RegularMotiveData:
     rejects a weight or p-index whose type is not int, a bool included.
     """
 
-    label: str
-    weight: int
-    hodge_p: tuple[int, ...]
+    __slots__ = ("label", "weight", "hodge_p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "hodge_p", tuple(self.hodge_p))
-        if not self.hodge_p:
+    def __init__(self, label: str, weight: int, hodge_p: Iterable[int]):
+        hodge_p = tuple(hodge_p)
+        if not hodge_p:
             raise ValueError("a motive has positive rank: hodge_p is empty")
-        for p in self.hodge_p:
+        for p in hodge_p:
             if type(p) is not int:
                 raise ValueError(f"Hodge p-indices must be integers, got {p!r}")
-        if type(self.weight) is not int:
-            raise ValueError(f"weight must be an integer, got {self.weight!r}")
-        for a, b in zip(self.hodge_p, self.hodge_p[1:]):
+        if type(weight) is not int:
+            raise ValueError(f"weight must be an integer, got {weight!r}")
+        for a, b in zip(hodge_p, hodge_p[1:]):
             if a <= b:
                 raise ValueError(
-                    f"hodge_p must be strictly decreasing (regularity), got {self.hodge_p}"
+                    f"hodge_p must be strictly decreasing (regularity), got {hodge_p}"
                 )
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "hodge_p", hodge_p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RegularMotiveData is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.weight, self.hodge_p) == (
+            other.label, other.weight, other.hodge_p
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.weight, self.hodge_p))
 
     @property
     def rank(self) -> int:
@@ -83,30 +97,35 @@ class RegularMotiveData:
         )
 
 
-@dataclass(frozen=True, init=False)
 class HodgeMultiset:
     """Multiset of (p, q) classes with multiplicities, pure of one weight.
 
     This is the Hodge type of a (generally non-regular) motive over the
     rationals, e.g. the restriction of a tensor product.  It is built
     from an iterable of (p, q) classes, repeats allowed, which must be
-    non-empty, integral, pure of ``weight`` (p + q equals the weight) and
-    closed under the swap (p, q) -> (q, p); nothing downstream checks
-    these again.  The read API is ``weight``, ``pairs``, :meth:`pp_class`
-    and :meth:`dual`.  ``pairs`` is the canonical sorted tuple of (p, q,
+    non-empty, of int entries and an int weight (no bool, float or
+    Fraction), pure of ``weight`` (p + q equals the weight) and closed
+    under the swap (p, q) -> (q, p); nothing downstream checks these
+    again.  The read API is ``weight``, ``pairs``, :meth:`pp_class` and
+    :meth:`dual`.  ``pairs`` is the canonical sorted tuple of (p, q,
     multiplicity): as q = weight - p, each p occurs once, in increasing order.
     """
 
-    weight: int
-    pairs: tuple[tuple[int, int, int], ...]
+    __slots__ = ("weight", "pairs")
 
     def __init__(self, weight: int, classes: Iterable[tuple[int, int]]):
-        counts = Counter(classes)
-        if not counts:
+        classes = tuple(classes)
+        if not classes:
             raise ValueError("a Hodge multiset is non-empty")
+        # Every entry, not only each distinct class: 1.0 and True equal 1.
+        for p, q in classes:
+            if type(p) is not int or type(q) is not int:
+                bad = p if type(p) is not int else q
+                raise ValueError(f"class ({p},{q}) is not integral: {bad!r} is not an int")
+        if type(weight) is not int:
+            raise ValueError(f"weight must be an integer, got {weight!r}")
+        counts = Counter(classes)
         for (p, q), mult in counts.items():
-            if p != int(p) or q != int(q):
-                raise ValueError(f"class ({p},{q}) is not integral")
             if p + q != weight:
                 raise ValueError(f"class ({p},{q}) is not pure of weight {weight}")
             if counts[(q, p)] != mult:
@@ -115,9 +134,18 @@ class HodgeMultiset:
                     f"({q},{p}) has {counts[(q, p)]}"
                 )
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(
-            self, "pairs", tuple(sorted((int(p), int(q), m) for (p, q), m in counts.items()))
-        )
+        object.__setattr__(self, "pairs", tuple(sorted((p, q, m) for (p, q), m in counts.items())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HodgeMultiset is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.pairs) == (other.weight, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.pairs))
 
     def pp_class(self) -> int | None:
         """Return p if the fixed class (p, p) occurs, else None."""

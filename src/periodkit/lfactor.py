@@ -19,7 +19,6 @@ Their agreement is a cross-check exercised by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -30,18 +29,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from .automorphic import InfinityTypeData
 
 
-@dataclass(frozen=True)
 class GammaFactor:
     """Multiset of Gamma_C shifts: the factor is prod Gamma_C(s - p)^mult."""
 
-    shifts: tuple[tuple[int, int], ...]
+    __slots__ = ("shifts",)
+
+    def __init__(self, shifts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "shifts", shifts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GammaFactor is immutable")
 
     def has_pole_at(self, s: int | Fraction) -> bool:
         """Gamma_C(s - p) has a pole iff s - p is a non-positive integer."""
         return Fraction(s).denominator == 1 and any(s <= p for p, _ in self.shifts)
 
 
-@dataclass(frozen=True)
 class CriticalInterval:
     """Inclusive interval of critical points, stepping by 1 from lo.
 
@@ -53,14 +56,24 @@ class CriticalInterval:
     p < q has p < w/2 < q, so 1 + max p <= min q.
     """
 
-    lo: int | Fraction
-    hi: int | Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(
-                f"critical interval needs lo <= hi, got lo = {self.lo}, hi = {self.hi}"
-            )
+    def __init__(self, lo: int | Fraction, hi: int | Fraction):
+        if lo > hi:
+            raise ValueError(f"critical interval needs lo <= hi, got lo = {lo}, hi = {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CriticalInterval is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     def __contains__(self, m) -> bool:
         return self.lo <= m <= self.hi and Fraction(m - self.lo).denominator == 1

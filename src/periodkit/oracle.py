@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from itertools import permutations
 from math import prod
@@ -294,12 +293,17 @@ class Terms(Mapping):
         return f"Terms({dict(self)!r})"
 
 
-@dataclass(frozen=True)
 class SymMatrix:
     """A square matrix of Laurent polynomials over one variable table."""
 
-    vars: tuple[str, ...]
-    rows: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ("vars", "rows")
+
+    def __init__(self, vars: tuple[str, ...], rows: tuple[tuple[LaurentPoly, ...], ...]):
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymMatrix is immutable")
 
     @property
     def size(self) -> int:
@@ -482,13 +486,18 @@ def _parity(seq) -> int:
 # Variable table and matrix assembly for a tensor pair.
 
 
-@dataclass(frozen=True)
 class PairVariables:
     """Variable layout: A_ia block, B_jb block, then Q and Q' blocks."""
 
-    n: int
-    np: int
-    names: tuple[str, ...]
+    __slots__ = ("n", "np", "names")
+
+    def __init__(self, n: int, np: int, names: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "np", np)
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairVariables is immutable")
 
     @classmethod
     def build(cls, n: int, np_: int) -> "PairVariables":
@@ -592,7 +601,6 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
     return -1 if _parity(order) else 1
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the determinant identity check for one tensor pair.
 
@@ -603,12 +611,26 @@ class VerificationReport:
     first read: the check itself needs neither unless it falls back.
     """
 
-    size: int
-    ok: bool
-    sign: int | None
-    predicted_sign: int
-    _lhs: Callable[[], LaurentPoly] = field(repr=False, compare=False)
-    _rhs: Callable[[], LaurentPoly] = field(repr=False, compare=False)
+    __slots__ = ("size", "ok", "sign", "predicted_sign", "_lhs", "_rhs")
+
+    def __init__(
+        self,
+        size: int,
+        ok: bool,
+        sign: int | None,
+        predicted_sign: int,
+        _lhs: Callable[[], LaurentPoly],
+        _rhs: Callable[[], LaurentPoly],
+    ):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "predicted_sign", predicted_sign)
+        object.__setattr__(self, "_lhs", _lhs)
+        object.__setattr__(self, "_rhs", _rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VerificationReport is immutable")
 
     @property
     def lhs(self) -> LaurentPoly:
@@ -672,7 +694,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
     rows = (tuple(entry * cleared for entry in mat1.rows[0]), *mat1.rows[1:])
-    bound, out, factors = _det_factors(replace(mat1, rows=rows), np_)
+    bound, out, factors = _det_factors(SymMatrix(mat1.vars, rows), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_

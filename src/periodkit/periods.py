@@ -47,7 +47,6 @@ which gives the canonical form (2πi)^k for the Tate motives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import RuleNotApplicable, UnknownRankError
@@ -59,7 +58,6 @@ _DUAL = ("v", None)
 _DET = ("det", None)
 
 
-@dataclass(frozen=True)
 class MotiveTag:
     """A motive name plus functor decorations, rank and self-duality flag.
 
@@ -69,24 +67,41 @@ class MotiveTag:
     are only valid in that case.
     """
 
-    label: str
-    rank: int | None = None
-    csd: bool = False
-    ops: tuple = ()
+    __slots__ = ("label", "rank", "csd", "ops")
 
-    def __post_init__(self):
-        for op in self.ops:
+    def __init__(self, label: str, rank: int | None = None, csd: bool = False, ops: tuple = ()):
+        for op in ops:
             twist = type(op) is tuple and len(op) == 2 and op[0] == "t" and type(op[1]) is int
             if op not in (_CONJ, _DUAL, _DET) and not (twist and op[1]):
                 raise ValueError(
                     f"unknown tag decoration {op!r}: expected ('c', None), ('v', None),"
                     " ('det', None) or ('t', k) with k a nonzero int"
                 )
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "csd", csd)
+        object.__setattr__(self, "ops", ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MotiveTag is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.rank, self.csd, self.ops) == (
+            other.label, other.rank, other.csd, other.ops
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.rank, self.csd, self.ops))
+
+    def _with_ops(self, ops: tuple) -> "MotiveTag":
+        return MotiveTag(self.label, self.rank, self.csd, ops)
 
     def _toggle(self, op) -> "MotiveTag":
         if self.ops and self.ops[-1] == op:
-            return replace(self, ops=self.ops[:-1])
-        return replace(self, ops=self.ops + (op,))
+            return self._with_ops(self.ops[:-1])
+        return self._with_ops(self.ops + (op,))
 
     def conj(self) -> "MotiveTag":
         return self._toggle(_CONJ)
@@ -101,11 +116,11 @@ class MotiveTag:
         else:
             base = self.ops
         if k == 0:
-            return replace(self, ops=base)
-        return replace(self, ops=base + (("t", k),))
+            return self._with_ops(base)
+        return self._with_ops(base + (("t", k),))
 
     def det(self) -> "MotiveTag":
-        return replace(self, ops=self.ops + (_DET,))
+        return self._with_ops(self.ops + (_DET,))
 
     @property
     def rank_value(self) -> int | None:
@@ -148,25 +163,43 @@ _KIND_ORDER = {"2pi": 0, "Q": 1, "d": 2, "D": 3, "Qp": 4, "Qs": 5, "P": 6, "Qxi"
 _INDEX_START = {"Q": 1, "Qp": 0, "Qs": 0, "P": 0}
 
 
-@dataclass(frozen=True)
 class PeriodSymbol:
     """One letter of the period alphabet; see the module docstring.
 
     ``sort_key`` orders symbols in a monomial's canonical print order.  It
     is built once, after the checks, and the hash is taken from it;
-    equality still compares the three fields.
+    equality compares the three fields.  Tags that print alike, such as
+    ``M^c`` and the conjugate of ``M``, are told apart by the key's last
+    two entries, the tag's label and ops, so unequal symbols never share a
+    key; as they come after the index, they only break ties.
     """
 
-    kind: str
-    index: int | None = None
-    tag: MotiveTag | None = None
-    sort_key: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("kind", "index", "tag", "sort_key")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, index: int | None = None, tag: MotiveTag | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "tag", tag)
         self._check()
-        tag_key = self.tag.sort_key() if self.tag is not None else ("", -1)
-        key = (_KIND_ORDER[self.kind], tag_key, self.index if self.index is not None else -1)
+        if tag is None:
+            key = (_KIND_ORDER[kind], ("", -1), -1)
+        else:
+            key = (
+                _KIND_ORDER[kind],
+                tag.sort_key(),
+                index if index is not None else -1,
+                tag.label,
+                tag.ops,
+            )
         object.__setattr__(self, "sort_key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PeriodSymbol is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.index, self.tag) == (other.kind, other.index, other.tag)
 
     def _check(self) -> None:
         if self.kind not in _KIND_ORDER:
@@ -429,7 +462,7 @@ def apply_rule(x: PeriodMonomial, rule: str) -> PeriodMonomial:
         if hit and decoration is not None:
             hit = bool(tag.ops) and tag.ops[-1][0] == decoration
             if hit:
-                arg, tag = tag.ops[-1][1], replace(tag, ops=tag.ops[:-1])
+                arg, tag = tag.ops[-1][1], tag._with_ops(tag.ops[:-1])
         if hit:
             matched = True
             factors += replacement(sym, tag, arg, exp)

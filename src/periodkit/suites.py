@@ -11,7 +11,6 @@ execution order, and the trials could run concurrently without changing it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import automorphic as am
@@ -23,15 +22,20 @@ from . import oracle as orc
 from . import periods as pd
 from . import sampling as smp
 
-@dataclass
+
 class PropertyResult:
     """Trials run, checks that returned false, and checks that raised."""
 
-    name: str
-    instances: int
-    failures: int
-    errors: int = 0
-    detail: str = ""
+    __slots__ = ("name", "instances", "failures", "errors", "detail")
+
+    def __init__(
+        self, name: str, instances: int, failures: int, errors: int = 0, detail: str = ""
+    ):
+        self.name = name
+        self.instances = instances
+        self.failures = failures
+        self.errors = errors
+        self.detail = detail
 
     @property
     def ok(self) -> bool:

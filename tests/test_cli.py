@@ -427,6 +427,8 @@ from periodkit.cli import main
 PERIOD = ("periodkit.periods", "periodkit.deligne")
 REP = ("periodkit.automorphic",)
 VERIFY_ONLY = ("periodkit.oracle", "periodkit.suites", "periodkit.sampling")
+# No subcommand pays for these: dataclasses imports inspect, ast and dis.
+NEVER = ("dataclasses", "inspect")
 m, mp, pi, pip = sys.argv[1:]
 # The light commands run first, so a module one of them loads is not hidden
 # by a heavier command that loaded it earlier.
@@ -442,11 +444,13 @@ for argv, unloaded in (
     (["classify", pi, pip, "--m", "1/2"], VERIFY_ONLY),
 ):
     assert main(argv) == 0, argv
-    loaded = [name for name in unloaded if name in sys.modules]
+    loaded = [name for name in unloaded + NEVER if name in sys.modules]
     assert not loaded, f"pk {argv[0]} loaded {loaded}"
 assert main(["verify", "--suite", "oracle", "--trials", "1", "--max-rank", "1"]) == 0
 missing = [name for name in VERIFY_ONLY if name not in sys.modules]
 assert not missing, f"pk verify did not load {missing}"
+loaded = [name for name in NEVER if name in sys.modules]
+assert not loaded, f"pk verify loaded {loaded}"
 """
 
 

@@ -1,6 +1,7 @@
 """Hodge data model: functors, restriction, and the no-(p,p) predicate."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -207,10 +208,21 @@ class TestConstruction:
         half = [(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))]
         with pytest.raises(ValueError, match=r"class \(3/2,-1/2\) is not integral"):
             HodgeMultiset(1, half)
-        assert HodgeMultiset(1, [(Fraction(1), 0), (0, Fraction(1))]).pairs == (
-            (0, 1, 1),
-            (1, 0, 1),
-        )
+
+    @pytest.mark.parametrize("one", [Fraction(1), 1.0, True])
+    def test_multiset_rejects_an_entry_that_is_not_an_int(self, one):
+        with pytest.raises(ValueError) as err:
+            HodgeMultiset(1, [(one, 0), (0, one)])
+        assert str(err.value) == f"class ({one},0) is not integral: {one!r} is not an int"
+        # An entry equal to an int class already given is refused too.
+        with pytest.raises(ValueError, match=re.escape(f"{one!r} is not an int")):
+            HodgeMultiset(1, [(1, 0), (0, 1), (0, one), (one, 0)])
+
+    @pytest.mark.parametrize("w", [True, 1.0, Fraction(1)])
+    def test_multiset_rejects_a_weight_that_is_not_an_int(self, w):
+        with pytest.raises(ValueError) as err:
+            HodgeMultiset(w, [(1, 0), (0, 1)])
+        assert str(err.value) == f"weight must be an integer, got {w!r}"
 
     def test_restriction_single(self):
         h = restriction(mot(0, [2]))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from periodkit import lfactor
 from periodkit.automorphic import InfinityTypeData, dict_to_motive
 from periodkit.errors import NotCriticalPairError, PpClassError
 from periodkit.hodge import HodgeMultiset, RegularMotiveData, restriction, restriction_tensor
@@ -80,6 +81,22 @@ class TestCriticalInterval:
         assert critical_interval_via_poles(h) == CriticalInterval(1 - 10**4, 10**4)
         # five stretches, the first two stopped by the factor's own pole
         assert len(calls) == 8
+
+    @pytest.mark.parametrize(
+        "pole_at, kept",
+        [(lambda s: s == 2, "[(-3, -3), (-2, -2), (3, 3)]"), (lambda s: True, "[]")],
+        ids=["a hole", "nothing kept"],
+    )
+    def test_pole_scan_refuses_stretches_that_are_no_interval(self, monkeypatch, pole_at, kept):
+        # A real factor has its poles on a half-line, so only a stub leaves a hole.
+        class Stub:
+            def has_pole_at(self, s):
+                return pole_at(s)
+
+        monkeypatch.setattr(lfactor, "gamma_factor", lambda h: Stub())
+        with pytest.raises(AssertionError) as err:
+            critical_interval_via_poles(HodgeMultiset(1, [(3, -2), (-2, 3)]))
+        assert str(err.value) == f"pole scan produced a non-interval: stretches {kept}"
 
     def test_lo_above_hi_raises(self):
         with pytest.raises(ValueError, match="lo = 2, hi = 1"):

@@ -97,6 +97,22 @@ class TestCanonicalText:
         assert hash(left) == hash(right)
         assert [s.tag.csd for s, _ in left.factors] == [False, True]
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # A motive named M^c beside the conjugate of M.
+            (MotiveTag("M^c", rank=2), MotiveTag("M", rank=2).conj()),
+            # A dictionary motive's label M(3) beside M twisted by 3.
+            (MotiveTag("M(3)", rank=2), MotiveTag("M", rank=2).twist(3)),
+        ],
+    )
+    def test_symbols_that_print_alike_have_one_order(self, a, b):
+        x, y = PeriodSymbol("d", None, a), PeriodSymbol("d", None, b)
+        assert x != y and x.text() == y.text()
+        left, right = PeriodMonomial([(x, 1), (y, 1)]), PeriodMonomial([(y, 1), (x, 1)])
+        assert left == right and hash(left) == hash(right)
+        assert left.factors == right.factors
+
     def test_every_order_of_the_factors_gives_one_monomial(self):
         # Six factors, one symbol twice, each on a freshly built tag.
         def factors():

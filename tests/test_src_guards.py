@@ -4,7 +4,8 @@ An ``assert`` statement re-checks what a constructor already guarantees,
 and ``python -O`` strips it; a ``pragma: no cover`` marks a line that no
 test runs.  So ``src`` has neither, except for the lines listed below,
 each with the reason it stays.  The scan reads ``assert`` statements from
-the syntax tree and the pragma from comments.
+the syntax tree and the pragma from comments.  ``src`` also imports no
+``dataclasses``: its value classes are written out with ``__slots__``.
 """
 
 import ast
@@ -51,3 +52,19 @@ def test_only_the_allowed_lines_assert_or_skip_coverage():
     # An allowed line that goes leaves this set too, and so fails here
     # until it is taken off the list.
     assert flagged_lines() == set(ALLOWED)
+
+
+def test_src_does_not_import_dataclasses():
+    # dataclasses loads inspect and about ten more modules and generates
+    # each class's methods with exec: every pk process would pay for both.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
