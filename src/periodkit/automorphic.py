@@ -29,12 +29,13 @@ from .errors import AlgebraicityError, NotCriticalError, NotCriticalPairError
 from .hodge import RegularMotiveData
 from .lfactor import pair_critical_points
 from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
+from .value import Frozen, Value
 
 #: Gap size from which an infinity type counts as very regular.
 VERY_REGULAR_GAP = 3
 
 
-class InfinityTypeData:
+class InfinityTypeData(Value):
     """Archimedean parameters of a cuspidal representation.
 
     Built from z-exponents a_1 > ... > a_n (regular) in Z + (n-1)/2
@@ -69,22 +70,6 @@ class InfinityTypeData:
         object.__setattr__(self, "a2", tuple(p * 2 // den for p, _ in ratios))
         object.__setattr__(self, "conjugate_self_dual", conjugate_self_dual)
         object.__setattr__(self, "discrete_series_split_place", discrete_series_split_place)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InfinityTypeData is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def _fields(self) -> tuple:
-        return (
-            self.label, self.w, self.a2, self.conjugate_self_dual, self.discrete_series_split_place
-        )
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -179,25 +164,14 @@ def crosscheck_conjecture(
     return substitute_p_periods(auto, mapping) == motivic
 
 
-class CaseReport:
-    """Outcome of matching a pair against the proven cases."""
+class CaseReport(Frozen):
+    """Outcome of matching a pair against the proven cases.
+
+    ``case`` is "case1", "case2", "case3" or "unknown"; ``failed_conditions``
+    is a tuple of strings.
+    """
 
     __slots__ = ("very_regular_pi", "very_regular_pip", "case", "failed_conditions")
-
-    def __init__(
-        self,
-        very_regular_pi: bool,
-        very_regular_pip: bool,
-        case: str,  # "case1" | "case2" | "case3" | "unknown"
-        failed_conditions: tuple[str, ...],
-    ):
-        object.__setattr__(self, "very_regular_pi", very_regular_pi)
-        object.__setattr__(self, "very_regular_pip", very_regular_pip)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "failed_conditions", failed_conditions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CaseReport is immutable")
 
     def to_json(self) -> dict:
         return {

@@ -24,18 +24,13 @@ from typing import Sequence
 
 from .errors import PpClassError
 from .hodge import RegularMotiveData
+from .value import Frozen
 
 
-class IndexPairSet:
-    """A set of 1-based index pairs (a, b)."""
+class IndexPairSet(Frozen):
+    """A set of 1-based index pairs (a, b), held as the frozenset ``members``."""
 
     __slots__ = ("members",)
-
-    def __init__(self, members: frozenset[tuple[int, int]]):
-        object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexPairSet is immutable")
 
     def is_tableau(self) -> bool:
         """Downward closure: (t, u) in the set forces all (t', u') below it.

@@ -26,49 +26,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinatorics import IndexPairSet, set_A, set_T, split_indices
+from .combinatorics import set_A, set_T, split_indices
 from .errors import NonIntegerExponentError, NotCriticalError
 from .hodge import RegularMotiveData, restriction_tensor
 from .lfactor import critical_interval
 from .periods import PeriodMonomial, PeriodSymbol, motive_tag
+from .value import Frozen
 
 
-class PairContext:
+class PairContext(Frozen):
     """A tensor pair with its index sets and split indices precomputed.
 
+    ``M`` and ``Mp`` are the motives, ``A`` and ``T`` their index-pair sets,
     ``sp`` is sp(., M; M') and ``sp_sym`` is sp(., M'; M).
     """
 
     __slots__ = ("M", "Mp", "A", "T", "sp", "sp_sym")
 
-    def __init__(
-        self,
-        M: RegularMotiveData,
-        Mp: RegularMotiveData,
-        A: IndexPairSet,
-        T: IndexPairSet,
-        sp: tuple[int, ...],
-        sp_sym: tuple[int, ...],
-    ):
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "Mp", Mp)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "sp", sp)
-        object.__setattr__(self, "sp_sym", sp_sym)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairContext is immutable")
-
     @classmethod
     def build(cls, m: RegularMotiveData, mp: RegularMotiveData) -> "PairContext":
         return cls(
-            M=m,
-            Mp=mp,
-            A=set_A(m, mp),
-            T=set_T(m, mp),
-            sp=split_indices(m, mp),
-            sp_sym=split_indices(mp, m),
+            m, mp, set_A(m, mp), set_T(m, mp), split_indices(m, mp), split_indices(mp, m)
         )
 
 

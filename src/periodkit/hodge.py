@@ -16,9 +16,8 @@ Everything is exact integer arithmetic.  Half-integers appear only on
 the automorphic side, where exponents are read as
 :class:`fractions.Fraction` values but stored, checked and used as
 their doubles, which are integers (:mod:`periodkit.automorphic`).  All
-values are immutable: each class stores its fields in ``__slots__`` and
-its ``__setattr__`` refuses every assignment.  Every operation is a pure
-function.
+values are immutable and equal by their fields, through the base
+:class:`periodkit.value.Value`.  Every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
+from .value import Value
 
-class RegularMotiveData:
+
+class RegularMotiveData(Value):
     """Rank, purity weight and strictly decreasing Hodge p-indices.
 
     The implied q-indices are q_i = weight - p_i.  Construction rejects
@@ -55,19 +56,6 @@ class RegularMotiveData:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "hodge_p", hodge_p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularMotiveData is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.weight, self.hodge_p) == (
-            other.label, other.weight, other.hodge_p
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.weight, self.hodge_p))
 
     @property
     def rank(self) -> int:
@@ -97,7 +85,7 @@ class RegularMotiveData:
         )
 
 
-class HodgeMultiset:
+class HodgeMultiset(Value):
     """Multiset of (p, q) classes with multiplicities, pure of one weight.
 
     This is the Hodge type of a (generally non-regular) motive over the
@@ -135,17 +123,6 @@ class HodgeMultiset:
                 )
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "pairs", tuple(sorted((p, q, m) for (p, q), m in counts.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeMultiset is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.weight, self.pairs) == (other.weight, other.pairs)
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.pairs))
 
     def pp_class(self) -> int | None:
         """Return p if the fixed class (p, p) occurs, else None."""

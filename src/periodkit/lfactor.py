@@ -24,28 +24,26 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import NotCriticalPairError, PpClassError
 from .hodge import HodgeMultiset
+from .value import Frozen, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .automorphic import InfinityTypeData
 
 
-class GammaFactor:
-    """Multiset of Gamma_C shifts: the factor is prod Gamma_C(s - p)^mult."""
+class GammaFactor(Frozen):
+    """Multiset of Gamma_C shifts: the factor is prod Gamma_C(s - p)^mult.
+
+    ``shifts`` is a tuple of (p, mult) pairs.
+    """
 
     __slots__ = ("shifts",)
-
-    def __init__(self, shifts: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "shifts", shifts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GammaFactor is immutable")
 
     def has_pole_at(self, s: int | Fraction) -> bool:
         """Gamma_C(s - p) has a pole iff s - p is a non-positive integer."""
         return Fraction(s).denominator == 1 and any(s <= p for p, _ in self.shifts)
 
 
-class CriticalInterval:
+class CriticalInterval(Value):
     """Inclusive interval of critical points, stepping by 1 from lo.
 
     Endpoints are integers on the motivic side and may be half-integers
@@ -63,17 +61,6 @@ class CriticalInterval:
             raise ValueError(f"critical interval needs lo <= hi, got lo = {lo}, hi = {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CriticalInterval is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
 
     def __contains__(self, m) -> bool:
         return self.lo <= m <= self.hi and Fraction(m - self.lo).denominator == 1

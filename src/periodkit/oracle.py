@@ -36,13 +36,14 @@ The report expands a side only when it is read.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from functools import cache, partial
 from itertools import permutations
 from math import prod
 
 from .deligne import PairContext
 from .errors import SizeLimitError
+from .value import Frozen
 
 # The shapes checked: n, n' <= 4 with nn' <= 12.  The factored check stays
 # small past them, but its fallback multiplies out det(A)^n' det(B)^n:
@@ -293,17 +294,14 @@ class Terms(Mapping):
         return f"Terms({dict(self)!r})"
 
 
-class SymMatrix:
-    """A square matrix of Laurent polynomials over one variable table."""
+class SymMatrix(Frozen):
+    """A square matrix of Laurent polynomials over one variable table.
+
+    ``vars`` is the tuple of variable names and ``rows`` a tuple of rows,
+    each a tuple of :class:`LaurentPoly` over ``vars``.
+    """
 
     __slots__ = ("vars", "rows")
-
-    def __init__(self, vars: tuple[str, ...], rows: tuple[tuple[LaurentPoly, ...], ...]):
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
 
     @property
     def size(self) -> int:
@@ -486,18 +484,10 @@ def _parity(seq) -> int:
 # Variable table and matrix assembly for a tensor pair.
 
 
-class PairVariables:
+class PairVariables(Frozen):
     """Variable layout: A_ia block, B_jb block, then Q and Q' blocks."""
 
     __slots__ = ("n", "np", "names")
-
-    def __init__(self, n: int, np: int, names: tuple[str, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "np", np)
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairVariables is immutable")
 
     @classmethod
     def build(cls, n: int, np_: int) -> "PairVariables":
@@ -601,36 +591,18 @@ def _kronecker_column_sign(ctx: PairContext) -> int:
     return -1 if _parity(order) else 1
 
 
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of the determinant identity check for one tensor pair.
 
     ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
     or None when neither sign holds; ``ok`` requires it to be the
     predicted one.  ``lhs``, det(Mat1)·cleared, and ``rhs``, the predicted
     side predicted_sign·det(A)^n' det(B)^n, are multiplied out on their
-    first read: the check itself needs neither unless it falls back.
+    first read, by the stored callables ``_lhs`` and ``_rhs``: the check
+    itself needs neither unless it falls back.
     """
 
     __slots__ = ("size", "ok", "sign", "predicted_sign", "_lhs", "_rhs")
-
-    def __init__(
-        self,
-        size: int,
-        ok: bool,
-        sign: int | None,
-        predicted_sign: int,
-        _lhs: Callable[[], LaurentPoly],
-        _rhs: Callable[[], LaurentPoly],
-    ):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "predicted_sign", predicted_sign)
-        object.__setattr__(self, "_lhs", _lhs)
-        object.__setattr__(self, "_rhs", _rhs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerificationReport is immutable")
 
     @property
     def lhs(self) -> LaurentPoly:

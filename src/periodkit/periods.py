@@ -47,9 +47,10 @@ which gives the canonical form (2πi)^k for the Tate motives.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .errors import RuleNotApplicable, UnknownRankError
+from .value import Frozen, Value
 
 # Tag decorations are (kind, argument) pairs; only a twist has an argument.
 # Conjugate and dual are self-cancelling; twists merge.
@@ -58,7 +59,7 @@ _DUAL = ("v", None)
 _DET = ("det", None)
 
 
-class MotiveTag:
+class MotiveTag(Value):
     """A motive name plus functor decorations, rank and self-duality flag.
 
     ``rank`` may be None for purely formal tags; rules that need it raise
@@ -81,19 +82,6 @@ class MotiveTag:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "csd", csd)
         object.__setattr__(self, "ops", ops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MotiveTag is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.rank, self.csd, self.ops) == (
-            other.label, other.rank, other.csd, other.ops
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.rank, self.csd, self.ops))
 
     def _with_ops(self, ops: tuple) -> "MotiveTag":
         return MotiveTag(self.label, self.rank, self.csd, ops)
@@ -163,7 +151,7 @@ _KIND_ORDER = {"2pi": 0, "Q": 1, "d": 2, "D": 3, "Qp": 4, "Qs": 5, "P": 6, "Qxi"
 _INDEX_START = {"Q": 1, "Qp": 0, "Qs": 0, "P": 0}
 
 
-class PeriodSymbol:
+class PeriodSymbol(Frozen):
     """One letter of the period alphabet; see the module docstring.
 
     ``sort_key`` orders symbols in a monomial's canonical print order.  It
@@ -192,9 +180,6 @@ class PeriodSymbol:
                 tag.ops,
             )
         object.__setattr__(self, "sort_key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodSymbol is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -245,7 +230,7 @@ def join_field_labels(a: str, b: str) -> str:
     return ";".join(tokens)
 
 
-class PeriodMonomial:
+class PeriodMonomial(Frozen):
     """A free-abelian-group element over period symbols.
 
     Zero exponents are never stored; the factor order is the canonical
@@ -263,9 +248,6 @@ class PeriodMonomial:
         canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key))
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "field_label", field_label)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("PeriodMonomial is immutable")
 
     @classmethod
     def one(cls, field_label: str = "") -> "PeriodMonomial":
@@ -473,10 +455,10 @@ def apply_rule(x: PeriodMonomial, rule: str) -> PeriodMonomial:
     return PeriodMonomial(factors, join_field_labels(x.field_label, label))
 
 
-class DerivationResult(NamedTuple):
-    lhs: PeriodMonomial
-    rhs: PeriodMonomial
-    ok: bool
+class DerivationResult(Frozen):
+    """The two sides of a derived identity, monomials, and whether they are as stated."""
+
+    __slots__ = ("lhs", "rhs", "ok")
 
 
 def derive_delta_square_identity(n: int) -> DerivationResult:

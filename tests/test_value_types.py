@@ -1,9 +1,11 @@
 """The value classes: slotted, immutable, and equal by their fields where compared.
 
-Each class stores its fields in ``__slots__`` and, apart from
-``PropertyResult``, refuses every assignment.  The six classes that
-``src`` or the tests compare or hash define ``__eq__`` and ``__hash__``
-over their fields; the others compare by identity.
+Each class stores its fields in ``__slots__``.  Apart from
+``PropertyResult``, each derives from ``periodkit.value.Frozen`` and so
+refuses to assign or delete a field.  The six classes that ``src`` or the
+tests compare or hash are equal and hash alike by their fields: five
+through ``periodkit.value.Value``, ``PeriodSymbol`` by its own methods.
+The others compare by identity, a tuple of their fields included.
 """
 
 from fractions import Fraction
@@ -22,8 +24,14 @@ from periodkit.oracle import (
     build_mat1,
     verify_proposition,
 )
-from periodkit.periods import MotiveTag, PeriodSymbol
+from periodkit.periods import (
+    DerivationResult,
+    MotiveTag,
+    PeriodSymbol,
+    derive_delta_square_identity,
+)
 from periodkit.suites import PropertyResult
+from periodkit.value import Frozen
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -47,6 +55,7 @@ BUILD = {
     PairVariables: lambda: PairVariables.build(2, 1),
     VerificationReport: lambda: verify_proposition(PairContext.build(M, MP)),
     PropertyResult: lambda: PropertyResult("p", 1, 0),
+    DerivationResult: lambda: derive_delta_square_identity(2),
 }
 
 # Class compared or hashed -> builders that each change one field of BUILD's value.
@@ -84,10 +93,13 @@ VARIANTS = {
 CLASSES = list(BUILD)
 FROZEN = [cls for cls in CLASSES if cls is not PropertyResult]
 COMPARED = list(VARIANTS)
+# The classes that store their arguments through Frozen.__init__.
+PLAIN = [cls for cls in FROZEN if cls.__init__ is Frozen.__init__]
 
 
 def test_the_table_covers_every_value_class():
-    assert len(CLASSES) == 14
+    assert len(CLASSES) == 15
+    assert len(PLAIN) == 8
     for cls, build in BUILD.items():
         assert type(build()) is cls
 
@@ -104,12 +116,32 @@ def test_fields_live_in_slots(cls):
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_assigning_a_field_raises(cls):
+    # Deleting one too: a value without a field would fail to hash or compare.
     x = BUILD[cls]()
     for name in cls.__slots__:
         before = getattr(x, name)
-        with pytest.raises(AttributeError):
-            setattr(x, name, None)
-        assert getattr(x, name) is before
+        for change in (lambda: setattr(x, name, None), lambda: delattr(x, name)):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                change()
+            assert getattr(x, name) is before
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_the_base_init_stores_the_fields_in_slot_order(cls):
+    x = BUILD[cls]()
+    fields = [getattr(x, name) for name in cls.__slots__]
+    y = cls(*fields)
+    assert [getattr(y, name) for name in cls.__slots__] == fields
+    for wrong in (fields[:-1], fields + [None]):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(fields)} fields, got "):
+            cls(*wrong)
+
+
+def test_a_derivation_result_is_no_tuple():
+    result = derive_delta_square_identity(2)
+    assert result.ok
+    assert result != (result.lhs, result.rhs, result.ok)
+    assert not isinstance(result, tuple)
 
 
 def test_a_property_result_stays_mutable():
