@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     _emit(summary)
     if not summary["ok"]:
-        failing = [p["name"] for p in summary["properties"] if not suites.PropertyResult(**p).ok]
+        failing = [p["name"] for p in summary["properties"] if not suites.holds(p)]
         print(f"error: failing properties: {', '.join(failing)}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK

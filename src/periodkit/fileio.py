@@ -49,7 +49,7 @@ def _load_payload(source) -> dict:
     try:
         text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {source}: {exc}") from None
+        raise ParseError(f"{source}: cannot read: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source}: not UTF-8: {exc}") from None
     try:

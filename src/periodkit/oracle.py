@@ -186,8 +186,8 @@ class LaurentPoly:
         return cls(vars, {_pack(exps.items()): coeff}, bound)
 
     @classmethod
-    def var(cls, vars: tuple[str, ...], idx: int, exp: int = 1) -> "LaurentPoly":
-        return cls.monomial(vars, {idx: exp})
+    def var(cls, vars: tuple[str, ...], idx: int) -> "LaurentPoly":
+        return cls.monomial(vars, {idx: 1})
 
     @property
     def terms(self) -> "Terms":

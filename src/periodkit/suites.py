@@ -6,6 +6,9 @@ check is a predicate run on sampled or enumerated instances.  Only
 trial's sub-seed is derived from (seed, property name, trial index), so
 that triple alone rebuilds a trial, the summary is independent of
 execution order, and the trials could run concurrently without changing it.
+``_run_property`` returns the JSON object that ``pk verify`` prints for
+the property, and ``holds`` alone decides from it whether the property
+holds.
 """
 
 from __future__ import annotations
@@ -23,43 +26,23 @@ from . import periods as pd
 from . import sampling as smp
 
 
-class PropertyResult:
-    """Trials run, checks that returned false, and checks that raised."""
-
-    __slots__ = ("name", "instances", "failures", "errors", "detail")
-
-    def __init__(
-        self, name: str, instances: int, failures: int, errors: int = 0, detail: str = ""
-    ):
-        self.name = name
-        self.instances = instances
-        self.failures = failures
-        self.errors = errors
-        self.detail = detail
-
-    @property
-    def ok(self) -> bool:
-        return self.instances > 0 and self.failures == 0 and self.errors == 0
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "instances": self.instances, "failures": self.failures}
-        if self.errors:
-            out["errors"] = self.errors
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+def holds(row: dict) -> bool:
+    """Whether a property holds: it ran at least one trial, and none failed or raised."""
+    return row["instances"] > 0 and row["failures"] == 0 and row.get("errors", 0) == 0
 
 
 def _trial_rng(seed: int, name: str, trial: int) -> random.Random:
     return random.Random(f"{seed}/{name}/{trial}")
 
 
-def _run_property(seed: int, name: str, trials: int, check) -> PropertyResult:
-    """Run ``check(rng, trial_index)`` for every trial.
+def _run_property(seed: int, name: str, trials: int, check) -> dict:
+    """Run ``check(rng, trial_index)`` for every trial; return the row ``pk verify`` prints.
 
     A check that returns false is a failure; one that raises (a sampler
-    or configuration fault, not a counterexample) is an error.  The
-    detail names the first exception, or else the first failing trial.
+    or configuration fault, not a counterexample) is an error.  The row
+    gives ``name``, ``instances`` and ``failures``, then ``errors`` when
+    any check raised and ``detail`` when some trial did not pass: the
+    first exception, or else the first failing trial.
     """
     failures = errors = 0
     first_failure = first_error = ""
@@ -74,7 +57,12 @@ def _run_property(seed: int, name: str, trials: int, check) -> PropertyResult:
         if not ok:
             failures += 1
             first_failure = first_failure or f"first failing trial: {t}"
-    return PropertyResult(name, trials, failures, errors, first_error or first_failure)
+    row = {"name": name, "instances": trials, "failures": failures}
+    if errors:
+        row["errors"] = errors
+    if detail := first_error or first_failure:
+        row["detail"] = detail
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +344,4 @@ def run_suites(
             )
         rows.extend(fn(default_trials if trials is None else trials, r))
     results = [_run_property(seed, name, count, check) for name, count, check in rows]
-    return {
-        "suite": suite,
-        "seed": seed,
-        "ok": all(r.ok for r in results),
-        "properties": [r.to_json() for r in results],
-    }
+    return {"suite": suite, "seed": seed, "ok": all(map(holds, results)), "properties": results}

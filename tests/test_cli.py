@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import periodkit
-from periodkit import suites
+from periodkit import automorphic, lfactor, suites
 from periodkit.automorphic import InfinityTypeData
 from periodkit.cli import main
 from periodkit.errors import ParseError
@@ -109,6 +109,32 @@ class TestCritical:
         rc, _, err = run(capsys, ["critical", str(bad)])
         assert rc == 2 and "error" in err
         assert err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["critical", "gamma"])
+    def test_three_motive_files_exit_2(self, tmp_path, capsys, command):
+        m = write(tmp_path, "m.json", ELLIPTIC)
+        rc, payload, err = run(capsys, [command, m, m, m])
+        assert rc == 2 and payload is None
+        assert err == "error: expected one or two motive files, got 3\n"
+
+    def test_closed_form_and_pole_scan_disagreeing_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            lfactor, "critical_interval_via_poles", lambda h: lfactor.CriticalInterval(0, 2)
+        )
+        rc, payload, err = run(capsys, ["critical", write(tmp_path, "m.json", ELLIPTIC)])
+        assert rc == 1
+        assert payload["agree"] is False
+        assert payload["via_poles"] == {"lo": 0, "hi": 2, "empty": False}
+        assert err == "error: closed form and pole scan disagree\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_an_unreadable_path_exits_2_naming_it_first(self, tmp_path, capsys, kind):
+        path = tmp_path / "m.json"
+        if kind == "directory":
+            path.mkdir()
+        rc, payload, err = run(capsys, ["critical", str(path)])
+        assert rc == 2 and payload is None
+        assert err.startswith(f"error: {path}: cannot read: ")
 
     def test_invalid_invariant_exits_2(self, tmp_path, capsys):
         rc, _, _ = run(
@@ -246,6 +272,23 @@ class TestConjecture:
         assert payload["crosscheck"] == "ok"
         assert payload["classification"]["case"] in {"case1", "case2", "case3", "unknown"}
 
+    def test_rep_pair_crosscheck_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(automorphic, "crosscheck_conjecture", lambda pi, pip, m: False)
+        rc, payload, _ = run(
+            capsys,
+            [
+                "conjecture",
+                write(tmp_path, "r.json", REP2),
+                write(tmp_path, "rp.json", REP1),
+                "--m",
+                "1/2",
+                "--rep",
+                "--auto",
+            ],
+        )
+        assert rc == 1
+        assert payload["crosscheck"] == "mismatch"
+
     def test_rep_pair_non_critical_exits_4(self, tmp_path, capsys):
         rc, _, err = run(
             capsys,
@@ -336,6 +379,21 @@ def test_verify_names_a_property_that_fails_only_by_raising(capsys, monkeypatch)
         {"name": "none", "instances": 0, "failures": 0},
     ]
     assert err == "error: failing properties: boom, none\n"
+
+
+def test_verify_names_only_the_properties_that_do_not_hold(capsys, monkeypatch):
+    def run_suite(trials, max_rank):
+        return [
+            ("passes", 2, lambda rng, t: True),
+            ("fails", 2, lambda rng, t: t == 0),
+            ("also_passes", 1, lambda rng, t: True),
+        ]
+
+    monkeypatch.setitem(suites._SUITES, "rewrite", (run_suite, 1, 1))
+    rc, payload, err = run(capsys, ["verify", "--suite", "rewrite"])
+    assert rc == 1 and payload["ok"] is False
+    assert [suites.holds(p) for p in payload["properties"]] == [True, False, True]
+    assert err == "error: failing properties: fails\n"
 
 
 def test_verify_all_seed42_matches_recorded_output(verify_all_seed42):
@@ -483,6 +541,31 @@ def test_parse_error_names_the_whole_path(tmp_path, parse):
     with pytest.raises(ParseError) as info:
         parse(path)
     assert str(info.value).startswith(f"{path}: missing field")
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("critical", [1, 2], "expected a JSON object"),
+        ("critical", {**ELLIPTIC, "rank": 3}, "rank 3 does not match 2 Hodge indices"),
+        ("classify", {**REP2, "n": 3}, "n = 3 does not match 2 exponents"),
+        ("classify", {**REP2, "conjugate_self_dual": 1}, "the two flags must be booleans"),
+        (
+            "classify",
+            {**REP2, "a": [None, "-1/2"]},
+            "rationals must be integers or 'p/q' strings, got None",
+        ),
+    ],
+    ids=["not-an-object", "rank-mismatch", "n-mismatch", "flag-not-bool", "exponent-null"],
+)
+def test_a_file_that_breaks_its_format_exits_2_naming_the_fault(
+    tmp_path, capsys, command, payload, message
+):
+    bad = write(tmp_path, "bad.json", payload)
+    extra = [write(tmp_path, "rp.json", REP1), "--m", "1/2"] if command == "classify" else []
+    rc, out, err = run(capsys, [command, bad, *extra])
+    assert rc == 2 and out is None
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_pk_console_script_is_the_tested_main():

@@ -196,6 +196,10 @@ class TestConstruction:
             mot(w, [0])
         assert str(err.value) == f"weight must be an integer, got {w!r}"
 
+    def test_multiset_rejects_empty(self):
+        with pytest.raises(ValueError, match="^a Hodge multiset is non-empty$"):
+            HodgeMultiset(0, [])
+
     def test_multiset_rejects_impure(self):
         with pytest.raises(ValueError):
             HodgeMultiset(0, [(1, 0), (0, 1)])

@@ -97,7 +97,7 @@ class TestLaurentPoly:
         assert (x - x) == LaurentPoly.zero(XV)
 
     def test_negative_exponents(self):
-        xinv = LaurentPoly.var(XV, 0, -1)
+        xinv = LaurentPoly.monomial(XV, {0: -1})
         x = LaurentPoly.var(XV, 0)
         assert x * xinv == LaurentPoly.one(XV)
 
@@ -116,6 +116,19 @@ class TestLaurentPoly:
     def test_negative_power_raises(self):
         with pytest.raises(ValueError, match="only non-negative powers"):
             LaurentPoly.var(XV, 0) ** -1
+
+    def test_a_polynomial_equals_no_other_type_and_no_other_table(self):
+        one = LaurentPoly.one(XV)
+        for other in (1, "1", None, LaurentPoly.one(("x",))):
+            assert not one == other and one != other
+        assert one == LaurentPoly.one(tuple(list(XV)))
+
+    def test_str_and_repr(self):
+        assert str(LaurentPoly.zero(XV)) == "0"
+        assert repr(LaurentPoly.zero(XV)) == "LaurentPoly(0)"
+        p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 0, 0), -1)])
+        assert repr(p) == "LaurentPoly(-1*y^-1 + 2*x)"
+        assert repr(p.terms) == "Terms({(1, 0, 0, 0): 2, (0, -1, 0, 0): -1})"
 
     def test_str_is_canonical(self):
         p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 0, 0), -1)])
@@ -180,7 +193,7 @@ class TestProduct:
     def test_factors_in_disjoint_variables_take_one_comprehension(self, mul_adds):
         x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
         p = x * x - x * y + y - LaurentPoly.one(XV)
-        q = z + z * w * w - LaurentPoly.var(XV, 3, -1)
+        q = z + z * w * w - LaurentPoly.monomial(XV, {3: -1})
         got = p * q
         assert len(got.terms) == len(p.terms) * len(q.terms) == 12
         assert got._keys == _accumulated(p._keys, q._keys)
@@ -446,15 +459,15 @@ def _admits(n, np_):
 class TestPackedRing:
     def test_an_exponent_outside_the_field_raises(self):
         x = LaurentPoly.var(XV, 0)
-        assert x ** 63 * LaurentPoly.var(XV, 0, -1) ** 62 == x
-        assert LaurentPoly.var(XV, 0, 127).terms[(127, 0, 0, 0)] == 1
+        assert x ** 63 * LaurentPoly.monomial(XV, {0: -1}) ** 62 == x
+        assert LaurentPoly.monomial(XV, {0: 127}).terms[(127, 0, 0, 0)] == 1
         with pytest.raises(OverflowError, match="bound 128"):
-            LaurentPoly.var(XV, 0, 128)
+            LaurentPoly.monomial(XV, {0: 128})
         with pytest.raises(OverflowError, match="bound 128"):
             x ** 128
         with pytest.raises(OverflowError, match="bound 128"):
-            LaurentPoly.var(XV, 0, 64) * LaurentPoly.var(XV, 0, 64)
-        rows = ((LaurentPoly.var(XV, 1, -100), x), (x, LaurentPoly.var(XV, 2, 28)))
+            LaurentPoly.monomial(XV, {0: 64}) * LaurentPoly.monomial(XV, {0: 64})
+        rows = ((LaurentPoly.monomial(XV, {1: -100}), x), (x, LaurentPoly.monomial(XV, {2: 28})))
         with pytest.raises(OverflowError, match="bound 128"):
             sym_det(SymMatrix(XV, rows))
 

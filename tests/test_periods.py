@@ -61,6 +61,10 @@ class TestCanonicalText:
     def test_identity(self):
         assert PeriodMonomial.one().text() == "1"
 
+    def test_repr_quotes_the_text(self):
+        assert repr(q(1, M2) ** 2 * delta(M2)) == "PeriodMonomial('Q[1;M]^2 * d[M]')"
+        assert repr(PeriodMonomial.one()) == "PeriodMonomial('1')"
+
     def test_two_pi_always_shows_exponent(self):
         assert two_pi_i(1).text() == "(2πi)^1"
         assert two_pi_i(-1).text() == "(2πi)^-1"

@@ -49,9 +49,6 @@ NOT_FROZEN = {
         "refusing __setattr__ would make dearer"
     ),
     ("oracle", "Terms"): "a read-only Mapping view of one LaurentPoly's terms",
-    ("suites", "PropertyResult"): (
-        "mutable on purpose: the trial runner counts failures and errors into it"
-    ),
 }
 
 

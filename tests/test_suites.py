@@ -10,14 +10,17 @@ from periodkit import suites
 from periodkit.deligne import PairContext
 from periodkit.errors import SizeLimitError
 from periodkit.sampling import random_pp_free_pair
-from periodkit.suites import SUITES, PropertyResult, _run_property, _trial_rng, run_suites
+from periodkit.suites import SUITES, _run_property, _trial_rng, holds, run_suites
 
 
 def test_a_property_without_instances_does_not_hold():
-    assert PropertyResult("p", 1, 0).ok
-    assert not PropertyResult("p", 1, 1).ok
-    assert not PropertyResult("p", 0, 0).ok
-    assert not PropertyResult("p", -1, 0).ok
+    assert holds({"name": "p", "instances": 1, "failures": 0})
+    assert holds({"name": "p", "instances": 1, "failures": 0, "errors": 0})
+    assert not holds({"name": "p", "instances": 0, "failures": 0})
+    assert not holds({"name": "p", "instances": -1, "failures": 0})
+    # A failure alone, or an error alone, stops it holding too.
+    assert not holds({"name": "p", "instances": 1, "failures": 1})
+    assert not holds({"name": "p", "instances": 1, "failures": 0, "errors": 1})
 
 
 def test_a_check_that_raises_is_an_error_not_a_failure():
@@ -26,18 +29,27 @@ def test_a_check_that_raises_is_an_error_not_a_failure():
             raise KeyError("sampler fault")
         return t != 2
 
+    # The row is the one pk verify prints, its keys in that order.
     result = _run_property(1, "p", 3, check)
-    assert (result.errors, result.failures, result.ok) == (1, 1, False)
-    assert result.to_json()["errors"] == 1
-    assert result.detail == "trial 1: KeyError: 'sampler fault'"
+    assert list(result.items()) == [
+        ("name", "p"),
+        ("instances", 3),
+        ("failures", 1),
+        ("errors", 1),
+        ("detail", "trial 1: KeyError: 'sampler fault'"),
+    ]
+    assert not holds(result)
 
     raised = _run_property(1, "p", 1, lambda rng, t: {}["x"])
-    assert (raised.errors, raised.failures, raised.ok) == (1, 0, False)
+    assert (raised["errors"], raised["failures"], holds(raised)) == (1, 0, False)
 
     failed = _run_property(1, "p", 3, lambda rng, t: t != 0)
-    assert (failed.errors, failed.failures, failed.ok) == (0, 1, False)
-    assert "errors" not in failed.to_json()
-    assert failed.detail == "first failing trial: 0"
+    assert failed == {"name": "p", "instances": 3, "failures": 1, "detail": "first failing trial: 0"}
+    assert not holds(failed)
+
+    passed = _run_property(1, "p", 3, lambda rng, t: True)
+    assert passed == {"name": "p", "instances": 3, "failures": 0}
+    assert holds(passed)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -55,7 +67,7 @@ def run_calls(monkeypatch):
 
     def spy(seed, name, trials, check):
         calls.append((seed, name, trials))
-        return PropertyResult(name, trials, 0)
+        return {"name": name, "instances": trials, "failures": 0}
 
     monkeypatch.setattr(suites, "_run_property", spy)
     return calls

@@ -1,10 +1,10 @@
 """The value classes: slotted, immutable, and equal by their fields where compared.
 
-Each class stores its fields in ``__slots__``.  Apart from
-``PropertyResult``, each derives from ``periodkit.value.Frozen`` and so
-refuses to assign or delete a field.  The six classes that ``src`` or the
-tests compare or hash are equal and hash alike by their fields: five
-through ``periodkit.value.Value``, ``PeriodSymbol`` by its own methods.
+Each class stores its fields in ``__slots__``, derives from
+``periodkit.value.Frozen`` and so refuses to assign or delete a field.
+The six classes that ``src`` or the tests compare or hash are equal and
+hash alike by their fields: five through ``periodkit.value.Value``,
+``PeriodSymbol`` by its own methods.
 The others compare by identity, a tuple of their fields included.
 """
 
@@ -30,7 +30,6 @@ from periodkit.periods import (
     PeriodSymbol,
     derive_delta_square_identity,
 )
-from periodkit.suites import PropertyResult
 from periodkit.value import Frozen
 
 M = RegularMotiveData("M", 1, (1, 0))
@@ -54,7 +53,6 @@ BUILD = {
     SymMatrix: lambda: build_mat1(PairContext.build(M, MP)),
     PairVariables: lambda: PairVariables.build(2, 1),
     VerificationReport: lambda: verify_proposition(PairContext.build(M, MP)),
-    PropertyResult: lambda: PropertyResult("p", 1, 0),
     DerivationResult: lambda: derive_delta_square_identity(2),
 }
 
@@ -91,14 +89,13 @@ VARIANTS = {
 }
 
 CLASSES = list(BUILD)
-FROZEN = [cls for cls in CLASSES if cls is not PropertyResult]
 COMPARED = list(VARIANTS)
 # The classes that store their arguments through Frozen.__init__.
-PLAIN = [cls for cls in FROZEN if cls.__init__ is Frozen.__init__]
+PLAIN = [cls for cls in CLASSES if cls.__init__ is Frozen.__init__]
 
 
 def test_the_table_covers_every_value_class():
-    assert len(CLASSES) == 15
+    assert len(CLASSES) == 14
     assert len(PLAIN) == 8
     for cls, build in BUILD.items():
         assert type(build()) is cls
@@ -114,7 +111,7 @@ def test_fields_live_in_slots(cls):
         x.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_assigning_a_field_raises(cls):
     # Deleting one too: a value without a field would fail to hash or compare.
     x = BUILD[cls]()
@@ -142,12 +139,6 @@ def test_a_derivation_result_is_no_tuple():
     assert result.ok
     assert result != (result.lhs, result.rhs, result.ok)
     assert not isinstance(result, tuple)
-
-
-def test_a_property_result_stays_mutable():
-    result = PropertyResult("p", 1, 0)
-    result.failures = 1
-    assert not result.ok
 
 
 @pytest.mark.parametrize("cls", COMPARED, ids=lambda c: c.__name__)
