@@ -38,7 +38,9 @@ def decode_rational(v) -> Fraction:
             raise ParseError(f"bad rational {v!r}: expected an integer or 'p/q'")
         try:
             return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ParseError(f"bad rational {v!r}: zero denominator") from None
+        except ValueError as exc:  # a numeral past the interpreter's digit limit
             raise ParseError(f"bad rational {v!r}: {exc}") from None
     raise ParseError(f"rationals must be integers or 'p/q' strings, got {v!r}")
 

@@ -15,22 +15,31 @@ single integers, one signed 8-bit field per variable, so monomial
 multiplication is one integer addition; the one constructor takes that
 store and its exponent bound.  A product whose term pairs all land on
 distinct keys, as for factors in disjoint variables, is one dict
-comprehension; a power, or any product whose pairs meet, is a loop.
+comprehension; a power, or any product whose pairs meet, is one step of
+the determinant's DP below, which holds the ring's one accumulating loop.
 
 The determinant is Laplace's generalized expansion over consecutive
 groups of rows, and one dynamic program over column subsets does it all:
 run over single rows it gives a group's minors, run over the groups it
-combines them.  A group whose nonzero minors are all c·x^e·P for one
-polynomial P keeps only the monomials c·x^e, and P is set aside (P = 1
-if the group does not factor): the DP leaves a polynomial ``out`` and the
-list of P's, and ``sym_det`` multiplies them once.  The check gets its
-cleared period factor in row 0 of Mat1, before the expansion, and then
-expands neither side.  Each of Mat1's groups of n' rows factors with
-P = c_g·x^(e_g)·det(B), and ``out`` = c·x^e·det(A)^n'; when the shifts
-sum to zero and c·Π c_g is ±1, the product of these equalities is the
-identity with its sign.  Only if one of them fails does the check
-multiply out both sides, 221,760 terms each at 3x4, and compare them.
-The report expands a side only when it is read.
+combines them.  Two columns proportional on every row of a group (each
+entry one term, the ratio one c·x^e) make every minor that holds both
+zero, so the row pass never builds such a column set; the sets it skips
+are exactly zero, so no minor changes.  In Mat1 an i-block's columns
+with one b-index are proportional (Horn and Johnson, *Topics in Matrix
+Analysis*, §4.2), and its pass ends on the n^n' sets of distinct
+b-indices: 16 at 2x4, 27 at 3x3, 64 at 4x3.  A one-term minor shifts
+every key of a partial determinant alike, so a state it reaches first
+takes them by one comprehension.  A group whose nonzero minors are all
+c·x^e·P for one polynomial P keeps only the monomials c·x^e, and P is
+set aside (P = 1 if the group does not factor): the DP leaves a
+polynomial ``out`` and the list of P's, and ``sym_det`` multiplies them
+once.  The check gets its cleared period factor in row 0 of Mat1, before
+the expansion, and then expands neither side.  Each of Mat1's groups of
+n' rows factors with P = c_g·x^(e_g)·det(B), and ``out`` =
+c·x^e·det(A)^n'; when the shifts sum to zero and c·Π c_g is ±1, the
+product of these equalities is the identity with its sign.  Only if one
+of them fails does the check multiply out both sides, 221,760 terms each
+at 3x4, and compare them.  The report expands a side only when it is read.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cache, partial
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 from .deligne import PairContext
 from .errors import SizeLimitError
@@ -93,27 +102,6 @@ def _unpack(key: int, nv: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mul_add(out: dict[int, int] | None, a: dict[int, int], b: dict[int, int], sign: int):
-    """out + sign·a·b on packed keys, with None for an empty ``out``.
-
-    A non-empty ``out`` is updated in place; zero coefficients may remain.
-    """
-    if len(b) == 1 and not out:
-        # A monomial factor shifts every key by the same amount, so no
-        # two products meet and none is zero.
-        ((kb, cb),) = b.items()
-        cb *= sign
-        return {ka + kb: ca * cb for ka, ca in a.items()}
-    out = {} if out is None else out
-    get = out.get
-    for kb, cb in b.items():
-        cb *= sign
-        for ka, ca in a.items():
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return out
-
-
 def _drop_zeros(terms: dict[int, int]) -> None:
     if 0 in terms.values():
         for key in [key for key, c in terms.items() if not c]:
@@ -121,12 +109,13 @@ def _drop_zeros(terms: dict[int, int]) -> None:
 
 
 def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a·b on packed keys by the accumulating loop: for factors whose pairs meet."""
+    """a·b on packed keys by the accumulating loop: for factors whose pairs meet.
+
+    It is one step of ``_laplace``: the state a, extended by the one minor b.
+    """
     if len(a) < len(b):
         a, b = b, a
-    out = _mul_add(None, a, b, 1)
-    _drop_zeros(out)
-    return out
+    return _laplace([[(1, 1, 0, b)]], {0: a}).get(1, {})
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -177,9 +166,16 @@ class LaurentPoly:
     def monomial(
         cls, vars: tuple[str, ...], exps: dict[int, int], coeff: int = 1
     ) -> "LaurentPoly":
-        for idx in exps:
+        """coeff·Π x_idx^e over ``exps``: each index, exponent and the coefficient an int."""
+        for idx, e in exps.items():
+            if type(idx) is not int:
+                raise ValueError(f"variable index {idx!r} is not an int")
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an int")
             if not 0 <= idx < len(vars):
                 raise IndexError(f"variable index {idx} out of range")
+        if type(coeff) is not int:
+            raise ValueError(f"coefficient {coeff!r} is not an int")
         if coeff == 0:
             return cls.zero(vars)
         bound = _checked(max((abs(e) for e in exps.values()), default=0))
@@ -308,14 +304,19 @@ class SymMatrix(Frozen):
         return len(self.rows)
 
 
-def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
-    """(column set, sign mask, minor) for each nonzero minor of a group of rows.
+def _part(
+    minors: dict[int, dict[int, int]], blocks: dict[int, int] | None = None
+) -> list[tuple[int, int, int, dict[int, int]]]:
+    """(column set, block, sign mask, minor) for each nonzero minor of a group of rows.
 
+    The block is the column set, or the set's entry in ``blocks``: for a
+    row's entry, its column and the columns ``_partners`` pairs with it.
     Adding the column set S after the used columns costs one swap per used
     column right of each column of S.  Only the parity counts, so the sign
     is (-1)^(used columns in the mask), and the mask holds the columns right
     of an odd number of S's columns.
     """
+    blocks = blocks or {}
     part = []
     for cols, minor in minors.items():
         if minor:
@@ -324,7 +325,7 @@ def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, i
                 low = rest & -rest
                 mask ^= -(low << 1)  # every column right of this one
                 rest ^= low
-            part.append((cols, mask, minor))
+            part.append((cols, blocks.get(cols, cols), mask, minor))
     return part
 
 
@@ -332,8 +333,17 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     """Extend ``states``, {used column set: partial determinant}, by each part in turn.
 
     A part is a group of rows given by ``_part``; a row is the part of its
-    entries.  Zero partial determinants may remain as empty dicts, and are
-    not extended: they only spread more of them.
+    entries.  A state that meets a minor's block is not extended by it: it
+    holds a column of the minor's set, or one proportional to it on every
+    row of the group, and the product would be zero.  Zero partial
+    determinants may remain as empty dicts, and are not extended either:
+    they only spread more of them.
+
+    This is the ring's one multiply-accumulate; ``_summed_product`` is one
+    step of it.  A term of a minor shifts every key of the partial alike,
+    so no two of its products meet: the first term into a new state, all
+    of a one-term minor, is one comprehension, and a loop sums each later
+    term into the state.
     """
     # Each layer is consumed as the next is built, so at most about two
     # layers are alive.
@@ -343,20 +353,67 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
             used, partial = states.popitem()
             if not partial:
                 continue
-            for cols, mask, minor in part:
-                if used & cols:
+            for cols, block, mask, minor in part:
+                if used & block:
                     continue
-                sign = -1 if (used & mask).bit_count() & 1 else 1
-                layer[used | cols] = _mul_add(layer.get(used | cols), partial, minor, sign)
+                odd = (used & mask).bit_count() & 1
+                key = used | cols
+                target = layer.get(key)
+                for kb, cb in minor.items():
+                    if odd:
+                        cb = -cb
+                    if target is None:
+                        target = layer[key] = {ka + kb: ca * cb for ka, ca in partial.items()}
+                    else:
+                        get = target.get
+                        for ka, ca in partial.items():
+                            k = ka + kb
+                            target[k] = get(k, 0) + ca * cb
         for target in layer.values():
             _drop_zeros(target)
         states = layer
     return states
 
 
+def _partners(rows: list[list[dict[int, int]]]) -> dict[int, int]:
+    """{1 << c: the columns proportional to column c on every row}, for one-term columns.
+
+    Two columns are proportional when every entry of both is one term and
+    the shift of exponent vectors from the one to the other, and the ratio
+    of their coefficients, are the same on every row.  So they are exactly
+    when their drifts (each row's exponent vector less row 0's) agree, and
+    so do their coefficients in lowest terms with row 0's made positive,
+    which counts 2:3: one signature.  A column with a zero or multi-term
+    entry has none and pairs with no column.  A drift is compared packed:
+    each field is a difference of two rows' exponents, within the sum of
+    the rows' bounds, which ``sym_det`` checks to be below 128, so equal
+    packed drifts are equal vectors.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, column in enumerate(zip(*rows)):
+        if set(map(len, column)) != {1}:
+            continue
+        keys = [k for entry in column for k in entry]
+        coeffs = [x for entry in column for x in entry.values()]
+        g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+        signature = (*[k - keys[0] for k in keys], *[x // g for x in coeffs])
+        classes.setdefault(signature, []).append(1 << c)
+    return {col: sum(members) for members in classes.values() for col in members}
+
+
 def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
-    """{column set S: det of ``rows`` on the columns S}, for every S of size len(rows)."""
-    parts = [_part({1 << c: entry for c, entry in enumerate(row)}) for row in rows]
+    """{column set S: det of ``rows`` on S}, for every S of size len(rows) it builds.
+
+    It builds no S that holds two columns proportional on all ``rows``
+    (``_partners``): that minor is zero, and so is every partial
+    determinant on a set holding both, as they stay proportional on the
+    rows taken so far.  Packing maps the ring homomorphically into
+    Laurent polynomials in one variable, so equal packed signatures make
+    even the packed minor zero: what is skipped never changes the result.
+    """
+    # One row's states hold no column yet, so its blocks would go unused.
+    blocks = _partners(rows) if len(rows) > 1 else {}
+    parts = [_part({1 << c: entry for c, entry in enumerate(row)}, blocks) for row in rows]
     return _laplace(parts, {0: {0: 1}})
 
 
@@ -415,6 +472,8 @@ def _det_factors(
             raise ValueError("matrix is not square")
     if group is None:
         group = max(k, 1)
+    elif type(group) is not int:
+        raise ValueError(f"row group {group!r} is not an int")
     elif group < 1:
         raise ValueError(f"a row group needs at least 1 row, got {group}")
     bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
@@ -444,19 +503,22 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     """Exact determinant by Laplace expansion over consecutive groups of rows.
 
     The rows go in groups of ``group``, the last of them possibly shorter;
-    ``None`` is one group of every row, and a ``group`` below 1 raises
-    ``ValueError``.  det = sum over ordered choices (S_1, ..., S_m) of
-    disjoint column sets, |S_g| = |group g|, of the sign of the column
-    order times the product of the minors on (group g, S_g).  The one DP
-    of ``_laplace`` gives each group's minors and then combines them.  If
-    every nonzero minor of a group is c·x^e·P for one polynomial P
-    (``_factor_out``), the group's minors become those monomials and P
-    joins a product taken once at the end; otherwise P is 1 and the group
-    keeps its minors.
+    ``None`` is one group of every row, and a ``group`` that is not an int,
+    or is below 1, raises ``ValueError``.  det = sum over ordered choices
+    (S_1, ..., S_m) of disjoint column sets, |S_g| = |group g|, of the
+    sign of the column order times the product of the minors on
+    (group g, S_g).  The one DP of ``_laplace`` gives each group's minors
+    and then combines them.  A group's minors leave out every S that holds
+    two columns proportional on all the group's rows (``_partners``):
+    those minors are zero, so the sum is the same.  If every nonzero minor
+    of a group is c·x^e·P for one polynomial P (``_factor_out``), the
+    group's minors become those monomials and P joins a product taken once
+    at the end; otherwise P is 1 and the group keeps its minors.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound, and that sum must fit the field.  A factored shift e may leave
+    bound, and that sum must fit the field.  It bounds each field of a
+    column's drift as well (``_partners``).  A factored shift e may leave
     the field, but packing is additive on exponent vectors, so the result
     is still the packed determinant, whose exponents that sum bounds.
     """

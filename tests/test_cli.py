@@ -59,6 +59,16 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match="bad rational '1e5000'"):
             parse_rep({"label": "Pi", "n": 1, "w": 0, "a": ["1e5000"]})
 
+    def test_rep_exponent_with_a_zero_denominator(self):
+        with pytest.raises(ParseError) as err:
+            parse_rep({"label": "Pi", "n": 1, "w": 0, "a": ["1/0"]})
+        assert str(err.value) == "rep: bad rational '1/0': zero denominator"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_rep_exponent_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="^rep: bad rational '9+': Exceeds the limit"):
+            parse_rep({"label": "Pi", "n": 1, "w": 0, "a": ["9" * 5000]})
+
 
 class TestCritical:
     def test_single_motive(self, tmp_path, capsys):
@@ -424,6 +434,8 @@ def test_malformed_m_exits_2(tmp_path, capsys, argv):
     assert rc == 2
     assert out.out == ""
     assert out.err.startswith("error:")
+    if argv[-1] == "1/0":
+        assert out.err == "error: bad rational '1/0': zero denominator\n"
 
 
 @pytest.mark.parametrize("flags", [["--auto"], ["--classify"], ["--auto", "--classify"]])

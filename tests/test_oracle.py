@@ -18,6 +18,8 @@ from periodkit.oracle import (
     _factor_out,
     _kronecker_column_sign,
     _mat1_columns,
+    _minors,
+    _partners,
     _product,
     build_mat1,
     cleared_period_product,
@@ -107,6 +109,22 @@ class TestLaurentPoly:
             with pytest.raises(IndexError, match=f"variable index {idx} out of range"):
                 LaurentPoly.monomial(XV, {idx: 1})
 
+    @pytest.mark.parametrize(
+        "exps, coeff, text",
+        [
+            ({0: 1}, 2.5, "coefficient 2.5"),
+            ({0: 1}, True, "coefficient True"),
+            ({0: 1.5}, 1, "exponent 1.5"),
+            ({0: True}, 1, "exponent True"),
+            ({0.0: 1}, 1, "variable index 0.0"),
+            ({True: 1}, 1, "variable index True"),
+        ],
+    )
+    def test_monomial_refuses_a_value_that_is_not_an_int(self, exps, coeff, text):
+        with pytest.raises(ValueError) as err:
+            LaurentPoly.monomial(XV, exps, coeff)
+        assert str(err.value) == f"{text} is not an int"
+
     def test_operands_over_different_tables_raise(self):
         x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(("x", "y"), 0)
         for op in (lambda: x + y, lambda: x * y, lambda: y - x):
@@ -158,13 +176,13 @@ class TestProduct:
         import periodkit.oracle as orc
 
         calls = []
-        mul_add = orc._mul_add
+        summed_product = orc._summed_product
 
-        def spy(*args):
-            calls.append(len(args[1]) * len(args[2]))
-            return mul_add(*args)
+        def spy(a, b):
+            calls.append(len(a) * len(b))
+            return summed_product(a, b)
 
-        monkeypatch.setattr(orc, "_mul_add", spy)
+        monkeypatch.setattr(orc, "_summed_product", spy)
         return calls
 
     def test_pairs_that_meet_are_summed_and_zeros_dropped(self, mul_adds):
@@ -247,17 +265,21 @@ class TestSymDet:
         # The minor on columns {0, 1} of rows 0-1 and of rows 2-3 is zero,
         # and in the second matrix rows 0 and 1 are proportional, so every
         # minor of theirs is zero.  A zero partial determinant is not
-        # extended: no _mul_add call gets one.
+        # extended: a state it reached first would be empty until its zeros
+        # are dropped, and no state is.  Below, the state it alone would
+        # reach is never made.
         import periodkit.oracle as orc
 
         partials = []
-        mul_add = orc._mul_add
+        drop_zeros = orc._drop_zeros
 
-        def spy(*args):
-            partials.append(len(args[1]))
-            return mul_add(*args)
+        def spy(terms):
+            partials.append(len(terms))
+            drop_zeros(terms)
 
-        monkeypatch.setattr(orc, "_mul_add", spy)
+        monkeypatch.setattr(orc, "_drop_zeros", spy)
+        part = [(0b100, 0b100, 0, {0: 1})]
+        assert orc._laplace([part], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
         one = LaurentPoly.one(XV)
         x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
         top = (x, y, z, w)
@@ -326,6 +348,107 @@ class TestSymDet:
         mx = SymMatrix(XV, tuple(map(tuple, entries)))
         with pytest.raises(ValueError, match=f"at least 1 row, got {group}"):
             sym_det(mx, group)
+
+    @pytest.mark.parametrize("group", [True, 1.5, 2.0, "2"])
+    def test_group_that_is_not_an_int_raises(self, group):
+        entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
+        mx = SymMatrix(XV, tuple(map(tuple, entries)))
+        with pytest.raises(ValueError) as err:
+            sym_det(mx, group)
+        assert str(err.value) == f"row group {group!r} is not an int"
+
+
+def _term(exps, coeff=1):
+    return LaurentPoly.monomial(XV, dict(enumerate(exps)), coeff)
+
+
+X, Y, Z, W = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+U = [_term(e) for e in (X, Y, Z, W)]  # x, y, z, w down the rows
+
+
+def _scaled(column, coeff=1, exps=(0, 0, 0, 0)):
+    return [entry * _term(exps, coeff) for entry in column]
+
+
+# (first column, second column, the row counts r for which the two are
+# proportional on rows 0..r-1).  The other columns are one-term entries.
+PROPORTIONAL_CASES = {
+    "by 2": (U, _scaled(U, 2), {2, 3, 4}),
+    "by -1": (U, _scaled(U, -1), {2, 3, 4}),
+    "by 2:3": (_scaled(U, 3), _scaled(U, 2), {2, 3, 4}),
+    "by a Laurent monomial": (U, _scaled(U, 5, (-2, -1, 0, 0)), {2, 3, 4}),
+    "on all rows but the last, by coefficient": (
+        U, [*_scaled(U[:3], 2), _term(W, 3)], {2, 3}),
+    "on all rows but the second, by exponent": (
+        U, [_term((1, 0, 1, 0), 2), _term(Y, 2), _term((0, 0, 2, 0), 2), _term((0, 0, 1, 1), 2)],
+        set()),
+    "a zero entry": (
+        [U[0], LaurentPoly.zero(XV), U[2], U[3]], _scaled(U, 2), set()),
+    "zero entries on other rows": (
+        [U[0], LaurentPoly.zero(XV), U[2], U[3]],
+        [*_scaled([U[0], U[2], U[3]], 2), LaurentPoly.zero(XV)], set()),
+    "a two-term entry": ([U[0], U[1] + U[2], U[2], U[3]], _scaled(U, 2), set()),
+    "two-term entries on other rows": (
+        [U[0] + U[1], U[2], U[3], U[0]], [U[0], U[1] + U[2], U[3], U[0]], set()),
+}
+
+
+class TestProportionalColumns:
+    """The row pass skips column sets with two proportional columns, and only those."""
+
+    @pytest.mark.parametrize("case", PROPORTIONAL_CASES)
+    def test_sym_det_is_exact_at_every_group_size(self, case):
+        first, second, paired_on = PROPORTIONAL_CASES[case]
+        others = ([_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
+                  [U[3], _term((1, 0, 1, 0), -1), U[1], _term((0, 0, 0, 0), 2)])
+        mx = SymMatrix(XV, tuple(zip(first, second, *others)))
+        want = naive_det(mx)
+        assert (want == LaurentPoly.zero(XV)) is (4 in paired_on), case
+        for group in (1, 2, 3, 4, None):
+            assert sym_det(mx, group) == want, (case, group)
+        keys = [[entry._keys for entry in row] for row in mx.rows]
+        for r in (2, 3, 4):
+            blocks = _partners(keys[:r])
+            assert bool(blocks.get(0b01, 0b01) & 0b10) is (r in paired_on), (case, r)
+            assert blocks.get(0b01, 0b01) & 0b1100 == 0, (case, r)
+
+    def test_rows_whose_bounds_sum_to_127(self):
+        # Columns 0 and 1 are proportional on rows 0-1, by y^-1, with drifts
+        # of x^-127.  Row 0 shifts column 2 to column 3 by y^-128·w, which
+        # packs like y^128·z^-1·w: no other row can shift that far.
+        t = _term
+        rows = (
+            (t((64, 0, 0, 0)), t((64, -1, 0, 0)), t((0, 64, 0, 0)), t((0, -64, 0, 1))),
+            (t((-63, 0, 0, 0)), t((-63, -1, 0, 0)), t((0, 0, 63, 0)), t((0, 0, 0, -63))),
+            tuple(t((0, 0, 0, 0), c) for c in (1, 1, 2, -1)),
+            tuple(t((0, 0, 0, 0), c) for c in (3, -1, 1, 1)),
+        )
+        mx = SymMatrix(XV, rows)
+        assert sum(max(entry._bound for entry in row) for row in rows) == 127
+        keys = [[entry._keys for entry in row] for row in rows]
+        assert _partners(keys[:2]) == {0b0001: 0b11, 0b0010: 0b11, 0b0100: 0b0100, 0b1000: 0b1000}
+        assert _partners(keys[:3]) == {1 << c: 1 << c for c in range(4)}
+        want = naive_det(mx)
+        assert want != LaurentPoly.zero(XV)
+        for group in (1, 2, 3, 4, None):
+            assert sym_det(mx, group) == want, group
+
+
+@pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
+    # Mat1's columns with one b-index are proportional on an i-block, so
+    # its minors are on the n^n' sets that take each b-index once, and none
+    # is zero: 16 at 2x4, 27 at 3x3, 64 at 4x3.
+    ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+    b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
+    want = {
+        sum(1 << c for c in cols)
+        for cols in combinations(range(n * np_), np_)
+        if len({b_of[c] for c in cols}) == np_
+    }
+    minors = _minors([[entry._keys for entry in row] for row in build_mat1(ctx).rows[:np_]])
+    assert set(minors) == want and len(want) == n ** np_
+    assert all(minors.values())
 
 
 class TestMat1:
