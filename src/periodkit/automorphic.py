@@ -233,6 +233,26 @@ _CASES = (
 )
 
 
+def _match(
+    big: InfinityTypeData, small: InfinityTypeData, m: Fraction
+) -> tuple[str, tuple[str, ...]]:
+    """(case, failed conditions) for the order (big, small)."""
+    failures: list[str] = []
+    for case, shape, case_failures in _CASES:
+        if not shape(big, small, m):
+            continue
+        fails = _base_failures(big, small, m) + case_failures(big, small)
+        if not fails:
+            return case, ()
+        failures += [f"{case}: {f}" for f in fails]
+    if not failures:  # a matched shape either returns or adds failures
+        failures.append(
+            "no case shape matches: need rank-one second factor, opposite "
+            "parity with bigger first rank, or m = 1 with equal parity"
+        )
+    return "unknown", tuple(failures)
+
+
 def classify_known_case(
     pi: InfinityTypeData, pip: InfinityTypeData, m: Fraction | int
 ) -> CaseReport:
@@ -244,21 +264,18 @@ def classify_known_case(
     the exponents falling in distinct gaps).  Case 3: m = 1 with equal
     parity.  Very-regularity (all gaps >= 3) and a critical m are
     required throughout.
+
+    The factor of bigger rank is the first.  At equal ranks the given
+    order is tried first; if it matches no case, the swapped order is
+    tried, since L(s, Π × Π') = L(s, Π' × Π), and its case is returned if
+    it matches one.  Otherwise the report is the given order's.  The
+    very-regular flags are always in argument order.
     """
     m = Fraction(m)
-    vr_pi, vr_pip = pi.is_very_regular(), pip.is_very_regular()
     big, small = (pi, pip) if pi.n >= pip.n else (pip, pi)
-    failures: list[str] = []
-    for case, shape, case_failures in _CASES:
-        if not shape(big, small, m):
-            continue
-        fails = _base_failures(big, small, m) + case_failures(big, small)
-        if not fails:
-            return CaseReport(vr_pi, vr_pip, case, ())
-        failures += [f"{case}: {f}" for f in fails]
-    if not failures:  # a matched shape either returns or adds failures
-        failures.append(
-            "no case shape matches: need rank-one second factor, opposite "
-            "parity with bigger first rank, or m = 1 with equal parity"
-        )
-    return CaseReport(vr_pi, vr_pip, "unknown", tuple(failures))
+    case, failures = _match(big, small, m)
+    if case == "unknown" and pi.n == pip.n:
+        swapped = _match(pip, pi, m)
+        if swapped[0] != "unknown":
+            case, failures = swapped
+    return CaseReport(pi.is_very_regular(), pip.is_very_regular(), case, failures)

@@ -29,26 +29,26 @@ with one b-index are proportional (Horn and Johnson, *Topics in Matrix
 Analysis*, §4.2), and its pass ends on the n^n' sets of distinct
 b-indices: 16 at 2x4, 27 at 3x3, 64 at 4x3.  A one-term minor shifts
 every key of a partial determinant alike, so a state it reaches first
-takes them by one comprehension.  A group whose nonzero minors are all
-c·x^e·P for one polynomial P keeps only the monomials c·x^e, and P is
-set aside (P = 1 if the group does not factor): the DP leaves a
-polynomial ``out`` and the list of P's, and ``sym_det`` multiplies them
-once.  The check gets its cleared period factor in row 0 of Mat1, before
-the expansion, and then expands neither side.  Each of Mat1's groups of
-n' rows factors with P = c_g·x^(e_g)·det(B), and ``out`` =
-c·x^e·det(A)^n'; when the shifts sum to zero and c·Π c_g is ±1, the
-product of these equalities is the identity with its sign.  Only if one
-of them fails does the check multiply out both sides, 221,760 terms each
-at 3x4, and compare them.  The report expands a side only when it is read.
+takes them by one comprehension.
+
+The check gets its cleared period factor in row 0 of Mat1, before the
+expansion, and then expands neither side.  It runs the same DP over
+Mat1's groups of n' rows, but first tests each nonzero minor of a group
+against det(B): it is c·x^e·det(B), and the group keeps only c·x^e.  The
+DP over those monomials leaves ``out``, with det(Mat1)·cleared =
+out·det(B)^n, so when ``out`` is ±det(A)^n' with no shift, that is the
+identity with its sign.  Only if a test fails does the check multiply
+out both sides, 221,760 terms each at 3x4, and compare them.  The report
+expands a side only when it is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from functools import cache, partial
+from functools import cache
 from itertools import permutations
-from math import gcd, prod
+from math import gcd
 
 from .deligne import PairContext
 from .errors import SizeLimitError
@@ -167,6 +167,7 @@ class LaurentPoly:
         cls, vars: tuple[str, ...], exps: dict[int, int], coeff: int = 1
     ) -> "LaurentPoly":
         """coeff·Π x_idx^e over ``exps``: each index, exponent and the coefficient an int."""
+        key = bound = 0
         for idx, e in exps.items():
             if type(idx) is not int:
                 raise ValueError(f"variable index {idx!r} is not an int")
@@ -174,12 +175,14 @@ class LaurentPoly:
                 raise ValueError(f"exponent {e!r} is not an int")
             if not 0 <= idx < len(vars):
                 raise IndexError(f"variable index {idx} out of range")
+            key += e << (_WIDTH * idx)
+            if abs(e) > bound:
+                bound = abs(e)
         if type(coeff) is not int:
             raise ValueError(f"coefficient {coeff!r} is not an int")
         if coeff == 0:
             return cls.zero(vars)
-        bound = _checked(max((abs(e) for e in exps.values()), default=0))
-        return cls(vars, {_pack(exps.items()): coeff}, bound)
+        return cls(vars, {key: coeff}, _checked(bound))
 
     @classmethod
     def var(cls, vars: tuple[str, ...], idx: int) -> "LaurentPoly":
@@ -434,37 +437,13 @@ def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
     return c, e
 
 
-def _factor_out(
-    minors: dict[int, dict[int, int]],
-) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
-    """(P, {S: {e: c}}) if every nonzero minor on S is c·x^e·P, else (1, minors).
-
-    P is the first nonzero minor, and ``_shift`` tests each minor against it.
-    """
-    common = None
-    monomials = {}
-    for cols, minor in minors.items():
-        if not minor:
-            continue
-        if common is None:
-            common = minor
-        found = _shift(minor, common)
-        if found is None:
-            return {0: 1}, minors
-        c, e = found
-        monomials[cols] = {e: c}
-    return ({0: 1}, minors) if common is None else (common, monomials)
-
-
-def _det_factors(
+def _group_minors(
     mx: SymMatrix, group: int | None
-) -> tuple[int, dict[int, int], list[dict[int, int]]]:
-    """(bound, out, [P_g]) with det(mx) = out · Π P_g on packed keys.
+) -> tuple[int, list[dict[int, dict[int, int]]]]:
+    """(bound, [the minors of each group of rows]) for the Laplace expansion of ``mx``.
 
-    The Laplace expansion of ``sym_det``: P_g is group g's common factor
-    from ``_factor_out`` and ``out`` the DP's result over the quotients, {}
-    for a zero determinant.  ``bound`` is the determinant's exponent bound,
-    checked to fit the field before any work.
+    ``bound`` is the determinant's exponent bound, checked to fit the
+    field before any work.
     """
     k = mx.size
     for row in mx.rows:
@@ -477,26 +456,13 @@ def _det_factors(
     elif group < 1:
         raise ValueError(f"a row group needs at least 1 row, got {group}")
     bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
-
     rows = [[poly._keys for poly in row] for row in mx.rows]
-    parts, factors = [], []
-    for start in range(0, k, group):
-        factor, quotients = _factor_out(_minors(rows[start : start + group]))
-        factors.append(factor)
-        parts.append(_part(quotients))
-    out = _laplace(parts, {0: {0: 1}}).get((1 << k) - 1) or {}
-    return bound, out, factors
+    return bound, [_minors(rows[start : start + group]) for start in range(0, k, group)]
 
 
-def _expand(
-    vars: tuple[str, ...], bound: int, out: dict[int, int], factors: list[dict[int, int]]
-) -> LaurentPoly:
-    """out · Π factors, the determinant that ``_det_factors`` split."""
-    common = {0: 1}
-    for factor in factors:
-        # The factors multiply as they come: their product is small.
-        common = _summed_product(common, factor)
-    return LaurentPoly(vars, _product(out, common) if out else {}, bound)
+def _combined(groups: list[dict[int, dict[int, int]]], k: int) -> dict[int, int]:
+    """The determinant on k columns by the DP over each group's minors, {} if zero."""
+    return _laplace(map(_part, groups), {0: {0: 1}}).get((1 << k) - 1, {})
 
 
 def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
@@ -510,19 +476,15 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     (group g, S_g).  The one DP of ``_laplace`` gives each group's minors
     and then combines them.  A group's minors leave out every S that holds
     two columns proportional on all the group's rows (``_partners``):
-    those minors are zero, so the sum is the same.  If every nonzero minor
-    of a group is c·x^e·P for one polynomial P (``_factor_out``), the
-    group's minors become those monomials and P joins a product taken once
-    at the end; otherwise P is 1 and the group keeps its minors.
+    those minors are zero, so the sum is the same.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
     bound, and that sum must fit the field.  It bounds each field of a
-    column's drift as well (``_partners``).  A factored shift e may leave
-    the field, but packing is additive on exponent vectors, so the result
-    is still the packed determinant, whose exponents that sum bounds.
+    column's drift as well (``_partners``).
     """
-    return _expand(mx.vars, *_det_factors(mx, group))
+    bound, groups = _group_minors(mx, group)
+    return LaurentPoly(mx.vars, _combined(groups, mx.size), bound)
 
 
 def naive_det(mx: SymMatrix) -> LaurentPoly:
@@ -675,24 +637,6 @@ class VerificationReport(Frozen):
         return self._rhs()
 
 
-def _factored_unit(
-    out: dict[int, int],
-    factors: list[dict[int, int]],
-    a_part: dict[int, int],
-    det_b: dict[int, int],
-    n: int,
-) -> int | None:
-    """The unit u with out · Π factors = u·a_part·det_b^n, or None if the shift tests fail.
-
-    They pass if there are n factors, each c_g·x^(e_g)·det_b, if out is
-    c·x^e·a_part, and if e + Σ e_g = 0; then u = c·Π c_g.
-    """
-    found = [_shift(out, a_part), *(_shift(factor, det_b) for factor in factors)]
-    if len(factors) != n or None in found or sum(e for _, e in found):
-        return None
-    return prod(c for c, _ in found)
-
-
 def _expanded_sign(lhs: LaurentPoly, rhs: LaurentPoly, predicted: int) -> int | None:
     """The full comparison: predicted if lhs = rhs, -predicted if lhs = -rhs, else None."""
     if lhs == rhs:
@@ -706,12 +650,18 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
     σ is the column permutation taking A⊗B to Mat1, so the sign is
-    predicted, not chosen to fit.  The check compares factors:
-    det(Mat1)·cleared = out · Π P_g by ``_det_factors``, and
-    ``_factored_unit`` finds that product to be u·det(A)^n' det(B)^n, so
-    the observed sign is u if u = ±1.  Otherwise ``_expanded_sign``
-    multiplies both sides out and compares them, so the verdict is always
-    the one the full comparison gives.
+    predicted, not chosen to fit.  The check compares factors.  Mat1, its
+    row 0 scaled by the cleared periods, is expanded in groups of n' rows;
+    a group whose nonzero minors are each c·x^e·det(B) (``_shift``) enters
+    the DP as those monomials.  If m groups factor, the DP leaves ``out``
+    with det(Mat1)·cleared = out·det(B)^m.  When all n factor and ``out``
+    is u·det(A)^n' with no shift and u = ±1, u is the observed sign.
+    Otherwise ``_expanded_sign`` multiplies both sides out and compares
+    them, so the verdict is always the one the full comparison gives.
+
+    A shift is a minor's exact quotient by det(B), the product over the
+    group's rows of one entry's A and period part, so the determinant's
+    exponent bound bounds it too, and it fits the field.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
@@ -723,20 +673,29 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # holds, the DP over the monomial minors leaves a monomial times
     # det(A)^n'.  A determinant is linear in each row, so scaling row 0 by
     # the cleared monomial scales det(Mat1) by it without copying the
-    # determinant, and row 0's group still factors, its P scaled by that
-    # monomial.
+    # determinant, and row 0's group still factors, its monomials scaled
+    # by that monomial.
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
     rows = (tuple(entry * cleared for entry in mat1.rows[0]), *mat1.rows[1:])
-    bound, out, factors = _det_factors(SymMatrix(mat1.vars, rows), np_)
+    bound, groups = _group_minors(SymMatrix(mat1.vars, rows), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = sym_det(_coefficient_block(pv, "A")) ** np_
     det_b = sym_det(_coefficient_block(pv, "B"))
-    lhs = cache(partial(_expand, mat1.vars, bound, out, factors))
+    factored = 0
+    for g, minors in enumerate(groups):
+        shifts = {cols: _shift(minor, det_b._keys) for cols, minor in minors.items() if minor}
+        if None not in shifts.values():
+            groups[g] = {cols: {e: c} for cols, (c, e) in shifts.items()}
+            factored += 1
+    out = _combined(groups, n * np_)
+    lhs = cache(lambda: LaurentPoly(mat1.vars, _product(out, (det_b ** factored)._keys), bound))
     # Negate the small factor, not a copy of the product.
     rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
-    sign = _factored_unit(out, factors, a_part._keys, det_b._keys, n)
-    if sign not in (1, -1):
+    unit, shift = _shift(out, a_part._keys) or (None, None)
+    if factored == n and shift == 0 and unit in (1, -1):
+        sign = unit
+    else:
         sign = _expanded_sign(lhs(), rhs(), predicted)
     return VerificationReport(n * np_, sign == predicted, sign, predicted, lhs, rhs)

@@ -388,6 +388,22 @@ class TestClassifier:
         report = classify_known_case(pip, pi, Fraction(1, 2))
         assert report.case == "case1"
 
+    def test_equal_ranks_try_the_swapped_order_when_the_given_one_matches_no_case(self):
+        # Both factors have rank one, so either can play the character of
+        # case 1; only Pi2 is flagged, so only the order (Pi2, Pi) matches.
+        pi = rep("Pi", 0, [0])
+        pi2 = rep("Pi2", 0, [3], csd=True)
+        for first, second in ((pi, pi2), (pi2, pi)):
+            report = classify_known_case(first, second, -2)
+            assert (report.case, report.failed_conditions) == ("case1", ())
+            assert (report.very_regular_pi, report.very_regular_pip) == (True, True)
+        # A pair that matches in neither order keeps the given order's report.
+        report = classify_known_case(pi, rep("Pi3", 0, [3]), -2)
+        assert report.case == "unknown"
+        assert report.failed_conditions == (
+            "case1: first factor Pi is not flagged conjugate self-dual",
+        )
+
     def test_no_matching_shape(self):
         pi = rep("Pi", 0, [3, 0, -3], csd=True)
         pip = rep("Pi'", 0, [4, 0, -4], csd=True)

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import comb, factorial
 
 import pytest
@@ -15,12 +15,14 @@ from periodkit.oracle import (
     PairVariables,
     SymMatrix,
     _coefficient_block,
-    _factor_out,
     _kronecker_column_sign,
     _mat1_columns,
     _minors,
+    _pack,
     _partners,
     _product,
+    _shift,
+    _unpack,
     build_mat1,
     cleared_period_product,
     naive_det,
@@ -29,24 +31,10 @@ from periodkit.oracle import (
     verify_proposition,
 )
 from periodkit.sampling import random_pp_free_pair
+from shapes import every_shape, interleaved_pair
 
 XV = ("x", "y", "z", "w")
 ADMITTED_SHAPES = [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
-
-
-@pytest.fixture
-def factor_splits(monkeypatch):
-    """Every result of ``oracle._factor_out`` in the test, in call order."""
-    import periodkit.oracle as orc
-
-    splits = []
-
-    def spy(minors):
-        splits.append(_factor_out(minors))
-        return splits[-1]
-
-    monkeypatch.setattr(orc, "_factor_out", spy)
-    return splits
 
 
 @pytest.fixture
@@ -65,21 +53,39 @@ def fallbacks(monkeypatch):
     return calls
 
 
-def _forced_fallback(patch):
-    """Make every determinant split report one factor too many, a unit.
+def _tamper(patch, ctx, against_b=None, against_a=None):
+    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through filters.
 
-    The product is unchanged, but Mat1 no longer splits into n factors, so
-    ``verify_proposition`` must fall back to the full comparison.
+    ``against_b(k, found)`` takes the k-th test of a minor against det(B),
+    counted from 0, and ``against_a(found)`` the test of the DP's result
+    against det(A)^n'; each returns what ``_shift`` reports instead.
     """
     import periodkit.oracle as orc
 
-    det_factors = orc._det_factors
+    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
+    det_a = (orc.sym_det(orc._coefficient_block(pv, "A")) ** ctx.Mp.rank)._keys
+    det_b = orc.sym_det(orc._coefficient_block(pv, "B"))._keys
+    shift, tests_against_b = orc._shift, count()
 
-    def split_with_a_spare_unit(mx, group):
-        bound, out, factors = det_factors(mx, group)
-        return bound, out, [*factors, {0: 1}]
+    def spy(poly, ref):
+        found = shift(poly, ref)
+        if ref == det_a:
+            return against_a(found) if against_a else found
+        assert ref == det_b
+        k = next(tests_against_b)
+        return against_b(k, found) if against_b else found
 
-    patch.setattr(orc, "_det_factors", split_with_a_spare_unit)
+    patch.setattr(orc, "_shift", spy)
+
+
+def _forced_fallback(patch, ctx):
+    """Report the first minor tested against det(B) as not a multiple of it.
+
+    Its group then enters the DP as its minors, so Mat1 no longer splits
+    into n factors and ``verify_proposition`` must fall back to the full
+    comparison, with det(B) to the power n - 1 in its left side.
+    """
+    _tamper(patch, ctx, against_b=lambda k, found: None if k == 0 else found)
 
 
 def poly_of(pairs):
@@ -124,6 +130,23 @@ class TestLaurentPoly:
         with pytest.raises(ValueError) as err:
             LaurentPoly.monomial(XV, exps, coeff)
         assert str(err.value) == f"{text} is not an int"
+
+    def test_monomial_checks_in_order(self):
+        # Per entry the index type, the exponent type and the index range;
+        # then the coefficient's type; a zero coefficient then gives zero
+        # before the exponent bound is checked.
+        with pytest.raises(ValueError, match="exponent 1.5 is not an int"):
+            LaurentPoly.monomial(XV, {9: 1.5}, 1.5)
+        with pytest.raises(IndexError, match="variable index 9 out of range"):
+            LaurentPoly.monomial(XV, {9: 1, 0: 1.5}, 1.5)
+        with pytest.raises(ValueError, match="coefficient 0.0 is not an int"):
+            LaurentPoly.monomial(XV, {0: 128}, 0.0)
+        assert LaurentPoly.monomial(XV, {0: 128}, 0) == LaurentPoly.zero(XV)
+        with pytest.raises(OverflowError, match="bound 128"):
+            LaurentPoly.monomial(XV, {0: 128, 1: -1})
+        with pytest.raises(OverflowError, match="bound 128"):
+            LaurentPoly.monomial(XV, {1: 3, 0: -128}, -1)
+        assert LaurentPoly.monomial(XV, {1: 3, 0: -127}, -1).terms == {(-127, 3, 0, 0): -1}
 
     def test_operands_over_different_tables_raise(self):
         x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(("x", "y"), 0)
@@ -295,29 +318,41 @@ class TestSymDet:
 
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
         # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
-        # integer multiple of the first, so the block keeps its minors.
+        # integer multiple of 2P, so a group of such minors tested against 2P
+        # keeps its minors.
         p = poly_of([((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1)])
         z, w = LaurentPoly.var(XV, 2), LaurentPoly.var(XV, 3)
         two, three = p + p, p + p + p
-        minors = {0b001: two._keys, 0b010: three._keys}
-        assert _factor_out(minors) == ({0: 1}, minors)
+        assert _shift(two._keys, two._keys) == (1, 0)
+        assert _shift(three._keys, p._keys) == (3, 0)
+        assert _shift(three._keys, two._keys) is None
         mx = SymMatrix(XV, ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z)))
         for group in (1, 2):
             assert sym_det(mx, group) == naive_det(mx), group
 
     def test_block_whose_minors_share_no_factor(self):
+        # Neither of x + y and x + z is a monomial times the other, and a
+        # zero minor is a multiple of no polynomial, so a group of either
+        # kind keeps its minors.
         x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
-        minors = {0b01: (x + y)._keys, 0b10: (x + z)._keys}
-        assert _factor_out(minors) == ({0: 1}, minors)
-        assert _factor_out({0b01: {}, 0b10: {}}) == ({0: 1}, {0b01: {}, 0b10: {}})
+        xy = _pack(enumerate((1, 1, 0, 0)))
+        assert _shift((x * y * (x + y))._keys, (x + y)._keys) == (1, xy)
+        assert _shift((x + y)._keys, (x + z)._keys) is None
+        assert _shift((x + z)._keys, (x + y)._keys) is None
+        assert _shift({}, (x + y)._keys) is None
         mx = SymMatrix(XV, ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z)))
         for group in (1, 2):
             assert sym_det(mx, group) == naive_det(mx), group
 
-    def test_rows_whose_bounds_sum_past_half_the_field(self, factor_splits):
-        # A⊗B with exponents 20: both i-blocks factor, and their shifts may
-        # reach twice the bound 80 and leave the 8-bit field, yet the packed
-        # result decodes to the determinant.
+    def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch, fallbacks):
+        # A⊗B with exponents 20 and a bound of 80, checked by
+        # verify_proposition in place of Mat1: both i-blocks factor against
+        # det(B), and the packed result decodes to the determinant.  A shift
+        # is a minor's exact quotient by det(B), a product of n' entries of
+        # a row of A, so the bound that admits det(A)^n' keeps it inside the
+        # 8-bit field: here it reaches 40.
+        import periodkit.oracle as orc
+
         a = (((20, 0, 0, 0), (0, 20, 0, 0)), ((0, 0, 20, 0), (1, 0, 0, 1)))
         b = (((0, 1, 0, 0), (0, 0, 0, -20)), ((-20, 0, 0, 0), (0, 0, 1, 0)))
         rows = tuple(
@@ -329,12 +364,26 @@ class TestSymDet:
             for j in range(2)
         )
         mx = SymMatrix(XV, rows)
+        blocks = {
+            which: SymMatrix(XV, tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
+            for which, block in (("A", a), ("B", b))
+        }
+        monkeypatch.setattr(orc, "build_mat1", lambda ctx: mx)
+        monkeypatch.setattr(orc, "cleared_period_product", lambda ctx: LaurentPoly.one(XV))
+        monkeypatch.setattr(orc, "_coefficient_block", lambda pv, which: blocks[which])
+        monkeypatch.setattr(orc, "_kronecker_column_sign", lambda ctx: 1)
+        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        shifts = []
+        _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
+        rep = verify_proposition(ctx)
         want = naive_det(mx)
         assert want != LaurentPoly.zero(XV)
-        assert sym_det(mx, 2) == want
-        assert len(factor_splits) == 2
-        for _, quotients in factor_splits:
-            assert all(len(q) == 1 for q in quotients.values())
+        assert rep.ok and rep.sign == 1 and fallbacks == []
+        assert rep.lhs == want
+        assert len(shifts) == 8 and None not in shifts
+        fields = [_unpack(e, 4) for _, e in shifts]
+        assert all(_pack(enumerate(v)) == e for v, (_, e) in zip(fields, shifts))
+        assert max(max(v) for v in fields) == 40
 
     def test_non_square_matrix_raises(self):
         x = LaurentPoly.var(XV, 0)
@@ -439,7 +488,7 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
     # Mat1's columns with one b-index are proportional on an i-block, so
     # its minors are on the n^n' sets that take each b-index once, and none
     # is zero: 16 at 2x4, 27 at 3x3, 64 at 4x3.
-    ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+    ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
     b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
     want = {
         sum(1 << c for c in cols)
@@ -507,7 +556,7 @@ class TestVerifyProposition:
         rng = random.Random(63)
         for n, np_ in ADMITTED_SHAPES:
             slots = sorted(rng.sample(range(n + np_), n))
-            ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
+            ctx = PairContext.build(*interleaved_pair(n, np_, slots))
             rep = verify_proposition(ctx)
             want = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
             assert rep.lhs == want, (n, np_, slots)
@@ -555,7 +604,7 @@ class TestShapeGate:
 
     @pytest.mark.parametrize("n, np_", [(1, 5), (5, 1), (2, 6), (1, 11)])
     def test_refused_shape_raises_before_any_work(self, n, np_):
-        ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+        ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
         start = time.perf_counter()
         with pytest.raises(SizeLimitError, match=f"shape {n}x{np_} is outside"):
             verify_proposition(ctx)
@@ -563,7 +612,7 @@ class TestShapeGate:
 
     @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1), (3, 4), (4, 3)])
     def test_admitted_rank_four_shape_passes(self, n, np_):
-        ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+        ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
         rep = verify_proposition(ctx)
         assert rep.ok
         if n * np_ == 12:
@@ -664,17 +713,13 @@ class TestPredictedSign:
         # σ lists A's complement in order, then A in reverse order, so with
         # pos(a, b) = (a-1)n' + (b-1), sgn(σ) = (-1)^Σ_{(a,b) ∈ A} (nn' - 1 - pos(a, b)).
         shapes = 0
-        for n in range(1, 7):
-            for np_ in range(1, 7):
-                for slots in combinations(range(n + np_), n):
-                    ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
-                    sigma = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
-                    assert sorted(sigma) == list(range(n * np_)), (n, np_, slots)
-                    exponent = sum(
-                        n * np_ - 1 - ((a - 1) * np_ + (b - 1)) for a, b in ctx.A.members
-                    )
-                    assert _kronecker_column_sign(ctx) == (-1) ** exponent, (n, np_, slots)
-                    shapes += 1
+        for n, np_, slots in every_shape(6):
+            ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+            sigma = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
+            assert sorted(sigma) == list(range(n * np_)), (n, np_, slots)
+            exponent = sum(n * np_ - 1 - ((a - 1) * np_ + (b - 1)) for a, b in ctx.A.members)
+            assert _kronecker_column_sign(ctx) == (-1) ** exponent, (n, np_, slots)
+            shapes += 1
         assert shapes == 3418
 
     def test_wrong_prediction_fails_the_check(self, monkeypatch, fallbacks):
@@ -682,13 +727,13 @@ class TestPredictedSign:
         import periodkit.oracle as orc
 
         for n, np_ in ADMITTED_SHAPES:
-            ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
+            ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
             right = verify_proposition(ctx)
             with monkeypatch.context() as patch:
                 patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
                 wrong = verify_proposition(ctx)
                 assert fallbacks == []
-                _forced_fallback(patch)
+                _forced_fallback(patch, ctx)
                 expanded = verify_proposition(ctx)
                 assert fallbacks == [wrong.predicted_sign]
             fallbacks.clear()
@@ -697,54 +742,56 @@ class TestPredictedSign:
                 assert rep.sign == right.sign == -rep.predicted_sign, (n, np_)
 
 
+REPORT_FIELDS = ("size", "ok", "sign", "predicted_sign", "lhs", "rhs")
+
+
 class TestFactoredCheck:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
     def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch, fallbacks):
         rng = random.Random(f"fallback/{n}x{np_}")
-        ctx = PairContext.build(*_interleaved_pair(n, np_, sorted(rng.sample(range(n + np_), n))))
+        ctx = PairContext.build(*interleaved_pair(n, np_, sorted(rng.sample(range(n + np_), n))))
         factored = verify_proposition(ctx)
         assert fallbacks == []
-        _forced_fallback(monkeypatch)
+        _forced_fallback(monkeypatch, ctx)
         expanded = verify_proposition(ctx)
         assert fallbacks == [expanded.predicted_sign]
-        for name in ("size", "ok", "sign", "predicted_sign", "lhs", "rhs"):
+        for name in REPORT_FIELDS:
             assert getattr(expanded, name) == getattr(factored, name), name
 
     def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch, fallbacks):
-        import periodkit.oracle as orc
-
-        ctx = PairContext.build(*_interleaved_pair(2, 2, range(2)))
-        monkeypatch.setattr(orc, "_factored_unit", lambda *args: 2)
+        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        _tamper(monkeypatch, ctx, against_a=lambda found: (2 * found[0], found[1]))
         rep = verify_proposition(ctx)
         assert fallbacks == [rep.predicted_sign]
         assert rep.ok and rep.sign == rep.predicted_sign
 
-    def test_factored_unit_needs_every_factor_and_zero_total_shift(self):
-        import periodkit.oracle as orc
-
-        x, y, z = (LaurentPoly.var(XV, i)._keys for i in range(3))
-        (kx,) = x
-        ref_a, ref_b = {**x, **y}, {**y, **z}  # x + y and y + z
-        # out = -x·(x + y), factors 2x^-1·(y + z) and (y + z): unit -2, shifts cancel.
-        out = {k + kx: -c for k, c in ref_a.items()}
-        p0 = {k - kx: 2 * c for k, c in ref_b.items()}
-        assert orc._factored_unit(out, [p0, ref_b], ref_a, ref_b, 2) == -2
-        assert orc._factored_unit(out, [p0, ref_b], ref_a, ref_b, 3) is None
-        assert orc._factored_unit(out, [p0, ref_a], ref_a, ref_b, 2) is None
-        assert orc._factored_unit(out, [ref_b, ref_b], ref_a, ref_b, 2) is None
-        assert orc._factored_unit({}, [p0, ref_b], ref_a, ref_b, 2) is None
-
-
-def _interleaved_pair(n, np_, slots):
-    """The pair whose Hodge indices interleave as ``slots`` says.
-
-    M takes 2x+1 at each slot x in ``slots``, M' takes -2x at the others;
-    every p_a + r_b is odd, so no pair of classes is a (p,p)-class.
-    """
-    others = [x for x in range(n + np_) if x not in slots]
-    m = RegularMotiveData("M", 0, tuple(sorted((2 * x + 1 for x in slots), reverse=True)))
-    mp = RegularMotiveData("M'", 0, tuple(sorted((-2 * x for x in others), reverse=True)))
-    return m, mp
+    def test_factored_unit_needs_every_factor_and_zero_total_shift(self, monkeypatch, fallbacks):
+        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        right = verify_proposition(ctx)
+        assert fallbacks == [] and right.ok
+        # The unit is the observed sign: a unit of -1 decides, and fails.
+        with monkeypatch.context() as patch:
+            _tamper(patch, ctx, against_a=lambda found: (-found[0], found[1]))
+            flipped = verify_proposition(ctx)
+        assert fallbacks == [] and not flipped.ok and flipped.sign == -right.sign
+        # Each case fails one condition.  Where the condition is not the
+        # test against det(A)^n', that test is forged to pass with the right
+        # unit, so only the condition itself can refuse.
+        unit = (right.sign, 0)
+        cases = {
+            "group 0 unfactored": (lambda k, found: None if k == 0 else found, lambda f: unit),
+            "no group factored": (lambda k, found: None, lambda f: unit),
+            "a nonzero total shift": (None, lambda found: (found[0], found[1] + 1)),
+            "no multiple of det(A)^n'": (None, lambda found: None),
+        }
+        for case, (against_b, against_a) in cases.items():
+            with monkeypatch.context() as patch:
+                _tamper(patch, ctx, against_b, against_a)
+                rep = verify_proposition(ctx)
+            assert fallbacks == [right.predicted_sign], case
+            fallbacks.clear()
+            for name in REPORT_FIELDS:
+                assert getattr(rep, name) == getattr(right, name), (case, name)
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
@@ -752,7 +799,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks):
     # Every tableau is decided by its factors; the full comparison never runs.
     seen = set()
     for slots in combinations(range(n + np_), n):
-        ctx = PairContext.build(*_interleaved_pair(n, np_, slots))
+        ctx = PairContext.build(*interleaved_pair(n, np_, slots))
         seen.add((ctx.A.members, ctx.T.members))
         assert verify_proposition(ctx).ok, (n, np_, slots)
     assert len(seen) == comb(n + np_, n)
@@ -760,16 +807,34 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks):
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-def test_every_row_block_of_mat1_factors(n, np_, factor_splits):
-    # sym_det's fast route: in verify_proposition, each i-block of Mat1
-    # factors into one ±monomial·det(B) and monomials, one per choice of
-    # n' distinct b-indices; det(A) and det(B) are one block each.
-    ctx = PairContext.build(*_interleaved_pair(n, np_, range(n)))
-    assert verify_proposition(ctx).ok
-    assert len(factor_splits) == n + 2
-    for _, quotients in factor_splits:
-        assert all(len(q) == 1 for q in quotients.values())
-    for common, monomials in factor_splits[:n]:
-        assert len(common) == factorial(np_)
-        assert len(monomials) == n ** np_
-        assert all(len(m) == 1 for m in monomials.values())
+def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
+    # In verify_proposition, Mat1 goes in n groups of n' rows, and each
+    # i-block enters the DP as n^n' one-term monomials, one per choice of
+    # n' distinct b-indices: each nonzero minor is ±monomial·det(B).  det(A)
+    # and det(B) are one group each.
+    import periodkit.oracle as orc
+
+    ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+    against_b, against_a = [], []
+    _tamper(
+        monkeypatch,
+        ctx,
+        against_b=lambda k, found: against_b.append(found) or found,
+        against_a=lambda found: against_a.append(found) or found,
+    )
+    nonzero_minors, group_minors = [], orc._group_minors
+
+    def spy(mx, group):
+        bound, groups = group_minors(mx, group)
+        nonzero_minors.append([sum(map(bool, minors.values())) for minors in groups])
+        return bound, groups
+
+    monkeypatch.setattr(orc, "_group_minors", spy)
+    rep = verify_proposition(ctx)
+    assert rep.ok and fallbacks == []
+    assert nonzero_minors == [[n ** np_] * n, [1], [1]]
+    assert len(against_b) == n * n ** np_
+    assert all(found is not None and found[0] in (1, -1) for found in against_b)
+    assert against_a == [(rep.sign, 0)]
+    pv = PairVariables.build(n, np_)
+    assert len(sym_det(_coefficient_block(pv, "B")).terms) == factorial(np_)
