@@ -15,8 +15,9 @@ single integers, one signed 8-bit field per variable, so monomial
 multiplication is one integer addition; the one constructor takes that
 store and its exponent bound.  A product whose term pairs all land on
 distinct keys, as for factors in disjoint variables, is one dict
-comprehension; a power, or any product whose pairs meet, is one step of
-the determinant's DP below, which holds the ring's one accumulating loop.
+comprehension; any product whose pairs meet is one step of the
+determinant's DP below, which holds the ring's one accumulating loop, and
+a power is that many such steps by its base, with no squaring.
 
 The determinant is Laplace's generalized expansion over consecutive
 groups of rows, and one dynamic program over column subsets does it all:
@@ -32,14 +33,15 @@ every key of a partial determinant alike, so a state it reaches first
 takes them by one comprehension.
 
 The check gets its cleared period factor in row 0 of Mat1, before the
-expansion, and then expands neither side.  It runs the same DP over
-Mat1's groups of n' rows, but first tests each nonzero minor of a group
-against det(B): it is c·x^e·det(B), and the group keeps only c·x^e.  The
-DP over those monomials leaves ``out``, with det(Mat1)·cleared =
-out·det(B)^n, so when ``out`` is ±det(A)^n' with no shift, that is the
-identity with its sign.  Only if a test fails does the check multiply
-out both sides, 221,760 terms each at 3x4, and compare them.  The report
-expands a side only when it is read.
+expansion, and then expands neither side.  It writes det(A) and det(B),
+matrices of distinct variables, down as Leibniz sums, so the DP runs on
+Mat1 alone and shares no code with the det(B) its minors are tested
+against.  In groups of n' rows, each nonzero minor is c·x^e·det(B), and
+the group keeps only c·x^e.  The DP over those monomials leaves ``out``,
+with det(Mat1)·cleared = out·det(B)^n, so when ``out`` is ±det(A)^n' with
+no shift, that is the identity with its sign.  Only if a test fails does
+the check multiply out both sides, 221,760 terms each at 3x4, and compare
+them, and the report expands a side only when it is read.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def require_shape(n: int, np_: int) -> None:
 # Every exponent lives in a signed 8-bit field of its key.  Python hashes
 # an int as its value mod 2^61 - 1, which folds the fields onto each other:
 # at 6 bits distinct keys of a 3x4 determinant share a hash, at 8 they do
-# not.  The largest exponent bound the identity check meets is 24.
+# not.  The identity check meets bounds up to 16, Mat1's at 3x4 and 4x3.
 _WIDTH = 8
 _LIMIT = 1 << (_WIDTH - 1)
 
@@ -143,8 +145,9 @@ class LaurentPoly:
     Each exponent vector is stored as one integer, sum(e_i << 8*i), and
     each polynomial carries a bound on its |e_i|.  The one constructor
     takes both as they are; every polynomial starts as ``monomial``,
-    ``var``, ``zero`` or ``one``.  A monomial, product, power or
-    determinant whose bound would reach 128 raises ``OverflowError``.
+    ``zero``, ``one`` or the oracle's Leibniz sum ``_generic_det``.  A
+    monomial, product, power or determinant whose bound would reach 128
+    raises ``OverflowError``.
     """
 
     __slots__ = ("vars", "_keys", "_bound")
@@ -184,10 +187,6 @@ class LaurentPoly:
             return cls.zero(vars)
         return cls(vars, {key: coeff}, _checked(bound))
 
-    @classmethod
-    def var(cls, vars: tuple[str, ...], idx: int) -> "LaurentPoly":
-        return cls.monomial(vars, {idx: 1})
-
     @property
     def terms(self) -> "Terms":
         """The terms, as a read-only mapping from exponent tuples to coefficients."""
@@ -226,16 +225,13 @@ class LaurentPoly:
         return LaurentPoly(self.vars, _product(self._keys, other._keys), bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """self^k by k plain products: the oracle's k is at most 4, so nothing is squared."""
         if k < 0:
             raise ValueError("only non-negative powers are supported")
         bound = _checked(self._bound * k)
-        out, base = {0: 1}, self._keys
-        while k:
-            if k & 1:
-                out = _summed_product(out, base)
-            k >>= 1
-            if k:
-                base = _summed_product(base, base)
+        out = {0: 1}
+        for _ in range(k):
+            out = _summed_product(out, self._keys)
         return LaurentPoly(self.vars, out, bound)
 
     def __eq__(self, other) -> bool:
@@ -266,6 +262,7 @@ class Terms(Mapping):
     """Read-only view of a polynomial's terms, keyed by exponent tuples.
 
     ``len`` reads the packed store directly; iteration decodes each key.
+    A key that is not a tuple of ints inside the field is absent.
     """
 
     __slots__ = ("_poly",)
@@ -284,7 +281,7 @@ class Terms(Mapping):
         if (
             not isinstance(key, tuple)
             or len(key) != len(poly.vars)
-            or not all(-_LIMIT <= e < _LIMIT for e in key)
+            or not all(type(e) is int and -_LIMIT <= e < _LIMIT for e in key)
         ):
             raise KeyError(key)
         return poly._keys[_pack(enumerate(key))]
@@ -593,16 +590,16 @@ def cleared_period_product(ctx: PairContext) -> LaurentPoly:
     return LaurentPoly.monomial(pv.names, exps)
 
 
-def _coefficient_block(pv: PairVariables, which: str) -> SymMatrix:
-    if which == "A":
-        size, idx = pv.n, pv.a_idx
-    else:
-        size, idx = pv.np, pv.b_idx
-    rows = tuple(
-        tuple(LaurentPoly.var(pv.names, idx(i, a)) for a in range(1, size + 1))
-        for i in range(1, size + 1)
-    )
-    return SymMatrix(pv.names, rows)
+def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
+    """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum.
+
+    Each term is a product of k distinct variables, so none meet and bound 1 is exact.
+    """
+    keys = {
+        _pack((idx(i, a), 1) for i, a in enumerate(perm, 1)): -1 if _parity(perm) else 1
+        for perm in permutations(range(1, k + 1))
+    }
+    return LaurentPoly(names, keys, 1)
 
 
 def _kronecker_column_sign(ctx: PairContext) -> int:
@@ -650,8 +647,9 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
     σ is the column permutation taking A⊗B to Mat1, so the sign is
-    predicted, not chosen to fit.  The check compares factors.  Mat1, its
-    row 0 scaled by the cleared periods, is expanded in groups of n' rows;
+    predicted, not chosen to fit.  The check compares factors.  det(A) and
+    det(B) are Leibniz sums (``_generic_det``), and the DP runs on Mat1
+    alone: its row 0 scaled by the cleared periods, in groups of n' rows,
     a group whose nonzero minors are each c·x^e·det(B) (``_shift``) enters
     the DP as those monomials.  If m groups factor, the DP leaves ``out``
     with det(Mat1)·cleared = out·det(B)^m.  When all n factor and ``out``
@@ -681,8 +679,8 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     bound, groups = _group_minors(SymMatrix(mat1.vars, rows), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
-    a_part = sym_det(_coefficient_block(pv, "A")) ** np_
-    det_b = sym_det(_coefficient_block(pv, "B"))
+    a_part = _generic_det(pv.names, pv.a_idx, n) ** np_
+    det_b = _generic_det(pv.names, pv.b_idx, np_)
     factored = 0
     for g, minors in enumerate(groups):
         shifts = {cols: _shift(minor, det_b._keys) for cols, minor in minors.items() if minor}

@@ -2,12 +2,13 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/linecov.py
+    PYTHONPATH=src python -W error tests/linecov.py
 
-It installs a ``sys.settrace`` hook, runs ``pytest -q tests`` in this
-process, and then prints, for each ``src/periodkit`` module, the
-statement lines that never ran.  A statement line is the first line of an
-AST statement, docstrings excluded.  Code that the tests run in a
+It installs a ``sys.settrace`` hook, runs ``pytest -q
+--continue-on-collection-errors tests`` in this process, and then prints,
+for each ``src/periodkit`` module, the statement lines that never ran.  A
+statement line is the first line of an AST statement, docstrings
+excluded.  Code that the tests run in a
 subprocess (``python -m periodkit.cli``, the console script) is not
 traced, so a line only such a test reaches is listed.
 
@@ -92,7 +93,7 @@ def main() -> int:
 
     sys.settrace(hook)
     try:
-        code = pytest.main(["-q", str(ROOT / "tests")])
+        code = pytest.main(["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
     unrun = {}

@@ -14,7 +14,7 @@ from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
     SymMatrix,
-    _coefficient_block,
+    _generic_det,
     _kronecker_column_sign,
     _mat1_columns,
     _minors,
@@ -62,9 +62,10 @@ def _tamper(patch, ctx, against_b=None, against_a=None):
     """
     import periodkit.oracle as orc
 
-    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
-    det_a = (orc.sym_det(orc._coefficient_block(pv, "A")) ** ctx.Mp.rank)._keys
-    det_b = orc.sym_det(orc._coefficient_block(pv, "B"))._keys
+    n, np_ = ctx.M.rank, ctx.Mp.rank
+    pv = PairVariables.build(n, np_)
+    det_a = (orc._generic_det(pv.names, pv.a_idx, n) ** np_)._keys
+    det_b = orc._generic_det(pv.names, pv.b_idx, np_)._keys
     shift, tests_against_b = orc._shift, count()
 
     def spy(poly, ref):
@@ -97,8 +98,8 @@ def poly_of(pairs):
 
 class TestLaurentPoly:
     def test_ring_axioms_small(self):
-        x = LaurentPoly.var(XV, 0)
-        y = LaurentPoly.var(XV, 1)
+        x = LaurentPoly.monomial(XV, {0: 1})
+        y = LaurentPoly.monomial(XV, {1: 1})
         assert (x + y) * (x - y) == x * x - y * y
         assert x * y == y * x
         assert (x + y) + x == x + (y + x)
@@ -106,11 +107,11 @@ class TestLaurentPoly:
 
     def test_negative_exponents(self):
         xinv = LaurentPoly.monomial(XV, {0: -1})
-        x = LaurentPoly.var(XV, 0)
+        x = LaurentPoly.monomial(XV, {0: 1})
         assert x * xinv == LaurentPoly.one(XV)
 
     def test_monomial_index_must_name_a_variable(self):
-        assert LaurentPoly.monomial(XV, {3: 1}) == LaurentPoly.var(XV, 3)
+        assert LaurentPoly.monomial(XV, {3: 1}).terms == {(0, 0, 0, 1): 1}
         for idx in (4, -1):
             with pytest.raises(IndexError, match=f"variable index {idx} out of range"):
                 LaurentPoly.monomial(XV, {idx: 1})
@@ -149,14 +150,15 @@ class TestLaurentPoly:
         assert LaurentPoly.monomial(XV, {1: 3, 0: -127}, -1).terms == {(-127, 3, 0, 0): -1}
 
     def test_operands_over_different_tables_raise(self):
-        x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(("x", "y"), 0)
+        x = LaurentPoly.monomial(XV, {0: 1})
+        y = LaurentPoly.monomial(("x", "y"), {0: 1})
         for op in (lambda: x + y, lambda: x * y, lambda: y - x):
             with pytest.raises(ValueError, match="different variable tables"):
                 op()
 
     def test_negative_power_raises(self):
         with pytest.raises(ValueError, match="only non-negative powers"):
-            LaurentPoly.var(XV, 0) ** -1
+            LaurentPoly.monomial(XV, {0: 1}) ** -1
 
     def test_a_polynomial_equals_no_other_type_and_no_other_table(self):
         one = LaurentPoly.one(XV)
@@ -209,7 +211,7 @@ class TestProduct:
         return calls
 
     def test_pairs_that_meet_are_summed_and_zeros_dropped(self, mul_adds):
-        x, y = LaurentPoly.var(XV, 0), LaurentPoly.var(XV, 1)
+        x, y = LaurentPoly.monomial(XV, {0: 1}), LaurentPoly.monomial(XV, {1: 1})
         cancels = (x + y) * (x - y)
         assert cancels == x * x - y * y
         assert dict(cancels.terms) == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
@@ -232,7 +234,7 @@ class TestProduct:
             assert 0 not in got.values()
 
     def test_factors_in_disjoint_variables_take_one_comprehension(self, mul_adds):
-        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         p = x * x - x * y + y - LaurentPoly.one(XV)
         q = z + z * w * w - LaurentPoly.monomial(XV, {3: -1})
         got = p * q
@@ -243,11 +245,11 @@ class TestProduct:
 
 class TestSymDet:
     def test_one_by_one(self):
-        mx = SymMatrix(XV, ((LaurentPoly.var(XV, 0),),))
-        assert sym_det(mx) == LaurentPoly.var(XV, 0)
+        mx = SymMatrix(XV, ((LaurentPoly.monomial(XV, {0: 1}),),))
+        assert sym_det(mx) == LaurentPoly.monomial(XV, {0: 1})
 
     def test_two_by_two(self):
-        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         mx = SymMatrix(XV, ((x, y), (z, w)))
         assert sym_det(mx) == x * w - y * z
 
@@ -304,7 +306,7 @@ class TestSymDet:
         part = [(0b100, 0b100, 0, {0: 1})]
         assert orc._laplace([part], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
         one = LaurentPoly.one(XV)
-        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         top = (x, y, z, w)
         bottom = ((z, w, one, x), (z * x, w * x, y, one))
         for second, singular in (((x * y, y * y, w, z), False), (tuple(x * e for e in top), True)):
@@ -321,7 +323,7 @@ class TestSymDet:
         # integer multiple of 2P, so a group of such minors tested against 2P
         # keeps its minors.
         p = poly_of([((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1)])
-        z, w = LaurentPoly.var(XV, 2), LaurentPoly.var(XV, 3)
+        z, w = LaurentPoly.monomial(XV, {2: 1}), LaurentPoly.monomial(XV, {3: 1})
         two, three = p + p, p + p + p
         assert _shift(two._keys, two._keys) == (1, 0)
         assert _shift(three._keys, p._keys) == (3, 0)
@@ -334,7 +336,7 @@ class TestSymDet:
         # Neither of x + y and x + z is a monomial times the other, and a
         # zero minor is a multiple of no polynomial, so a group of either
         # kind keeps its minors.
-        x, y, z, w = (LaurentPoly.var(XV, i) for i in range(4))
+        x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         xy = _pack(enumerate((1, 1, 0, 0)))
         assert _shift((x * y * (x + y))._keys, (x + y)._keys) == (1, xy)
         assert _shift((x + y)._keys, (x + z)._keys) is None
@@ -364,13 +366,18 @@ class TestSymDet:
             for j in range(2)
         )
         mx = SymMatrix(XV, rows)
-        blocks = {
-            which: SymMatrix(XV, tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
-            for which, block in (("A", a), ("B", b))
+        # det(A) and det(B) are those blocks' determinants, each with its
+        # own bound of 40.
+        dets = {
+            idx: naive_det(
+                SymMatrix(XV, tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
+            )
+            for idx, block in (("a_idx", a), ("b_idx", b))
         }
         monkeypatch.setattr(orc, "build_mat1", lambda ctx: mx)
         monkeypatch.setattr(orc, "cleared_period_product", lambda ctx: LaurentPoly.one(XV))
-        monkeypatch.setattr(orc, "_coefficient_block", lambda pv, which: blocks[which])
+        assert [det._bound for det in dets.values()] == [40, 40]
+        monkeypatch.setattr(orc, "_generic_det", lambda names, idx, k: dets[idx.__name__])
         monkeypatch.setattr(orc, "_kronecker_column_sign", lambda ctx: 1)
         ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
         shifts = []
@@ -386,7 +393,7 @@ class TestSymDet:
         assert max(max(v) for v in fields) == 40
 
     def test_non_square_matrix_raises(self):
-        x = LaurentPoly.var(XV, 0)
+        x = LaurentPoly.monomial(XV, {0: 1})
         for rows in (((x, x),), ((x,), (x, x))):
             with pytest.raises(ValueError, match="matrix is not square"):
                 sym_det(SymMatrix(XV, rows))
@@ -405,6 +412,34 @@ class TestSymDet:
         with pytest.raises(ValueError) as err:
             sym_det(mx, group)
         assert str(err.value) == f"row group {group!r} is not an int"
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
+    # The k x k matrix of distinct variables x[i,a]: its determinant has k!
+    # terms, each ±1 times k distinct variables, so every exponent is 0 or 1.
+    names = tuple(f"x[{i},{a}]" for i in range(1, k + 1) for a in range(1, k + 1))
+
+    def idx(i, a):
+        return (i - 1) * k + (a - 1)
+
+    det = _generic_det(names, idx, k)
+    mx = SymMatrix(
+        names,
+        tuple(
+            tuple(LaurentPoly.monomial(names, {idx(i, a): 1}) for a in range(1, k + 1))
+            for i in range(1, k + 1)
+        ),
+    )
+    assert det == naive_det(mx)
+    for group in (*range(1, k + 1), None):
+        assert det == sym_det(mx, group), group
+    assert len(det.terms) == factorial(k)
+    assert set(det.terms.values()) == ({1} if k == 1 else {1, -1})
+    assert {e for key in det.terms for e in key} <= {0, 1}
+    assert max(e for key in det.terms for e in key) == 1
+    assert all(sum(key) == k for key in det.terms)
+    assert det._bound == 1
 
 
 def _term(exps, coeff=1):
@@ -630,7 +665,7 @@ def _admits(n, np_):
 
 class TestPackedRing:
     def test_an_exponent_outside_the_field_raises(self):
-        x = LaurentPoly.var(XV, 0)
+        x = LaurentPoly.monomial(XV, {0: 1})
         assert x ** 63 * LaurentPoly.monomial(XV, {0: -1}) ** 62 == x
         assert LaurentPoly.monomial(XV, {0: 127}).terms[(127, 0, 0, 0)] == 1
         with pytest.raises(OverflowError, match="bound 128"):
@@ -691,6 +726,17 @@ class TestPackedRing:
         with pytest.raises(TypeError):
             terms[(1, 0, 0, 0)] = 5
 
+    @pytest.mark.parametrize(
+        "key", [(1.0, 0), (1, 0.0), ("a", 0), (None, 0), (128, 0), (0, -129), (1,), [1, 0]]
+    )
+    def test_terms_view_treats_a_key_not_of_ints_in_the_field_as_absent(self, key):
+        p = LaurentPoly.monomial(("x", "y"), {0: 1})
+        assert p.terms.get(key) is None
+        assert key not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[key]
+        assert p.terms.get((1, 0)) == 1 and (1, 0) in p.terms
+
 
 class TestPredictedSign:
     def test_predicted_sign_is_the_observed_sign_on_every_shape(self):
@@ -701,8 +747,8 @@ class TestPredictedSign:
                     ctx = PairContext.build(*random_pp_free_pair(rng, 3, ranks=(n, np_)))
                     rep = verify_proposition(ctx)
                     pv = PairVariables.build(n, np_)
-                    det_a = sym_det(_coefficient_block(pv, "A"))
-                    det_b = sym_det(_coefficient_block(pv, "B"))
+                    det_a = _generic_det(pv.names, pv.a_idx, n)
+                    det_b = _generic_det(pv.names, pv.b_idx, np_)
                     unsigned = det_a ** np_ * det_b ** n
                     observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
                     assert rep.ok
@@ -795,8 +841,21 @@ class TestFactoredCheck:
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks):
+def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks, monkeypatch):
     # Every tableau is decided by its factors; the full comparison never runs.
+    # The exponent bound of Mat1's determinant, row 0 cleared, peaks at
+    # nn' + max(n, n') over the shape's tableaux: 16 at 3x4 and 4x3, the
+    # largest the check meets, far inside the 8-bit field's 127.
+    import periodkit.oracle as orc
+
+    bounds, group_minors = [], orc._group_minors
+
+    def spy(mx, group):
+        bound, groups = group_minors(mx, group)
+        bounds.append(bound)
+        return bound, groups
+
+    monkeypatch.setattr(orc, "_group_minors", spy)
     seen = set()
     for slots in combinations(range(n + np_), n):
         ctx = PairContext.build(*interleaved_pair(n, np_, slots))
@@ -804,14 +863,32 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks):
         assert verify_proposition(ctx).ok, (n, np_, slots)
     assert len(seen) == comb(n + np_, n)
     assert fallbacks == []
+    assert len(bounds) == len(seen)
+    assert max(bounds) == n * np_ + max(n, np_) <= 16
+
+
+@pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+def test_right_side_has_bound_n_plus_np(n, np_):
+    # det(A) and det(B) have bound 1, so det(A)^n' det(B)^n has n' + n:
+    # at most 7, at 3x4 and 4x3.
+    rep = verify_proposition(PairContext.build(*interleaved_pair(n, np_, range(n))))
+    assert rep.rhs._bound == n + np_ <= 7
+    # The diagonal term's exponents are n' and n, below the bound: a
+    # product's bound is the sum of its factors' bounds.
+    pv = PairVariables.build(n, np_)
+    exps = {pv.a_idx(i, i): np_ for i in range(1, n + 1)}
+    exps.update({pv.b_idx(j, j): n for j in range(1, np_ + 1)})
+    key = tuple(exps.get(v, 0) for v in range(len(pv.names)))
+    assert rep.rhs.terms[key] == rep.predicted_sign
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
     # In verify_proposition, Mat1 goes in n groups of n' rows, and each
     # i-block enters the DP as n^n' one-term monomials, one per choice of
-    # n' distinct b-indices: each nonzero minor is ±monomial·det(B).  det(A)
-    # and det(B) are one group each.
+    # n' distinct b-indices: each nonzero minor is ±monomial·det(B).  The
+    # DP runs on Mat1 alone: det(A) and det(B) are Leibniz sums, and
+    # sym_det never runs.
     import periodkit.oracle as orc
 
     ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
@@ -829,12 +906,14 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
         nonzero_minors.append([sum(map(bool, minors.values())) for minors in groups])
         return bound, groups
 
+    sym_dets = []
     monkeypatch.setattr(orc, "_group_minors", spy)
+    monkeypatch.setattr(orc, "sym_det", lambda *args: sym_dets.append(args))
     rep = verify_proposition(ctx)
-    assert rep.ok and fallbacks == []
-    assert nonzero_minors == [[n ** np_] * n, [1], [1]]
+    assert rep.ok and fallbacks == [] and sym_dets == []
+    assert nonzero_minors == [[n ** np_] * n]
     assert len(against_b) == n * n ** np_
     assert all(found is not None and found[0] in (1, -1) for found in against_b)
     assert against_a == [(rep.sign, 0)]
     pv = PairVariables.build(n, np_)
-    assert len(sym_det(_coefficient_block(pv, "B")).terms) == factorial(np_)
+    assert len(_generic_det(pv.names, pv.b_idx, np_).terms) == factorial(np_)

@@ -27,7 +27,9 @@ def _count(text: str) -> int:
 
 def _generic_det(k: int) -> LaurentPoly:
     names = tuple(f"x[{i},{j}]" for i in range(k) for j in range(k))
-    rows = tuple(tuple(LaurentPoly.var(names, i * k + j) for j in range(k)) for i in range(k))
+    rows = tuple(
+        tuple(LaurentPoly.monomial(names, {i * k + j: 1}) for j in range(k)) for i in range(k)
+    )
     return sym_det(SymMatrix(names, rows))
 
 
