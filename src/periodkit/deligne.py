@@ -30,7 +30,7 @@ from .combinatorics import set_A, set_T, split_indices
 from .errors import NonIntegerExponentError, NotCriticalError
 from .hodge import RegularMotiveData, restriction_tensor
 from .lfactor import critical_interval
-from .periods import PeriodMonomial, PeriodSymbol, motive_tag
+from .periods import TWO_PI, PeriodMonomial, PeriodSymbol, motive_tag
 from .value import Frozen
 
 
@@ -61,7 +61,7 @@ def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> 
     lead = m * n * np_
     if lead.denominator != 1:  # unreachable for m on the critical grid
         raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
-    factors = [(PeriodSymbol("2pi"), int(lead))]
+    factors = [(TWO_PI, int(lead))]
     for tag, sp in groups:
         factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp)]
     return PeriodMonomial(factors, field_label)

@@ -226,6 +226,8 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """self^k by k plain products: the oracle's k is at most 4, so nothing is squared."""
+        if type(k) is not int:
+            raise ValueError(f"power {k!r} is not an int")
         if k < 0:
             raise ValueError("only non-negative powers are supported")
         bound = _checked(self._bound * k)

@@ -62,15 +62,18 @@ _DET = ("det", None)
 class MotiveTag(Value):
     """A motive name plus functor decorations, rank and self-duality flag.
 
-    ``rank`` may be None for purely formal tags; rules that need it raise
-    :class:`~periodkit.errors.UnknownRankError`.  ``csd`` marks the
-    underlying motive as conjugate self-dual, which gates the rules that
-    are only valid in that case.
+    ``rank`` is a positive int, or None for purely formal tags; rules that
+    need it raise :class:`~periodkit.errors.UnknownRankError`.  ``csd``
+    marks the underlying motive as conjugate self-dual, which gates the
+    rules that are only valid in that case.  The printed text is built
+    once, with the tag.
     """
 
-    __slots__ = ("label", "rank", "csd", "ops")
+    __slots__ = ("label", "rank", "csd", "ops", "_text")
 
     def __init__(self, label: str, rank: int | None = None, csd: bool = False, ops: tuple = ()):
+        if rank is not None and (type(rank) is not int or rank < 1):
+            raise ValueError(f"rank must be a positive int or None, got {rank!r}")
         for op in ops:
             twist = type(op) is tuple and len(op) == 2 and op[0] == "t" and type(op[1]) is int
             if op not in (_CONJ, _DUAL, _DET) and not (twist and op[1]):
@@ -82,6 +85,17 @@ class MotiveTag(Value):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "csd", csd)
         object.__setattr__(self, "ops", ops)
+        text = label
+        for kind, arg in ops:
+            if kind == "c":
+                text += "^c"
+            elif kind == "v":
+                text += "^v"
+            elif kind == "det":
+                text = f"det({text})"
+            else:
+                text += f"({arg})"
+        object.__setattr__(self, "_text", text)
 
     def _with_ops(self, ops: tuple) -> "MotiveTag":
         return MotiveTag(self.label, self.rank, self.csd, ops)
@@ -121,20 +135,10 @@ class MotiveTag(Value):
         return r
 
     def text(self) -> str:
-        s = self.label
-        for kind, arg in self.ops:
-            if kind == "c":
-                s += "^c"
-            elif kind == "v":
-                s += "^v"
-            elif kind == "det":
-                s = f"det({s})"
-            else:
-                s += f"({arg})"
-        return s
+        return self._text
 
     def sort_key(self):
-        return (self.text(), self.rank if self.rank is not None else -1, self.csd)
+        return (self._text, self.rank if self.rank is not None else -1, self.csd)
 
 
 #: The trivial motive (rank one, weight zero); its twists are the Tate motives.
@@ -155,14 +159,15 @@ class PeriodSymbol(Frozen):
     """One letter of the period alphabet; see the module docstring.
 
     ``sort_key`` orders symbols in a monomial's canonical print order.  It
-    is built once, after the checks, and the hash is taken from it;
-    equality compares the three fields.  Tags that print alike, such as
-    ``M^c`` and the conjugate of ``M``, are told apart by the key's last
-    two entries, the tag's label and ops, so unequal symbols never share a
-    key; as they come after the index, they only break ties.
+    and the hash taken from it are built once, after the checks, and
+    equality compares keys.  Tags that print alike, such as ``M^c`` and
+    the conjugate of ``M``, are told apart by the key's last two entries,
+    the tag's label and ops, so unequal symbols never share a key; as they
+    come after the index, they only break ties.  A tag without rank has
+    rank -1 in the key, which no tag's rank can be.
     """
 
-    __slots__ = ("kind", "index", "tag", "sort_key")
+    __slots__ = ("kind", "index", "tag", "sort_key", "_hash")
 
     def __init__(self, kind: str, index: int | None = None, tag: MotiveTag | None = None):
         object.__setattr__(self, "kind", kind)
@@ -180,11 +185,12 @@ class PeriodSymbol(Frozen):
                 tag.ops,
             )
         object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.index, self.tag) == (other.kind, other.index, other.tag)
+        return self.sort_key == other.sort_key
 
     def _check(self) -> None:
         if self.kind not in _KIND_ORDER:
@@ -209,7 +215,7 @@ class PeriodSymbol(Frozen):
             )
 
     def __hash__(self) -> int:
-        return hash(self.sort_key)
+        return self._hash
 
     def text(self) -> str:
         if self.kind == "2pi":
@@ -219,7 +225,7 @@ class PeriodSymbol(Frozen):
         return f"{self.kind}[{self.index};{self.tag.text()}]"
 
 
-_TWO_PI = PeriodSymbol("2pi")
+TWO_PI = PeriodSymbol("2pi")
 
 
 def join_field_labels(a: str, b: str) -> str:
@@ -233,9 +239,11 @@ def join_field_labels(a: str, b: str) -> str:
 class PeriodMonomial(Frozen):
     """A free-abelian-group element over period symbols.
 
-    Zero exponents are never stored; the factor order is the canonical
-    print order, so equal monomials are structurally identical.  Equality
-    and hashing ignore ``field_label``.
+    Every exponent is an int, bools excluded.  Zero exponents are never
+    stored; the factor order is the canonical print order, so equal
+    monomials are structurally identical.  Equality and hashing ignore
+    ``field_label``.  ``*`` merges the two canonical factor tuples and
+    ``**`` scales the exponents, so neither sorts or checks again.
     """
 
     __slots__ = ("factors", "field_label")
@@ -243,6 +251,8 @@ class PeriodMonomial(Frozen):
     def __init__(self, factors: Iterable[tuple[PeriodSymbol, int]] = (), field_label: str = ""):
         merged: dict[PeriodSymbol, int] = {}
         for sym, exp in factors:
+            if type(exp) is not int:
+                raise ValueError(f"exponent {exp!r} is not an int")
             merged[sym] = merged.get(sym, 0) + exp
         nonzero = [(sym, exp) for sym, exp in merged.items() if exp]
         canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key))
@@ -254,13 +264,31 @@ class PeriodMonomial(Frozen):
         return cls((), field_label)
 
     def __mul__(self, other: "PeriodMonomial") -> "PeriodMonomial":
-        return PeriodMonomial(
-            tuple(self.factors) + tuple(other.factors),
-            join_field_labels(self.field_label, other.field_label),
-        )
+        a, b = self.factors, other.factors
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            (s, e), (t, f) = a[i], b[j]
+            if s.sort_key < t.sort_key:
+                out.append(a[i])
+                i += 1
+            elif t.sort_key < s.sort_key:
+                out.append(b[j])
+                j += 1
+            else:
+                if e + f:
+                    out.append((s, e + f))
+                i += 1
+                j += 1
+        out += a[i:] or b[j:]
+        return _canonical(tuple(out), join_field_labels(self.field_label, other.field_label))
 
     def __pow__(self, k: int) -> "PeriodMonomial":
-        return PeriodMonomial(((s, e * k) for s, e in self.factors), self.field_label)
+        if type(k) is not int:
+            raise ValueError(f"exponent {k!r} is not an int")
+        factors = tuple([(s, e * k) for s, e in self.factors]) if k else ()
+        return _canonical(factors, self.field_label)
 
     def inv(self) -> "PeriodMonomial":
         return self ** -1
@@ -303,8 +331,15 @@ class PeriodMonomial(Frozen):
         return f"PeriodMonomial({self.text()!r})"
 
 
+def _canonical(factors: tuple, field_label: str) -> PeriodMonomial:
+    """A monomial whose factors are already canonical: no merge, sort or check runs."""
+    x = PeriodMonomial.__new__(PeriodMonomial)
+    Frozen.__init__(x, factors, field_label)
+    return x
+
+
 def two_pi_i(k: int = 1) -> PeriodMonomial:
-    return PeriodMonomial(((_TWO_PI, k),))
+    return PeriodMonomial(((TWO_PI, k),))
 
 
 def q(i: int, tag: MotiveTag) -> PeriodMonomial:
@@ -351,7 +386,7 @@ def _q_range(tag: MotiveTag, j: int, exp: int) -> _Factors:
 def _normalized_delta(tag: MotiveTag, exp: int) -> _Factors:
     """D[T] = (2πi)^(n(n-1)/2) d[T], to the power exp."""
     n = tag.require_rank()
-    return [(_TWO_PI, n * (n - 1) // 2 * exp), (PeriodSymbol("d", None, tag), exp)]
+    return [(TWO_PI, n * (n - 1) // 2 * exp), (PeriodSymbol("d", None, tag), exp)]
 
 
 def expand(x: PeriodMonomial) -> PeriodMonomial:
@@ -388,7 +423,7 @@ def _rule_delta_conj(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Fac
 
 def _rule_delta_twist(sym: PeriodSymbol, base: MotiveTag, k: int, exp: int) -> _Factors:
     n = base.require_rank()
-    return [(_TWO_PI, k * n * exp), (PeriodSymbol("d", None, base), exp)]
+    return [(TWO_PI, k * n * exp), (PeriodSymbol("d", None, base), exp)]
 
 
 def _rule_delta_dual(sym: PeriodSymbol, base: MotiveTag, _arg, exp: int) -> _Factors:

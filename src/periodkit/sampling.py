@@ -63,11 +63,15 @@ def random_infinity_type(
     ds_split: bool = False,
 ) -> InfinityTypeData:
     offsets = sorted(rng.sample(range(-_A_SPAN, _A_SPAN + 1), n), reverse=True)
-    half = Fraction(n - 1, 2)
+    # o + (n-1)/2, an int for odd n: built directly, with no Fraction sum.
+    if n % 2:
+        a = tuple(o + n // 2 for o in offsets)
+    else:
+        a = tuple(Fraction(2 * o + n - 1, 2) for o in offsets)
     return InfinityTypeData(
         label,
         rng.randint(-3, 3),
-        tuple(o + half for o in offsets),
+        a,
         conjugate_self_dual=csd,
         discrete_series_split_place=ds_split,
     )

@@ -178,7 +178,7 @@ def _random_monomial(rng: random.Random) -> pd.PeriodMonomial:
         kind = rng.choice(["2pi", "Q", "d", "D", "Qp", "Qs"])
         e = rng.choice([-2, -1, 1, 2])
         if kind == "2pi":
-            factors.append((pd.PeriodSymbol("2pi"), rng.randint(-3, 3)))
+            factors.append((pd.TWO_PI, rng.randint(-3, 3)))
         elif kind in ("d", "D"):
             factors.append((pd.PeriodSymbol(kind, None, tag), e))
         else:

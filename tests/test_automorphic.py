@@ -21,7 +21,7 @@ from periodkit.errors import AlgebraicityError, NotCriticalError, NotCriticalPai
 from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
 from periodkit.lfactor import CriticalInterval, pair_critical_points
 from periodkit.periods import PeriodSymbol
-from periodkit.sampling import random_critical_rep_pair, random_infinity_type
+from periodkit.sampling import _A_SPAN, random_critical_rep_pair, random_infinity_type
 
 
 def rep(label, w, a, csd=False, ds_split=False):
@@ -183,6 +183,20 @@ def _outcome(f, *args):
     if isinstance(value, RegularMotiveData):
         return value, [type(p) for p in value.hodge_p]
     return value, type(value)
+
+
+class TestRandomInfinityType:
+    def test_draws_match_the_fraction_sum_and_leave_the_rng_alike(self):
+        # The exponents were o + Fraction(n - 1, 2); the same calls must give the same value.
+        for seed in range(3):
+            for n in range(1, 18):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = random_infinity_type(rng, n, "Pi", csd=True, ds_split=seed == 1)
+                offsets = sorted(ref.sample(range(-_A_SPAN, _A_SPAN + 1), n), reverse=True)
+                w = ref.randint(-3, 3)
+                a = tuple(o + Fraction(n - 1, 2) for o in offsets)
+                assert got == InfinityTypeData("Pi", w, a, True, seed == 1)
+                assert got.a == a and rng.getstate() == ref.getstate()
 
 
 class TestDoubledAgainstFraction:

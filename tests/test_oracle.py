@@ -160,6 +160,13 @@ class TestLaurentPoly:
         with pytest.raises(ValueError, match="only non-negative powers"):
             LaurentPoly.monomial(XV, {0: 1}) ** -1
 
+    @pytest.mark.parametrize("k", [True, 2.0, 200.5])
+    def test_a_power_that_is_not_an_int_is_refused(self, k):
+        # Before the bound check: 200.5 would otherwise overflow the field.
+        with pytest.raises(ValueError) as err:
+            LaurentPoly.monomial(XV, {0: 1}) ** k
+        assert str(err.value) == f"power {k!r} is not an int"
+
     def test_a_polynomial_equals_no_other_type_and_no_other_table(self):
         one = LaurentPoly.one(XV)
         for other in (1, "1", None, LaurentPoly.one(("x",))):

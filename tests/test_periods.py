@@ -1,6 +1,7 @@
 """Period monomial algebra: group laws, expansion, rules, derivations."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from periodkit.periods import (
     derive_delta_square_identity,
     derive_grouped_period_identity,
     expand,
+    join_field_labels,
     q,
     q_paren,
     q_sup,
@@ -55,6 +57,91 @@ class TestMonomialAlgebra:
             assert (x * y) * z == x * (y * z)
             assert x * y == y * x
             assert x * x.inv() == PeriodMonomial.one()
+
+
+def _random_tag(rng):
+    """A freshly built tag: equal tags drawn twice are equal, not identical."""
+    tag = MotiveTag(rng.choice(["M", "M'", "Pi"]), rank=rng.randint(1, 3), csd=rng.random() < 0.5)
+    for _ in range(rng.randint(0, 2)):
+        step = rng.choice(["conj", "dual", "twist", "det"])
+        tag = tag.twist(rng.choice([-2, 1, 3])) if step == "twist" else getattr(tag, step)()
+    return tag
+
+
+def _random_monomial(rng):
+    """A monomial on 0 to 5 factors of every kind, a symbol repeated now and then."""
+    factors = []
+    for _ in range(rng.randint(0, 5)):
+        kind, tag = rng.choice(["2pi", "Q", "d", "D", "Qp", "Qs", "P", "Qxi"]), _random_tag(rng)
+        if kind == "2pi":
+            sym = PeriodSymbol("2pi")
+        elif kind in ("d", "D", "Qxi"):
+            sym = PeriodSymbol(kind, None, tag)
+        else:
+            sym = PeriodSymbol(kind, rng.randint(kind == "Q", tag.rank_value), tag)
+        factors += [(sym, rng.choice([-2, -1, 1, 3]))] * rng.choice([1, 1, 2])
+    return PeriodMonomial(factors, rng.choice(["", "E", "E;K", "EE'", "E;E", "K;E;K"]))
+
+
+class TestMergePath:
+    """``*``, ``/``, ``inv`` and ``**`` against the constructor, which sorts and checks."""
+
+    def test_every_operation_matches_the_constructor(self):
+        rng = random.Random(28)
+        kinds, ops, cancelled = set(), set(), 0
+        for _ in range(400):
+            x, y = _random_monomial(rng), _random_monomial(rng)
+            if rng.random() < 0.2:  # y shares, and cancels, some of x's factors
+                y = y * x.inv()
+            label = join_field_labels(x.field_label, y.field_label)
+            negated = tuple((s, -e) for s, e in y.factors)
+            cases = [
+                (x * y, PeriodMonomial(x.factors + y.factors, label)),
+                (x / y, PeriodMonomial(x.factors + negated, label)),
+                (x.inv(), PeriodMonomial(((s, -e) for s, e in x.factors), x.field_label)),
+            ]
+            for k in range(-3, 4):
+                scaled = PeriodMonomial(((s, e * k) for s, e in x.factors), x.field_label)
+                cases.append((x ** k, scaled))
+            for got, want in cases:
+                assert got.factors == want.factors and got.field_label == want.field_label
+                assert hash(got) == hash(want) and got.text() == want.text()
+            product = {s for s, _ in x.factors} | {s for s, _ in y.factors}
+            cancelled += len({s for s, _ in (x * y).factors}) < len(product)
+            kinds |= {s.kind for s, _ in x.factors}
+            ops |= {op[0] for s, _ in x.factors if s.tag for op in s.tag.ops}
+        assert kinds == {"2pi", "Q", "d", "D", "Qp", "Qs", "P", "Qxi"}
+        assert ops == {"c", "v", "t", "det"}
+        assert cancelled > 20
+
+    def test_a_product_that_cancels_to_one(self):
+        x = PeriodMonomial((q(1, M2) * delta(M3.conj()) ** 2 * two_pi_i(-3)).factors, "E;E")
+        for one in (x * x.inv(), x / x, x ** 0, x.inv() * x):
+            assert one.factors == () and one.text() == "1"
+        assert (x / x).field_label == "E" and (x ** 0).field_label == "E;E"
+
+    def test_equal_keys_from_distinct_tags_merge(self):
+        # Equal symbols built apart are not the same object; the merge adds them.
+        x = q(2, MotiveTag("M", rank=3, csd=True).dual().twist(2))
+        y = q(2, MotiveTag("M", rank=3, csd=True).dual().twist(2))
+        assert x.factors[0][0] is not y.factors[0][0]
+        assert (x * y).text() == "Q[2;M^v(2)]^2" and (x / y).factors == ()
+
+    @pytest.mark.parametrize("exp", [0.5, True, "1", Fraction(1, 2), 2.0])
+    def test_an_exponent_that_is_not_an_int_is_refused(self, exp):
+        with pytest.raises(ValueError) as err:
+            PeriodMonomial([(PeriodSymbol("Q", 1, M2), exp)])
+        assert str(err.value) == f"exponent {exp!r} is not an int"
+        with pytest.raises(ValueError) as err:
+            q(1, M2) ** exp
+        assert str(err.value) == f"exponent {exp!r} is not an int"
+
+    @pytest.mark.parametrize("rank", [-1, 0, 2.5, True, "2"])
+    def test_a_rank_that_is_not_a_positive_int_is_refused(self, rank):
+        # A rankless tag's key reads rank -1; and D[M] at rank 2.5 expanded to (2πi)^1.0.
+        with pytest.raises(ValueError) as err:
+            MotiveTag("M", rank)
+        assert str(err.value) == f"rank must be a positive int or None, got {rank!r}"
 
 
 class TestCanonicalText:
