@@ -138,7 +138,7 @@ def conjecture_rhs_automorphic(
         (rep_tag(pi), split_indices_auto(pi, pip)),
         (rep_tag(pip), split_indices_auto(pip, pi)),
     )
-    return grouped_period_product("P", m, groups, "EE';K")
+    return grouped_period_product("P", m, groups)
 
 
 def substitute_p_periods(

@@ -50,12 +50,12 @@ class PairContext(Frozen):
         )
 
 
-def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> PeriodMonomial:
+def grouped_period_product(kind: str, m: Fraction, groups) -> PeriodMonomial:
     """(2πi)^(m n n') * prod over (T, sp) in groups of prod_j kind[j;T]^sp(j).
 
     ``groups`` holds the two (MotiveTag, split-index tuple) pairs, whose tags
-    carry the ranks n and n'; ``kind`` is ``"Qs"`` on the motivic side and
-    ``"P"`` on the automorphic one.
+    carry the ranks n and n'; ``kind`` is ``"Qs"`` on the motivic side, over
+    the field EE', and ``"P"`` on the automorphic one, over EE';K.
     """
     n, np_ = (tag.rank for tag, _ in groups)
     lead = m * n * np_
@@ -64,7 +64,7 @@ def grouped_period_product(kind: str, m: Fraction, groups, field_label: str) -> 
     factors = [(TWO_PI, int(lead))]
     for tag, sp in groups:
         factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp)]
-    return PeriodMonomial(factors, field_label)
+    return PeriodMonomial(factors, {"Qs": "EE'", "P": "EE';K"}[kind])
 
 
 def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
@@ -85,7 +85,7 @@ def deligne_period_simplified(ctx: PairContext) -> PeriodMonomial:
     """The Deligne period grouped through the Qs periods and split indices."""
     m = -Fraction(ctx.M.rank + ctx.Mp.rank - 2, 2)
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", m, groups, "EE'")
+    return grouped_period_product("Qs", m, groups)
 
 
 def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomial:
@@ -98,4 +98,4 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
         legal = f"[{interval.lo - shift}, {interval.hi - shift}]"
         raise NotCriticalError(f"m = {m} is not critical for the pair; critical m lie in {legal}")
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", m, groups, "EE'")
+    return grouped_period_product("Qs", m, groups)

@@ -202,14 +202,13 @@ class LaurentPoly:
             raise ValueError("operands live over different variable tables")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self._keys)
         for k, c in other._keys.items():
-            n = terms.get(k, 0) + c
-            if n:
-                terms[k] = n
-            else:
-                del terms[k]
+            terms[k] = terms.get(k, 0) + c
+        _drop_zeros(terms)
         return LaurentPoly(self.vars, terms, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
@@ -217,9 +216,11 @@ class LaurentPoly:
         return LaurentPoly(self.vars, keys, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         bound = _checked(self._bound + other._bound)
         return LaurentPoly(self.vars, _product(self._keys, other._keys), bound)
@@ -290,20 +291,6 @@ class Terms(Mapping):
 
     def __repr__(self) -> str:
         return f"Terms({dict(self)!r})"
-
-
-class SymMatrix(Frozen):
-    """A square matrix of Laurent polynomials over one variable table.
-
-    ``vars`` is the tuple of variable names and ``rows`` a tuple of rows,
-    each a tuple of :class:`LaurentPoly` over ``vars``.
-    """
-
-    __slots__ = ("vars", "rows")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
 
 def _part(
@@ -436,27 +423,35 @@ def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
     return c, e
 
 
-def _group_minors(
-    mx: SymMatrix, group: int | None
-) -> tuple[int, list[dict[int, dict[int, int]]]]:
-    """(bound, [the minors of each group of rows]) for the Laplace expansion of ``mx``.
-
-    ``bound`` is the determinant's exponent bound, checked to fit the
-    field before any work.
-    """
-    k = mx.size
-    for row in mx.rows:
-        if len(row) != k:
+def _table(rows) -> tuple[str, ...]:
+    """The entries' one variable table: ``ValueError`` if empty, ragged or mixed."""
+    if not rows:
+        raise ValueError("matrix is empty")
+    for row in rows:
+        if len(row) != len(rows):
             raise ValueError("matrix is not square")
+        for poly in row:
+            rows[0][0]._check(poly)
+    return rows[0][0].vars
+
+
+def _group_minors(rows, group: int | None) -> tuple[int, list[dict[int, dict[int, int]]]]:
+    """(bound, [the minors of each group of rows]) for the Laplace expansion of ``rows``.
+
+    ``rows`` passes ``_table``, and ``bound``, the determinant's exponent
+    bound, is checked to fit the field, before any work.
+    """
+    _table(rows)
+    k = len(rows)
     if group is None:
-        group = max(k, 1)
+        group = k
     elif type(group) is not int:
         raise ValueError(f"row group {group!r} is not an int")
     elif group < 1:
         raise ValueError(f"a row group needs at least 1 row, got {group}")
-    bound = _checked(sum(max(poly._bound for poly in row) for row in mx.rows))
-    rows = [[poly._keys for poly in row] for row in mx.rows]
-    return bound, [_minors(rows[start : start + group]) for start in range(0, k, group)]
+    bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
+    keys = [[poly._keys for poly in row] for row in rows]
+    return bound, [_minors(keys[start : start + group]) for start in range(0, k, group)]
 
 
 def _combined(groups: list[dict[int, dict[int, int]]], k: int) -> dict[int, int]:
@@ -464,12 +459,14 @@ def _combined(groups: list[dict[int, dict[int, int]]], k: int) -> dict[int, int]
     return _laplace(map(_part, groups), {0: {0: 1}}).get((1 << k) - 1, {})
 
 
-def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
-    """Exact determinant by Laplace expansion over consecutive groups of rows.
+def sym_det(rows, group: int | None = None) -> LaurentPoly:
+    """Exact determinant of ``rows``, by Laplace expansion over consecutive groups of rows.
 
-    The rows go in groups of ``group``, the last of them possibly shorter;
-    ``None`` is one group of every row, and a ``group`` that is not an int,
-    or is below 1, raises ``ValueError``.  det = sum over ordered choices
+    ``rows`` is a nonempty square matrix of :class:`LaurentPoly` over one
+    variable table, the result's (``_table`` refuses any other).  The rows
+    go in groups of ``group``, the last possibly shorter; ``None`` is one
+    group of every row, and a ``group`` that is not an int, or is below 1,
+    raises ``ValueError``.  det = sum over ordered choices
     (S_1, ..., S_m) of disjoint column sets, |S_g| = |group g|, of the
     sign of the column order times the product of the minors on
     (group g, S_g).  The one DP of ``_laplace`` gives each group's minors
@@ -482,18 +479,18 @@ def sym_det(mx: SymMatrix, group: int | None = None) -> LaurentPoly:
     bound, and that sum must fit the field.  It bounds each field of a
     column's drift as well (``_partners``).
     """
-    bound, groups = _group_minors(mx, group)
-    return LaurentPoly(mx.vars, _combined(groups, mx.size), bound)
+    bound, groups = _group_minors(rows, group)
+    return LaurentPoly(rows[0][0].vars, _combined(groups, len(rows)), bound)
 
 
-def naive_det(mx: SymMatrix) -> LaurentPoly:
-    """Permutation-sum determinant, used as an independent reference."""
-    k = mx.size
-    out = LaurentPoly.zero(mx.vars)
-    for perm in permutations(range(k)):
-        term = LaurentPoly.one(mx.vars)
-        for r in range(k):
-            term = term * mx.rows[r][perm[r]]
+def naive_det(rows) -> LaurentPoly:
+    """Permutation-sum determinant, an independent reference; it refuses what ``sym_det`` does."""
+    vars_ = _table(rows)
+    out = LaurentPoly.zero(vars_)
+    for perm in permutations(range(len(rows))):
+        term = LaurentPoly.one(vars_)
+        for row, c in zip(rows, perm):
+            term = term * row[c]
         out = out + (-term if _parity(perm) else term)
     return out
 
@@ -559,16 +556,17 @@ def _mat1_columns(ctx: PairContext) -> list[tuple[tuple, int, int, int]]:
     return cols
 
 
-def build_mat1(ctx: PairContext) -> SymMatrix:
-    """The nn' x nn' coefficient matrix of the comparison isomorphism.
+def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the nn' x nn' coefficient matrix of the comparison isomorphism.
 
     Rows run over (i, j) lexicographically; the entry in the column
-    (a, b, s) of ``_mat1_columns`` is A_ia B_jb Q_a^-s Q'_b^-s.
+    (a, b, s) of ``_mat1_columns`` is A_ia B_jb Q_a^-s Q'_b^-s, over the
+    table of ``PairVariables``.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
     cols = _mat1_columns(ctx)
-    rows = tuple(
+    return tuple(
         tuple(
             LaurentPoly.monomial(
                 pv.names,
@@ -579,7 +577,6 @@ def build_mat1(ctx: PairContext) -> SymMatrix:
         for i in range(1, n + 1)
         for j in range(1, np_ + 1)
     )
-    return SymMatrix(pv.names, rows)
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
@@ -677,8 +674,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # by that monomial.
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
-    rows = (tuple(entry * cleared for entry in mat1.rows[0]), *mat1.rows[1:])
-    bound, groups = _group_minors(SymMatrix(mat1.vars, rows), np_)
+    bound, groups = _group_minors((tuple(entry * cleared for entry in mat1[0]), *mat1[1:]), np_)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = _generic_det(pv.names, pv.a_idx, n) ** np_
@@ -690,7 +686,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
             groups[g] = {cols: {e: c} for cols, (c, e) in shifts.items()}
             factored += 1
     out = _combined(groups, n * np_)
-    lhs = cache(lambda: LaurentPoly(mat1.vars, _product(out, (det_b ** factored)._keys), bound))
+    lhs = cache(lambda: LaurentPoly(cleared.vars, _product(out, (det_b ** factored)._keys), bound))
     # Negate the small factor, not a copy of the product.
     rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
     unit, shift = _shift(out, a_part._keys) or (None, None)

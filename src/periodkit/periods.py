@@ -206,6 +206,8 @@ class PeriodSymbol(Frozen):
             if self.index is not None:
                 raise ValueError(f"{self.kind} carries no index")
             return
+        if self.index is not None and type(self.index) is not int:
+            raise ValueError(f"{self.kind} index {self.index!r} is not an int")
         if self.index is None or self.index < start:
             raise ValueError(f"{self.kind} index starts at {start}, got {self.index}")
         rank = self.tag.rank_value
@@ -264,6 +266,8 @@ class PeriodMonomial(Frozen):
         return cls((), field_label)
 
     def __mul__(self, other: "PeriodMonomial") -> "PeriodMonomial":
+        if not isinstance(other, PeriodMonomial):
+            return NotImplemented
         a, b = self.factors, other.factors
         na, nb = len(a), len(b)
         out = []
@@ -294,7 +298,7 @@ class PeriodMonomial(Frozen):
         return self ** -1
 
     def __truediv__(self, other: "PeriodMonomial") -> "PeriodMonomial":
-        return self * other.inv()
+        return self * other.inv() if isinstance(other, PeriodMonomial) else NotImplemented
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodMonomial) and self.factors == other.factors

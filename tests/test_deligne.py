@@ -126,8 +126,16 @@ class TestConjectureRhs:
                 assert isinstance(mono.exponent(PeriodSymbol("2pi")), int)
 
 
+@pytest.mark.parametrize("kind, label", [("Qs", "EE'"), ("P", "EE';K")])
+def test_grouped_product_takes_its_field_label_from_its_kind(kind, label):
+    groups = ((MotiveTag("M", rank=1), (1, 0)), (MotiveTag("M'", rank=1), (0, 1)))
+    mono = grouped_period_product(kind, Fraction(1), groups)
+    assert mono.field_label == label
+    assert mono.text() == f"(2πi)^1 * {kind}[0;M] * {kind}[1;M']"
+
+
 def test_grouped_product_refuses_a_non_integral_two_pi_exponent():
     # Off the critical grid: m nn' = 1/3 at n = n' = 1.
     groups = ((MotiveTag("M", rank=1), (1, 0)), (MotiveTag("M'", rank=1), (0, 1)))
     with pytest.raises(NonIntegerExponentError, match=r"\(2πi\) exponent 1/3 is not an integer"):
-        grouped_period_product("Qs", Fraction(1, 3), groups, "EE'")
+        grouped_period_product("Qs", Fraction(1, 3), groups)

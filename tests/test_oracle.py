@@ -13,7 +13,6 @@ from periodkit.hodge import RegularMotiveData
 from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
-    SymMatrix,
     _generic_det,
     _kronecker_column_sign,
     _mat1_columns,
@@ -156,6 +155,22 @@ class TestLaurentPoly:
             with pytest.raises(ValueError, match="different variable tables"):
                 op()
 
+    # One test per operator: a foreign operand gives Python's TypeError.
+    @pytest.mark.parametrize("other", [2, 1.5, None])
+    def test_add_refuses_an_operand_that_is_not_a_polynomial(self, other):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+            LaurentPoly.one(("x",)) + other
+
+    @pytest.mark.parametrize("other", [2, 1.5, None])
+    def test_sub_refuses_an_operand_that_is_not_a_polynomial(self, other):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            LaurentPoly.one(("x",)) - other
+
+    @pytest.mark.parametrize("other", [2, 1.5, None])
+    def test_mul_refuses_an_operand_that_is_not_a_polynomial(self, other):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+            LaurentPoly.one(("x",)) * other
+
     def test_negative_power_raises(self):
         with pytest.raises(ValueError, match="only non-negative powers"):
             LaurentPoly.monomial(XV, {0: 1}) ** -1
@@ -186,7 +201,10 @@ class TestLaurentPoly:
         assert str(p) == str(q) == "-1*y^-1 + 2*x"
 
     def test_str_of_a_constant_is_its_coefficient(self):
-        assert str(LaurentPoly.one(XV)) == str(sym_det(SymMatrix(("x",), ()))) == "1"
+        # An empty matrix has no entry to give its determinant a table.
+        assert str(LaurentPoly.one(XV)) == "1"
+        with pytest.raises(ValueError, match="matrix is empty"):
+            sym_det(())
         assert str(poly_of([((0, 0, 0, 0), 3)])) == "3"
         assert str(poly_of([((0, 0, 0, 0), -2)])) == "-2"
         assert str(poly_of([((0, 0, 0, 0), -2), ((0, 1, 0, 0), 1)])) == "-2 + y"
@@ -252,12 +270,12 @@ class TestProduct:
 
 class TestSymDet:
     def test_one_by_one(self):
-        mx = SymMatrix(XV, ((LaurentPoly.monomial(XV, {0: 1}),),))
+        mx = ((LaurentPoly.monomial(XV, {0: 1}),),)
         assert sym_det(mx) == LaurentPoly.monomial(XV, {0: 1})
 
     def test_two_by_two(self):
         x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
-        mx = SymMatrix(XV, ((x, y), (z, w)))
+        mx = ((x, y), (z, w))
         assert sym_det(mx) == x * w - y * z
 
     def test_permutation_matrix_signs(self):
@@ -267,7 +285,7 @@ class TestSymDet:
             rows = tuple(
                 tuple(one if perm[r] == c else zero for c in range(4)) for r in range(4)
             )
-            det = sym_det(SymMatrix(XV, rows))
+            det = sym_det(rows)
             inversions = sum(
                 1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j]
             )
@@ -288,7 +306,7 @@ class TestSymDet:
                         p = p + LaurentPoly.monomial(XV, exps, rng.randint(-3, 3))
                     row.append(p)
                 rows.append(tuple(row))
-            mx = SymMatrix(XV, tuple(rows))
+            mx = tuple(rows)
             want = naive_det(mx)
             for group in (*range(1, k + 1), None):
                 assert sym_det(mx, group) == want, group
@@ -317,7 +335,7 @@ class TestSymDet:
         top = (x, y, z, w)
         bottom = ((z, w, one, x), (z * x, w * x, y, one))
         for second, singular in (((x * y, y * y, w, z), False), (tuple(x * e for e in top), True)):
-            mx = SymMatrix(XV, (top, second, *bottom))
+            mx = (top, second, *bottom)
             want = naive_det(mx)
             assert (want == LaurentPoly.zero(XV)) is singular
             for group in (1, 2, 3, 4, None):
@@ -335,7 +353,7 @@ class TestSymDet:
         assert _shift(two._keys, two._keys) == (1, 0)
         assert _shift(three._keys, p._keys) == (3, 0)
         assert _shift(three._keys, two._keys) is None
-        mx = SymMatrix(XV, ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z)))
+        mx = ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z))
         for group in (1, 2):
             assert sym_det(mx, group) == naive_det(mx), group
 
@@ -349,7 +367,7 @@ class TestSymDet:
         assert _shift((x + y)._keys, (x + z)._keys) is None
         assert _shift((x + z)._keys, (x + y)._keys) is None
         assert _shift({}, (x + y)._keys) is None
-        mx = SymMatrix(XV, ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z)))
+        mx = ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z))
         for group in (1, 2):
             assert sym_det(mx, group) == naive_det(mx), group
 
@@ -372,16 +390,13 @@ class TestSymDet:
             for i in range(2)
             for j in range(2)
         )
-        mx = SymMatrix(XV, rows)
         # det(A) and det(B) are those blocks' determinants, each with its
         # own bound of 40.
         dets = {
-            idx: naive_det(
-                SymMatrix(XV, tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
-            )
+            idx: naive_det(tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
             for idx, block in (("a_idx", a), ("b_idx", b))
         }
-        monkeypatch.setattr(orc, "build_mat1", lambda ctx: mx)
+        monkeypatch.setattr(orc, "build_mat1", lambda ctx: rows)
         monkeypatch.setattr(orc, "cleared_period_product", lambda ctx: LaurentPoly.one(XV))
         assert [det._bound for det in dets.values()] == [40, 40]
         monkeypatch.setattr(orc, "_generic_det", lambda names, idx, k: dets[idx.__name__])
@@ -390,7 +405,7 @@ class TestSymDet:
         shifts = []
         _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
         rep = verify_proposition(ctx)
-        want = naive_det(mx)
+        want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         assert rep.ok and rep.sign == 1 and fallbacks == []
         assert rep.lhs == want
@@ -399,23 +414,52 @@ class TestSymDet:
         assert all(_pack(enumerate(v)) == e for v, (_, e) in zip(fields, shifts))
         assert max(max(v) for v in fields) == 40
 
+    @pytest.mark.parametrize("det", [sym_det, naive_det])
+    def test_an_empty_matrix_is_refused(self, det):
+        with pytest.raises(ValueError, match="matrix is empty"):
+            det(())
+
+    @pytest.mark.parametrize("det", [sym_det, naive_det])
+    def test_a_ragged_matrix_is_refused(self, det):
+        # Unchecked, naive_det would give x for the 1x2 and 0 for the 2x3.
+        x = LaurentPoly.monomial(("x",), {0: 1})
+        for rows in (((x, x),), ((x, x, x), (x, x, x)), ((x, x), (x,)), ((), (x,))):
+            with pytest.raises(ValueError, match="matrix is not square"):
+                det(rows)
+
+    @pytest.mark.parametrize("det", [sym_det, naive_det])
+    def test_entries_over_two_tables_are_refused(self, det):
+        x = LaurentPoly.monomial(("x",), {0: 1})
+        y = LaurentPoly.monomial(("x", "y"), {1: 1})
+        for rows in (((x, y), (y, x)), ((y, y), (y, x))):
+            with pytest.raises(ValueError, match="different variable tables"):
+                det(rows)
+
+    @pytest.mark.parametrize("det", [sym_det, naive_det])
+    def test_the_determinant_carries_its_entries_table(self, det):
+        # The result's table is the entries' own, so its terms decode.
+        y = LaurentPoly.monomial(("x", "y"), {1: 1})
+        det_y = det(((y,),))
+        assert det_y == y and str(det_y) == "y" and det_y.vars == ("x", "y")
+        assert dict(det_y.terms) == {(0, 1): 1}
+
     def test_non_square_matrix_raises(self):
         x = LaurentPoly.monomial(XV, {0: 1})
         for rows in (((x, x),), ((x,), (x, x))):
             with pytest.raises(ValueError, match="matrix is not square"):
-                sym_det(SymMatrix(XV, rows))
+                sym_det(rows)
 
     @pytest.mark.parametrize("group", [0, -1])
     def test_group_below_one_raises(self, group):
         entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
-        mx = SymMatrix(XV, tuple(map(tuple, entries)))
+        mx = tuple(map(tuple, entries))
         with pytest.raises(ValueError, match=f"at least 1 row, got {group}"):
             sym_det(mx, group)
 
     @pytest.mark.parametrize("group", [True, 1.5, 2.0, "2"])
     def test_group_that_is_not_an_int_raises(self, group):
         entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
-        mx = SymMatrix(XV, tuple(map(tuple, entries)))
+        mx = tuple(map(tuple, entries))
         with pytest.raises(ValueError) as err:
             sym_det(mx, group)
         assert str(err.value) == f"row group {group!r} is not an int"
@@ -431,12 +475,9 @@ def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
         return (i - 1) * k + (a - 1)
 
     det = _generic_det(names, idx, k)
-    mx = SymMatrix(
-        names,
-        tuple(
-            tuple(LaurentPoly.monomial(names, {idx(i, a): 1}) for a in range(1, k + 1))
-            for i in range(1, k + 1)
-        ),
+    mx = tuple(
+        tuple(LaurentPoly.monomial(names, {idx(i, a): 1}) for a in range(1, k + 1))
+        for i in range(1, k + 1)
     )
     assert det == naive_det(mx)
     for group in (*range(1, k + 1), None):
@@ -492,12 +533,12 @@ class TestProportionalColumns:
         first, second, paired_on = PROPORTIONAL_CASES[case]
         others = ([_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
                   [U[3], _term((1, 0, 1, 0), -1), U[1], _term((0, 0, 0, 0), 2)])
-        mx = SymMatrix(XV, tuple(zip(first, second, *others)))
+        mx = tuple(zip(first, second, *others))
         want = naive_det(mx)
         assert (want == LaurentPoly.zero(XV)) is (4 in paired_on), case
         for group in (1, 2, 3, 4, None):
             assert sym_det(mx, group) == want, (case, group)
-        keys = [[entry._keys for entry in row] for row in mx.rows]
+        keys = [[entry._keys for entry in row] for row in mx]
         for r in (2, 3, 4):
             blocks = _partners(keys[:r])
             assert bool(blocks.get(0b01, 0b01) & 0b10) is (r in paired_on), (case, r)
@@ -514,15 +555,14 @@ class TestProportionalColumns:
             tuple(t((0, 0, 0, 0), c) for c in (1, 1, 2, -1)),
             tuple(t((0, 0, 0, 0), c) for c in (3, -1, 1, 1)),
         )
-        mx = SymMatrix(XV, rows)
         assert sum(max(entry._bound for entry in row) for row in rows) == 127
         keys = [[entry._keys for entry in row] for row in rows]
         assert _partners(keys[:2]) == {0b0001: 0b11, 0b0010: 0b11, 0b0100: 0b0100, 0b1000: 0b1000}
         assert _partners(keys[:3]) == {1 << c: 1 << c for c in range(4)}
-        want = naive_det(mx)
+        want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         for group in (1, 2, 3, 4, None):
-            assert sym_det(mx, group) == want, group
+            assert sym_det(rows, group) == want, group
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
@@ -537,7 +577,7 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
         for cols in combinations(range(n * np_), np_)
         if len({b_of[c] for c in cols}) == np_
     }
-    minors = _minors([[entry._keys for entry in row] for row in build_mat1(ctx).rows[:np_]])
+    minors = _minors([[entry._keys for entry in row] for row in build_mat1(ctx)[:np_]])
     assert set(minors) == want and len(want) == n ** np_
     assert all(minors.values())
 
@@ -553,7 +593,7 @@ class TestMat1:
             pv.names,
             {pv.a_idx(1, 1): 1, pv.b_idx(1, 1): 1, pv.q_idx(1): -1, pv.qp_idx(1): -1},
         )
-        assert mx.rows[0][0] == want
+        assert mx[0][0] == want
         assert [desc for desc, *_ in _mat1_columns(ctx)] == [("T-complement", 1, 1)]
 
     def test_column_count_is_nn(self):
@@ -561,14 +601,14 @@ class TestMat1:
         for _ in range(50):
             ctx = PairContext.build(*random_pp_free_pair(rng, 3))
             mx = build_mat1(ctx)
-            assert mx.size == ctx.M.rank * ctx.Mp.rank
-            assert all(len(row) == mx.size for row in mx.rows)
+            assert len(mx) == ctx.M.rank * ctx.Mp.rank
+            assert all(len(row) == len(mx) for row in mx)
 
     def test_worked_two_by_two(self):
         ctx = PairContext.build(
             RegularMotiveData("M", 1, (1, 0)), RegularMotiveData("M'", 0, (1,))
         )
-        assert build_mat1(ctx).size == 2
+        assert len(build_mat1(ctx)) == 2
         assert [desc for desc, *_ in _mat1_columns(ctx)] == [
             ("T-complement", 1, 1),
             ("T-complement", 2, 1),
@@ -683,7 +723,7 @@ class TestPackedRing:
             LaurentPoly.monomial(XV, {0: 64}) * LaurentPoly.monomial(XV, {0: 64})
         rows = ((LaurentPoly.monomial(XV, {1: -100}), x), (x, LaurentPoly.monomial(XV, {2: 28})))
         with pytest.raises(OverflowError, match="bound 128"):
-            sym_det(SymMatrix(XV, rows))
+            sym_det(rows)
 
     def test_sym_det_with_large_exponents_matches_permutation_sum(self):
         rng = random.Random(68)
@@ -699,7 +739,6 @@ class TestPackedRing:
                 )
                 for _ in range(k)
             )
-            mx = SymMatrix(XV, rows)
             # A determinant term takes one entry per row, so its exponents
             # are bounded by the sum of the rows' largest exponents.
             bound = sum(
@@ -707,10 +746,10 @@ class TestPackedRing:
                 for row in rows
             )
             if bound < 128:
-                assert sym_det(mx) == naive_det(mx)
+                assert sym_det(rows) == naive_det(rows)
             else:
                 with pytest.raises(OverflowError):
-                    sym_det(mx)
+                    sym_det(rows)
 
     def test_power_matches_repeated_multiplication(self):
         p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 1, 0), -1), ((0, 0, 0, 3), 1)])
@@ -857,8 +896,8 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks, monkeyp
 
     bounds, group_minors = [], orc._group_minors
 
-    def spy(mx, group):
-        bound, groups = group_minors(mx, group)
+    def spy(rows, group):
+        bound, groups = group_minors(rows, group)
         bounds.append(bound)
         return bound, groups
 
@@ -908,8 +947,8 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
     )
     nonzero_minors, group_minors = [], orc._group_minors
 
-    def spy(mx, group):
-        bound, groups = group_minors(mx, group)
+    def spy(rows, group):
+        bound, groups = group_minors(rows, group)
         nonzero_minors.append([sum(map(bool, minors.values())) for minors in groups])
         return bound, groups
 

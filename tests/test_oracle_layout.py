@@ -46,7 +46,7 @@ def oracle_layout() -> list[dict]:
                     "sign": _kronecker_column_sign(ctx),
                 }
                 if n <= 3 and np_ <= 3:
-                    entry["rows"] = [[str(p) for p in row] for row in mx.rows]
+                    entry["rows"] = [[str(p) for p in row] for row in mx]
                 out.append(entry)
     return out
 

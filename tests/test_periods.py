@@ -144,6 +144,20 @@ class TestMergePath:
         assert str(err.value) == f"rank must be a positive int or None, got {rank!r}"
 
 
+class TestForeignOperands:
+    """A monomial's operator meets a non-monomial with Python's TypeError."""
+
+    @pytest.mark.parametrize("other", [2, Fraction(1, 2), None])
+    def test_mul(self, other):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+            q(1, M2) * other
+
+    @pytest.mark.parametrize("other", [2, Fraction(1, 2), None])
+    def test_truediv(self, other):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /"):
+            q(1, M2) / other
+
+
 class TestCanonicalText:
     def test_identity(self):
         assert PeriodMonomial.one().text() == "1"
@@ -397,6 +411,14 @@ class TestErrorBranches:
         with pytest.raises(ValueError) as err:
             PeriodSymbol(*args)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("index", [True, 1.5, Fraction(1), "1", 2.0])
+    def test_an_index_that_is_not_an_int_is_refused(self, index):
+        # A bool index would print Q[True;M] and yet equal Q[1;M].
+        for kind in ("Q", "Qs"):
+            with pytest.raises(ValueError) as err:
+                PeriodSymbol(kind, index, M2)
+            assert str(err.value) == f"{kind} index {index!r} is not an int"
 
     def test_a_tag_without_rank_bounds_no_index(self):
         assert PeriodSymbol("Q", 7, MotiveTag("M")).index == 7

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from periodkit import cli
 from periodkit.fileio import parse_motive, parse_rep
-from periodkit.oracle import LaurentPoly, SymMatrix, sym_det
+from periodkit.oracle import LaurentPoly, sym_det
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -30,7 +30,7 @@ def _generic_det(k: int) -> LaurentPoly:
     rows = tuple(
         tuple(LaurentPoly.monomial(names, {i * k + j: 1}) for j in range(k)) for i in range(k)
     )
-    return sym_det(SymMatrix(names, rows))
+    return sym_det(rows)
 
 
 def test_layout_table_lists_exactly_the_modules():

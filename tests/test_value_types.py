@@ -4,11 +4,14 @@ Each class stores its fields in ``__slots__``, derives from
 ``periodkit.value.Frozen`` and so refuses to assign or delete a field.
 The six classes that ``src`` or the tests compare or hash are equal and
 hash alike by their fields: five through ``periodkit.value.Value``,
-``PeriodSymbol`` by its own methods.
-The others compare by identity, a tuple of their fields included.
+``PeriodSymbol`` by its own methods.  ``PeriodMonomial`` compares by its
+factors alone.  The others compare by identity, a tuple of their fields
+included.  The table covers every ``Frozen`` subclass that ``src`` defines.
 """
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,20 +20,17 @@ from periodkit.combinatorics import IndexPairSet, set_A
 from periodkit.deligne import PairContext
 from periodkit.hodge import HodgeMultiset, RegularMotiveData
 from periodkit.lfactor import CriticalInterval, GammaFactor, gamma_factor
-from periodkit.oracle import (
-    PairVariables,
-    SymMatrix,
-    VerificationReport,
-    build_mat1,
-    verify_proposition,
-)
+from periodkit.oracle import PairVariables, VerificationReport, verify_proposition
 from periodkit.periods import (
     DerivationResult,
     MotiveTag,
+    PeriodMonomial,
     PeriodSymbol,
     derive_delta_square_identity,
 )
-from periodkit.value import Frozen
+from periodkit.value import Frozen, Value
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "periodkit").glob("*.py"))
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -46,17 +46,21 @@ BUILD = {
     PairContext: lambda: PairContext.build(M, MP),
     MotiveTag: lambda: MotiveTag("M", rank=2, ops=(("c", None),)),
     PeriodSymbol: lambda: PeriodSymbol("Q", 1, MotiveTag("M", rank=2)),
+    PeriodMonomial: lambda: PeriodMonomial(
+        [(PeriodSymbol("Q", 1, MotiveTag("M", rank=2)), 2)], "EE'"
+    ),
     InfinityTypeData: lambda: InfinityTypeData("Pi", 0, HALF),
     CaseReport: lambda: classify_known_case(
         InfinityTypeData("Pi", 0, HALF), InfinityTypeData("Pi'", 0, (0,)), Fraction(1, 2)
     ),
-    SymMatrix: lambda: build_mat1(PairContext.build(M, MP)),
     PairVariables: lambda: PairVariables.build(2, 1),
     VerificationReport: lambda: verify_proposition(PairContext.build(M, MP)),
     DerivationResult: lambda: derive_delta_square_identity(2),
 }
 
 # Class compared or hashed -> builders that each change one field of BUILD's value.
+# PeriodMonomial is not here: it compares by its factors and ignores its
+# field_label, so not every field takes part in its equality.
 VARIANTS = {
     RegularMotiveData: [
         lambda: RegularMotiveData("N", 1, (1, 0)),
@@ -95,8 +99,17 @@ PLAIN = [cls for cls in CLASSES if cls.__init__ is Frozen.__init__]
 
 
 def test_the_table_covers_every_value_class():
-    assert len(CLASSES) == 14
-    assert len(PLAIN) == 8
+    found = set()
+    for path in SOURCES:
+        module = importlib.import_module(f"periodkit.{path.stem}")
+        found |= {
+            cls
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, Frozen)
+            and cls.__module__ == module.__name__
+        }
+    assert SOURCES and set(BUILD) == found - {Frozen, Value}
     for cls, build in BUILD.items():
         assert type(build()) is cls
 
