@@ -424,13 +424,15 @@ def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
 
 
 def _table(rows) -> tuple[str, ...]:
-    """The entries' one variable table: ``ValueError`` if empty, ragged or mixed."""
+    """The entries' one variable table: ``ValueError`` if empty, ragged, mixed or not polynomial."""
     if not rows:
         raise ValueError("matrix is empty")
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(row) != len(rows):
             raise ValueError("matrix is not square")
-        for poly in row:
+        for j, poly in enumerate(row):
+            if not isinstance(poly, LaurentPoly):
+                raise ValueError(f"entry {poly!r} at row {i}, column {j} is not a LaurentPoly")
             rows[0][0]._check(poly)
     return rows[0][0].vars
 

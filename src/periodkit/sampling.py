@@ -1,9 +1,9 @@
-"""Seeded random instance generators shared by the tests and the CLI suites.
+"""Seeded instance generators for the tests and the CLI suites, and the pair of a shape.
 
 Every generator takes an explicit :class:`random.Random` so whole runs
-are reproducible from a single seed.  Rejection loops (for the
-no-(p,p)-class hypothesis and for pair criticality) terminate fast: a
-random pair fails only on exact integer ties.
+are reproducible from a single seed.  ``random_pp_free_pair`` and
+``random_critical_rep_pair`` redraw a pair with a (p,p)-class or not
+critical; both end fast, as a random pair fails only on exact ties.
 """
 
 from __future__ import annotations
@@ -28,31 +28,41 @@ def random_motive(rng: random.Random, n: int, label: str = "M") -> RegularMotive
 
 
 def random_pp_free_pair(
-    rng: random.Random, max_rank: int, ranks: tuple[int, int] | None = None
+    rng: random.Random, max_rank: int
 ) -> tuple[RegularMotiveData, RegularMotiveData]:
     """A pair whose restricted tensor product has no (p,p)-class."""
     while True:
-        n = ranks[0] if ranks else rng.randint(1, max_rank)
-        np_ = ranks[1] if ranks else rng.randint(1, max_rank)
-        m = random_motive(rng, n, "M")
-        mp = random_motive(rng, np_, "M'")
+        n, np_ = rng.randint(1, max_rank), rng.randint(1, max_rank)
+        m, mp = random_motive(rng, n, "M"), random_motive(rng, np_, "M'")
         if has_no_pp_class(restriction_tensor(m, mp)):
             return m, mp
 
 
+def pair_of_shape(
+    n: int, np_: int, slots: tuple[int, ...]
+) -> tuple[RegularMotiveData, RegularMotiveData]:
+    """The n x n' pair whose doubled values interleave as ``slots`` says.
+
+    Of the n + n' positions, M takes ``slots`` and M' the others: M has
+    p = 2x+1 at each slot x, M' has r = -2x at each other x, and both
+    weights are 0.  Every p_a + r_b is odd, so there is no (p,p)-class.
+    """
+    others = [x for x in range(n + np_) if x not in slots]
+    m = RegularMotiveData("M", 0, tuple(sorted((2 * x + 1 for x in slots), reverse=True)))
+    mp = RegularMotiveData("M'", 0, tuple(sorted((-2 * x for x in others), reverse=True)))
+    return m, mp
+
+
 def random_swap_closed_multiset(rng: random.Random) -> HodgeMultiset:
     """A swap-closed Hodge multiset without (p,p)-class, repeats allowed."""
-    while True:
-        weight = rng.randint(-_W_SPAN, _W_SPAN)
-        classes = []
-        for _ in range(rng.randint(1, 4)):
-            p = rng.randint(-6, 6)
-            if 2 * p == weight:
-                continue
-            classes.append((p, weight - p))
-            classes.append((weight - p, p))
-        if classes:
-            return HodgeMultiset(weight, classes)
+    weight = rng.randint(-_W_SPAN, _W_SPAN)
+    ps = [p for p in range(-6, 7) if 2 * p != weight]
+    classes = []
+    for _ in range(rng.randint(1, 4)):
+        p = rng.choice(ps)
+        classes.append((p, weight - p))
+        classes.append((weight - p, p))
+    return HodgeMultiset(weight, classes)
 
 
 def random_infinity_type(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from . import automorphic as am
 from . import combinatorics as cb
@@ -264,6 +265,9 @@ def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
     # it raises while run_suites builds the rows, before any trial runs.
     orc.require_shape(max_rank, max_rank)
     shapes = [(n, np_) for n in range(1, max_rank + 1) for np_ in range(1, max_rank + 1)]
+    # The tableaux of each rank pair, as the slots M takes among the n + n' doubled values.
+    tableaux = {(n, np_): list(combinations(range(n + np_), n)) for n, np_ in shapes}
+    every = [(n, np_, slots) for (n, np_), tabs in tableaux.items() for slots in tabs]
 
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
@@ -281,8 +285,8 @@ def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
         want = orc.naive_det(rows)
         return orc.sym_det(rows) == want and orc.sym_det(rows, rng.randint(1, k)) == want
 
-    def cleared_matches_raw_q(rng, _):
-        ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank))
+    def cleared_matches_raw_q(_, t):
+        ctx = dl.PairContext.build(*smp.pair_of_shape(*every[t % len(every)]))
         pv = orc.PairVariables.build(ctx.M.rank, ctx.Mp.rank)
         ((key, coeff),) = orc.cleared_period_product(ctx).terms.items()
         if coeff != 1:
@@ -294,17 +298,17 @@ def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
             for a in range(1, m.rank + 1)
         )
 
-    # The check reads a pair only through its ranks and index sets, so each
-    # tableau is checked once per run and every trial on it counts.  T is in
-    # the key, so the memo does not assume the A-T duality checked elsewhere.
+    # The check reads a pair only through n, n', A and T, which its shape
+    # fixes, so one pair per tableau covers every pair.  Each is checked
+    # once per run, and every trial on it counts.
     checked: dict[tuple, bool] = {}
 
-    def determinant_identity(rng, t):
-        # `trials` seed-fixed configurations for every rank shape (n, n') up to max_rank.
-        ranks = shapes[t // trials]
-        ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank, ranks=ranks))
-        key = (ranks, ctx.A.members, ctx.T.members)
+    def determinant_identity(_, t):
+        # `trials` trials for each rank pair (n, n') up to max_rank, stepping through its tableaux.
+        n, np_ = shapes[t // trials]
+        key = (n, np_, tableaux[n, np_][t % trials % len(tableaux[n, np_])])
         if key not in checked:
+            ctx = dl.PairContext.build(*smp.pair_of_shape(*key))
             checked[key] = orc.verify_proposition(ctx).ok
         return checked[key]
 

@@ -1,24 +1,26 @@
-"""Pairs built from their shape, shared by the test modules.
+"""Shapes and pairs of given ranks, shared by the test modules.
 
 An n x n' shape is the order in which the doubled values of M and M'
 interleave: one of C(n + n', n) choices of the slots M takes.
+``periodkit.sampling.pair_of_shape`` builds the pair of a shape.
 """
 
 from itertools import combinations
 
-from periodkit.hodge import RegularMotiveData
+from periodkit.hodge import has_no_pp_class, restriction_tensor
+from periodkit.sampling import random_motive
 
 
-def interleaved_pair(n, np_, slots):
-    """The pair whose Hodge indices interleave as ``slots`` says.
+def random_pair_of_ranks(rng, n, np_):
+    """A random n x n' pair without (p,p)-class.
 
-    M takes 2x+1 at each slot x in ``slots``, M' takes -2x at the others;
-    every p_a + r_b is odd, so no pair of classes is a (p,p)-class.
+    ``tests/data/oracle_layout.json`` pins pairs drawn here, so the calls
+    on ``rng`` stay as they are: M, then M', until the pair is (p,p)-free.
     """
-    others = [x for x in range(n + np_) if x not in slots]
-    m = RegularMotiveData("M", 0, tuple(sorted((2 * x + 1 for x in slots), reverse=True)))
-    mp = RegularMotiveData("M'", 0, tuple(sorted((-2 * x for x in others), reverse=True)))
-    return m, mp
+    while True:
+        m, mp = random_motive(rng, n, "M"), random_motive(rng, np_, "M'")
+        if has_no_pp_class(restriction_tensor(m, mp)):
+            return m, mp
 
 
 def every_shape(max_rank):

@@ -40,6 +40,7 @@ from periodkit.sampling import (
     random_pp_free_pair,
     random_swap_closed_multiset,
 )
+from shapes import random_pair_of_ranks
 
 SEED = 42
 
@@ -61,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
             for np_ in range(1, 4):
                 for trial in range(100):
                     rng = random.Random(f"{SEED}/oracle/{n}x{np_}/{trial}")
-                    ctx = PairContext.build(*random_pp_free_pair(rng, 3, ranks=(n, np_)))
+                    ctx = PairContext.build(*random_pair_of_ranks(rng, n, np_))
                     report = verify_proposition(ctx)
                     assert report.ok, (n, np_, trial)
                     assert report.sign in (1, -1)

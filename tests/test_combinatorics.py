@@ -12,9 +12,12 @@ from periodkit.combinatorics import (
     split_indices,
     verify_cardinality_lemma,
 )
+from periodkit.deligne import PairContext, deligne_period_raw, deligne_period_simplified
 from periodkit.errors import PpClassError
-from periodkit.hodge import RegularMotiveData
-from periodkit.sampling import random_pp_free_pair
+from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
+from periodkit.periods import expand
+from periodkit.sampling import pair_of_shape, random_pp_free_pair
+from shapes import every_shape
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -122,3 +125,42 @@ class TestCardinalityLemma:
         for _ in range(200):
             m, mp = random_pp_free_pair(rng, 4)
             assert verify_cardinality_lemma(m, mp)
+
+
+class TestEveryShape:
+    """The lemmas on the pair of every shape up to rank 6, built by ``pair_of_shape``."""
+
+    def test_the_pair_realizes_its_shape_and_the_lemmas_hold(self):
+        shapes = 0
+        for n, np_, slots in every_shape(6):
+            m, mp = pair_of_shape(n, np_, slots)
+            assert (m.rank, mp.rank) == (n, np_)
+            assert has_no_pp_class(restriction_tensor(m, mp)), (n, np_, slots)
+            # M's doubled values 2p_a - w(M) sit at ``slots`` among all n + n'.
+            doubled = sorted(
+                [(2 * p - m.weight, "M") for p in m.hodge_p]
+                + [(mp.weight - 2 * r, "M'") for r in mp.hodge_p]
+            )
+            assert tuple(x for x, (_, side) in enumerate(doubled) if side == "M") == slots
+            a, t = set_A(m, mp), set_T(m, mp)
+            assert a.is_tableau(), (n, np_, slots)
+            assert all(
+                ((tt, uu) in t.members) == ((n + 1 - tt, np_ + 1 - uu) not in a.members)
+                for tt in range(1, n + 1)
+                for uu in range(1, np_ + 1)
+            ), (n, np_, slots)
+            sp = split_indices(m, mp)
+            assert sum(sp) == np_ and sum(split_indices(mp, m)) == n, (n, np_, slots)
+            spc = split_indices(m.conjugate(), mp.conjugate())
+            assert all(sp[i] == spc[n - i] for i in range(n + 1)), (n, np_, slots)
+            assert verify_cardinality_lemma(m, mp), (n, np_, slots)
+            shapes += 1
+        assert shapes == 3418
+
+    def test_simplified_period_expands_to_the_raw_one_up_to_rank_5(self):
+        shapes = list(every_shape(5))
+        assert len(shapes) == 912
+        for n, np_, slots in shapes:
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
+            assert expand(deligne_period_simplified(ctx)) == expand(deligne_period_raw(ctx)), (
+                n, np_, slots)

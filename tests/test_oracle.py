@@ -29,8 +29,8 @@ from periodkit.oracle import (
     sym_det,
     verify_proposition,
 )
-from periodkit.sampling import random_pp_free_pair
-from shapes import every_shape, interleaved_pair
+from periodkit.sampling import pair_of_shape, random_pp_free_pair
+from shapes import every_shape
 
 XV = ("x", "y", "z", "w")
 ADMITTED_SHAPES = [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
@@ -401,7 +401,7 @@ class TestSymDet:
         assert [det._bound for det in dets.values()] == [40, 40]
         monkeypatch.setattr(orc, "_generic_det", lambda names, idx, k: dets[idx.__name__])
         monkeypatch.setattr(orc, "_kronecker_column_sign", lambda ctx: 1)
-        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         shifts = []
         _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
         rep = verify_proposition(ctx)
@@ -433,6 +433,20 @@ class TestSymDet:
         y = LaurentPoly.monomial(("x", "y"), {1: 1})
         for rows in (((x, y), (y, x)), ((y, y), (y, x))):
             with pytest.raises(ValueError, match="different variable tables"):
+                det(rows)
+
+    @pytest.mark.parametrize("det", [sym_det, naive_det])
+    def test_an_entry_that_is_not_a_polynomial_is_refused_by_name(self, det):
+        # The first entry too, whose table the others are checked against.
+        x = LaurentPoly.monomial(("x",), {0: 1})
+        cases = [
+            (((1,),), "entry 1 at row 0, column 0"),
+            (((x, 1), (x, x)), "entry 1 at row 0, column 1"),
+            (((x, x), (x, None)), "entry None at row 1, column 1"),
+            (((2.5, x), (x, x)), "entry 2.5 at row 0, column 0"),
+        ]
+        for rows, where in cases:
+            with pytest.raises(ValueError, match=f"^{where} is not a LaurentPoly$"):
                 det(rows)
 
     @pytest.mark.parametrize("det", [sym_det, naive_det])
@@ -570,7 +584,7 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
     # Mat1's columns with one b-index are proportional on an i-block, so
     # its minors are on the n^n' sets that take each b-index once, and none
     # is zero: 16 at 2x4, 27 at 3x3, 64 at 4x3.
-    ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+    ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
     b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
     want = {
         sum(1 << c for c in cols)
@@ -638,7 +652,7 @@ class TestVerifyProposition:
         rng = random.Random(63)
         for n, np_ in ADMITTED_SHAPES:
             slots = sorted(rng.sample(range(n + np_), n))
-            ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             rep = verify_proposition(ctx)
             want = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
             assert rep.lhs == want, (n, np_, slots)
@@ -668,8 +682,7 @@ class TestVerifyProposition:
                 assert key[pv.qp_idx(b)] == want
 
     def test_size_limit(self):
-        rng = random.Random(65)
-        ctx = PairContext.build(*random_pp_free_pair(rng, 4, ranks=(4, 4)))
+        ctx = PairContext.build(*pair_of_shape(4, 4, range(4)))
         with pytest.raises(SizeLimitError):
             verify_proposition(ctx)
 
@@ -686,7 +699,7 @@ class TestShapeGate:
 
     @pytest.mark.parametrize("n, np_", [(1, 5), (5, 1), (2, 6), (1, 11)])
     def test_refused_shape_raises_before_any_work(self, n, np_):
-        ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+        ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
         start = time.perf_counter()
         with pytest.raises(SizeLimitError, match=f"shape {n}x{np_} is outside"):
             verify_proposition(ctx)
@@ -694,7 +707,7 @@ class TestShapeGate:
 
     @pytest.mark.parametrize("n, np_", [(1, 4), (4, 1), (3, 4), (4, 3)])
     def test_admitted_rank_four_shape_passes(self, n, np_):
-        ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+        ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
         rep = verify_proposition(ctx)
         assert rep.ok
         if n * np_ == 12:
@@ -786,27 +799,26 @@ class TestPackedRing:
 
 class TestPredictedSign:
     def test_predicted_sign_is_the_observed_sign_on_every_shape(self):
-        for n in range(1, 4):
-            for np_ in range(1, 4):
-                rng = random.Random(f"predicted-sign/{n}x{np_}")
-                for _ in range(5):
-                    ctx = PairContext.build(*random_pp_free_pair(rng, 3, ranks=(n, np_)))
-                    rep = verify_proposition(ctx)
-                    pv = PairVariables.build(n, np_)
-                    det_a = _generic_det(pv.names, pv.a_idx, n)
-                    det_b = _generic_det(pv.names, pv.b_idx, np_)
-                    unsigned = det_a ** np_ * det_b ** n
-                    observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
-                    assert rep.ok
-                    assert observed == rep.sign == rep.predicted_sign
-                    assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
+        # Every tableau up to 3x3: 62 pairs.
+        shapes = list(every_shape(3))
+        assert len(shapes) == 62
+        for n, np_, slots in shapes:
+            rep = verify_proposition(PairContext.build(*pair_of_shape(n, np_, slots)))
+            pv = PairVariables.build(n, np_)
+            det_a = _generic_det(pv.names, pv.a_idx, n)
+            det_b = _generic_det(pv.names, pv.b_idx, np_)
+            unsigned = det_a ** np_ * det_b ** n
+            observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
+            assert rep.ok, (n, np_, slots)
+            assert observed == rep.sign == rep.predicted_sign, (n, np_, slots)
+            assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
 
     def test_sign_of_sigma_in_closed_form_on_every_shape_up_to_6x6(self):
         # σ lists A's complement in order, then A in reverse order, so with
         # pos(a, b) = (a-1)n' + (b-1), sgn(σ) = (-1)^Σ_{(a,b) ∈ A} (nn' - 1 - pos(a, b)).
         shapes = 0
         for n, np_, slots in every_shape(6):
-            ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             sigma = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
             assert sorted(sigma) == list(range(n * np_)), (n, np_, slots)
             exponent = sum(n * np_ - 1 - ((a - 1) * np_ + (b - 1)) for a, b in ctx.A.members)
@@ -819,7 +831,7 @@ class TestPredictedSign:
         import periodkit.oracle as orc
 
         for n, np_ in ADMITTED_SHAPES:
-            ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+            ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
             right = verify_proposition(ctx)
             with monkeypatch.context() as patch:
                 patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
@@ -841,7 +853,7 @@ class TestFactoredCheck:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
     def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch, fallbacks):
         rng = random.Random(f"fallback/{n}x{np_}")
-        ctx = PairContext.build(*interleaved_pair(n, np_, sorted(rng.sample(range(n + np_), n))))
+        ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         factored = verify_proposition(ctx)
         assert fallbacks == []
         _forced_fallback(monkeypatch, ctx)
@@ -851,14 +863,14 @@ class TestFactoredCheck:
             assert getattr(expanded, name) == getattr(factored, name), name
 
     def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch, fallbacks):
-        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         _tamper(monkeypatch, ctx, against_a=lambda found: (2 * found[0], found[1]))
         rep = verify_proposition(ctx)
         assert fallbacks == [rep.predicted_sign]
         assert rep.ok and rep.sign == rep.predicted_sign
 
     def test_factored_unit_needs_every_factor_and_zero_total_shift(self, monkeypatch, fallbacks):
-        ctx = PairContext.build(*interleaved_pair(2, 2, range(2)))
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         right = verify_proposition(ctx)
         assert fallbacks == [] and right.ok
         # The unit is the observed sign: a unit of -1 decides, and fails.
@@ -904,7 +916,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks, monkeyp
     monkeypatch.setattr(orc, "_group_minors", spy)
     seen = set()
     for slots in combinations(range(n + np_), n):
-        ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+        ctx = PairContext.build(*pair_of_shape(n, np_, slots))
         seen.add((ctx.A.members, ctx.T.members))
         assert verify_proposition(ctx).ok, (n, np_, slots)
     assert len(seen) == comb(n + np_, n)
@@ -917,7 +929,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks, monkeyp
 def test_right_side_has_bound_n_plus_np(n, np_):
     # det(A) and det(B) have bound 1, so det(A)^n' det(B)^n has n' + n:
     # at most 7, at 3x4 and 4x3.
-    rep = verify_proposition(PairContext.build(*interleaved_pair(n, np_, range(n))))
+    rep = verify_proposition(PairContext.build(*pair_of_shape(n, np_, range(n))))
     assert rep.rhs._bound == n + np_ <= 7
     # The diagonal term's exponents are n' and n, below the bound: a
     # product's bound is the sum of its factors' bounds.
@@ -937,7 +949,7 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
     # sym_det never runs.
     import periodkit.oracle as orc
 
-    ctx = PairContext.build(*interleaved_pair(n, np_, range(n)))
+    ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
     against_b, against_a = [], []
     _tamper(
         monkeypatch,

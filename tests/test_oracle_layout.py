@@ -22,7 +22,7 @@ from periodkit.oracle import (
     build_mat1,
     cleared_period_product,
 )
-from periodkit.sampling import random_pp_free_pair
+from shapes import random_pair_of_ranks
 
 RECORDED = Path(__file__).parent / "data" / "oracle_layout.json"
 
@@ -35,7 +35,7 @@ def oracle_layout() -> list[dict]:
                 continue
             rng = random.Random(f"oracle-layout/{n}x{np_}")
             for pair in range(3):
-                ctx = PairContext.build(*random_pp_free_pair(rng, 4, ranks=(n, np_)))
+                ctx = PairContext.build(*random_pair_of_ranks(rng, n, np_))
                 mx = build_mat1(ctx)
                 ((cleared, _),) = cleared_period_product(ctx).terms.items()
                 entry = {

@@ -7,10 +7,10 @@ import pytest
 
 import periodkit.oracle as orc
 from periodkit import suites
-from periodkit.deligne import PairContext
 from periodkit.errors import SizeLimitError
-from periodkit.sampling import random_pp_free_pair
-from periodkit.suites import SUITES, _run_property, _trial_rng, holds, run_suites
+from periodkit.sampling import pair_of_shape
+from periodkit.suites import SUITES, _run_property, holds, run_suites
+from shapes import every_shape
 
 
 def test_a_property_without_instances_does_not_hold():
@@ -88,29 +88,30 @@ def test_every_row_runs_once_through_run_property(run_calls):
     assert [(5, p["name"], p["instances"]) for p in summary["properties"]] == run_calls
 
 
-def test_identity_trial_t_checks_its_shape_from_the_trial_seed(monkeypatch):
-    # Trial t draws its pair from its own sub-seed, and each (ranks, A, T)
-    # is checked once, on the first trial that reaches it; all 900 count.
-    name = "deligne_period_determinant_identity"
-    shapes = [(n, np_) for n in range(1, 4) for np_ in range(1, 4)]
+def test_identity_checks_every_tableau_once_in_schedule_order(monkeypatch):
+    # Trial t of rank pair shapes[t // trials] checks tableau (t % trials)
+    # mod C(n + n', n) of that pair, whatever the seed.  The 3x3 pair has
+    # the most tableaux, C(6, 3) = 20, so from 20 trials on each of the 62
+    # is checked, once, in the order every_shape lists them.
     checked = []
     verify_proposition = orc.verify_proposition
 
     def spy(ctx):
-        checked.append(ctx)
+        checked.append((ctx.M, ctx.Mp))
         return verify_proposition(ctx)
 
     monkeypatch.setattr(orc, "verify_proposition", spy)
-    summary = run_suites("oracle", seed=42)
-    assert summary["properties"][-1] == {"name": name, "instances": 900, "failures": 0}
-    first = {}
-    for t in range(900):
-        ranks = shapes[t // 100]
-        pair = random_pp_free_pair(_trial_rng(42, name, t), 3, ranks=ranks)
-        ctx = PairContext.build(*pair)
-        first.setdefault((ranks, ctx.A.members, ctx.T.members), pair)
-    assert [(ctx.M, ctx.Mp) for ctx in checked] == list(first.values())
-    assert len(checked) == sum(comb(n + np_, n) for n, np_ in shapes) == 62
+    tableaux = [pair_of_shape(*shape) for shape in every_shape(3)]
+    assert len(tableaux) == sum(comb(n + np_, n) for n in range(1, 4) for np_ in range(1, 4)) == 62
+    for seed, trials, instances in ((42, None, 900), (7, None, 900), (42, 20, 180)):
+        checked.clear()
+        summary = run_suites("oracle", seed=seed, trials=trials)
+        assert summary["properties"][-1] == {
+            "name": "deligne_period_determinant_identity",
+            "instances": instances,
+            "failures": 0,
+        }
+        assert checked == tableaux, (seed, trials)
 
 
 def test_identity_counts_every_trial_on_a_checked_tableau(monkeypatch):
@@ -130,6 +131,6 @@ def test_identity_counts_every_trial_on_a_checked_tableau(monkeypatch):
     assert identity["instances"] == 40
     assert (identity["failures"], identity["errors"]) == (10, 10)
     assert calls.count((1, 2)) == 10
-    # An n x n' shape has comb(n + n', n) tableaux, each checked at most once.
+    # An n x n' shape has comb(n + n', n) tableaux, each checked once.
     for n, np_ in ((1, 1), (2, 1), (2, 2)):
-        assert 1 <= calls.count((n, np_)) <= comb(n + np_, n)
+        assert calls.count((n, np_)) == comb(n + np_, n)

@@ -17,7 +17,8 @@ from periodkit.deligne import (
 from periodkit.hodge import restriction_tensor
 from periodkit.lfactor import critical_interval
 from periodkit.periods import expand
-from shapes import every_shape, interleaved_pair
+from periodkit.sampling import pair_of_shape
+from shapes import every_shape
 
 SHAPES = list(every_shape(4))
 
@@ -36,7 +37,7 @@ def test_index_sets_and_split_indices_swap_with_the_pair():
     # lemma), so column u has sp'(u) + ... + sp'(n') with sp' the split
     # indices of the swapped pair.
     for n, np_, slots in SHAPES:
-        ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+        ctx = PairContext.build(*pair_of_shape(n, np_, slots))
         swapped = PairContext.build(ctx.Mp, ctx.M)
         assert swapped.A.members == _transposed(ctx.A), (n, np_, slots)
         assert swapped.T.members == _transposed(ctx.T), (n, np_, slots)
@@ -48,7 +49,7 @@ def test_index_sets_and_split_indices_swap_with_the_pair():
 
 def test_deligne_periods_expand_equal_both_ways():
     for n, np_, slots in SHAPES:
-        ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+        ctx = PairContext.build(*pair_of_shape(n, np_, slots))
         swapped = PairContext.build(ctx.Mp, ctx.M)
         for form in (deligne_period_raw, deligne_period_simplified):
             assert expand(form(swapped)) == expand(form(ctx)), (form.__name__, n, np_, slots)
@@ -58,7 +59,7 @@ def test_critical_points_and_motivic_rhs_agree_both_ways():
     # Every shape has a critical point; 548 in all.
     points = 0
     for n, np_, slots in SHAPES:
-        ctx = PairContext.build(*interleaved_pair(n, np_, slots))
+        ctx = PairContext.build(*pair_of_shape(n, np_, slots))
         swapped = PairContext.build(ctx.Mp, ctx.M)
         interval = critical_interval(restriction_tensor(ctx.M, ctx.Mp))
         assert critical_interval(restriction_tensor(ctx.Mp, ctx.M)) == interval
