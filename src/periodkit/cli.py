@@ -51,6 +51,14 @@ def _motive_pair(paths: list[str]):
     return fileio.parse_motive(paths[0]), fileio.parse_motive(paths[1])
 
 
+def _distinct_labels(a, b) -> None:
+    """Refuse two inputs with one label: their period symbols, named by it, would merge."""
+    if a.label == b.label:
+        raise ParseError(
+            f"both inputs are labelled {a.label!r}: their periods would share one symbol"
+        )
+
+
 def _multiset_from_paths(paths: list[str]):
     if len(paths) > 2:
         raise ParseError(f"expected one or two motive files, got {len(paths)}")
@@ -107,6 +115,7 @@ def _cmd_period(args) -> int:
     from . import periods as pd
 
     ctx = dl.PairContext.build(*_motive_pair(args.motive))
+    _distinct_labels(ctx.M, ctx.Mp)
     if args.form == "raw":
         mono = dl.deligne_period_raw(ctx)
     elif args.form == "simplified":
@@ -128,6 +137,7 @@ def _cmd_conjecture(args) -> int:
         pi = fileio.parse_rep(args.motive[0])
         pip = fileio.parse_rep(args.motive[1])
         mono = am.conjecture_rhs_automorphic(pi, pip, m)
+        _distinct_labels(pi, pip)
         payload = {"m": fileio.encode_rational(m), "monomial": mono.to_json()}
         if args.auto:
             payload["crosscheck"] = "ok" if am.crosscheck_conjecture(pi, pip, m) else "mismatch"
@@ -141,6 +151,7 @@ def _cmd_conjecture(args) -> int:
 
     ctx = dl.PairContext.build(*_motive_pair(args.motive))
     mono = dl.conjecture_rhs_motivic(ctx, m)
+    _distinct_labels(ctx.M, ctx.Mp)
     _emit({"m": fileio.encode_rational(m), "monomial": mono.to_json()})
     return EXIT_OK
 

@@ -41,7 +41,8 @@ the group keeps only c·x^e.  The DP over those monomials leaves ``out``,
 with det(Mat1)·cleared = out·det(B)^n, so when ``out`` is ±det(A)^n' with
 no shift, that is the identity with its sign.  Only if a test fails does
 the check multiply out both sides, 221,760 terms each at 3x4, and compare
-them, and the report expands a side only when it is read.
+them.  The report says which of the two decided, and it multiplies out
+only its right side, and only when that is read.
 """
 
 from __future__ import annotations
@@ -513,17 +514,10 @@ class PairVariables(Frozen):
 
     @classmethod
     def build(cls, n: int, np_: int) -> "PairVariables":
-        names = []
-        for i in range(1, n + 1):
-            for a in range(1, n + 1):
-                names.append(f"A[{i},{a}]")
-        for j in range(1, np_ + 1):
-            for b in range(1, np_ + 1):
-                names.append(f"B[{j},{b}]")
-        for t in range(1, n + 1):
-            names.append(f"Q[{t}]")
-        for u in range(1, np_ + 1):
-            names.append(f"Q'[{u}]")
+        names = [f"A[{i},{a}]" for i in range(1, n + 1) for a in range(1, n + 1)]
+        names += [f"B[{j},{b}]" for j in range(1, np_ + 1) for b in range(1, np_ + 1)]
+        names += [f"Q[{t}]" for t in range(1, n + 1)]
+        names += [f"Q'[{u}]" for u in range(1, np_ + 1)]
         return cls(n, np_, tuple(names))
 
     def a_idx(self, i: int, a: int) -> int:
@@ -618,17 +612,17 @@ class VerificationReport(Frozen):
 
     ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
     or None when neither sign holds; ``ok`` requires it to be the
-    predicted one.  ``lhs``, det(Mat1)·cleared, and ``rhs``, the predicted
-    side predicted_sign·det(A)^n' det(B)^n, are multiplied out on their
-    first read, by the stored callables ``_lhs`` and ``_rhs``: the check
-    itself needs neither unless it falls back.
+    predicted one.  ``bound`` is the exponent bound of det(Mat1)·cleared,
+    ``nonzero_minors`` counts the nonzero minors of each group of n' rows,
+    and ``decided_by`` is "factors" or "full comparison".  ``rhs``, the
+    predicted side predicted_sign·det(A)^n' det(B)^n, is the one lazy
+    member, multiplied out on its first read by the stored callable
+    ``_rhs``; nothing in the package reads it, only the benchmark does.
     """
 
-    __slots__ = ("size", "ok", "sign", "predicted_sign", "_lhs", "_rhs")
-
-    @property
-    def lhs(self) -> LaurentPoly:
-        return self._lhs()
+    __slots__ = (
+        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "decided_by", "_rhs"
+    )
 
     @property
     def rhs(self) -> LaurentPoly:
@@ -654,9 +648,11 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     a group whose nonzero minors are each c·x^e·det(B) (``_shift``) enters
     the DP as those monomials.  If m groups factor, the DP leaves ``out``
     with det(Mat1)·cleared = out·det(B)^m.  When all n factor and ``out``
-    is u·det(A)^n' with no shift and u = ±1, u is the observed sign.
-    Otherwise ``_expanded_sign`` multiplies both sides out and compares
-    them, so the verdict is always the one the full comparison gives.
+    is u·det(A)^n' with no shift and u = ±1, u is the observed sign, decided
+    by "factors".  Otherwise ``_expanded_sign`` multiplies both sides out
+    and compares them, by "full comparison", so the verdict is always the
+    full comparison's.  The report counts each group's nonzero minors
+    before any group becomes monomials, and expands no side but ``rhs``.
 
     A shift is a minor's exact quotient by det(B), the product over the
     group's rows of one entry's A and period part, so the determinant's
@@ -677,6 +673,7 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
     bound, groups = _group_minors((tuple(entry * cleared for entry in mat1[0]), *mat1[1:]), np_)
+    nonzero_minors = tuple(sum(map(bool, minors.values())) for minors in groups)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = _generic_det(pv.names, pv.a_idx, n) ** np_
@@ -688,12 +685,14 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
             groups[g] = {cols: {e: c} for cols, (c, e) in shifts.items()}
             factored += 1
     out = _combined(groups, n * np_)
-    lhs = cache(lambda: LaurentPoly(cleared.vars, _product(out, (det_b ** factored)._keys), bound))
     # Negate the small factor, not a copy of the product.
     rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
     unit, shift = _shift(out, a_part._keys) or (None, None)
     if factored == n and shift == 0 and unit in (1, -1):
-        sign = unit
+        sign, decided_by = unit, "factors"
     else:
-        sign = _expanded_sign(lhs(), rhs(), predicted)
-    return VerificationReport(n * np_, sign == predicted, sign, predicted, lhs, rhs)
+        lhs = LaurentPoly(cleared.vars, _product(out, (det_b ** factored)._keys), bound)
+        sign, decided_by = _expanded_sign(lhs, rhs(), predicted), "full comparison"
+    return VerificationReport(
+        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, decided_by, rhs
+    )

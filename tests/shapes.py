@@ -2,7 +2,8 @@
 
 An n x n' shape is the order in which the doubled values of M and M'
 interleave: one of C(n + n', n) choices of the slots M takes.
-``periodkit.sampling.pair_of_shape`` builds the pair of a shape.
+``periodkit.sampling.pair_of_shape`` builds the pair of a shape, and
+``word_spec`` reads A, T and both split indices off the slots alone.
 """
 
 from itertools import combinations
@@ -29,3 +30,30 @@ def every_shape(max_rank):
         for np_ in range(1, max_rank + 1):
             for slots in combinations(range(n + np_), n):
                 yield n, np_, slots
+
+
+def word_spec(n, np_, slots):
+    """(A, T, sp(.; M, M'), sp(.; M', M)) of a shape, from its slots alone.
+
+    With M's slots x_1 > ... > x_n and the others y_1 < ... < y_n': (a, b)
+    is in A exactly when x_a > y_b, and sp(i) counts the y strictly
+    between x_{i+1} and x_i, with x_0 above and x_{n+1} below every slot.
+    T is A of the reversed word, where slot x becomes n + n' - 1 - x, and
+    sp(.; M', M) is sp with the mirrored slots of M' in the role of the x.
+    """
+    size = n + np_
+    others = [y for y in range(size) if y not in slots]
+
+    def read(xs, ys):
+        xs, ys = sorted(xs, reverse=True), sorted(ys)
+        pairs = {(a, b) for a, x in enumerate(xs, 1) for b, y in enumerate(ys, 1) if x > y}
+        cuts = [size, *xs, -1]
+        return pairs, tuple(sum(lo < y < hi for y in ys) for hi, lo in zip(cuts, cuts[1:]))
+
+    def mirror(zs):
+        return [size - 1 - z for z in zs]
+
+    a, sp = read(slots, others)
+    t, _ = read(mirror(slots), mirror(others))
+    _, sp_sym = read(mirror(others), mirror(slots))
+    return a, t, sp, sp_sym

@@ -314,6 +314,52 @@ class TestConjecture:
         assert rc == 4 and "critical" in err
 
 
+class TestOneLabelForTwoInputs:
+    """``period`` and ``conjecture`` refuse two inputs with one label, naming it.
+
+    The label names a period symbol, so the two inputs' periods would
+    merge.  The (p,p)-class and criticality checks run first.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period", "--form", "raw"],
+            ["period", "--form", "simplified"],
+            ["period", "--form", "expanded"],
+            ["conjecture", "--m", "1/2"],
+        ],
+    )
+    def test_two_motives_with_one_label_exit_2(self, tmp_path, capsys, argv):
+        m = write(tmp_path, "m.json", ELLIPTIC)
+        mp = write(tmp_path, "mp.json", dict(RANK_ONE, label="M"))
+        rc, payload, err = run(capsys, [argv[0], m, mp, *argv[1:]])
+        assert (rc, payload) == (2, None)
+        assert err == "error: both inputs are labelled 'M': their periods would share one symbol\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--auto"], ["--classify"], ["--auto", "--classify"]])
+    def test_two_reps_with_one_label_exit_2(self, tmp_path, capsys, flags):
+        pi = write(tmp_path, "r.json", REP2)
+        pip = write(tmp_path, "rp.json", dict(REP1, label="Pi"))
+        rc, payload, err = run(capsys, ["conjecture", pi, pip, "--m", "1/2", "--rep", *flags])
+        assert (rc, payload) == (2, None)
+        assert "labelled 'Pi'" in err
+
+    def test_a_pair_that_is_not_critical_exits_4_first(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", ELLIPTIC)
+        mp = write(tmp_path, "mp.json", dict(RANK_ONE, label="M"))
+        assert run(capsys, ["conjecture", m, mp, "--m", "9"])[0] == 4
+        pi = write(tmp_path, "r.json", REP2)
+        pip = write(tmp_path, "rp.json", dict(REP1, label="Pi"))
+        assert run(capsys, ["conjecture", pi, pip, "--m", "11/2", "--rep"])[0] == 4
+
+    def test_labels_that_differ_only_in_case_are_distinct(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", ELLIPTIC)
+        mp = write(tmp_path, "mp.json", dict(RANK_ONE, label="m"))
+        rc, payload, _ = run(capsys, ["period", m, mp, "--form", "raw"])
+        assert rc == 0 and payload["monomial"]["text"] == "Q[1;M] * Q[2;M] * Q[1;m]^2 * d[M] * d[m]^2"
+
+
 class TestClassifyAndVerify:
     def test_classify(self, tmp_path, capsys):
         pi = {

@@ -1,6 +1,8 @@
 """Index sets A and T, split indices, and their exact lemmas."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -17,7 +19,7 @@ from periodkit.errors import PpClassError
 from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
 from periodkit.periods import expand
 from periodkit.sampling import pair_of_shape, random_pp_free_pair
-from shapes import every_shape
+from shapes import every_shape, word_spec
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -156,6 +158,31 @@ class TestEveryShape:
             assert verify_cardinality_lemma(m, mp), (n, np_, slots)
             shapes += 1
         assert shapes == 3418
+
+    def test_A_T_and_both_split_indices_match_the_word_spec(self):
+        # A second spec that reads only the slots, so a fault shared by
+        # set_A and split_indices, which both compare doubled values, shows.
+        shapes = 0
+        for n, np_, slots in every_shape(6):
+            m, mp = pair_of_shape(n, np_, slots)
+            a, t, sp, sp_sym = word_spec(n, np_, slots)
+            assert set_A(m, mp).members == a, (n, np_, slots)
+            assert set_T(m, mp).members == t, (n, np_, slots)
+            assert split_indices(m, mp) == sp, (n, np_, slots)
+            assert split_indices(mp, m) == sp_sym, (n, np_, slots)
+            shapes += 1
+        assert shapes == 3418
+
+    def test_the_shapes_of_each_rank_pair_give_distinct_sets_A(self):
+        # Shape and tableau determine each other, so one pair per tableau
+        # covers every pair the oracle reads only through n, n', A and T.
+        for n in range(1, 7):
+            for np_ in range(1, 7):
+                sets = {
+                    set_A(*pair_of_shape(n, np_, slots)).members
+                    for slots in combinations(range(n + np_), n)
+                }
+                assert len(sets) == comb(n + np_, n), (n, np_)
 
     def test_simplified_period_expands_to_the_raw_one_up_to_rank_5(self):
         shapes = list(every_shape(5))

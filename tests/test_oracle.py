@@ -36,20 +36,14 @@ XV = ("x", "y", "z", "w")
 ADMITTED_SHAPES = [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * np_ <= 12]
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The predicted sign of every full comparison ``verify_proposition`` falls back to."""
-    import periodkit.oracle as orc
+def _reference_lhs(ctx):
+    """det(Mat1)·cleared periods by the one-group determinant, which the check never runs."""
+    return sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
 
-    calls = []
-    expanded_sign = orc._expanded_sign
 
-    def spy(lhs, rhs, predicted):
-        calls.append(predicted)
-        return expanded_sign(lhs, rhs, predicted)
-
-    monkeypatch.setattr(orc, "_expanded_sign", spy)
-    return calls
+def _observed_rhs(rep):
+    """s·det(A)^n' det(B)^n for the report's observed sign s, from its right side."""
+    return rep.rhs if rep.sign == rep.predicted_sign else -rep.rhs
 
 
 def _tamper(patch, ctx, against_b=None, against_a=None):
@@ -371,7 +365,7 @@ class TestSymDet:
         for group in (1, 2):
             assert sym_det(mx, group) == naive_det(mx), group
 
-    def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch, fallbacks):
+    def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A⊗B with exponents 20 and a bound of 80, checked by
         # verify_proposition in place of Mat1: both i-blocks factor against
         # det(B), and the packed result decodes to the determinant.  A shift
@@ -407,8 +401,14 @@ class TestSymDet:
         rep = verify_proposition(ctx)
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
-        assert rep.ok and rep.sign == 1 and fallbacks == []
-        assert rep.lhs == want
+        assert rep.ok and rep.sign == 1 and rep.decided_by == "factors"
+        assert rep.bound == sum(max(entry._bound for entry in row) for row in rows) == 82
+        assert rep.nonzero_minors == (4, 4)
+        # The right side's bound, 80 + 80, is past the field, so the
+        # reference det(A)^2 det(B)^2 is multiplied on packed keys: its
+        # true exponents fit.
+        squares = [(det ** 2)._keys for det in dets.values()]
+        assert want._keys == _accumulated(*squares)
         assert len(shifts) == 8 and None not in shifts
         fields = [_unpack(e, 4) for _, e in shifts]
         assert all(_pack(enumerate(v)) == e for v, (_, e) in zip(fields, shifts))
@@ -635,10 +635,10 @@ class TestVerifyProposition:
             RegularMotiveData("M", 0, (1,)), RegularMotiveData("M'", 0, (0,))
         )
         rep = verify_proposition(ctx)
-        assert rep.ok and rep.sign == 1
+        assert rep.ok and rep.sign == rep.predicted_sign == 1
         pv = PairVariables.build(1, 1)
         want = LaurentPoly.monomial(pv.names, {pv.a_idx(1, 1): 1, pv.b_idx(1, 1): 1})
-        assert rep.lhs == want == rep.rhs
+        assert _reference_lhs(ctx) == want == rep.rhs
 
     def test_worked_two_by_two(self):
         ctx = PairContext.build(
@@ -654,8 +654,7 @@ class TestVerifyProposition:
             slots = sorted(rng.sample(range(n + np_), n))
             ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             rep = verify_proposition(ctx)
-            want = sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
-            assert rep.lhs == want, (n, np_, slots)
+            assert _reference_lhs(ctx) == _observed_rhs(rep), (n, np_, slots)
 
     def test_random_small_shapes(self):
         rng = random.Random(64)
@@ -803,12 +802,14 @@ class TestPredictedSign:
         shapes = list(every_shape(3))
         assert len(shapes) == 62
         for n, np_, slots in shapes:
-            rep = verify_proposition(PairContext.build(*pair_of_shape(n, np_, slots)))
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
+            rep = verify_proposition(ctx)
             pv = PairVariables.build(n, np_)
             det_a = _generic_det(pv.names, pv.a_idx, n)
             det_b = _generic_det(pv.names, pv.b_idx, np_)
             unsigned = det_a ** np_ * det_b ** n
-            observed = 1 if rep.lhs == unsigned else -1 if rep.lhs == -unsigned else None
+            lhs = _reference_lhs(ctx)
+            observed = 1 if lhs == unsigned else -1 if lhs == -unsigned else None
             assert rep.ok, (n, np_, slots)
             assert observed == rep.sign == rep.predicted_sign, (n, np_, slots)
             assert (rep.size, rep.ok, rep.sign) == (n * np_, True, observed)
@@ -826,7 +827,7 @@ class TestPredictedSign:
             shapes += 1
         assert shapes == 3418
 
-    def test_wrong_prediction_fails_the_check(self, monkeypatch, fallbacks):
+    def test_wrong_prediction_fails_the_check(self, monkeypatch):
         # On every shape, by its factors and by the full comparison.
         import periodkit.oracle as orc
 
@@ -836,48 +837,48 @@ class TestPredictedSign:
             with monkeypatch.context() as patch:
                 patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
                 wrong = verify_proposition(ctx)
-                assert fallbacks == []
                 _forced_fallback(patch, ctx)
                 expanded = verify_proposition(ctx)
-                assert fallbacks == [wrong.predicted_sign]
-            fallbacks.clear()
+            assert (wrong.decided_by, expanded.decided_by) == ("factors", "full comparison")
+            assert expanded.predicted_sign == wrong.predicted_sign == -right.predicted_sign
             for rep in (wrong, expanded):
                 assert right.ok and not rep.ok, (n, np_)
                 assert rep.sign == right.sign == -rep.predicted_sign, (n, np_)
 
 
-REPORT_FIELDS = ("size", "ok", "sign", "predicted_sign", "lhs", "rhs")
+# Every field but decided_by, which says how the report was reached.
+REPORT_FIELDS = ("size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "rhs")
 
 
 class TestFactoredCheck:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-    def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch, fallbacks):
+    def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch):
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         factored = verify_proposition(ctx)
-        assert fallbacks == []
         _forced_fallback(monkeypatch, ctx)
         expanded = verify_proposition(ctx)
-        assert fallbacks == [expanded.predicted_sign]
+        assert (factored.decided_by, expanded.decided_by) == ("factors", "full comparison")
         for name in REPORT_FIELDS:
             assert getattr(expanded, name) == getattr(factored, name), name
 
-    def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch, fallbacks):
+    def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch):
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         _tamper(monkeypatch, ctx, against_a=lambda found: (2 * found[0], found[1]))
         rep = verify_proposition(ctx)
-        assert fallbacks == [rep.predicted_sign]
+        assert rep.decided_by == "full comparison"
         assert rep.ok and rep.sign == rep.predicted_sign
 
-    def test_factored_unit_needs_every_factor_and_zero_total_shift(self, monkeypatch, fallbacks):
+    def test_factored_unit_needs_every_factor_and_zero_total_shift(self, monkeypatch):
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         right = verify_proposition(ctx)
-        assert fallbacks == [] and right.ok
+        assert right.decided_by == "factors" and right.ok
         # The unit is the observed sign: a unit of -1 decides, and fails.
         with monkeypatch.context() as patch:
             _tamper(patch, ctx, against_a=lambda found: (-found[0], found[1]))
             flipped = verify_proposition(ctx)
-        assert fallbacks == [] and not flipped.ok and flipped.sign == -right.sign
+        assert flipped.decided_by == "factors"
+        assert not flipped.ok and flipped.sign == -right.sign
         # Each case fails one condition.  Where the condition is not the
         # test against det(A)^n', that test is forged to pass with the right
         # unit, so only the condition itself can refuse.
@@ -892,36 +893,28 @@ class TestFactoredCheck:
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, against_b, against_a)
                 rep = verify_proposition(ctx)
-            assert fallbacks == [right.predicted_sign], case
-            fallbacks.clear()
+            assert rep.decided_by == "full comparison", case
             for name in REPORT_FIELDS:
                 assert getattr(rep, name) == getattr(right, name), (case, name)
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-def test_identity_holds_on_every_tableau_of_the_shape(n, np_, fallbacks, monkeypatch):
-    # Every tableau is decided by its factors; the full comparison never runs.
-    # The exponent bound of Mat1's determinant, row 0 cleared, peaks at
-    # nn' + max(n, n') over the shape's tableaux: 16 at 3x4 and 4x3, the
-    # largest the check meets, far inside the 8-bit field's 127.
-    import periodkit.oracle as orc
-
-    bounds, group_minors = [], orc._group_minors
-
-    def spy(rows, group):
-        bound, groups = group_minors(rows, group)
-        bounds.append(bound)
-        return bound, groups
-
-    monkeypatch.setattr(orc, "_group_minors", spy)
-    seen = set()
+def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
+    # Every tableau is decided by its factors, each of its n i-blocks with
+    # n^n' nonzero minors; the full comparison never runs.  The exponent
+    # bound of Mat1's determinant, row 0 cleared, peaks at nn' + max(n, n')
+    # over the shape's tableaux: 16 at 3x4 and 4x3, the largest the check
+    # meets, far inside the 8-bit field's 127.
+    seen, bounds = set(), []
     for slots in combinations(range(n + np_), n):
         ctx = PairContext.build(*pair_of_shape(n, np_, slots))
         seen.add((ctx.A.members, ctx.T.members))
-        assert verify_proposition(ctx).ok, (n, np_, slots)
+        rep = verify_proposition(ctx)
+        assert rep.ok, (n, np_, slots)
+        assert rep.decided_by == "factors", (n, np_, slots)
+        assert rep.nonzero_minors == (n ** np_,) * n, (n, np_, slots)
+        bounds.append(rep.bound)
     assert len(seen) == comb(n + np_, n)
-    assert fallbacks == []
-    assert len(bounds) == len(seen)
     assert max(bounds) == n * np_ + max(n, np_) <= 16
 
 
@@ -941,7 +934,7 @@ def test_right_side_has_bound_n_plus_np(n, np_):
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
+def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
     # In verify_proposition, Mat1 goes in n groups of n' rows, and each
     # i-block enters the DP as n^n' one-term monomials, one per choice of
     # n' distinct b-indices: each nonzero minor is ±monomial·det(B).  The
@@ -957,19 +950,11 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch, fallbacks):
         against_b=lambda k, found: against_b.append(found) or found,
         against_a=lambda found: against_a.append(found) or found,
     )
-    nonzero_minors, group_minors = [], orc._group_minors
-
-    def spy(rows, group):
-        bound, groups = group_minors(rows, group)
-        nonzero_minors.append([sum(map(bool, minors.values())) for minors in groups])
-        return bound, groups
-
     sym_dets = []
-    monkeypatch.setattr(orc, "_group_minors", spy)
     monkeypatch.setattr(orc, "sym_det", lambda *args: sym_dets.append(args))
     rep = verify_proposition(ctx)
-    assert rep.ok and fallbacks == [] and sym_dets == []
-    assert nonzero_minors == [[n ** np_] * n]
+    assert rep.ok and rep.decided_by == "factors" and sym_dets == []
+    assert rep.nonzero_minors == (n ** np_,) * n
     assert len(against_b) == n * n ** np_
     assert all(found is not None and found[0] in (1, -1) for found in against_b)
     assert against_a == [(rep.sign, 0)]
