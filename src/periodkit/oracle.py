@@ -37,12 +37,14 @@ expansion, and then expands neither side.  It writes det(A) and det(B),
 matrices of distinct variables, down as Leibniz sums, so the DP runs on
 Mat1 alone and shares no code with the det(B) its minors are tested
 against.  In groups of n' rows, each nonzero minor is c·x^e·det(B), and
-the group keeps only c·x^e.  The DP over those monomials leaves ``out``,
-with det(Mat1)·cleared = out·det(B)^n, so when ``out`` is ±det(A)^n' with
-no shift, that is the identity with its sign.  Only if a test fails does
-the check multiply out both sides, 221,760 terms each at 3x4, and compare
-them.  The report says which of the two decided, and it multiplies out
-only its right side, and only when that is read.
+the group keeps only c·x^e.  If m groups factor so, the DP over their
+monomials and the other groups' minors leaves ``out``, with
+det(Mat1)·cleared = out·det(B)^m.  The ring has no zero divisors, so the
+identity holds with sign s exactly when ``out`` is s·det(A)^n' det(B)^(n-m),
+and that one comparison decides.  On every Mat1 all n groups factor, and
+``out`` meets ±det(A)^n' alone; only a group that does not factor brings
+det(B) into it.  The report counts the groups that factored, and it
+multiplies out its right side only when that is read.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ from .deligne import PairContext
 from .errors import SizeLimitError
 from .value import Frozen
 
-# The shapes checked: n, n' <= 4 with nn' <= 12.  The factored check stays
-# small past them, but its fallback multiplies out det(A)^n' det(B)^n:
-# 221,760 terms at 3x4, 102,961,609 at 4x4, and at 1x11 det(B) alone has
-# 11! terms.
+# The shapes checked: n, n' <= 4 with nn' <= 12.  The check stays small
+# past them while its groups factor, but a check whose groups do not factor
+# multiplies out det(A)^n' det(B)^n: 221,760 terms at 3x4, 102,961,609 at
+# 4x4, and at 1x11 det(B) alone has 11! terms.
 MAX_RANK = 4
 MAX_SIZE = 12
 
@@ -70,7 +72,8 @@ def require_shape(n: int, np_: int) -> None:
     if max(n, np_) > MAX_RANK or n * np_ > MAX_SIZE:
         raise SizeLimitError(
             f"shape {n}x{np_} is outside the oracle's bound n, n' <= {MAX_RANK} and "
-            f"nn' <= {MAX_SIZE} (the fallback comparison multiplies out det(A)^n' det(B)^n)"
+            f"nn' <= {MAX_SIZE} (a check whose groups do not factor multiplies out "
+            "det(A)^n' det(B)^n)"
         )
 
 
@@ -614,28 +617,20 @@ class VerificationReport(Frozen):
     or None when neither sign holds; ``ok`` requires it to be the
     predicted one.  ``bound`` is the exponent bound of det(Mat1)·cleared,
     ``nonzero_minors`` counts the nonzero minors of each group of n' rows,
-    and ``decided_by`` is "factors" or "full comparison".  ``rhs``, the
-    predicted side predicted_sign·det(A)^n' det(B)^n, is the one lazy
-    member, multiplied out on its first read by the stored callable
-    ``_rhs``; nothing in the package reads it, only the benchmark does.
+    and ``factored`` counts the groups whose minors all tested as
+    monomials times det(B).  ``rhs``, the predicted side
+    predicted_sign·det(A)^n' det(B)^n, is the one lazy member, multiplied
+    out on its first read by the stored callable ``_rhs``; nothing in the
+    package reads it, only the benchmark does.
     """
 
     __slots__ = (
-        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "decided_by", "_rhs"
+        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored", "_rhs"
     )
 
     @property
     def rhs(self) -> LaurentPoly:
         return self._rhs()
-
-
-def _expanded_sign(lhs: LaurentPoly, rhs: LaurentPoly, predicted: int) -> int | None:
-    """The full comparison: predicted if lhs = rhs, -predicted if lhs = -rhs, else None."""
-    if lhs == rhs:
-        return predicted
-    if lhs == -rhs:  # only on failure: the identity holds with the other sign
-        return -predicted
-    return None  # pragma: no cover - would indicate a real defect
 
 
 def verify_proposition(ctx: PairContext) -> VerificationReport:
@@ -647,12 +642,11 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     alone: its row 0 scaled by the cleared periods, in groups of n' rows,
     a group whose nonzero minors are each c·x^e·det(B) (``_shift``) enters
     the DP as those monomials.  If m groups factor, the DP leaves ``out``
-    with det(Mat1)·cleared = out·det(B)^m.  When all n factor and ``out``
-    is u·det(A)^n' with no shift and u = ±1, u is the observed sign, decided
-    by "factors".  Otherwise ``_expanded_sign`` multiplies both sides out
-    and compares them, by "full comparison", so the verdict is always the
-    full comparison's.  The report counts each group's nonzero minors
-    before any group becomes monomials, and expands no side but ``rhs``.
+    with det(Mat1)·cleared = out·det(B)^m, and as the ring has no zero
+    divisors, the identity holds with sign s exactly when ``out`` is
+    s·det(A)^n' det(B)^(n-m).  That one comparison decides, whatever m is.
+    The report counts each group's nonzero minors before any group
+    becomes monomials, and the m groups that factored.
 
     A shift is a minor's exact quotient by det(B), the product over the
     group's rows of one entry's A and period part, so the determinant's
@@ -685,14 +679,10 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
             groups[g] = {cols: {e: c} for cols, (c, e) in shifts.items()}
             factored += 1
     out = _combined(groups, n * np_)
+    want = a_part * det_b ** (n - factored)
+    sign = 1 if out == want._keys else -1 if out == (-want)._keys else None
     # Negate the small factor, not a copy of the product.
     rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
-    unit, shift = _shift(out, a_part._keys) or (None, None)
-    if factored == n and shift == 0 and unit in (1, -1):
-        sign, decided_by = unit, "factors"
-    else:
-        lhs = LaurentPoly(cleared.vars, _product(out, (det_b ** factored)._keys), bound)
-        sign, decided_by = _expanded_sign(lhs, rhs(), predicted), "full comparison"
     return VerificationReport(
-        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, decided_by, rhs
+        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, rhs
     )

@@ -40,8 +40,6 @@ ALLOWED = {
         "a TYPE_CHECKING import, for annotations only",
     ("lfactor", "<module>", "from .automorphic import InfinityTypeData"):
         "a TYPE_CHECKING import, for annotations only",
-    ("oracle", "_expanded_sign", "return None  # pragma: no cover - would indicate a real defect"):
-        "the identity holds with neither sign: only a defect reaches it",
     ("suites", "_suite_rewrite.tate_closed_forms", "return False"):
         "delta_tate(k) differs from two_pi_i(k): only a defect reaches it",
     ("suites", "_suite_oracle.cleared_matches_raw_q", "return False"):

@@ -2,12 +2,15 @@
 
 An n x n' shape is the order in which the doubled values of M and M'
 interleave: one of C(n + n', n) choices of the slots M takes.
-``periodkit.sampling.pair_of_shape`` builds the pair of a shape, and
+``periodkit.sampling.pair_of_shape`` builds the pair of a shape,
+``rep_pair_of_shape`` the pair of infinity types of a shape, and
 ``word_spec`` reads A, T and both split indices off the slots alone.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
+from periodkit.automorphic import InfinityTypeData
 from periodkit.hodge import has_no_pp_class, restriction_tensor
 from periodkit.sampling import random_motive
 
@@ -30,6 +33,26 @@ def every_shape(max_rank):
         for np_ in range(1, max_rank + 1):
             for slots in combinations(range(n + np_), n):
                 yield n, np_, slots
+
+
+def rep_pair_of_shape(n, np_, slots):
+    """The n x n' pair of infinity types whose a and -a' interleave as ``slots`` says.
+
+    Of the n + n' positions, Pi takes ``slots`` and Pi' the others: Pi has
+    2a = 4x + ((n - 1) mod 2) at each slot x, Pi' has 2a' = -(4y + ((n' - 1)
+    mod 2)) at each other y, and both weights are 0.  Then 2a + 2a' =
+    4(x - y) + c with |c| <= 1 and x != y, so no exponent sum is 0 and the
+    pair is critical.  The dictionary reverses the order of the
+    exponents, so its images have the shape of the mirrored slots
+    n + n' - 1 - x.
+    """
+    others = [y for y in range(n + np_) if y not in slots]
+    pi = [Fraction(4 * x + (n - 1) % 2, 2) for x in slots]
+    pip = [Fraction(-(4 * y + (np_ - 1) % 2), 2) for y in others]
+    return (
+        InfinityTypeData("Pi", 0, sorted(pi, reverse=True)),
+        InfinityTypeData("Pi'", 0, sorted(pip, reverse=True)),
+    )
 
 
 def word_spec(n, np_, slots):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from periodkit import combinatorics
+from periodkit.automorphic import crosscheck_conjecture, dict_to_motive, split_indices_auto
 from periodkit.combinatorics import (
     IndexPairSet,
     set_A,
@@ -17,9 +18,10 @@ from periodkit.combinatorics import (
 from periodkit.deligne import PairContext, deligne_period_raw, deligne_period_simplified
 from periodkit.errors import PpClassError
 from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
+from periodkit.lfactor import pair_critical_points
 from periodkit.periods import expand
 from periodkit.sampling import pair_of_shape, random_pp_free_pair
-from shapes import every_shape, word_spec
+from shapes import every_shape, rep_pair_of_shape, word_spec
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -130,7 +132,11 @@ class TestCardinalityLemma:
 
 
 class TestEveryShape:
-    """The lemmas on the pair of every shape up to rank 6, built by ``pair_of_shape``."""
+    """The lemmas on the pair of every shape up to rank 6, built by ``pair_of_shape``.
+
+    The pair of infinity types of a shape, built by ``rep_pair_of_shape``,
+    is checked against the same word spec.
+    """
 
     def test_the_pair_realizes_its_shape_and_the_lemmas_hold(self):
         shapes = 0
@@ -172,6 +178,31 @@ class TestEveryShape:
             assert split_indices(mp, m) == sp_sym, (n, np_, slots)
             shapes += 1
         assert shapes == 3418
+
+    def test_the_rep_pair_and_its_dictionary_images_match_the_mirrored_word_spec(self):
+        # The automorphic side of a shape: split_indices_auto both ways, and
+        # A and T of the dictionary images, read off the mirrored slots.
+        shapes = 0
+        for n, np_, slots in every_shape(6):
+            pi, pip = rep_pair_of_shape(n, np_, slots)
+            a, t, sp, sp_sym = word_spec(n, np_, [n + np_ - 1 - x for x in slots])
+            assert split_indices_auto(pi, pip) == sp, (n, np_, slots)
+            assert split_indices_auto(pip, pi) == sp_sym, (n, np_, slots)
+            m, mp = dict_to_motive(pi), dict_to_motive(pip)
+            assert set_A(m, mp).members == a, (n, np_, slots)
+            assert set_T(m, mp).members == t, (n, np_, slots)
+            shapes += 1
+        assert shapes == 3418
+
+    def test_the_conjecture_crosschecks_at_every_critical_point_of_each_rep_pair(self):
+        # Every shape up to rank 4, each at all its critical points.
+        points = 0
+        for n, np_, slots in every_shape(4):
+            pi, pip = rep_pair_of_shape(n, np_, slots)
+            for m in pair_critical_points(pi, pip).points():
+                assert crosscheck_conjecture(pi, pip, m), (n, np_, slots, m)
+                points += 1
+        assert points == 878
 
     def test_the_shapes_of_each_rank_pair_give_distinct_sets_A(self):
         # Shape and tableau determine each other, so one pair per tableau

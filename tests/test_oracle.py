@@ -46,28 +46,22 @@ def _observed_rhs(rep):
     return rep.rhs if rep.sign == rep.predicted_sign else -rep.rhs
 
 
-def _tamper(patch, ctx, against_b=None, against_a=None):
-    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through filters.
+def _tamper(patch, ctx, against_b):
+    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through a filter.
 
     ``against_b(k, found)`` takes the k-th test of a minor against det(B),
-    counted from 0, and ``against_a(found)`` the test of the DP's result
-    against det(A)^n'; each returns what ``_shift`` reports instead.
+    counted from 0, and returns what ``_shift`` reports instead.  Every
+    test the check makes is one of these.
     """
     import periodkit.oracle as orc
 
-    n, np_ = ctx.M.rank, ctx.Mp.rank
-    pv = PairVariables.build(n, np_)
-    det_a = (orc._generic_det(pv.names, pv.a_idx, n) ** np_)._keys
-    det_b = orc._generic_det(pv.names, pv.b_idx, np_)._keys
+    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
+    det_b = orc._generic_det(pv.names, pv.b_idx, ctx.Mp.rank)._keys
     shift, tests_against_b = orc._shift, count()
 
     def spy(poly, ref):
-        found = shift(poly, ref)
-        if ref == det_a:
-            return against_a(found) if against_a else found
         assert ref == det_b
-        k = next(tests_against_b)
-        return against_b(k, found) if against_b else found
+        return against_b(next(tests_against_b), shift(poly, ref))
 
     patch.setattr(orc, "_shift", spy)
 
@@ -75,9 +69,9 @@ def _tamper(patch, ctx, against_b=None, against_a=None):
 def _forced_fallback(patch, ctx):
     """Report the first minor tested against det(B) as not a multiple of it.
 
-    Its group then enters the DP as its minors, so Mat1 no longer splits
-    into n factors and ``verify_proposition`` must fall back to the full
-    comparison, with det(B) to the power n - 1 in its left side.
+    Its group then enters the DP as its minors, so only n - 1 groups
+    factor, and ``verify_proposition`` compares the DP's result with
+    ±det(A)^n' det(B): the one power of det(B) that group leaves in it.
     """
     _tamper(patch, ctx, against_b=lambda k, found: None if k == 0 else found)
 
@@ -401,7 +395,7 @@ class TestSymDet:
         rep = verify_proposition(ctx)
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
-        assert rep.ok and rep.sign == 1 and rep.decided_by == "factors"
+        assert rep.ok and rep.sign == 1 and rep.factored == 2
         assert rep.bound == sum(max(entry._bound for entry in row) for row in rows) == 82
         assert rep.nonzero_minors == (4, 4)
         # The right side's bound, 80 + 80, is past the field, so the
@@ -828,7 +822,7 @@ class TestPredictedSign:
         assert shapes == 3418
 
     def test_wrong_prediction_fails_the_check(self, monkeypatch):
-        # On every shape, by its factors and by the full comparison.
+        # On every shape, with every group factored and with one group not.
         import periodkit.oracle as orc
 
         for n, np_ in ADMITTED_SHAPES:
@@ -838,15 +832,15 @@ class TestPredictedSign:
                 patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
                 wrong = verify_proposition(ctx)
                 _forced_fallback(patch, ctx)
-                expanded = verify_proposition(ctx)
-            assert (wrong.decided_by, expanded.decided_by) == ("factors", "full comparison")
-            assert expanded.predicted_sign == wrong.predicted_sign == -right.predicted_sign
-            for rep in (wrong, expanded):
+                forced = verify_proposition(ctx)
+            assert (wrong.factored, forced.factored) == (n, n - 1)
+            assert forced.predicted_sign == wrong.predicted_sign == -right.predicted_sign
+            for rep in (wrong, forced):
                 assert right.ok and not rep.ok, (n, np_)
                 assert rep.sign == right.sign == -rep.predicted_sign, (n, np_)
 
 
-# Every field but decided_by, which says how the report was reached.
+# Every field but factored, which says how many groups entered the DP as monomials.
 REPORT_FIELDS = ("size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "rhs")
 
 
@@ -855,53 +849,48 @@ class TestFactoredCheck:
     def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch):
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
-        factored = verify_proposition(ctx)
+        right = verify_proposition(ctx)
         _forced_fallback(monkeypatch, ctx)
-        expanded = verify_proposition(ctx)
-        assert (factored.decided_by, expanded.decided_by) == ("factors", "full comparison")
+        forced = verify_proposition(ctx)
+        assert (right.factored, forced.factored) == (n, n - 1)
         for name in REPORT_FIELDS:
-            assert getattr(expanded, name) == getattr(factored, name), name
+            assert getattr(forced, name) == getattr(right, name), name
 
-    def test_a_unit_other_than_plus_or_minus_one_falls_back(self, monkeypatch):
-        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
-        _tamper(monkeypatch, ctx, against_a=lambda found: (2 * found[0], found[1]))
-        rep = verify_proposition(ctx)
-        assert rep.decided_by == "full comparison"
-        assert rep.ok and rep.sign == rep.predicted_sign
-
-    def test_factored_unit_needs_every_factor_and_zero_total_shift(self, monkeypatch):
+    def test_the_dp_result_is_compared_with_what_the_factors_leave(self, monkeypatch):
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         right = verify_proposition(ctx)
-        assert right.decided_by == "factors" and right.ok
-        # The unit is the observed sign: a unit of -1 decides, and fails.
-        with monkeypatch.context() as patch:
-            _tamper(patch, ctx, against_a=lambda found: (-found[0], found[1]))
-            flipped = verify_proposition(ctx)
-        assert flipped.decided_by == "factors"
-        assert not flipped.ok and flipped.sign == -right.sign
-        # Each case fails one condition.  Where the condition is not the
-        # test against det(A)^n', that test is forged to pass with the right
-        # unit, so only the condition itself can refuse.
-        unit = (right.sign, 0)
-        cases = {
-            "group 0 unfactored": (lambda k, found: None if k == 0 else found, lambda f: unit),
-            "no group factored": (lambda k, found: None, lambda f: unit),
-            "a nonzero total shift": (None, lambda found: (found[0], found[1] + 1)),
-            "no multiple of det(A)^n'": (None, lambda found: None),
+        assert right.factored == 2 and right.ok
+        # A group that does not factor keeps det(B) in the DP's result, and
+        # the comparison takes that power of det(B) in: the report is the same.
+        unfactored = {
+            "group 0 unfactored": (1, lambda k, found: None if k == 0 else found),
+            "no group factored": (0, lambda k, found: None),
         }
-        for case, (against_b, against_a) in cases.items():
+        for case, (factored, against_b) in unfactored.items():
             with monkeypatch.context() as patch:
-                _tamper(patch, ctx, against_b, against_a)
+                _tamper(patch, ctx, against_b)
                 rep = verify_proposition(ctx)
-            assert rep.decided_by == "full comparison", case
+            assert rep.factored == factored, case
             for name in REPORT_FIELDS:
                 assert getattr(rep, name) == getattr(right, name), (case, name)
+        # One forged factor of one minor leaves the result neither sign of
+        # the identity, and the check fails.
+        forged = {
+            "one shift e+1": lambda found: (found[0], found[1] + 1),
+            "one unit doubled": lambda found: (2 * found[0], found[1]),
+        }
+        for case, forge in forged.items():
+            with monkeypatch.context() as patch:
+                _tamper(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
+                rep = verify_proposition(ctx)
+            assert rep.factored == 2 and rep.predicted_sign == right.predicted_sign, case
+            assert rep.sign is None and not rep.ok, case
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
-    # Every tableau is decided by its factors, each of its n i-blocks with
-    # n^n' nonzero minors; the full comparison never runs.  The exponent
+    # On every tableau all n i-blocks factor, each with n^n' nonzero
+    # minors, so det(B) never enters the final comparison.  The exponent
     # bound of Mat1's determinant, row 0 cleared, peaks at nn' + max(n, n')
     # over the shape's tableaux: 16 at 3x4 and 4x3, the largest the check
     # meets, far inside the 8-bit field's 127.
@@ -911,7 +900,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
         seen.add((ctx.A.members, ctx.T.members))
         rep = verify_proposition(ctx)
         assert rep.ok, (n, np_, slots)
-        assert rep.decided_by == "factors", (n, np_, slots)
+        assert rep.factored == n, (n, np_, slots)
         assert rep.nonzero_minors == (n ** np_,) * n, (n, np_, slots)
         bounds.append(rep.bound)
     assert len(seen) == comb(n + np_, n)
@@ -943,20 +932,14 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
     import periodkit.oracle as orc
 
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
-    against_b, against_a = [], []
-    _tamper(
-        monkeypatch,
-        ctx,
-        against_b=lambda k, found: against_b.append(found) or found,
-        against_a=lambda found: against_a.append(found) or found,
-    )
+    against_b = []
+    _tamper(monkeypatch, ctx, lambda k, found: against_b.append(found) or found)
     sym_dets = []
     monkeypatch.setattr(orc, "sym_det", lambda *args: sym_dets.append(args))
     rep = verify_proposition(ctx)
-    assert rep.ok and rep.decided_by == "factors" and sym_dets == []
+    assert rep.ok and rep.factored == n and sym_dets == []
     assert rep.nonzero_minors == (n ** np_,) * n
     assert len(against_b) == n * n ** np_
     assert all(found is not None and found[0] in (1, -1) for found in against_b)
-    assert against_a == [(rep.sign, 0)]
     pv = PairVariables.build(n, np_)
     assert len(_generic_det(pv.names, pv.b_idx, np_).terms) == factorial(np_)

@@ -1,7 +1,7 @@
 """The oracle names that tests patch, each with its reason.
 
 A test that only observes what ``verify_proposition`` did reads its
-report (``bound``, ``nonzero_minors``, ``decided_by``).  A patch of an
+report (``bound``, ``nonzero_minors``, ``factored``).  A patch of an
 oracle name is kept only where it injects a fault or crafted input, or
 observes what no report holds.  The scan reads ``tests/*.py`` with
 ``ast`` for ``setattr(<alias of periodkit.oracle>, "<name>", ...)``.
@@ -14,9 +14,9 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
     # Fault injection: _tamper and _forced_fallback forge what the tests
-    # of a minor against det(B), and of the DP's result against det(A)^n',
-    # find.
-    "_shift": "forges a factor test, to force the full comparison or a wrong unit",
+    # of a minor against det(B) find.
+    "_shift": "forges a minor's test against det(B), to leave its group unfactored "
+    "or give it a wrong shift or unit",
     "_kronecker_column_sign": "injects a wrong predicted sign, or the sign of a crafted matrix",
     "build_mat1": "swaps in a crafted A⊗B whose rows sum past half the field",
     "cleared_period_product": "clears nothing for that crafted A⊗B",
@@ -64,11 +64,10 @@ def patched_oracle_names() -> set[str]:
 
 
 def test_the_tests_patch_only_the_allowed_oracle_names():
-    # Which path decided, the bound and the nonzero minors per group are
-    # read from the report, so neither the full comparison nor the row
-    # groups are patched.
+    # The groups that factored, the bound and the nonzero minors per group
+    # are read from the report, so the row groups are not patched.
     assert patched_oracle_names() == set(ALLOWED)
-    assert not {"_expanded_sign", "_group_minors"} & set(ALLOWED)
+    assert "_group_minors" not in ALLOWED
 
 
 def test_the_scan_sees_every_way_a_test_names_the_oracle():

@@ -34,10 +34,6 @@ ALLOWED = {
         "a type-only import: automorphic imports lfactor, so lfactor cannot "
         "import automorphic when it loads"
     ),
-    ("oracle", "return None  # pragma: no cover - would indicate a real defect"): (
-        "_expanded_sign's defect branch: reaching it means neither sign of the "
-        "determinant identity holds, a counterexample no test can build"
-    ),
 }
 
 

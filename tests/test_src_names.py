@@ -1,12 +1,15 @@
 """Every public function and method in ``src/periodkit`` has a caller there.
 
 A public name that only tests call is code the tool does not run, so it
-is deleted or given a caller in ``src``.  The scan is by name: a
-definition counts as used when its name is read (as a variable or as an
-attribute) anywhere in ``src/periodkit`` outside the definition itself.
-So a method or property that shares its name with a ``__slots__`` field
-of some class counts as read wherever that field is; each such name is
-listed in ``SHADOWED``, with where it is really read.
+is deleted or given a caller in ``src``.  The scan is by name and kind,
+outside the definition itself: a method or property counts as used when
+an attribute of its name is read anywhere in ``src/periodkit``, and a
+module function when such an attribute is read, or its bare name in its
+own module or in one that imports it by name.  So a local variable named
+like a method is no read of it, but a method or property that shares
+its name with a ``__slots__`` field of some class counts as read
+wherever that field is; each such name is listed in ``SHADOWED``, with
+where it is really read.
 """
 
 import ast
@@ -44,14 +47,25 @@ SHADOWED = {
 }
 
 
-def _reads(node) -> Counter:
-    """How often each identifier is read as a name or an attribute under ``node``."""
-    out = Counter()
+def _loads(node) -> tuple[Counter, Counter]:
+    """(bare names, attribute names) read under ``node``, each with its count."""
+    names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attrs[sub.attr] += 1
+    return names, attrs
+
+
+def _imports(tree) -> dict[tuple[str, str], set[str]]:
+    """{(module, name): the bare names ``tree`` binds to it by ``from <module> import name``}."""
+    out: dict[tuple[str, str], set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("periodkit.")
+            for alias in node.names:
+                out.setdefault((module, alias.name), set()).add(alias.asname or alias.name)
     return out
 
 
@@ -72,15 +86,27 @@ def _trees() -> dict:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 
 
-def uncalled_public_names() -> set[str]:
-    trees = _trees()
-    reads = sum((_reads(tree) for tree in trees.values()), Counter())
-    return {
-        qualified
-        for module, tree in trees.items()
-        for qualified, name, node in _public_definitions(tree, module)
-        if reads[name] - _reads(node)[name] == 0
-    }
+def uncalled_public_names(trees=None) -> set[str]:
+    """Each public definition of ``trees`` ({module: tree}, src by default) read nowhere."""
+    trees = _trees() if trees is None else trees
+    loads = {module: _loads(tree) for module, tree in trees.items()}
+    imports = {module: _imports(tree) for module, tree in trees.items()}
+    attrs = sum((a for _, a in loads.values()), Counter())
+    uncalled = set()
+    for module, tree in trees.items():
+        for qualified, name, node in _public_definitions(tree, module):
+            own_names, own_attrs = _loads(node)
+            reads = attrs[name] - own_attrs[name]
+            if qualified.startswith(f"{module}."):
+                reads += loads[module][0][name] - own_names[name]
+                reads += sum(
+                    loads[other][0][local]
+                    for other, bound in imports.items()
+                    for local in bound.get((module, name), ())
+                )
+            if not reads:
+                uncalled.add(qualified)
+    return uncalled
 
 
 def test_only_the_allowed_public_names_lack_a_caller_in_src():
@@ -88,6 +114,21 @@ def test_only_the_allowed_public_names_lack_a_caller_in_src():
     # fails here until it is taken off the list.
     assert uncalled_public_names() == ALLOWED
 
+
+def test_a_method_is_read_as_an_attribute_and_a_function_where_it_is_imported():
+    # A local named like a method is no read of it, and neither is a bare
+    # name in a module that does not import the function of that name.
+    sources = {
+        "report": "class Report:\n    def rhs(self):\n        return 1\n\n\n"
+        "def check():\n    pass\n",
+        "verify": "def verify():\n    rhs = check = 1\n    return rhs + check\n",
+    }
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    assert uncalled_public_names(trees) == {"Report.rhs", "report.check", "verify.verify"}
+    trees["reader"] = ast.parse(
+        "from .report import check as c\n\n\ndef read(r):\n    return r.rhs(), c()\n"
+    )
+    assert uncalled_public_names(trees) == {"verify.verify", "reader.read"}
 
 
 def shadowed_public_names() -> set[str]:
