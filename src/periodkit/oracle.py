@@ -22,26 +22,28 @@ a power is that many such steps by its base, with no squaring.
 The determinant is Laplace's generalized expansion over consecutive
 groups of rows, and one dynamic program over column subsets does it all:
 run over single rows it gives a group's minors, run over the groups it
-combines them.  Two columns proportional on every row of a group (each
-entry one term, the ratio one c·x^e) make every minor that holds both
-zero, so the row pass never builds such a column set; the sets it skips
-are exactly zero, so no minor changes.  In Mat1 an i-block's columns
-with one b-index are proportional (Horn and Johnson, *Topics in Matrix
-Analysis*, §4.2), and its pass ends on the n^n' sets of distinct
-b-indices: 16 at 2x4, 27 at 3x3, 64 at 4x3.  A one-term minor shifts
-every key of a partial determinant alike, so a state it reaches first
-takes them by one comprehension.
+combines them.  A group's columns proportional on all its rows (each
+entry one term, the ratio one c·x^e) form a class, and each is g·x^e
+times its class's primitive column.  A determinant is linear in each
+column, so the row pass runs once, over the primitive columns, and a
+minor is ±Πg·x^Σe times its class set's; a set holding two columns of one
+class is zero and never built.  In Mat1 an i-block's columns with one
+b-index form a class (Horn and Johnson, *Topics in Matrix Analysis*,
+§4.2): its pass is over n' columns, and its one class set has the n^n'
+member sets of distinct b-indices, 16 at 2x4, 27 at 3x3, 64 at 4x3.  A
+one-term minor shifts every key of a partial determinant alike, so a
+state it reaches first takes them by one comprehension.
 
 The check gets its cleared period factor in row 0 of Mat1, before the
 expansion, and then expands neither side.  It writes det(A) and det(B),
 matrices of distinct variables, down as Leibniz sums, so the DP runs on
 Mat1 alone and shares no code with the det(B) its minors are tested
-against.  In groups of n' rows, each nonzero minor is c·x^e·det(B), and
-the group keeps only c·x^e.  If m groups factor so, the DP over their
-monomials and the other groups' minors leaves ``out``, with
-det(Mat1)·cleared = out·det(B)^m.  The ring has no zero divisors, so the
-identity holds with sign s exactly when ``out`` is s·det(A)^n' det(B)^(n-m),
-and that one comparison decides.  On every Mat1 all n groups factor, and
+against.  In groups of n' rows, each class set's minor is tested once:
+if it is c·x^s·det(B), each member set keeps only ±c·Πg·x^(s+Σe).  If m
+groups factor so, the DP over their monomials and the other groups'
+minors leaves ``out``, with det(Mat1)·cleared = out·det(B)^m.  The ring
+has no zero divisors, so the identity holds with sign s exactly when
+``out`` is s·det(A)^n' det(B)^(n-m), and that one comparison decides.  On every Mat1 all n groups factor, and
 ``out`` meets ±det(A)^n' alone; only a group that does not factor brings
 det(B) into it.  The report counts the groups that factored, and it
 multiplies out its right side only when that is read.
@@ -121,7 +123,7 @@ def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """
     if len(a) < len(b):
         a, b = b, a
-    return _laplace([[(1, 1, 0, b)]], {0: a}).get(1, {})
+    return _laplace([[(1, 0, b)]], {0: a}).get(1, {})
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -297,19 +299,14 @@ class Terms(Mapping):
         return f"Terms({dict(self)!r})"
 
 
-def _part(
-    minors: dict[int, dict[int, int]], blocks: dict[int, int] | None = None
-) -> list[tuple[int, int, int, dict[int, int]]]:
-    """(column set, block, sign mask, minor) for each nonzero minor of a group of rows.
+def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
+    """(column set, sign mask, minor) for each nonzero minor of a group of rows.
 
-    The block is the column set, or the set's entry in ``blocks``: for a
-    row's entry, its column and the columns ``_partners`` pairs with it.
     Adding the column set S after the used columns costs one swap per used
     column right of each column of S.  Only the parity counts, so the sign
     is (-1)^(used columns in the mask), and the mask holds the columns right
     of an odd number of S's columns.
     """
-    blocks = blocks or {}
     part = []
     for cols, minor in minors.items():
         if minor:
@@ -318,7 +315,7 @@ def _part(
                 low = rest & -rest
                 mask ^= -(low << 1)  # every column right of this one
                 rest ^= low
-            part.append((cols, blocks.get(cols, cols), mask, minor))
+            part.append((cols, mask, minor))
     return part
 
 
@@ -326,11 +323,9 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     """Extend ``states``, {used column set: partial determinant}, by each part in turn.
 
     A part is a group of rows given by ``_part``; a row is the part of its
-    entries.  A state that meets a minor's block is not extended by it: it
-    holds a column of the minor's set, or one proportional to it on every
-    row of the group, and the product would be zero.  Zero partial
-    determinants may remain as empty dicts, and are not extended either:
-    they only spread more of them.
+    entries.  A state that holds a column of a minor's set is not extended
+    by it.  Zero partial determinants may remain as empty dicts, and are
+    not extended either: they only spread more of them.
 
     This is the ring's one multiply-accumulate; ``_summed_product`` is one
     step of it.  A term of a minor shifts every key of the partial alike,
@@ -346,8 +341,8 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
             used, partial = states.popitem()
             if not partial:
                 continue
-            for cols, block, mask, minor in part:
-                if used & block:
+            for cols, mask, minor in part:
+                if used & cols:
                     continue
                 odd = (used & mask).bit_count() & 1
                 key = used | cols
@@ -368,46 +363,68 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     return states
 
 
-def _partners(rows: list[list[dict[int, int]]]) -> dict[int, int]:
-    """{1 << c: the columns proportional to column c on every row}, for one-term columns.
+def _classes(rows: list[list[dict[int, int]]]) -> list[tuple[list[dict[int, int]], list]]:
+    """(primitive column, [(1 << c, g, e) for each member c]) per class, by first member.
 
-    Two columns are proportional when every entry of both is one term and
-    the shift of exponent vectors from the one to the other, and the ratio
-    of their coefficients, are the same on every row.  So they are exactly
-    when their drifts (each row's exponent vector less row 0's) agree, and
-    so do their coefficients in lowest terms with row 0's made positive,
-    which counts 2:3: one signature.  A column with a zero or multi-term
-    entry has none and pairs with no column.  A drift is compared packed:
-    each field is a difference of two rows' exponents, within the sum of
-    the rows' bounds, which ``sym_det`` checks to be below 128, so equal
-    packed drifts are equal vectors.
+    A column of one-term entries has a signature: its drifts (each row's
+    key less row 0's) and its coefficients in lowest terms with row 0's
+    made positive, which counts 2:3.  Each column of a signature is g·x^e
+    times the primitive column it spells, g the signed gcd of its
+    coefficients and e its row 0 key, on packed keys; packing maps the
+    ring homomorphically into Laurent polynomials in one variable, so that
+    is all the DP needs.  Any other column is a class of its own, with
+    g, e = 1, 0.
     """
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict = {}
     for c, column in enumerate(zip(*rows)):
-        if set(map(len, column)) != {1}:
-            continue
-        keys = [k for entry in column for k in entry]
-        coeffs = [x for entry in column for x in entry.values()]
-        g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
-        signature = (*[k - keys[0] for k in keys], *[x // g for x in coeffs])
-        classes.setdefault(signature, []).append(1 << c)
-    return {col: sum(members) for members in classes.values() for col in members}
+        signature, g, e = c, 1, 0
+        if set(map(len, column)) == {1}:
+            keys = [k for entry in column for k in entry]
+            coeffs = [x for entry in column for x in entry.values()]
+            g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+            e = keys[0]
+            signature = (*[k - e for k in keys], *[x // g for x in coeffs])
+        if signature not in classes:
+            classes[signature] = ([{k - e: x // g for k, x in ent.items()} for ent in column], [])
+        classes[signature][1].append((1 << c, g, e))
+    return list(classes.values())
 
 
-def _minors(rows: list[list[dict[int, int]]]) -> dict[int, dict[int, int]]:
-    """{column set S: det of ``rows`` on S}, for every S of size len(rows) it builds.
+def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], dict]]:
+    """(minor, {member column set: (±Πg, Σe)}) for each class set with a nonzero minor.
 
-    It builds no S that holds two columns proportional on all ``rows``
-    (``_partners``): that minor is zero, and so is every partial
-    determinant on a set holding both, as they stay proportional on the
-    rows taken so far.  Packing maps the ring homomorphically into
-    Laurent polynomials in one variable, so equal packed signatures make
-    even the packed minor zero: what is skipped never changes the result.
+    The row pass runs once, over the primitive columns of ``_classes``.  A
+    member set takes one column of each class of the set, and its minor is
+    ±Πg·x^Σe times the class set's, the sign the parity of the member
+    columns taken in class order.  A set holding two columns of one class
+    is zero, and is not built.
     """
-    # One row's states hold no column yet, so its blocks would go unused.
-    blocks = _partners(rows) if len(rows) > 1 else {}
-    parts = [_part({1 << c: entry for c, entry in enumerate(row)}, blocks) for row in rows]
-    return _laplace(parts, {0: {0: 1}})
+    classes = _classes(rows)
+    primitive_rows = zip(*(column for column, _ in classes))
+    parts = [_part({1 << k: entry for k, entry in enumerate(row)}) for row in primitive_rows]
+    out = []
+    for used, minor in _laplace(parts, {0: {0: 1}}).items():
+        if minor:
+            members = {0: (1, 0)}
+            for k, (_, cols) in enumerate(classes):
+                if used >> k & 1:
+                    # Each column of ``have`` right of ``bit`` is an inversion.
+                    members = {
+                        have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1] * g, s + e)
+                        for have, (u, s) in members.items()
+                        for bit, g, e in cols
+                    }
+            out.append((minor, members))
+    return out
+
+
+def _expanded(group) -> dict[int, dict[int, int]]:
+    """{member column set: its minor} for the class minors ``_minors`` gives of a group."""
+    return {
+        cols: {key + e: g * c for key, c in minor.items()}
+        for minor, members in group
+        for cols, (g, e) in members.items()
+    }
 
 
 def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
@@ -441,8 +458,8 @@ def _table(rows) -> tuple[str, ...]:
     return rows[0][0].vars
 
 
-def _group_minors(rows, group: int | None) -> tuple[int, list[dict[int, dict[int, int]]]]:
-    """(bound, [the minors of each group of rows]) for the Laplace expansion of ``rows``.
+def _group_minors(rows, group: int | None) -> tuple[int, list]:
+    """(bound, [the class minors ``_minors`` gives of each group of rows]) for ``rows``.
 
     ``rows`` passes ``_table``, and ``bound``, the determinant's exponent
     bound, is checked to fit the field, before any work.
@@ -475,18 +492,18 @@ def sym_det(rows, group: int | None = None) -> LaurentPoly:
     raises ``ValueError``.  det = sum over ordered choices
     (S_1, ..., S_m) of disjoint column sets, |S_g| = |group g|, of the
     sign of the column order times the product of the minors on
-    (group g, S_g).  The one DP of ``_laplace`` gives each group's minors
-    and then combines them.  A group's minors leave out every S that holds
-    two columns proportional on all the group's rows (``_partners``):
-    those minors are zero, so the sum is the same.
+    (group g, S_g).  The one DP of ``_laplace`` gives each group's minors,
+    once per class set of its proportional columns (``_minors``), and then
+    combines them, each group expanded to the minors of its member sets
+    (``_expanded``).  No S that holds two columns proportional on all the
+    group's rows is built: those minors are zero, so the sum is the same.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound, and that sum must fit the field.  It bounds each field of a
-    column's drift as well (``_partners``).
+    bound, and that sum must fit the field.
     """
     bound, groups = _group_minors(rows, group)
-    return LaurentPoly(rows[0][0].vars, _combined(groups, len(rows)), bound)
+    return LaurentPoly(rows[0][0].vars, _combined(map(_expanded, groups), len(rows)), bound)
 
 
 def naive_det(rows) -> LaurentPoly:
@@ -560,21 +577,24 @@ def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
 
     Rows run over (i, j) lexicographically; the entry in the column
     (a, b, s) of ``_mat1_columns`` is A_ia B_jb Q_a^-s Q'_b^-s, over the
-    table of ``PairVariables``.
+    table of ``PairVariables``.  Its key is packed directly: unit(v), the
+    key of variable v to the power 1, for A_ia and B_jb, less s·unit(v) for
+    Q_a and Q'_b, as every index is in range by construction.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
+    unit = [1 << (_WIDTH * v) for v in range(len(pv.names))]
     cols = _mat1_columns(ctx)
-    return tuple(
-        tuple(
-            LaurentPoly.monomial(
-                pv.names,
-                {pv.a_idx(i, a): 1, pv.b_idx(j, b): 1, pv.q_idx(a): -s, pv.qp_idx(b): -s},
-            )
-            for _, a, b, s in cols
-        )
+    a_rows = [
+        [unit[pv.a_idx(i, a)] - s * (unit[pv.q_idx(a)] + unit[pv.qp_idx(b)])
+         for _, a, b, s in cols]
         for i in range(1, n + 1)
-        for j in range(1, np_ + 1)
+    ]
+    b_rows = [[unit[pv.b_idx(j, b)] for _, _, b, _ in cols] for j in range(1, np_ + 1)]
+    return tuple(
+        tuple(LaurentPoly(pv.names, {ka + kb: 1}, 1) for ka, kb in zip(a_row, b_row))
+        for a_row in a_rows
+        for b_row in b_rows
     )
 
 
@@ -617,8 +637,8 @@ class VerificationReport(Frozen):
     or None when neither sign holds; ``ok`` requires it to be the
     predicted one.  ``bound`` is the exponent bound of det(Mat1)·cleared,
     ``nonzero_minors`` counts the nonzero minors of each group of n' rows,
-    and ``factored`` counts the groups whose minors all tested as
-    monomials times det(B).  ``rhs``, the predicted side
+    and ``factored`` counts the groups whose class set minors all tested
+    as monomials times det(B).  ``rhs``, the predicted side
     predicted_sign·det(A)^n' det(B)^n, is the one lazy member, multiplied
     out on its first read by the stored callable ``_rhs``; nothing in the
     package reads it, only the benchmark does.
@@ -639,45 +659,46 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     σ is the column permutation taking A⊗B to Mat1, so the sign is
     predicted, not chosen to fit.  The check compares factors.  det(A) and
     det(B) are Leibniz sums (``_generic_det``), and the DP runs on Mat1
-    alone: its row 0 scaled by the cleared periods, in groups of n' rows,
-    a group whose nonzero minors are each c·x^e·det(B) (``_shift``) enters
-    the DP as those monomials.  If m groups factor, the DP leaves ``out``
+    alone: its row 0 scaled by the cleared periods, in groups of n' rows.
+    Each class set's minor (``_minors``) is tested once against det(B)
+    (``_shift``), and a group whose class set minors are each c·x^s·det(B)
+    enters the DP as the monomials ±c·Πg·x^(s+Σe) of their member sets.
+    If m groups factor, the DP leaves ``out``
     with det(Mat1)·cleared = out·det(B)^m, and as the ring has no zero
     divisors, the identity holds with sign s exactly when ``out`` is
     s·det(A)^n' det(B)^(n-m).  That one comparison decides, whatever m is.
-    The report counts each group's nonzero minors before any group
-    becomes monomials, and the m groups that factored.
+    The report counts each group's nonzero minors, its member sets, and
+    the m groups that factored.
 
-    A shift is a minor's exact quotient by det(B), the product over the
-    group's rows of one entry's A and period part, so the determinant's
-    exponent bound bounds it too, and it fits the field.
+    A member set's shift s + Σe is its minor's exact quotient by det(B),
+    the product over the group's rows of one entry's A and period part, so
+    the determinant's exponent bound bounds it too, and it fits the field.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
     # Row (i, j) of Mat1 is row A_i· ⊗ B_j· of A⊗B with some columns scaled
-    # by periods, so the minor of the i-block {(i, 1), ..., (i, n')} on a
-    # column set is a monomial of A_ia and period factors times the minor
-    # of B on the columns' b-indices: ±monomial·det(B), or 0 when a b-index
-    # repeats.  So each group of n' rows factors, and as the identity
-    # holds, the DP over the monomial minors leaves a monomial times
-    # det(A)^n'.  A determinant is linear in each row, so scaling row 0 by
-    # the cleared monomial scales det(Mat1) by it without copying the
-    # determinant, and row 0's group still factors, its monomials scaled
-    # by that monomial.
+    # by periods, so on the i-block {(i, 1), ..., (i, n')} the columns of
+    # one b-index are one class, and the one class set's minor is a
+    # monomial times the minor of B on all n' b-indices.  So each group of
+    # n' rows factors, and as the identity holds, the DP over the monomials
+    # leaves a monomial times det(A)^n'.  A determinant is linear in each
+    # row, so scaling row 0 by the cleared monomial scales det(Mat1) by it
+    # without copying the determinant, and row 0's group still factors.
     mat1 = build_mat1(ctx)
     cleared = cleared_period_product(ctx)
     bound, groups = _group_minors((tuple(entry * cleared for entry in mat1[0]), *mat1[1:]), np_)
-    nonzero_minors = tuple(sum(map(bool, minors.values())) for minors in groups)
+    nonzero_minors = tuple(sum(len(members) for _, members in group) for group in groups)
     predicted = _kronecker_column_sign(ctx)
     pv = PairVariables.build(n, np_)
     a_part = _generic_det(pv.names, pv.a_idx, n) ** np_
     det_b = _generic_det(pv.names, pv.b_idx, np_)
     factored = 0
-    for g, minors in enumerate(groups):
-        shifts = {cols: _shift(minor, det_b._keys) for cols, minor in minors.items() if minor}
-        if None not in shifts.values():
-            groups[g] = {cols: {e: c} for cols, (c, e) in shifts.items()}
+    for at, group in enumerate(groups):
+        shifts = [_shift(minor, det_b._keys) for minor, _ in group]
+        if None not in shifts:
+            group = [({s: c}, members) for (c, s), (_, members) in zip(shifts, group)]
             factored += 1
+        groups[at] = _expanded(group)
     out = _combined(groups, n * np_)
     want = a_part * det_b ** (n - factored)
     sign = 1 if out == want._keys else -1 if out == (-want)._keys else None

@@ -13,12 +13,13 @@ from periodkit.hodge import RegularMotiveData
 from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
+    _classes,
+    _expanded,
     _generic_det,
     _kronecker_column_sign,
     _mat1_columns,
     _minors,
     _pack,
-    _partners,
     _product,
     _shift,
     _unpack,
@@ -49,9 +50,10 @@ def _observed_rhs(rep):
 def _tamper(patch, ctx, against_b):
     """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through a filter.
 
-    ``against_b(k, found)`` takes the k-th test of a minor against det(B),
-    counted from 0, and returns what ``_shift`` reports instead.  Every
-    test the check makes is one of these.
+    ``against_b(k, found)`` takes the k-th test of a class set's minor
+    against det(B), counted from 0, and returns what ``_shift`` reports
+    instead.  Every test the check makes is one of these: one per class
+    set of proportional columns, which on Mat1 is one per group of n' rows.
     """
     import periodkit.oracle as orc
 
@@ -67,10 +69,10 @@ def _tamper(patch, ctx, against_b):
 
 
 def _forced_fallback(patch, ctx):
-    """Report the first minor tested against det(B) as not a multiple of it.
+    """Report the first class set's minor tested against det(B) as not a multiple of it.
 
-    Its group then enters the DP as its minors, so only n - 1 groups
-    factor, and ``verify_proposition`` compares the DP's result with
+    Its group then enters the DP as its member sets' minors, so only n - 1
+    groups factor, and ``verify_proposition`` compares the DP's result with
     ±det(A)^n' det(B): the one power of det(B) that group leaves in it.
     """
     _tamper(patch, ctx, against_b=lambda k, found: None if k == 0 else found)
@@ -316,7 +318,7 @@ class TestSymDet:
             drop_zeros(terms)
 
         monkeypatch.setattr(orc, "_drop_zeros", spy)
-        part = [(0b100, 0b100, 0, {0: 1})]
+        part = [(0b100, 0, {0: 1})]
         assert orc._laplace([part], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
         one = LaurentPoly.one(XV)
         x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
@@ -362,10 +364,11 @@ class TestSymDet:
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A⊗B with exponents 20 and a bound of 80, checked by
         # verify_proposition in place of Mat1: both i-blocks factor against
-        # det(B), and the packed result decodes to the determinant.  A shift
-        # is a minor's exact quotient by det(B), a product of n' entries of
-        # a row of A, so the bound that admits det(A)^n' keeps it inside the
-        # 8-bit field: here it reaches 40.
+        # det(B), one test each, and the packed result decodes to the
+        # determinant.  A member set's shift s + e is its minor's exact
+        # quotient by det(B), a product of n' entries of a row of A, so the
+        # bound that admits det(A)^n' keeps it inside the 8-bit field: here
+        # it reaches 40.
         import periodkit.oracle as orc
 
         a = (((20, 0, 0, 0), (0, 20, 0, 0)), ((0, 0, 20, 0), (1, 0, 0, 1)))
@@ -403,9 +406,15 @@ class TestSymDet:
         # true exponents fit.
         squares = [(det ** 2)._keys for det in dets.values()]
         assert want._keys == _accumulated(*squares)
-        assert len(shifts) == 8 and None not in shifts
-        fields = [_unpack(e, 4) for _, e in shifts]
-        assert all(_pack(enumerate(v)) == e for v, (_, e) in zip(fields, shifts))
+        keys = [[entry._keys for entry in row] for row in rows]
+        class_sets = [*_minors(keys[:2]), *_minors(keys[2:])]
+        assert len(shifts) == len(class_sets) == 2 and None not in shifts
+        members = [
+            s + e for (_, s), (_, sets) in zip(shifts, class_sets) for _, e in sets.values()
+        ]
+        assert len(members) == 8
+        fields = [_unpack(e, 4) for e in members]
+        assert all(_pack(enumerate(v)) == e for v, e in zip(fields, members))
         assert max(max(v) for v in fields) == 40
 
     @pytest.mark.parametrize("det", [sym_det, naive_det])
@@ -533,8 +542,13 @@ PROPORTIONAL_CASES = {
 }
 
 
+def _class_members(rows):
+    """The member columns of each class of ``_classes``, in its order."""
+    return [[bit.bit_length() - 1 for bit, _, _ in members] for _, members in _classes(rows)]
+
+
 class TestProportionalColumns:
-    """The row pass skips column sets with two proportional columns, and only those."""
+    """Columns proportional on all of a block's rows are one class, and only those."""
 
     @pytest.mark.parametrize("case", PROPORTIONAL_CASES)
     def test_sym_det_is_exact_at_every_group_size(self, case):
@@ -548,9 +562,46 @@ class TestProportionalColumns:
             assert sym_det(mx, group) == want, (case, group)
         keys = [[entry._keys for entry in row] for row in mx]
         for r in (2, 3, 4):
-            blocks = _partners(keys[:r])
-            assert bool(blocks.get(0b01, 0b01) & 0b10) is (r in paired_on), (case, r)
-            assert blocks.get(0b01, 0b01) & 0b1100 == 0, (case, r)
+            of = {c: k for k, cols in enumerate(_class_members(keys[:r])) for c in cols}
+            assert (of[0] == of[1]) is (r in paired_on), (case, r)
+            assert of[0] not in (of[2], of[3]), (case, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_class_minors_expand_to_every_minor(self, r):
+        # Blocks of r rows and eleven columns, four classes planted in them
+        # by the ratios 2, -1, 2:3 and 5·x^-2·y^-1.  Beside them, copies of a
+        # column of the first three classes: one with an entry zero, one
+        # with an entry of two terms, and one with a coefficient doubled,
+        # which keeps its drifts.  Each member set's minor is naive_det on
+        # its columns, and every column set _minors leaves out is zero.
+        rng = random.Random(f"class minors/{r}")
+        for _ in range(4):
+            base = [
+                [
+                    _term(tuple(rng.randint(-2, 2) for _ in XV), rng.choice((-3, -1, 1, 2)))
+                    for _ in range(r)
+                ]
+                for _ in range(4)
+            ]
+            zero, two, odd = _scaled(base[0], 3), _scaled(base[1], 2), _scaled(base[2])
+            zero[rng.randrange(r)] = LaurentPoly.zero(XV)
+            two[rng.randrange(r)] += _term(W, rng.choice((-1, 1)))
+            odd[rng.randrange(r)] *= _term((0, 0, 0, 0), 2)
+            cols = [
+                base[0], _scaled(base[0], 2), base[1], _scaled(base[1], -1),
+                _scaled(base[2], 3), _scaled(base[2], 2), base[3],
+                _scaled(base[3], 5, (-2, -1, 0, 0)), zero, two, odd,
+            ]
+            rng.shuffle(cols)
+            rows = [[col[i] for col in cols] for i in range(r)]
+            keys = [[entry._keys for entry in row] for row in rows]
+            assert len(_class_members(keys)) == (7 if r > 1 else 3)
+            subsets = {sum(1 << c for c in s): s for s in combinations(range(11), r)}
+            got = _expanded(_minors(keys))
+            assert set(got) <= set(subsets)
+            for bits, subset in subsets.items():
+                want = naive_det(tuple(tuple(row[c] for c in subset) for row in rows))
+                assert got.get(bits, {}) == want._keys, (r, subset)
 
     def test_rows_whose_bounds_sum_to_127(self):
         # Columns 0 and 1 are proportional on rows 0-1, by y^-1, with drifts
@@ -565,8 +616,8 @@ class TestProportionalColumns:
         )
         assert sum(max(entry._bound for entry in row) for row in rows) == 127
         keys = [[entry._keys for entry in row] for row in rows]
-        assert _partners(keys[:2]) == {0b0001: 0b11, 0b0010: 0b11, 0b0100: 0b0100, 0b1000: 0b1000}
-        assert _partners(keys[:3]) == {1 << c: 1 << c for c in range(4)}
+        assert _class_members(keys[:2]) == [[0, 1], [2], [3]]
+        assert _class_members(keys[:3]) == [[0], [1], [2], [3]]
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         for group in (1, 2, 3, 4, None):
@@ -575,9 +626,10 @@ class TestProportionalColumns:
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
-    # Mat1's columns with one b-index are proportional on an i-block, so
-    # its minors are on the n^n' sets that take each b-index once, and none
-    # is zero: 16 at 2x4, 27 at 3x3, 64 at 4x3.
+    # Mat1's columns with one b-index are proportional on an i-block: n'
+    # classes of n members each.  So its one class set expands to the n^n'
+    # sets that take each b-index once, and none is zero: 16 at 2x4, 27 at
+    # 3x3, 64 at 4x3.
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
     b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
     want = {
@@ -585,9 +637,14 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
         for cols in combinations(range(n * np_), np_)
         if len({b_of[c] for c in cols}) == np_
     }
-    minors = _minors([[entry._keys for entry in row] for row in build_mat1(ctx)[:np_]])
-    assert set(minors) == want and len(want) == n ** np_
-    assert all(minors.values())
+    block = [[entry._keys for entry in row] for row in build_mat1(ctx)[:np_]]
+    classes = _class_members(block)
+    assert sorted({b_of[c] for c in cols} for cols in classes) == [{b} for b in range(1, np_ + 1)]
+    assert [len(cols) for cols in classes] == [n] * np_
+    minors = _minors(block)
+    expanded = _expanded(minors)
+    assert len(minors) == 1 and set(expanded) == want and len(want) == n ** np_
+    assert all(expanded.values())
 
 
 class TestMat1:
@@ -924,9 +981,10 @@ def test_right_side_has_bound_n_plus_np(n, np_):
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
-    # In verify_proposition, Mat1 goes in n groups of n' rows, and each
-    # i-block enters the DP as n^n' one-term monomials, one per choice of
-    # n' distinct b-indices: each nonzero minor is ±monomial·det(B).  The
+    # In verify_proposition, Mat1 goes in n groups of n' rows.  Each
+    # i-block has one class set, whose minor is tested once against det(B),
+    # and enters the DP as n^n' one-term monomials, one per choice of n'
+    # distinct b-indices: each nonzero minor is ±monomial·det(B).  The
     # DP runs on Mat1 alone: det(A) and det(B) are Leibniz sums, and
     # sym_det never runs.
     import periodkit.oracle as orc
@@ -939,7 +997,7 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
     rep = verify_proposition(ctx)
     assert rep.ok and rep.factored == n and sym_dets == []
     assert rep.nonzero_minors == (n ** np_,) * n
-    assert len(against_b) == n * n ** np_
+    assert len(against_b) == n
     assert all(found is not None and found[0] in (1, -1) for found in against_b)
     pv = PairVariables.build(n, np_)
     assert len(_generic_det(pv.names, pv.b_idx, np_).terms) == factorial(np_)

@@ -14,9 +14,9 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
     # Fault injection: _tamper and _forced_fallback forge what the tests
-    # of a minor against det(B) find.
-    "_shift": "forges a minor's test against det(B), to leave its group unfactored "
-    "or give it a wrong shift or unit",
+    # against det(B), one per class set of proportional columns, find.
+    "_shift": "forges a class set's test against det(B), to leave its group "
+    "unfactored or give its member sets a wrong shift or unit",
     "_kronecker_column_sign": "injects a wrong predicted sign, or the sign of a crafted matrix",
     "build_mat1": "swaps in a crafted A⊗B whose rows sum past half the field",
     "cleared_period_product": "clears nothing for that crafted A⊗B",
