@@ -34,25 +34,30 @@ member sets of distinct b-indices, 16 at 2x4, 27 at 3x3, 64 at 4x3.  A
 one-term minor shifts every key of a partial determinant alike, so a
 state it reaches first takes them by one comprehension.
 
-The check gets its cleared period factor in row 0 of Mat1, before the
-expansion, and then expands neither side.  It writes det(A) and det(B),
-matrices of distinct variables, down as Leibniz sums, so the DP runs on
-Mat1 alone and shares no code with the det(B) its minors are tested
-against.  In groups of n' rows, each class set's minor is tested once:
-if it is c·x^s·det(B), each member set keeps only ±c·Πg·x^(s+Σe).  If m
-groups factor so, the DP over their monomials and the other groups'
+The check assembles its inputs once, from one ``PairVariables`` and one
+list of Mat1's columns: Mat1's rows as one-term packed keys, the cleared
+period factor added to row 0's keys (a determinant is linear in each
+row), the exponent bound, sgn(σ), and det(A) and det(B).  Those two are
+matrices of distinct variables, written down as Leibniz sums, so the DP
+runs on Mat1 alone and shares no code with the det(B) its minors are
+tested against; ``build_mat1`` and ``cleared_period_product`` read the
+same layout.  In groups of n' rows, each class set's minor is tested
+once: if it is c·x^s·det(B), each member set keeps only ±c·Πg·x^(s+Σe).
+If m groups factor so, the DP over their monomials and the other groups'
 minors leaves ``out``, with det(Mat1)·cleared = out·det(B)^m.  The ring
 has no zero divisors, so the identity holds with sign s exactly when
-``out`` is s·det(A)^n' det(B)^(n-m), and that one comparison decides.  On every Mat1 all n groups factor, and
-``out`` meets ±det(A)^n' alone; only a group that does not factor brings
-det(B) into it.  The report counts the groups that factored, and it
-multiplies out its right side only when that is read.
+``out`` is s·det(A)^n' det(B)^(n-m), and that one comparison decides.
+
+On every Mat1 all n groups factor, and ``out`` meets ±det(A)^n' alone;
+only a group that does not factor brings det(B) into it.  The report
+counts the groups that factored and names the first that did not, and
+it multiplies out its right side only when that is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import permutations
 from math import gcd
@@ -458,26 +463,7 @@ def _table(rows) -> tuple[str, ...]:
     return rows[0][0].vars
 
 
-def _group_minors(rows, group: int | None) -> tuple[int, list]:
-    """(bound, [the class minors ``_minors`` gives of each group of rows]) for ``rows``.
-
-    ``rows`` passes ``_table``, and ``bound``, the determinant's exponent
-    bound, is checked to fit the field, before any work.
-    """
-    _table(rows)
-    k = len(rows)
-    if group is None:
-        group = k
-    elif type(group) is not int:
-        raise ValueError(f"row group {group!r} is not an int")
-    elif group < 1:
-        raise ValueError(f"a row group needs at least 1 row, got {group}")
-    bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
-    keys = [[poly._keys for poly in row] for row in rows]
-    return bound, [_minors(keys[start : start + group]) for start in range(0, k, group)]
-
-
-def _combined(groups: list[dict[int, dict[int, int]]], k: int) -> dict[int, int]:
+def _combined(groups: Iterable[dict[int, dict[int, int]]], k: int) -> dict[int, int]:
     """The determinant on k columns by the DP over each group's minors, {} if zero."""
     return _laplace(map(_part, groups), {0: {0: 1}}).get((1 << k) - 1, {})
 
@@ -500,10 +486,21 @@ def sym_det(rows, group: int | None = None) -> LaurentPoly:
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
-    bound, and that sum must fit the field.
+    bound, and that sum must fit the field; it is checked, like the
+    matrix and ``group``, before any work.
     """
-    bound, groups = _group_minors(rows, group)
-    return LaurentPoly(rows[0][0].vars, _combined(map(_expanded, groups), len(rows)), bound)
+    vars_ = _table(rows)
+    k = len(rows)
+    if group is None:
+        group = k
+    elif type(group) is not int:
+        raise ValueError(f"row group {group!r} is not an int")
+    elif group < 1:
+        raise ValueError(f"a row group needs at least 1 row, got {group}")
+    bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
+    keys = [[poly._keys for poly in row] for row in rows]
+    groups = (_expanded(_minors(keys[start : start + group])) for start in range(0, k, group))
+    return LaurentPoly(vars_, _combined(groups, k), bound)
 
 
 def naive_det(rows) -> LaurentPoly:
@@ -572,62 +569,102 @@ def _mat1_columns(ctx: PairContext) -> list[tuple[tuple, int, int, int]]:
     return cols
 
 
-def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of the nn' x nn' coefficient matrix of the comparison isomorphism.
+def _kronecker_column_sign(cols: list[tuple[tuple, int, int, int]], np_: int) -> int:
+    """sgn(σ), where σ takes the columns of A⊗B to ``cols``, Mat1's columns.
 
+    A⊗B orders its columns (a, b) lexicographically, like Mat1 its rows.
+    """
+    order = [(a - 1) * np_ + (b - 1) for _, a, b, _ in cols]
+    return -1 if _parity(order) else 1
+
+
+def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
+    """(variables, Mat1's rows, cleared key, its bound, sgn σ), from one layout.
+
+    One ``PairVariables`` and one ``_mat1_columns`` list give all five.
     Rows run over (i, j) lexicographically; the entry in the column
-    (a, b, s) of ``_mat1_columns`` is A_ia B_jb Q_a^-s Q'_b^-s, over the
-    table of ``PairVariables``.  Its key is packed directly: unit(v), the
-    key of variable v to the power 1, for A_ia and B_jb, less s·unit(v) for
-    Q_a and Q'_b, as every index is in range by construction.
+    (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as the one-term dict {key: 1}.
+    Its key is packed directly: unit(v), the key of variable v to the
+    power 1, for A_ia and B_jb, less s·unit(v) for Q_a and Q'_b, as every
+    index is in range by construction.  The cleared factor Π Q_a Q'_b over
+    the scaled columns is the sum of those period keys, and its bound is
+    its largest exponent.  sgn(σ) is ``_kronecker_column_sign`` of the same
+    columns.  A layout whose column count is not nn' raises ``ValueError``:
+    the matrix would not be square.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
-    unit = [1 << (_WIDTH * v) for v in range(len(pv.names))]
     cols = _mat1_columns(ctx)
+    if len(cols) != n * np_:
+        raise ValueError(f"matrix is not square: {len(cols)} columns for {n * np_} rows")
+    unit = [1 << (_WIDTH * v) for v in range(len(pv.names))]
+    exps: Counter[int] = Counter()
+    for _, a, b, s in cols:
+        exps[pv.q_idx(a)] += s
+        exps[pv.qp_idx(b)] += s
+    periods = [s * (unit[pv.q_idx(a)] + unit[pv.qp_idx(b)]) for _, a, b, s in cols]
     a_rows = [
-        [unit[pv.a_idx(i, a)] - s * (unit[pv.q_idx(a)] + unit[pv.qp_idx(b)])
-         for _, a, b, s in cols]
+        [unit[pv.a_idx(i, a)] - p for (_, a, _, _), p in zip(cols, periods)]
         for i in range(1, n + 1)
     ]
     b_rows = [[unit[pv.b_idx(j, b)] for _, _, b, _ in cols] for j in range(1, np_ + 1)]
-    return tuple(
-        tuple(LaurentPoly(pv.names, {ka + kb: 1}, 1) for ka, kb in zip(a_row, b_row))
-        for a_row in a_rows
-        for b_row in b_rows
-    )
+    rows = [
+        [{ka + kb: 1} for ka, kb in zip(a_row, b_row)] for a_row in a_rows for b_row in b_rows
+    ]
+    return pv, rows, sum(periods), max(exps.values()), _kronecker_column_sign(cols, np_)
+
+
+def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the nn' x nn' coefficient matrix of the comparison isomorphism.
+
+    Each entry is a monomial of bound 1 over the table of
+    ``PairVariables``, read from the layout the check takes (``_layout``).
+    """
+    pv, rows, *_ = _layout(ctx)
+    return tuple(tuple(LaurentPoly(pv.names, entry, 1) for entry in row) for row in rows)
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
     """The monomial prod Q_a Q'_b over the period-scaled columns of Mat1."""
-    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
-    exps: Counter[int] = Counter()
-    for _, a, b, s in _mat1_columns(ctx):
-        exps[pv.q_idx(a)] += s
-        exps[pv.qp_idx(b)] += s
-    return LaurentPoly.monomial(pv.names, exps)
+    pv, _, key, bound, _ = _layout(ctx)
+    return LaurentPoly(pv.names, {key: 1}, _checked(bound))
 
 
 def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
     """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum.
 
-    Each term is a product of k distinct variables, so none meet and bound 1 is exact.
+    The sum is written row by row, each partial term with its key, its
+    running sign and its free columns in order.  Row i taking the r-th
+    free column, from 0, puts it before the r smaller ones that later rows
+    take: r inversions.  Each term is a product of k distinct variables,
+    so none meet and bound 1 is exact.
     """
-    keys = {
-        _pack((idx(i, a), 1) for i, a in enumerate(perm, 1)): -1 if _parity(perm) else 1
-        for perm in permutations(range(1, k + 1))
-    }
-    return LaurentPoly(names, keys, 1)
+    terms = [(0, 1, tuple(range(1, k + 1)))]
+    for i in range(1, k + 1):
+        unit = {a: 1 << (_WIDTH * idx(i, a)) for a in range(1, k + 1)}
+        terms = [
+            (key + unit[a], -sign if r & 1 else sign, free[:r] + free[r + 1 :])
+            for key, sign, free in terms
+            for r, a in enumerate(free)
+        ]
+    return LaurentPoly(names, {key: sign for key, sign, _ in terms}, 1)
 
 
-def _kronecker_column_sign(ctx: PairContext) -> int:
-    """sgn(σ), where σ takes the columns of A⊗B to the columns of Mat1.
+def _inputs(ctx: PairContext) -> tuple[list, int, LaurentPoly, LaurentPoly, int]:
+    """(Mat1's rows with row 0 cleared, their bound, det(A), det(B), sgn σ): the check's inputs.
 
-    A⊗B orders its columns (a, b) lexicographically, like Mat1 its rows.
+    All come from one ``_layout``.  Row 0's keys carry the cleared key, so
+    its entries' bound is 1 plus the cleared factor's, and every other
+    entry's is 1: the bound, the sum over rows of the largest entry bound,
+    is nn' plus the cleared factor's.  ``verify_proposition`` checks that
+    it fits the field.
     """
-    np_ = ctx.Mp.rank
-    order = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
-    return -1 if _parity(order) else 1
+    n, np_ = ctx.M.rank, ctx.Mp.rank
+    pv, rows, cleared, cleared_bound, sign = _layout(ctx)
+    rows[0] = [{key + cleared: 1} for entry in rows[0] for key in entry]
+    det_a = _generic_det(pv.names, pv.a_idx, n)
+    det_b = _generic_det(pv.names, pv.b_idx, np_)
+    return rows, len(rows) + cleared_bound, det_a, det_b, sign
 
 
 class VerificationReport(Frozen):
@@ -637,15 +674,17 @@ class VerificationReport(Frozen):
     or None when neither sign holds; ``ok`` requires it to be the
     predicted one.  ``bound`` is the exponent bound of det(Mat1)·cleared,
     ``nonzero_minors`` counts the nonzero minors of each group of n' rows,
-    and ``factored`` counts the groups whose class set minors all tested
-    as monomials times det(B).  ``rhs``, the predicted side
+    ``factored`` counts the groups whose class set minors all tested as
+    monomials times det(B), and ``unfactored`` is the index, from 0, of
+    the first group that did not, or None.  ``rhs``, the predicted side
     predicted_sign·det(A)^n' det(B)^n, is the one lazy member, multiplied
     out on its first read by the stored callable ``_rhs``; nothing in the
     package reads it, only the benchmark does.
     """
 
     __slots__ = (
-        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored", "_rhs"
+        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored",
+        "unfactored", "_rhs",
     )
 
     @property
@@ -657,18 +696,19 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
 
     σ is the column permutation taking A⊗B to Mat1, so the sign is
-    predicted, not chosen to fit.  The check compares factors.  det(A) and
-    det(B) are Leibniz sums (``_generic_det``), and the DP runs on Mat1
-    alone: its row 0 scaled by the cleared periods, in groups of n' rows.
-    Each class set's minor (``_minors``) is tested once against det(B)
-    (``_shift``), and a group whose class set minors are each c·x^s·det(B)
-    enters the DP as the monomials ±c·Πg·x^(s+Σe) of their member sets.
-    If m groups factor, the DP leaves ``out``
-    with det(Mat1)·cleared = out·det(B)^m, and as the ring has no zero
-    divisors, the identity holds with sign s exactly when ``out`` is
-    s·det(A)^n' det(B)^(n-m).  That one comparison decides, whatever m is.
-    The report counts each group's nonzero minors, its member sets, and
-    the m groups that factored.
+    predicted, not chosen to fit.  The check takes its inputs from one
+    layout (``_inputs``): Mat1's rows as packed keys, row 0 scaled by the
+    cleared periods, and det(A) and det(B) as Leibniz sums.  The DP runs
+    on Mat1 alone, in groups of n' rows.  Each class set's minor
+    (``_minors``) is tested once against det(B) (``_shift``), and a group
+    whose class set minors are each c·x^s·det(B) enters the DP as the
+    monomials ±c·Πg·x^(s+Σe) of their member sets.  If m groups factor,
+    the DP leaves ``out`` with det(Mat1)·cleared = out·det(B)^m, and as the
+    ring has no zero divisors, the identity holds with sign s exactly when
+    ``out`` is s·det(A)^n' det(B)^(n-m).  That one comparison decides,
+    whatever m is.  The report counts each group's nonzero minors, its
+    member sets, and the m groups that factored, and names the first
+    group that did not.
 
     A member set's shift s + Σe is its minor's exact quotient by det(B),
     the product over the group's rows of one entry's A and period part, so
@@ -684,20 +724,19 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # leaves a monomial times det(A)^n'.  A determinant is linear in each
     # row, so scaling row 0 by the cleared monomial scales det(Mat1) by it
     # without copying the determinant, and row 0's group still factors.
-    mat1 = build_mat1(ctx)
-    cleared = cleared_period_product(ctx)
-    bound, groups = _group_minors((tuple(entry * cleared for entry in mat1[0]), *mat1[1:]), np_)
+    rows, bound, det_a, det_b, predicted = _inputs(ctx)
+    bound = _checked(bound)
+    groups = [_minors(rows[start : start + np_]) for start in range(0, len(rows), np_)]
     nonzero_minors = tuple(sum(len(members) for _, members in group) for group in groups)
-    predicted = _kronecker_column_sign(ctx)
-    pv = PairVariables.build(n, np_)
-    a_part = _generic_det(pv.names, pv.a_idx, n) ** np_
-    det_b = _generic_det(pv.names, pv.b_idx, np_)
-    factored = 0
+    a_part = det_a ** np_
+    factored, unfactored = 0, None
     for at, group in enumerate(groups):
         shifts = [_shift(minor, det_b._keys) for minor, _ in group]
         if None not in shifts:
             group = [({s: c}, members) for (c, s), (_, members) in zip(shifts, group)]
             factored += 1
+        elif unfactored is None:
+            unfactored = at
         groups[at] = _expanded(group)
     out = _combined(groups, n * np_)
     want = a_part * det_b ** (n - factored)
@@ -705,5 +744,6 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     # Negate the small factor, not a copy of the product.
     rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
     return VerificationReport(
-        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, rhs
+        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, unfactored,
+        rhs,
     )

@@ -16,6 +16,7 @@ from periodkit.oracle import (
     _classes,
     _expanded,
     _generic_det,
+    _inputs,
     _kronecker_column_sign,
     _mat1_columns,
     _minors,
@@ -57,8 +58,7 @@ def _tamper(patch, ctx, against_b):
     """
     import periodkit.oracle as orc
 
-    pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
-    det_b = orc._generic_det(pv.names, pv.b_idx, ctx.Mp.rank)._keys
+    det_b = orc._inputs(ctx)[3]._keys
     shift, tests_against_b = orc._shift, count()
 
     def spy(poly, ref):
@@ -383,15 +383,17 @@ class TestSymDet:
         )
         # det(A) and det(B) are those blocks' determinants, each with its
         # own bound of 40.
-        dets = {
-            idx: naive_det(tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
-            for idx, block in (("a_idx", a), ("b_idx", b))
-        }
-        monkeypatch.setattr(orc, "build_mat1", lambda ctx: rows)
-        monkeypatch.setattr(orc, "cleared_period_product", lambda ctx: LaurentPoly.one(XV))
-        assert [det._bound for det in dets.values()] == [40, 40]
-        monkeypatch.setattr(orc, "_generic_det", lambda names, idx, k: dets[idx.__name__])
-        monkeypatch.setattr(orc, "_kronecker_column_sign", lambda ctx: 1)
+        dets = [
+            naive_det(tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
+            for block in (a, b)
+        ]
+        assert [det._bound for det in dets] == [40, 40]
+        # The check's inputs, as its assembly gives them: the rows as
+        # packed keys, nothing cleared, their row-max bound, det(A), det(B)
+        # and a predicted sign of 1.
+        keys = [[entry._keys for entry in row] for row in rows]
+        row_max = sum(max(entry._bound for entry in row) for row in rows)
+        monkeypatch.setattr(orc, "_inputs", lambda ctx: (keys, row_max, *dets, 1))
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         shifts = []
         _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
@@ -399,14 +401,13 @@ class TestSymDet:
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         assert rep.ok and rep.sign == 1 and rep.factored == 2
-        assert rep.bound == sum(max(entry._bound for entry in row) for row in rows) == 82
+        assert rep.bound == row_max == 82
         assert rep.nonzero_minors == (4, 4)
         # The right side's bound, 80 + 80, is past the field, so the
         # reference det(A)^2 det(B)^2 is multiplied on packed keys: its
         # true exponents fit.
-        squares = [(det ** 2)._keys for det in dets.values()]
+        squares = [(det ** 2)._keys for det in dets]
         assert want._keys == _accumulated(*squares)
-        keys = [[entry._keys for entry in row] for row in rows]
         class_sets = [*_minors(keys[:2]), *_minors(keys[2:])]
         assert len(shifts) == len(class_sets) == 2 and None not in shifts
         members = [
@@ -482,7 +483,7 @@ class TestSymDet:
         assert str(err.value) == f"row group {group!r} is not an int"
 
 
-@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
     # The k x k matrix of distinct variables x[i,a]: its determinant has k!
     # terms, each ±1 times k distinct variables, so every exponent is 0 or 1.
@@ -505,6 +506,21 @@ def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
     assert max(e for key in det.terms for e in key) == 1
     assert all(sum(key) == k for key in det.terms)
     assert det._bound == 1
+
+
+@pytest.mark.parametrize("n, np_, which", [(2, 4, "b_idx"), (4, 2, "a_idx")])
+def test_generic_det_on_the_index_maps_the_check_passes(n, np_, which):
+    # det(B) at 2x4 and det(A) at 4x2, over the full table of the pair,
+    # Q and Q' variables and the other block included.
+    pv = PairVariables.build(n, np_)
+    idx = getattr(pv, which)
+    mx = tuple(
+        tuple(LaurentPoly.monomial(pv.names, {idx(i, a): 1}) for a in range(1, 5))
+        for i in range(1, 5)
+    )
+    det = _generic_det(pv.names, idx, 4)
+    assert det == naive_det(mx)
+    assert len(det.terms) == factorial(4) and det._bound == 1
 
 
 def _term(exps, coeff=1):
@@ -647,7 +663,42 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
     assert all(expanded.values())
 
 
+@pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+def test_the_check_takes_the_layout_the_public_wrappers_read(n, np_):
+    # verify_proposition expands the key rows of _inputs: build_mat1's
+    # keys, row 0 shifted by cleared_period_product's key.  Their bound is
+    # the row-max sum of that matrix with row 0 multiplied out, and their
+    # sign is _kronecker_column_sign's, on every tableau of the shape.
+    for slots in combinations(range(n + np_), n):
+        ctx = PairContext.build(*pair_of_shape(n, np_, slots))
+        rows, bound, det_a, det_b, sign = _inputs(ctx)
+        mat1, cleared = build_mat1(ctx), cleared_period_product(ctx)
+        ((shift, coeff),) = cleared._keys.items()
+        want = [[dict(entry._keys) for entry in row] for row in mat1]
+        want[0] = [{key + shift: c for key, c in entry.items()} for entry in want[0]]
+        assert coeff == 1 and rows == want, (n, np_, slots)
+        scaled = (tuple(entry * cleared for entry in mat1[0]), *mat1[1:])
+        assert bound == sum(max(entry._bound for entry in row) for row in scaled), slots
+        assert sign == _kronecker_column_sign(_mat1_columns(ctx), np_), (n, np_, slots)
+        pv = PairVariables.build(n, np_)
+        assert det_a == _generic_det(pv.names, pv.a_idx, n)
+        assert det_b == _generic_det(pv.names, pv.b_idx, np_)
+        rep = verify_proposition(ctx)
+        assert (rep.bound, rep.predicted_sign) == (bound, sign), (n, np_, slots)
+
+
 class TestMat1:
+    def test_a_layout_that_is_not_square_is_refused(self):
+        # With T in place of A, the pairs outside A give columns twice:
+        # 2 (nn' - |A|) of them, where nn' = |A| + |T| would be square.
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
+        forged = PairContext(ctx.M, ctx.Mp, ctx.A, ctx.A, ctx.sp, ctx.sp_sym)
+        cols = 2 * (4 - len(ctx.A.members))
+        assert cols != 4
+        for check in (verify_proposition, build_mat1, cleared_period_product):
+            with pytest.raises(ValueError, match=f"^matrix is not square: {cols} columns for 4 "):
+                check(forged)
+
     def test_one_by_one_entry(self):
         ctx = PairContext.build(
             RegularMotiveData("M", 0, (1,)), RegularMotiveData("M'", 0, (0,))
@@ -788,6 +839,16 @@ class TestPackedRing:
         with pytest.raises(OverflowError, match="bound 128"):
             sym_det(rows)
 
+    def test_a_check_whose_bound_does_not_fit_the_field_raises(self, monkeypatch):
+        # The check tests its inputs' bound against the field before the DP.
+        import periodkit.oracle as orc
+
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
+        inputs = orc._inputs
+        monkeypatch.setattr(orc, "_inputs", lambda c: (inputs(c)[0], 128, *inputs(c)[2:]))
+        with pytest.raises(OverflowError, match="bound 128"):
+            verify_proposition(ctx)
+
     def test_sym_det_with_large_exponents_matches_permutation_sum(self):
         rng = random.Random(68)
         for _ in range(10):
@@ -874,7 +935,8 @@ class TestPredictedSign:
             sigma = [(a - 1) * np_ + (b - 1) for _, a, b, _ in _mat1_columns(ctx)]
             assert sorted(sigma) == list(range(n * np_)), (n, np_, slots)
             exponent = sum(n * np_ - 1 - ((a - 1) * np_ + (b - 1)) for a, b in ctx.A.members)
-            assert _kronecker_column_sign(ctx) == (-1) ** exponent, (n, np_, slots)
+            sign = _kronecker_column_sign(_mat1_columns(ctx), np_)
+            assert sign == (-1) ** exponent, (n, np_, slots)
             shapes += 1
         assert shapes == 3418
 
@@ -882,22 +944,26 @@ class TestPredictedSign:
         # On every shape, with every group factored and with one group not.
         import periodkit.oracle as orc
 
+        inputs = orc._inputs
         for n, np_ in ADMITTED_SHAPES:
             ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
             right = verify_proposition(ctx)
             with monkeypatch.context() as patch:
-                patch.setattr(orc, "_kronecker_column_sign", lambda _: -right.predicted_sign)
+                # The check's own inputs, with the predicted sign flipped.
+                patch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:4], -right.predicted_sign))
                 wrong = verify_proposition(ctx)
                 _forced_fallback(patch, ctx)
                 forced = verify_proposition(ctx)
             assert (wrong.factored, forced.factored) == (n, n - 1)
+            assert (wrong.unfactored, forced.unfactored) == (None, 0)
             assert forced.predicted_sign == wrong.predicted_sign == -right.predicted_sign
             for rep in (wrong, forced):
                 assert right.ok and not rep.ok, (n, np_)
                 assert rep.sign == right.sign == -rep.predicted_sign, (n, np_)
 
 
-# Every field but factored, which says how many groups entered the DP as monomials.
+# Every field but factored and unfactored, which say how many groups entered
+# the DP as monomials and which was the first that did not.
 REPORT_FIELDS = ("size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "rhs")
 
 
@@ -910,24 +976,27 @@ class TestFactoredCheck:
         _forced_fallback(monkeypatch, ctx)
         forced = verify_proposition(ctx)
         assert (right.factored, forced.factored) == (n, n - 1)
+        assert (right.unfactored, forced.unfactored) == (None, 0)
         for name in REPORT_FIELDS:
             assert getattr(forced, name) == getattr(right, name), name
 
     def test_the_dp_result_is_compared_with_what_the_factors_leave(self, monkeypatch):
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         right = verify_proposition(ctx)
-        assert right.factored == 2 and right.ok
+        assert right.factored == 2 and right.ok and right.unfactored is None
         # A group that does not factor keeps det(B) in the DP's result, and
-        # the comparison takes that power of det(B) in: the report is the same.
+        # the comparison takes that power of det(B) in: the report is the
+        # same, and it names the first group that did not factor.
         unfactored = {
-            "group 0 unfactored": (1, lambda k, found: None if k == 0 else found),
-            "no group factored": (0, lambda k, found: None),
+            "group 0 unfactored": (1, 0, lambda k, found: None if k == 0 else found),
+            "group 1 unfactored": (1, 1, lambda k, found: None if k == 1 else found),
+            "no group factored": (0, 0, lambda k, found: None),
         }
-        for case, (factored, against_b) in unfactored.items():
+        for case, (factored, first, against_b) in unfactored.items():
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, against_b)
                 rep = verify_proposition(ctx)
-            assert rep.factored == factored, case
+            assert (rep.factored, rep.unfactored) == (factored, first), case
             for name in REPORT_FIELDS:
                 assert getattr(rep, name) == getattr(right, name), (case, name)
         # One forged factor of one minor leaves the result neither sign of
@@ -941,6 +1010,7 @@ class TestFactoredCheck:
                 _tamper(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
             assert rep.factored == 2 and rep.predicted_sign == right.predicted_sign, case
+            assert rep.unfactored is None, case
             assert rep.sign is None and not rep.ok, case
 
 
@@ -957,7 +1027,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
         seen.add((ctx.A.members, ctx.T.members))
         rep = verify_proposition(ctx)
         assert rep.ok, (n, np_, slots)
-        assert rep.factored == n, (n, np_, slots)
+        assert rep.factored == n and rep.unfactored is None, (n, np_, slots)
         assert rep.nonzero_minors == (n ** np_,) * n, (n, np_, slots)
         bounds.append(rep.bound)
     assert len(seen) == comb(n + np_, n)

@@ -43,7 +43,7 @@ def oracle_layout() -> list[dict]:
                     "pair": pair,
                     "col_desc": [list(desc) for desc, *_ in _mat1_columns(ctx)],
                     "cleared": list(cleared),
-                    "sign": _kronecker_column_sign(ctx),
+                    "sign": _kronecker_column_sign(_mat1_columns(ctx), np_),
                 }
                 if n <= 3 and np_ <= 3:
                     entry["rows"] = [[str(p) for p in row] for row in mx]

@@ -1,10 +1,11 @@
 """The oracle names that tests patch, each with its reason.
 
 A test that only observes what ``verify_proposition`` did reads its
-report (``bound``, ``nonzero_minors``, ``factored``).  A patch of an
-oracle name is kept only where it injects a fault or crafted input, or
-observes what no report holds.  The scan reads ``tests/*.py`` with
-``ast`` for ``setattr(<alias of periodkit.oracle>, "<name>", ...)``.
+report (``bound``, ``nonzero_minors``, ``factored``, ``unfactored``).
+A patch of an oracle name is kept only where it injects a fault or
+crafted input, or observes what no report holds.  The scan reads
+``tests/*.py`` with ``ast`` for ``setattr(<alias of periodkit.oracle>,
+"<name>", ...)``.
 """
 
 import ast
@@ -17,10 +18,9 @@ ALLOWED = {
     # against det(B), one per class set of proportional columns, find.
     "_shift": "forges a class set's test against det(B), to leave its group "
     "unfactored or give its member sets a wrong shift or unit",
-    "_kronecker_column_sign": "injects a wrong predicted sign, or the sign of a crafted matrix",
-    "build_mat1": "swaps in a crafted A⊗B whose rows sum past half the field",
-    "cleared_period_product": "clears nothing for that crafted A⊗B",
-    "_generic_det": "gives det(A) and det(B) of that crafted A⊗B",
+    "_inputs": "swaps in a crafted A⊗B whose rows sum past half the field, with its det(A) "
+    "and det(B); or gives the check's own inputs a flipped predicted sign or a bound past "
+    "the field",
     "sym_det": "a stand-in that records each call: the check never runs the general determinant",
     # Ring-internal observation: no report covers the ring's own steps.
     "_summed_product": "counts the products that fall back to the accumulating loop",

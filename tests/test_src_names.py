@@ -30,6 +30,10 @@ ALLOWED = {
     # Builds the det(...) tags that the det_q rewrite rules act on;
     # tests/data/period_rules.json pins those rules.
     "MotiveTag.det",
+    # Mat1 as polynomials, read from the layout the identity check takes
+    # as packed keys: tests/data/oracle_layout.json pins its entries, and
+    # the one-group reference determinant of the tests expands it.
+    "oracle.build_mat1",
 }
 
 # Each public method or property named like a slot field of some class in
