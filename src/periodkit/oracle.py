@@ -19,20 +19,21 @@ comprehension; any product whose pairs meet is one step of the
 determinant's DP below, which holds the ring's one accumulating loop, and
 a power is that many such steps by its base, with no squaring.
 
-The determinant is Laplace's generalized expansion over consecutive
-groups of rows, and one dynamic program over column subsets does it all:
-run over single rows it gives a group's minors, run over the groups it
-combines them.  A group's columns proportional on all its rows (each
-entry one term, the ratio one c·x^e) form a class, and each is g·x^e
-times its class's primitive column.  A determinant is linear in each
-column, so the row pass runs once, over the primitive columns, and a
-minor is ±Πg·x^Σe times its class set's; a set holding two columns of one
-class is zero and never built.  In Mat1 an i-block's columns with one
-b-index form a class (Horn and Johnson, *Topics in Matrix Analysis*,
-§4.2): its pass is over n' columns, and its one class set has the n^n'
-member sets of distinct b-indices, 16 at 2x4, 27 at 3x3, 64 at 4x3.  A
-one-term minor shifts every key of a partial determinant alike, so a
-state it reaches first takes them by one comprehension.
+The determinant is Laplace's expansion, and one dynamic program over
+column subsets does it all: run over single rows it is the textbook
+row-by-row expansion, ``sym_det``, and run over groups of rows it
+combines their minors.  The check's rows are one-term entries of
+coefficient 1, and a group's columns equal up to x^e on all its rows form
+a class: each is x^e times its class's primitive column.  A determinant
+is linear in each column, so the group's pass runs once, over the
+primitive columns, and a minor is ±x^Σe times its class set's; a set
+holding two columns of one class is zero and never built.  In Mat1 an
+i-block's columns with one b-index form a class (Horn and Johnson,
+*Topics in Matrix Analysis*, §4.2): its pass is over n' columns, and its
+one class set has the n^n' member sets of distinct b-indices, 16 at 2x4,
+27 at 3x3, 64 at 4x3.  A one-term minor shifts every key of a partial
+determinant alike, so a state it reaches first takes them by one
+comprehension.
 
 The check assembles its inputs once, from one ``PairVariables`` and one
 list of Mat1's columns: Mat1's rows as one-term packed keys, the cleared
@@ -42,7 +43,7 @@ matrices of distinct variables, written down as Leibniz sums, so the DP
 runs on Mat1 alone and shares no code with the det(B) its minors are
 tested against; ``build_mat1`` and ``cleared_period_product`` read the
 same layout.  In groups of n' rows, each class set's minor is tested
-once: if it is c·x^s·det(B), each member set keeps only ±c·Πg·x^(s+Σe).
+once: if it is c·x^s·det(B), each member set keeps only ±c·x^(s+Σe).
 If m groups factor so, the DP over their monomials and the other groups'
 minors leaves ``out``, with det(Mat1)·cleared = out·det(B)^m.  The ring
 has no zero divisors, so the identity holds with sign s exactly when
@@ -60,7 +61,6 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import permutations
-from math import gcd
 
 from .deligne import PairContext
 from .errors import SizeLimitError
@@ -369,40 +369,36 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
 
 
 def _classes(rows: list[list[dict[int, int]]]) -> list[tuple[list[dict[int, int]], list]]:
-    """(primitive column, [(1 << c, g, e) for each member c]) per class, by first member.
+    """(primitive column, [(1 << c, e) for each member c]) per class, by first member.
 
-    A column of one-term entries has a signature: its drifts (each row's
-    key less row 0's) and its coefficients in lowest terms with row 0's
-    made positive, which counts 2:3.  Each column of a signature is g·x^e
-    times the primitive column it spells, g the signed gcd of its
-    coefficients and e its row 0 key, on packed keys; packing maps the
-    ring homomorphically into Laurent polynomials in one variable, so that
-    is all the DP needs.  Any other column is a class of its own, with
-    g, e = 1, 0.
+    A column of one-term entries is keyed on its drifts (each row's key
+    less row 0's) and its coefficients as they are, so the members of a
+    class are equal up to x^e: each is x^e times the primitive column it
+    spells, e its row 0 key, on packed keys.  Packing maps the ring
+    homomorphically into Laurent polynomials in one variable, so that is
+    all the DP needs.  Any other column is a class of its own, with e = 0.
+    The identity check's rows are all one-term entries of coefficient 1.
     """
     classes: dict = {}
     for c, column in enumerate(zip(*rows)):
-        signature, g, e = c, 1, 0
+        signature, e = c, 0
         if set(map(len, column)) == {1}:
-            keys = [k for entry in column for k in entry]
-            coeffs = [x for entry in column for x in entry.values()]
-            g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
-            e = keys[0]
-            signature = (*[k - e for k in keys], *[x // g for x in coeffs])
+            e = next(iter(column[0]))
+            signature = tuple((k - e, x) for entry in column for k, x in entry.items())
         if signature not in classes:
-            classes[signature] = ([{k - e: x // g for k, x in ent.items()} for ent in column], [])
-        classes[signature][1].append((1 << c, g, e))
+            classes[signature] = ([{k - e: x for k, x in ent.items()} for ent in column], [])
+        classes[signature][1].append((1 << c, e))
     return list(classes.values())
 
 
 def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], dict]]:
-    """(minor, {member column set: (±Πg, Σe)}) for each class set with a nonzero minor.
+    """(minor, {member column set: (±1, Σe)}) for each class set with a nonzero minor.
 
     The row pass runs once, over the primitive columns of ``_classes``.  A
     member set takes one column of each class of the set, and its minor is
-    ±Πg·x^Σe times the class set's, the sign the parity of the member
-    columns taken in class order.  A set holding two columns of one class
-    is zero, and is not built.
+    ±x^Σe times the class set's, the sign the parity of the member columns
+    taken in class order.  A set holding two columns of one class is zero,
+    and is not built.
     """
     classes = _classes(rows)
     primitive_rows = zip(*(column for column, _ in classes))
@@ -415,20 +411,20 @@ def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], dict
                 if used >> k & 1:
                     # Each column of ``have`` right of ``bit`` is an inversion.
                     members = {
-                        have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1] * g, s + e)
+                        have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
                         for have, (u, s) in members.items()
-                        for bit, g, e in cols
+                        for bit, e in cols
                     }
             out.append((minor, members))
     return out
 
 
 def _expanded(group) -> dict[int, dict[int, int]]:
-    """{member column set: its minor} for the class minors ``_minors`` gives of a group."""
+    """{member column set: its minor}, ±x^Σe times its class set's, from what ``_minors`` gives."""
     return {
-        cols: {key + e: g * c for key, c in minor.items()}
+        cols: {key + e: u * c for key, c in minor.items()}
         for minor, members in group
-        for cols, (g, e) in members.items()
+        for cols, (u, e) in members.items()
     }
 
 
@@ -468,39 +464,25 @@ def _combined(groups: Iterable[dict[int, dict[int, int]]], k: int) -> dict[int, 
     return _laplace(map(_part, groups), {0: {0: 1}}).get((1 << k) - 1, {})
 
 
-def sym_det(rows, group: int | None = None) -> LaurentPoly:
-    """Exact determinant of ``rows``, by Laplace expansion over consecutive groups of rows.
+def sym_det(rows) -> LaurentPoly:
+    """Exact determinant of ``rows``, by Laplace expansion one row at a time.
 
     ``rows`` is a nonempty square matrix of :class:`LaurentPoly` over one
-    variable table, the result's (``_table`` refuses any other).  The rows
-    go in groups of ``group``, the last possibly shorter; ``None`` is one
-    group of every row, and a ``group`` that is not an int, or is below 1,
-    raises ``ValueError``.  det = sum over ordered choices
-    (S_1, ..., S_m) of disjoint column sets, |S_g| = |group g|, of the
-    sign of the column order times the product of the minors on
-    (group g, S_g).  The one DP of ``_laplace`` gives each group's minors,
-    once per class set of its proportional columns (``_minors``), and then
-    combines them, each group expanded to the minors of its member sets
-    (``_expanded``).  No S that holds two columns proportional on all the
-    group's rows is built: those minors are zero, so the sum is the same.
+    variable table, the result's (``_table`` refuses any other).  The DP
+    of ``_laplace`` extends each partial determinant on a set of used
+    columns by one entry of the next row, in a column not yet used, with
+    the sign of the columns it passes; each row enters ``_combined`` as the
+    one-row group of its entries.
 
     A term of the determinant takes one entry from each row, so its
     exponents are bounded by the sum over rows of the largest entry
     bound, and that sum must fit the field; it is checked, like the
-    matrix and ``group``, before any work.
+    matrix, before any work.
     """
     vars_ = _table(rows)
-    k = len(rows)
-    if group is None:
-        group = k
-    elif type(group) is not int:
-        raise ValueError(f"row group {group!r} is not an int")
-    elif group < 1:
-        raise ValueError(f"a row group needs at least 1 row, got {group}")
     bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
-    keys = [[poly._keys for poly in row] for row in rows]
-    groups = (_expanded(_minors(keys[start : start + group])) for start in range(0, k, group))
-    return LaurentPoly(vars_, _combined(groups, k), bound)
+    groups = ({1 << c: poly._keys for c, poly in enumerate(row)} for row in rows)
+    return LaurentPoly(vars_, _combined(groups, len(rows)), bound)
 
 
 def naive_det(rows) -> LaurentPoly:
@@ -702,8 +684,8 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     on Mat1 alone, in groups of n' rows.  Each class set's minor
     (``_minors``) is tested once against det(B) (``_shift``), and a group
     whose class set minors are each c·x^s·det(B) enters the DP as the
-    monomials ±c·Πg·x^(s+Σe) of their member sets.  If m groups factor,
-    the DP leaves ``out`` with det(Mat1)·cleared = out·det(B)^m, and as the
+    monomials ±c·x^(s+Σe) of their member sets.  If m groups factor, the
+    DP leaves ``out`` with det(Mat1)·cleared = out·det(B)^m, and as the
     ring has no zero divisors, the identity holds with sign s exactly when
     ``out`` is s·det(A)^n' det(B)^(n-m).  That one comparison decides,
     whatever m is.  The report counts each group's nonzero minors, its

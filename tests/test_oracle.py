@@ -14,6 +14,7 @@ from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
     _classes,
+    _combined,
     _expanded,
     _generic_det,
     _inputs,
@@ -39,7 +40,7 @@ ADMITTED_SHAPES = [(n, np_) for n in range(1, 5) for np_ in range(1, 5) if n * n
 
 
 def _reference_lhs(ctx):
-    """det(Mat1)·cleared periods by the one-group determinant, which the check never runs."""
+    """det(Mat1)·cleared periods by the row-by-row determinant, which the check never runs."""
     return sym_det(build_mat1(ctx)) * cleared_period_product(ctx)
 
 
@@ -297,9 +298,7 @@ class TestSymDet:
                     row.append(p)
                 rows.append(tuple(row))
             mx = tuple(rows)
-            want = naive_det(mx)
-            for group in (*range(1, k + 1), None):
-                assert sym_det(mx, group) == want, group
+            assert sym_det(mx) == naive_det(mx)
 
     def test_rows_whose_two_by_two_minors_vanish(self, monkeypatch):
         # The minor on columns {0, 1} of rows 0-1 and of rows 2-3 is zero,
@@ -328,10 +327,9 @@ class TestSymDet:
             mx = (top, second, *bottom)
             want = naive_det(mx)
             assert (want == LaurentPoly.zero(XV)) is singular
-            for group in (1, 2, 3, 4, None):
-                partials.clear()
-                assert sym_det(mx, group) == want, group
-                assert partials and 0 not in partials, group
+            partials.clear()
+            assert sym_det(mx) == want
+            assert partials and 0 not in partials
 
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
         # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
@@ -344,8 +342,7 @@ class TestSymDet:
         assert _shift(three._keys, p._keys) == (3, 0)
         assert _shift(three._keys, two._keys) is None
         mx = ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z))
-        for group in (1, 2):
-            assert sym_det(mx, group) == naive_det(mx), group
+        assert sym_det(mx) == naive_det(mx)
 
     def test_block_whose_minors_share_no_factor(self):
         # Neither of x + y and x + z is a monomial times the other, and a
@@ -358,8 +355,7 @@ class TestSymDet:
         assert _shift((x + z)._keys, (x + y)._keys) is None
         assert _shift({}, (x + y)._keys) is None
         mx = ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z))
-        for group in (1, 2):
-            assert sym_det(mx, group) == naive_det(mx), group
+        assert sym_det(mx) == naive_det(mx)
 
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A⊗B with exponents 20 and a bound of 80, checked by
@@ -467,21 +463,6 @@ class TestSymDet:
             with pytest.raises(ValueError, match="matrix is not square"):
                 sym_det(rows)
 
-    @pytest.mark.parametrize("group", [0, -1])
-    def test_group_below_one_raises(self, group):
-        entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
-        mx = tuple(map(tuple, entries))
-        with pytest.raises(ValueError, match=f"at least 1 row, got {group}"):
-            sym_det(mx, group)
-
-    @pytest.mark.parametrize("group", [True, 1.5, 2.0, "2"])
-    def test_group_that_is_not_an_int_raises(self, group):
-        entries = [[poly_of([((i + j, 0, 0, 0), 1)]) for j in range(3)] for i in range(3)]
-        mx = tuple(map(tuple, entries))
-        with pytest.raises(ValueError) as err:
-            sym_det(mx, group)
-        assert str(err.value) == f"row group {group!r} is not an int"
-
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
@@ -498,8 +479,7 @@ def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
         for i in range(1, k + 1)
     )
     assert det == naive_det(mx)
-    for group in (*range(1, k + 1), None):
-        assert det == sym_det(mx, group), group
+    assert det == sym_det(mx)
     assert len(det.terms) == factorial(k)
     assert set(det.terms.values()) == ({1} if k == 1 else {1, -1})
     assert {e for key in det.terms for e in key} <= {0, 1}
@@ -536,60 +516,78 @@ def _scaled(column, coeff=1, exps=(0, 0, 0, 0)):
 
 
 # (first column, second column, the row counts r for which the two are
-# proportional on rows 0..r-1).  The other columns are one-term entries.
+# proportional on rows 0..r-1, and those for which they share a class: are
+# equal up to x^e there).  The other columns are one-term entries.
 PROPORTIONAL_CASES = {
-    "by 2": (U, _scaled(U, 2), {2, 3, 4}),
-    "by -1": (U, _scaled(U, -1), {2, 3, 4}),
-    "by 2:3": (_scaled(U, 3), _scaled(U, 2), {2, 3, 4}),
-    "by a Laurent monomial": (U, _scaled(U, 5, (-2, -1, 0, 0)), {2, 3, 4}),
+    "by 2": (U, _scaled(U, 2), {2, 3, 4}, set()),
+    "by -1": (U, _scaled(U, -1), {2, 3, 4}, set()),
+    "by 2:3": (_scaled(U, 3), _scaled(U, 2), {2, 3, 4}, set()),
+    "by a Laurent monomial": (U, _scaled(U, 5, (-2, -1, 0, 0)), {2, 3, 4}, set()),
+    "by y^-1": (U, _scaled(U, 1, (0, -1, 0, 0)), {2, 3, 4}, {2, 3, 4}),
+    "by x^-2·y^-1, coefficients -3": (
+        _scaled(U, -3), _scaled(U, -3, (-2, -1, 0, 0)), {2, 3, 4}, {2, 3, 4}),
     "on all rows but the last, by coefficient": (
-        U, [*_scaled(U[:3], 2), _term(W, 3)], {2, 3}),
+        U, [*_scaled(U[:3], 2), _term(W, 3)], {2, 3}, set()),
+    "on all rows but the last, by y^-1": (
+        U, [*_scaled(U[:3], 1, (0, -1, 0, 0)), U[3]], {2, 3}, {2, 3}),
     "on all rows but the second, by exponent": (
         U, [_term((1, 0, 1, 0), 2), _term(Y, 2), _term((0, 0, 2, 0), 2), _term((0, 0, 1, 1), 2)],
-        set()),
+        set(), set()),
     "a zero entry": (
-        [U[0], LaurentPoly.zero(XV), U[2], U[3]], _scaled(U, 2), set()),
+        [U[0], LaurentPoly.zero(XV), U[2], U[3]], _scaled(U, 2), set(), set()),
     "zero entries on other rows": (
         [U[0], LaurentPoly.zero(XV), U[2], U[3]],
-        [*_scaled([U[0], U[2], U[3]], 2), LaurentPoly.zero(XV)], set()),
-    "a two-term entry": ([U[0], U[1] + U[2], U[2], U[3]], _scaled(U, 2), set()),
+        [*_scaled([U[0], U[2], U[3]], 2), LaurentPoly.zero(XV)], set(), set()),
+    "a two-term entry": ([U[0], U[1] + U[2], U[2], U[3]], _scaled(U, 2), set(), set()),
     "two-term entries on other rows": (
-        [U[0] + U[1], U[2], U[3], U[0]], [U[0], U[1] + U[2], U[3], U[0]], set()),
+        [U[0] + U[1], U[2], U[3], U[0]], [U[0], U[1] + U[2], U[3], U[0]], set(), set()),
 }
 
 
 def _class_members(rows):
     """The member columns of each class of ``_classes``, in its order."""
-    return [[bit.bit_length() - 1 for bit, _, _ in members] for _, members in _classes(rows)]
+    return [[bit.bit_length() - 1 for bit, _ in members] for _, members in _classes(rows)]
+
+
+def _grouped_det(keys, size):
+    """The check's grouped pass: the DP over each block of ``size`` rows' member set minors."""
+    blocks = (keys[start : start + size] for start in range(0, len(keys), size))
+    return _combined((_expanded(_minors(block)) for block in blocks), len(keys))
 
 
 class TestProportionalColumns:
-    """Columns proportional on all of a block's rows are one class, and only those."""
+    """Columns equal up to x^e on all of a block's rows are one class, and only those."""
 
     @pytest.mark.parametrize("case", PROPORTIONAL_CASES)
     def test_sym_det_is_exact_at_every_group_size(self, case):
-        first, second, paired_on = PROPORTIONAL_CASES[case]
+        # sym_det runs the rows one at a time; the check's grouped pass runs
+        # blocks of 1 to 4 rows, whose member sets span several columns.
+        first, second, proportional_on, shared_on = PROPORTIONAL_CASES[case]
         others = ([_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
                   [U[3], _term((1, 0, 1, 0), -1), U[1], _term((0, 0, 0, 0), 2)])
         mx = tuple(zip(first, second, *others))
         want = naive_det(mx)
-        assert (want == LaurentPoly.zero(XV)) is (4 in paired_on), case
-        for group in (1, 2, 3, 4, None):
-            assert sym_det(mx, group) == want, (case, group)
+        assert (want == LaurentPoly.zero(XV)) is (4 in proportional_on), case
+        assert sym_det(mx) == want, case
         keys = [[entry._keys for entry in row] for row in mx]
+        for size in (1, 2, 3, 4):
+            assert _grouped_det(keys, size) == want._keys, (case, size)
         for r in (2, 3, 4):
             of = {c: k for k, cols in enumerate(_class_members(keys[:r])) for c in cols}
-            assert (of[0] == of[1]) is (r in paired_on), (case, r)
+            assert (of[0] == of[1]) is (r in shared_on), (case, r)
             assert of[0] not in (of[2], of[3]), (case, r)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_class_minors_expand_to_every_minor(self, r):
-        # Blocks of r rows and eleven columns, four classes planted in them
-        # by the ratios 2, -1, 2:3 and 5·x^-2·y^-1.  Beside them, copies of a
-        # column of the first three classes: one with an entry zero, one
-        # with an entry of two terms, and one with a coefficient doubled,
-        # which keeps its drifts.  Each member set's minor is naive_det on
-        # its columns, and every column set _minors leaves out is zero.
+        # Blocks of r rows and twelve columns: four columns each with copies
+        # by the ratios 2, -1, 2:3 and 5·x^-2·y^-1, which keep their drifts
+        # but not their coefficients, so each is a class of its own, and one
+        # class planted by the ratio x·w^-2.  Beside them, copies of a column
+        # of the first three: one with an entry zero, one with an entry of
+        # two terms, and one with a coefficient doubled.  On one row, every
+        # one-term entry of a coefficient is x^e times every other, so those
+        # share a class.  Each member set's minor is naive_det on its
+        # columns, and every column set _minors leaves out is zero.
         rng = random.Random(f"class minors/{r}")
         for _ in range(4):
             base = [
@@ -607,12 +605,16 @@ class TestProportionalColumns:
                 base[0], _scaled(base[0], 2), base[1], _scaled(base[1], -1),
                 _scaled(base[2], 3), _scaled(base[2], 2), base[3],
                 _scaled(base[3], 5, (-2, -1, 0, 0)), zero, two, odd,
+                _scaled(base[0], 1, (1, 0, 0, -2)),
             ]
             rng.shuffle(cols)
             rows = [[col[i] for col in cols] for i in range(r)]
             keys = [[entry._keys for entry in row] for row in rows]
-            assert len(_class_members(keys)) == (7 if r > 1 else 3)
-            subsets = {sum(1 << c for c in s): s for s in combinations(range(11), r)}
+            tops = [entry._keys for entry in rows[0]]
+            coefficients = {tuple(top.values()) for top in tops if len(top) == 1}
+            one_row = len(coefficients) + sum(len(top) != 1 for top in tops)
+            assert len(_class_members(keys)) == (11 if r > 1 else one_row)
+            subsets = {sum(1 << c for c in s): s for s in combinations(range(12), r)}
             got = _expanded(_minors(keys))
             assert set(got) <= set(subsets)
             for bits, subset in subsets.items():
@@ -636,8 +638,7 @@ class TestProportionalColumns:
         assert _class_members(keys[:3]) == [[0], [1], [2], [3]]
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
-        for group in (1, 2, 3, 4, None):
-            assert sym_det(rows, group) == want, group
+        assert sym_det(rows) == want
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
@@ -750,7 +751,7 @@ class TestVerifyProposition:
 
     def test_lhs_matches_det_times_cleared(self):
         # verify_proposition scales a row of Mat1 by the cleared monomial;
-        # the reference multiplies the plain, one-group determinant by it.
+        # the reference multiplies the plain, row-by-row determinant by it.
         rng = random.Random(63)
         for n, np_ in ADMITTED_SHAPES:
             slots = sorted(rng.sample(range(n + np_), n))
