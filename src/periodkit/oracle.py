@@ -1,58 +1,45 @@
 """Exact re-derivation of the Deligne period formula by symbolic determinant.
 
-The coefficient matrix of the comparison isomorphism, restricted to the
-basis vectors outside the index sets A and T, is assembled over a
-Laurent-polynomial ring with one variable per matrix coefficient A_ia,
-B_jb and per period Q_t, Q'_u.  Its columns are the columns of the
-Kronecker product A⊗B, permuted by some σ, with the T-block columns
-scaled by inverse periods.  So its exact determinant, multiplied by the
-cleared period monomial, must equal sgn(σ)·det(A)^n' det(B)^n, and the
-check asserts that predicted sign.  It runs over exact integers; there
-is no floating point and no modular shortcut.
+Mat1 is the coefficient matrix of the comparison isomorphism, restricted
+to the basis vectors outside the index sets A and T.  ``verify_proposition``
+checks det(Mat1)·cleared = sgn(σ)·det(A)^n' det(B)^n over exact integers,
+in these steps; the code cites them by number.
 
-Every polynomial of the ring stores its exponent vectors packed into
-single integers, one signed 8-bit field per variable, so monomial
-multiplication is one integer addition; the one constructor takes that
-store and its exponent bound.  A product whose term pairs all land on
-distinct keys, as for factors in disjoint variables, is one dict
-comprehension; any product whose pairs meet is one step of the
-determinant's DP below, which holds the ring's one accumulating loop, and
-a power is that many such steps by its base, with no squaring.
-
-The determinant is Laplace's expansion, and one dynamic program over
-column subsets does it all: run over single rows it is the textbook
-row-by-row expansion, ``sym_det``, and run over groups of rows it
-combines their minors.  The check's rows are one-term entries of
-coefficient 1, and a group's columns equal up to x^e on all its rows form
-a class: each is x^e times its class's primitive column.  A determinant
-is linear in each column, so the group's pass runs once, over the
-primitive columns, and a minor is ±x^Σe times its class set's; a set
-holding two columns of one class is zero and never built.  In Mat1 an
-i-block's columns with one b-index form a class (Horn and Johnson,
-*Topics in Matrix Analysis*, §4.2): its pass is over n' columns, and its
-one class set has the n^n' member sets of distinct b-indices, 16 at 2x4,
-27 at 3x3, 64 at 4x3.  A one-term minor shifts every key of a partial
-determinant alike, so a state it reaches first takes them by one
-comprehension.
-
-The check assembles its inputs once, from one ``PairVariables`` and one
-list of Mat1's columns: Mat1's rows as one-term packed keys, the cleared
-period factor added to row 0's keys (a determinant is linear in each
-row), the exponent bound, sgn(σ), and det(A) and det(B).  Those two are
-matrices of distinct variables, written down as Leibniz sums, so the DP
-runs on Mat1 alone and shares no code with the det(B) its minors are
-tested against; ``build_mat1`` and ``cleared_period_product`` read the
-same layout.  In groups of n' rows, each class set's minor is tested
-once: if it is c·x^s·det(B), each member set keeps only ±c·x^(s+Σe).
-If m groups factor so, the DP over their monomials and the other groups'
-minors leaves ``out``, with det(Mat1)·cleared = out·det(B)^m.  The ring
-has no zero divisors, so the identity holds with sign s exactly when
-``out`` is s·det(A)^n' det(B)^(n-m), and that one comparison decides.
-
-On every Mat1 all n groups factor, and ``out`` meets ±det(A)^n' alone;
-only a group that does not factor brings det(B) into it.  The report
-counts the groups that factored and names the first that did not, and
-it multiplies out its right side only when that is read.
+1. Layout.  Over a Laurent ring with one variable per A_ia, B_jb, Q_t and
+   Q'_u, Mat1's columns are those of A⊗B, permuted by σ, with the T-block
+   columns scaled by inverse periods, so sgn(σ) is predicted, not fitted.
+   One ``PairVariables`` and one column list give Mat1's rows as one-term
+   keys of coefficient 1, the cleared period monomial added to row 0's keys
+   (a determinant is linear in each row), the exponent bound, sgn(σ), and
+   det(A) and det(B) as Leibniz sums, which share no code with the DP.
+2. Groups against det(B).  The determinant is Laplace's expansion, one DP
+   over column subsets, run over Mat1's n groups of n' rows.  A group's
+   columns equal up to x^e on all its rows form a class, in Mat1 the n
+   columns of one b-index, so the group's pass runs once, over the
+   primitive columns, and a member set's minor is ±x^Σe times its class
+   set's; a set holding two columns of one class is zero and never built.
+   Each class set's minor is tested once against det(B); if each is
+   c_i·x^(s_i)·det(B), group i factors.
+3. Blocks against det(A).  If every group factors with one class set, and
+   all split the columns into the same n' classes of n columns, then
+   det(Mat1)·cleared = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has
+   x^e in each member column of class k of group i.  Listing N's rows class
+   by class and its columns class after class makes it block diagonal (the
+   Kronecker factorization, Horn and Johnson, *Topics in Matrix Analysis*,
+   §4.2): det(N) = ε·Π det(N_b), with ε = (-1)^(C(n,2)·C(n',2)) times the
+   sign of that column order.  Each n x n block N_b is tested against
+   det(A), as d_b·x^(t_b)·det(A).
+4. Exactness.  Each exponent is a signed 8-bit field of one integer key,
+   and packing maps the ring homomorphically into Laurent polynomials in
+   one variable, where the DP and the tests run.  There it is injective on
+   polynomials whose exponents stay below 128, as both sides' do (the
+   bound is checked), and there are no zero divisors.  So the identity
+   holds with sign u = ε·Πc_i·Πd_b exactly when Σs_i + Σt_b is the zero
+   key and u is ±1.
+5. Fallback.  Otherwise the DP combines the groups' member set minors,
+   monomials for the m groups that factored, into ``out`` with
+   det(Mat1)·cleared = out·det(B)^m, and the identity holds with sign s
+   exactly when ``out`` is s·det(A)^n' det(B)^(n-m).
 """
 
 from __future__ import annotations
@@ -61,15 +48,17 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import permutations
+from math import comb, prod
 
 from .deligne import PairContext
 from .errors import SizeLimitError
 from .value import Frozen
 
-# The shapes checked: n, n' <= 4 with nn' <= 12.  The check stays small
-# past them while its groups factor, but a check whose groups do not factor
-# multiplies out det(A)^n' det(B)^n: 221,760 terms at 3x4, 102,961,609 at
-# 4x4, and at 1x11 det(B) alone has 11! terms.
+# The shapes checked: n, n' <= 4 with nn' <= 12.  The bound serves the
+# combining pass the check falls back to (step 5), which multiplies out
+# det(A)^n' det(B)^n: 221,760 terms at 3x4, 102,961,609 at 4x4, and at 1x11
+# det(B) alone has 11! terms.  Widening it waits for a reference of new
+# shapes that shares no code with the check, such as a Bareiss elimination.
 MAX_RANK = 4
 MAX_SIZE = 12
 
@@ -79,8 +68,8 @@ def require_shape(n: int, np_: int) -> None:
     if max(n, np_) > MAX_RANK or n * np_ > MAX_SIZE:
         raise SizeLimitError(
             f"shape {n}x{np_} is outside the oracle's bound n, n' <= {MAX_RANK} and "
-            f"nn' <= {MAX_SIZE} (a check whose groups do not factor multiplies out "
-            "det(A)^n' det(B)^n)"
+            f"nn' <= {MAX_SIZE} (the bound serves the combining pass the check falls "
+            "back to, which multiplies out det(A)^n' det(B)^n)"
         )
 
 
@@ -122,25 +111,18 @@ def _drop_zeros(terms: dict[int, int]) -> None:
 
 
 def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a·b on packed keys by the accumulating loop: for factors whose pairs meet.
-
-    It is one step of ``_laplace``: the state a, extended by the one minor b.
-    """
+    """a·b on packed keys, by one step of ``_laplace``: for factors whose term pairs meet."""
     if len(a) < len(b):
         a, b = b, a
     return _laplace([[(1, 0, b)]], {0: a}).get(1, {})
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a·b on packed keys, with the longer factor in the inner loop.
-
-    One comprehension tries first.  If it holds a key per term pair, no two
-    pairs met, so nothing was summed and no coefficient is zero; else the
-    pairs that met overwrote each other, and the accumulating loop redoes it.
-    """
+    """a·b on packed keys, with the longer factor in the inner loop."""
     if len(a) < len(b):
         a, b = b, a
     out = {ka + kb: ca * cb for kb, cb in b.items() for ka, ca in a.items()}
+    # A key per term pair: no two pairs met, so nothing was summed or zero.
     if len(out) == len(a) * len(b):
         return out
     return _summed_product(a, b)
@@ -305,12 +287,10 @@ class Terms(Mapping):
 
 
 def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
-    """(column set, sign mask, minor) for each nonzero minor of a group of rows.
+    """(column set S, sign mask, minor) for each nonzero minor of a group of rows.
 
-    Adding the column set S after the used columns costs one swap per used
-    column right of each column of S.  Only the parity counts, so the sign
-    is (-1)^(used columns in the mask), and the mask holds the columns right
-    of an odd number of S's columns.
+    Adding S after the used columns has the sign (-1)^(used columns in the
+    mask): the mask holds the columns right of an odd number of S's columns.
     """
     part = []
     for cols, minor in minors.items():
@@ -325,21 +305,13 @@ def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, i
 
 
 def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Extend ``states``, {used column set: partial determinant}, by each part in turn.
+    """``states``, {used column set: partial determinant}, extended by each ``_part`` in turn.
 
-    A part is a group of rows given by ``_part``; a row is the part of its
-    entries.  A state that holds a column of a minor's set is not extended
-    by it.  Zero partial determinants may remain as empty dicts, and are
-    not extended either: they only spread more of them.
-
-    This is the ring's one multiply-accumulate; ``_summed_product`` is one
-    step of it.  A term of a minor shifts every key of the partial alike,
-    so no two of its products meet: the first term into a new state, all
-    of a one-term minor, is one comprehension, and a loop sums each later
-    term into the state.
+    Zero partial determinants may remain as empty dicts.
     """
-    # Each layer is consumed as the next is built, so at most about two
-    # layers are alive.
+    # Each layer is consumed as the next is built, so at most about two are
+    # alive.  A term of a minor shifts every key of a partial alike, so the
+    # first term into a new state is one comprehension.
     for part in parts:
         layer: dict[int, dict[int, int]] = {}
         while states:
@@ -371,13 +343,8 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
 def _classes(rows: list[list[dict[int, int]]]) -> list[tuple[list[dict[int, int]], list]]:
     """(primitive column, [(1 << c, e) for each member c]) per class, by first member.
 
-    A column of one-term entries is keyed on its drifts (each row's key
-    less row 0's) and its coefficients as they are, so the members of a
-    class are equal up to x^e: each is x^e times the primitive column it
-    spells, e its row 0 key, on packed keys.  Packing maps the ring
-    homomorphically into Laurent polynomials in one variable, so that is
-    all the DP needs.  Any other column is a class of its own, with e = 0.
-    The identity check's rows are all one-term entries of coefficient 1.
+    A member is x^e times its class's primitive column, e its row 0 key; a
+    column not of one-term entries is a class of its own, with e = 0.
     """
     classes: dict = {}
     for c, column in enumerate(zip(*rows)):
@@ -391,58 +358,56 @@ def _classes(rows: list[list[dict[int, int]]]) -> list[tuple[list[dict[int, int]
     return list(classes.values())
 
 
-def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], dict]]:
-    """(minor, {member column set: (±1, Σe)}) for each class set with a nonzero minor.
-
-    The row pass runs once, over the primitive columns of ``_classes``.  A
-    member set takes one column of each class of the set, and its minor is
-    ±x^Σe times the class set's, the sign the parity of the member columns
-    taken in class order.  A set holding two columns of one class is zero,
-    and is not built.
-    """
+def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], list]]:
+    """(minor, its classes' member lists) for each class set of ``_classes`` with a nonzero minor."""
     classes = _classes(rows)
     primitive_rows = zip(*(column for column, _ in classes))
     parts = [_part({1 << k: entry for k, entry in enumerate(row)}) for row in primitive_rows]
-    out = []
-    for used, minor in _laplace(parts, {0: {0: 1}}).items():
-        if minor:
-            members = {0: (1, 0)}
-            for k, (_, cols) in enumerate(classes):
-                if used >> k & 1:
-                    # Each column of ``have`` right of ``bit`` is an inversion.
-                    members = {
-                        have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
-                        for have, (u, s) in members.items()
-                        for bit, e in cols
-                    }
-            out.append((minor, members))
-    return out
+    return [
+        (minor, [cols for k, (_, cols) in enumerate(classes) if used >> k & 1])
+        for used, minor in _laplace(parts, {0: {0: 1}}).items()
+        if minor
+    ]
 
 
 def _expanded(group) -> dict[int, dict[int, int]]:
-    """{member column set: its minor}, ±x^Σe times its class set's, from what ``_minors`` gives."""
-    return {
-        cols: {key + e: u * c for key, c in minor.items()}
-        for minor, members in group
-        for cols, (u, e) in members.items()
-    }
+    """{member column set: its minor} from what ``_minors`` gives.
+
+    A member set takes one column of each class of its set, and its minor
+    is ±x^Σe times the class set's, the sign the parity of the members
+    taken in class order.
+    """
+    out = {}
+    for minor, classes in group:
+        members = {0: (1, 0)}
+        for cols in classes:
+            # Each column of ``have`` right of ``bit`` is an inversion.
+            members = {
+                have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
+                for have, (u, s) in members.items()
+                for bit, e in cols
+            }
+        for cols, (u, e) in members.items():
+            out[cols] = {key + e: u * c for key, c in minor.items()}
+    return out
 
 
 def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
-    """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None.
-
-    Packing is linear and integer addition keeps order, so x^e·ref has its
-    smallest key at e + min(ref): e is the difference of the smallest keys.
-    The quotient is checked term by term, so a ratio of leading
-    coefficients that is not an integer fails.
-    """
+    """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None."""
     if not poly or len(poly) != len(ref):
         return None
+    # Adding e keeps the order of keys; each term is checked, so a ratio
+    # that is not an integer fails.
     low, base = min(poly), min(ref)
     c, e = poly[low] // ref[base], low - base
     if any(poly.get(key + e) != c * coeff for key, coeff in ref.items()):
         return None
     return c, e
+
+
+# Step 3's tests against det(A) take ``_shift`` by a name of their own, so a
+# fault forged in one kind of test leaves the other kind alone.
+_block_shift = _shift
 
 
 def _table(rows) -> tuple[str, ...]:
@@ -468,16 +433,10 @@ def sym_det(rows) -> LaurentPoly:
     """Exact determinant of ``rows``, by Laplace expansion one row at a time.
 
     ``rows`` is a nonempty square matrix of :class:`LaurentPoly` over one
-    variable table, the result's (``_table`` refuses any other).  The DP
-    of ``_laplace`` extends each partial determinant on a set of used
-    columns by one entry of the next row, in a column not yet used, with
-    the sign of the columns it passes; each row enters ``_combined`` as the
-    one-row group of its entries.
-
-    A term of the determinant takes one entry from each row, so its
-    exponents are bounded by the sum over rows of the largest entry
-    bound, and that sum must fit the field; it is checked, like the
-    matrix, before any work.
+    variable table, the result's.  Each row enters ``_combined`` as the
+    one-row group of its entries.  The matrix, and the sum over rows of the
+    largest entry bound, which bounds the result, are checked before any
+    work.
     """
     vars_ = _table(rows)
     bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
@@ -561,18 +520,12 @@ def _kronecker_column_sign(cols: list[tuple[tuple, int, int, int]], np_: int) ->
 
 
 def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
-    """(variables, Mat1's rows, cleared key, its bound, sgn σ), from one layout.
+    """(variables, Mat1's rows, cleared key, its bound, sgn σ), from one column list.
 
-    One ``PairVariables`` and one ``_mat1_columns`` list give all five.
     Rows run over (i, j) lexicographically; the entry in the column
     (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as the one-term dict {key: 1}.
-    Its key is packed directly: unit(v), the key of variable v to the
-    power 1, for A_ia and B_jb, less s·unit(v) for Q_a and Q'_b, as every
-    index is in range by construction.  The cleared factor Π Q_a Q'_b over
-    the scaled columns is the sum of those period keys, and its bound is
-    its largest exponent.  sgn(σ) is ``_kronecker_column_sign`` of the same
-    columns.  A layout whose column count is not nn' raises ``ValueError``:
-    the matrix would not be square.
+    The cleared key is Π Q_a Q'_b over the scaled columns.  A column count
+    other than nn' raises ``ValueError``.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
@@ -613,14 +566,9 @@ def cleared_period_product(ctx: PairContext) -> LaurentPoly:
 
 
 def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
-    """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum.
-
-    The sum is written row by row, each partial term with its key, its
-    running sign and its free columns in order.  Row i taking the r-th
-    free column, from 0, puts it before the r smaller ones that later rows
-    take: r inversions.  Each term is a product of k distinct variables,
-    so none meet and bound 1 is exact.
-    """
+    """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum of bound 1."""
+    # Row i taking the r-th free column, from 0, puts it before the r
+    # smaller ones that later rows take: r inversions.
     terms = [(0, 1, tuple(range(1, k + 1)))]
     for i in range(1, k + 1):
         unit = {a: 1 << (_WIDTH * idx(i, a)) for a in range(1, k + 1)}
@@ -633,14 +581,7 @@ def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
 
 
 def _inputs(ctx: PairContext) -> tuple[list, int, LaurentPoly, LaurentPoly, int]:
-    """(Mat1's rows with row 0 cleared, their bound, det(A), det(B), sgn σ): the check's inputs.
-
-    All come from one ``_layout``.  Row 0's keys carry the cleared key, so
-    its entries' bound is 1 plus the cleared factor's, and every other
-    entry's is 1: the bound, the sum over rows of the largest entry bound,
-    is nn' plus the cleared factor's.  ``verify_proposition`` checks that
-    it fits the field.
-    """
+    """(Mat1's rows with row 0 cleared, their row-max bound, det(A), det(B), sgn σ): step 1."""
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv, rows, cleared, cleared_bound, sign = _layout(ctx)
     rows[0] = [{key + cleared: 1} for entry in rows[0] for key in entry]
@@ -649,24 +590,54 @@ def _inputs(ctx: PairContext) -> tuple[list, int, LaurentPoly, LaurentPoly, int]
     return rows, len(rows) + cleared_bound, det_a, det_b, sign
 
 
+def _blocks(groups: list, n: int, det_a: dict[int, int]) -> tuple[int, int] | None:
+    """(u, K) with det(Mat1)·cleared = u·x^K·det(A)^n' det(B)^n by step 3, else None.
+
+    ``groups`` are the n factored groups, each class set's minor {s_i: c_i}.
+    """
+    splits = [classes for group in groups for _, classes in group]
+    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes in splits}
+    # Two class sets of one group split apart, so this is one set per group.
+    if len(splits) != n or len(cuts) != 1:
+        return None
+    (cut,) = cuts
+    order = [bit for cols in cut for bit in cols]
+    unit = (-1) ** (comb(n, 2) * comb(len(cut), 2) + _parity(order))
+    key = 0
+    for ((minor, _),) in groups:
+        ((s, c),) = minor.items()
+        unit, key = unit * c, key + s
+    # A class of other than n columns leaves a block short of n columns,
+    # whose determinant is {}: its test declines.
+    for b in range(len(cut)):
+        block = [{1 << r: {e: 1} for r, (_, e) in enumerate(classes[b])} for classes in splits]
+        found = _block_shift(_combined(block, n), det_a)
+        if found is None:
+            return None
+        unit, key = unit * found[0], key + found[1]
+    return unit, key
+
+
 class VerificationReport(Frozen):
     """Outcome of the determinant identity check for one tensor pair.
 
     ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
-    or None when neither sign holds; ``ok`` requires it to be the
-    predicted one.  ``bound`` is the exponent bound of det(Mat1)·cleared,
-    ``nonzero_minors`` counts the nonzero minors of each group of n' rows,
-    ``factored`` counts the groups whose class set minors all tested as
-    monomials times det(B), and ``unfactored`` is the index, from 0, of
-    the first group that did not, or None.  ``rhs``, the predicted side
-    predicted_sign·det(A)^n' det(B)^n, is the one lazy member, multiplied
-    out on its first read by the stored callable ``_rhs``; nothing in the
-    package reads it, only the benchmark does.
+    or None when neither sign holds; ``ok`` requires it to be the predicted
+    sgn(σ) (step 1).  ``bound`` is the exponent bound of det(Mat1)·cleared
+    (step 4).  ``nonzero_minors`` counts the nonzero minors of each group of
+    n' rows, ``factored`` counts the groups whose class set minors all
+    tested as monomials times det(B), and ``unfactored`` is the index, from
+    0, of the first that did not, or None (step 2).  ``blocks`` is n' when
+    the column-class blocks decided (step 3), or None when the combining
+    pass did (step 5).  ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the
+    one lazy member, multiplied out on its first read by the stored
+    callable ``_rhs``; nothing in the package reads it, only the benchmark
+    does.
     """
 
     __slots__ = (
         "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored",
-        "unfactored", "_rhs",
+        "unfactored", "blocks", "_rhs",
     )
 
     @property
@@ -675,57 +646,41 @@ class VerificationReport(Frozen):
 
 
 def verify_proposition(ctx: PairContext) -> VerificationReport:
-    """Check det(Mat1) * cleared periods = sgn(σ) det(A)^n' det(B)^n exactly.
+    """Check det(Mat1)·cleared periods = sgn(σ)·det(A)^n' det(B)^n exactly.
 
-    σ is the column permutation taking A⊗B to Mat1, so the sign is
-    predicted, not chosen to fit.  The check takes its inputs from one
-    layout (``_inputs``): Mat1's rows as packed keys, row 0 scaled by the
-    cleared periods, and det(A) and det(B) as Leibniz sums.  The DP runs
-    on Mat1 alone, in groups of n' rows.  Each class set's minor
-    (``_minors``) is tested once against det(B) (``_shift``), and a group
-    whose class set minors are each c·x^s·det(B) enters the DP as the
-    monomials ±c·x^(s+Σe) of their member sets.  If m groups factor, the
-    DP leaves ``out`` with det(Mat1)·cleared = out·det(B)^m, and as the
-    ring has no zero divisors, the identity holds with sign s exactly when
-    ``out`` is s·det(A)^n' det(B)^(n-m).  That one comparison decides,
-    whatever m is.  The report counts each group's nonzero minors, its
-    member sets, and the m groups that factored, and names the first
-    group that did not.
-
-    A member set's shift s + Σe is its minor's exact quotient by det(B),
-    the product over the group's rows of one entry's A and period part, so
-    the determinant's exponent bound bounds it too, and it fits the field.
+    The inputs come from one layout (step 1), and each group of n' rows is
+    tested against det(B) (step 2).  If all groups factor alike, the
+    column-class blocks tested against det(A) decide (steps 3 and 4), else
+    the combining pass does (step 5).
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
-    # Row (i, j) of Mat1 is row A_i· ⊗ B_j· of A⊗B with some columns scaled
-    # by periods, so on the i-block {(i, 1), ..., (i, n')} the columns of
-    # one b-index are one class, and the one class set's minor is a
-    # monomial times the minor of B on all n' b-indices.  So each group of
-    # n' rows factors, and as the identity holds, the DP over the monomials
-    # leaves a monomial times det(A)^n'.  A determinant is linear in each
-    # row, so scaling row 0 by the cleared monomial scales det(Mat1) by it
-    # without copying the determinant, and row 0's group still factors.
     rows, bound, det_a, det_b, predicted = _inputs(ctx)
     bound = _checked(bound)
     groups = [_minors(rows[start : start + np_]) for start in range(0, len(rows), np_)]
-    nonzero_minors = tuple(sum(len(members) for _, members in group) for group in groups)
-    a_part = det_a ** np_
+    nonzero_minors = tuple(sum(prod(map(len, classes)) for _, classes in group) for group in groups)
     factored, unfactored = 0, None
     for at, group in enumerate(groups):
         shifts = [_shift(minor, det_b._keys) for minor, _ in group]
         if None not in shifts:
-            group = [({s: c}, members) for (c, s), (_, members) in zip(shifts, group)]
+            groups[at] = [({s: c}, classes) for (c, s), (_, classes) in zip(shifts, group)]
             factored += 1
         elif unfactored is None:
             unfactored = at
-        groups[at] = _expanded(group)
-    out = _combined(groups, n * np_)
-    want = a_part * det_b ** (n - factored)
-    sign = 1 if out == want._keys else -1 if out == (-want)._keys else None
+    # Steps 3 and 4: on Mat1's i-blocks the columns of one b-index form a
+    # class, so every group factors alike.
+    found = _blocks(groups, n, det_a._keys) if factored == n else None
+    if found is not None:
+        unit, key = found
+        sign = unit if key == 0 and unit in (1, -1) else None
+    else:
+        # Step 5.
+        out = _combined(map(_expanded, groups), n * np_)
+        want = det_a ** np_ * det_b ** (n - factored)
+        sign = 1 if out == want._keys else -1 if out == (-want)._keys else None
     # Negate the small factor, not a copy of the product.
-    rhs = cache(lambda: (a_part if predicted > 0 else -a_part) * det_b ** n)
+    rhs = cache(lambda: (det_a ** np_ if predicted > 0 else -det_a ** np_) * det_b ** n)
     return VerificationReport(
         n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, unfactored,
-        rhs,
+        None if found is None else np_, rhs,
     )

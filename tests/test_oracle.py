@@ -54,8 +54,10 @@ def _tamper(patch, ctx, against_b):
 
     ``against_b(k, found)`` takes the k-th test of a class set's minor
     against det(B), counted from 0, and returns what ``_shift`` reports
-    instead.  Every test the check makes is one of these: one per class
-    set of proportional columns, which on Mat1 is one per group of n' rows.
+    instead.  Every test against det(B) is one of these: one per class set
+    of proportional columns, which on Mat1 is one per group of n' rows.
+    The column-class blocks' tests against det(A) go through a seam of
+    their own, ``_block_shift`` (``_tamper_blocks``).
     """
     import periodkit.oracle as orc
 
@@ -67,6 +69,26 @@ def _tamper(patch, ctx, against_b):
         return against_b(next(tests_against_b), shift(poly, ref))
 
     patch.setattr(orc, "_shift", spy)
+
+
+def _tamper_blocks(patch, ctx, against_a):
+    """Route what ``oracle._block_shift`` finds in ``verify_proposition(ctx)`` through a filter.
+
+    ``against_a(k, found)`` takes the k-th test of a column-class block's
+    determinant against det(A), counted from 0, and returns what is
+    reported instead.  The check makes one per class, n' in all, once
+    every group has factored alike against det(B).
+    """
+    import periodkit.oracle as orc
+
+    det_a = orc._inputs(ctx)[2]._keys
+    shift, tests_against_a = orc._block_shift, count()
+
+    def spy(poly, ref):
+        assert ref == det_a
+        return against_a(next(tests_against_a), shift(poly, ref))
+
+    patch.setattr(orc, "_block_shift", spy)
 
 
 def _forced_fallback(patch, ctx):
@@ -396,7 +418,7 @@ class TestSymDet:
         rep = verify_proposition(ctx)
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
-        assert rep.ok and rep.sign == 1 and rep.factored == 2
+        assert rep.ok and rep.sign == 1 and rep.factored == rep.blocks == 2
         assert rep.bound == row_max == 82
         assert rep.nonzero_minors == (4, 4)
         # The right side's bound, 80 + 80, is past the field, so the
@@ -407,7 +429,10 @@ class TestSymDet:
         class_sets = [*_minors(keys[:2]), *_minors(keys[2:])]
         assert len(shifts) == len(class_sets) == 2 and None not in shifts
         members = [
-            s + e for (_, s), (_, sets) in zip(shifts, class_sets) for _, e in sets.values()
+            key
+            for (c, s), (_, classes) in zip(shifts, class_sets)
+            for minor in _expanded([({s: c}, classes)]).values()
+            for key in minor
         ]
         assert len(members) == 8
         fields = [_unpack(e, 4) for e in members]
@@ -1054,10 +1079,10 @@ def test_right_side_has_bound_n_plus_np(n, np_):
 def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
     # In verify_proposition, Mat1 goes in n groups of n' rows.  Each
     # i-block has one class set, whose minor is tested once against det(B),
-    # and enters the DP as n^n' one-term monomials, one per choice of n'
-    # distinct b-indices: each nonzero minor is ±monomial·det(B).  The
-    # DP runs on Mat1 alone: det(A) and det(B) are Leibniz sums, and
-    # sym_det never runs.
+    # and has n^n' nonzero minors, one per choice of n' distinct b-indices:
+    # each is ±monomial·det(B).  All split the columns by b-index, so the
+    # n' column-class blocks decide.  The DP runs on Mat1 alone: det(A)
+    # and det(B) are Leibniz sums, and sym_det never runs.
     import periodkit.oracle as orc
 
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
@@ -1069,6 +1094,88 @@ def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
     assert rep.ok and rep.factored == n and sym_dets == []
     assert rep.nonzero_minors == (n ** np_,) * n
     assert len(against_b) == n
+    assert rep.blocks == np_
     assert all(found is not None and found[0] in (1, -1) for found in against_b)
     pv = PairVariables.build(n, np_)
     assert len(_generic_det(pv.names, pv.b_idx, np_).terms) == factorial(np_)
+
+
+# Every field the report holds as data: all but blocks, which names the path
+# that decided, and rhs, which neither path builds.
+DATA_FIELDS = (*(name for name in REPORT_FIELDS if name != "rhs"), "factored", "unfactored")
+
+
+def _declined_block(patch, ctx):
+    """Report the first column-class block as not a monomial times det(A): step 5 decides."""
+    _tamper_blocks(patch, ctx, against_a=lambda k, found: None if k == 0 else found)
+
+
+class TestColumnClassBlocks:
+    @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+    def test_the_blocks_and_the_combining_pass_give_one_report(self, n, np_, monkeypatch):
+        # On every tableau of the shape; the first also compares rhs.
+        for at, slots in enumerate(combinations(range(n + np_), n)):
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
+            blocks = verify_proposition(ctx)
+            with monkeypatch.context() as patch:
+                _declined_block(patch, ctx)
+                combined = verify_proposition(ctx)
+            assert (blocks.blocks, combined.blocks) == (np_, None), (n, np_, slots)
+            for name in DATA_FIELDS + (("rhs",) if at == 0 else ()):
+                assert getattr(blocks, name) == getattr(combined, name), (n, np_, slots, name)
+            assert blocks.ok and blocks.factored == n, (n, np_, slots)
+
+    @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+    def test_a_forged_block_test_fails_the_check(self, n, np_, monkeypatch):
+        # As a forged unit or shift of a group's test against det(B) does.
+        ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
+        right = verify_proposition(ctx)
+        forged = {
+            "shift t+1": (lambda found: (found[0], found[1] + 1), None),
+            "unit d doubled": (lambda found: (2 * found[0], found[1]), None),
+            "unit d negated": (lambda found: (-found[0], found[1]), -right.predicted_sign),
+        }
+        for case, (forge, sign) in forged.items():
+            with monkeypatch.context() as patch:
+                _tamper_blocks(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
+                rep = verify_proposition(ctx)
+            assert (rep.blocks, rep.factored, rep.unfactored) == (np_, n, None), case
+            assert rep.predicted_sign == right.predicted_sign, case
+            assert rep.sign == sign and not rep.ok, case
+
+    def test_groups_that_do_not_split_the_columns_alike_are_combined(self, monkeypatch):
+        # A⊗B over x, y, z, w in place of Mat1, as in
+        # test_rows_whose_bounds_sum_past_half_the_field.  The blocks need
+        # one class set per group, and one split of the columns into
+        # classes; otherwise the combining pass decides, and its sign is
+        # the reference's.
+        import periodkit.oracle as orc
+
+        a = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (1, 0, 0, 1)))
+        b = (((0, 1, 0, 0), (0, 0, 0, -1)), ((-1, 0, 0, 0), (0, 0, 1, 0)))
+        kron = [
+            [_term(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2])))) for c in range(4)]
+            for i in range(2)
+            for j in range(2)
+        ]
+        det_a, det_b = (naive_det(tuple(tuple(map(_term, row)) for row in m)) for m in (a, b))
+        want = det_a ** 2 * det_b ** 2
+        assert naive_det(kron) == want
+        cases = {
+            # Group 0's rows are equal: one class, and no class set.
+            "a group with no class set": [kron[0], kron[0], *kron[2:]],
+            # Group 1's middle columns swapped: its classes are {0, 1} and
+            # {2, 3}, group 0's {0, 2} and {1, 3}.
+            "two splits": [*kron[:2], *([row[0], row[2], row[1], row[3]] for row in kron[2:])],
+        }
+        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
+        for case, rows in cases.items():
+            keys = [[entry._keys for entry in row] for row in rows]
+            inputs = (keys, sum(max(e._bound for e in row) for row in rows), det_a, det_b, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(orc, "_inputs", lambda ctx: inputs)
+                rep = verify_proposition(ctx)
+            lhs = naive_det(rows)
+            observed = 1 if lhs == want else -1 if lhs == -want else None
+            assert (rep.blocks, rep.factored) == (None, 2), case
+            assert rep.sign == observed and not rep.ok, case

@@ -1,11 +1,11 @@
 """The oracle names that tests patch, each with its reason.
 
 A test that only observes what ``verify_proposition`` did reads its
-report (``bound``, ``nonzero_minors``, ``factored``, ``unfactored``).
-A patch of an oracle name is kept only where it injects a fault or
-crafted input, or observes what no report holds.  The scan reads
-``tests/*.py`` with ``ast`` for ``setattr(<alias of periodkit.oracle>,
-"<name>", ...)``.
+report (``bound``, ``nonzero_minors``, ``factored``, ``unfactored``,
+``blocks``).  A patch of an oracle name is kept only where it injects a
+fault or crafted input, or observes what no report holds.  The scan
+reads ``tests/*.py`` with ``ast`` for ``setattr(<alias of
+periodkit.oracle>, "<name>", ...)``.
 """
 
 import ast
@@ -18,6 +18,10 @@ ALLOWED = {
     # against det(B), one per class set of proportional columns, find.
     "_shift": "forges a class set's test against det(B), to leave its group "
     "unfactored or give its member sets a wrong shift or unit",
+    # _tamper_blocks forges what the tests against det(A), one per
+    # column-class block, find.
+    "_block_shift": "forges a column-class block's test against det(A), to decline it, so "
+    "that the combining pass decides, or give it a wrong shift or unit",
     "_inputs": "swaps in a crafted A⊗B whose rows sum past half the field, with its det(A) "
     "and det(B); or gives the check's own inputs a flipped predicted sign or a bound past "
     "the field",
