@@ -8,10 +8,11 @@ in these steps; the code cites them by number.
 1. Layout.  Over a Laurent ring with one variable per A_ia, B_jb, Q_t and
    Q'_u, Mat1's columns are those of A⊗B, permuted by σ, with the T-block
    columns scaled by inverse periods, so sgn(σ) is predicted, not fitted.
-   One ``PairVariables`` and one column list give Mat1's rows as one-term
-   keys of coefficient 1, the cleared period monomial added to row 0's keys
-   (a determinant is linear in each row), the exponent bound, sgn(σ), and
-   det(A) and det(B) as Leibniz sums, which share no code with the DP.
+   One column list and the index arithmetic of ``PairVariables`` give
+   Mat1's rows as one-term keys of coefficient 1, the cleared period
+   monomial added to row 0's keys (a determinant is linear in each row),
+   the exponent bound, sgn(σ), and det(A) and det(B) as Leibniz sums,
+   which share no code with the DP.  No variable name is built.
 2. Groups against det(B).  The determinant is Laplace's expansion, one DP
    over column subsets, run over Mat1's n groups of n' rows.  A group's
    columns equal up to x^e on all its rows form a class, in Mat1 the n
@@ -35,16 +36,13 @@ in these steps; the code cites them by number.
    polynomials whose exponents stay below 128, as both sides' do (the
    bound is checked), and there are no zero divisors.  So the identity
    holds with sign u = ε·Πc_i·Πd_b exactly when Σs_i + Σt_b is the zero
-   key and u is ±1.
-5. Fallback.  Otherwise the DP combines the groups' member set minors,
-   monomials for the m groups that factored, into ``out`` with
-   det(Mat1)·cleared = out·det(B)^m, and the identity holds with sign s
-   exactly when ``out`` is s·det(A)^n' det(B)^(n-m).
+   key and u is ±1.  A group that does not factor, groups that split the
+   columns otherwise, or a block that is no monomial times det(A) leaves
+   no sign: the check declines at that step.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import permutations
@@ -54,11 +52,11 @@ from .deligne import PairContext
 from .errors import SizeLimitError
 from .value import Frozen
 
-# The shapes checked: n, n' <= 4 with nn' <= 12.  The bound serves the
-# combining pass the check falls back to (step 5), which multiplies out
-# det(A)^n' det(B)^n: 221,760 terms at 3x4, 102,961,609 at 4x4, and at 1x11
-# det(B) alone has 11! terms.  Widening it waits for a reference of new
-# shapes that shares no code with the check, such as a Bareiss elimination.
+# The shapes checked: n, n' <= 4 with nn' <= 12.  Steps 2-4 never multiply
+# out det(A)^n' det(B)^n, but the report's right side does when it is read:
+# 221,760 terms at 3x4, 102,961,609 at 4x4, and at 1x11 det(B) alone has 11!
+# terms.  A wider bound needs a reference for the new shapes that shares no
+# code with the check; the tests' Bareiss evaluation of Mat1 is one.
 MAX_RANK = 4
 MAX_SIZE = 12
 
@@ -68,8 +66,7 @@ def require_shape(n: int, np_: int) -> None:
     if max(n, np_) > MAX_RANK or n * np_ > MAX_SIZE:
         raise SizeLimitError(
             f"shape {n}x{np_} is outside the oracle's bound n, n' <= {MAX_RANK} and "
-            f"nn' <= {MAX_SIZE} (the bound serves the combining pass the check falls "
-            "back to, which multiplies out det(A)^n' det(B)^n)"
+            f"nn' <= {MAX_SIZE} (the report's right side multiplies out det(A)^n' det(B)^n)"
         )
 
 
@@ -137,10 +134,10 @@ class LaurentPoly:
 
     Each exponent vector is stored as one integer, sum(e_i << 8*i), and
     each polynomial carries a bound on its |e_i|.  The one constructor
-    takes both as they are; every polynomial starts as ``monomial``,
-    ``zero``, ``one`` or the oracle's Leibniz sum ``_generic_det``.  A
-    monomial, product, power or determinant whose bound would reach 128
-    raises ``OverflowError``.
+    takes both as they are; the oracle builds polynomials from keys whose
+    bound it knows, and every other polynomial starts as ``monomial``,
+    ``zero`` or ``one``.  A monomial, product, power or determinant whose
+    bound would reach 128 raises ``OverflowError``.
     """
 
     __slots__ = ("vars", "_keys", "_bound")
@@ -370,28 +367,6 @@ def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], list
     ]
 
 
-def _expanded(group) -> dict[int, dict[int, int]]:
-    """{member column set: its minor} from what ``_minors`` gives.
-
-    A member set takes one column of each class of its set, and its minor
-    is ±x^Σe times the class set's, the sign the parity of the members
-    taken in class order.
-    """
-    out = {}
-    for minor, classes in group:
-        members = {0: (1, 0)}
-        for cols in classes:
-            # Each column of ``have`` right of ``bit`` is an inversion.
-            members = {
-                have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
-                for have, (u, s) in members.items()
-                for bit, e in cols
-            }
-        for cols, (u, e) in members.items():
-            out[cols] = {key + e: u * c for key, c in minor.items()}
-    return out
-
-
 def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
     """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None."""
     if not poly or len(poly) != len(ref):
@@ -468,15 +443,21 @@ def _parity(seq) -> int:
 class PairVariables(Frozen):
     """Variable layout: A_ia block, B_jb block, then Q and Q' blocks."""
 
-    __slots__ = ("n", "np", "names")
+    __slots__ = ("n", "np")
 
     @classmethod
     def build(cls, n: int, np_: int) -> "PairVariables":
+        return cls(n, np_)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The variable table, in index order, built anew on each read."""
+        n, np_ = self.n, self.np
         names = [f"A[{i},{a}]" for i in range(1, n + 1) for a in range(1, n + 1)]
         names += [f"B[{j},{b}]" for j in range(1, np_ + 1) for b in range(1, np_ + 1)]
         names += [f"Q[{t}]" for t in range(1, n + 1)]
         names += [f"Q'[{u}]" for u in range(1, np_ + 1)]
-        return cls(n, np_, tuple(names))
+        return tuple(names)
 
     def a_idx(self, i: int, a: int) -> int:
         return (i - 1) * self.n + (a - 1)
@@ -515,8 +496,7 @@ def _kronecker_column_sign(cols: list[tuple[tuple, int, int, int]], np_: int) ->
 
     A⊗B orders its columns (a, b) lexicographically, like Mat1 its rows.
     """
-    order = [(a - 1) * np_ + (b - 1) for _, a, b, _ in cols]
-    return -1 if _parity(order) else 1
+    return -1 if _parity([(a - 1) * np_ + (b - 1) for _, a, b, _ in cols]) else 1
 
 
 def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
@@ -524,19 +504,17 @@ def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
 
     Rows run over (i, j) lexicographically; the entry in the column
     (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as the one-term dict {key: 1}.
-    The cleared key is Π Q_a Q'_b over the scaled columns.  A column count
-    other than nn' raises ``ValueError``.
+    The cleared key is Π Q_a Q'_b over the scaled columns, and its bound
+    its largest exponent.  A column count other than nn' raises
+    ``ValueError``.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
     cols = _mat1_columns(ctx)
     if len(cols) != n * np_:
         raise ValueError(f"matrix is not square: {len(cols)} columns for {n * np_} rows")
-    unit = [1 << (_WIDTH * v) for v in range(len(pv.names))]
-    exps: Counter[int] = Counter()
-    for _, a, b, s in cols:
-        exps[pv.q_idx(a)] += s
-        exps[pv.qp_idx(b)] += s
+    nv = pv.qp_idx(np_) + 1
+    unit = [1 << (_WIDTH * v) for v in range(nv)]
     periods = [s * (unit[pv.q_idx(a)] + unit[pv.qp_idx(b)]) for _, a, b, s in cols]
     a_rows = [
         [unit[pv.a_idx(i, a)] - p for (_, a, _, _), p in zip(cols, periods)]
@@ -546,7 +524,8 @@ def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
     rows = [
         [{ka + kb: 1} for ka, kb in zip(a_row, b_row)] for a_row in a_rows for b_row in b_rows
     ]
-    return pv, rows, sum(periods), max(exps.values()), _kronecker_column_sign(cols, np_)
+    cleared = sum(periods)
+    return pv, rows, cleared, max(_unpack(cleared, nv)), _kronecker_column_sign(cols, np_)
 
 
 def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
@@ -565,8 +544,11 @@ def cleared_period_product(ctx: PairContext) -> LaurentPoly:
     return LaurentPoly(pv.names, {key: 1}, _checked(bound))
 
 
-def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
-    """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum of bound 1."""
+def _generic_det(idx, k: int) -> dict[int, int]:
+    """det of the k x k matrix of distinct variables idx(i, a), as a Leibniz sum on packed keys.
+
+    Each term is ±1 times k distinct variables, so the sum has bound 1.
+    """
     # Row i taking the r-th free column, from 0, puts it before the r
     # smaller ones that later rows take: r inversions.
     terms = [(0, 1, tuple(range(1, k + 1)))]
@@ -577,23 +559,22 @@ def _generic_det(names: tuple[str, ...], idx, k: int) -> LaurentPoly:
             for key, sign, free in terms
             for r, a in enumerate(free)
         ]
-    return LaurentPoly(names, {key: sign for key, sign, _ in terms}, 1)
+    return {key: sign for key, sign, _ in terms}
 
 
-def _inputs(ctx: PairContext) -> tuple[list, int, LaurentPoly, LaurentPoly, int]:
+def _inputs(ctx: PairContext) -> tuple[list, int, dict[int, int], dict[int, int], int]:
     """(Mat1's rows with row 0 cleared, their row-max bound, det(A), det(B), sgn σ): step 1."""
-    n, np_ = ctx.M.rank, ctx.Mp.rank
     pv, rows, cleared, cleared_bound, sign = _layout(ctx)
     rows[0] = [{key + cleared: 1} for entry in rows[0] for key in entry]
-    det_a = _generic_det(pv.names, pv.a_idx, n)
-    det_b = _generic_det(pv.names, pv.b_idx, np_)
+    det_a, det_b = _generic_det(pv.a_idx, pv.n), _generic_det(pv.b_idx, pv.np)
     return rows, len(rows) + cleared_bound, det_a, det_b, sign
 
 
-def _blocks(groups: list, n: int, det_a: dict[int, int]) -> tuple[int, int] | None:
+def _blocks(groups: list, shifts: list, n: int, det_a: dict) -> tuple[int, int] | None:
     """(u, K) with det(Mat1)·cleared = u·x^K·det(A)^n' det(B)^n by step 3, else None.
 
-    ``groups`` are the n factored groups, each class set's minor {s_i: c_i}.
+    ``groups`` are the n groups' class sets from ``_minors``, and ``shifts``
+    each class set's (c_i, s_i) from its test against det(B).
     """
     splits = [classes for group in groups for _, classes in group]
     cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes in splits}
@@ -603,10 +584,8 @@ def _blocks(groups: list, n: int, det_a: dict[int, int]) -> tuple[int, int] | No
     (cut,) = cuts
     order = [bit for cols in cut for bit in cols]
     unit = (-1) ** (comb(n, 2) * comb(len(cut), 2) + _parity(order))
-    key = 0
-    for ((minor, _),) in groups:
-        ((s, c),) = minor.items()
-        unit, key = unit * c, key + s
+    unit *= prod(c for ((c, _),) in shifts)
+    key = sum(s for ((_, s),) in shifts)
     # A class of other than n columns leaves a block short of n columns,
     # whose determinant is {}: its test declines.
     for b in range(len(cut)):
@@ -628,11 +607,12 @@ class VerificationReport(Frozen):
     n' rows, ``factored`` counts the groups whose class set minors all
     tested as monomials times det(B), and ``unfactored`` is the index, from
     0, of the first that did not, or None (step 2).  ``blocks`` is n' when
-    the column-class blocks decided (step 3), or None when the combining
-    pass did (step 5).  ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the
-    one lazy member, multiplied out on its first read by the stored
-    callable ``_rhs``; nothing in the package reads it, only the benchmark
-    does.
+    every column-class block tested as a monomial times det(A) (step 3),
+    else None; a step that declines leaves ``sign`` None, and ``factored``
+    below n or ``blocks`` None names it (step 4).  ``rhs``,
+    predicted_sign·det(A)^n' det(B)^n, is the one lazy member, built with
+    its variable table on its first read by the stored callable ``_rhs``;
+    nothing in the package reads it, only the benchmark does.
     """
 
     __slots__ = (
@@ -650,8 +630,8 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
 
     The inputs come from one layout (step 1), and each group of n' rows is
     tested against det(B) (step 2).  If all groups factor alike, the
-    column-class blocks tested against det(A) decide (steps 3 and 4), else
-    the combining pass does (step 5).
+    column-class blocks tested against det(A) decide (steps 3 and 4);
+    otherwise the check declines, and ``sign`` is None.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
@@ -659,28 +639,22 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     bound = _checked(bound)
     groups = [_minors(rows[start : start + np_]) for start in range(0, len(rows), np_)]
     nonzero_minors = tuple(sum(prod(map(len, classes)) for _, classes in group) for group in groups)
-    factored, unfactored = 0, None
-    for at, group in enumerate(groups):
-        shifts = [_shift(minor, det_b._keys) for minor, _ in group]
-        if None not in shifts:
-            groups[at] = [({s: c}, classes) for (c, s), (_, classes) in zip(shifts, group)]
-            factored += 1
-        elif unfactored is None:
-            unfactored = at
+    shifts = [[_shift(minor, det_b) for minor, _ in group] for group in groups]
+    factored = sum(None not in found for found in shifts)
+    unfactored = next((at for at, found in enumerate(shifts) if None in found), None)
     # Steps 3 and 4: on Mat1's i-blocks the columns of one b-index form a
     # class, so every group factors alike.
-    found = _blocks(groups, n, det_a._keys) if factored == n else None
-    if found is not None:
-        unit, key = found
-        sign = unit if key == 0 and unit in (1, -1) else None
-    else:
-        # Step 5.
-        out = _combined(map(_expanded, groups), n * np_)
-        want = det_a ** np_ * det_b ** (n - factored)
-        sign = 1 if out == want._keys else -1 if out == (-want)._keys else None
-    # Negate the small factor, not a copy of the product.
-    rhs = cache(lambda: (det_a ** np_ if predicted > 0 else -det_a ** np_) * det_b ** n)
+    found = _blocks(groups, shifts, n, det_a) if factored == n else None
+    unit, key = found or (None, None)
+    sign = unit if key == 0 and unit in (1, -1) else None
+
+    def rhs() -> LaurentPoly:
+        names = PairVariables.build(n, np_).names
+        a_power = LaurentPoly(names, det_a, 1) ** np_
+        # Negate the small factor, not a copy of the product.
+        return (a_power if predicted > 0 else -a_power) * LaurentPoly(names, det_b, 1) ** n
+
     return VerificationReport(
         n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, unfactored,
-        None if found is None else np_, rhs,
+        None if found is None else np_, cache(rhs),
     )

@@ -270,8 +270,8 @@ def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
     every = [(n, np_, slots) for (n, np_), tabs in tableaux.items() for slots in tabs]
 
     # sym_det is the plain row-by-row run of the DP that summed ring products
-    # and the check's combining pass run too; naive_det is an independent
-    # permutation sum.
+    # and the check's column-class blocks run too; naive_det is an
+    # independent permutation sum.
     def det_vs_naive(rng, _):
         vars_ = tuple(f"x{i}" for i in range(4))
         k = rng.randint(1, 4)

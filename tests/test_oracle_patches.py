@@ -14,14 +14,14 @@ from pathlib import Path
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
-    # Fault injection: _tamper and _forced_fallback forge what the tests
-    # against det(B), one per class set of proportional columns, find.
-    "_shift": "forges a class set's test against det(B), to leave its group "
-    "unfactored or give its member sets a wrong shift or unit",
+    # Fault injection: _tamper and _unfactored_first_group forge what the
+    # tests against det(B), one per class set of proportional columns, find.
+    "_shift": "forges a class set's test against det(B), to leave its group unfactored, "
+    "so that the check declines at step 2, or give the group a wrong shift or unit",
     # _tamper_blocks forges what the tests against det(A), one per
     # column-class block, find.
     "_block_shift": "forges a column-class block's test against det(A), to decline it, so "
-    "that the combining pass decides, or give it a wrong shift or unit",
+    "that the check declines at step 3, or give it a wrong shift or unit",
     "_inputs": "swaps in a crafted A⊗B whose rows sum past half the field, with its det(A) "
     "and det(B); or gives the check's own inputs a flipped predicted sign or a bound past "
     "the field",
