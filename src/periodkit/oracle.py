@@ -9,38 +9,45 @@ in these steps; the code cites them by number.
    Q'_u, Mat1's columns are those of A⊗B, permuted by σ, with the T-block
    columns scaled by inverse periods, so sgn(σ) is predicted, not fitted.
    One column list and the index arithmetic of ``PairVariables`` give
-   Mat1's rows as one-term keys of coefficient 1, the cleared period
-   monomial added to row 0's keys (a determinant is linear in each row),
-   the exponent bound, sgn(σ), and det(A) and det(B) as Leibniz sums,
-   which share no code with the DP.  No variable name is built.
+   Mat1's entries as bare keys (every entry is one term of coefficient
+   1), the cleared period monomial's key, kept out of the rows for the
+   final key sum, the exponent bound, sgn(σ), and det(A) and det(B) as
+   Leibniz sums, which share no code with the DP.  No variable name is
+   built.
 2. Groups against det(B).  The determinant is Laplace's expansion, one DP
    over column subsets, run over Mat1's n groups of n' rows.  A group's
    columns equal up to x^e on all its rows form a class, in Mat1 the n
-   columns of one b-index, so the group's pass runs once, over the
-   primitive columns, and a member set's minor is ±x^Σe times its class
-   set's; a set holding two columns of one class is zero and never built.
-   Each class set's minor is tested once against det(B); if each is
-   c_i·x^(s_i)·det(B), group i factors.
+   columns of one b-index; e is the column's row-0 key, and the columns
+   less their e, one per class, are the group's primitive matrix.  A
+   member set's minor is ±x^Σe times its class set's; a set holding two
+   columns of one class is zero and never built.  The DP, and the test of
+   each class set's minor against det(B), run once per distinct primitive
+   matrix, found by comparing the matrices; on Mat1 all n groups have one.
+   If each minor is c_i·x^(s_i)·det(B), group i factors.
 3. Blocks against det(A).  If every group factors with one class set, and
    all split the columns into the same n' classes of n columns, then
-   det(Mat1)·cleared = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has
-   x^e in each member column of class k of group i.  Listing N's rows class
-   by class and its columns class after class makes it block diagonal (the
+   det(Mat1) = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has x^e in
+   each member column of class k of group i.  Listing N's rows class by
+   class and its columns class after class makes it block diagonal (the
    Kronecker factorization, Horn and Johnson, *Topics in Matrix Analysis*,
    §4.2): det(N) = ε·Π det(N_b), with ε = (-1)^(C(n,2)·C(n',2)) times the
-   sign of that column order.  Each n x n block N_b is tested against
-   det(A), as d_b·x^(t_b)·det(A).
+   sign of that column order.  Dividing each column of the n x n block N_b
+   by its row-0 key and sorting the columns gives its canonical form:
+   det(N_b) = π_b·x^(Σe_0)·det(canonical), π_b the sign of the sort and
+   Σe_0 the row-0 keys divided out.  The DP, and the test against det(A),
+   as d·x^t·det(A), run once per distinct canonical block; on Mat1 all n'
+   blocks have one.
 4. Exactness.  Each exponent is a signed 8-bit field of one integer key,
    and packing maps the ring homomorphically into Laurent polynomials in
    one variable, where the DP and the tests run.  There it is injective on
    polynomials whose exponents stay below 128, as both sides' do (the
    bound is checked), and there are no zero divisors.  So the identity
-   holds with sign u = ε·Πc_i·Πd_b exactly when Σs_i + Σt_b is the zero
-   key and u is ±1.  A group that does not factor, groups that split the
-   columns otherwise, or a block that is no monomial times det(A) leaves
-   no sign: the check declines at that step.
+   holds with sign u = ε·Πc_i·Ππ_b·d_b exactly when K + cleared is the
+   zero key, K = Σs_i + Σ(Σe_0 + t) over the blocks, and u is ±1.  A group
+   that does not factor, groups that split the columns otherwise, or a
+   block that is no monomial times det(A) leaves no sign: the check
+   declines at that step.
 """
-
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
@@ -337,34 +344,23 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     return states
 
 
-def _classes(rows: list[list[dict[int, int]]]) -> list[tuple[list[dict[int, int]], list]]:
-    """(primitive column, [(1 << c, e) for each member c]) per class, by first member.
+def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """{primitive column: [(1 << c, e) for each member c]}, in the order of first members.
 
-    A member is x^e times its class's primitive column, e its row 0 key; a
-    column not of one-term entries is a class of its own, with e = 0.
+    ``rows`` holds bare keys; a member is x^e times its class's primitive
+    column, e its row-0 key.
     """
     classes: dict = {}
     for c, column in enumerate(zip(*rows)):
-        signature, e = c, 0
-        if set(map(len, column)) == {1}:
-            e = next(iter(column[0]))
-            signature = tuple((k - e, x) for entry in column for k, x in entry.items())
-        if signature not in classes:
-            classes[signature] = ([{k - e: x for k, x in ent.items()} for ent in column], [])
-        classes[signature][1].append((1 << c, e))
-    return list(classes.values())
+        e = column[0]
+        classes.setdefault(tuple(k - e for k in column), []).append((1 << c, e))
+    return classes
 
 
-def _minors(rows: list[list[dict[int, int]]]) -> list[tuple[dict[int, int], list]]:
-    """(minor, its classes' member lists) for each class set of ``_classes`` with a nonzero minor."""
-    classes = _classes(rows)
-    primitive_rows = zip(*(column for column, _ in classes))
-    parts = [_part({1 << k: entry for k, entry in enumerate(row)}) for row in primitive_rows]
-    return [
-        (minor, [cols for k, (_, cols) in enumerate(classes) if used >> k & 1])
-        for used, minor in _laplace(parts, {0: {0: 1}}).items()
-        if minor
-    ]
+def _minors(primitive: tuple[tuple[int, ...], ...]) -> list[tuple[int, dict[int, int]]]:
+    """(class set, minor) for each set of the primitive columns with a nonzero minor."""
+    parts = [_part({1 << k: {key: 1} for k, key in enumerate(row)}) for row in zip(*primitive)]
+    return [(used, minor) for used, minor in _laplace(parts, {0: {0: 1}}).items() if minor]
 
 
 def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
@@ -499,11 +495,11 @@ def _kronecker_column_sign(cols: list[tuple[tuple, int, int, int]], np_: int) ->
     return -1 if _parity([(a - 1) * np_ + (b - 1) for _, a, b, _ in cols]) else 1
 
 
-def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
+def _layout(ctx: PairContext) -> tuple[PairVariables, list[list[int]], int, int, int]:
     """(variables, Mat1's rows, cleared key, its bound, sgn σ), from one column list.
 
     Rows run over (i, j) lexicographically; the entry in the column
-    (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as the one-term dict {key: 1}.
+    (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as its bare key.
     The cleared key is Π Q_a Q'_b over the scaled columns, and its bound
     its largest exponent.  A column count other than nn' raises
     ``ValueError``.
@@ -521,9 +517,7 @@ def _layout(ctx: PairContext) -> tuple[PairVariables, list, int, int, int]:
         for i in range(1, n + 1)
     ]
     b_rows = [[unit[pv.b_idx(j, b)] for _, _, b, _ in cols] for j in range(1, np_ + 1)]
-    rows = [
-        [{ka + kb: 1} for ka, kb in zip(a_row, b_row)] for a_row in a_rows for b_row in b_rows
-    ]
+    rows = [[ka + kb for ka, kb in zip(a_row, b_row)] for a_row in a_rows for b_row in b_rows]
     cleared = sum(periods)
     return pv, rows, cleared, max(_unpack(cleared, nv)), _kronecker_column_sign(cols, np_)
 
@@ -535,7 +529,8 @@ def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
     ``PairVariables``, read from the layout the check takes (``_layout``).
     """
     pv, rows, *_ = _layout(ctx)
-    return tuple(tuple(LaurentPoly(pv.names, entry, 1) for entry in row) for row in rows)
+    names = pv.names
+    return tuple(tuple(LaurentPoly(names, {key: 1}, 1) for key in row) for row in rows)
 
 
 def cleared_period_product(ctx: PairContext) -> LaurentPoly:
@@ -562,38 +557,45 @@ def _generic_det(idx, k: int) -> dict[int, int]:
     return {key: sign for key, sign, _ in terms}
 
 
-def _inputs(ctx: PairContext) -> tuple[list, int, dict[int, int], dict[int, int], int]:
-    """(Mat1's rows with row 0 cleared, their row-max bound, det(A), det(B), sgn σ): step 1."""
+def _inputs(ctx: PairContext) -> tuple[list[list[int]], int, int, dict, dict, int]:
+    """(Mat1's rows, cleared key, bound of det(Mat1)·cleared, det(A), det(B), sgn σ): step 1."""
     pv, rows, cleared, cleared_bound, sign = _layout(ctx)
-    rows[0] = [{key + cleared: 1} for entry in rows[0] for key in entry]
     det_a, det_b = _generic_det(pv.a_idx, pv.n), _generic_det(pv.b_idx, pv.np)
-    return rows, len(rows) + cleared_bound, det_a, det_b, sign
+    return rows, cleared, len(rows) + cleared_bound, det_a, det_b, sign
 
 
-def _blocks(groups: list, shifts: list, n: int, det_a: dict) -> tuple[int, int] | None:
-    """(u, K) with det(Mat1)·cleared = u·x^K·det(A)^n' det(B)^n by step 3, else None.
+def _blocks(groups: list, n: int, det_a: dict, tested: dict) -> tuple[int, int] | None:
+    """(u, K) with det(Mat1) = u·x^K·det(A)^n' det(B)^n by step 3, else None.
 
-    ``groups`` are the n groups' class sets from ``_minors``, and ``shifts``
-    each class set's (c_i, s_i) from its test against det(B).
+    ``groups`` holds each group's class sets, as (member lists, (c_i, s_i)
+    from the test against det(B)); ``tested`` maps each canonical block to
+    what its test against det(A) found.
     """
-    splits = [classes for group in groups for _, classes in group]
-    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes in splits}
+    splits = [class_set for group in groups for class_set in group]
+    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in splits}
     # Two class sets of one group split apart, so this is one set per group.
     if len(splits) != n or len(cuts) != 1:
         return None
     (cut,) = cuts
     order = [bit for cols in cut for bit in cols]
     unit = (-1) ** (comb(n, 2) * comb(len(cut), 2) + _parity(order))
-    unit *= prod(c for ((c, _),) in shifts)
-    key = sum(s for ((_, s),) in shifts)
-    # A class of other than n columns leaves a block short of n columns,
-    # whose determinant is {}: its test declines.
+    unit *= prod(c for _, (c, _) in splits)
+    key = sum(s for _, (_, s) in splits)
+    # Unless every class holds n columns, one holds fewer (the n' classes
+    # hold at most nn'), and its block's determinant on n columns is {}:
+    # its test declines.
     for b in range(len(cut)):
-        block = [{1 << r: {e: 1} for r, (_, e) in enumerate(classes[b])} for classes in splits]
-        found = _block_shift(_combined(block, n), det_a)
+        columns = list(zip(*([e for _, e in classes[b]] for classes, _ in splits)))
+        key += sum(column[0] for column in columns)
+        columns = [tuple(e - column[0] for e in column) for column in columns]
+        canonical = tuple(sorted(columns))
+        if canonical not in tested:
+            rows = ({1 << r: {col[i]: 1} for r, col in enumerate(canonical)} for i in range(n))
+            tested[canonical] = _block_shift(_combined(rows, n), det_a)
+        found = tested[canonical]
         if found is None:
             return None
-        unit, key = unit * found[0], key + found[1]
+        unit, key = unit * found[0] * (-1) ** _parity(columns), key + found[1]
     return unit, key
 
 
@@ -609,15 +611,18 @@ class VerificationReport(Frozen):
     0, of the first that did not, or None (step 2).  ``blocks`` is n' when
     every column-class block tested as a monomial times det(A) (step 3),
     else None; a step that declines leaves ``sign`` None, and ``factored``
-    below n or ``blocks`` None names it (step 4).  ``rhs``,
-    predicted_sign·det(A)^n' det(B)^n, is the one lazy member, built with
-    its variable table on its first read by the stored callable ``_rhs``;
-    nothing in the package reads it, only the benchmark does.
+    below n or ``blocks`` None names it (step 4).  ``tests`` counts the
+    tests made against det(B) and against det(A), one per class set of a
+    distinct primitive matrix and one per distinct canonical block: (1, 1)
+    on every Mat1.  ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one
+    lazy member, built with its variable table on its first read by the
+    stored callable ``_rhs``; nothing in the package reads it, only the
+    benchmark does.
     """
 
     __slots__ = (
         "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored",
-        "unfactored", "blocks", "_rhs",
+        "unfactored", "blocks", "tests", "_rhs",
     )
 
     @property
@@ -635,18 +640,28 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
-    rows, bound, det_a, det_b, predicted = _inputs(ctx)
+    rows, cleared, bound, det_a, det_b, predicted = _inputs(ctx)
     bound = _checked(bound)
-    groups = [_minors(rows[start : start + np_]) for start in range(0, len(rows), np_)]
-    nonzero_minors = tuple(sum(prod(map(len, classes)) for _, classes in group) for group in groups)
-    shifts = [[_shift(minor, det_b) for minor, _ in group] for group in groups]
-    factored = sum(None not in found for found in shifts)
-    unfactored = next((at for at, found in enumerate(shifts) if None in found), None)
-    # Steps 3 and 4: on Mat1's i-blocks the columns of one b-index form a
-    # class, so every group factors alike.
-    found = _blocks(groups, shifts, n, det_a) if factored == n else None
+    # Step 2: {primitive matrix: [(class set, its test against det(B))]}.
+    tested_b: dict = {}
+    groups = []
+    for start in range(0, len(rows), np_):
+        classes = _classes(rows[start : start + np_])
+        primitive = tuple(classes)
+        if primitive not in tested_b:
+            tested_b[primitive] = [(used, _shift(minor, det_b)) for used, minor in _minors(primitive)]
+        members = list(classes.values())
+        groups.append([
+            ([cols for k, cols in enumerate(members) if used >> k & 1], found)
+            for used, found in tested_b[primitive]
+        ])
+    nonzero_minors = tuple(sum(prod(map(len, cols)) for cols, _ in group) for group in groups)
+    unfactored = [at for at, group in enumerate(groups) if any(f is None for _, f in group)]
+    # Steps 3 and 4: {canonical block: its test against det(A)}.
+    tested_a: dict = {}
+    found = None if unfactored else _blocks(groups, n, det_a, tested_a)
     unit, key = found or (None, None)
-    sign = unit if key == 0 and unit in (1, -1) else None
+    sign = unit if unit in (1, -1) and key + cleared == 0 else None
 
     def rhs() -> LaurentPoly:
         names = PairVariables.build(n, np_).names
@@ -655,6 +670,8 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
         return (a_power if predicted > 0 else -a_power) * LaurentPoly(names, det_b, 1) ** n
 
     return VerificationReport(
-        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors, factored, unfactored,
-        None if found is None else np_, cache(rhs),
+        n * np_, sign == predicted, sign, predicted, bound, nonzero_minors,
+        n - len(unfactored), unfactored[0] if unfactored else None,
+        None if found is None else np_, (sum(map(len, tested_b.values())), len(tested_a)),
+        cache(rhs),
     )

@@ -24,6 +24,7 @@ from periodkit.oracle import (
     _pack,
     _product,
     _shift,
+    _summed_product,
     _unpack,
     build_mat1,
     cleared_period_product,
@@ -55,13 +56,13 @@ def _tamper(patch, ctx, against_b):
     ``against_b(k, found)`` takes the k-th test of a class set's minor
     against det(B), counted from 0, and returns what ``_shift`` reports
     instead.  Every test against det(B) is one of these: one per class set
-    of proportional columns, which on Mat1 is one per group of n' rows.
-    The column-class blocks' tests against det(A) go through a seam of
-    their own, ``_block_shift`` (``_tamper_blocks``).
+    of each distinct primitive matrix, which on Mat1 is one test that all n
+    groups of n' rows share.  The column-class blocks' tests against det(A)
+    go through a seam of their own, ``_block_shift`` (``_tamper_blocks``).
     """
     import periodkit.oracle as orc
 
-    det_b = orc._inputs(ctx)[3]
+    det_b = orc._inputs(ctx)[4]
     shift, tests_against_b = orc._shift, count()
 
     def spy(poly, ref):
@@ -76,12 +77,13 @@ def _tamper_blocks(patch, ctx, against_a):
 
     ``against_a(k, found)`` takes the k-th test of a column-class block's
     determinant against det(A), counted from 0, and returns what is
-    reported instead.  The check makes one per class, n' in all, once
-    every group has factored alike against det(B).
+    reported instead.  The check makes one per distinct canonical block,
+    once every group has factored alike against det(B): on Mat1 one test,
+    which all n' blocks share.
     """
     import periodkit.oracle as orc
 
-    det_a = orc._inputs(ctx)[2]
+    det_a = orc._inputs(ctx)[3]
     shift, tests_against_a = orc._block_shift, count()
 
     def spy(poly, ref):
@@ -91,17 +93,34 @@ def _tamper_blocks(patch, ctx, against_a):
     patch.setattr(orc, "_block_shift", spy)
 
 
-def _unfactored_first_group(patch, ctx):
+def _unfactored_groups(patch, ctx):
     """Report the first class set's minor tested against det(B) as not a multiple of it.
 
-    Its group, group 0, then does not factor, so only n - 1 groups do, and
+    On Mat1 every group shares that one test, so no group factors, and
     ``verify_proposition`` declines at step 2: no sign.
     """
     _tamper(patch, ctx, against_b=lambda k, found: None if k == 0 else found)
 
 
+def _bare(rows):
+    """The bare key of each entry of ``rows``, every one a monomial of coefficient 1."""
+    out = [[next(iter(entry._keys)) for entry in row] for row in rows]
+    assert [[{key: 1} for key in row] for row in out] == [[e._keys for e in row] for row in rows]
+    return out
+
+
+def _group_minors(rows):
+    """(minor, its classes' member lists) for each class set of a group of bare-key rows."""
+    classes = _classes(rows)
+    members = list(classes.values())
+    return [
+        (minor, [cols for k, cols in enumerate(members) if used >> k & 1])
+        for used, minor in _minors(tuple(classes))
+    ]
+
+
 def _expanded(group):
-    """{member column set: its minor} from what ``_minors`` gives.
+    """{member column set: its minor} from what ``_group_minors`` gives.
 
     A member set takes one column of each class of its set, and its minor
     is ±x^Σe times the class set's, the sign the parity of the members
@@ -254,29 +273,18 @@ def _accumulated(a, b):
 
 
 class TestProduct:
-    @pytest.fixture
-    def mul_adds(self, monkeypatch):
-        """How often ``_product`` falls back to the accumulating loop."""
-        import periodkit.oracle as orc
-
-        calls = []
-        summed_product = orc._summed_product
-
-        def spy(a, b):
-            calls.append(len(a) * len(b))
-            return summed_product(a, b)
-
-        monkeypatch.setattr(orc, "_summed_product", spy)
-        return calls
-
-    def test_pairs_that_meet_are_summed_and_zeros_dropped(self, mul_adds):
+    def test_pairs_that_meet_are_summed_and_zeros_dropped(self):
         x, y = LaurentPoly.monomial(XV, {0: 1}), LaurentPoly.monomial(XV, {1: 1})
         cancels = (x + y) * (x - y)
         assert cancels == x * x - y * y
         assert dict(cancels.terms) == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
         sums = (x + y) * (x + y)
         assert dict(sums.terms) == {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
-        assert mul_adds == [4, 4]
+        # In both, the pairs x·y and y·x meet, so the one comprehension keeps
+        # 3 keys of 4 pairs and the accumulating loop gives the product.
+        for a, b in ((x + y, x - y), (x + y, x + y)):
+            assert len({ka + kb for ka in a._keys for kb in b._keys}) == 3
+            assert _product(a._keys, b._keys) == _summed_product(a._keys, b._keys)
 
     def test_matches_an_accumulating_loop(self):
         rng = random.Random(69)
@@ -292,14 +300,18 @@ class TestProduct:
             assert got == _accumulated(p._keys, q._keys)
             assert 0 not in got.values()
 
-    def test_factors_in_disjoint_variables_take_one_comprehension(self, mul_adds):
+    def test_factors_in_disjoint_variables_take_one_comprehension(self):
+        # No two of the 12 term pairs meet, so the comprehension's keys are
+        # the product's, each pair's coefficient product as it is.
         x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         p = x * x - x * y + y - LaurentPoly.one(XV)
         q = z + z * w * w - LaurentPoly.monomial(XV, {3: -1})
         got = p * q
         assert len(got.terms) == len(p.terms) * len(q.terms) == 12
         assert got._keys == _accumulated(p._keys, q._keys)
-        assert mul_adds == []
+        assert got._keys == {
+            kp + kq: cp * cq for kp, cp in p._keys.items() for kq, cq in q._keys.items()
+        }
 
 
 class TestSymDet:
@@ -343,23 +355,13 @@ class TestSymDet:
             mx = tuple(rows)
             assert sym_det(mx) == naive_det(mx)
 
-    def test_rows_whose_two_by_two_minors_vanish(self, monkeypatch):
+    def test_rows_whose_two_by_two_minors_vanish(self):
         # The minor on columns {0, 1} of rows 0-1 and of rows 2-3 is zero,
         # and in the second matrix rows 0 and 1 are proportional, so every
         # minor of theirs is zero.  A zero partial determinant is not
-        # extended: a state it reached first would be empty until its zeros
-        # are dropped, and no state is.  Below, the state it alone would
-        # reach is never made.
+        # extended: the state it alone would reach is never made.
         import periodkit.oracle as orc
 
-        partials = []
-        drop_zeros = orc._drop_zeros
-
-        def spy(terms):
-            partials.append(len(terms))
-            drop_zeros(terms)
-
-        monkeypatch.setattr(orc, "_drop_zeros", spy)
         part = [(0b100, 0, {0: 1})]
         assert orc._laplace([part], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
         one = LaurentPoly.one(XV)
@@ -370,9 +372,7 @@ class TestSymDet:
             mx = (top, second, *bottom)
             want = naive_det(mx)
             assert (want == LaurentPoly.zero(XV)) is singular
-            partials.clear()
             assert sym_det(mx) == want
-            assert partials and 0 not in partials
 
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
         # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
@@ -403,8 +403,8 @@ class TestSymDet:
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A⊗B with exponents 20 and a bound of 80, checked by
         # verify_proposition in place of Mat1: both i-blocks factor against
-        # det(B), one test each, and the packed result decodes to the
-        # determinant.  A member set's shift s + e is its minor's exact
+        # det(B), by the one test of their one primitive matrix, and the
+        # packed result decodes to the determinant.  A member set's shift s + e is its minor's exact
         # quotient by det(B), a product of n' entries of a row of A, so the
         # bound that admits det(A)^n' keeps it inside the 8-bit field: here
         # it reaches 40.
@@ -427,13 +427,13 @@ class TestSymDet:
             for block in (a, b)
         ]
         assert [det._bound for det in dets] == [40, 40]
-        # The check's inputs, as its assembly gives them: the rows as
-        # packed keys, nothing cleared, their row-max bound, det(A), det(B)
-        # and a predicted sign of 1.
-        keys = [[entry._keys for entry in row] for row in rows]
+        # The check's inputs, as its assembly gives them: the rows as bare
+        # keys, nothing cleared, their row-max bound, det(A), det(B) and a
+        # predicted sign of 1.
+        keys = _bare(rows)
         row_max = sum(max(entry._bound for entry in row) for row in rows)
         det_keys = [det._keys for det in dets]
-        monkeypatch.setattr(orc, "_inputs", lambda ctx: (keys, row_max, *det_keys, 1))
+        monkeypatch.setattr(orc, "_inputs", lambda ctx: (keys, 0, row_max, *det_keys, 1))
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         shifts = []
         _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
@@ -441,6 +441,7 @@ class TestSymDet:
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         assert rep.ok and rep.sign == 1 and rep.factored == rep.blocks == 2
+        assert rep.tests == (1, 1)
         assert rep.bound == row_max == 82
         assert rep.nonzero_minors == (4, 4)
         # The right side's bound, 80 + 80, is past the field, so the
@@ -448,11 +449,12 @@ class TestSymDet:
         # true exponents fit.
         squares = [(det ** 2)._keys for det in dets]
         assert want._keys == _accumulated(*squares)
-        class_sets = [*_minors(keys[:2]), *_minors(keys[2:])]
-        assert len(shifts) == len(class_sets) == 2 and None not in shifts
+        class_sets = [*_group_minors(keys[:2]), *_group_minors(keys[2:])]
+        assert len(class_sets) == 2 and class_sets[0][0] == class_sets[1][0]
+        ((c, s),) = shifts
         members = [
             key
-            for (c, s), (_, classes) in zip(shifts, class_sets)
+            for _, classes in class_sets
             for minor in _expanded([({s: c}, classes)]).values()
             for key in minor
         ]
@@ -562,43 +564,61 @@ def _scaled(column, coeff=1, exps=(0, 0, 0, 0)):
 
 
 # (first column, second column, the row counts r for which the two are
-# proportional on rows 0..r-1, and those for which they share a class: are
-# equal up to x^e there).  The other columns are one-term entries.
+# proportional on rows 0..r-1).  The other columns are one-term entries.
 PROPORTIONAL_CASES = {
-    "by 2": (U, _scaled(U, 2), {2, 3, 4}, set()),
-    "by -1": (U, _scaled(U, -1), {2, 3, 4}, set()),
-    "by 2:3": (_scaled(U, 3), _scaled(U, 2), {2, 3, 4}, set()),
-    "by a Laurent monomial": (U, _scaled(U, 5, (-2, -1, 0, 0)), {2, 3, 4}, set()),
-    "by y^-1": (U, _scaled(U, 1, (0, -1, 0, 0)), {2, 3, 4}, {2, 3, 4}),
+    "by 2": (U, _scaled(U, 2), {2, 3, 4}),
+    "by -1": (U, _scaled(U, -1), {2, 3, 4}),
+    "by 2:3": (_scaled(U, 3), _scaled(U, 2), {2, 3, 4}),
+    "by a Laurent monomial": (U, _scaled(U, 5, (-2, -1, 0, 0)), {2, 3, 4}),
+    "by y^-1": (U, _scaled(U, 1, (0, -1, 0, 0)), {2, 3, 4}),
     "by x^-2·y^-1, coefficients -3": (
-        _scaled(U, -3), _scaled(U, -3, (-2, -1, 0, 0)), {2, 3, 4}, {2, 3, 4}),
+        _scaled(U, -3), _scaled(U, -3, (-2, -1, 0, 0)), {2, 3, 4}),
     "on all rows but the last, by coefficient": (
-        U, [*_scaled(U[:3], 2), _term(W, 3)], {2, 3}, set()),
-    "on all rows but the last, by y^-1": (
-        U, [*_scaled(U[:3], 1, (0, -1, 0, 0)), U[3]], {2, 3}, {2, 3}),
+        U, [*_scaled(U[:3], 2), _term(W, 3)], {2, 3}),
+    "on all rows but the last, by y^-1": (U, [*_scaled(U[:3], 1, (0, -1, 0, 0)), U[3]], {2, 3}),
     "on all rows but the second, by exponent": (
         U, [_term((1, 0, 1, 0), 2), _term(Y, 2), _term((0, 0, 2, 0), 2), _term((0, 0, 1, 1), 2)],
-        set(), set()),
-    "a zero entry": (
-        [U[0], LaurentPoly.zero(XV), U[2], U[3]], _scaled(U, 2), set(), set()),
+        set()),
+    "a zero entry": ([U[0], LaurentPoly.zero(XV), U[2], U[3]], _scaled(U, 2), set()),
     "zero entries on other rows": (
         [U[0], LaurentPoly.zero(XV), U[2], U[3]],
-        [*_scaled([U[0], U[2], U[3]], 2), LaurentPoly.zero(XV)], set(), set()),
-    "a two-term entry": ([U[0], U[1] + U[2], U[2], U[3]], _scaled(U, 2), set(), set()),
+        [*_scaled([U[0], U[2], U[3]], 2), LaurentPoly.zero(XV)], set()),
+    "a two-term entry": ([U[0], U[1] + U[2], U[2], U[3]], _scaled(U, 2), set()),
     "two-term entries on other rows": (
-        [U[0] + U[1], U[2], U[3], U[0]], [U[0], U[1] + U[2], U[3], U[0]], set(), set()),
+        [U[0] + U[1], U[2], U[3], U[0]], [U[0], U[1] + U[2], U[3], U[0]], set()),
 }
+PROPORTIONAL_OTHERS = (
+    [_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
+    [U[3], _term((1, 0, 1, 0), -1), U[1], _term((0, 0, 0, 0), 2)],
+)
+
+# (first column, second column, the row counts r for which the two share a
+# class: are equal up to x^e on rows 0..r-1).  Every entry is a bare
+# monomial, as in the check's inputs, and so are the other columns.
+CLASS_CASES = {
+    "equal": (U, U, {2, 3, 4}),
+    "by y^-1": (U, _scaled(U, 1, (0, -1, 0, 0)), {2, 3, 4}),
+    "by x^-2·y^-1": (U, _scaled(U, 1, (-2, -1, 0, 0)), {2, 3, 4}),
+    "on all rows but the last, by y^-1": (U, [*_scaled(U[:3], 1, (0, -1, 0, 0)), U[3]], {2, 3}),
+    "on all rows but the first, by y": (U, [U[0], *_scaled(U[1:], 1, (0, 1, 0, 0))], set()),
+    "on all rows but the second, by z": (
+        U, [_term((1, 0, 1, 0)), _term(Y), _term((0, 0, 2, 0)), _term((0, 0, 1, 1))], set()),
+}
+CLASS_OTHERS = (
+    [_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
+    [U[3], _term((1, 0, 1, 0)), U[1], _term((0, 0, 0, 0))],
+)
 
 
 def _class_members(rows):
     """The member columns of each class of ``_classes``, in its order."""
-    return [[bit.bit_length() - 1 for bit, _ in members] for _, members in _classes(rows)]
+    return [[bit.bit_length() - 1 for bit, _ in members] for members in _classes(rows).values()]
 
 
 def _grouped_det(keys, size):
     """The check's grouped pass: the DP over each block of ``size`` rows' member set minors."""
     blocks = (keys[start : start + size] for start in range(0, len(keys), size))
-    return _combined((_expanded(_minors(block)) for block in blocks), len(keys))
+    return _combined((_expanded(_group_minors(block)) for block in blocks), len(keys))
 
 
 class TestProportionalColumns:
@@ -606,16 +626,36 @@ class TestProportionalColumns:
 
     @pytest.mark.parametrize("case", PROPORTIONAL_CASES)
     def test_sym_det_is_exact_at_every_group_size(self, case):
-        # sym_det runs the rows one at a time; the check's grouped pass runs
-        # blocks of 1 to 4 rows, whose member sets span several columns.
-        first, second, proportional_on, shared_on = PROPORTIONAL_CASES[case]
-        others = ([_term((0, 1, 1, 0)), U[3], _term((2, 0, 0, 0)), U[1]],
-                  [U[3], _term((1, 0, 1, 0), -1), U[1], _term((0, 0, 0, 0), 2)])
-        mx = tuple(zip(first, second, *others))
+        # sym_det runs the rows one at a time; the DP over blocks of 1 to 4
+        # rows, each block given as its minors on every column set, gives
+        # the same determinant, whose member sets span several columns.
+        first, second, proportional_on = PROPORTIONAL_CASES[case]
+        mx = tuple(zip(first, second, *PROPORTIONAL_OTHERS))
         want = naive_det(mx)
         assert (want == LaurentPoly.zero(XV)) is (4 in proportional_on), case
         assert sym_det(mx) == want, case
-        keys = [[entry._keys for entry in row] for row in mx]
+        for size in (1, 2, 3, 4):
+            blocks = (mx[start : start + size] for start in range(0, 4, size))
+            groups = [
+                {
+                    sum(1 << c for c in cols): naive_det(
+                        tuple(tuple(row[c] for c in cols) for row in block)
+                    )._keys
+                    for cols in combinations(range(4), len(block))
+                }
+                for block in blocks
+            ]
+            assert _combined(groups, 4) == want._keys, (case, size)
+
+    @pytest.mark.parametrize("case", CLASS_CASES)
+    def test_the_grouped_pass_is_exact_at_every_group_size(self, case):
+        # The check's grouped pass, over bare keys, runs blocks of 1 to 4
+        # rows through the classes that _classes finds.
+        first, second, shared_on = CLASS_CASES[case]
+        mx = tuple(zip(first, second, *CLASS_OTHERS))
+        want = naive_det(mx)
+        assert (want == LaurentPoly.zero(XV)) is (4 in shared_on), case
+        keys = _bare(mx)
         for size in (1, 2, 3, 4):
             assert _grouped_det(keys, size) == want._keys, (case, size)
         for r in (2, 3, 4):
@@ -625,43 +665,34 @@ class TestProportionalColumns:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_class_minors_expand_to_every_minor(self, r):
-        # Blocks of r rows and twelve columns: four columns each with copies
-        # by the ratios 2, -1, 2:3 and 5·x^-2·y^-1, which keep their drifts
-        # but not their coefficients, so each is a class of its own, and one
-        # class planted by the ratio x·w^-2.  Beside them, copies of a column
-        # of the first three: one with an entry zero, one with an entry of
-        # two terms, and one with a coefficient doubled.  On one row, every
-        # one-term entry of a coefficient is x^e times every other, so those
-        # share a class.  Each member set's minor is naive_det on its
-        # columns, and every column set _minors leaves out is zero.
+        # Blocks of r rows and ten bare-key columns: four random columns,
+        # copies of three of them by a monomial x^e, which share their
+        # classes, and a copy of the fourth, and a copy of the first by a
+        # monomial, with one entry past row 0 moved off the class: classes
+        # of their own.  On one row every column is x^e times every other,
+        # so all share one class.  Each member set's minor is naive_det on
+        # its columns, and every column set _group_minors leaves out is zero.
         rng = random.Random(f"class minors/{r}")
+
+        def monomial():
+            return tuple(rng.randint(-2, 2) for _ in XV)
+
         for _ in range(4):
-            base = [
-                [
-                    _term(tuple(rng.randint(-2, 2) for _ in XV), rng.choice((-3, -1, 1, 2)))
-                    for _ in range(r)
-                ]
-                for _ in range(4)
-            ]
-            zero, two, odd = _scaled(base[0], 3), _scaled(base[1], 2), _scaled(base[2])
-            zero[rng.randrange(r)] = LaurentPoly.zero(XV)
-            two[rng.randrange(r)] += _term(W, rng.choice((-1, 1)))
-            odd[rng.randrange(r)] *= _term((0, 0, 0, 0), 2)
+            base = [[_term(monomial()) for _ in range(r)] for _ in range(4)]
+            moved = _scaled(base[0], 1, monomial())
+            if r > 1:
+                moved[rng.randrange(1, r)] *= _term(W)
             cols = [
-                base[0], _scaled(base[0], 2), base[1], _scaled(base[1], -1),
-                _scaled(base[2], 3), _scaled(base[2], 2), base[3],
-                _scaled(base[3], 5, (-2, -1, 0, 0)), zero, two, odd,
+                base[0], _scaled(base[0], 1, monomial()), base[1], _scaled(base[1], 1, monomial()),
+                base[2], _scaled(base[2], 1, monomial()), base[3], _scaled(base[3]), moved,
                 _scaled(base[0], 1, (1, 0, 0, -2)),
             ]
             rng.shuffle(cols)
             rows = [[col[i] for col in cols] for i in range(r)]
-            keys = [[entry._keys for entry in row] for row in rows]
-            tops = [entry._keys for entry in rows[0]]
-            coefficients = {tuple(top.values()) for top in tops if len(top) == 1}
-            one_row = len(coefficients) + sum(len(top) != 1 for top in tops)
-            assert len(_class_members(keys)) == (11 if r > 1 else one_row)
-            subsets = {sum(1 << c for c in s): s for s in combinations(range(12), r)}
-            got = _expanded(_minors(keys))
+            keys = _bare(rows)
+            assert len(_class_members(keys)) == (5 if r > 1 else 1)
+            subsets = {sum(1 << c for c in s): s for s in combinations(range(10), r)}
+            got = _expanded(_group_minors(keys))
             assert set(got) <= set(subsets)
             for bits, subset in subsets.items():
                 want = naive_det(tuple(tuple(row[c] for c in subset) for row in rows))
@@ -679,9 +710,7 @@ class TestProportionalColumns:
             tuple(t((0, 0, 0, 0), c) for c in (3, -1, 1, 1)),
         )
         assert sum(max(entry._bound for entry in row) for row in rows) == 127
-        keys = [[entry._keys for entry in row] for row in rows]
-        assert _class_members(keys[:2]) == [[0, 1], [2], [3]]
-        assert _class_members(keys[:3]) == [[0], [1], [2], [3]]
+        assert _class_members(_bare(rows[:2])) == [[0, 1], [2], [3]]
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         assert sym_det(rows) == want
@@ -700,11 +729,11 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
         for cols in combinations(range(n * np_), np_)
         if len({b_of[c] for c in cols}) == np_
     }
-    block = [[entry._keys for entry in row] for row in build_mat1(ctx)[:np_]]
+    block = _bare(build_mat1(ctx)[:np_])
     classes = _class_members(block)
     assert sorted({b_of[c] for c in cols} for cols in classes) == [{b} for b in range(1, np_ + 1)]
     assert [len(cols) for cols in classes] == [n] * np_
-    minors = _minors(block)
+    minors = _group_minors(block)
     expanded = _expanded(minors)
     assert len(minors) == 1 and set(expanded) == want and len(want) == n ** np_
     assert all(expanded.values())
@@ -712,18 +741,17 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_the_check_takes_the_layout_the_public_wrappers_read(n, np_):
-    # verify_proposition expands the key rows of _inputs: build_mat1's
-    # keys, row 0 shifted by cleared_period_product's key.  Their bound is
-    # the row-max sum of that matrix with row 0 multiplied out, and their
-    # sign is _kronecker_column_sign's, on every tableau of the shape.
+    # verify_proposition expands the key rows of _inputs, build_mat1's bare
+    # keys, and adds cleared_period_product's key to the final key sum.
+    # Their bound is the row-max sum of Mat1 with row 0 multiplied by the
+    # cleared monomial, and their sign is _kronecker_column_sign's, on
+    # every tableau of the shape.
     for slots in combinations(range(n + np_), n):
         ctx = PairContext.build(*pair_of_shape(n, np_, slots))
-        rows, bound, det_a, det_b, sign = _inputs(ctx)
+        rows, cleared_key, bound, det_a, det_b, sign = _inputs(ctx)
         mat1, cleared = build_mat1(ctx), cleared_period_product(ctx)
-        ((shift, coeff),) = cleared._keys.items()
-        want = [[dict(entry._keys) for entry in row] for row in mat1]
-        want[0] = [{key + shift: c for key, c in entry.items()} for entry in want[0]]
-        assert coeff == 1 and rows == want, (n, np_, slots)
+        assert rows == _bare(mat1), (n, np_, slots)
+        assert cleared._keys == {cleared_key: 1}, (n, np_, slots)
         scaled = (tuple(entry * cleared for entry in mat1[0]), *mat1[1:])
         assert bound == sum(max(entry._bound for entry in row) for row in scaled), slots
         assert sign == _kronecker_column_sign(_mat1_columns(ctx), np_), (n, np_, slots)
@@ -758,6 +786,15 @@ class TestMat1:
         )
         assert mx[0][0] == want
         assert [desc for desc, *_ in _mat1_columns(ctx)] == [("T-complement", 1, 1)]
+
+    @pytest.mark.parametrize("n, np_", [(1, 1), (3, 4), (4, 3)])
+    def test_every_entry_shares_one_variable_table(self, n, np_):
+        # build_mat1 reads PairVariables.names once, so every entry holds
+        # the same tuple, and an operation on two entries finds their tables
+        # equal by identity.
+        mx = build_mat1(PairContext.build(*pair_of_shape(n, np_, range(n))))
+        assert len({id(entry.vars) for row in mx for entry in row}) == 1
+        assert mx[0][0].vars == PairVariables.build(n, np_).names
 
     def test_column_count_is_nn(self):
         rng = random.Random(62)
@@ -892,7 +929,7 @@ class TestPackedRing:
 
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         inputs = orc._inputs
-        monkeypatch.setattr(orc, "_inputs", lambda c: (inputs(c)[0], 128, *inputs(c)[2:]))
+        monkeypatch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:2], 128, *inputs(c)[3:]))
         with pytest.raises(OverflowError, match="bound 128"):
             verify_proposition(ctx)
 
@@ -989,8 +1026,8 @@ class TestPredictedSign:
         assert shapes == 3418
 
     def test_wrong_prediction_fails_the_check(self, monkeypatch):
-        # On every shape, with every group factored and with one group not:
-        # the first keeps the sign it observes, the second observes none.
+        # On every shape, with every group factored and with none: the
+        # first keeps the sign it observes, the second observes none.
         import periodkit.oracle as orc
 
         inputs = orc._inputs
@@ -999,11 +1036,11 @@ class TestPredictedSign:
             right = verify_proposition(ctx)
             with monkeypatch.context() as patch:
                 # The check's own inputs, with the predicted sign flipped.
-                patch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:4], -right.predicted_sign))
+                patch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:5], -right.predicted_sign))
                 wrong = verify_proposition(ctx)
-                _unfactored_first_group(patch, ctx)
+                _unfactored_groups(patch, ctx)
                 forced = verify_proposition(ctx)
-            assert (wrong.factored, forced.factored) == (n, n - 1)
+            assert (wrong.factored, forced.factored) == (n, 0)
             assert (wrong.unfactored, forced.unfactored) == (None, 0)
             assert (wrong.blocks, forced.blocks) == (np_, None)
             assert forced.predicted_sign == wrong.predicted_sign == -right.predicted_sign
@@ -1013,30 +1050,83 @@ class TestPredictedSign:
 
 
 # The fields a step that declines leaves as they are: all but ok and sign,
-# which it clears, and factored, unfactored and blocks, which name the step.
+# which it clears, and factored, unfactored, blocks and tests, which name
+# the step.
 KEPT_FIELDS = ("size", "predicted_sign", "bound", "nonzero_minors", "rhs")
+
+
+def _poly(names, key):
+    """The monomial of ``key`` over ``names``, with its bound."""
+    return LaurentPoly(names, {key: 1}, max(map(abs, _unpack(key, len(names)))))
+
+
+def _distinct_groups(ctx, m):
+    """The check's inputs for ``ctx``, the last row of group 1 multiplied by x^m.
+
+    That row's primitive entries move by m, so group 1's primitive matrix
+    is no other group's.  The cleared key gives up m, so the rows'
+    determinant times the cleared monomial is Mat1's, with its bound.
+    """
+    rows, cleared, *rest = _inputs(ctx)
+    last = 2 * ctx.Mp.rank - 1
+    rows[last] = [key + m for key in rows[last]]
+    return (rows, cleared - m, *rest)
+
+
+def _distinct_blocks(ctx, m):
+    """The check's inputs for ``ctx``, each column of b-index b times x^((b-1)m) on group 1's rows.
+
+    Row 1 of column-class block b moves by (b-1)m, so no two blocks share
+    a canonical form; the groups' primitive matrices stay as they are.
+    Block b's determinant gains x^((b-1)m), so the cleared key gives up
+    C(n', 2)·m, and the rows' determinant times the cleared monomial is
+    Mat1's, with its bound.
+    """
+    rows, cleared, *rest = _inputs(ctx)
+    np_ = ctx.Mp.rank
+    b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
+    for r in range(np_, 2 * np_):
+        rows[r] = [key + (b - 1) * m for key, b in zip(rows[r], b_of)]
+    return (rows, cleared - comb(np_, 2) * m, *rest)
+
+
+def _a11_over_q1(n, np_):
+    """The key of A[1,1]·Q[1]^-1 in the variables of an n x n' pair."""
+    pv = PairVariables.build(n, np_)
+    return _pack([(pv.a_idx(1, 1), 1), (pv.q_idx(1), -1)])
 
 
 class TestFactoredCheck:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
     def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch):
-        # With group 0 forced unfactored, the check declines at step 2: no
-        # sign, group 0 named, no blocks, and every other field kept.
+        # With the test against det(B) forced to fail, the check declines at
+        # step 2.  On Mat1 all n groups share that one test, so none
+        # factors: no sign, group 0 named, no blocks, no test against
+        # det(A), and every other field kept.
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         right = verify_proposition(ctx)
-        _unfactored_first_group(monkeypatch, ctx)
+        _unfactored_groups(monkeypatch, ctx)
         forced = verify_proposition(ctx)
         assert right.ok and (right.factored, right.unfactored, right.blocks) == (n, None, np_)
-        assert (forced.factored, forced.unfactored, forced.blocks) == (n - 1, 0, None)
+        assert (forced.factored, forced.unfactored, forced.blocks) == (0, 0, None)
+        assert (right.tests, forced.tests) == ((1, 1), (1, 0))
         assert forced.sign is None and not forced.ok
         for name in KEPT_FIELDS:
             assert getattr(forced, name) == getattr(right, name), name
 
     def test_the_dp_result_is_compared_with_what_the_factors_leave(self, monkeypatch):
+        # Mat1 at 2x2 with group 1's last row moved (_distinct_groups), so
+        # that each group's primitive matrix has a test of its own: test 0
+        # is group 0's, test 1 group 1's.
+        import periodkit.oracle as orc
+
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
+        inputs = _distinct_groups(ctx, _a11_over_q1(2, 2))
+        monkeypatch.setattr(orc, "_inputs", lambda c: inputs)
         right = verify_proposition(ctx)
         assert right.factored == 2 and right.ok and right.unfactored is None
+        assert right.tests == (2, 1)
         # A group that does not factor leaves the blocks nothing to decide:
         # the check observes no sign, and the report names the first group
         # that did not factor.
@@ -1050,14 +1140,16 @@ class TestFactoredCheck:
                 _tamper(patch, ctx, against_b)
                 rep = verify_proposition(ctx)
             assert (rep.factored, rep.unfactored, rep.blocks) == (factored, first, None), case
+            assert rep.tests == (2, 0), case
             assert rep.sign is None and not rep.ok, case
             for name in KEPT_FIELDS:
                 assert getattr(rep, name) == getattr(right, name), (case, name)
-        # One forged factor of one minor leaves what the blocks multiply
-        # out neither sign of the identity, and the check fails.
+        # One forged factor of one group's minor leaves what the blocks
+        # multiply out neither sign of the identity, and the check fails.
         forged = {
             "one shift e+1": lambda found: (found[0], found[1] + 1),
             "one unit doubled": lambda found: (2 * found[0], found[1]),
+            "one unit negated": lambda found: (-found[0], found[1]),
         }
         for case, forge in forged.items():
             with monkeypatch.context() as patch:
@@ -1065,7 +1157,97 @@ class TestFactoredCheck:
                 rep = verify_proposition(ctx)
             assert (rep.factored, rep.unfactored, rep.blocks) == (2, None, 2), case
             assert rep.predicted_sign == right.predicted_sign, case
-            assert rep.sign is None and not rep.ok, case
+            assert not rep.ok, case
+            negated = -right.predicted_sign if case == "one unit negated" else None
+            assert rep.sign == negated, case
+
+
+class TestDistinctMatrices:
+    """The check runs the DP once per distinct matrix, found by comparing the matrices."""
+
+    @pytest.mark.parametrize("n, np_", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("craft", [_distinct_groups, _distinct_blocks])
+    def test_each_distinct_matrix_is_run_and_the_sign_is_naive_dets(self, n, np_, craft, monkeypatch):
+        # On every tableau: _distinct_groups gives group 1 a primitive
+        # matrix of its own, so two are run against det(B) (groups 0 and 2
+        # share one); _distinct_blocks gives each of the n' blocks a
+        # canonical form of its own.  The crafted rows' determinant times
+        # the cleared monomial is naive_det's, and it is the observed sign
+        # times det(A)^n' det(B)^n.
+        import periodkit.oracle as orc
+
+        pv = PairVariables.build(n, np_)
+        names = pv.names
+        want_tests = (2, 1) if craft is _distinct_groups else (1, np_)
+        for slots in combinations(range(n + np_), n):
+            ctx = PairContext.build(*pair_of_shape(n, np_, slots))
+            mat1 = verify_proposition(ctx)
+            inputs = craft(ctx, _a11_over_q1(n, np_))
+            with monkeypatch.context() as patch:
+                patch.setattr(orc, "_inputs", lambda c: inputs)
+                rep = verify_proposition(ctx)
+            assert rep.tests == want_tests, slots
+            assert rep.ok and (rep.factored, rep.blocks) == (n, np_), slots
+            assert (rep.sign, rep.bound) == (mat1.sign, mat1.bound), slots
+            rows, cleared, _, det_a, det_b, _ = inputs
+            lhs = naive_det([[_poly(names, key) for key in row] for row in rows])
+            lhs = lhs * _poly(names, cleared)
+            unsigned = LaurentPoly(names, det_a, 1) ** np_ * LaurentPoly(names, det_b, 1) ** n
+            assert lhs == (unsigned if rep.sign == 1 else -unsigned), slots
+
+    @pytest.mark.parametrize("n, np_", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_blocks_whose_members_arrive_in_different_orders(self, n, np_, monkeypatch):
+        # A⊗B over the pair's variables, in place of Mat1, with its columns
+        # listed in an order π: every one at 2x2, 40 seeded ones past it.
+        # Its determinant is sgn(π)·det(A)^n' det(B)^n (Kronecker).  The
+        # members of a column-class block arrive in π's order, so blocks
+        # sort their columns with signs that differ, and the check finds
+        # sgn(π), which the Bareiss evaluation at a seeded point confirms.
+        import periodkit.oracle as orc
+
+        ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
+        pv = PairVariables.build(n, np_)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, np_ + 1)]
+        det_a, det_b = _generic_det(pv.a_idx, n), _generic_det(pv.b_idx, np_)
+        rng = random.Random(f"orders/{n}x{np_}")
+        size = n * np_
+        orders = (
+            permutations(range(size)) if size <= 4
+            else (rng.sample(range(size), size) for _ in range(40))
+        )
+        parities = set()
+        for order in orders:
+            cols = [pairs[c] for c in order]
+            rows = [
+                [_pack([(pv.a_idx(i, a), 1), (pv.b_idx(j, b), 1)]) for a, b in cols]
+                for i in range(1, n + 1)
+                for j in range(1, np_ + 1)
+            ]
+            inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1 :])
+            sign = (-1) ** inversions
+            # Each block's members in arrival order, by a-index, and whether
+            # they arrive in an even order.
+            arrivals = [[a for a, b in cols if b == b0] for b0 in range(1, np_ + 1)]
+            parities.add(tuple(
+                sum(x > y for k, x in enumerate(seq) for y in seq[k + 1 :]) % 2
+                for seq in arrivals
+            ))
+            inputs = (rows, 0, size, det_a, det_b, sign)
+            with monkeypatch.context() as patch:
+                patch.setattr(orc, "_inputs", lambda c: inputs)
+                rep = verify_proposition(ctx)
+            assert rep.ok and rep.sign == sign and rep.tests == (1, 1), order
+            point = [rng.choice((-1, 1)) * rng.randint(1, POINT_RANGE) for _ in pv.names]
+            values = [[prod(p ** e for p, e in zip(point, _unpack(key, len(point)))) for key in row]
+                      for row in rows]
+            da = _bareiss([[point[pv.a_idx(i, a)] for a in range(1, n + 1)] for i in range(1, n + 1)])
+            db = _bareiss(
+                [[point[pv.b_idx(j, b)] for b in range(1, np_ + 1)] for j in range(1, np_ + 1)]
+            )
+            assert Fraction(_bareiss(values), da ** np_ * db ** n) == sign, order
+        # Some orders bring one block's members in an even order and
+        # another's in an odd one.
+        assert any(len(set(p)) == 2 for p in parities)
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
@@ -1083,6 +1265,7 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
         assert rep.ok, (n, np_, slots)
         assert rep.factored == n and rep.unfactored is None, (n, np_, slots)
         assert rep.nonzero_minors == (n ** np_,) * n, (n, np_, slots)
+        assert rep.tests == (1, 1), (n, np_, slots)
         bounds.append(rep.bound)
     assert len(seen) == comb(n + np_, n)
     assert max(bounds) == n * np_ + max(n, np_) <= 16
@@ -1104,26 +1287,19 @@ def test_right_side_has_bound_n_plus_np(n, np_):
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-def test_every_row_block_of_mat1_factors(n, np_, monkeypatch):
+def test_every_row_block_of_mat1_factors(n, np_):
     # In verify_proposition, Mat1 goes in n groups of n' rows.  Each
-    # i-block has one class set, whose minor is tested once against det(B),
-    # and has n^n' nonzero minors, one per choice of n' distinct b-indices:
-    # each is ±monomial·det(B).  All split the columns by b-index, so the
-    # n' column-class blocks decide.  The DP runs on Mat1 alone: det(A)
-    # and det(B) are Leibniz sums, and sym_det never runs.
-    import periodkit.oracle as orc
-
+    # i-block has one class set and n^n' nonzero minors, one per choice of
+    # n' distinct b-indices: each is ±monomial·det(B).  All n groups have
+    # one primitive matrix, so its minor is tested once against det(B).
+    # All split the columns by b-index, so the n' column-class blocks
+    # decide, and all have one canonical form, tested once against det(A).
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
-    against_b = []
-    _tamper(monkeypatch, ctx, lambda k, found: against_b.append(found) or found)
-    sym_dets = []
-    monkeypatch.setattr(orc, "sym_det", lambda *args: sym_dets.append(args))
     rep = verify_proposition(ctx)
-    assert rep.ok and rep.factored == n and sym_dets == []
+    assert rep.ok and rep.factored == n
     assert rep.nonzero_minors == (n ** np_,) * n
-    assert len(against_b) == n
+    assert rep.tests == (1, 1)
     assert rep.blocks == np_
-    assert all(found is not None and found[0] in (1, -1) for found in against_b)
     pv = PairVariables.build(n, np_)
     assert len(_generic_det(pv.b_idx, np_)) == factorial(np_)
 
@@ -1234,18 +1410,31 @@ class TestColumnClassBlocks:
             rep = verify_proposition(ctx)
             _assert_the_evaluation_agrees(ctx, rep, rng)
             assert rep.ok and (rep.blocks, rep.factored, rep.unfactored) == (np_, n, None), slots
+            assert rep.tests == (1, 1), slots
 
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
     def test_a_forged_block_test_fails_the_check(self, n, np_, monkeypatch):
         # As a forged unit or shift of a group's test against det(B) does.
-        # A declined block test leaves blocks None: step 3 declined.
+        # A declined block test leaves blocks None: step 3 declined.  From
+        # n = 2 on, _distinct_blocks gives each block a test of its own, so
+        # test 0 forges block 0 alone.  At n = 1 every 1x1 block has the
+        # canonical form (x^0), so the n' blocks share test 0: a forged
+        # unit counts n' times, and a negated one cancels when n' is even.
+        import periodkit.oracle as orc
+
         ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
+        if n > 1:
+            inputs = _distinct_blocks(ctx, _a11_over_q1(n, np_))
+            monkeypatch.setattr(orc, "_inputs", lambda c: inputs)
         right = verify_proposition(ctx)
+        shared = np_ if n == 1 else 1
+        assert right.ok and right.tests == (1, np_ // shared)
+        negated = (-1) ** shared * right.predicted_sign
         forged = {
             "declined": (lambda found: None, None, None),
             "shift t+1": (lambda found: (found[0], found[1] + 1), None, np_),
             "unit d doubled": (lambda found: (2 * found[0], found[1]), None, np_),
-            "unit d negated": (lambda found: (-found[0], found[1]), -right.predicted_sign, np_),
+            "unit d negated": (lambda found: (-found[0], found[1]), negated, np_),
         }
         for case, (forge, sign, blocks) in forged.items():
             with monkeypatch.context() as patch:
@@ -1253,7 +1442,8 @@ class TestColumnClassBlocks:
                 rep = verify_proposition(ctx)
             assert (rep.blocks, rep.factored, rep.unfactored) == (blocks, n, None), case
             assert rep.predicted_sign == right.predicted_sign, case
-            assert rep.sign == sign and not rep.ok, case
+            assert rep.sign == sign, case
+            assert rep.ok is (sign == right.predicted_sign), case
 
     def test_groups_that_split_the_columns_otherwise_give_no_sign(self, monkeypatch):
         # A⊗B over x, y, z, w in place of Mat1, as in
@@ -1281,9 +1471,9 @@ class TestColumnClassBlocks:
         }
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         for case, rows in cases.items():
-            keys = [[entry._keys for entry in row] for row in rows]
+            keys = _bare(rows)
             bound = sum(max(e._bound for e in row) for row in rows)
-            inputs = (keys, bound, det_a._keys, det_b._keys, 1)
+            inputs = (keys, 0, bound, det_a._keys, det_b._keys, 1)
             with monkeypatch.context() as patch:
                 patch.setattr(orc, "_inputs", lambda ctx: inputs)
                 rep = verify_proposition(ctx)

@@ -2,10 +2,9 @@
 
 A test that only observes what ``verify_proposition`` did reads its
 report (``bound``, ``nonzero_minors``, ``factored``, ``unfactored``,
-``blocks``).  A patch of an oracle name is kept only where it injects a
-fault or crafted input, or observes what no report holds.  The scan
-reads ``tests/*.py`` with ``ast`` for ``setattr(<alias of
-periodkit.oracle>, "<name>", ...)``.
+``blocks``, ``tests``).  A patch of an oracle name is kept only where it
+injects a fault or crafted input.  The scan reads ``tests/*.py`` with
+``ast`` for ``setattr(<alias of periodkit.oracle>, "<name>", ...)``.
 """
 
 import ast
@@ -14,23 +13,20 @@ from pathlib import Path
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
-    # Fault injection: _tamper and _unfactored_first_group forge what the
-    # tests against det(B), one per class set of proportional columns, find.
-    "_shift": "forges a class set's test against det(B), to leave its group unfactored, "
-    "so that the check declines at step 2, or give the group a wrong shift or unit",
+    # _tamper and _unfactored_groups forge what the tests against det(B),
+    # one per class set of each distinct primitive matrix, find.
+    "_shift": "forges a class set's test against det(B), to leave its groups unfactored, "
+    "so that the check declines at step 2, or give them a wrong shift or unit",
     # _tamper_blocks forges what the tests against det(A), one per
-    # column-class block, find.
-    "_block_shift": "forges a column-class block's test against det(A), to decline it, so "
+    # distinct canonical block, find.
+    "_block_shift": "forges a canonical block's test against det(A), to decline it, so "
     "that the check declines at step 3, or give it a wrong shift or unit",
-    "_inputs": "swaps in a crafted A⊗B whose rows sum past half the field, with its det(A) "
-    "and det(B); or gives the check's own inputs a flipped predicted sign or a bound past "
-    "the field",
-    "sym_det": "a stand-in that records each call: the check never runs the general determinant",
-    # Ring-internal observation: no report covers the ring's own steps.
-    "_summed_product": "counts the products that fall back to the accumulating loop",
-    "_drop_zeros": "sees the size of every partial determinant before its zeros go",
+    "_inputs": "swaps in crafted rows: A⊗B whose rows sum past half the field, or with its "
+    "columns reordered; Mat1 with a group's or a block's entries moved by a monomial; or "
+    "the check's own inputs with a flipped predicted sign or a bound past the field",
     # tests/test_suites.py: the oracle suite's schedule.
-    "verify_proposition": "records or stubs each pair the oracle suite checks",
+    "verify_proposition": "stubs a check that fails or raises, and records each pair the "
+    "oracle suite checks",
 }
 
 
