@@ -15,28 +15,31 @@ in these steps; the code cites them by number.
    Leibniz sums, which share no code with the DP.  No variable name is
    built.
 2. Groups against det(B).  The determinant is Laplace's expansion, one DP
-   over column subsets, run over Mat1's n groups of n' rows.  A group's
+   over column subsets that takes one row at a time.  One factor test
+   serves steps 2 and 3: it takes the determinant of a square matrix by
+   the DP and finds c and e with det = c·x^e·ref, or none.  A group's
    columns equal up to x^e on all its rows form a class, in Mat1 the n
    columns of one b-index; e is the column's row-0 key, and the columns
-   less their e, one per class, are the group's primitive matrix.  A
-   member set's minor is ±x^Σe times its class set's; a set holding two
-   columns of one class is zero and never built.  The DP, and the test of
-   each class set's minor against det(B), run once per distinct primitive
-   matrix, found by comparing the matrices; on Mat1 all n groups have one.
-   If each minor is c_i·x^(s_i)·det(B), group i factors.
-3. Blocks against det(A).  If every group factors with one class set, and
-   all split the columns into the same n' classes of n columns, then
+   less their e, one per class, are the group's primitive matrix.  If it
+   is n' x n' with determinant c_i·x^(s_i)·det(B), group i factors: a set
+   of n' columns, one of each class, has the minor ±x^Σe times that, and
+   a set holding two columns of one class has the minor zero.  A
+   primitive matrix that is not square leaves the group unfactored.  The
+   test runs once per distinct primitive matrix, found by comparing the
+   matrices; on Mat1 all n groups have one.
+3. Blocks against det(A).  If every group factors, and all split the
+   columns into the same n' classes, then
    det(Mat1) = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has x^e in
    each member column of class k of group i.  Listing N's rows class by
    class and its columns class after class makes it block diagonal (the
    Kronecker factorization, Horn and Johnson, *Topics in Matrix Analysis*,
    §4.2): det(N) = ε·Π det(N_b), with ε = (-1)^(C(n,2)·C(n',2)) times the
-   sign of that column order.  Dividing each column of the n x n block N_b
+   sign of that column order.  Dividing each column of the n-row block N_b
    by its row-0 key and sorting the columns gives its canonical form:
    det(N_b) = π_b·x^(Σe_0)·det(canonical), π_b the sign of the sort and
-   Σe_0 the row-0 keys divided out.  The DP, and the test against det(A),
-   as d·x^t·det(A), run once per distinct canonical block; on Mat1 all n'
-   blocks have one.
+   Σe_0 the row-0 keys divided out.  The factor test against det(A), as
+   d·x^t·det(A), runs once per distinct canonical block; on Mat1 all n'
+   blocks have one, of n columns.
 4. Exactness.  Each exponent is a signed 8-bit field of one integer key,
    and packing maps the ring homomorphically into Laurent polynomials in
    one variable, where the DP and the tests run.  There it is injective on
@@ -50,7 +53,7 @@ in these steps; the code cites them by number.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Mapping
 from functools import cache
 from itertools import permutations
 from math import comb, prod
@@ -115,10 +118,10 @@ def _drop_zeros(terms: dict[int, int]) -> None:
 
 
 def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a·b on packed keys, by one step of ``_laplace``: for factors whose term pairs meet."""
+    """a·b on packed keys, as ``_det`` of diag(a, b): for factors whose term pairs meet."""
     if len(a) < len(b):
         a, b = b, a
-    return _laplace([[(1, 0, b)]], {0: a}).get(1, {})
+    return _det([{1: a}, {2: b}], 2)
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -286,49 +289,43 @@ class Terms(Mapping):
             raise KeyError(key)
         return poly._keys[_pack(enumerate(key))]
 
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
     def __repr__(self) -> str:
         return f"Terms({dict(self)!r})"
 
 
-def _part(minors: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
-    """(column set S, sign mask, minor) for each nonzero minor of a group of rows.
+class _TermItems(ItemsView):
+    """The items view of ``Terms``: each pair decoded once, not looked up again by its key."""
 
-    Adding S after the used columns has the sign (-1)^(used columns in the
-    mask): the mask holds the columns right of an odd number of S's columns.
-    """
-    part = []
-    for cols, minor in minors.items():
-        if minor:
-            mask, rest = 0, cols
-            while rest:
-                low = rest & -rest
-                mask ^= -(low << 1)  # every column right of this one
-                rest ^= low
-            part.append((cols, mask, minor))
-    return part
+    def __iter__(self):
+        return self._mapping._poly._items()
 
 
-def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """``states``, {used column set: partial determinant}, extended by each ``_part`` in turn.
+def _laplace(rows, states: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """``states``, {used column set: partial determinant}, extended by each row in turn.
 
-    Zero partial determinants may remain as empty dicts.
+    A row maps column bits c to entries.  Taking c after the used columns
+    has the sign (-1)^(used columns right of c).  Zero partial
+    determinants may remain as empty dicts.
     """
     # Each layer is consumed as the next is built, so at most about two are
-    # alive.  A term of a minor shifts every key of a partial alike, so the
+    # alive.  A term of an entry shifts every key of a partial alike, so the
     # first term into a new state is one comprehension.
-    for part in parts:
+    for row in rows:
         layer: dict[int, dict[int, int]] = {}
         while states:
             used, partial = states.popitem()
             if not partial:
                 continue
-            for cols, mask, minor in part:
-                if used & cols:
+            for c, entry in row.items():
+                if used & c:
                     continue
-                odd = (used & mask).bit_count() & 1
-                key = used | cols
+                odd = (used & -c).bit_count() & 1
+                key = used | c
                 target = layer.get(key)
-                for kb, cb in minor.items():
+                for kb, cb in entry.items():
                     if odd:
                         cb = -cb
                     if target is None:
@@ -344,6 +341,11 @@ def _laplace(parts, states: dict[int, dict[int, int]]) -> dict[int, dict[int, in
     return states
 
 
+def _det(rows, k: int) -> dict[int, int]:
+    """The determinant of ``rows`` on columns 0..k-1 by the DP, {} if zero or not square."""
+    return _laplace(rows, {0: {0: 1}}).get((1 << k) - 1, {})
+
+
 def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """{primitive column: [(1 << c, e) for each member c]}, in the order of first members.
 
@@ -355,12 +357,6 @@ def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int
         e = column[0]
         classes.setdefault(tuple(k - e for k in column), []).append((1 << c, e))
     return classes
-
-
-def _minors(primitive: tuple[tuple[int, ...], ...]) -> list[tuple[int, dict[int, int]]]:
-    """(class set, minor) for each set of the primitive columns with a nonzero minor."""
-    parts = [_part({1 << k: {key: 1} for k, key in enumerate(row)}) for row in zip(*primitive)]
-    return [(used, minor) for used, minor in _laplace(parts, {0: {0: 1}}).items() if minor]
 
 
 def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
@@ -376,9 +372,10 @@ def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
     return c, e
 
 
-# Step 3's tests against det(A) take ``_shift`` by a name of their own, so a
-# fault forged in one kind of test leaves the other kind alone.
-_block_shift = _shift
+def _factor(columns: tuple[tuple[int, ...], ...], ref: dict[int, int]) -> tuple[int, int] | None:
+    """(c, e) if the matrix of bare-key ``columns`` is square with determinant c·x^e·``ref``, else None."""
+    rows = [{1 << c: {key: 1} for c, key in enumerate(row)} for row in zip(*columns)]
+    return _shift(_det(rows, len(columns)), ref)
 
 
 def _table(rows) -> tuple[str, ...]:
@@ -395,24 +392,18 @@ def _table(rows) -> tuple[str, ...]:
     return rows[0][0].vars
 
 
-def _combined(groups: Iterable[dict[int, dict[int, int]]], k: int) -> dict[int, int]:
-    """The determinant on k columns by the DP over each group's minors, {} if zero."""
-    return _laplace(map(_part, groups), {0: {0: 1}}).get((1 << k) - 1, {})
-
-
 def sym_det(rows) -> LaurentPoly:
     """Exact determinant of ``rows``, by Laplace expansion one row at a time.
 
     ``rows`` is a nonempty square matrix of :class:`LaurentPoly` over one
-    variable table, the result's.  Each row enters ``_combined`` as the
-    one-row group of its entries.  The matrix, and the sum over rows of the
-    largest entry bound, which bounds the result, are checked before any
-    work.
+    variable table, the result's.  The matrix, and the sum over rows of
+    the largest entry bound, which bounds the result, are checked before
+    any work.
     """
     vars_ = _table(rows)
     bound = _checked(sum(max(poly._bound for poly in row) for row in rows))
-    groups = ({1 << c: poly._keys for c, poly in enumerate(row)} for row in rows)
-    return LaurentPoly(vars_, _combined(groups, len(rows)), bound)
+    keys = [{1 << c: poly._keys for c, poly in enumerate(row)} for row in rows]
+    return LaurentPoly(vars_, _det(keys, len(rows)), bound)
 
 
 def naive_det(rows) -> LaurentPoly:
@@ -567,31 +558,25 @@ def _inputs(ctx: PairContext) -> tuple[list[list[int]], int, int, dict, dict, in
 def _blocks(groups: list, n: int, det_a: dict, tested: dict) -> tuple[int, int] | None:
     """(u, K) with det(Mat1) = u·x^K·det(A)^n' det(B)^n by step 3, else None.
 
-    ``groups`` holds each group's class sets, as (member lists, (c_i, s_i)
-    from the test against det(B)); ``tested`` maps each canonical block to
-    what its test against det(A) found.
+    ``groups`` holds each group's classes, as member lists, and its (c_i,
+    s_i) from step 2; ``tested`` maps each canonical block to what its
+    factor test against det(A) found.
     """
-    splits = [class_set for group in groups for class_set in group]
-    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in splits}
-    # Two class sets of one group split apart, so this is one set per group.
-    if len(splits) != n or len(cuts) != 1:
+    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in groups}
+    if len(cuts) != 1:
         return None
     (cut,) = cuts
     order = [bit for cols in cut for bit in cols]
     unit = (-1) ** (comb(n, 2) * comb(len(cut), 2) + _parity(order))
-    unit *= prod(c for _, (c, _) in splits)
-    key = sum(s for _, (_, s) in splits)
-    # Unless every class holds n columns, one holds fewer (the n' classes
-    # hold at most nn'), and its block's determinant on n columns is {}:
-    # its test declines.
+    unit *= prod(c for _, (c, _) in groups)
+    key = sum(s for _, (_, s) in groups)
     for b in range(len(cut)):
-        columns = list(zip(*([e for _, e in classes[b]] for classes, _ in splits)))
+        columns = list(zip(*([e for _, e in classes[b]] for classes, _ in groups)))
         key += sum(column[0] for column in columns)
         columns = [tuple(e - column[0] for e in column) for column in columns]
         canonical = tuple(sorted(columns))
         if canonical not in tested:
-            rows = ({1 << r: {col[i]: 1} for r, col in enumerate(canonical)} for i in range(n))
-            tested[canonical] = _block_shift(_combined(rows, n), det_a)
+            tested[canonical] = _factor(canonical, det_a)
         found = tested[canonical]
         if found is None:
             return None
@@ -605,19 +590,19 @@ class VerificationReport(Frozen):
     ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
     or None when neither sign holds; ``ok`` requires it to be the predicted
     sgn(σ) (step 1).  ``bound`` is the exponent bound of det(Mat1)·cleared
-    (step 4).  ``nonzero_minors`` counts the nonzero minors of each group of
-    n' rows, ``factored`` counts the groups whose class set minors all
-    tested as monomials times det(B), and ``unfactored`` is the index, from
-    0, of the first that did not, or None (step 2).  ``blocks`` is n' when
-    every column-class block tested as a monomial times det(A) (step 3),
-    else None; a step that declines leaves ``sign`` None, and ``factored``
-    below n or ``blocks`` None names it (step 4).  ``tests`` counts the
-    tests made against det(B) and against det(A), one per class set of a
-    distinct primitive matrix and one per distinct canonical block: (1, 1)
-    on every Mat1.  ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one
-    lazy member, built with its variable table on its first read by the
-    stored callable ``_rhs``; nothing in the package reads it, only the
-    benchmark does.
+    (step 4).  ``factored`` counts the groups of n' rows whose primitive
+    matrix tested as square with a monomial times det(B) as determinant,
+    and ``unfactored`` is the index, from 0, of the first that did not, or
+    None; ``nonzero_minors`` gives each group that factored its nonzero
+    minors, the product of its class sizes, and each other group 0 (step
+    2).  ``blocks`` is n' when every column-class block tested as a
+    monomial times det(A) (step 3), else None; a step that declines leaves
+    ``sign`` None, and ``factored`` below n or ``blocks`` None names it
+    (step 4).  ``tests`` counts the factor tests made against det(B) and
+    against det(A), one per distinct matrix: (1, 1) on every Mat1.
+    ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one lazy member,
+    built with its variable table on its first read by the stored callable
+    ``_rhs``; nothing in the package reads it, only the benchmark does.
     """
 
     __slots__ = (
@@ -642,21 +627,17 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     require_shape(n, np_)
     rows, cleared, bound, det_a, det_b, predicted = _inputs(ctx)
     bound = _checked(bound)
-    # Step 2: {primitive matrix: [(class set, its test against det(B))]}.
+    # Step 2: {primitive matrix: its factor test against det(B)}.
     tested_b: dict = {}
     groups = []
     for start in range(0, len(rows), np_):
         classes = _classes(rows[start : start + np_])
         primitive = tuple(classes)
         if primitive not in tested_b:
-            tested_b[primitive] = [(used, _shift(minor, det_b)) for used, minor in _minors(primitive)]
-        members = list(classes.values())
-        groups.append([
-            ([cols for k, cols in enumerate(members) if used >> k & 1], found)
-            for used, found in tested_b[primitive]
-        ])
-    nonzero_minors = tuple(sum(prod(map(len, cols)) for cols, _ in group) for group in groups)
-    unfactored = [at for at, group in enumerate(groups) if any(f is None for _, f in group)]
+            tested_b[primitive] = _factor(primitive, det_b)
+        groups.append((list(classes.values()), tested_b[primitive]))
+    nonzero_minors = tuple(prod(map(len, cols)) if found else 0 for cols, found in groups)
+    unfactored = [at for at, (_, found) in enumerate(groups) if found is None]
     # Steps 3 and 4: {canonical block: its test against det(A)}.
     tested_a: dict = {}
     found = None if unfactored else _blocks(groups, n, det_a, tested_a)
@@ -672,6 +653,6 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     return VerificationReport(
         n * np_, sign == predicted, sign, predicted, bound, nonzero_minors,
         n - len(unfactored), unfactored[0] if unfactored else None,
-        None if found is None else np_, (sum(map(len, tested_b.values())), len(tested_a)),
+        None if found is None else np_, (len(tested_b), len(tested_a)),
         cache(rhs),
     )

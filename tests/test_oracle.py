@@ -15,12 +15,13 @@ from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
     _classes,
-    _combined,
+    _det,
+    _factor,
     _generic_det,
     _inputs,
     _kronecker_column_sign,
+    _laplace,
     _mat1_columns,
-    _minors,
     _pack,
     _product,
     _shift,
@@ -50,51 +51,34 @@ def _observed_rhs(rep):
     return rep.rhs if rep.sign == rep.predicted_sign else -rep.rhs
 
 
-def _tamper(patch, ctx, against_b):
-    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through a filter.
+def _tamper(patch, ctx, against_b=None, against_a=None):
+    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through filters.
 
-    ``against_b(k, found)`` takes the k-th test of a class set's minor
-    against det(B), counted from 0, and returns what ``_shift`` reports
-    instead.  Every test against det(B) is one of these: one per class set
-    of each distinct primitive matrix, which on Mat1 is one test that all n
-    groups of n' rows share.  The column-class blocks' tests against det(A)
-    go through a seam of their own, ``_block_shift`` (``_tamper_blocks``).
+    ``against_b(k, found)`` takes the k-th factor test against det(B),
+    counted from 0, and returns what ``_shift`` reports instead;
+    ``against_a`` does so for the tests against det(A).  The spy tells
+    the two kinds apart by the reference it receives.  The check makes one
+    test per distinct matrix: against det(B) one per primitive matrix,
+    which on Mat1 all n groups of n' rows share, and against det(A) one
+    per canonical block, once every group has factored alike, which on
+    Mat1 all n' blocks share.  A filter left None passes what is found.
     """
     import periodkit.oracle as orc
 
-    det_b = orc._inputs(ctx)[4]
-    shift, tests_against_b = orc._shift, count()
+    det_a, det_b = orc._inputs(ctx)[3:5]
+    shift = orc._shift
+    kinds = ((det_b, against_b, count()), (det_a, against_a, count()))
 
     def spy(poly, ref):
-        assert ref == det_b
-        return against_b(next(tests_against_b), shift(poly, ref))
+        ((forge, tests),) = [(forge, tests) for det, forge, tests in kinds if ref == det]
+        found = shift(poly, ref)
+        return found if forge is None else forge(next(tests), found)
 
     patch.setattr(orc, "_shift", spy)
 
 
-def _tamper_blocks(patch, ctx, against_a):
-    """Route what ``oracle._block_shift`` finds in ``verify_proposition(ctx)`` through a filter.
-
-    ``against_a(k, found)`` takes the k-th test of a column-class block's
-    determinant against det(A), counted from 0, and returns what is
-    reported instead.  The check makes one per distinct canonical block,
-    once every group has factored alike against det(B): on Mat1 one test,
-    which all n' blocks share.
-    """
-    import periodkit.oracle as orc
-
-    det_a = orc._inputs(ctx)[3]
-    shift, tests_against_a = orc._block_shift, count()
-
-    def spy(poly, ref):
-        assert ref == det_a
-        return against_a(next(tests_against_a), shift(poly, ref))
-
-    patch.setattr(orc, "_block_shift", spy)
-
-
 def _unfactored_groups(patch, ctx):
-    """Report the first class set's minor tested against det(B) as not a multiple of it.
+    """Report the first primitive matrix tested against det(B) as not factoring.
 
     On Mat1 every group shares that one test, so no group factors, and
     ``verify_proposition`` declines at step 2: no sign.
@@ -109,36 +93,29 @@ def _bare(rows):
     return out
 
 
-def _group_minors(rows):
-    """(minor, its classes' member lists) for each class set of a group of bare-key rows."""
-    classes = _classes(rows)
-    members = list(classes.values())
-    return [
-        (minor, [cols for k, cols in enumerate(members) if used >> k & 1])
-        for used, minor in _minors(tuple(classes))
-    ]
+def _primitive_det(classes):
+    """The determinant of the primitive matrix of ``_classes``, by the DP: {} if zero or not square."""
+    primitive = tuple(classes)
+    rows = [{1 << c: {key: 1} for c, key in enumerate(row)} for row in zip(*primitive)]
+    return _det(rows, len(primitive))
 
 
-def _expanded(group):
-    """{member column set: its minor} from what ``_group_minors`` gives.
+def _expanded(classes, minor):
+    """{member column set: its minor}, from a group's ``_classes`` and its primitive determinant.
 
-    A member set takes one column of each class of its set, and its minor
-    is ±x^Σe times the class set's, the sign the parity of the members
-    taken in class order.
+    A member set takes one column of each class, and its minor is ±x^Σe
+    times ``minor``, the sign the parity of the members taken in class
+    order.  A set holding two columns of one class has the minor zero.
     """
-    out = {}
-    for minor, classes in group:
-        members = {0: (1, 0)}
-        for cols in classes:
-            # Each column of ``have`` right of ``bit`` is an inversion.
-            members = {
-                have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
-                for have, (u, s) in members.items()
-                for bit, e in cols
-            }
-        for cols, (u, e) in members.items():
-            out[cols] = {key + e: u * c for key, c in minor.items()}
-    return out
+    members = {0: (1, 0)}
+    for cols in classes.values():
+        # Each column of ``have`` right of ``bit`` is an inversion.
+        members = {
+            have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
+            for have, (u, s) in members.items()
+            for bit, e in cols
+        }
+    return {cols: {key + e: u * c for key, c in minor.items()} for cols, (u, e) in members.items()}
 
 
 def poly_of(pairs):
@@ -360,10 +337,7 @@ class TestSymDet:
         # and in the second matrix rows 0 and 1 are proportional, so every
         # minor of theirs is zero.  A zero partial determinant is not
         # extended: the state it alone would reach is never made.
-        import periodkit.oracle as orc
-
-        part = [(0b100, 0, {0: 1})]
-        assert orc._laplace([part], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
+        assert _laplace([{0b100: {0: 1}}], {0b001: {}, 0b010: {0: 1}}) == {0b110: {0: 1}}
         one = LaurentPoly.one(XV)
         x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
         top = (x, y, z, w)
@@ -399,6 +373,20 @@ class TestSymDet:
         assert _shift({}, (x + y)._keys) is None
         mx = ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z))
         assert sym_det(mx) == naive_det(mx)
+
+    def test_the_factor_test_takes_a_square_matrix_alone(self):
+        # Columns of bare keys: x, y and their products.  The 2 x 2 matrix
+        # of columns (x, y) and (y, x·y) has determinant x^2·y - y^2 =
+        # y·(x^2 - y), which _factor finds against x^2 - y.  With one
+        # column more or fewer, or two equal columns, there is no square
+        # determinant to test, and _factor declines.
+        x, y = _pack([(0, 1)]), _pack([(1, 1)])
+        ref = {2 * x: 1, y: -1}
+        assert _factor(((x, y), (y, x + y)), ref) == (1, y)
+        assert _factor(((x, y), (y, x + y)), {2 * x: 2, y: -2}) is None
+        assert _det([{1: {x: 1}, 2: {y: 1}, 4: {0: 1}}, {1: {y: 1}, 2: {0: 1}, 4: {x: 1}}], 3) == {}
+        for columns in (((x, y), (y, x + y), (0, x)), ((x, y),), ((x, y), (x, y))):
+            assert _factor(columns, ref) is None, columns
 
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A⊗B with exponents 20 and a bound of 80, checked by
@@ -449,13 +437,13 @@ class TestSymDet:
         # true exponents fit.
         squares = [(det ** 2)._keys for det in dets]
         assert want._keys == _accumulated(*squares)
-        class_sets = [*_group_minors(keys[:2]), *_group_minors(keys[2:])]
-        assert len(class_sets) == 2 and class_sets[0][0] == class_sets[1][0]
+        groups = [_classes(keys[:2]), _classes(keys[2:])]
+        assert tuple(groups[0]) == tuple(groups[1])
         ((c, s),) = shifts
         members = [
             key
-            for _, classes in class_sets
-            for minor in _expanded([({s: c}, classes)]).values()
+            for classes in groups
+            for minor in _expanded(classes, {s: c}).values()
             for key in minor
         ]
         assert len(members) == 8
@@ -615,88 +603,75 @@ def _class_members(rows):
     return [[bit.bit_length() - 1 for bit, _ in members] for members in _classes(rows).values()]
 
 
-def _grouped_det(keys, size):
-    """The check's grouped pass: the DP over each block of ``size`` rows' member set minors."""
-    blocks = (keys[start : start + size] for start in range(0, len(keys), size))
-    return _combined((_expanded(_group_minors(block)) for block in blocks), len(keys))
-
-
 class TestProportionalColumns:
     """Columns equal up to x^e on all of a block's rows are one class, and only those."""
 
     @pytest.mark.parametrize("case", PROPORTIONAL_CASES)
-    def test_sym_det_is_exact_at_every_group_size(self, case):
-        # sym_det runs the rows one at a time; the DP over blocks of 1 to 4
-        # rows, each block given as its minors on every column set, gives
-        # the same determinant, whose member sets span several columns.
+    def test_sym_det_is_exact(self, case):
+        # Columns proportional on some rows, by coefficients or monomials,
+        # next to zero and two-term entries: the row-by-row DP gives the
+        # permutation sum, zero exactly when they are proportional on all.
         first, second, proportional_on = PROPORTIONAL_CASES[case]
         mx = tuple(zip(first, second, *PROPORTIONAL_OTHERS))
         want = naive_det(mx)
         assert (want == LaurentPoly.zero(XV)) is (4 in proportional_on), case
         assert sym_det(mx) == want, case
-        for size in (1, 2, 3, 4):
-            blocks = (mx[start : start + size] for start in range(0, 4, size))
-            groups = [
-                {
-                    sum(1 << c for c in cols): naive_det(
-                        tuple(tuple(row[c] for c in cols) for row in block)
-                    )._keys
-                    for cols in combinations(range(4), len(block))
-                }
-                for block in blocks
-            ]
-            assert _combined(groups, 4) == want._keys, (case, size)
 
     @pytest.mark.parametrize("case", CLASS_CASES)
-    def test_the_grouped_pass_is_exact_at_every_group_size(self, case):
-        # The check's grouped pass, over bare keys, runs blocks of 1 to 4
-        # rows through the classes that _classes finds.
+    def test_columns_share_a_class_exactly_where_they_are_equal_up_to_a_monomial(self, case):
+        # On rows 0..r-1 of bare keys, columns 0 and 1 share a class where
+        # CLASS_CASES says so, and never one with columns 2 or 3.  On all
+        # four rows the determinant is ±x^Σe times the primitive one when
+        # the four columns are four classes; with three classes the
+        # primitive matrix is not square, and the determinant is zero.
         first, second, shared_on = CLASS_CASES[case]
         mx = tuple(zip(first, second, *CLASS_OTHERS))
         want = naive_det(mx)
         assert (want == LaurentPoly.zero(XV)) is (4 in shared_on), case
         keys = _bare(mx)
-        for size in (1, 2, 3, 4):
-            assert _grouped_det(keys, size) == want._keys, (case, size)
         for r in (2, 3, 4):
             of = {c: k for k, cols in enumerate(_class_members(keys[:r])) for c in cols}
             assert (of[0] == of[1]) is (r in shared_on), (case, r)
             assert of[0] not in (of[2], of[3]), (case, r)
+        classes = _classes(keys)
+        assert len(classes) == (3 if 4 in shared_on else 4), case
+        assert _expanded(classes, _primitive_det(classes)).get(0b1111, {}) == want._keys, case
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_class_minors_expand_to_every_minor(self, r):
-        # Blocks of r rows and ten bare-key columns: four random columns,
-        # copies of three of them by a monomial x^e, which share their
-        # classes, and a copy of the fourth, and a copy of the first by a
-        # monomial, with one entry past row 0 moved off the class: classes
-        # of their own.  On one row every column is x^e times every other,
-        # so all share one class.  Each member set's minor is naive_det on
-        # its columns, and every column set _group_minors leaves out is zero.
+        # Blocks of r rows and 2r + 1 bare-key columns: r random columns, a
+        # copy of each by a monomial x^e, and one more copy of the first,
+        # all sharing their columns' classes: r classes, so the primitive
+        # matrix is square.  Each set of r columns, one of each class, has
+        # ±x^Σe times its determinant as minor, and every other set, two of
+        # one class, the minor zero: naive_det on the set agrees.  A copy
+        # of the first column with one entry past row 0 moved off the class
+        # makes r + 1 classes, and no square primitive matrix.
         rng = random.Random(f"class minors/{r}")
 
         def monomial():
             return tuple(rng.randint(-2, 2) for _ in XV)
 
         for _ in range(4):
-            base = [[_term(monomial()) for _ in range(r)] for _ in range(4)]
-            moved = _scaled(base[0], 1, monomial())
-            if r > 1:
-                moved[rng.randrange(1, r)] *= _term(W)
-            cols = [
-                base[0], _scaled(base[0], 1, monomial()), base[1], _scaled(base[1], 1, monomial()),
-                base[2], _scaled(base[2], 1, monomial()), base[3], _scaled(base[3]), moved,
-                _scaled(base[0], 1, (1, 0, 0, -2)),
-            ]
+            base = [[_term(monomial()) for _ in range(r)] for _ in range(r)]
+            cols = [*base, *(_scaled(col, 1, monomial()) for col in base)]
+            cols.append(_scaled(base[0], 1, (1, 0, 0, -2)))
             rng.shuffle(cols)
             rows = [[col[i] for col in cols] for i in range(r)]
             keys = _bare(rows)
-            assert len(_class_members(keys)) == (5 if r > 1 else 1)
-            subsets = {sum(1 << c for c in s): s for s in combinations(range(10), r)}
-            got = _expanded(_group_minors(keys))
+            classes = _classes(keys)
+            assert len(classes) == r
+            subsets = {sum(1 << c for c in s): s for s in combinations(range(len(cols)), r)}
+            got = _expanded(classes, _primitive_det(classes))
             assert set(got) <= set(subsets)
             for bits, subset in subsets.items():
                 want = naive_det(tuple(tuple(row[c] for c in subset) for row in rows))
                 assert got.get(bits, {}) == want._keys, (r, subset)
+            if r > 1:
+                moved = _scaled(base[0], 1, monomial())
+                moved[rng.randrange(1, r)] *= _term(W)
+                wider = _classes([[*row, key] for row, key in zip(keys, _bare([moved])[0])])
+                assert len(wider) == r + 1 and _primitive_det(wider) == {}
 
     def test_rows_whose_bounds_sum_to_127(self):
         # Columns 0 and 1 are proportional on rows 0-1, by y^-1, with drifts
@@ -719,9 +694,9 @@ class TestProportionalColumns:
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
     # Mat1's columns with one b-index are proportional on an i-block: n'
-    # classes of n members each.  So its one class set expands to the n^n'
-    # sets that take each b-index once, and none is zero: 16 at 2x4, 27 at
-    # 3x3, 64 at 4x3.
+    # classes of n members each.  So its primitive matrix is n' x n', and
+    # its determinant expands to the n^n' sets that take each b-index once,
+    # and none is zero: 16 at 2x4, 27 at 3x3, 64 at 4x3.
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
     b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
     want = {
@@ -730,12 +705,12 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
         if len({b_of[c] for c in cols}) == np_
     }
     block = _bare(build_mat1(ctx)[:np_])
-    classes = _class_members(block)
-    assert sorted({b_of[c] for c in cols} for cols in classes) == [{b} for b in range(1, np_ + 1)]
-    assert [len(cols) for cols in classes] == [n] * np_
-    minors = _group_minors(block)
-    expanded = _expanded(minors)
-    assert len(minors) == 1 and set(expanded) == want and len(want) == n ** np_
+    members = _class_members(block)
+    assert sorted({b_of[c] for c in cols} for cols in members) == [{b} for b in range(1, np_ + 1)]
+    assert [len(cols) for cols in members] == [n] * np_
+    classes = _classes(block)
+    expanded = _expanded(classes, _primitive_det(classes))
+    assert set(expanded) == want and len(want) == n ** np_
     assert all(expanded.values())
 
 
@@ -976,7 +951,12 @@ class TestPackedRing:
         assert (2, 0, 0, 0) not in terms
         assert (0, 0, 0, 1000) not in terms
         assert dict(terms) == old
-        assert dict(terms.items()) == old
+        # The items view decodes each pair once, and can be sized, searched
+        # and iterated again.
+        items = terms.items()
+        assert dict(items) == old and sorted(items) == sorted(old.items())
+        assert len(items) == 3 and ((0, 0, 5, -7), 3) in items
+        assert ((0, 0, 5, -7), 2) not in items and ((0, 0, 0, 1000), 3) not in items
         with pytest.raises(TypeError):
             terms[(1, 0, 0, 0)] = 5
 
@@ -1050,9 +1030,9 @@ class TestPredictedSign:
 
 
 # The fields a step that declines leaves as they are: all but ok and sign,
-# which it clears, and factored, unfactored, blocks and tests, which name
-# the step.
-KEPT_FIELDS = ("size", "predicted_sign", "bound", "nonzero_minors", "rhs")
+# which it clears, factored, unfactored, blocks and tests, which name the
+# step, and nonzero_minors, which counts only the groups that factored.
+KEPT_FIELDS = ("size", "predicted_sign", "bound", "rhs")
 
 
 def _poly(names, key):
@@ -1102,7 +1082,7 @@ class TestFactoredCheck:
         # With the test against det(B) forced to fail, the check declines at
         # step 2.  On Mat1 all n groups share that one test, so none
         # factors: no sign, group 0 named, no blocks, no test against
-        # det(A), and every other field kept.
+        # det(A), no group's minors counted, and every other field kept.
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         right = verify_proposition(ctx)
@@ -1111,6 +1091,7 @@ class TestFactoredCheck:
         assert right.ok and (right.factored, right.unfactored, right.blocks) == (n, None, np_)
         assert (forced.factored, forced.unfactored, forced.blocks) == (0, 0, None)
         assert (right.tests, forced.tests) == ((1, 1), (1, 0))
+        assert (right.nonzero_minors, forced.nonzero_minors) == ((n ** np_,) * n, (0,) * n)
         assert forced.sign is None and not forced.ok
         for name in KEPT_FIELDS:
             assert getattr(forced, name) == getattr(right, name), name
@@ -1131,16 +1112,17 @@ class TestFactoredCheck:
         # the check observes no sign, and the report names the first group
         # that did not factor.
         unfactored = {
-            "group 0 unfactored": (1, 0, lambda k, found: None if k == 0 else found),
-            "group 1 unfactored": (1, 1, lambda k, found: None if k == 1 else found),
-            "no group factored": (0, 0, lambda k, found: None),
+            "group 0 unfactored": (1, 0, (0, 4), lambda k, found: None if k == 0 else found),
+            "group 1 unfactored": (1, 1, (4, 0), lambda k, found: None if k == 1 else found),
+            "no group factored": (0, 0, (0, 0), lambda k, found: None),
         }
-        for case, (factored, first, against_b) in unfactored.items():
+        assert right.nonzero_minors == (4, 4)
+        for case, (factored, first, minors, against_b) in unfactored.items():
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, against_b)
                 rep = verify_proposition(ctx)
             assert (rep.factored, rep.unfactored, rep.blocks) == (factored, first, None), case
-            assert rep.tests == (2, 0), case
+            assert rep.tests == (2, 0) and rep.nonzero_minors == minors, case
             assert rep.sign is None and not rep.ok, case
             for name in KEPT_FIELDS:
                 assert getattr(rep, name) == getattr(right, name), (case, name)
@@ -1289,9 +1271,9 @@ def test_right_side_has_bound_n_plus_np(n, np_):
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_every_row_block_of_mat1_factors(n, np_):
     # In verify_proposition, Mat1 goes in n groups of n' rows.  Each
-    # i-block has one class set and n^n' nonzero minors, one per choice of
-    # n' distinct b-indices: each is ±monomial·det(B).  All n groups have
-    # one primitive matrix, so its minor is tested once against det(B).
+    # i-block has n' classes and n^n' nonzero minors, one per choice of n'
+    # distinct b-indices: each is ±monomial·det(B).  All n groups have one
+    # primitive matrix, so its determinant is tested once against det(B).
     # All split the columns by b-index, so the n' column-class blocks
     # decide, and all have one canonical form, tested once against det(A).
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
@@ -1344,6 +1326,7 @@ def _evaluated_identity(ctx, rng):
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables.build(n, np_)
     periods = [pv.q_idx(t) for t in range(1, n + 1)] + [pv.qp_idx(u) for u in range(1, np_ + 1)]
+    period_set = set(periods)
     point = [rng.choice((-1, 1)) * rng.randint(1, POINT_RANGE) for _ in pv.names]
     mat1 = build_mat1(ctx)
     columns, cleared = [], [0] * len(point)
@@ -1355,7 +1338,7 @@ def _evaluated_identity(ctx, rng):
             cleared[v] -= e
         scaled = []
         for exps, coeff in terms:
-            rest = [(v, e) for v, e in enumerate(exps) if v not in periods]
+            rest = [(v, e) for v, e in enumerate(exps) if e and v not in period_set]
             assert all(e >= 0 for _, e in rest)
             scaled.append(coeff * prod(point[v] ** e for v, e in rest))
         columns.append(scaled)
@@ -1438,7 +1421,7 @@ class TestColumnClassBlocks:
         }
         for case, (forge, sign, blocks) in forged.items():
             with monkeypatch.context() as patch:
-                _tamper_blocks(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
+                _tamper(patch, ctx, against_a=lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
             assert (rep.blocks, rep.factored, rep.unfactored) == (blocks, n, None), case
             assert rep.predicted_sign == right.predicted_sign, case
@@ -1447,35 +1430,65 @@ class TestColumnClassBlocks:
 
     def test_groups_that_split_the_columns_otherwise_give_no_sign(self, monkeypatch):
         # A⊗B over x, y, z, w in place of Mat1, as in
-        # test_rows_whose_bounds_sum_past_half_the_field.  The blocks need
-        # one class set per group, and one split of the columns into
-        # classes; otherwise the check declines at step 3.
-        import periodkit.oracle as orc
+        # test_rows_whose_bounds_sum_past_half_the_field, with group 1's
+        # middle columns swapped: its classes are {0, 1} and {2, 3}, group
+        # 0's {0, 2} and {1, 3}.  Both groups have one primitive matrix, and
+        # it factors, but the blocks need one split of the columns into
+        # classes: the check declines at step 3.
+        kron, det_a, det_b = _kron_2x2()
+        rows = [*kron[:2], *([row[0], row[2], row[1], row[3]] for row in kron[2:])]
+        rep = _check_rows(monkeypatch, rows, det_a, det_b)
+        assert (rep.blocks, rep.factored, rep.unfactored) == (None, 2, None)
+        assert rep.nonzero_minors == (4, 4) and rep.tests == (1, 0)
+        assert rep.sign is None and not rep.ok
 
-        a = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (1, 0, 0, 1)))
-        b = (((0, 1, 0, 0), (0, 0, 0, -1)), ((-1, 0, 0, 0), (0, 0, 1, 0)))
-        kron = [
-            [_term(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2])))) for c in range(4)]
-            for i in range(2)
-            for j in range(2)
-        ]
-        det_a, det_b = (naive_det(tuple(tuple(map(_term, row)) for row in m)) for m in (a, b))
-        want = det_a ** 2 * det_b ** 2
-        assert naive_det(kron) == want
+    def test_a_group_whose_primitive_matrix_is_not_square_declines_at_step_2(self, monkeypatch):
+        # The same A⊗B with one group's columns put into other than n' = 2
+        # classes.  Its primitive matrix has 1 or 3 columns on 2 rows, so
+        # its determinant on the DP's full column set is {}: the group does
+        # not factor, no minor of it is counted, and the blocks are never
+        # reached.  (With 3 classes all three class sets have nonzero
+        # minors: on monomial columns two classes with a zero minor would
+        # be one class.)
+        kron, det_a, det_b = _kron_2x2()
+        moved = [*kron[3][:3], kron[3][3] * _term(W)]
         cases = {
-            # Group 0's rows are equal: one class, and no class set.
-            "a group with no class set": [kron[0], kron[0], *kron[2:]],
-            # Group 1's middle columns swapped: its classes are {0, 1} and
-            # {2, 3}, group 0's {0, 2} and {1, 3}.
-            "two splits": [*kron[:2], *([row[0], row[2], row[1], row[3]] for row in kron[2:])],
+            # Group 0's rows are equal: one class.
+            "fewer than n' classes": ([kron[0], kron[0], *kron[2:]], 0, (0, 4)),
+            # Group 1's last entry moved by w: classes {0, 2}, {1} and {3}.
+            "n' + 1 classes": ([*kron[:3], moved], 1, (4, 0)),
         }
-        ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
-        for case, rows in cases.items():
+        for case, (rows, first, minors) in cases.items():
             keys = _bare(rows)
-            bound = sum(max(e._bound for e in row) for row in rows)
-            inputs = (keys, 0, bound, det_a._keys, det_b._keys, 1)
-            with monkeypatch.context() as patch:
-                patch.setattr(orc, "_inputs", lambda ctx: inputs)
-                rep = verify_proposition(ctx)
-            assert (rep.blocks, rep.factored, rep.unfactored) == (None, 2, None), case
+            width = len(_classes(keys[2 * first : 2 * first + 2]))
+            assert width == (1 if first == 0 else 3), case
+            rep = _check_rows(monkeypatch, rows, det_a, det_b)
+            assert (rep.blocks, rep.factored, rep.unfactored) == (None, 1, first), case
+            assert rep.nonzero_minors == minors and rep.tests == (2, 0), case
             assert rep.sign is None and not rep.ok, case
+
+
+def _kron_2x2():
+    """(A⊗B's rows, det(A), det(B)) for 2 x 2 blocks of monomials over x, y, z, w."""
+    a = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (1, 0, 0, 1)))
+    b = (((0, 1, 0, 0), (0, 0, 0, -1)), ((-1, 0, 0, 0), (0, 0, 1, 0)))
+    kron = [
+        [_term(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2])))) for c in range(4)]
+        for i in range(2)
+        for j in range(2)
+    ]
+    det_a, det_b = (naive_det(tuple(tuple(map(_term, row)) for row in m)) for m in (a, b))
+    assert naive_det(kron) == det_a ** 2 * det_b ** 2
+    return kron, det_a, det_b
+
+
+def _check_rows(monkeypatch, rows, det_a, det_b):
+    """``verify_proposition``'s report on ``rows`` in place of Mat1: nothing cleared, sign 1 predicted."""
+    import periodkit.oracle as orc
+
+    keys = _bare(rows)
+    bound = sum(max(e._bound for e in row) for row in rows)
+    inputs = (keys, 0, bound, det_a._keys, det_b._keys, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(orc, "_inputs", lambda ctx: inputs)
+        return verify_proposition(PairContext.build(*pair_of_shape(2, 2, range(2))))

@@ -13,17 +13,16 @@ from pathlib import Path
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
-    # _tamper and _unfactored_groups forge what the tests against det(B),
-    # one per class set of each distinct primitive matrix, find.
-    "_shift": "forges a class set's test against det(B), to leave its groups unfactored, "
-    "so that the check declines at step 2, or give them a wrong shift or unit",
-    # _tamper_blocks forges what the tests against det(A), one per
-    # distinct canonical block, find.
-    "_block_shift": "forges a canonical block's test against det(A), to decline it, so "
-    "that the check declines at step 3, or give it a wrong shift or unit",
-    "_inputs": "swaps in crafted rows: A⊗B whose rows sum past half the field, or with its "
-    "columns reordered; Mat1 with a group's or a block's entries moved by a monomial; or "
-    "the check's own inputs with a flipped predicted sign or a bound past the field",
+    # _tamper forges what the factor tests find, one per distinct matrix,
+    # and tells the two kinds apart by the reference each test receives.
+    "_shift": "forges a factor test: against det(B), to leave the groups that share a "
+    "primitive matrix unfactored, so that the check declines at step 2, or give them a "
+    "wrong shift or unit; against det(A), to decline a canonical block, so that the check "
+    "declines at step 3, or give it a wrong shift or unit",
+    "_inputs": "swaps in crafted rows: A⊗B whose rows sum past half the field, with its "
+    "columns reordered, or with one group split into other than n' classes or into other "
+    "classes than the rest; Mat1 with a group's or a block's entries moved by a monomial; "
+    "or the check's own inputs with a flipped predicted sign or a bound past the field",
     # tests/test_suites.py: the oracle suite's schedule.
     "verify_proposition": "stubs a check that fails or raises, and records each pair the "
     "oracle suite checks",
