@@ -83,8 +83,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_gamma(args) -> int:
     h = _multiset_from_paths(args.motive)
-    g = lf.gamma_factor(h)
-    _emit({"weight": h.weight, "shifts": [[p, m] for p, m in g.shifts]})
+    _emit({"weight": h.weight, "shifts": [[p, m] for p, m in lf.gamma_factor(h)]})
     return EXIT_OK
 
 

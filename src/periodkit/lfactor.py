@@ -24,23 +24,10 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import NotCriticalPairError, PpClassError
 from .hodge import HodgeMultiset
-from .value import Frozen, Value
+from .value import Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .automorphic import InfinityTypeData
-
-
-class GammaFactor(Frozen):
-    """Multiset of Gamma_C shifts: the factor is prod Gamma_C(s - p)^mult.
-
-    ``shifts`` is a tuple of (p, mult) pairs.
-    """
-
-    __slots__ = ("shifts",)
-
-    def has_pole_at(self, s: int | Fraction) -> bool:
-        """Gamma_C(s - p) has a pole iff s - p is a non-positive integer."""
-        return Fraction(s).denominator == 1 and any(s <= p for p, _ in self.shifts)
 
 
 class CriticalInterval(Value):
@@ -81,10 +68,15 @@ def _require_no_pp(h: HodgeMultiset) -> None:
         raise PpClassError(f"Hodge multiset has a ({p},{p})-class; no critical points exist")
 
 
-def gamma_factor(h: HodgeMultiset) -> GammaFactor:
-    """Shifts of the archimedean factor: the p of every class with p < q."""
+def gamma_factor(h: HodgeMultiset) -> tuple[tuple[int, int], ...]:
+    """The factor prod Gamma_C(s - p)^mult as its shifts: (p, mult) for every class with p < q."""
     _require_no_pp(h)
-    return GammaFactor(tuple((p, m) for p, q, m in h.pairs if p < q))
+    return tuple((p, m) for p, q, m in h.pairs if p < q)
+
+
+def _has_pole(shifts: tuple[tuple[int, int], ...], s: int) -> bool:
+    """Whether the factor of ``shifts`` has a pole at the integer s: some s - p <= 0."""
+    return any(s <= p for p, _ in shifts)
 
 
 def critical_interval(h: HodgeMultiset) -> CriticalInterval:
@@ -112,7 +104,7 @@ def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
     kept = [
         (lo, hi - 1)
         for lo, hi in zip(cuts, cuts[1:])
-        if not g.has_pole_at(lo) and not g_dual.has_pole_at(1 - lo)
+        if not _has_pole(g, lo) and not _has_pole(g_dual, 1 - lo)
     ]
     if not kept or any(b[0] != a[1] + 1 for a, b in zip(kept, kept[1:])):
         raise AssertionError(f"pole scan produced a non-interval: stretches {kept}")

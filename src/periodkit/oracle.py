@@ -432,10 +432,6 @@ class PairVariables(Frozen):
 
     __slots__ = ("n", "np")
 
-    @classmethod
-    def build(cls, n: int, np_: int) -> "PairVariables":
-        return cls(n, np_)
-
     @property
     def names(self) -> tuple[str, ...]:
         """The variable table, in index order, built anew on each read."""
@@ -496,7 +492,7 @@ def _layout(ctx: PairContext) -> tuple[PairVariables, list[list[int]], int, int,
     ``ValueError``.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     cols = _mat1_columns(ctx)
     if len(cols) != n * np_:
         raise ValueError(f"matrix is not square: {len(cols)} columns for {n * np_} rows")
@@ -590,24 +586,23 @@ class VerificationReport(Frozen):
     ``sign`` is the observed s with det(Mat1)·cleared = s·det(A)^n' det(B)^n,
     or None when neither sign holds; ``ok`` requires it to be the predicted
     sgn(σ) (step 1).  ``bound`` is the exponent bound of det(Mat1)·cleared
-    (step 4).  ``factored`` counts the groups of n' rows whose primitive
-    matrix tested as square with a monomial times det(B) as determinant,
-    and ``unfactored`` is the index, from 0, of the first that did not, or
-    None; ``nonzero_minors`` gives each group that factored its nonzero
-    minors, the product of its class sizes, and each other group 0 (step
-    2).  ``blocks`` is n' when every column-class block tested as a
-    monomial times det(A) (step 3), else None; a step that declines leaves
-    ``sign`` None, and ``factored`` below n or ``blocks`` None names it
-    (step 4).  ``tests`` counts the factor tests made against det(B) and
-    against det(A), one per distinct matrix: (1, 1) on every Mat1.
+    (step 4).  ``nonzero_minors`` gives each group of n' rows whose
+    primitive matrix tested as square with a monomial times det(B) as
+    determinant its nonzero minors, the product of its class sizes, and
+    each other group 0 (step 2).  ``blocks`` is n' when every column-class
+    block tested as a monomial times det(A) (step 3), else None; a step
+    that declines leaves ``sign`` None, and a 0 in ``nonzero_minors`` or
+    ``blocks`` None names it (step 4).  ``tests`` counts the factor tests
+    made against det(B) and against det(A), one per distinct matrix:
+    (1, 1) on every Mat1.
     ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one lazy member,
     built with its variable table on its first read by the stored callable
     ``_rhs``; nothing in the package reads it, only the benchmark does.
     """
 
     __slots__ = (
-        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "factored",
-        "unfactored", "blocks", "tests", "_rhs",
+        "size", "ok", "sign", "predicted_sign", "bound", "nonzero_minors", "blocks", "tests",
+        "_rhs",
     )
 
     @property
@@ -636,23 +631,21 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
         if primitive not in tested_b:
             tested_b[primitive] = _factor(primitive, det_b)
         groups.append((list(classes.values()), tested_b[primitive]))
+    # A class size is never 0, so a 0 marks a group that did not factor.
     nonzero_minors = tuple(prod(map(len, cols)) if found else 0 for cols, found in groups)
-    unfactored = [at for at, (_, found) in enumerate(groups) if found is None]
     # Steps 3 and 4: {canonical block: its test against det(A)}.
     tested_a: dict = {}
-    found = None if unfactored else _blocks(groups, n, det_a, tested_a)
+    found = None if 0 in nonzero_minors else _blocks(groups, n, det_a, tested_a)
     unit, key = found or (None, None)
     sign = unit if unit in (1, -1) and key + cleared == 0 else None
 
     def rhs() -> LaurentPoly:
-        names = PairVariables.build(n, np_).names
+        names = PairVariables(n, np_).names
         a_power = LaurentPoly(names, det_a, 1) ** np_
         # Negate the small factor, not a copy of the product.
         return (a_power if predicted > 0 else -a_power) * LaurentPoly(names, det_b, 1) ** n
 
     return VerificationReport(
         n * np_, sign == predicted, sign, predicted, bound, nonzero_minors,
-        n - len(unfactored), unfactored[0] if unfactored else None,
-        None if found is None else np_, (len(tested_b), len(tested_a)),
-        cache(rhs),
+        None if found is None else np_, (len(tested_b), len(tested_a)), cache(rhs),
     )

@@ -137,9 +137,6 @@ class MotiveTag(Value):
     def text(self) -> str:
         return self._text
 
-    def sort_key(self):
-        return (self._text, self.rank if self.rank is not None else -1, self.csd)
-
 
 #: The trivial motive (rank one, weight zero); its twists are the Tate motives.
 TRIVIAL = MotiveTag("Z", rank=1)
@@ -179,7 +176,7 @@ class PeriodSymbol(Frozen):
         else:
             key = (
                 _KIND_ORDER[kind],
-                tag.sort_key(),
+                (tag._text, tag.rank if tag.rank is not None else -1, tag.csd),
                 index if index is not None else -1,
                 tag.label,
                 tag.ops,

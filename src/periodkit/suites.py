@@ -289,7 +289,7 @@ def _suite_oracle(trials: int, max_rank: int) -> list[tuple]:
 
     def cleared_matches_raw_q(_, t):
         ctx = dl.PairContext.build(*smp.pair_of_shape(*every[t % len(every)]))
-        pv = orc.PairVariables.build(ctx.M.rank, ctx.Mp.rank)
+        pv = orc.PairVariables(ctx.M.rank, ctx.Mp.rank)
         ((key, coeff),) = orc.cleared_period_product(ctx).terms.items()
         if coeff != 1:
             return False

@@ -173,6 +173,12 @@ class TestGammaSetsSplit:
         rc, payload, _ = run(capsys, ["gamma", write(tmp_path, "m.json", ELLIPTIC)])
         assert rc == 0 and payload == {"weight": 1, "shifts": [[0, 2]]}
 
+    def test_gamma_prints_every_shift_in_order(self, tmp_path, capsys):
+        # Two classes with p < q, each with its multiplicity, smallest p first.
+        motive = {"label": "M", "rank": 4, "weight": 3, "hodge_p": [3, 2, 1, 0]}
+        rc, payload, _ = run(capsys, ["gamma", write(tmp_path, "m.json", motive)])
+        assert rc == 0 and payload == {"weight": 3, "shifts": [[0, 2], [1, 2]]}
+
     def test_sets(self, tmp_path, capsys):
         rc, payload, _ = run(
             capsys,

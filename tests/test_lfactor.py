@@ -11,7 +11,7 @@ from periodkit.errors import NotCriticalPairError, PpClassError
 from periodkit.hodge import HodgeMultiset, RegularMotiveData, restriction, restriction_tensor
 from periodkit.lfactor import (
     CriticalInterval,
-    GammaFactor,
+    _has_pole,
     critical_interval,
     critical_interval_via_poles,
     gamma_factor,
@@ -27,20 +27,33 @@ FOUR_PAIR = restriction_tensor(
 
 class TestGammaFactor:
     def test_single_pair(self):
-        assert gamma_factor(ELLIPTIC).shifts == ((0, 1),)
+        assert gamma_factor(ELLIPTIC) == ((0, 1),)
 
     def test_four_pair_example(self):
-        assert gamma_factor(FOUR_PAIR).shifts == ((-1, 1), (0, 1))
+        assert gamma_factor(FOUR_PAIR) == ((-1, 1), (0, 1))
 
     def test_wide_pair(self):
         h = HodgeMultiset(1, [(2, -1), (-1, 2)])
-        assert gamma_factor(h).shifts == ((-1, 1),)
+        assert gamma_factor(h) == ((-1, 1),)
+
+    def test_the_factor_is_a_frozen_value(self):
+        # A tuple of (p, mult) int pairs: equal multisets give equal,
+        # hash-equal factors, and no caller can change one in place.
+        first = gamma_factor(HodgeMultiset(1, [(1, 0), (0, 1)]))
+        second = gamma_factor(HodgeMultiset(1, [(0, 1), (1, 0)]))
+        assert type(first) is tuple and all(type(pair) is tuple for pair in first)
+        assert all(type(x) is int for pair in first for x in pair)
+        assert first == second and hash(first) == hash(second)
+        with pytest.raises(TypeError):
+            first[0] = (1, 1)
 
     def test_pole_needs_an_integral_distance(self):
-        g = GammaFactor(((1, 1),))  # Gamma_C(s - 1)
-        assert g.has_pole_at(1) and g.has_pole_at(-3) and g.has_pole_at(Fraction(0))
-        assert not g.has_pole_at(2)
-        assert not g.has_pole_at(Fraction(1, 2)) and not g.has_pole_at(Fraction(-7, 2))
+        # The pole scan passes integers only, so s - p is integral, and
+        # Gamma_C(s - p) has a pole exactly where it is at most 0.
+        shifts = ((1, 1),)  # Gamma_C(s - 1)
+        assert _has_pole(shifts, 1) and _has_pole(shifts, 0) and _has_pole(shifts, -3)
+        assert not _has_pole(shifts, 2)
+        assert _has_pole(((-1, 2), (4, 1)), 3) and not _has_pole(((-1, 2), (4, 1)), 5)
 
     def test_pp_class_rejected(self):
         h = HodgeMultiset(0, [(0, 0)])
@@ -73,9 +86,8 @@ class TestCriticalInterval:
 
     def test_pole_scan_tests_each_stretch_once(self, monkeypatch):
         calls = []
-        has_pole_at = GammaFactor.has_pole_at
         monkeypatch.setattr(
-            GammaFactor, "has_pole_at", lambda g, s: calls.append(s) or has_pole_at(g, s)
+            lfactor, "_has_pole", lambda shifts, s: calls.append(s) or _has_pole(shifts, s)
         )
         h = restriction(RegularMotiveData("M", 0, (10**4, -(10**4))))
         assert critical_interval_via_poles(h) == CriticalInterval(1 - 10**4, 10**4)
@@ -89,11 +101,7 @@ class TestCriticalInterval:
     )
     def test_pole_scan_refuses_stretches_that_are_no_interval(self, monkeypatch, pole_at, kept):
         # A real factor has its poles on a half-line, so only a stub leaves a hole.
-        class Stub:
-            def has_pole_at(self, s):
-                return pole_at(s)
-
-        monkeypatch.setattr(lfactor, "gamma_factor", lambda h: Stub())
+        monkeypatch.setattr(lfactor, "_has_pole", lambda shifts, s: pole_at(s))
         with pytest.raises(AssertionError) as err:
             critical_interval_via_poles(HodgeMultiset(1, [(3, -2), (-2, 3)]))
         assert str(err.value) == f"pole scan produced a non-interval: stretches {kept}"

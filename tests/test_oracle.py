@@ -428,7 +428,7 @@ class TestSymDet:
         rep = verify_proposition(ctx)
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
-        assert rep.ok and rep.sign == 1 and rep.factored == rep.blocks == 2
+        assert rep.ok and rep.sign == 1 and rep.blocks == 2
         assert rep.tests == (1, 1)
         assert rep.bound == row_max == 82
         assert rep.nonzero_minors == (4, 4)
@@ -528,7 +528,7 @@ def test_generic_det_is_the_leibniz_sum_with_bound_one(k):
 def test_generic_det_on_the_index_maps_the_check_passes(n, np_, which):
     # det(B) at 2x4 and det(A) at 4x2, over the full table of the pair,
     # Q and Q' variables and the other block included.
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     idx, names = getattr(pv, which), pv.names
     mx = tuple(
         tuple(LaurentPoly.monomial(names, {idx(i, a): 1}) for a in range(1, 5))
@@ -730,7 +730,7 @@ def test_the_check_takes_the_layout_the_public_wrappers_read(n, np_):
         scaled = (tuple(entry * cleared for entry in mat1[0]), *mat1[1:])
         assert bound == sum(max(entry._bound for entry in row) for row in scaled), slots
         assert sign == _kronecker_column_sign(_mat1_columns(ctx), np_), (n, np_, slots)
-        pv = PairVariables.build(n, np_)
+        pv = PairVariables(n, np_)
         assert det_a == _generic_det(pv.a_idx, n)
         assert det_b == _generic_det(pv.b_idx, np_)
         rep = verify_proposition(ctx)
@@ -754,7 +754,7 @@ class TestMat1:
             RegularMotiveData("M", 0, (1,)), RegularMotiveData("M'", 0, (0,))
         )
         mx = build_mat1(ctx)
-        pv = PairVariables.build(1, 1)
+        pv = PairVariables(1, 1)
         want = LaurentPoly.monomial(
             pv.names,
             {pv.a_idx(1, 1): 1, pv.b_idx(1, 1): 1, pv.q_idx(1): -1, pv.qp_idx(1): -1},
@@ -769,7 +769,7 @@ class TestMat1:
         # equal by identity.
         mx = build_mat1(PairContext.build(*pair_of_shape(n, np_, range(n))))
         assert len({id(entry.vars) for row in mx for entry in row}) == 1
-        assert mx[0][0].vars == PairVariables.build(n, np_).names
+        assert mx[0][0].vars == PairVariables(n, np_).names
 
     def test_column_count_is_nn(self):
         rng = random.Random(62)
@@ -797,7 +797,7 @@ class TestVerifyProposition:
         )
         rep = verify_proposition(ctx)
         assert rep.ok and rep.sign == rep.predicted_sign == 1
-        pv = PairVariables.build(1, 1)
+        pv = PairVariables(1, 1)
         want = LaurentPoly.monomial(pv.names, {pv.a_idx(1, 1): 1, pv.b_idx(1, 1): 1})
         assert _reference_lhs(ctx) == want == rep.rhs
 
@@ -830,7 +830,7 @@ class TestVerifyProposition:
         rng = random.Random(67)
         for _ in range(50):
             ctx = PairContext.build(*random_pp_free_pair(rng, 3))
-            pv = PairVariables.build(ctx.M.rank, ctx.Mp.rank)
+            pv = PairVariables(ctx.M.rank, ctx.Mp.rank)
             ((key, coeff),) = cleared_period_product(ctx).terms.items()
             assert coeff == 1
             raw = deligne_period_raw(ctx)
@@ -980,7 +980,7 @@ class TestPredictedSign:
         for n, np_, slots in shapes:
             ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             rep = verify_proposition(ctx)
-            pv = PairVariables.build(n, np_)
+            pv = PairVariables(n, np_)
             names = pv.names
             det_a = LaurentPoly(names, _generic_det(pv.a_idx, n), 1)
             det_b = LaurentPoly(names, _generic_det(pv.b_idx, np_), 1)
@@ -1020,8 +1020,7 @@ class TestPredictedSign:
                 wrong = verify_proposition(ctx)
                 _unfactored_groups(patch, ctx)
                 forced = verify_proposition(ctx)
-            assert (wrong.factored, forced.factored) == (n, 0)
-            assert (wrong.unfactored, forced.unfactored) == (None, 0)
+            assert (wrong.nonzero_minors, forced.nonzero_minors) == ((n ** np_,) * n, (0,) * n)
             assert (wrong.blocks, forced.blocks) == (np_, None)
             assert forced.predicted_sign == wrong.predicted_sign == -right.predicted_sign
             assert right.ok and not wrong.ok and not forced.ok, (n, np_)
@@ -1030,8 +1029,8 @@ class TestPredictedSign:
 
 
 # The fields a step that declines leaves as they are: all but ok and sign,
-# which it clears, factored, unfactored, blocks and tests, which name the
-# step, and nonzero_minors, which counts only the groups that factored.
+# which it clears, and nonzero_minors, blocks and tests, which name the
+# step.
 KEPT_FIELDS = ("size", "predicted_sign", "bound", "rhs")
 
 
@@ -1072,7 +1071,7 @@ def _distinct_blocks(ctx, m):
 
 def _a11_over_q1(n, np_):
     """The key of A[1,1]·Q[1]^-1 in the variables of an n x n' pair."""
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     return _pack([(pv.a_idx(1, 1), 1), (pv.q_idx(1), -1)])
 
 
@@ -1081,15 +1080,14 @@ class TestFactoredCheck:
     def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch):
         # With the test against det(B) forced to fail, the check declines at
         # step 2.  On Mat1 all n groups share that one test, so none
-        # factors: no sign, group 0 named, no blocks, no test against
-        # det(A), no group's minors counted, and every other field kept.
+        # factors: no sign, no blocks, no test against det(A), no group's
+        # minors counted, and every other field kept.
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         right = verify_proposition(ctx)
         _unfactored_groups(monkeypatch, ctx)
         forced = verify_proposition(ctx)
-        assert right.ok and (right.factored, right.unfactored, right.blocks) == (n, None, np_)
-        assert (forced.factored, forced.unfactored, forced.blocks) == (0, 0, None)
+        assert right.ok and (right.blocks, forced.blocks) == (np_, None)
         assert (right.tests, forced.tests) == ((1, 1), (1, 0))
         assert (right.nonzero_minors, forced.nonzero_minors) == ((n ** np_,) * n, (0,) * n)
         assert forced.sign is None and not forced.ok
@@ -1106,22 +1104,21 @@ class TestFactoredCheck:
         inputs = _distinct_groups(ctx, _a11_over_q1(2, 2))
         monkeypatch.setattr(orc, "_inputs", lambda c: inputs)
         right = verify_proposition(ctx)
-        assert right.factored == 2 and right.ok and right.unfactored is None
-        assert right.tests == (2, 1)
+        assert right.ok and right.tests == (2, 1)
         # A group that does not factor leaves the blocks nothing to decide:
-        # the check observes no sign, and the report names the first group
-        # that did not factor.
+        # the check observes no sign, and a 0 in nonzero_minors names each
+        # group that did not factor.
         unfactored = {
-            "group 0 unfactored": (1, 0, (0, 4), lambda k, found: None if k == 0 else found),
-            "group 1 unfactored": (1, 1, (4, 0), lambda k, found: None if k == 1 else found),
-            "no group factored": (0, 0, (0, 0), lambda k, found: None),
+            "group 0 unfactored": ((0, 4), lambda k, found: None if k == 0 else found),
+            "group 1 unfactored": ((4, 0), lambda k, found: None if k == 1 else found),
+            "no group factored": ((0, 0), lambda k, found: None),
         }
         assert right.nonzero_minors == (4, 4)
-        for case, (factored, first, minors, against_b) in unfactored.items():
+        for case, (minors, against_b) in unfactored.items():
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, against_b)
                 rep = verify_proposition(ctx)
-            assert (rep.factored, rep.unfactored, rep.blocks) == (factored, first, None), case
+            assert rep.blocks is None, case
             assert rep.tests == (2, 0) and rep.nonzero_minors == minors, case
             assert rep.sign is None and not rep.ok, case
             for name in KEPT_FIELDS:
@@ -1137,7 +1134,7 @@ class TestFactoredCheck:
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
-            assert (rep.factored, rep.unfactored, rep.blocks) == (2, None, 2), case
+            assert (rep.nonzero_minors, rep.blocks) == ((4, 4), 2), case
             assert rep.predicted_sign == right.predicted_sign, case
             assert not rep.ok, case
             negated = -right.predicted_sign if case == "one unit negated" else None
@@ -1158,7 +1155,7 @@ class TestDistinctMatrices:
         # times det(A)^n' det(B)^n.
         import periodkit.oracle as orc
 
-        pv = PairVariables.build(n, np_)
+        pv = PairVariables(n, np_)
         names = pv.names
         want_tests = (2, 1) if craft is _distinct_groups else (1, np_)
         for slots in combinations(range(n + np_), n):
@@ -1169,7 +1166,7 @@ class TestDistinctMatrices:
                 patch.setattr(orc, "_inputs", lambda c: inputs)
                 rep = verify_proposition(ctx)
             assert rep.tests == want_tests, slots
-            assert rep.ok and (rep.factored, rep.blocks) == (n, np_), slots
+            assert rep.ok and (rep.nonzero_minors, rep.blocks) == ((n ** np_,) * n, np_), slots
             assert (rep.sign, rep.bound) == (mat1.sign, mat1.bound), slots
             rows, cleared, _, det_a, det_b, _ = inputs
             lhs = naive_det([[_poly(names, key) for key in row] for row in rows])
@@ -1188,7 +1185,7 @@ class TestDistinctMatrices:
         import periodkit.oracle as orc
 
         ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
-        pv = PairVariables.build(n, np_)
+        pv = PairVariables(n, np_)
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, np_ + 1)]
         det_a, det_b = _generic_det(pv.a_idx, n), _generic_det(pv.b_idx, np_)
         rng = random.Random(f"orders/{n}x{np_}")
@@ -1245,7 +1242,6 @@ def test_identity_holds_on_every_tableau_of_the_shape(n, np_):
         seen.add((ctx.A.members, ctx.T.members))
         rep = verify_proposition(ctx)
         assert rep.ok, (n, np_, slots)
-        assert rep.factored == n and rep.unfactored is None, (n, np_, slots)
         assert rep.nonzero_minors == (n ** np_,) * n, (n, np_, slots)
         assert rep.tests == (1, 1), (n, np_, slots)
         bounds.append(rep.bound)
@@ -1261,7 +1257,7 @@ def test_right_side_has_bound_n_plus_np(n, np_):
     assert rep.rhs._bound == n + np_ <= 7
     # The diagonal term's exponents are n' and n, below the bound: a
     # product's bound is the sum of its factors' bounds.
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     exps = {pv.a_idx(i, i): np_ for i in range(1, n + 1)}
     exps.update({pv.b_idx(j, j): n for j in range(1, np_ + 1)})
     key = tuple(exps.get(v, 0) for v in range(len(pv.names)))
@@ -1278,11 +1274,11 @@ def test_every_row_block_of_mat1_factors(n, np_):
     # decide, and all have one canonical form, tested once against det(A).
     ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
     rep = verify_proposition(ctx)
-    assert rep.ok and rep.factored == n
+    assert rep.ok
     assert rep.nonzero_minors == (n ** np_,) * n
     assert rep.tests == (1, 1)
     assert rep.blocks == np_
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     assert len(_generic_det(pv.b_idx, np_)) == factorial(np_)
 
 
@@ -1324,7 +1320,7 @@ def _evaluated_identity(ctx, rng):
     determinant is ``_bareiss``'s, on evaluated entries.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
-    pv = PairVariables.build(n, np_)
+    pv = PairVariables(n, np_)
     periods = [pv.q_idx(t) for t in range(1, n + 1)] + [pv.qp_idx(u) for u in range(1, np_ + 1)]
     period_set = set(periods)
     point = [rng.choice((-1, 1)) * rng.randint(1, POINT_RANGE) for _ in pv.names]
@@ -1392,7 +1388,8 @@ class TestColumnClassBlocks:
             ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             rep = verify_proposition(ctx)
             _assert_the_evaluation_agrees(ctx, rep, rng)
-            assert rep.ok and (rep.blocks, rep.factored, rep.unfactored) == (np_, n, None), slots
+            assert rep.ok and rep.blocks == np_, slots
+            assert rep.nonzero_minors == (n ** np_,) * n, slots
             assert rep.tests == (1, 1), slots
 
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
@@ -1423,7 +1420,7 @@ class TestColumnClassBlocks:
             with monkeypatch.context() as patch:
                 _tamper(patch, ctx, against_a=lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
-            assert (rep.blocks, rep.factored, rep.unfactored) == (blocks, n, None), case
+            assert (rep.blocks, rep.nonzero_minors) == (blocks, (n ** np_,) * n), case
             assert rep.predicted_sign == right.predicted_sign, case
             assert rep.sign == sign, case
             assert rep.ok is (sign == right.predicted_sign), case
@@ -1438,7 +1435,7 @@ class TestColumnClassBlocks:
         kron, det_a, det_b = _kron_2x2()
         rows = [*kron[:2], *([row[0], row[2], row[1], row[3]] for row in kron[2:])]
         rep = _check_rows(monkeypatch, rows, det_a, det_b)
-        assert (rep.blocks, rep.factored, rep.unfactored) == (None, 2, None)
+        assert rep.blocks is None
         assert rep.nonzero_minors == (4, 4) and rep.tests == (1, 0)
         assert rep.sign is None and not rep.ok
 
@@ -1463,7 +1460,7 @@ class TestColumnClassBlocks:
             width = len(_classes(keys[2 * first : 2 * first + 2]))
             assert width == (1 if first == 0 else 3), case
             rep = _check_rows(monkeypatch, rows, det_a, det_b)
-            assert (rep.blocks, rep.factored, rep.unfactored) == (None, 1, first), case
+            assert rep.blocks is None, case
             assert rep.nonzero_minors == minors and rep.tests == (2, 0), case
             assert rep.sign is None and not rep.ok, case
 

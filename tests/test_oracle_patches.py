@@ -1,10 +1,10 @@
 """The oracle names that tests patch, each with its reason.
 
 A test that only observes what ``verify_proposition`` did reads its
-report (``bound``, ``nonzero_minors``, ``factored``, ``unfactored``,
-``blocks``, ``tests``).  A patch of an oracle name is kept only where it
-injects a fault or crafted input.  The scan reads ``tests/*.py`` with
-``ast`` for ``setattr(<alias of periodkit.oracle>, "<name>", ...)``.
+report (``bound``, ``nonzero_minors``, ``blocks``, ``tests``).  A patch
+of an oracle name is kept only where it injects a fault or crafted input.
+The scan reads ``tests/*.py`` with ``ast`` for
+``setattr(<alias of periodkit.oracle>, "<name>", ...)``.
 """
 
 import ast
@@ -63,8 +63,8 @@ def patched_oracle_names() -> set[str]:
 
 
 def test_the_tests_patch_only_the_allowed_oracle_names():
-    # The groups that factored, the bound and the nonzero minors per group
-    # are read from the report, so the row groups are not patched.
+    # The bound and the nonzero minors per group, 0 for a group that did
+    # not factor, are read from the report, so the row groups are not patched.
     assert patched_oracle_names() == set(ALLOWED)
     assert "_group_minors" not in ALLOWED
 

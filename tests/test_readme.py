@@ -8,7 +8,7 @@ from pathlib import Path
 
 from periodkit import cli
 from periodkit.fileio import parse_motive, parse_rep
-from periodkit.oracle import LaurentPoly, sym_det
+from periodkit.oracle import LaurentPoly, VerificationReport, sym_det
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -98,6 +98,16 @@ def test_term_counts_add_up():
     total, root = map(_count, re.search(r"([\d,]+) = ([\d,]+)² at 4x4", text).groups())
     assert len((_generic_det(4) ** 4).terms) == root and total == root**2
     assert _count(re.search(r"11! = ([\d,]+) terms", text).group(1)) == factorial(11)
+
+
+def test_the_oracle_bullet_names_every_field_of_the_report():
+    # The sentence that lists the report's fields names each public field,
+    # and every bare name in backticks there is one.
+    text = " ".join(README.split())
+    sentence = re.search(r"`oracle\.verify_proposition` returns a report: (.*?)\. ", text).group(1)
+    listed = set(re.findall(r"`([a-z_]+)`", sentence))
+    fields = set(VerificationReport.__slots__) - {"_rhs"} | {"rhs"}
+    assert listed == fields
 
 
 def test_every_measured_figure_cites_its_changes_entry():

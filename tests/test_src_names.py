@@ -43,8 +43,6 @@ SHADOWED = {
     "InfinityTypeData.n": "the rank of a type: automorphic, fileio and lfactor read pi.n",
     # MotiveTag has a slot rank.
     "RegularMotiveData.rank": "the rank of a motive: read throughout src",
-    # PeriodSymbol has a slot sort_key.
-    "MotiveTag.sort_key": "PeriodSymbol's constructor calls tag.sort_key()",
     # periods.DerivationResult has a slot rhs.
     "VerificationReport.rhs": "no reader in src: perfbench's oracle-identity workload and "
     "its tracer count its terms",

@@ -19,7 +19,7 @@ from periodkit.automorphic import CaseReport, InfinityTypeData, classify_known_c
 from periodkit.combinatorics import IndexPairSet, set_A
 from periodkit.deligne import PairContext
 from periodkit.hodge import HodgeMultiset, RegularMotiveData
-from periodkit.lfactor import CriticalInterval, GammaFactor, gamma_factor
+from periodkit.lfactor import CriticalInterval
 from periodkit.oracle import PairVariables, VerificationReport, verify_proposition
 from periodkit.periods import (
     DerivationResult,
@@ -40,7 +40,6 @@ HALF = (Fraction(1, 2), Fraction(-1, 2))
 BUILD = {
     RegularMotiveData: lambda: RegularMotiveData("M", 1, (1, 0)),
     HodgeMultiset: lambda: HodgeMultiset(1, [(1, 0), (0, 1)]),
-    GammaFactor: lambda: gamma_factor(HodgeMultiset(1, [(1, 0), (0, 1)])),
     CriticalInterval: lambda: CriticalInterval(1, 2),
     IndexPairSet: lambda: set_A(M, MP),
     PairContext: lambda: PairContext.build(M, MP),
@@ -53,7 +52,7 @@ BUILD = {
     CaseReport: lambda: classify_known_case(
         InfinityTypeData("Pi", 0, HALF), InfinityTypeData("Pi'", 0, (0,)), Fraction(1, 2)
     ),
-    PairVariables: lambda: PairVariables.build(2, 1),
+    PairVariables: lambda: PairVariables(2, 1),
     VerificationReport: lambda: verify_proposition(PairContext.build(M, MP)),
     DerivationResult: lambda: derive_delta_square_identity(2),
 }
