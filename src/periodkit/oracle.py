@@ -1,4 +1,4 @@
-"""Exact re-derivation of the Deligne period formula by symbolic determinant.
+"""Exact re-derivation of the Deligne period formula by matching Mat1's structure.
 
 Mat1 is the coefficient matrix of the comparison isomorphism, restricted
 to the basis vectors outside the index sets A and T.  ``verify_proposition``
@@ -11,23 +11,31 @@ in these steps; the code cites them by number.
    One column list and the index arithmetic of ``PairVariables`` give
    Mat1's entries as bare keys (every entry is one term of coefficient
    1), the cleared period monomial's key, kept out of the rows for the
-   final key sum, the exponent bound, sgn(σ), and det(A) and det(B) as
-   Leibniz sums, which share no code with the DP.  No variable name is
-   built.
-2. Groups against det(B).  The determinant is Laplace's expansion, one DP
-   over column subsets that takes one row at a time.  One factor test
-   serves steps 2 and 3: it takes the determinant of a square matrix by
-   the DP and finds c and e with det = c·x^e·ref, or none.  A group's
-   columns equal up to x^e on all its rows form a class, in Mat1 the n
-   columns of one b-index; e is the column's row-0 key, and the columns
-   less their e, one per class, are the group's primitive matrix.  If it
-   is n' x n' with determinant c_i·x^(s_i)·det(B), group i factors: a set
-   of n' columns, one of each class, has the minor ±x^Σe times that, and
-   a set holding two columns of one class has the minor zero.  A
-   primitive matrix that is not square leaves the group unfactored.  The
+   final key sum, the exponent bound and sgn(σ).  No variable name and no
+   determinant is built.
+2. Groups against B, by matching.  One factor test serves steps 2 and 3.
+   Let G be the generic k x k matrix of A's or of B's variables, g(i, a)
+   the key of its entry.  A square matrix M of keys matches G if
+   M[r][c] = g(π(r), σ(c)) + u_r + v_c for permutations π and σ and keys
+   u_r and v_c.  Then det(M) = c·x^e·det(G), with c = sgn(π)·sgn(σ) and
+   e = Σu + Σv = Σ_r (M[r][r] - g(π(r), σ(r))).  Each cross difference
+   M[r][c] - M[r][0] - M[0][c] + M[0][0] cancels u and v and leaves four
+   of G's keys: +1 at (π(r), σ(c)) and (π(0), σ(0)), -1 at (π(r), σ(0))
+   and (π(0), σ(c)).  The test reads π and σ off the cross differences
+   of row and column 1, then compares every cross difference with g(π,
+   σ)'s, and gives no answer for a matrix that is not square or differs
+   anywhere.  At k = 2 the one cross difference reads two ways, (π, σ)
+   and both composed with the swap, which give the same c and e.
+   A group's columns equal up to x^e on all its rows form a class, in Mat1
+   the n columns of one b-index; e is the column's row-0 key, and the
+   columns less their e, one per class, are the group's primitive matrix.
+   If it matches B's generic matrix with c_i and s_i, group i factors: a
+   set of n' columns, one of each class, has the minor ±x^Σe·c_i·x^(s_i)·
+   det(B), and a set holding two columns of one class has the minor zero.
+   A primitive matrix that is not square leaves the group unfactored.  The
    test runs once per distinct primitive matrix, found by comparing the
    matrices; on Mat1 all n groups have one.
-3. Blocks against det(A).  If every group factors, and all split the
+3. Blocks against A.  If every group factors, and all split the
    columns into the same n' classes, then
    det(Mat1) = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has x^e in
    each member column of class k of group i.  Listing N's rows class by
@@ -37,19 +45,29 @@ in these steps; the code cites them by number.
    sign of that column order.  Dividing each column of the n-row block N_b
    by its row-0 key and sorting the columns gives its canonical form:
    det(N_b) = π_b·x^(Σe_0)·det(canonical), π_b the sign of the sort and
-   Σe_0 the row-0 keys divided out.  The factor test against det(A), as
-   d·x^t·det(A), runs once per distinct canonical block; on Mat1 all n'
-   blocks have one, of n columns.
-4. Exactness.  Each exponent is a signed 8-bit field of one integer key,
-   and packing maps the ring homomorphically into Laurent polynomials in
-   one variable, where the DP and the tests run.  There it is injective on
-   polynomials whose exponents stay below 128, as both sides' do (the
-   bound is checked), and there are no zero divisors.  So the identity
-   holds with sign u = ε·Πc_i·Ππ_b·d_b exactly when K + cleared is the
-   zero key, K = Σs_i + Σ(Σe_0 + t) over the blocks, and u is ±1.  A group
+   Σe_0 the row-0 keys divided out.  The canonical block is matched
+   against A's generic matrix, as d·x^t·det(A), once per distinct
+   canonical block; on Mat1 all n' blocks have one, of n columns.
+4. Exactness.  Each exponent is a signed 8-bit field of one integer key.
+   Packing is additive, so each sum of keys above is the key of the sum of
+   exponent vectors, and a key is 0 only if its vector is 0 or has a field
+   of size 256 or more: its lowest nonzero field is a multiple of 256.
+   Mat1's entries have fields in {-1, 0, 1}, which the checked bound
+   assumes.  Two columns compared in step 2 or 3 differ by four entries,
+   so by at most 4 in each field.  A cross difference of a primitive
+   matrix or a canonical block is one of Mat1's, so with g(π, σ)'s four
+   keys it stays within 8, and a shift sum adds k entries, each two of
+   Mat1's less one of G's, so it stays within 3k.  All are far below 128,
+   so every comparison in steps 2 and 3 is exact, and
+   det(Mat1) = u·x^K·det(A)^n' det(B)^n holds, with u = ε·Πc_i·Ππ_b·d_b and
+   K = Σs_i + Σ(Σe_0 + t) over the blocks, and K + cleared is the exponent
+   of a term of det(Mat1)·cleared, below 128 by the checked bound, over
+   one of det(A)^n' det(B)^n, at most max(n, n'): below 256, so its
+   comparison with 0 is exact too.  The identity holds with sign u
+   exactly when K + cleared is the zero key and u is ±1.  A group
    that does not factor, groups that split the columns otherwise, or a
-   block that is no monomial times det(A) leaves no sign: the check
-   declines at that step.
+   block that does not match leaves no sign: the check declines at that
+   step.
 """
 from __future__ import annotations
 
@@ -359,23 +377,56 @@ def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int
     return classes
 
 
-def _shift(poly: dict[int, int], ref: dict[int, int]) -> tuple[int, int] | None:
-    """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None."""
-    if not poly or len(poly) != len(ref):
-        return None
-    # Adding e keeps the order of keys; each term is checked, so a ratio
-    # that is not an integer fails.
-    low, base = min(poly), min(ref)
-    c, e = poly[low] // ref[base], low - base
-    if any(poly.get(key + e) != c * coeff for key, coeff in ref.items()):
-        return None
-    return c, e
+def _factor(columns: tuple[tuple[int, ...], ...], idx) -> tuple[int, int] | None:
+    """(c, e) with det = c·x^e·det(G) by matching, G the generic matrix of idx(i, a), else None.
 
-
-def _factor(columns: tuple[tuple[int, ...], ...], ref: dict[int, int]) -> tuple[int, int] | None:
-    """(c, e) if the matrix of bare-key ``columns`` is square with determinant c·x^e·``ref``, else None."""
-    rows = [{1 << c: {key: 1} for c, key in enumerate(row)} for row in zip(*columns)]
-    return _shift(_det(rows, len(columns)), ref)
+    The matrix M of bare-key ``columns`` matches G when it is square and
+    M[r][c] = g(π(r), σ(c)) + u_r + v_c, g(i, a) the key of G's entry, for
+    permutations π and σ: then c = sgn(π)·sgn(σ) and e = Σu + Σv, the sum
+    of M[r][r] - g(π(r), σ(r)) (step 2).
+    """
+    k = len(columns)
+    if any(len(column) != k for column in columns):
+        return None
+    order = list(range(k))
+    unit = [[1 << _WIDTH * idx(i + 1, a + 1) for a in order] for i in order]
+    rows = list(zip(*columns))
+    if k == 1:
+        return 1, rows[0][0] - unit[0][0]
+    cell = {key: (i, a) for i, row in enumerate(unit) for a, key in enumerate(row)}
+    top = rows[0]
+    # u and v cancel from each cross difference, which leaves G's keys: +1
+    # at (π(r), σ(c)) and (π(0), σ(0)), -1 at (π(r), σ(0)) and (π(0), σ(c)).
+    cross = [[row[c] - row[0] - top[c] + top[0] for c in order] for row in rows]
+    # Peel cross difference (1, 1) by its lowest field; a -1 there also
+    # sets the next bit.  Its +1s are (π(0), σ(0)) and (π(1), σ(1)), in
+    # either order: two readings.
+    plus, d = [], cross[1][1]
+    while d:
+        low = d & -d
+        if d & low << 1:
+            d += low
+        elif low in cell:
+            plus.append(cell[low])
+            d -= low
+        else:
+            return None
+    if len(plus) != 2:
+        return None
+    rest, nowhere = order[1:], (-1, -1)
+    for (p, s), (p1, s1) in (plus, plus[::-1]):
+        # Cross difference (r, 1) plus g(π(0), σ(1)) - g(π(0), σ(0)) is
+        # g(π(r), σ(1)) - g(π(r), σ(0)), its lowest field in row π(r); so
+        # (1, c) plus g(π(1), σ(0)) - g(π(0), σ(0)) gives σ(c).
+        to_row, to_column = unit[p][s1] - unit[p][s], unit[p1][s] - unit[p][s]
+        pi = [p] + [cell.get((d := row[1] + to_row) & -d, nowhere)[0] for row in cross[1:]]
+        sigma = [s] + [cell.get((d := x + to_column) & -d, nowhere)[1] for x in cross[1][1:]]
+        if sorted(pi) != order or sorted(sigma) != order:
+            continue
+        g = [[unit[i][a] for a in sigma] for i in pi]
+        if all(cross[r][c] == g[r][c] - g[r][0] - g[0][c] + g[0][0] for r in rest for c in rest):
+            return (-1) ** (_parity(pi) + _parity(sigma)), sum(rows[r][r] - g[r][r] for r in order)
+    return None
 
 
 def _table(rows) -> tuple[str, ...]:
@@ -544,26 +595,19 @@ def _generic_det(idx, k: int) -> dict[int, int]:
     return {key: sign for key, sign, _ in terms}
 
 
-def _inputs(ctx: PairContext) -> tuple[list[list[int]], int, int, dict, dict, int]:
-    """(Mat1's rows, cleared key, bound of det(Mat1)·cleared, det(A), det(B), sgn σ): step 1."""
-    pv, rows, cleared, cleared_bound, sign = _layout(ctx)
-    det_a, det_b = _generic_det(pv.a_idx, pv.n), _generic_det(pv.b_idx, pv.np)
-    return rows, cleared, len(rows) + cleared_bound, det_a, det_b, sign
-
-
-def _blocks(groups: list, n: int, det_a: dict, tested: dict) -> tuple[int, int] | None:
+def _blocks(groups: list, idx, tested: dict) -> tuple[int, int] | None:
     """(u, K) with det(Mat1) = u·x^K·det(A)^n' det(B)^n by step 3, else None.
 
     ``groups`` holds each group's classes, as member lists, and its (c_i,
     s_i) from step 2; ``tested`` maps each canonical block to what its
-    factor test against det(A) found.
+    match against A's generic matrix, of the variables idx(i, a), found.
     """
     cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in groups}
     if len(cuts) != 1:
         return None
     (cut,) = cuts
     order = [bit for cols in cut for bit in cols]
-    unit = (-1) ** (comb(n, 2) * comb(len(cut), 2) + _parity(order))
+    unit = (-1) ** (comb(len(groups), 2) * comb(len(cut), 2) + _parity(order))
     unit *= prod(c for _, (c, _) in groups)
     key = sum(s for _, (_, s) in groups)
     for b in range(len(cut)):
@@ -572,7 +616,7 @@ def _blocks(groups: list, n: int, det_a: dict, tested: dict) -> tuple[int, int] 
         columns = [tuple(e - column[0] for e in column) for column in columns]
         canonical = tuple(sorted(columns))
         if canonical not in tested:
-            tested[canonical] = _factor(canonical, det_a)
+            tested[canonical] = _factor(canonical, idx)
         found = tested[canonical]
         if found is None:
             return None
@@ -587,17 +631,18 @@ class VerificationReport(Frozen):
     or None when neither sign holds; ``ok`` requires it to be the predicted
     sgn(σ) (step 1).  ``bound`` is the exponent bound of det(Mat1)·cleared
     (step 4).  ``nonzero_minors`` gives each group of n' rows whose
-    primitive matrix tested as square with a monomial times det(B) as
-    determinant its nonzero minors, the product of its class sizes, and
-    each other group 0 (step 2).  ``blocks`` is n' when every column-class
-    block tested as a monomial times det(A) (step 3), else None; a step
-    that declines leaves ``sign`` None, and a 0 in ``nonzero_minors`` or
-    ``blocks`` None names it (step 4).  ``tests`` counts the factor tests
-    made against det(B) and against det(A), one per distinct matrix:
-    (1, 1) on every Mat1.
+    primitive matrix matched B's generic matrix its nonzero minors, the
+    product of its class sizes, and each other group 0 (step 2).
+    ``blocks`` is n' when every canonical column-class block matched A's
+    generic matrix (step 3), else None; a step that declines leaves
+    ``sign`` None, and a 0 in ``nonzero_minors`` or ``blocks`` None names
+    it (step 4).  ``tests`` counts the factor tests made against B's and
+    against A's generic matrix, one per distinct matrix: (1, 1) on every
+    Mat1.
     ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one lazy member,
-    built with its variable table on its first read by the stored callable
-    ``_rhs``; nothing in the package reads it, only the benchmark does.
+    built with its variable table and the Leibniz sums det(A) and det(B)
+    on its first read by the stored callable ``_rhs``; nothing in the
+    package reads it, only the benchmark does.
     """
 
     __slots__ = (
@@ -614,36 +659,37 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     """Check det(Mat1)·cleared periods = sgn(σ)·det(A)^n' det(B)^n exactly.
 
     The inputs come from one layout (step 1), and each group of n' rows is
-    tested against det(B) (step 2).  If all groups factor alike, the
-    column-class blocks tested against det(A) decide (steps 3 and 4);
-    otherwise the check declines, and ``sign`` is None.
+    matched against B's generic matrix (step 2).  If all groups factor
+    alike, the column-class blocks matched against A's decide (steps 3 and
+    4); otherwise the check declines, and ``sign`` is None.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     require_shape(n, np_)
-    rows, cleared, bound, det_a, det_b, predicted = _inputs(ctx)
-    bound = _checked(bound)
-    # Step 2: {primitive matrix: its factor test against det(B)}.
+    pv, rows, cleared, cleared_bound, predicted = _layout(ctx)
+    bound = _checked(len(rows) + cleared_bound)
+    # Step 2: {primitive matrix: its match against B's generic matrix}.
     tested_b: dict = {}
     groups = []
     for start in range(0, len(rows), np_):
         classes = _classes(rows[start : start + np_])
         primitive = tuple(classes)
         if primitive not in tested_b:
-            tested_b[primitive] = _factor(primitive, det_b)
+            tested_b[primitive] = _factor(primitive, pv.b_idx)
         groups.append((list(classes.values()), tested_b[primitive]))
     # A class size is never 0, so a 0 marks a group that did not factor.
     nonzero_minors = tuple(prod(map(len, cols)) if found else 0 for cols, found in groups)
-    # Steps 3 and 4: {canonical block: its test against det(A)}.
+    # Steps 3 and 4: {canonical block: its match against A's generic matrix}.
     tested_a: dict = {}
-    found = None if 0 in nonzero_minors else _blocks(groups, n, det_a, tested_a)
+    found = None if 0 in nonzero_minors else _blocks(groups, pv.a_idx, tested_a)
     unit, key = found or (None, None)
     sign = unit if unit in (1, -1) and key + cleared == 0 else None
 
     def rhs() -> LaurentPoly:
-        names = PairVariables(n, np_).names
-        a_power = LaurentPoly(names, det_a, 1) ** np_
+        names = pv.names
+        a_power = LaurentPoly(names, _generic_det(pv.a_idx, n), 1) ** np_
+        b_power = LaurentPoly(names, _generic_det(pv.b_idx, np_), 1) ** n
         # Negate the small factor, not a copy of the product.
-        return (a_power if predicted > 0 else -a_power) * LaurentPoly(names, det_b, 1) ** n
+        return (a_power if predicted > 0 else -a_power) * b_power
 
     return VerificationReport(
         n * np_, sign == predicted, sign, predicted, bound, nonzero_minors,

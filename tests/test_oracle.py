@@ -18,13 +18,12 @@ from periodkit.oracle import (
     _det,
     _factor,
     _generic_det,
-    _inputs,
     _kronecker_column_sign,
     _laplace,
+    _layout,
     _mat1_columns,
     _pack,
     _product,
-    _shift,
     _summed_product,
     _unpack,
     build_mat1,
@@ -51,39 +50,39 @@ def _observed_rhs(rep):
     return rep.rhs if rep.sign == rep.predicted_sign else -rep.rhs
 
 
-def _tamper(patch, ctx, against_b=None, against_a=None):
-    """Route what ``oracle._shift`` finds in ``verify_proposition(ctx)`` through filters.
+def _tamper(patch, against_b=None, against_a=None):
+    """Route what ``oracle._factor`` finds in ``verify_proposition`` through filters.
 
-    ``against_b(k, found)`` takes the k-th factor test against det(B),
-    counted from 0, and returns what ``_shift`` reports instead;
-    ``against_a`` does so for the tests against det(A).  The spy tells
-    the two kinds apart by the reference it receives.  The check makes one
-    test per distinct matrix: against det(B) one per primitive matrix,
-    which on Mat1 all n groups of n' rows share, and against det(A) one
-    per canonical block, once every group has factored alike, which on
-    Mat1 all n' blocks share.  A filter left None passes what is found.
+    ``against_b(k, found)`` takes the k-th factor test against B's generic
+    matrix, counted from 0, and returns what ``_factor`` reports instead;
+    ``against_a`` does so for the tests against A's.  The spy tells the
+    two kinds apart by the index map it receives, ``b_idx`` or ``a_idx``.
+    The check makes one test per distinct matrix: against B one per
+    primitive matrix, which on Mat1 all n groups of n' rows share, and
+    against A one per canonical block, once every group has factored
+    alike, which on Mat1 all n' blocks share.  A filter left None passes
+    what is found.
     """
     import periodkit.oracle as orc
 
-    det_a, det_b = orc._inputs(ctx)[3:5]
-    shift = orc._shift
-    kinds = ((det_b, against_b, count()), (det_a, against_a, count()))
+    factor = orc._factor
+    kinds = {"b_idx": (against_b, count()), "a_idx": (against_a, count())}
 
-    def spy(poly, ref):
-        ((forge, tests),) = [(forge, tests) for det, forge, tests in kinds if ref == det]
-        found = shift(poly, ref)
+    def spy(columns, idx):
+        forge, tests = kinds[idx.__name__]
+        found = factor(columns, idx)
         return found if forge is None else forge(next(tests), found)
 
-    patch.setattr(orc, "_shift", spy)
+    patch.setattr(orc, "_factor", spy)
 
 
-def _unfactored_groups(patch, ctx):
-    """Report the first primitive matrix tested against det(B) as not factoring.
+def _unfactored_groups(patch):
+    """Report the first primitive matrix tested against B's generic matrix as not factoring.
 
     On Mat1 every group shares that one test, so no group factors, and
     ``verify_proposition`` declines at step 2: no sign.
     """
-    _tamper(patch, ctx, against_b=lambda k, found: None if k == 0 else found)
+    _tamper(patch, against_b=lambda k, found: None if k == 0 else found)
 
 
 def _bare(rows):
@@ -94,7 +93,11 @@ def _bare(rows):
 
 
 def _primitive_det(classes):
-    """The determinant of the primitive matrix of ``_classes``, by the DP: {} if zero or not square."""
+    """The DP determinant of the matrix whose columns are ``classes``: {} if zero or not square.
+
+    ``classes`` is a ``_classes`` dict, whose keys are the primitive
+    columns, or a tuple of bare-key columns.
+    """
     primitive = tuple(classes)
     rows = [{1 << c: {key: 1} for c, key in enumerate(row)} for row in zip(*primitive)]
     return _det(rows, len(primitive))
@@ -349,91 +352,95 @@ class TestSymDet:
             assert sym_det(mx) == want
 
     def test_block_whose_minors_differ_by_a_non_integer_ratio(self):
-        # The minors of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
-        # integer multiple of 2P, so a group of such minors tested against 2P
-        # keeps its minors.
+        # The entries of row 0 are 2P, 3P and 0 with P = x + y: 3P is not an
+        # integer multiple of 2P, and the DP sums their products exactly.
         p = poly_of([((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1)])
         z, w = LaurentPoly.monomial(XV, {2: 1}), LaurentPoly.monomial(XV, {3: 1})
         two, three = p + p, p + p + p
-        assert _shift(two._keys, two._keys) == (1, 0)
-        assert _shift(three._keys, p._keys) == (3, 0)
-        assert _shift(three._keys, two._keys) is None
         mx = ((two, three, LaurentPoly.zero(XV)), (z, w, z * w), (w, z, z))
         assert sym_det(mx) == naive_det(mx)
 
     def test_block_whose_minors_share_no_factor(self):
-        # Neither of x + y and x + z is a monomial times the other, and a
-        # zero minor is a multiple of no polynomial, so a group of either
-        # kind keeps its minors.
+        # Neither of x + y and x + z is a monomial times the other, and the
+        # DP sums the products of such entries exactly.
         x, y, z, w = (LaurentPoly.monomial(XV, {i: 1}) for i in range(4))
-        xy = _pack(enumerate((1, 1, 0, 0)))
-        assert _shift((x * y * (x + y))._keys, (x + y)._keys) == (1, xy)
-        assert _shift((x + y)._keys, (x + z)._keys) is None
-        assert _shift((x + z)._keys, (x + y)._keys) is None
-        assert _shift({}, (x + y)._keys) is None
         mx = ((x + y, x + z, w), (z, w * w, x), (y, z - w, y * z))
         assert sym_det(mx) == naive_det(mx)
 
     def test_the_factor_test_takes_a_square_matrix_alone(self):
-        # Columns of bare keys: x, y and their products.  The 2 x 2 matrix
-        # of columns (x, y) and (y, x·y) has determinant x^2·y - y^2 =
-        # y·(x^2 - y), which _factor finds against x^2 - y.  With one
-        # column more or fewer, or two equal columns, there is no square
-        # determinant to test, and _factor declines.
-        x, y = _pack([(0, 1)]), _pack([(1, 1)])
-        ref = {2 * x: 1, y: -1}
-        assert _factor(((x, y), (y, x + y)), ref) == (1, y)
-        assert _factor(((x, y), (y, x + y)), {2 * x: 2, y: -2}) is None
-        assert _det([{1: {x: 1}, 2: {y: 1}, 4: {0: 1}}, {1: {y: 1}, 2: {0: 1}, 4: {x: 1}}], 3) == {}
-        for columns in (((x, y), (y, x + y), (0, x)), ((x, y),), ((x, y), (x, y))):
-            assert _factor(columns, ref) is None, columns
+        # Keys over x[1,1], x[1,2], x[2,1], x[2,2] and y, with G the generic
+        # 2 x 2 matrix of the x's.  The matrix of columns (x[1,1], x[2,1]·y)
+        # and (x[1,2], x[2,2]·y), G with row 2 times y, has determinant
+        # y·det(G), which _factor finds, and with its columns swapped
+        # -y·det(G).  With one column more or fewer there is no square
+        # matrix to match, two equal columns match nothing, and _factor
+        # declines.
+        idx = _row_major(2)
+        x11, x12, x21, x22, y = (_pack([(v, 1)]) for v in range(5))
+        assert _factor(((x11, x21 + y), (x12, x22 + y)), idx) == (1, y)
+        assert _factor(((x12, x22 + y), (x11, x21 + y)), idx) == (-1, y)
+        rows = [{1: {x11: 1}, 2: {x12: 1}, 4: {0: 1}}, {1: {x12: 1}, 2: {0: 1}, 4: {x11: 1}}]
+        assert _det(rows, 3) == {}
+        for columns in (((x11, x21), (x12, x22), (0, x11)), ((x11, x21),), ((x11, x21), (x11, x21))):
+            assert _factor(columns, idx) is None, columns
 
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
-        # A⊗B with exponents 20 and a bound of 80, checked by
-        # verify_proposition in place of Mat1: both i-blocks factor against
-        # det(B), by the one test of their one primitive matrix, and the
-        # packed result decodes to the determinant.  A member set's shift s + e is its minor's exact
-        # quotient by det(B), a product of n' entries of a row of A, so the
-        # bound that admits det(A)^n' keeps it inside the 8-bit field: here
+        # A'⊗B' over the table of PairVariables(2, 2), checked by
+        # verify_proposition in place of Mat1.  A' is the generic A with row
+        # i times Q_i^20 and column a times Q_a^-20, and B' the generic B
+        # with row j times Q'_j^20 and column b times Q'_b^-20: their
+        # determinants are det(A) and det(B), but their entries reach
+        # exponent 20, so the rows' bounds sum to 80.  Both i-blocks factor
+        # against B's generic matrix, by the one test of their one
+        # primitive matrix, and the packed result decodes to the
+        # determinant.  A member set's shift s + e is its minor's exact
+        # quotient by det(B), a product of n' entries of a row of A', so the
+        # bound that admits det(A')^n' keeps it inside the 8-bit field: here
         # it reaches 40.
         import periodkit.oracle as orc
 
-        a = (((20, 0, 0, 0), (0, 20, 0, 0)), ((0, 0, 20, 0), (1, 0, 0, 1)))
-        b = (((0, 1, 0, 0), (0, 0, 0, -20)), ((-20, 0, 0, 0), (0, 0, 1, 0)))
+        pv = PairVariables(2, 2)
+        names = pv.names
+        a = [
+            [_pack([(pv.a_idx(i, c), 1), (pv.q_idx(i), 20), (pv.q_idx(c), -20)]) for c in (1, 2)]
+            for i in (1, 2)
+        ]
+        b = [
+            [_pack([(pv.b_idx(j, c), 1), (pv.qp_idx(j), 20), (pv.qp_idx(c), -20)]) for c in (1, 2)]
+            for j in (1, 2)
+        ]
         rows = tuple(
-            tuple(
-                poly_of([(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2]))), 1)])
-                for c in range(4)
-            )
+            tuple(_poly(names, a[i][c // 2] + b[j][c % 2]) for c in range(4))
             for i in range(2)
             for j in range(2)
         )
-        # det(A) and det(B) are those blocks' determinants, each with its
-        # own bound of 40.
+        # det(A') and det(B') are those blocks' determinants, each with its
+        # own bound of 40, and equal det(A) and det(B).
         dets = [
-            naive_det(tuple(tuple(poly_of([(e, 1)]) for e in row) for row in block))
+            naive_det(tuple(tuple(_poly(names, key) for key in row) for row in block))
             for block in (a, b)
         ]
         assert [det._bound for det in dets] == [40, 40]
-        # The check's inputs, as its assembly gives them: the rows as bare
-        # keys, nothing cleared, their row-max bound, det(A), det(B) and a
-        # predicted sign of 1.
+        assert [det._keys for det in dets] == [_generic_det(pv.a_idx, 2), _generic_det(pv.b_idx, 2)]
+        # The check's layout: the rows as bare keys, nothing cleared and a
+        # predicted sign of 1.  The check counts one per row towards its
+        # bound, as Mat1's entries reach exponent 1; these reach 20, so the
+        # cleared bound carries the rest of their row-max sum.
         keys = _bare(rows)
         row_max = sum(max(entry._bound for entry in row) for row in rows)
-        det_keys = [det._keys for det in dets]
-        monkeypatch.setattr(orc, "_inputs", lambda ctx: (keys, 0, row_max, *det_keys, 1))
+        monkeypatch.setattr(orc, "_layout", lambda ctx: (pv, keys, 0, row_max - len(keys), 1))
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         shifts = []
-        _tamper(monkeypatch, ctx, against_b=lambda k, found: shifts.append(found) or found)
+        _tamper(monkeypatch, against_b=lambda k, found: shifts.append(found) or found)
         rep = verify_proposition(ctx)
         want = naive_det(rows)
-        assert want != LaurentPoly.zero(XV)
+        assert want != LaurentPoly.zero(names)
         assert rep.ok and rep.sign == 1 and rep.blocks == 2
         assert rep.tests == (1, 1)
-        assert rep.bound == row_max == 82
+        assert rep.bound == row_max == 80
         assert rep.nonzero_minors == (4, 4)
         # The right side's bound, 80 + 80, is past the field, so the
-        # reference det(A)^2 det(B)^2 is multiplied on packed keys: its
+        # reference det(A')^2 det(B')^2 is multiplied on packed keys: its
         # true exponents fit.
         squares = [(det ** 2)._keys for det in dets]
         assert want._keys == _accumulated(*squares)
@@ -447,7 +454,7 @@ class TestSymDet:
             for key in minor
         ]
         assert len(members) == 8
-        fields = [_unpack(e, 4) for e in members]
+        fields = [_unpack(e, len(names)) for e in members]
         assert all(_pack(enumerate(v)) == e for v, e in zip(fields, members))
         assert max(max(v) for v in fields) == 40
 
@@ -537,6 +544,132 @@ def test_generic_det_on_the_index_maps_the_check_passes(n, np_, which):
     det = LaurentPoly(names, _generic_det(idx, 4), 1)
     assert det == naive_det(mx)
     assert len(det.terms) == factorial(4)
+
+
+def _monomial_ratio(poly, ref):
+    """(c, e) if ``poly`` is c·x^e·``ref`` on packed keys, else None.
+
+    Adding e keeps the order of keys, so the lowest keys give c and e, and
+    each term is then checked: a ratio that is not an integer fails.
+    """
+    if not poly or len(poly) != len(ref):
+        return None
+    low, base = min(poly), min(ref)
+    c, e = poly[low] // ref[base], low - base
+    if any(poly.get(key + e) != c * coeff for key, coeff in ref.items()):
+        return None
+    return c, e
+
+
+def _row_major(k):
+    """The index map of the generic k x k matrix G on variables 0..k²-1, row by row."""
+
+    def idx(i, a):
+        return (i - 1) * k + (a - 1)
+
+    return idx
+
+
+def _sign(perm):
+    return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
+
+
+def _matched(rng, k):
+    """(columns, π, σ, u, v): entry (r, c) is g(π(r), σ(c)) + u_r + v_c, for G of ``_row_major``.
+
+    u and v are random keys over the three variables after G's k².
+    """
+    idx = _row_major(k)
+    pi, sigma = rng.sample(range(k), k), rng.sample(range(k), k)
+    u, v = (
+        [_pack([(k * k + t, rng.randint(-3, 3)) for t in range(3)]) for _ in range(k)]
+        for _ in range(2)
+    )
+    columns = tuple(
+        tuple(_pack([(idx(pi[r] + 1, sigma[c] + 1), 1)]) + u[r] + v[c] for r in range(k))
+        for c in range(k)
+    )
+    return columns, pi, sigma, u, v
+
+
+class TestMatching:
+    """``_factor`` matches a matrix against a generic matrix G and expands no determinant."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_matched_matrix_gives_its_signs_and_key_sums(self, k):
+        # For random π, σ, u and v: (sgn π·sgn σ, Σu + Σv), which is also
+        # what the DP determinant of the matrix gives against det(G).
+        rng = random.Random(f"matching/{k}")
+        idx = _row_major(k)
+        ref = _generic_det(idx, k)
+        for _ in range(20):
+            columns, pi, sigma, u, v = _matched(rng, k)
+            want = (_sign(pi) * _sign(sigma), sum(u) + sum(v))
+            assert _factor(columns, idx) == want, (pi, sigma)
+            assert _monomial_ratio(_primitive_det(columns), ref) == want, (pi, sigma)
+
+    def test_at_k_2_both_readings_give_one_answer(self):
+        # The one cross difference fits (π, σ) and both composed with the
+        # swap: each leaves M - g(π, σ) with a zero cross difference, and
+        # both give the sign and the diagonal key sum _factor gives.
+        rng = random.Random("matching/readings")
+        idx = _row_major(2)
+        for _ in range(20):
+            columns, pi, sigma, _, _ = _matched(rng, 2)
+            rows = list(zip(*columns))
+            answers = set()
+            for p, s in ((pi, sigma), (pi[::-1], sigma[::-1])):
+                left = [[rows[r][c] - _pack([(idx(p[r] + 1, s[c] + 1), 1)]) for c in (0, 1)]
+                        for r in (0, 1)]
+                assert left[1][1] - left[1][0] - left[0][1] + left[0][0] == 0
+                answers.add((_sign(p) * _sign(s), left[0][0] + left[1][1]))
+            assert answers == {_factor(columns, idx)}, (pi, sigma)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_a_matrix_that_does_not_match_gives_none(self, k):
+        # Each has no determinant c·x^e·det(G), by the DP: a ragged
+        # matrix, one with an entry moved by one unit (of G's first
+        # variable, in the last row and column), one with two equal
+        # columns or rows, and one whose cross difference (1, 1) holds a
+        # fifth variable, outside G or, from k = 3 on, in it.
+        rng = random.Random(f"mismatch/{k}")
+        idx = _row_major(k)
+        ref = _generic_det(idx, k)
+        outside = _pack([(k * k, 1)])
+        for _ in range(10):
+            columns, pi, sigma, _, _ = _matched(rng, k)
+
+            def moved(r, c, by):
+                column = list(columns[c])
+                column[r] += by
+                return (*columns[:c], tuple(column), *columns[c + 1 :])
+
+            cases = {
+                "ragged": (*columns[:-1], columns[-1][:-1]),
+                "a column more": (*columns, columns[0]),
+                "one entry moved by one unit": moved(k - 1, k - 1, 1),
+                "two equal columns": (*columns[:-1], columns[0]),
+                "two equal rows": tuple((*column[:-1], column[0]) for column in columns),
+                "a fifth variable outside G": moved(1, 1, outside),
+            }
+            if k > 2:
+                cases["a fifth variable in G"] = moved(1, 1, _pack([(idx(pi[2] + 1, sigma[2] + 1), 1)]))
+            for case, matrix in cases.items():
+                assert _monomial_ratio(_primitive_det(matrix), ref) is None, case
+                assert _factor(matrix, idx) is None, case
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matching_reads_the_structure_not_the_value(self, k):
+        # G's transpose has det(G) as its determinant.  At k = 2 it matches
+        # G, with row and column keys that hold G's variables; from k = 3 on
+        # it does not, and _factor declines where a factorization exists.
+        idx = _row_major(k)
+        # Column c of the transpose is row c of G: entry (r, c) is g(c, r).
+        transpose = tuple(
+            tuple(_pack([(idx(c, r), 1)]) for r in range(1, k + 1)) for c in range(1, k + 1)
+        )
+        assert _monomial_ratio(_primitive_det(transpose), _generic_det(idx, k)) == (1, 0)
+        assert _factor(transpose, idx) == ((1, 0) if k == 2 else None)
 
 
 def _term(exps, coeff=1):
@@ -716,23 +849,24 @@ def test_an_i_block_of_mat1_builds_only_sets_of_distinct_b_indices(n, np_):
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
 def test_the_check_takes_the_layout_the_public_wrappers_read(n, np_):
-    # verify_proposition expands the key rows of _inputs, build_mat1's bare
-    # keys, and adds cleared_period_product's key to the final key sum.
-    # Their bound is the row-max sum of Mat1 with row 0 multiplied by the
-    # cleared monomial, and their sign is _kronecker_column_sign's, on
-    # every tableau of the shape.
+    # verify_proposition matches the key rows of _layout, build_mat1's bare
+    # keys, against the generic matrices of _layout's PairVariables, and
+    # adds cleared_period_product's key to the final key sum.  Its bound,
+    # one per row plus the cleared key's, is the row-max sum of Mat1 with
+    # row 0 multiplied by the cleared monomial, and its sign is
+    # _kronecker_column_sign's, on every tableau of the shape.
     for slots in combinations(range(n + np_), n):
         ctx = PairContext.build(*pair_of_shape(n, np_, slots))
-        rows, cleared_key, bound, det_a, det_b, sign = _inputs(ctx)
+        pv, rows, cleared_key, cleared_bound, sign = _layout(ctx)
         mat1, cleared = build_mat1(ctx), cleared_period_product(ctx)
         assert rows == _bare(mat1), (n, np_, slots)
         assert cleared._keys == {cleared_key: 1}, (n, np_, slots)
+        bound = len(rows) + cleared_bound
         scaled = (tuple(entry * cleared for entry in mat1[0]), *mat1[1:])
         assert bound == sum(max(entry._bound for entry in row) for row in scaled), slots
         assert sign == _kronecker_column_sign(_mat1_columns(ctx), np_), (n, np_, slots)
-        pv = PairVariables(n, np_)
-        assert det_a == _generic_det(pv.a_idx, n)
-        assert det_b == _generic_det(pv.b_idx, np_)
+        assert (pv.n, pv.np) == (n, np_)
+        assert mat1[0][0].vars == pv.names
         rep = verify_proposition(ctx)
         assert (rep.bound, rep.predicted_sign) == (bound, sign), (n, np_, slots)
 
@@ -808,8 +942,9 @@ class TestVerifyProposition:
         assert verify_proposition(ctx).ok
 
     def test_lhs_matches_det_times_cleared(self):
-        # verify_proposition scales a row of Mat1 by the cleared monomial;
-        # the reference multiplies the plain, row-by-row determinant by it.
+        # verify_proposition adds the cleared monomial's key to its final
+        # key sum; the reference multiplies the plain, row-by-row
+        # determinant by the monomial.
         rng = random.Random(63)
         for n, np_ in ADMITTED_SHAPES:
             slots = sorted(rng.sample(range(n + np_), n))
@@ -899,12 +1034,13 @@ class TestPackedRing:
             sym_det(rows)
 
     def test_a_check_whose_bound_does_not_fit_the_field_raises(self, monkeypatch):
-        # The check tests its inputs' bound against the field before the DP.
+        # The check tests its layout's bound, one per row of Mat1 plus the
+        # cleared key's, against the field before any matching.
         import periodkit.oracle as orc
 
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
-        inputs = orc._inputs
-        monkeypatch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:2], 128, *inputs(c)[3:]))
+        layout = orc._layout
+        monkeypatch.setattr(orc, "_layout", lambda c: (*layout(c)[:3], 128 - 4, layout(c)[4]))
         with pytest.raises(OverflowError, match="bound 128"):
             verify_proposition(ctx)
 
@@ -1010,15 +1146,15 @@ class TestPredictedSign:
         # first keeps the sign it observes, the second observes none.
         import periodkit.oracle as orc
 
-        inputs = orc._inputs
+        layout = orc._layout
         for n, np_ in ADMITTED_SHAPES:
             ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
             right = verify_proposition(ctx)
             with monkeypatch.context() as patch:
-                # The check's own inputs, with the predicted sign flipped.
-                patch.setattr(orc, "_inputs", lambda c: (*inputs(c)[:5], -right.predicted_sign))
+                # The check's own layout, with the predicted sign flipped.
+                patch.setattr(orc, "_layout", lambda c: (*layout(c)[:4], -right.predicted_sign))
                 wrong = verify_proposition(ctx)
-                _unfactored_groups(patch, ctx)
+                _unfactored_groups(patch)
                 forced = verify_proposition(ctx)
             assert (wrong.nonzero_minors, forced.nonzero_minors) == ((n ** np_,) * n, (0,) * n)
             assert (wrong.blocks, forced.blocks) == (np_, None)
@@ -1040,20 +1176,20 @@ def _poly(names, key):
 
 
 def _distinct_groups(ctx, m):
-    """The check's inputs for ``ctx``, the last row of group 1 multiplied by x^m.
+    """The check's layout for ``ctx``, the last row of group 1 multiplied by x^m.
 
     That row's primitive entries move by m, so group 1's primitive matrix
     is no other group's.  The cleared key gives up m, so the rows'
     determinant times the cleared monomial is Mat1's, with its bound.
     """
-    rows, cleared, *rest = _inputs(ctx)
+    pv, rows, cleared, *rest = _layout(ctx)
     last = 2 * ctx.Mp.rank - 1
     rows[last] = [key + m for key in rows[last]]
-    return (rows, cleared - m, *rest)
+    return (pv, rows, cleared - m, *rest)
 
 
 def _distinct_blocks(ctx, m):
-    """The check's inputs for ``ctx``, each column of b-index b times x^((b-1)m) on group 1's rows.
+    """The check's layout for ``ctx``, each column of b-index b times x^((b-1)m) on group 1's rows.
 
     Row 1 of column-class block b moves by (b-1)m, so no two blocks share
     a canonical form; the groups' primitive matrices stay as they are.
@@ -1061,12 +1197,12 @@ def _distinct_blocks(ctx, m):
     C(n', 2)·m, and the rows' determinant times the cleared monomial is
     Mat1's, with its bound.
     """
-    rows, cleared, *rest = _inputs(ctx)
+    pv, rows, cleared, *rest = _layout(ctx)
     np_ = ctx.Mp.rank
     b_of = [b for _, _, b, _ in _mat1_columns(ctx)]
     for r in range(np_, 2 * np_):
         rows[r] = [key + (b - 1) * m for key, b in zip(rows[r], b_of)]
-    return (rows, cleared - comb(np_, 2) * m, *rest)
+    return (pv, rows, cleared - comb(np_, 2) * m, *rest)
 
 
 def _a11_over_q1(n, np_):
@@ -1085,7 +1221,7 @@ class TestFactoredCheck:
         rng = random.Random(f"fallback/{n}x{np_}")
         ctx = PairContext.build(*pair_of_shape(n, np_, sorted(rng.sample(range(n + np_), n))))
         right = verify_proposition(ctx)
-        _unfactored_groups(monkeypatch, ctx)
+        _unfactored_groups(monkeypatch)
         forced = verify_proposition(ctx)
         assert right.ok and (right.blocks, forced.blocks) == (np_, None)
         assert (right.tests, forced.tests) == ((1, 1), (1, 0))
@@ -1102,7 +1238,7 @@ class TestFactoredCheck:
 
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
         inputs = _distinct_groups(ctx, _a11_over_q1(2, 2))
-        monkeypatch.setattr(orc, "_inputs", lambda c: inputs)
+        monkeypatch.setattr(orc, "_layout", lambda c: inputs)
         right = verify_proposition(ctx)
         assert right.ok and right.tests == (2, 1)
         # A group that does not factor leaves the blocks nothing to decide:
@@ -1116,7 +1252,7 @@ class TestFactoredCheck:
         assert right.nonzero_minors == (4, 4)
         for case, (minors, against_b) in unfactored.items():
             with monkeypatch.context() as patch:
-                _tamper(patch, ctx, against_b)
+                _tamper(patch, against_b)
                 rep = verify_proposition(ctx)
             assert rep.blocks is None, case
             assert rep.tests == (2, 0) and rep.nonzero_minors == minors, case
@@ -1132,7 +1268,7 @@ class TestFactoredCheck:
         }
         for case, forge in forged.items():
             with monkeypatch.context() as patch:
-                _tamper(patch, ctx, lambda k, found: forge(found) if k == 0 else found)
+                _tamper(patch, lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
             assert (rep.nonzero_minors, rep.blocks) == ((4, 4), 2), case
             assert rep.predicted_sign == right.predicted_sign, case
@@ -1163,14 +1299,15 @@ class TestDistinctMatrices:
             mat1 = verify_proposition(ctx)
             inputs = craft(ctx, _a11_over_q1(n, np_))
             with monkeypatch.context() as patch:
-                patch.setattr(orc, "_inputs", lambda c: inputs)
+                patch.setattr(orc, "_layout", lambda c: inputs)
                 rep = verify_proposition(ctx)
             assert rep.tests == want_tests, slots
             assert rep.ok and (rep.nonzero_minors, rep.blocks) == ((n ** np_,) * n, np_), slots
             assert (rep.sign, rep.bound) == (mat1.sign, mat1.bound), slots
-            rows, cleared, _, det_a, det_b, _ = inputs
+            _, rows, cleared, *_ = inputs
             lhs = naive_det([[_poly(names, key) for key in row] for row in rows])
             lhs = lhs * _poly(names, cleared)
+            det_a, det_b = _generic_det(pv.a_idx, n), _generic_det(pv.b_idx, np_)
             unsigned = LaurentPoly(names, det_a, 1) ** np_ * LaurentPoly(names, det_b, 1) ** n
             assert lhs == (unsigned if rep.sign == 1 else -unsigned), slots
 
@@ -1187,7 +1324,6 @@ class TestDistinctMatrices:
         ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
         pv = PairVariables(n, np_)
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, np_ + 1)]
-        det_a, det_b = _generic_det(pv.a_idx, n), _generic_det(pv.b_idx, np_)
         rng = random.Random(f"orders/{n}x{np_}")
         size = n * np_
         orders = (
@@ -1211,9 +1347,9 @@ class TestDistinctMatrices:
                 sum(x > y for k, x in enumerate(seq) for y in seq[k + 1 :]) % 2
                 for seq in arrivals
             ))
-            inputs = (rows, 0, size, det_a, det_b, sign)
+            inputs = (pv, rows, 0, 0, sign)
             with monkeypatch.context() as patch:
-                patch.setattr(orc, "_inputs", lambda c: inputs)
+                patch.setattr(orc, "_layout", lambda c: inputs)
                 rep = verify_proposition(ctx)
             assert rep.ok and rep.sign == sign and rep.tests == (1, 1), order
             point = [rng.choice((-1, 1)) * rng.randint(1, POINT_RANGE) for _ in pv.names]
@@ -1405,7 +1541,7 @@ class TestColumnClassBlocks:
         ctx = PairContext.build(*pair_of_shape(n, np_, range(n)))
         if n > 1:
             inputs = _distinct_blocks(ctx, _a11_over_q1(n, np_))
-            monkeypatch.setattr(orc, "_inputs", lambda c: inputs)
+            monkeypatch.setattr(orc, "_layout", lambda c: inputs)
         right = verify_proposition(ctx)
         shared = np_ if n == 1 else 1
         assert right.ok and right.tests == (1, np_ // shared)
@@ -1418,7 +1554,7 @@ class TestColumnClassBlocks:
         }
         for case, (forge, sign, blocks) in forged.items():
             with monkeypatch.context() as patch:
-                _tamper(patch, ctx, against_a=lambda k, found: forge(found) if k == 0 else found)
+                _tamper(patch, against_a=lambda k, found: forge(found) if k == 0 else found)
                 rep = verify_proposition(ctx)
             assert (rep.blocks, rep.nonzero_minors) == (blocks, (n ** np_,) * n), case
             assert rep.predicted_sign == right.predicted_sign, case
@@ -1426,66 +1562,73 @@ class TestColumnClassBlocks:
             assert rep.ok is (sign == right.predicted_sign), case
 
     def test_groups_that_split_the_columns_otherwise_give_no_sign(self, monkeypatch):
-        # A⊗B over x, y, z, w in place of Mat1, as in
-        # test_rows_whose_bounds_sum_past_half_the_field, with group 1's
+        # The generic A⊗B of a 2x2 pair in place of Mat1, with group 1's
         # middle columns swapped: its classes are {0, 1} and {2, 3}, group
         # 0's {0, 2} and {1, 3}.  Both groups have one primitive matrix, and
         # it factors, but the blocks need one split of the columns into
         # classes: the check declines at step 3.
-        kron, det_a, det_b = _kron_2x2()
+        kron = _kron_2x2()
         rows = [*kron[:2], *([row[0], row[2], row[1], row[3]] for row in kron[2:])]
-        rep = _check_rows(monkeypatch, rows, det_a, det_b)
+        rep = _check_rows(monkeypatch, rows)
         assert rep.blocks is None
         assert rep.nonzero_minors == (4, 4) and rep.tests == (1, 0)
         assert rep.sign is None and not rep.ok
 
     def test_a_group_whose_primitive_matrix_is_not_square_declines_at_step_2(self, monkeypatch):
         # The same A⊗B with one group's columns put into other than n' = 2
-        # classes.  Its primitive matrix has 1 or 3 columns on 2 rows, so
-        # its determinant on the DP's full column set is {}: the group does
-        # not factor, no minor of it is counted, and the blocks are never
-        # reached.  (With 3 classes all three class sets have nonzero
-        # minors: on monomial columns two classes with a zero minor would
-        # be one class.)
-        kron, det_a, det_b = _kron_2x2()
-        moved = [*kron[3][:3], kron[3][3] * _term(W)]
+        # classes.  Its primitive matrix has 1 or 3 columns on 2 rows, so it
+        # is not square and matches nothing: the group does not factor, no
+        # minor of it is counted, and the blocks are never reached.  (With 3
+        # classes all three class sets have nonzero minors: on monomial
+        # columns two classes with a zero minor would be one class.)
+        kron = _kron_2x2()
+        pv = PairVariables(2, 2)
+        moved = [*kron[3][:3], kron[3][3] * LaurentPoly.monomial(pv.names, {pv.q_idx(1): 1})]
         cases = {
             # Group 0's rows are equal: one class.
             "fewer than n' classes": ([kron[0], kron[0], *kron[2:]], 0, (0, 4)),
-            # Group 1's last entry moved by w: classes {0, 2}, {1} and {3}.
+            # Group 1's last entry moved by Q[1]: classes {0, 2}, {1} and {3}.
             "n' + 1 classes": ([*kron[:3], moved], 1, (4, 0)),
         }
         for case, (rows, first, minors) in cases.items():
             keys = _bare(rows)
             width = len(_classes(keys[2 * first : 2 * first + 2]))
             assert width == (1 if first == 0 else 3), case
-            rep = _check_rows(monkeypatch, rows, det_a, det_b)
+            rep = _check_rows(monkeypatch, rows)
             assert rep.blocks is None, case
             assert rep.nonzero_minors == minors and rep.tests == (2, 0), case
             assert rep.sign is None and not rep.ok, case
 
 
 def _kron_2x2():
-    """(A⊗B's rows, det(A), det(B)) for 2 x 2 blocks of monomials over x, y, z, w."""
-    a = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (1, 0, 0, 1)))
-    b = (((0, 1, 0, 0), (0, 0, 0, -1)), ((-1, 0, 0, 0), (0, 0, 1, 0)))
+    """A⊗B's rows for the generic 2 x 2 matrices A and B over ``PairVariables(2, 2)``."""
+    pv = PairVariables(2, 2)
+    names = pv.names
     kron = [
-        [_term(tuple(map(sum, zip(a[i][c // 2], b[j][c % 2])))) for c in range(4)]
-        for i in range(2)
-        for j in range(2)
+        [
+            LaurentPoly.monomial(names, {pv.a_idx(i, a): 1, pv.b_idx(j, b): 1})
+            for a in (1, 2)
+            for b in (1, 2)
+        ]
+        for i in (1, 2)
+        for j in (1, 2)
     ]
-    det_a, det_b = (naive_det(tuple(tuple(map(_term, row)) for row in m)) for m in (a, b))
+    det_a, det_b = (LaurentPoly(names, _generic_det(idx, 2), 1) for idx in (pv.a_idx, pv.b_idx))
     assert naive_det(kron) == det_a ** 2 * det_b ** 2
-    return kron, det_a, det_b
+    return kron
 
 
-def _check_rows(monkeypatch, rows, det_a, det_b):
-    """``verify_proposition``'s report on ``rows`` in place of Mat1: nothing cleared, sign 1 predicted."""
+def _check_rows(monkeypatch, rows):
+    """``verify_proposition``'s report on ``rows`` in place of Mat1: nothing cleared, sign 1 predicted.
+
+    The rows' row-max sum is the bound: one per row, as for Mat1, and the
+    rest in the cleared bound.
+    """
     import periodkit.oracle as orc
 
     keys = _bare(rows)
     bound = sum(max(e._bound for e in row) for row in rows)
-    inputs = (keys, 0, bound, det_a._keys, det_b._keys, 1)
+    layout = (PairVariables(2, 2), keys, 0, bound - len(keys), 1)
     with monkeypatch.context() as patch:
-        patch.setattr(orc, "_inputs", lambda ctx: inputs)
+        patch.setattr(orc, "_layout", lambda ctx: layout)
         return verify_proposition(PairContext.build(*pair_of_shape(2, 2, range(2))))

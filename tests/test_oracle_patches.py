@@ -14,15 +14,15 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
     # _tamper forges what the factor tests find, one per distinct matrix,
-    # and tells the two kinds apart by the reference each test receives.
-    "_shift": "forges a factor test: against det(B), to leave the groups that share a "
-    "primitive matrix unfactored, so that the check declines at step 2, or give them a "
-    "wrong shift or unit; against det(A), to decline a canonical block, so that the check "
+    # and tells the two kinds apart by the index map each test receives.
+    "_factor": "forges a factor test: against B's generic matrix, to leave the groups that "
+    "share a primitive matrix unfactored, so that the check declines at step 2, or give them "
+    "a wrong shift or unit; against A's, to decline a canonical block, so that the check "
     "declines at step 3, or give it a wrong shift or unit",
-    "_inputs": "swaps in crafted rows: A⊗B whose rows sum past half the field, with its "
-    "columns reordered, or with one group split into other than n' classes or into other "
-    "classes than the rest; Mat1 with a group's or a block's entries moved by a monomial; "
-    "or the check's own inputs with a flipped predicted sign or a bound past the field",
+    "_layout": "swaps in crafted rows: A⊗B whose entries reach exponent 20, with its columns "
+    "reordered, or with one group split into other than n' classes or into other classes "
+    "than the rest; Mat1 with a group's or a block's entries moved by a monomial; or the "
+    "check's own layout with a flipped predicted sign or a bound past the field",
     # tests/test_suites.py: the oracle suite's schedule.
     "verify_proposition": "stubs a check that fails or raises, and records each pair the "
     "oracle suite checks",
