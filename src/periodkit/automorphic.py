@@ -25,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from .combinatorics import split_lengths
 from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
-from .errors import AlgebraicityError, NotCriticalError, NotCriticalPairError
+from .errors import AlgebraicityError, NotCriticalPairError
 from .hodge import RegularMotiveData
-from .lfactor import pair_critical_points
+from .lfactor import pair_critical_points, require_critical
 from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
 from .value import Frozen, Value
 
@@ -129,11 +129,7 @@ def conjecture_rhs_automorphic(
     on the dictionary images.
     """
     m = Fraction(m)
-    interval = pair_critical_points(pi, pip)
-    if m not in interval:
-        raise NotCriticalError(
-            f"m = {m} is not critical for the pair; critical m lie in {interval}"
-        )
+    require_critical(m, pair_critical_points(pi, pip))
     groups = (
         (rep_tag(pi), split_indices_auto(pi, pip)),
         (rep_tag(pip), split_indices_auto(pip, pi)),

@@ -27,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinatorics import set_A, set_T, split_indices
-from .errors import NonIntegerExponentError, NotCriticalError
+from .errors import NonIntegerExponentError
 from .hodge import RegularMotiveData, restriction_tensor
-from .lfactor import critical_interval
+from .lfactor import CriticalInterval, critical_interval, require_critical
 from .periods import TWO_PI, PeriodMonomial, PeriodSymbol, motive_tag
 from .value import Frozen
 
@@ -94,8 +94,6 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
     m = Fraction(m)
     shift = Fraction(n + np_ - 2, 2)
     interval = critical_interval(restriction_tensor(ctx.M, ctx.Mp))
-    if m + shift not in interval:
-        legal = f"[{interval.lo - shift}, {interval.hi - shift}]"
-        raise NotCriticalError(f"m = {m} is not critical for the pair; critical m lie in {legal}")
+    require_critical(m, CriticalInterval(interval.lo - shift, interval.hi - shift))
     groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
     return grouped_period_product("Qs", m, groups)

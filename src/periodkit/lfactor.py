@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import NotCriticalPairError, PpClassError
+from .errors import NotCriticalError, NotCriticalPairError, PpClassError
 from .hodge import HodgeMultiset
 from .value import Value
 
@@ -60,6 +60,18 @@ class CriticalInterval(Value):
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def require_critical(m: int | Fraction, interval: CriticalInterval) -> None:
+    """Raise ``NotCriticalError`` unless m is a point of the pair's ``interval``.
+
+    An m between the ends is off the grid, which the message then names.
+    """
+    if m not in interval:
+        grid = f" and step by 1 from {interval.lo}" if interval.lo <= m <= interval.hi else ""
+        raise NotCriticalError(
+            f"m = {m} is not critical for the pair; critical m lie in {interval}{grid}"
+        )
 
 
 def _require_no_pp(h: HodgeMultiset) -> None:

@@ -14,27 +14,28 @@ in these steps; the code cites them by number.
    final key sum, the exponent bound and sgn(σ).  No variable name and no
    determinant is built.
 2. Groups against B, by matching.  One factor test serves steps 2 and 3.
-   Let G be the generic k x k matrix of A's or of B's variables, g(i, a)
-   the key of its entry.  A square matrix M of keys matches G if
-   M[r][c] = g(π(r), σ(c)) + u_r + v_c for permutations π and σ and keys
-   u_r and v_c.  Then det(M) = c·x^e·det(G), with c = sgn(π)·sgn(σ) and
-   e = Σu + Σv = Σ_r (M[r][r] - g(π(r), σ(r))).  Each cross difference
-   M[r][c] - M[r][0] - M[0][c] + M[0][0] cancels u and v and leaves four
-   of G's keys: +1 at (π(r), σ(c)) and (π(0), σ(0)), -1 at (π(r), σ(0))
-   and (π(0), σ(c)).  The test reads π and σ off the cross differences
-   of row and column 1, then compares every cross difference with g(π,
-   σ)'s, and gives no answer for a matrix that is not square or differs
-   anywhere.  At k = 2 the one cross difference reads two ways, (π, σ)
-   and both composed with the swap, which give the same c and e.
+   Let G be the generic k x k matrix of A's or of B's variables, g(r, c)
+   the key of its entry.  The test takes a matrix M of keys whose rows
+   are G's rows in order: in step 2 B's rows j, in step 3 A's rows i.
+   Its canonical form M' takes each column less its row-0 key and sorts
+   the columns, so det(M) = c·x^(Σe_0)·det(M'), c the sign of the sort and
+   Σe_0 the row-0 keys taken out.  If M is G with its columns permuted
+   and scaled by row keys u_r and column keys v_c, its columns less their
+   row-0 keys are G's less theirs, plus u_r - u_0, and sort in G's column
+   order, since g(1, c) - g(0, c) grows with c.  So M' matches G when it
+   is square and D = M' - G is a row key plus a column key,
+   D[r][c] = D[r][0] + D[0][c] - D[0][0] for every r and c; then
+   det(M') = x^e·det(G) with e = Σ_r D[r][r], and det(M) = c·x^(Σe_0 + e)
+   ·det(G).  Any other matrix gives no answer, a row-permuted G among
+   them from k = 3 on.  The test runs once per distinct canonical form.
    A group's columns equal up to x^e on all its rows form a class, in Mat1
    the n columns of one b-index; e is the column's row-0 key, and the
    columns less their e, one per class, are the group's primitive matrix.
    If it matches B's generic matrix with c_i and s_i, group i factors: a
    set of n' columns, one of each class, has the minor ±x^Σe·c_i·x^(s_i)·
    det(B), and a set holding two columns of one class has the minor zero.
-   A primitive matrix that is not square leaves the group unfactored.  The
-   test runs once per distinct primitive matrix, found by comparing the
-   matrices; on Mat1 all n groups have one.
+   A primitive matrix that is not square leaves the group unfactored.  On
+   Mat1 all n groups share one canonical primitive matrix, so one test.
 3. Blocks against A.  If every group factors, and all split the
    columns into the same n' classes, then
    det(Mat1) = Πc_i·x^(Σs_i)·det(B)^n·det(N).  Row (i, k) of N has x^e in
@@ -42,25 +43,23 @@ in these steps; the code cites them by number.
    class and its columns class after class makes it block diagonal (the
    Kronecker factorization, Horn and Johnson, *Topics in Matrix Analysis*,
    §4.2): det(N) = ε·Π det(N_b), with ε = (-1)^(C(n,2)·C(n',2)) times the
-   sign of that column order.  Dividing each column of the n-row block N_b
-   by its row-0 key and sorting the columns gives its canonical form:
-   det(N_b) = π_b·x^(Σe_0)·det(canonical), π_b the sign of the sort and
-   Σe_0 the row-0 keys divided out.  The canonical block is matched
-   against A's generic matrix, as d·x^t·det(A), once per distinct
-   canonical block; on Mat1 all n' blocks have one, of n columns.
+   sign of that column order.  The n-row block N_b, its rows A's rows i,
+   goes through the factor test against A's generic matrix, which gives
+   det(N_b) = d_b·x^(t_b)·det(A); on Mat1 all n' blocks share one
+   canonical form, of n columns, so one test.
 4. Exactness.  Each exponent is a signed 8-bit field of one integer key.
    Packing is additive, so each sum of keys above is the key of the sum of
    exponent vectors, and a key is 0 only if its vector is 0 or has a field
    of size 256 or more: its lowest nonzero field is a multiple of 256.
    Mat1's entries have fields in {-1, 0, 1}, which the checked bound
    assumes.  Two columns compared in step 2 or 3 differ by four entries,
-   so by at most 4 in each field.  A cross difference of a primitive
-   matrix or a canonical block is one of Mat1's, so with g(π, σ)'s four
-   keys it stays within 8, and a shift sum adds k entries, each two of
-   Mat1's less one of G's, so it stays within 3k.  All are far below 128,
-   so every comparison in steps 2 and 3 is exact, and
-   det(Mat1) = u·x^K·det(A)^n' det(B)^n holds, with u = ε·Πc_i·Ππ_b·d_b and
-   K = Σs_i + Σ(Σe_0 + t) over the blocks, and K + cleared is the exponent
+   so by at most 4 in each field.  An entry of a canonical form is the
+   difference of two of Mat1's entries, and an entry of D takes one of
+   G's keys from it, so it stays within 3 in each field: each side of a
+   D comparison stays within 9, and a diagonal key sum e within 3k.  All
+   are far below 128, so every comparison in steps 2 and 3 is exact, and
+   det(Mat1) = u·x^K·det(A)^n' det(B)^n holds, with u = ε·Πc_i·Πd_b and
+   K = Σs_i + Σt_b, and K + cleared is the exponent
    of a term of det(Mat1)·cleared, below 128 by the checked bound, over
    one of det(A)^n' det(B)^n, at most max(n, n'): below 256, so its
    comparison with 0 is exact too.  The identity holds with sign u
@@ -377,56 +376,41 @@ def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int
     return classes
 
 
-def _factor(columns: tuple[tuple[int, ...], ...], idx) -> tuple[int, int] | None:
-    """(c, e) with det = c·x^e·det(G) by matching, G the generic matrix of idx(i, a), else None.
+def _canonical(columns) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(Σ row-0 keys, sign of the sort, sorted columns), each column less its row-0 key (step 2)."""
+    shifted = [tuple(key - column[0] for key in column) for column in columns]
+    return sum(column[0] for column in columns), (-1) ** _parity(shifted), tuple(sorted(shifted))
 
-    The matrix M of bare-key ``columns`` matches G when it is square and
-    M[r][c] = g(π(r), σ(c)) + u_r + v_c, g(i, a) the key of G's entry, for
-    permutations π and σ: then c = sgn(π)·sgn(σ) and e = Σu + Σv, the sum
-    of M[r][r] - g(π(r), σ(r)) (step 2).
+
+def _factor(columns: tuple[tuple[int, ...], ...], idx) -> int | None:
+    """e with det = x^e·det(G) for canonical ``columns``, G the generic matrix of idx(i, a).
+
+    The matrix M matches G when it is square and D = M - G is a row key
+    plus a column key, D[r][c] = D[r][0] + D[0][c] - D[0][0]: then e is
+    Σ_r D[r][r] (step 2).  Otherwise the result is None.
     """
     k = len(columns)
     if any(len(column) != k for column in columns):
         return None
-    order = list(range(k))
-    unit = [[1 << _WIDTH * idx(i + 1, a + 1) for a in order] for i in order]
-    rows = list(zip(*columns))
-    if k == 1:
-        return 1, rows[0][0] - unit[0][0]
-    cell = {key: (i, a) for i, row in enumerate(unit) for a, key in enumerate(row)}
-    top = rows[0]
-    # u and v cancel from each cross difference, which leaves G's keys: +1
-    # at (π(r), σ(c)) and (π(0), σ(0)), -1 at (π(r), σ(0)) and (π(0), σ(c)).
-    cross = [[row[c] - row[0] - top[c] + top[0] for c in order] for row in rows]
-    # Peel cross difference (1, 1) by its lowest field; a -1 there also
-    # sets the next bit.  Its +1s are (π(0), σ(0)) and (π(1), σ(1)), in
-    # either order: two readings.
-    plus, d = [], cross[1][1]
-    while d:
-        low = d & -d
-        if d & low << 1:
-            d += low
-        elif low in cell:
-            plus.append(cell[low])
-            d -= low
-        else:
-            return None
-    if len(plus) != 2:
-        return None
-    rest, nowhere = order[1:], (-1, -1)
-    for (p, s), (p1, s1) in (plus, plus[::-1]):
-        # Cross difference (r, 1) plus g(π(0), σ(1)) - g(π(0), σ(0)) is
-        # g(π(r), σ(1)) - g(π(r), σ(0)), its lowest field in row π(r); so
-        # (1, c) plus g(π(1), σ(0)) - g(π(0), σ(0)) gives σ(c).
-        to_row, to_column = unit[p][s1] - unit[p][s], unit[p1][s] - unit[p][s]
-        pi = [p] + [cell.get((d := row[1] + to_row) & -d, nowhere)[0] for row in cross[1:]]
-        sigma = [s] + [cell.get((d := x + to_column) & -d, nowhere)[1] for x in cross[1][1:]]
-        if sorted(pi) != order or sorted(sigma) != order:
-            continue
-        g = [[unit[i][a] for a in sigma] for i in pi]
-        if all(cross[r][c] == g[r][c] - g[r][0] - g[0][c] + g[0][0] for r in rest for c in rest):
-            return (-1) ** (_parity(pi) + _parity(sigma)), sum(rows[r][r] - g[r][r] for r in order)
+    # g[c][r] is G[r][c], and d[c][r] is D[r][c].
+    g = [[1 << _WIDTH * idx(r + 1, c + 1) for r in range(k)] for c in range(k)]
+    d = [[x - y for x, y in zip(col, g_col)] for col, g_col in zip(columns, g)]
+    if all(col[r] == d[0][r] + col[0] - d[0][0] for col in d[1:] for r in range(1, k)):
+        return sum(d[r][r] for r in range(k))
     return None
+
+
+def _match(columns, idx, tested: dict) -> tuple[int, int] | None:
+    """(c, e) with det = c·x^e·det(G) by the factor test of the canonical form, else None.
+
+    ``tested`` maps each canonical form tested to what ``_factor`` found,
+    so that each distinct one is tested once; c is the sign of the sort.
+    """
+    shift, sign, canonical = _canonical(columns)
+    if canonical not in tested:
+        tested[canonical] = _factor(canonical, idx)
+    e = tested[canonical]
+    return None if e is None else (sign, shift + e)
 
 
 def _table(rows) -> tuple[str, ...]:
@@ -599,8 +583,8 @@ def _blocks(groups: list, idx, tested: dict) -> tuple[int, int] | None:
     """(u, K) with det(Mat1) = u·x^K·det(A)^n' det(B)^n by step 3, else None.
 
     ``groups`` holds each group's classes, as member lists, and its (c_i,
-    s_i) from step 2; ``tested`` maps each canonical block to what its
-    match against A's generic matrix, of the variables idx(i, a), found.
+    s_i) from step 2.  Each block goes through ``_match`` against A's
+    generic matrix, of the variables idx(i, a), with the memo ``tested``.
     """
     cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in groups}
     if len(cuts) != 1:
@@ -611,16 +595,11 @@ def _blocks(groups: list, idx, tested: dict) -> tuple[int, int] | None:
     unit *= prod(c for _, (c, _) in groups)
     key = sum(s for _, (_, s) in groups)
     for b in range(len(cut)):
-        columns = list(zip(*([e for _, e in classes[b]] for classes, _ in groups)))
-        key += sum(column[0] for column in columns)
-        columns = [tuple(e - column[0] for e in column) for column in columns]
-        canonical = tuple(sorted(columns))
-        if canonical not in tested:
-            tested[canonical] = _factor(canonical, idx)
-        found = tested[canonical]
+        block = zip(*([e for _, e in classes[b]] for classes, _ in groups))
+        found = _match(list(block), idx, tested)
         if found is None:
             return None
-        unit, key = unit * found[0] * (-1) ** _parity(columns), key + found[1]
+        unit, key = unit * found[0], key + found[1]
     return unit, key
 
 
@@ -633,12 +612,11 @@ class VerificationReport(Frozen):
     (step 4).  ``nonzero_minors`` gives each group of n' rows whose
     primitive matrix matched B's generic matrix its nonzero minors, the
     product of its class sizes, and each other group 0 (step 2).
-    ``blocks`` is n' when every canonical column-class block matched A's
-    generic matrix (step 3), else None; a step that declines leaves
-    ``sign`` None, and a 0 in ``nonzero_minors`` or ``blocks`` None names
-    it (step 4).  ``tests`` counts the factor tests made against B's and
-    against A's generic matrix, one per distinct matrix: (1, 1) on every
-    Mat1.
+    ``blocks`` is n' when every column-class block matched A's generic
+    matrix (step 3), else None; a step that declines leaves ``sign`` None,
+    and a 0 in ``nonzero_minors`` or ``blocks`` None names it (step 4).
+    ``tests`` counts the factor tests made against B's and against A's
+    generic matrix, one per distinct canonical form: (1, 1) on every Mat1.
     ``rhs``, predicted_sign·det(A)^n' det(B)^n, is the one lazy member,
     built with its variable table and the Leibniz sums det(A) and det(B)
     on its first read by the stored callable ``_rhs``; nothing in the
@@ -667,15 +645,10 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     require_shape(n, np_)
     pv, rows, cleared, cleared_bound, predicted = _layout(ctx)
     bound = _checked(len(rows) + cleared_bound)
-    # Step 2: {primitive matrix: its match against B's generic matrix}.
+    # Step 2: {canonical primitive matrix: its match against B's generic matrix}.
     tested_b: dict = {}
-    groups = []
-    for start in range(0, len(rows), np_):
-        classes = _classes(rows[start : start + np_])
-        primitive = tuple(classes)
-        if primitive not in tested_b:
-            tested_b[primitive] = _factor(primitive, pv.b_idx)
-        groups.append((list(classes.values()), tested_b[primitive]))
+    splits = [_classes(rows[start : start + np_]) for start in range(0, len(rows), np_)]
+    groups = [(list(c.values()), _match(tuple(c), pv.b_idx, tested_b)) for c in splits]
     # A class size is never 0, so a 0 marks a group that did not factor.
     nonzero_minors = tuple(prod(map(len, cols)) if found else 0 for cols, found in groups)
     # Steps 3 and 4: {canonical block: its match against A's generic matrix}.

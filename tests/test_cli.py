@@ -319,6 +319,30 @@ class TestConjecture:
         )
         assert rc == 4 and "critical" in err
 
+    @pytest.mark.parametrize(
+        "pair, flags, inside, outside, lo, hi",
+        [
+            ((dict(ELLIPTIC, weight=5, hodge_p=[5, 0]), RANK_ONE), [], "2", "9", "3/2", "7/2"),
+            ((dict(REP2, a=["5/2", "-5/2"]), REP1), ["--rep"], "1", "11/2", "-3/2", "5/2"),
+        ],
+        ids=["motive", "rep"],
+    )
+    def test_an_m_off_the_grid_inside_the_interval_is_told_the_grid(
+        self, tmp_path, capsys, pair, flags, inside, outside, lo, hi
+    ):
+        # m = 2 lies in [3/2, 7/2] and m = 1 in [-3/2, 5/2], but the points
+        # step by 1 from the low end: the message says so, where for an m
+        # past the ends the interval alone tells why.
+        paths = [write(tmp_path, f"{i}.json", data) for i, data in enumerate(pair)]
+        interval = f"[{lo}, {hi}]"
+        for m, grid in ((inside, f" and step by 1 from {lo}"), (outside, "")):
+            rc, payload, err = run(capsys, ["conjecture", *paths, "--m", m, *flags])
+            assert (rc, payload) == (4, None)
+            assert err == (
+                f"error: m = {m} is not critical for the pair; "
+                f"critical m lie in {interval}{grid}\n"
+            )
+
 
 class TestOneLabelForTwoInputs:
     """``period`` and ``conjecture`` refuse two inputs with one label, naming it.

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -16,12 +16,12 @@ from periodkit.oracle import (
     PairVariables,
     _classes,
     _det,
-    _factor,
     _generic_det,
     _kronecker_column_sign,
     _laplace,
     _layout,
     _mat1_columns,
+    _match,
     _pack,
     _product,
     _summed_product,
@@ -51,29 +51,31 @@ def _observed_rhs(rep):
 
 
 def _tamper(patch, against_b=None, against_a=None):
-    """Route what ``oracle._factor`` finds in ``verify_proposition`` through filters.
+    """Route what ``oracle._match`` finds in ``verify_proposition`` through filters.
 
-    ``against_b(k, found)`` takes the k-th factor test against B's generic
-    matrix, counted from 0, and returns what ``_factor`` reports instead;
-    ``against_a`` does so for the tests against A's.  The spy tells the
-    two kinds apart by the index map it receives, ``b_idx`` or ``a_idx``.
-    The check makes one test per distinct matrix: against B one per
-    primitive matrix, which on Mat1 all n groups of n' rows share, and
-    against A one per canonical block, once every group has factored
-    alike, which on Mat1 all n' blocks share.  A filter left None passes
+    ``against_b(k, found)`` takes what the k-th factor test against B's
+    generic matrix, counted from 0, found for a matrix, (c, e) or None,
+    and returns what ``_match`` reports instead; ``against_a`` does so for
+    the tests against A's.  The spy tells the two kinds apart by the index
+    map it receives, ``b_idx`` or ``a_idx``.  The check makes one test per
+    distinct canonical form, and k is that form's place in the memo:
+    against B one per primitive matrix, which on Mat1 all n groups of n'
+    rows share, and against A one per column-class block, once every
+    group has factored alike, which on Mat1 all n' blocks share.  So a
+    filter sees every matrix of the k-th form.  A filter left None passes
     what is found.
     """
     import periodkit.oracle as orc
 
-    factor = orc._factor
-    kinds = {"b_idx": (against_b, count()), "a_idx": (against_a, count())}
+    match, kinds = orc._match, {"b_idx": against_b, "a_idx": against_a}
 
-    def spy(columns, idx):
-        forge, tests = kinds[idx.__name__]
-        found = factor(columns, idx)
-        return found if forge is None else forge(next(tests), found)
+    def spy(columns, idx, tested):
+        forge = kinds[idx.__name__]
+        found = match(columns, idx, tested)
+        k = list(tested).index(orc._canonical(columns)[2])
+        return found if forge is None else forge(k, found)
 
-    patch.setattr(orc, "_factor", spy)
+    patch.setattr(orc, "_match", spy)
 
 
 def _unfactored_groups(patch):
@@ -371,18 +373,18 @@ class TestSymDet:
         # Keys over x[1,1], x[1,2], x[2,1], x[2,2] and y, with G the generic
         # 2 x 2 matrix of the x's.  The matrix of columns (x[1,1], x[2,1]·y)
         # and (x[1,2], x[2,2]·y), G with row 2 times y, has determinant
-        # y·det(G), which _factor finds, and with its columns swapped
+        # y·det(G), which _match finds, and with its columns swapped
         # -y·det(G).  With one column more or fewer there is no square
-        # matrix to match, two equal columns match nothing, and _factor
+        # matrix to match, two equal columns match nothing, and _match
         # declines.
         idx = _row_major(2)
         x11, x12, x21, x22, y = (_pack([(v, 1)]) for v in range(5))
-        assert _factor(((x11, x21 + y), (x12, x22 + y)), idx) == (1, y)
-        assert _factor(((x12, x22 + y), (x11, x21 + y)), idx) == (-1, y)
+        assert _match(((x11, x21 + y), (x12, x22 + y)), idx, {}) == (1, y)
+        assert _match(((x12, x22 + y), (x11, x21 + y)), idx, {}) == (-1, y)
         rows = [{1: {x11: 1}, 2: {x12: 1}, 4: {0: 1}}, {1: {x12: 1}, 2: {0: 1}, 4: {x11: 1}}]
         assert _det(rows, 3) == {}
         for columns in (((x11, x21), (x12, x22), (0, x11)), ((x11, x21),), ((x11, x21), (x11, x21))):
-            assert _factor(columns, idx) is None, columns
+            assert _match(columns, idx, {}) is None, columns
 
     def test_rows_whose_bounds_sum_past_half_the_field(self, monkeypatch):
         # A'⊗B' over the table of PairVariables(2, 2), checked by
@@ -446,7 +448,7 @@ class TestSymDet:
         assert want._keys == _accumulated(*squares)
         groups = [_classes(keys[:2]), _classes(keys[2:])]
         assert tuple(groups[0]) == tuple(groups[1])
-        ((c, s),) = shifts
+        ((c, s),) = set(shifts)
         members = [
             key
             for classes in groups
@@ -574,13 +576,15 @@ def _sign(perm):
     return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
 
 
-def _matched(rng, k):
-    """(columns, π, σ, u, v): entry (r, c) is g(π(r), σ(c)) + u_r + v_c, for G of ``_row_major``.
+def _matched(rng, k, pi=None):
+    """(columns, σ, u, v): entry (r, c) is g(π(r), σ(c)) + u_r + v_c, for G of ``_row_major``.
 
-    u and v are random keys over the three variables after G's k².
+    σ is random, and π the identity unless given, as in every matrix the
+    check builds.  u and v are random keys over the three variables after
+    G's k².
     """
     idx = _row_major(k)
-    pi, sigma = rng.sample(range(k), k), rng.sample(range(k), k)
+    pi, sigma = pi or list(range(k)), rng.sample(range(k), k)
     u, v = (
         [_pack([(k * k + t, rng.randint(-3, 3)) for t in range(3)]) for _ in range(k)]
         for _ in range(2)
@@ -589,41 +593,56 @@ def _matched(rng, k):
         tuple(_pack([(idx(pi[r] + 1, sigma[c] + 1), 1)]) + u[r] + v[c] for r in range(k))
         for c in range(k)
     )
-    return columns, pi, sigma, u, v
+    return columns, sigma, u, v
 
 
 class TestMatching:
-    """``_factor`` matches a matrix against a generic matrix G and expands no determinant."""
+    """``_match`` matches a matrix against a generic matrix G and expands no determinant."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_a_matched_matrix_gives_its_signs_and_key_sums(self, k):
-        # For random π, σ, u and v: (sgn π·sgn σ, Σu + Σv), which is also
-        # what the DP determinant of the matrix gives against det(G).
+        # For random σ, u and v: (sgn σ, Σu + Σv), which is also what the
+        # DP determinant of the matrix gives against det(G).
         rng = random.Random(f"matching/{k}")
         idx = _row_major(k)
         ref = _generic_det(idx, k)
         for _ in range(20):
-            columns, pi, sigma, u, v = _matched(rng, k)
-            want = (_sign(pi) * _sign(sigma), sum(u) + sum(v))
-            assert _factor(columns, idx) == want, (pi, sigma)
-            assert _monomial_ratio(_primitive_det(columns), ref) == want, (pi, sigma)
+            columns, sigma, u, v = _matched(rng, k)
+            want = (_sign(sigma), sum(u) + sum(v))
+            assert _match(columns, idx, {}) == want, sigma
+            assert _monomial_ratio(_primitive_det(columns), ref) == want, sigma
 
-    def test_at_k_2_both_readings_give_one_answer(self):
-        # The one cross difference fits (π, σ) and both composed with the
-        # swap: each leaves M - g(π, σ) with a zero cross difference, and
-        # both give the sign and the diagonal key sum _factor gives.
-        rng = random.Random("matching/readings")
+    def test_at_k_2_a_row_swap_gives_the_dps_answer(self):
+        # With its rows swapped the matrix's columns less their row-0 keys
+        # sort in the reverse of σ's order, and the canonical form is G
+        # with both orders reversed, which is G plus row and column keys:
+        # the answer is (-sgn σ, Σu + Σv), as the DP gives.
+        rng = random.Random("matching/row-swap")
         idx = _row_major(2)
+        ref = _generic_det(idx, 2)
         for _ in range(20):
-            columns, pi, sigma, _, _ = _matched(rng, 2)
-            rows = list(zip(*columns))
-            answers = set()
-            for p, s in ((pi, sigma), (pi[::-1], sigma[::-1])):
-                left = [[rows[r][c] - _pack([(idx(p[r] + 1, s[c] + 1), 1)]) for c in (0, 1)]
-                        for r in (0, 1)]
-                assert left[1][1] - left[1][0] - left[0][1] + left[0][0] == 0
-                answers.add((_sign(p) * _sign(s), left[0][0] + left[1][1]))
-            assert answers == {_factor(columns, idx)}, (pi, sigma)
+            columns, sigma, u, v = _matched(rng, 2, pi=[1, 0])
+            want = (-_sign(sigma), sum(u) + sum(v))
+            assert _monomial_ratio(_primitive_det(columns), ref) == want, sigma
+            assert _match(columns, idx, {}) == want, sigma
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_a_row_permuted_matrix_declines(self, k):
+        # From k = 3 on, π other than the identity leaves no canonical form
+        # that is G plus row and column keys, and the test declines, though
+        # the DP finds (sgn π·sgn σ, Σu + Σv).  No matrix the check builds
+        # has its rows permuted.
+        rng = random.Random(f"matching/rows/{k}")
+        idx = _row_major(k)
+        ref = _generic_det(idx, k)
+        for _ in range(20):
+            pi = rng.sample(range(k), k)
+            while pi == sorted(pi):
+                pi = rng.sample(range(k), k)
+            columns, sigma, u, v = _matched(rng, k, pi)
+            want = (_sign(pi) * _sign(sigma), sum(u) + sum(v))
+            assert _monomial_ratio(_primitive_det(columns), ref) == want, (pi, sigma)
+            assert _match(columns, idx, {}) is None, (pi, sigma)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_a_matrix_that_does_not_match_gives_none(self, k):
@@ -637,7 +656,7 @@ class TestMatching:
         ref = _generic_det(idx, k)
         outside = _pack([(k * k, 1)])
         for _ in range(10):
-            columns, pi, sigma, _, _ = _matched(rng, k)
+            columns, sigma, _, _ = _matched(rng, k)
 
             def moved(r, c, by):
                 column = list(columns[c])
@@ -653,23 +672,23 @@ class TestMatching:
                 "a fifth variable outside G": moved(1, 1, outside),
             }
             if k > 2:
-                cases["a fifth variable in G"] = moved(1, 1, _pack([(idx(pi[2] + 1, sigma[2] + 1), 1)]))
+                cases["a fifth variable in G"] = moved(1, 1, _pack([(idx(3, sigma[2] + 1), 1)]))
             for case, matrix in cases.items():
                 assert _monomial_ratio(_primitive_det(matrix), ref) is None, case
-                assert _factor(matrix, idx) is None, case
+                assert _match(matrix, idx, {}) is None, case
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matching_reads_the_structure_not_the_value(self, k):
         # G's transpose has det(G) as its determinant.  At k = 2 it matches
         # G, with row and column keys that hold G's variables; from k = 3 on
-        # it does not, and _factor declines where a factorization exists.
+        # it does not, and _match declines where a factorization exists.
         idx = _row_major(k)
         # Column c of the transpose is row c of G: entry (r, c) is g(c, r).
         transpose = tuple(
             tuple(_pack([(idx(c, r), 1)]) for r in range(1, k + 1)) for c in range(1, k + 1)
         )
         assert _monomial_ratio(_primitive_det(transpose), _generic_det(idx, k)) == (1, 0)
-        assert _factor(transpose, idx) == ((1, 0) if k == 2 else None)
+        assert _match(transpose, idx, {}) == ((1, 0) if k == 2 else None)
 
 
 def _term(exps, coeff=1):
@@ -1278,7 +1297,7 @@ class TestFactoredCheck:
 
 
 class TestDistinctMatrices:
-    """The check runs the DP once per distinct matrix, found by comparing the matrices."""
+    """The check makes one factor test per distinct canonical form, found by comparing them."""
 
     @pytest.mark.parametrize("n, np_", [(2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("craft", [_distinct_groups, _distinct_blocks])

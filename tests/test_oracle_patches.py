@@ -13,12 +13,13 @@ from pathlib import Path
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 ALLOWED = {
-    # _tamper forges what the factor tests find, one per distinct matrix,
-    # and tells the two kinds apart by the index map each test receives.
-    "_factor": "forges a factor test: against B's generic matrix, to leave the groups that "
-    "share a primitive matrix unfactored, so that the check declines at step 2, or give them "
-    "a wrong shift or unit; against A's, to decline a canonical block, so that the check "
-    "declines at step 3, or give it a wrong shift or unit",
+    # _tamper forges what the factor tests find, one per distinct canonical
+    # form, and tells the two kinds apart by the index map each receives.
+    "_match": "returns (c, e) for each matrix from the memoized test of its canonical form, "
+    "so it forges a factor test: against B's generic matrix, to leave the groups that share "
+    "a primitive matrix unfactored, so that the check declines at step 2, or give them a wrong "
+    "shift or unit; against A's, to decline a column-class block, so that the check declines "
+    "at step 3, or give it a wrong shift or unit",
     "_layout": "swaps in crafted rows: A⊗B whose entries reach exponent 20, with its columns "
     "reordered, or with one group split into other than n' classes or into other classes "
     "than the rest; Mat1 with a group's or a block's entries moved by a monomial; or the "

@@ -6,11 +6,13 @@ Run from the repository root:
 
 It lifts ``periodkit.oracle``'s gate inside this process alone.  First
 it runs ``verify_proposition`` on every tableau with n, n' <= 7, 12,854
-of them, and requires ``ok``, with one factor test against B's and one
-against A's generic matrix.  Then on every tableau of 4x4, 4x5, 5x4 and
-5x5 it checks that the check's ``sign`` is the predicted sign and the
-ratio that ``tests/test_oracle.py``'s Bareiss evaluation of Mat1 gives
-at a seeded point (``_assert_the_evaluation_agrees``).  It never reads
+of them, and requires ``ok``, ``sign`` equal to ``predicted_sign``,
+n ** n' nonzero minors in each of the n groups, all n' blocks matched,
+and one factor test against B's and one against A's generic matrix.
+Then on every tableau of 4x4, 4x5, 5x4 and 5x5 it checks that the
+check's ``sign`` is the predicted sign and the ratio that
+``tests/test_oracle.py``'s Bareiss evaluation of Mat1 gives at a
+seeded point (``_assert_the_evaluation_agrees``).  It never reads
 the report's ``rhs``, which the gate bounds.  It prints one line per
 shape, with the check's seconds, and exits 1 on the first tableau that
 fails.  pytest does not collect this file: its name does not start with
@@ -42,7 +44,9 @@ def _run(n: int, np_: int, rng: random.Random | None = None) -> bool:
         rep = orc.verify_proposition(ctx)
         seconds += time.perf_counter() - start
         try:
-            assert rep.ok and rep.tests == (1, 1), (rep.ok, rep.tests)
+            fields = (rep.ok, rep.sign, rep.nonzero_minors, rep.blocks, rep.tests)
+            want = (True, rep.predicted_sign, (n ** np_,) * n, np_, (1, 1))
+            assert fields == want, fields
             if rng is not None:
                 _assert_the_evaluation_agrees(ctx, rep, rng)
         except AssertionError as err:
