@@ -248,8 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_m(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--m`` and a next token like ``-1/2`` joined as ``--m=-1/2``.
+
+    argparse reads a token that starts with "-" and is not a plain negative
+    number as an option, so it would refuse ``--m -1/2``.  No option of
+    ``pk`` starts with "-" and a digit.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--m" and token[:1] == "-" and "0" <= token[1:2] <= "9":
+            out[-1] = f"--m={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_m(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except tuple(_EXIT_CODES) as exc:

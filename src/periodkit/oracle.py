@@ -141,6 +141,22 @@ def _summed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return _det([{1: a}, {2: b}], 2)
 
 
+def _square(a: dict[int, int]) -> dict[int, int]:
+    """a·a on packed keys: c² for each term, 2·c_a·c_b for each unordered pair of terms."""
+    items = list(a.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in items[i + 1 :]:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    _drop_zeros(out)
+    return out
+
+
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a·b on packed keys, with the longer factor in the inner loop."""
     if len(a) < len(b):
@@ -243,15 +259,19 @@ class LaurentPoly:
         return LaurentPoly(self.vars, _product(self._keys, other._keys), bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        """self^k by k plain products: the oracle's k is at most 4, so nothing is squared."""
+        """self^k by the binary method: per bit of k after the first, a square, then ·self on a 1."""
         if type(k) is not int:
             raise ValueError(f"power {k!r} is not an int")
         if k < 0:
             raise ValueError("only non-negative powers are supported")
         bound = _checked(self._bound * k)
-        out = {0: 1}
-        for _ in range(k):
-            out = _summed_product(out, self._keys)
+        if not k:
+            return LaurentPoly.one(self.vars)
+        out = dict(self._keys)
+        for bit in bin(k)[3:]:
+            out = _square(out)
+            if bit == "1":
+                out = _summed_product(out, self._keys)
         return LaurentPoly(self.vars, out, bound)
 
     def __eq__(self, other) -> bool:

@@ -514,6 +514,25 @@ def test_malformed_m_exits_2(tmp_path, capsys, argv):
         assert out.err == "error: bad rational '1/0': zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "pair, command, flags, m, rc",
+    [
+        ((ELLIPTIC, RANK_ONE), "conjecture", [], "-1/2", 4),
+        ((dict(REP2, a=["5/2", "-5/2"]), REP1), "conjecture", ["--rep"], "-3/2", 0),
+        ((dict(REP2, a=["5/2", "-5/2"]), REP1), "conjecture", ["--rep"], "-2/3", 4),
+        ((REP2, REP1), "classify", [], "-1/2", 0),
+        ((REP2, REP1), "classify", [], "-1/0", 2),
+    ],
+    ids=["motive", "rep", "rep-not-critical", "classify", "classify-malformed"],
+)
+def test_a_negative_rational_after_m_is_its_value(tmp_path, capsys, pair, command, flags, m, rc):
+    # argparse would read -1/2 as an option, unlike -1; --m=-1/2 never is.
+    paths = [write(tmp_path, f"{i}.json", data) for i, data in enumerate(pair)]
+    spaced = run(capsys, [command, *paths, "--m", m, *flags])
+    assert spaced == run(capsys, [command, *paths, f"--m={m}", *flags])
+    assert spaced[0] == rc
+
+
 @pytest.mark.parametrize("flags", [["--auto"], ["--classify"], ["--auto", "--classify"]])
 def test_rep_only_flags_without_rep_exit_2_before_reading_files(tmp_path, capsys, flags):
     missing = str(tmp_path / "missing.json")

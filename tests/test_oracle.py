@@ -24,6 +24,7 @@ from periodkit.oracle import (
     _match,
     _pack,
     _product,
+    _square,
     _summed_product,
     _unpack,
     build_mat1,
@@ -281,6 +282,8 @@ class TestProduct:
             got = _product(p._keys, q._keys)
             assert got == _accumulated(p._keys, q._keys)
             assert 0 not in got.values()
+            # The summed product takes its factors in either order.
+            assert _summed_product(p._keys, q._keys) == _summed_product(q._keys, p._keys) == got
 
     def test_factors_in_disjoint_variables_take_one_comprehension(self):
         # No two of the 12 term pairs meet, so the comprehension's keys are
@@ -294,6 +297,52 @@ class TestProduct:
         assert got._keys == {
             kp + kq: cp * cq for kp, cp in p._keys.items() for kq, cq in q._keys.items()
         }
+
+
+def _random_polys(seed, count):
+    """Seeded polynomials over XV with 0 to 6 terms and coefficients of both signs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield poly_of(
+            [(tuple(rng.randint(-2, 2) for _ in XV), rng.choice((-3, -2, -1, 1, 2, 3)))
+             for _ in range(rng.randint(0, 6))]
+        )
+
+
+class TestPower:
+    def test_a_power_equals_repeated_multiplication(self):
+        for p in _random_polys(70, 40):
+            want = LaurentPoly.one(XV)
+            for k in range(7):
+                got = p ** k
+                assert got._keys == want._keys and got._bound == want._bound, (p, k)
+                assert 0 not in got._keys.values()
+                want = want * p
+
+    def test_powers_of_zero(self):
+        zero = LaurentPoly.zero(XV)
+        assert zero ** 0 == LaurentPoly.one(XV)
+        for k in range(1, 6):
+            assert zero ** k == zero
+
+    def test_a_cross_term_that_cancels_inside_the_square_is_dropped(self):
+        # p = x + y + xyz - 1/z: the cross terms 2·x·y and -2·xyz·(1/z)
+        # meet on xy and cancel, leaving 4 squares and 4 of the 6 cross terms.
+        x, y = LaurentPoly.monomial(XV, {0: 1}), LaurentPoly.monomial(XV, {1: 1})
+        p = x + y + LaurentPoly.monomial(XV, {0: 1, 1: 1, 2: 1}) - LaurentPoly.monomial(XV, {2: -1})
+        square = p ** 2
+        assert square == p * p and len(square.terms) == 8
+        assert (1, 1, 0, 0) not in square.terms
+        assert _square(p._keys) == square._keys
+
+    def test_the_first_power_is_a_copy(self):
+        p = poly_of([((1, 0, 0, 0), 2), ((0, -1, 1, 0), -1)])
+        q = p ** 1
+        assert q == p and q._keys is not p._keys
+
+    def test_the_square_equals_the_summed_product(self):
+        for p in _random_polys(71, 50):
+            assert _square(p._keys) == _summed_product(p._keys, p._keys), p
 
 
 class TestSymDet:
