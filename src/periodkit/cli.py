@@ -2,13 +2,15 @@
 
 All results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification-property failure, 2 parse or usage error, 3 the
-Hodge data has a (p,p)-class, 4 the evaluation point is not critical.
+Hodge data has a (p,p)-class, 4 the evaluation point is not critical, 141
+(128 + SIGPIPE) stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fileio
@@ -28,6 +30,7 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_PP_CLASS = 3
 EXIT_NOT_CRITICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer that SIGPIPE ends
 
 # Domain errors that end a command; a subclass takes its nearest listed ancestor's code.
 _EXIT_CODES = {
@@ -267,10 +270,18 @@ def _joined_m(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_joined_m(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # A closed stdout fails here, inside the try, and not in the flush at exit.
+        sys.stdout.flush()
+        return code
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+    except BrokenPipeError:
+        # The reader went away (``pk verify | head``).  What is still
+        # buffered goes to the null device, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

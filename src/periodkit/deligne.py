@@ -63,7 +63,7 @@ def grouped_period_product(kind: str, m: Fraction, groups) -> PeriodMonomial:
         raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
     factors = [(TWO_PI, int(lead))]
     for tag, sp in groups:
-        factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp)]
+        factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp) if e]
     return PeriodMonomial(factors, {"Qs": "EE'", "P": "EE';K"}[kind])
 
 

@@ -23,9 +23,9 @@ values are immutable and equal by their fields, through the base
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .value import Value
+from .value import Frozen, Value
 
 
 class RegularMotiveData(Value):
@@ -85,6 +85,35 @@ class RegularMotiveData(Value):
         )
 
 
+def _not_integral(p, q) -> ValueError:
+    bad = p if type(p) is not int else q
+    return ValueError(f"class ({p},{q}) is not integral: {bad!r} is not an int")
+
+
+def _checked_pairs(weight: int, counts: Mapping[tuple[int, int], int]) -> tuple:
+    """The sorted (p, q, multiplicity) triples of a (p, q) -> multiplicity mapping.
+
+    Raises ``ValueError`` unless the mapping is non-empty, the weight and
+    every class's entries are ints, and every class is pure of ``weight``
+    and as frequent as its swap.  Each distinct class is checked once.
+    """
+    if not counts:
+        raise ValueError("a Hodge multiset is non-empty")
+    if type(weight) is not int:
+        raise ValueError(f"weight must be an integer, got {weight!r}")
+    for (p, q), mult in counts.items():
+        if type(p) is not int or type(q) is not int:
+            raise _not_integral(p, q)
+        if p + q != weight:
+            raise ValueError(f"class ({p},{q}) is not pure of weight {weight}")
+        if counts.get((q, p), 0) != mult:
+            raise ValueError(
+                f"not closed under swap: ({p},{q}) has multiplicity {mult}, "
+                f"({q},{p}) has {counts.get((q, p), 0)}"
+            )
+    return tuple(sorted([(p, q, mult) for (p, q), mult in counts.items()]))
+
+
 class HodgeMultiset(Value):
     """Multiset of (p, q) classes with multiplicities, pure of one weight.
 
@@ -103,26 +132,13 @@ class HodgeMultiset(Value):
 
     def __init__(self, weight: int, classes: Iterable[tuple[int, int]]):
         classes = tuple(classes)
-        if not classes:
-            raise ValueError("a Hodge multiset is non-empty")
-        # Every entry, not only each distinct class: 1.0 and True equal 1.
+        # Every entry, not only each distinct class: 1.0 and True equal 1,
+        # and a Counter would count them as it.
         for p, q in classes:
             if type(p) is not int or type(q) is not int:
-                bad = p if type(p) is not int else q
-                raise ValueError(f"class ({p},{q}) is not integral: {bad!r} is not an int")
-        if type(weight) is not int:
-            raise ValueError(f"weight must be an integer, got {weight!r}")
-        counts = Counter(classes)
-        for (p, q), mult in counts.items():
-            if p + q != weight:
-                raise ValueError(f"class ({p},{q}) is not pure of weight {weight}")
-            if counts[(q, p)] != mult:
-                raise ValueError(
-                    f"not closed under swap: ({p},{q}) has multiplicity {mult}, "
-                    f"({q},{p}) has {counts[(q, p)]}"
-                )
+                raise _not_integral(p, q)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "pairs", tuple(sorted((p, q, m) for (p, q), m in counts.items())))
+        object.__setattr__(self, "pairs", _checked_pairs(weight, Counter(classes)))
 
     def pp_class(self) -> int | None:
         """Return p if the fixed class (p, p) occurs, else None."""
@@ -144,13 +160,20 @@ def restriction_tensor(m: RegularMotiveData, mp: RegularMotiveData) -> HodgeMult
 
     The Betti realization is (M x M') + (M^c x M'^c).  Conjugation sends
     each sum s = p_a + r_b to w - s, so the second summand's classes are
-    the swaps (w - s, s) of the first summand's classes (s, w - s).
+    the swaps (w - s, s) of the first summand's classes (s, w - s).  Both
+    are counted straight into one mapping, which is checked once per
+    distinct class.
     """
     weight = m.weight + mp.weight
-    sums = [p + r for p in m.hodge_p for r in mp.hodge_p]
-    return HodgeMultiset(
-        weight, [(s, weight - s) for s in sums] + [(weight - s, s) for s in sums]
-    )
+    counts: dict[tuple[int, int], int] = {}
+    for p in m.hodge_p:
+        for r in mp.hodge_p:
+            s = p + r
+            counts[s, weight - s] = counts.get((s, weight - s), 0) + 1
+            counts[weight - s, s] = counts.get((weight - s, s), 0) + 1
+    h = HodgeMultiset.__new__(HodgeMultiset)
+    Frozen.__init__(h, weight, _checked_pairs(weight, counts))
+    return h
 
 
 def restriction(m: RegularMotiveData) -> HodgeMultiset:

@@ -524,13 +524,15 @@ def derive_delta_square_identity(n: int) -> DerivationResult:
     return DerivationResult(lhs, rhs, ok)
 
 
-def derive_grouped_period_identity(n: int, s: int) -> DerivationResult:
+def derive_grouped_period_identity(n: int, s: int, lemma: DerivationResult) -> DerivationResult:
     """Match Qs[s;M] against the dual-period expression of the s-th period.
 
     The right-hand side starts from Q[1;M^v]...Q[n-s;M^v] * Qxi[M], is
-    rewritten through the dual rule, the rank-n identity from
-    :func:`derive_delta_square_identity`, and the xi rule; ``ok`` reports exact
-    monomial equality with the expansion of Qs[s;M].
+    rewritten through the dual rule, ``lemma`` (the rank-n identity that
+    :func:`derive_delta_square_identity` derives, taken as given so that
+    one derivation serves every s), and the xi rule; ``ok`` reports exact
+    monomial equality with the expansion of Qs[s;M].  A lemma of another
+    rank leaves its own symbols in the right-hand side, so ``ok`` is False.
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
@@ -539,7 +541,6 @@ def derive_grouped_period_identity(n: int, s: int) -> DerivationResult:
     rhs = expand(q_paren(n - s, tag.dual())) * q_xi(tag)
     if s < n:
         rhs = apply_rule(rhs, "q_dual")
-    identity = derive_delta_square_identity(n)
-    rhs = rhs * identity.rhs * identity.lhs.inv()  # multiply by 1 in the period algebra
+    rhs = rhs * lemma.rhs * lemma.lhs.inv()  # multiply by 1 in the period algebra
     rhs = apply_rule(rhs, "xi_to_delta")
     return DerivationResult(lhs, rhs, lhs == rhs)

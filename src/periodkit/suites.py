@@ -226,12 +226,21 @@ def _suite_rewrite(trials: int, max_rank: int) -> list[tuple]:
         rewritten = pd.apply_rule(pd.delta(tag.twist(k)), "delta_twist")
         return rewritten == pd.two_pi_i(k * r) * pd.delta(tag)
 
+    # Each rank's delta-square lemma is derived once per run: both chains
+    # read it from here, the comparison chain once for each s.
+    lemmas: dict[int, pd.DerivationResult] = {}
+
+    def lemma(n):
+        if n not in lemmas:
+            lemmas[n] = pd.derive_delta_square_identity(n)
+        return lemmas[n]
+
     def delta_square_chain(_, t):
-        return pd.derive_delta_square_identity(_DELTA_SQUARE_RANKS[t]).ok
+        return lemma(_DELTA_SQUARE_RANKS[t]).ok
 
     def comparison_chain(_, t):
         n, s = _COMPARISON_CASES[t]
-        return pd.derive_grouped_period_identity(n, s).ok
+        return pd.derive_grouped_period_identity(n, s, lemma(n)).ok
 
     def simplified_equals_raw(rng, _):
         ctx = dl.PairContext.build(*smp.random_pp_free_pair(rng, max_rank))

@@ -122,9 +122,10 @@ def test_criterion_5_closed_forms():
                 got = apply_rule(delta(tag.twist(k)), "delta_twist")
                 assert got.exponent(PeriodSymbol("2pi")) == k * rank
         for n in range(1, 9):
-            assert derive_delta_square_identity(n).ok, n
+            lemma = derive_delta_square_identity(n)
+            assert lemma.ok, n
             for s in range(n + 1):
-                assert derive_grouped_period_identity(n, s).ok, (n, s)
+                assert derive_grouped_period_identity(n, s, lemma).ok, (n, s)
 
 
 def test_criterion_6_dictionary_checks():

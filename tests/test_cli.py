@@ -13,7 +13,7 @@ import pytest
 import periodkit
 from periodkit import automorphic, lfactor, suites
 from periodkit.automorphic import InfinityTypeData
-from periodkit.cli import main
+from periodkit.cli import EXIT_BROKEN_PIPE, main
 from periodkit.errors import ParseError
 from periodkit.fileio import dump_motive, dump_rep, parse_motive, parse_rep
 from periodkit.hodge import RegularMotiveData
@@ -638,6 +638,52 @@ def test_one_shot_commands_leave_the_verify_modules_unimported(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed: every write to it fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # Its output is larger than the stdout buffer, so print itself fails.
+        ["verify", "--suite", "rewrite", "--trials", "1"],
+        # Its output fits in the buffer, so the flush after the command fails.
+        ["critical", "{m}"],
+    ],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, command):
+    m = write(tmp_path, "m.json", ELLIPTIC)
+    src = Path(__file__).resolve().parents[1] / "src"
+    stdout = _closed_pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "periodkit.cli", *(a.format(m=m) for a in command)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
+def test_main_returns_141_when_stdout_is_closed(tmp_path, monkeypatch):
+    # In process, with sys.stdout on a pipe whose reader is gone; main
+    # points that descriptor, not the test's own, at the null device.
+    m = write(tmp_path, "m.json", ELLIPTIC)
+    with open(_closed_pipe(), "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["critical", m]) == EXIT_BROKEN_PIPE
+        print("more output", flush=True)  # now written to the null device
 
 
 @pytest.mark.parametrize("parse", [parse_motive, parse_rep])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import periodkit.deligne as dl
 from periodkit.deligne import (
     PairContext,
     conjecture_rhs_motivic,
@@ -16,7 +17,9 @@ from periodkit.errors import NonIntegerExponentError, NotCriticalError, PpClassE
 from periodkit.hodge import RegularMotiveData, restriction_tensor
 from periodkit.lfactor import critical_interval
 from periodkit.periods import (
+    TWO_PI,
     MotiveTag,
+    PeriodMonomial,
     PeriodSymbol,
     delta,
     expand,
@@ -139,3 +142,32 @@ def test_grouped_product_refuses_a_non_integral_two_pi_exponent():
     groups = ((MotiveTag("M", rank=1), (1, 0)), (MotiveTag("M'", rank=1), (0, 1)))
     with pytest.raises(NonIntegerExponentError, match=r"\(2πi\) exponent 1/3 is not an integer"):
         grouped_period_product("Qs", Fraction(1, 3), groups)
+
+
+@pytest.mark.parametrize("kind", ["Qs", "P"])
+def test_grouped_product_builds_a_symbol_only_for_a_nonzero_split_index(monkeypatch, kind):
+    # The product is the monomial of every split index, zeros included;
+    # a zero exponent contributes no factor, so no symbol is built for it.
+    groups = (
+        (MotiveTag("M", rank=3), (0, 2, 0, 1)),
+        (MotiveTag("M'", rank=3), (1, 0, 0, 2)),
+    )
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return PeriodSymbol(*args)
+
+    monkeypatch.setattr(dl, "PeriodSymbol", counted)
+    mono = grouped_period_product(kind, Fraction(-2), groups)
+    every = [(TWO_PI, -18)] + [
+        (PeriodSymbol(kind, j, tag), e) for tag, sp in groups for j, e in enumerate(sp)
+    ]
+    assert mono.factors == PeriodMonomial(every, mono.field_label).factors
+    assert mono.text() == f"(2πi)^-18 * {kind}[1;M]^2 * {kind}[3;M] * {kind}[0;M'] * {kind}[3;M']^2"
+    assert built == [
+        (kind, 1, groups[0][0]),
+        (kind, 3, groups[0][0]),
+        (kind, 0, groups[1][0]),
+        (kind, 3, groups[1][0]),
+    ]

@@ -9,10 +9,13 @@ import pytest
 from periodkit.hodge import (
     HodgeMultiset,
     RegularMotiveData,
+    _checked_pairs,
     has_no_pp_class,
     restriction,
     restriction_tensor,
 )
+from periodkit.sampling import pair_of_shape
+from shapes import every_shape
 
 
 def mot(weight, ps, label="M"):
@@ -110,6 +113,47 @@ class TestRestrictionTensor:
             assert all(counts[(q, p)] == mult for (p, q), mult in counts.items())
             # Sorted by p, each p once: the order gamma_factor relies on.
             assert [p for p, _, _ in h.pairs] == sorted({p for p, _, _ in h.pairs})
+
+
+def _listed(m, mp):
+    """The multiset the public constructor builds from the 2nn' classes, listed one by one."""
+    w = m.weight + mp.weight
+    sums = [p + r for p in m.hodge_p for r in mp.hodge_p]
+    return HodgeMultiset(w, [(s, w - s) for s in sums] + [(w - s, s) for s in sums])
+
+
+class TestRestrictionTensorCounts:
+    """restriction_tensor counts its classes into one mapping; the public
+    constructor counts the same classes listed one by one."""
+
+    def test_every_shape_up_to_rank_4(self):
+        shapes = list(every_shape(4))
+        assert len(shapes) == 242
+        for shape in shapes:
+            m, mp = pair_of_shape(*shape)
+            assert restriction_tensor(m, mp) == _listed(m, mp), shape
+            assert restriction_tensor(mp, m) == _listed(mp, m), shape
+
+    @pytest.mark.parametrize(
+        "m, mp",
+        [
+            (mot(0, [0]), mot(0, [0], "M'")),
+            (mot(0, [1, -1]), mot(0, [1, -1], "M'")),
+            (mot(2, [3, 1, -2]), mot(0, [0, -1], "M'")),
+            (mot(-1, [4, 0]), mot(3, [2, -3, -5], "M'")),
+        ],
+    )
+    def test_pairs_with_a_pp_class(self, m, mp):
+        h = restriction_tensor(m, mp)
+        assert not has_no_pp_class(h)
+        assert h == _listed(m, mp)
+        assert sum(mult for _, _, mult in h.pairs) == 2 * m.rank * mp.rank
+
+    def test_the_shared_check_refuses_a_class_that_is_not_an_int(self):
+        # The public constructor refuses such an entry before it counts; the
+        # shared check refuses it in a mapping handed to it directly.
+        with pytest.raises(ValueError, match=re.escape("class (1.0,0) is not integral")):
+            _checked_pairs(1, {(1.0, 0): 1, (0, 1.0): 1})
 
 
 def _random_motive(rng, label):

@@ -376,18 +376,31 @@ class TestDerivations:
         assert all(derive_delta_square_identity(n).ok for n in range(1, 9))
 
     def test_grouped_period_small(self):
-        assert derive_grouped_period_identity(1, 0).ok
-        assert derive_grouped_period_identity(2, 1).ok
+        assert derive_grouped_period_identity(1, 0, derive_delta_square_identity(1)).ok
+        assert derive_grouped_period_identity(2, 1, derive_delta_square_identity(2)).ok
 
     def test_grouped_period_boundary(self):
-        res = derive_grouped_period_identity(4, 4)
+        res = derive_grouped_period_identity(4, 4, derive_delta_square_identity(4))
         assert res.ok
         assert res.lhs == expand(q_sup(4, MotiveTag("M", rank=4, csd=True)))
 
     def test_grouped_period_through_n8(self):
+        lemmas = {n: derive_delta_square_identity(n) for n in range(1, 9)}
         assert all(
-            derive_grouped_period_identity(n, s).ok for n in range(1, 9) for s in range(n + 1)
+            derive_grouped_period_identity(n, s, lemmas[n]).ok
+            for n in range(1, 9)
+            for s in range(n + 1)
         )
+
+    def test_a_lemma_of_another_rank_does_not_derive_the_identity(self):
+        # The rank-k lemma's symbols carry rank k, so none of them cancels
+        # against the rank-n right-hand side.
+        lemmas = {n: derive_delta_square_identity(n) for n in range(1, 10)}
+        for n in range(1, 9):
+            for s in range(n + 1):
+                for k in range(1, 10):
+                    res = derive_grouped_period_identity(n, s, lemmas[k])
+                    assert res.ok is (k == n), (n, s, k)
 
 
 class TestErrorBranches:
@@ -434,5 +447,5 @@ class TestErrorBranches:
     @pytest.mark.parametrize("n, s", [(2, 3), (2, -1), (0, 1)])
     def test_grouped_period_needs_s_between_0_and_n(self, n, s):
         with pytest.raises(ValueError) as err:
-            derive_grouped_period_identity(n, s)
+            derive_grouped_period_identity(n, s, derive_delta_square_identity(2))
         assert str(err.value) == f"need 0 <= s <= n, got s={s}, n={n}"

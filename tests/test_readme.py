@@ -60,6 +60,7 @@ def test_exit_code_sentence_matches_the_constants():
         "EXIT_PARSE": "parse",
         "EXIT_PP_CLASS": "(p,p)-class",
         "EXIT_NOT_CRITICAL": "not critical",
+        "EXIT_BROKEN_PIPE": "stdout was closed",
     }
     assert {name for name in vars(cli) if name.startswith("EXIT_")} == set(words)
     assert set(described) == {getattr(cli, name) for name in words}

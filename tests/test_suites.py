@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import periodkit.oracle as orc
+import periodkit.periods as pd
 from periodkit import suites
 from periodkit.errors import SizeLimitError
 from periodkit.sampling import pair_of_shape
@@ -134,3 +135,23 @@ def test_identity_counts_every_trial_on_a_checked_tableau(monkeypatch):
     # An n x n' shape has comb(n + n', n) tableaux, each checked once.
     for n, np_ in ((1, 1), (2, 1), (2, 2)):
         assert calls.count((n, np_)) == comb(n + np_, n)
+
+
+def test_each_rank_delta_square_lemma_is_derived_once_per_rewrite_run(monkeypatch):
+    # The 8 lemma trials and the 44 comparison trials read one lemma per
+    # rank; a second run derives its own, so no lemma carries across runs.
+    ranks = []
+    derive = pd.derive_delta_square_identity
+
+    def spy(n):
+        ranks.append(n)
+        return derive(n)
+
+    monkeypatch.setattr(pd, "derive_delta_square_identity", spy)
+    for run in (1, 2):
+        summary = run_suites("rewrite", seed=42)
+        assert summary["ok"] is True
+        rows = {p["name"]: p for p in summary["properties"]}
+        assert rows["csd_delta_square_identity"]["instances"] == 8
+        assert rows["grouped_period_comparison"]["instances"] == 44
+        assert ranks == list(range(1, 9)) * run
