@@ -164,7 +164,8 @@ def test_grouped_product_builds_a_symbol_only_for_a_nonzero_split_index(monkeypa
         (PeriodSymbol(kind, j, tag), e) for tag, sp in groups for j, e in enumerate(sp)
     ]
     assert mono.factors == PeriodMonomial(every, mono.field_label).factors
-    assert mono.text() == f"(2πi)^-18 * {kind}[1;M]^2 * {kind}[3;M] * {kind}[0;M'] * {kind}[3;M']^2"
+    shown = f"(2πi)^-18 * {kind}[1;M]^2 * {kind}[3;M] * {kind}[0;M'] * {kind}[3;M']^2"
+    assert mono.text() == shown
     assert built == [
         (kind, 1, groups[0][0]),
         (kind, 3, groups[0][0]),
