@@ -47,17 +47,13 @@ class IndexPairSet(Frozen):
         return sorted(self.members)
 
 
-def _doubled_sum_vs_weight(m: RegularMotiveData, mp: RegularMotiveData, a: int, b: int) -> int:
-    """Sign of p_a + r_b - w/2, computed as 2(p_a + r_b) - w in integers."""
-    return 2 * (m.hodge_p[a - 1] + mp.hodge_p[b - 1]) - (m.weight + mp.weight)
-
-
 def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
     """Pairs (a, b) with p_a + r_b > w/2; ties violate the no-(p,p) hypothesis."""
+    w = m.weight + mp.weight
     members = set()
-    for a in range(1, m.rank + 1):
-        for b in range(1, mp.rank + 1):
-            d = _doubled_sum_vs_weight(m, mp, a, b)
+    for a, p in enumerate(m.hodge_p, 1):
+        for b, r in enumerate(mp.hodge_p, 1):
+            d = 2 * (p + r) - w
             if d == 0:
                 raise PpClassError(
                     f"p_{a} + r_{b} equals w/2: the tensor product has a "

@@ -12,13 +12,9 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import ParseError, PeriodKitError
 from .hodge import RegularMotiveData
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .automorphic import InfinityTypeData
 
 
 def encode_rational(x: Fraction | int) -> int | str:

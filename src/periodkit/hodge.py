@@ -85,25 +85,21 @@ class RegularMotiveData(Value):
         )
 
 
-def _not_integral(p, q) -> ValueError:
-    bad = p if type(p) is not int else q
-    return ValueError(f"class ({p},{q}) is not integral: {bad!r} is not an int")
-
-
 def _checked_pairs(weight: int, counts: Mapping[tuple[int, int], int]) -> tuple:
     """The sorted (p, q, multiplicity) triples of a (p, q) -> multiplicity mapping.
 
-    Raises ``ValueError`` unless the mapping is non-empty, the weight and
-    every class's entries are ints, and every class is pure of ``weight``
-    and as frequent as its swap.  Each distinct class is checked once.
+    Raises ``ValueError`` unless the mapping is non-empty, the weight is an
+    int, and every class is pure of ``weight`` and as frequent as its swap.
+    Each distinct class is checked once.  The class entries are ints, which
+    the callers guarantee: :class:`HodgeMultiset` checks every entry before
+    it counts, and :func:`restriction_tensor` adds the int p-indices of two
+    :class:`RegularMotiveData`.
     """
     if not counts:
         raise ValueError("a Hodge multiset is non-empty")
     if type(weight) is not int:
         raise ValueError(f"weight must be an integer, got {weight!r}")
     for (p, q), mult in counts.items():
-        if type(p) is not int or type(q) is not int:
-            raise _not_integral(p, q)
         if p + q != weight:
             raise ValueError(f"class ({p},{q}) is not pure of weight {weight}")
         if counts.get((q, p), 0) != mult:
@@ -136,7 +132,8 @@ class HodgeMultiset(Value):
         # and a Counter would count them as it.
         for p, q in classes:
             if type(p) is not int or type(q) is not int:
-                raise _not_integral(p, q)
+                bad = p if type(p) is not int else q
+                raise ValueError(f"class ({p},{q}) is not integral: {bad!r} is not an int")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "pairs", _checked_pairs(weight, Counter(classes)))
 

@@ -20,14 +20,11 @@ Their agreement is a cross-check exercised by the verification suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import NotCriticalError, NotCriticalPairError, PpClassError
 from .hodge import HodgeMultiset
 from .value import Value
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .automorphic import InfinityTypeData
 
 
 class CriticalInterval(Value):
@@ -123,7 +120,7 @@ def critical_interval_via_poles(h: HodgeMultiset) -> CriticalInterval:
     return CriticalInterval(kept[0][0], kept[-1][1])
 
 
-def pair_critical_points(pi: "InfinityTypeData", pip: "InfinityTypeData") -> CriticalInterval:
+def pair_critical_points(pi: InfinityTypeData, pip: InfinityTypeData) -> CriticalInterval:
     """Critical points of a pair of infinity types, in Z + (n+n')/2.
 
     For every pair of exponents a_i (from pi) and b_j (from pip), with

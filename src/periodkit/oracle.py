@@ -384,7 +384,7 @@ def _det(rows, k: int) -> dict[int, int]:
 
 
 def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-    """{primitive column: [(1 << c, e) for each member c]}, in the order of first members.
+    """{primitive column: [(c, e) for each member column c]}, in the order of first members.
 
     ``rows`` holds bare keys; a member is x^e times its class's primitive
     column, e its row-0 key.
@@ -392,7 +392,7 @@ def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int
     classes: dict = {}
     for c, column in enumerate(zip(*rows)):
         e = column[0]
-        classes.setdefault(tuple(k - e for k in column), []).append((1 << c, e))
+        classes.setdefault(tuple(k - e for k in column), []).append((c, e))
     return classes
 
 
@@ -606,11 +606,11 @@ def _blocks(groups: list, idx, tested: dict) -> tuple[int, int] | None:
     s_i) from step 2.  Each block goes through ``_match`` against A's
     generic matrix, of the variables idx(i, a), with the memo ``tested``.
     """
-    cuts = {tuple(tuple(bit for bit, _ in cols) for cols in classes) for classes, _ in groups}
+    cuts = {tuple(tuple(c for c, _ in cols) for cols in classes) for classes, _ in groups}
     if len(cuts) != 1:
         return None
     (cut,) = cuts
-    order = [bit for cols in cut for bit in cols]
+    order = [c for cols in cut for c in cols]
     unit = (-1) ** (comb(len(groups), 2) * comb(len(cut), 2) + _parity(order))
     unit *= prod(c for _, (c, _) in groups)
     key = sum(s for _, (_, s) in groups)

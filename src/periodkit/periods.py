@@ -512,10 +512,8 @@ def derive_delta_square_identity(n: int) -> DerivationResult:
     dc = delta(tag.conj())
     via_conj = apply_rule(dc, "delta_conj")
     via_dual = apply_rule(dc, "conj_as_dual")
-    try:
+    if n > 1:  # at n = 1 the twist by 1 - n is empty
         via_dual = apply_rule(via_dual, "delta_twist")
-    except RuleNotApplicable:
-        pass  # n = 1: the twist by 1-n is empty
     via_dual = apply_rule(via_dual, "delta_dual")
     d_inv = delta(tag).inv()
     lhs = via_dual * d_inv

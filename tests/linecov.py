@@ -36,10 +36,6 @@ SRC = ROOT / "src" / "periodkit"
 ALLOWED = {
     ("cli", "<module>", "sys.exit(main())"):
         "the __main__ body; CI's `python -m periodkit.cli` steps run it in a subprocess",
-    ("fileio", "<module>", "from .automorphic import InfinityTypeData"):
-        "a TYPE_CHECKING import, for annotations only",
-    ("lfactor", "<module>", "from .automorphic import InfinityTypeData"):
-        "a TYPE_CHECKING import, for annotations only",
     ("suites", "_suite_rewrite.tate_closed_forms", "return False"):
         "delta_tate(k) differs from two_pi_i(k): only a defect reaches it",
     ("suites", "_suite_oracle.cleared_matches_raw_q", "return False"):

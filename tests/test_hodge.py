@@ -9,7 +9,6 @@ import pytest
 from periodkit.hodge import (
     HodgeMultiset,
     RegularMotiveData,
-    _checked_pairs,
     has_no_pp_class,
     restriction,
     restriction_tensor,
@@ -148,12 +147,6 @@ class TestRestrictionTensorCounts:
         assert not has_no_pp_class(h)
         assert h == _listed(m, mp)
         assert sum(mult for _, _, mult in h.pairs) == 2 * m.rank * mp.rank
-
-    def test_the_shared_check_refuses_a_class_that_is_not_an_int(self):
-        # The public constructor refuses such an entry before it counts; the
-        # shared check refuses it in a mapping handed to it directly.
-        with pytest.raises(ValueError, match=re.escape("class (1.0,0) is not integral")):
-            _checked_pairs(1, {(1.0, 0): 1, (0, 1.0): 1})
 
 
 def _random_motive(rng, label):

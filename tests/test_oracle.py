@@ -115,11 +115,11 @@ def _expanded(classes, minor):
     """
     members = {0: (1, 0)}
     for cols in classes.values():
-        # Each column of ``have`` right of ``bit`` is an inversion.
+        # Each column of ``have`` right of column c is an inversion.
         members = {
-            have | bit: ((u, -u)[(have & -(bit << 1)).bit_count() & 1], s + e)
+            have | 1 << c: ((u, -u)[(have >> c + 1).bit_count() & 1], s + e)
             for have, (u, s) in members.items()
-            for bit, e in cols
+            for c, e in cols
         }
     return {cols: {key + e: u * c for key, c in minor.items()} for cols, (u, e) in members.items()}
 
@@ -801,7 +801,7 @@ CLASS_OTHERS = (
 
 def _class_members(rows):
     """The member columns of each class of ``_classes``, in its order."""
-    return [[bit.bit_length() - 1 for bit, _ in members] for members in _classes(rows).values()]
+    return [[c for c, _ in members] for members in _classes(rows).values()]
 
 
 class TestProportionalColumns:
@@ -837,6 +837,15 @@ class TestProportionalColumns:
         classes = _classes(keys)
         assert len(classes) == (3 if 4 in shared_on else 4), case
         assert _expanded(classes, _primitive_det(classes)).get(0b1111, {}) == want._keys, case
+
+    def test_a_class_holds_each_member_as_its_column_and_row_0_key(self):
+        # Columns 1 and 2 differ by x^2 and column 3 repeats column 1, so
+        # they share a class; column 0 is one of its own, and comes first.
+        keys = [[9, 5, 7, 5], [1, 2, 4, 2]]
+        assert list(_classes(keys).items()) == [
+            ((0, -8), [(0, 9)]),
+            ((0, -3), [(1, 5), (2, 7), (3, 5)]),
+        ]
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_class_minors_expand_to_every_minor(self, r):
@@ -1281,7 +1290,7 @@ def _a11_over_q1(n, np_):
 
 class TestFactoredCheck:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-    def test_fallback_gives_the_factored_report(self, n, np_, monkeypatch):
+    def test_a_failed_test_against_b_declines_at_step_2(self, n, np_, monkeypatch):
         # With the test against det(B) forced to fail, the check declines at
         # step 2.  On Mat1 all n groups share that one test, so none
         # factors: no sign, no blocks, no test against det(A), no group's
@@ -1298,7 +1307,7 @@ class TestFactoredCheck:
         for name in KEPT_FIELDS:
             assert getattr(forced, name) == getattr(right, name), name
 
-    def test_the_dp_result_is_compared_with_what_the_factors_leave(self, monkeypatch):
+    def test_an_unfactored_or_forged_group_fails_the_check(self, monkeypatch):
         # Mat1 at 2x2 with group 1's last row moved (_distinct_groups), so
         # that each group's primitive matrix has a test of its own: test 0
         # is group 0's, test 1 group 1's.
@@ -1584,7 +1593,7 @@ def test_bareiss_is_the_permutation_sum():
 
 class TestColumnClassBlocks:
     @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
-    def test_the_blocks_and_the_combining_pass_give_one_report(self, n, np_):
+    def test_the_blocks_decide_every_tableau_with_the_bareiss_sign(self, n, np_):
         # On every tableau of the shape the blocks decide, with the sign
         # that the Bareiss evaluation of Mat1 at a seeded point finds.
         rng = random.Random(f"bareiss/{n}x{np_}")

@@ -375,6 +375,23 @@ class TestDerivations:
     def test_delta_square_through_n8(self):
         assert all(derive_delta_square_identity(n).ok for n in range(1, 9))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_delta_square_applies_the_twist_only_where_it_is_not_empty(self, n, monkeypatch):
+        # The twist by 1 - n is empty at n = 1, so the derivation applies
+        # delta_twist only from n = 2 on.
+        import periodkit.periods as pd
+
+        applied, apply_rule = [], pd.apply_rule
+
+        def spy(x, rule):
+            applied.append(rule)
+            return apply_rule(x, rule)
+
+        monkeypatch.setattr(pd, "apply_rule", spy)
+        assert derive_delta_square_identity(n).ok
+        twist = ["delta_twist"] if n > 1 else []
+        assert applied == ["delta_conj", "conj_as_dual", *twist, "delta_dual"]
+
     def test_grouped_period_small(self):
         assert derive_grouped_period_identity(1, 0, derive_delta_square_identity(1)).ok
         assert derive_grouped_period_identity(2, 1, derive_delta_square_identity(2)).ok

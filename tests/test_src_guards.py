@@ -2,9 +2,10 @@
 
 An ``assert`` statement re-checks what a constructor already guarantees,
 and ``python -O`` strips it; a ``pragma: no cover`` marks a line that no
-test runs.  So ``src`` has neither, except for the lines listed below,
-each with the reason it stays.  The scan reads ``assert`` statements from
-the syntax tree and the pragma from comments.  ``src`` also imports no
+test runs.  So ``src`` has neither.  ``ALLOWED`` below would list a line
+that keeps one, with the reason it stays; no line is allowed any more,
+so it is empty.  The scan reads ``assert`` statements from the syntax
+tree and the pragma from comments.  ``src`` also imports no
 ``dataclasses``.
 
 Immutability is written once, in ``periodkit.value``: only that module
@@ -25,16 +26,7 @@ from periodkit.value import Frozen
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "periodkit").glob("*.py"))
 
 # (module, stripped source line) -> the reason the line stays.
-ALLOWED = {
-    ("fileio", "if TYPE_CHECKING:  # pragma: no cover"): (
-        "a type-only import: parse_rep loads automorphic when it runs, so the "
-        "motive-side commands never load it"
-    ),
-    ("lfactor", "if TYPE_CHECKING:  # pragma: no cover"): (
-        "a type-only import: automorphic imports lfactor, so lfactor cannot "
-        "import automorphic when it loads"
-    ),
-}
+ALLOWED: dict[tuple[str, str], str] = {}
 
 
 # (module, class) with __slots__ but not derived from Frozen -> the reason.
