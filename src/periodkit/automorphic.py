@@ -11,13 +11,15 @@ the conjectural right-hand side are defined directly on the exponents;
 each construction agrees with its Hodge-side counterpart through the
 dictionary, and those agreements are exercised by the verification
 suite.  A type stores only its doubled exponents 2a_i, which are
-integers: its constructor reads the exponents as Fractions once and
-checks them in integers, and each construction compares doubled sums
-against -(w + w') as :mod:`periodkit.combinatorics` compares doubled
-Hodge indices.  :class:`fractions.Fraction` is left in the input
-exponents, critical-interval endpoints and error messages.  Conjugate
-self-duality and discrete series at a split place are input flags:
-they concern finite-place data outside this model.
+integers.  Its constructor reads the exponents, ints or Fractions, once
+and doubles them; :meth:`InfinityTypeData.from_doubled` takes the ints
+2a_i themselves, which is how the sampler draws them.  Both run one
+check on the doubled values, and each construction compares doubled
+sums against -(w + w') as :mod:`periodkit.combinatorics` compares
+doubled Hodge indices.  :class:`fractions.Fraction` is left only in the
+input exponents, critical-interval endpoints and error messages.
+Conjugate self-duality and discrete series at a split place are input
+flags: they concern finite-place data outside this model.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class InfinityTypeData(Value):
 
     Built from z-exponents a_1 > ... > a_n (regular) in Z + (n-1)/2
     (algebraic), it stores only the ints 2a_i, as ``a2``; ``a`` is a_i.
-    Each a_i must be an int or a Fraction and w an int: no bool, float or str.
+    Each a_i must be an int or a Fraction, w an int and the label a str:
+    no bool, float or other type.  :meth:`from_doubled` builds one from
+    the ints 2a_i, with the same checks.
     """
 
     __slots__ = ("label", "w", "a2", "conjugate_self_dual", "discrete_series_split_place")
@@ -52,24 +56,29 @@ class InfinityTypeData(Value):
         for x in a:
             if type(x) not in (int, Fraction):
                 raise ValueError(f"exponents must be ints or Fractions, got {x!r}")
-        if not a:
-            raise ValueError("an infinity type has positive rank")
-        if type(w) is not int:
-            raise ValueError(f"purity weight must be an integer, got {w!r}")
-        ratios = [x.as_integer_ratio() for x in a]
-        if any(p * s <= r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
-            got = ", ".join(map(str, a))
-            raise ValueError(f"exponents must be strictly decreasing, got [{got}]")
-        n = len(a)
-        den = 2 - n % 2  # the denominator of every number in Z + (n-1)/2
+        # 2a_i is an int for a half-integer a_i; any other a_i stays a
+        # Fraction, which the parity check refuses once the order is checked.
+        a2 = []
         for x in a:
-            if x.denominator != den:
-                raise AlgebraicityError(f"exponent {x} is not in Z + (n-1)/2 for n = {n}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "a2", tuple(p * 2 // den for p, _ in ratios))
-        object.__setattr__(self, "conjugate_self_dual", conjugate_self_dual)
-        object.__setattr__(self, "discrete_series_split_place", discrete_series_split_place)
+            p, q = x.as_integer_ratio()
+            a2.append(2 * p // q if q < 3 else Fraction(2 * p, q))
+        a2 = tuple(a2)
+        _check_doubled(label, w, a2)
+        Frozen.__init__(self, label, w, a2, conjugate_self_dual, discrete_series_split_place)
+
+    @classmethod
+    def from_doubled(
+        cls, label: str, w: int, a2, conjugate_self_dual, discrete_series_split_place
+    ) -> "InfinityTypeData":
+        """The infinity type with exponents a_i = a2[i] / 2, given as the ints 2a_i."""
+        a2 = tuple(a2)
+        for x in a2:
+            if type(x) is not int:
+                raise ValueError(f"doubled exponents must be ints, got {x!r}")
+        _check_doubled(label, w, a2)
+        pi = object.__new__(cls)
+        Frozen.__init__(pi, label, w, a2, conjugate_self_dual, discrete_series_split_place)
+        return pi
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -81,6 +90,30 @@ class InfinityTypeData(Value):
 
     def is_very_regular(self) -> bool:
         return all(x - y >= 2 * VERY_REGULAR_GAP for x, y in zip(self.a2, self.a2[1:]))
+
+
+def _check_doubled(label, w, a2: tuple) -> None:
+    """The checks both constructors of an infinity type run, on its doubled exponents.
+
+    The messages name the exponents a_i, not their doubles, as a rep file
+    writes them.
+    """
+    if type(label) is not str:
+        raise ValueError(f"label must be a str, got {label!r}")
+    if not a2:
+        raise ValueError("an infinity type has positive rank")
+    if type(w) is not int:
+        raise ValueError(f"purity weight must be an integer, got {w!r}")
+    for x, y in zip(a2, a2[1:]):
+        if x <= y:
+            got = ", ".join(str(Fraction(x, 2)) for x in a2)
+            raise ValueError(f"exponents must be strictly decreasing, got [{got}]")
+    n = len(a2)
+    for x in a2:
+        if (x - n + 1) % 2:  # 2a_i = n - 1 mod 2, that is a_i in Z + (n-1)/2
+            raise AlgebraicityError(
+                f"exponent {Fraction(x, 2)} is not in Z + (n-1)/2 for n = {n}"
+            )
 
 
 def rep_tag(pi: InfinityTypeData) -> MotiveTag:

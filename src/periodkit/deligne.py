@@ -58,10 +58,10 @@ def grouped_period_product(kind: str, m: Fraction, groups) -> PeriodMonomial:
     the field EE', and ``"P"`` on the automorphic one, over EE';K.
     """
     n, np_ = (tag.rank for tag, _ in groups)
-    lead = m * n * np_
-    if lead.denominator != 1:  # unreachable for m on the critical grid
-        raise NonIntegerExponentError(f"(2πi) exponent {lead} is not an integer")
-    factors = [(TWO_PI, int(lead))]
+    lead, rest = divmod(m.numerator * n * np_, m.denominator)
+    if rest:  # unreachable for m on the critical grid
+        raise NonIntegerExponentError(f"(2πi) exponent {m * n * np_} is not an integer")
+    factors = [(TWO_PI, lead)]
     for tag, sp in groups:
         factors += [(PeriodSymbol(kind, j, tag), e) for j, e in enumerate(sp) if e]
     return PeriodMonomial(factors, {"Qs": "EE'", "P": "EE';K"}[kind])

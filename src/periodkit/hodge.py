@@ -13,9 +13,10 @@ downstream act on this shadow through closed-form index arithmetic:
 * tensor + restriction to the rationals: a Hodge multiset of 2nn' classes
 
 Everything is exact integer arithmetic.  Half-integers appear only on
-the automorphic side, where exponents are read as
-:class:`fractions.Fraction` values but stored, checked and used as
-their doubles, which are integers (:mod:`periodkit.automorphic`).  All
+the automorphic side, where exponents are read from a file as
+:class:`fractions.Fraction` values, or drawn doubled by the sampler, and
+are stored, checked and used as their doubles, which are integers
+(:mod:`periodkit.automorphic`).  All
 values are immutable and equal by their fields, through the base
 :class:`periodkit.value.Value`.  Every operation is a pure function.
 """
@@ -40,6 +41,8 @@ class RegularMotiveData(Value):
     __slots__ = ("label", "weight", "hodge_p")
 
     def __init__(self, label: str, weight: int, hodge_p: Iterable[int]):
+        if type(label) is not str:
+            raise ValueError(f"label must be a str, got {label!r}")
         hodge_p = tuple(hodge_p)
         if not hodge_p:
             raise ValueError("a motive has positive rank: hodge_p is empty")

@@ -72,6 +72,8 @@ class MotiveTag(Value):
     __slots__ = ("label", "rank", "csd", "ops", "_text")
 
     def __init__(self, label: str, rank: int | None = None, csd: bool = False, ops: tuple = ()):
+        if type(label) is not str:
+            raise ValueError(f"label must be a str, got {label!r}")
         if rank is not None and (type(rank) is not int or rank < 1):
             raise ValueError(f"rank must be a positive int or None, got {rank!r}")
         for op in ops:

@@ -4,12 +4,14 @@ Every generator takes an explicit :class:`random.Random` so whole runs
 are reproducible from a single seed.  ``random_pp_free_pair`` and
 ``random_critical_rep_pair`` redraw a pair with a (p,p)-class or not
 critical; both end fast, as a random pair fails only on exact ties.
+``random_infinity_type`` draws the doubled exponents 2a_i, which are
+ints, and builds its type with ``InfinityTypeData.from_doubled``, so no
+draw builds or parses a :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .automorphic import InfinityTypeData, pair_is_critical
 from .hodge import HodgeMultiset, RegularMotiveData, has_no_pp_class, restriction_tensor
@@ -73,18 +75,9 @@ def random_infinity_type(
     ds_split: bool = False,
 ) -> InfinityTypeData:
     offsets = sorted(rng.sample(range(-_A_SPAN, _A_SPAN + 1), n), reverse=True)
-    # o + (n-1)/2, an int for odd n: built directly, with no Fraction sum.
-    if n % 2:
-        a = tuple(o + n // 2 for o in offsets)
-    else:
-        a = tuple(Fraction(2 * o + n - 1, 2) for o in offsets)
-    return InfinityTypeData(
-        label,
-        rng.randint(-3, 3),
-        a,
-        conjugate_self_dual=csd,
-        discrete_series_split_place=ds_split,
-    )
+    # The exponents are o + (n-1)/2, drawn doubled: 2o + n - 1.
+    a2 = [2 * o + n - 1 for o in offsets]
+    return InfinityTypeData.from_doubled(label, rng.randint(-3, 3), a2, csd, ds_split)
 
 
 def random_critical_rep_pair(

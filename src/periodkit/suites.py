@@ -344,7 +344,16 @@ def run_suites(
     trials: int | None = None,
     max_rank: int | None = None,
 ) -> dict:
-    """Build the rows of one suite (or ``all``), then run them; return a JSON-ready summary."""
+    """Build the rows of one suite (or ``all``), then run them; return a JSON-ready summary.
+
+    ``seed`` must be an int, and ``trials`` and ``max_rank`` an int or
+    None; a bool is none of these.
+    """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    for arg, value in (("trials", trials), ("max_rank", max_rank)):
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{arg} must be an int or None, got {value!r}")
     rows = []
     for name in list(SUITES) if suite == "all" else [suite]:
         if name not in _SUITES:

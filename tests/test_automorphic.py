@@ -1,11 +1,14 @@
 """Infinity types: dictionary, criticality, split indices, case classifier."""
 
+import ast
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from periodkit import automorphic, sampling
 from periodkit.automorphic import (
     VERY_REGULAR_GAP,
     InfinityTypeData,
@@ -197,6 +200,94 @@ class TestRandomInfinityType:
                 a = tuple(o + Fraction(n - 1, 2) for o in offsets)
                 assert got == InfinityTypeData("Pi", w, a, True, seed == 1)
                 assert got.a == a and rng.getstate() == ref.getstate()
+
+    def test_a_draw_builds_no_fraction(self, monkeypatch):
+        # The sampler passes the doubled exponents, ints, to from_doubled.
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} built")
+
+        monkeypatch.setattr(automorphic, "Fraction", no_fraction)
+        rng = random.Random(46)
+        for n in range(1, 18):
+            pi = random_infinity_type(rng, n, "Pi")
+            assert pi.n == n and all(type(x) is int for x in pi.a2)
+        tree = ast.parse(Path(sampling.__file__).read_text(encoding="utf-8"))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported
+
+
+def _from_doubled(label, w, a2, csd=False, ds_split=False):
+    return InfinityTypeData.from_doubled(label, w, a2, csd, ds_split)
+
+
+def _built_or_error(build, *args):
+    """The value built, or the type and text of what the constructor raised."""
+    try:
+        return build(*args)
+    except (ValueError, AlgebraicityError) as err:
+        return type(err), str(err)
+
+
+class TestFromDoubled:
+    def test_it_stores_the_ints_it_is_given(self):
+        pi = _from_doubled("Pi", 3, (5, -1), True, False)
+        assert pi.a2 == (5, -1) and pi.a == (Fraction(5, 2), Fraction(-1, 2))
+        assert (pi.label, pi.w, pi.conjugate_self_dual, pi.discrete_series_split_place) == (
+            "Pi", 3, True, False
+        )
+        assert pi == rep("Pi", 3, [Fraction(5, 2), Fraction(-1, 2)], csd=True)
+        assert type(pi) is InfinityTypeData
+        assert _from_doubled("Pi", 0, iter([4, 0, -2])).a2 == (4, 0, -2)
+
+    @pytest.mark.parametrize(
+        "w, a2, error, text",
+        [
+            # (3, 1) at weight 0 is valid, so each entry below fails on its type alone.
+            (0, (3, True), ValueError, "doubled exponents must be ints, got True"),
+            (0, (3, Fraction(1)), ValueError, "doubled exponents must be ints, got Fraction(1, 1)"),
+            (0, (3, 1.5), ValueError, "doubled exponents must be ints, got 1.5"),
+            (0, (), ValueError, "an infinity type has positive rank"),
+            (True, (3, 1), ValueError, "purity weight must be an integer, got True"),
+            (0, (1, 3), ValueError, "exponents must be strictly decreasing, got [1/2, 3/2]"),
+            (0, (1, 1), ValueError, "exponents must be strictly decreasing, got [1/2, 1/2]"),
+            (0, (2, 0), AlgebraicityError, "exponent 1 is not in Z + (n-1)/2 for n = 2"),
+            (0, (4, 1, 0), AlgebraicityError, "exponent 1/2 is not in Z + (n-1)/2 for n = 3"),
+        ],
+    )
+    def test_each_fault_is_refused(self, w, a2, error, text):
+        with pytest.raises(error) as err:
+            _from_doubled("Pi", w, a2)
+        assert str(err.value) == text
+
+    def test_it_matches_the_constructor_on_the_halved_exponents(self):
+        rng = random.Random(46)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(0, 17)
+            if rng.random() < 0.6:  # on the grid 2a_i = n - 1 mod 2
+                a2 = [2 * o + n - 1 for o in rng.sample(range(-20, 21), n)]
+            else:
+                a2 = [rng.randint(-40, 40) for _ in range(n)]
+            if a2 and rng.random() < 0.2:
+                a2.insert(rng.randrange(len(a2)), rng.choice(a2))
+            if rng.random() < 0.7:
+                a2.sort(reverse=True)
+            w = rng.choice([0, 1, -3]) if rng.random() < 0.85 else rng.choice([True, 1.0, "0"])
+            args = (rng.choice(["Pi", "Pi'"]), w)
+            flags = (rng.random() < 0.5, rng.random() < 0.5)
+            got = _built_or_error(_from_doubled, *args, tuple(a2), *flags)
+            ref = _built_or_error(rep, *args, [Fraction(x, 2) for x in a2], *flags)
+            assert got == ref
+            if isinstance(got, InfinityTypeData):
+                assert got.a2 == tuple(a2) and all(type(x) is int for x in got.a2)
+                seen.add("accepted")
+            else:
+                seen.add(got[1].split()[0])
+        # Every check refused some input: rank, weight, decrease, algebraicity.
+        assert seen == {"accepted", "an", "purity", "exponents", "exponent"}
 
 
 class TestDoubledAgainstFraction:

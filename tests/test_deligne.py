@@ -144,6 +144,22 @@ def test_grouped_product_refuses_a_non_integral_two_pi_exponent():
         grouped_period_product("Qs", Fraction(1, 3), groups)
 
 
+def test_grouped_product_two_pi_exponent_is_m_n_np_or_refused():
+    # The exponent is computed in ints; it must equal the rational m n n'.
+    for n in range(1, 5):
+        for np_ in range(1, 5):
+            groups = ((MotiveTag("M", rank=n), (1,)), (MotiveTag("M'", rank=np_), (1,)))
+            for m in {Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3, 4)}:
+                lead = m * n * np_
+                if lead.denominator == 1:
+                    e = grouped_period_product("Qs", m, groups).exponent(PeriodSymbol("2pi"))
+                    assert e == lead and type(e) is int
+                else:
+                    with pytest.raises(NonIntegerExponentError) as err:
+                        grouped_period_product("Qs", m, groups)
+                    assert str(err.value) == f"(2πi) exponent {lead} is not an integer"
+
+
 @pytest.mark.parametrize("kind", ["Qs", "P"])
 def test_grouped_product_builds_a_symbol_only_for_a_nonzero_split_index(monkeypatch, kind):
     # The product is the monomial of every split index, zeros included;

@@ -84,6 +84,35 @@ def test_a_configuration_error_runs_no_trial(run_calls, suite, max_rank, error):
     assert run_calls == []
 
 
+@pytest.mark.parametrize(
+    "kwargs, text",
+    [
+        # Each bool once read as an int: the run printed "seed": true and "instances": true.
+        ({"trials": True, "max_rank": True, "seed": True}, "seed must be an int, got True"),
+        ({"seed": 42.0}, "seed must be an int, got 42.0"),
+        ({"trials": True}, "trials must be an int or None, got True"),
+        ({"max_rank": True}, "max_rank must be an int or None, got True"),
+        # A float rank once ran, and a float trial count ended in range's TypeError.
+        ({"max_rank": 2.0}, "max_rank must be an int or None, got 2.0"),
+        ({"trials": 2.5}, "trials must be an int or None, got 2.5"),
+    ],
+)
+def test_an_argument_that_is_not_an_int_is_refused_before_any_row_is_built(
+    monkeypatch, run_calls, kwargs, text
+):
+    built = []
+    monkeypatch.setattr(suites, "_SUITES", {
+        name: (lambda trials, max_rank, name=name: built.append(name) or [], t, r)
+        for name, (_, t, r) in suites._SUITES.items()
+    })
+    run_suites("rewrite", seed=1, trials=2, max_rank=2)
+    assert built == ["rewrite"]
+    with pytest.raises(ValueError) as err:
+        run_suites("rewrite", **kwargs)
+    assert str(err.value) == text
+    assert built == ["rewrite"] and run_calls == []
+
+
 def test_every_row_runs_once_through_run_property(run_calls):
     summary = run_suites("all", seed=5, trials=2, max_rank=2)
     assert [(5, p["name"], p["instances"]) for p in summary["properties"]] == run_calls

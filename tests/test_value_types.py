@@ -179,3 +179,24 @@ def test_an_instance_of_another_type_is_unequal(cls):
 def test_pair_context_build_stays_a_classmethod():
     # The benchmark's tracer wraps it by name.
     assert isinstance(PairContext.__dict__["build"], classmethod)
+
+
+# Constructor that takes a label -> a valid call of it with the given label.
+LABELLED = {
+    "RegularMotiveData": lambda label: RegularMotiveData(label, 0, (1,)),
+    "InfinityTypeData": lambda label: InfinityTypeData(label, 0, (0,)),
+    "InfinityTypeData.from_doubled": lambda label: InfinityTypeData.from_doubled(
+        label, 0, (0,), False, False
+    ),
+    "MotiveTag": lambda label: MotiveTag(label, rank=1),
+}
+
+
+@pytest.mark.parametrize("build", LABELLED.values(), ids=list(LABELLED))
+def test_a_label_that_is_not_a_str_is_refused(build):
+    # An int label once built, and failed later inside PeriodMonomial's sort.
+    assert build("M").label == "M"
+    for label in (5, None, b"M", ("M",)):
+        with pytest.raises(ValueError) as err:
+            build(label)
+        assert str(err.value) == f"label must be a str, got {label!r}"
