@@ -175,7 +175,7 @@ def substitute_p_periods(
 ) -> PeriodMonomial:
     """Replace automorphic period symbols P[j;T] by Qs[j;mapping[T]]."""
     factors = []
-    for sym, exp in mono.factors:
+    for sym, exp in mono.items():
         if sym.kind == "P" and sym.tag in mapping:
             sym = PeriodSymbol("Qs", sym.index, mapping[sym.tag])
         factors.append((sym, exp))

@@ -24,6 +24,7 @@ field.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .combinatorics import set_A, set_T, split_indices
@@ -68,12 +69,17 @@ def grouped_period_product(kind: str, m: Fraction, groups) -> PeriodMonomial:
 
 
 def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
-    """The Deligne period as a product over the index set A."""
+    """The Deligne period as a product over the index set A.
+
+    Q[a;M] occurs once for each member (a, b) of A, so A's rows and
+    columns are counted first and each Q symbol is built once.
+    """
     tm = motive_tag(ctx.M)
     tmp = motive_tag(ctx.Mp)
-    factors = []
-    for a, b in ctx.A.sorted_members():
-        factors += [(PeriodSymbol("Q", a, tm), 1), (PeriodSymbol("Q", b, tmp), 1)]
+    rows = Counter(a for a, _ in ctx.A.members)
+    cols = Counter(b for _, b in ctx.A.members)
+    factors = [(PeriodSymbol("Q", a, tm), e) for a, e in rows.items()]
+    factors += [(PeriodSymbol("Q", b, tmp), e) for b, e in cols.items()]
     factors += [
         (PeriodSymbol("d", None, tm), ctx.Mp.rank),
         (PeriodSymbol("d", None, tmp), ctx.M.rank),

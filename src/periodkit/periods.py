@@ -18,7 +18,11 @@ tag level, mirroring that both functors are involutions.
 
 Scalars from the coefficient field are invisible at this level, so a
 monomial carries only exponents; the ``field_label`` annotation records
-which field the relation is taken over and never affects equality.
+which field the relation is taken over and never affects equality.  A
+monomial is held as its exponent map {symbol: nonzero int}, so products,
+powers, comparisons and rewrites never sort; the canonical print order,
+by each symbol's ``sort_key``, is made only where a monomial is printed
+or its ``factors`` are read.
 
 The rewrite rules are the standard period relations.  Each names the
 symbol kind it rewrites, the decoration that must end the symbol's tag
@@ -47,7 +51,7 @@ which gives the canonical form (2πi)^k for the Tate motives.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, ItemsView, Iterable
 
 from .errors import RuleNotApplicable, UnknownRankError
 from .value import Frozen, Value
@@ -158,31 +162,43 @@ class PeriodSymbol(Frozen):
     """One letter of the period alphabet; see the module docstring.
 
     ``sort_key`` orders symbols in a monomial's canonical print order.  It
-    and the hash taken from it are built once, after the checks, and
-    equality compares keys.  Tags that print alike, such as ``M^c`` and
-    the conjugate of ``M``, are told apart by the key's last two entries,
-    the tag's label and ops, so unequal symbols never share a key; as they
-    come after the index, they only break ties.  A tag without rank has
-    rank -1 in the key, which no tag's rank can be.
+    and the hash taken from it are built in the pass that checks the
+    symbol, and equality compares keys.  Tags that print alike, such as
+    ``M^c`` and the conjugate of ``M``, are told apart by the key's last
+    two entries, the tag's label and ops, so unequal symbols never share a
+    key; as they come after the index, they only break ties.  A tag
+    without rank has rank -1 in the key, which no tag's rank can be.
     """
 
     __slots__ = ("kind", "index", "tag", "sort_key", "_hash")
 
     def __init__(self, kind: str, index: int | None = None, tag: MotiveTag | None = None):
+        if kind not in _KIND_ORDER:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if kind == "2pi":
+            if index is not None or tag is not None:
+                raise ValueError("(2πi) carries no index or tag")
+            key = (_KIND_ORDER[kind], ("", -1), -1)
+        else:
+            if tag is None:
+                raise ValueError(f"symbol {kind} needs a motive tag")
+            start = _INDEX_START.get(kind)
+            if start is None:
+                if index is not None:
+                    raise ValueError(f"{kind} carries no index")
+            else:
+                if index is not None and type(index) is not int:
+                    raise ValueError(f"{kind} index {index!r} is not an int")
+                if index is None or index < start:
+                    raise ValueError(f"{kind} index starts at {start}, got {index}")
+                rank = tag.rank_value
+                if rank is not None and index > rank:
+                    raise ValueError(f"{kind} index {index} exceeds rank {rank} of {tag.text()}")
+            key = (_KIND_ORDER[kind], (tag._text, -1 if tag.rank is None else tag.rank, tag.csd),
+                   -1 if index is None else index, tag.label, tag.ops)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "tag", tag)
-        self._check()
-        if tag is None:
-            key = (_KIND_ORDER[kind], ("", -1), -1)
-        else:
-            key = (
-                _KIND_ORDER[kind],
-                (tag._text, tag.rank if tag.rank is not None else -1, tag.csd),
-                index if index is not None else -1,
-                tag.label,
-                tag.ops,
-            )
         object.__setattr__(self, "sort_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -190,30 +206,6 @@ class PeriodSymbol(Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.sort_key == other.sort_key
-
-    def _check(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "2pi":
-            if self.index is not None or self.tag is not None:
-                raise ValueError("(2πi) carries no index or tag")
-            return
-        if self.tag is None:
-            raise ValueError(f"symbol {self.kind} needs a motive tag")
-        start = _INDEX_START.get(self.kind)
-        if start is None:
-            if self.index is not None:
-                raise ValueError(f"{self.kind} carries no index")
-            return
-        if self.index is not None and type(self.index) is not int:
-            raise ValueError(f"{self.kind} index {self.index!r} is not an int")
-        if self.index is None or self.index < start:
-            raise ValueError(f"{self.kind} index starts at {start}, got {self.index}")
-        rank = self.tag.rank_value
-        if rank is not None and self.index > rank:
-            raise ValueError(
-                f"{self.kind} index {self.index} exceeds rank {rank} of {self.tag.text()}"
-            )
 
     def __hash__(self) -> int:
         return self._hash
@@ -238,26 +230,30 @@ def join_field_labels(a: str, b: str) -> str:
 
 
 class PeriodMonomial(Frozen):
-    """A free-abelian-group element over period symbols.
+    """A free-abelian-group element over period symbols, held as its exponent map.
 
-    Every exponent is an int, bools excluded.  Zero exponents are never
-    stored; the factor order is the canonical print order, so equal
-    monomials are structurally identical.  Equality and hashing ignore
-    ``field_label``.  ``*`` merges the two canonical factor tuples and
-    ``**`` scales the exponents, so neither sorts or checks again.
+    Every exponent is an int, bools excluded, and zero exponents are never
+    stored, so equal monomials have equal maps, whatever order their
+    factors came in.  Equality and hashing read the map and ignore
+    ``field_label``.  ``*``, ``/`` and ``**`` update a copy of the map
+    and ``exponent`` is one lookup, so none of them sorts or checks
+    again.  The canonical print order exists only where a monomial is
+    read in order: ``factors``, ``text``, ``to_json`` and ``repr`` sort by
+    the symbols' ``sort_key``.  The map itself is private; ``items``
+    gives a read-only view of it.
     """
 
-    __slots__ = ("factors", "field_label")
+    __slots__ = ("_exps", "field_label")
 
     def __init__(self, factors: Iterable[tuple[PeriodSymbol, int]] = (), field_label: str = ""):
-        merged: dict[PeriodSymbol, int] = {}
+        exps: dict[PeriodSymbol, int] = {}
         for sym, exp in factors:
             if type(exp) is not int:
                 raise ValueError(f"exponent {exp!r} is not an int")
-            merged[sym] = merged.get(sym, 0) + exp
-        nonzero = [(sym, exp) for sym, exp in merged.items() if exp]
-        canon = tuple(sorted(nonzero, key=lambda kv: kv[0].sort_key))
-        object.__setattr__(self, "factors", canon)
+            exps[sym] = exps.get(sym, 0) + exp
+        if 0 in exps.values():
+            exps = {sym: exp for sym, exp in exps.items() if exp}
+        object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "field_label", field_label)
 
     @classmethod
@@ -267,31 +263,19 @@ class PeriodMonomial(Frozen):
     def __mul__(self, other: "PeriodMonomial") -> "PeriodMonomial":
         if not isinstance(other, PeriodMonomial):
             return NotImplemented
-        a, b = self.factors, other.factors
-        na, nb = len(a), len(b)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            (s, e), (t, f) = a[i], b[j]
-            if s.sort_key < t.sort_key:
-                out.append(a[i])
-                i += 1
-            elif t.sort_key < s.sort_key:
-                out.append(b[j])
-                j += 1
+        exps = self._exps.copy()
+        for sym, exp in other._exps.items():
+            exp += exps.get(sym, 0)
+            if exp:
+                exps[sym] = exp
             else:
-                if e + f:
-                    out.append((s, e + f))
-                i += 1
-                j += 1
-        out += a[i:] or b[j:]
-        return _canonical(tuple(out), join_field_labels(self.field_label, other.field_label))
+                del exps[sym]
+        return _from_map(exps, join_field_labels(self.field_label, other.field_label))
 
     def __pow__(self, k: int) -> "PeriodMonomial":
         if type(k) is not int:
             raise ValueError(f"exponent {k!r} is not an int")
-        factors = tuple([(s, e * k) for s, e in self.factors]) if k else ()
-        return _canonical(factors, self.field_label)
+        return _from_map({s: e * k for s, e in self._exps.items()} if k else {}, self.field_label)
 
     def inv(self) -> "PeriodMonomial":
         return self ** -1
@@ -300,20 +284,26 @@ class PeriodMonomial(Frozen):
         return self * other.inv() if isinstance(other, PeriodMonomial) else NotImplemented
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PeriodMonomial) and self.factors == other.factors
+        return isinstance(other, PeriodMonomial) and self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash(self.factors)
+        return hash(frozenset(self._exps.items()))
 
     def exponent(self, sym: PeriodSymbol) -> int:
-        for s, e in self.factors:
-            if s == sym:
-                return e
-        return 0
+        return self._exps.get(sym, 0)
+
+    def items(self) -> ItemsView[PeriodSymbol, int]:
+        """The (symbol, exponent) pairs, in no set order, as a read-only view."""
+        return self._exps.items()
+
+    @property
+    def factors(self) -> tuple[tuple[PeriodSymbol, int], ...]:
+        """The (symbol, exponent) pairs in canonical print order."""
+        return tuple(sorted(self._exps.items(), key=lambda kv: kv[0].sort_key))
 
     def text(self) -> str:
         """Canonical rendering; (2πi) always shows its exponent."""
-        if not self.factors:
+        if not self._exps:
             return "1"
         parts = []
         for sym, exp in self.factors:
@@ -334,10 +324,10 @@ class PeriodMonomial(Frozen):
         return f"PeriodMonomial({self.text()!r})"
 
 
-def _canonical(factors: tuple, field_label: str) -> PeriodMonomial:
-    """A monomial whose factors are already canonical: no merge, sort or check runs."""
+def _from_map(exps: dict, field_label: str) -> PeriodMonomial:
+    """A monomial over ``exps``, a fresh map with no zero exponent: no merge or check runs."""
     x = PeriodMonomial.__new__(PeriodMonomial)
-    Frozen.__init__(x, factors, field_label)
+    Frozen.__init__(x, exps, field_label)
     return x
 
 
@@ -396,16 +386,33 @@ def expand(x: PeriodMonomial) -> PeriodMonomial:
     """Rewrite D, Qp and Qs into the base alphabet {Q, d, (2πi)}.
 
     Idempotent on base symbols and a group homomorphism.  Opaque symbols
-    (P, Qxi) pass through untouched.
+    (P, Qxi) pass through untouched, and a monomial with no D, Qp or Qs
+    factor is returned as it is.  The exponents of the Qp and Qs factors
+    are summed by tag and index first, so that each Q[i;T] and d[T] is
+    built once: Q[i;T] carries the sum over the prefixes Qp[j;T] and
+    Qs[j;T] with j >= i.
     """
+    prefixes: dict[MotiveTag, dict[int, int]] = {}  # tag -> {j: exponent of its j-prefix}
+    deltas: dict[MotiveTag, int] = {}  # tag -> exponent of D[T], a Qs[j;T] counting too
     factors: _Factors = []
-    for sym, exp in x.factors:
+    for sym, exp in x._exps.items():
         if sym.kind in ("Qp", "Qs"):
-            factors += _q_range(sym.tag, sym.index, exp)
+            by_j = prefixes.setdefault(sym.tag, {})
+            by_j[sym.index] = by_j.get(sym.index, 0) + exp
         if sym.kind in ("D", "Qs"):
-            factors += _normalized_delta(sym.tag, exp)
-        if sym.kind not in ("D", "Qp", "Qs"):
+            deltas[sym.tag] = deltas.get(sym.tag, 0) + exp
+        elif sym.kind != "Qp":
             factors.append((sym, exp))
+    if len(factors) == len(x._exps):
+        return x
+    for tag, by_j in prefixes.items():
+        exp = 0
+        for i in range(max(by_j), 0, -1):
+            exp += by_j.get(i, 0)
+            if exp:
+                factors.append((PeriodSymbol("Q", i, tag), exp))
+    for tag, exp in deltas.items():
+        factors += _normalized_delta(tag, exp)
     return PeriodMonomial(factors, x.field_label)
 
 
@@ -476,7 +483,7 @@ def apply_rule(x: PeriodMonomial, rule: str) -> PeriodMonomial:
     kind, decoration, csd_only, label, replacement = RULES[rule]
     factors: _Factors = []
     matched = False
-    for sym, exp in x.factors:
+    for sym, exp in x._exps.items():
         tag, arg = sym.tag, None
         hit = sym.kind == kind and (tag.csd or not csd_only)
         if hit and decoration is not None:

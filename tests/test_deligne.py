@@ -28,7 +28,8 @@ from periodkit.periods import (
     q_sup,
     two_pi_i,
 )
-from periodkit.sampling import random_pp_free_pair
+from periodkit.sampling import pair_of_shape, random_pp_free_pair
+from shapes import every_shape
 
 M = RegularMotiveData("M", 1, (1, 0))
 MP = RegularMotiveData("M'", 0, (1,))
@@ -188,3 +189,44 @@ def test_grouped_product_builds_a_symbol_only_for_a_nonzero_split_index(monkeypa
         (kind, 0, groups[1][0]),
         (kind, 3, groups[1][0]),
     ]
+
+
+class TestSymbolsBuiltOnce:
+    """Each symbol of a period form is built once, on every shape up to rank 4."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        built, init = [], PeriodSymbol.__init__
+
+        def counted(self, kind, index=None, tag=None):
+            built.append((kind, index, tag))
+            init(self, kind, index, tag)
+
+        monkeypatch.setattr(PeriodSymbol, "__init__", counted)
+        return built
+
+    def test_the_raw_form_builds_one_symbol_per_row_and_column_of_a(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        for shape in every_shape(4):
+            ctx = PairContext.build(*pair_of_shape(*shape))
+            rows = [a for a, _ in ctx.A.members]
+            cols = [b for _, b in ctx.A.members]
+            del built[:]
+            raw = deligne_period_raw(ctx)
+            assert len(built) == len(set(rows)) + len(set(cols)) + 2, shape
+            tm, tmp = motive_tag(ctx.M), motive_tag(ctx.Mp)
+            for a in range(1, ctx.M.rank + 1):
+                assert raw.exponent(PeriodSymbol("Q", a, tm)) == rows.count(a)
+            for b in range(1, ctx.Mp.rank + 1):
+                assert raw.exponent(PeriodSymbol("Q", b, tmp)) == cols.count(b)
+
+    def test_expanding_the_simplified_form_builds_each_q_at_most_once(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        for shape in every_shape(4):
+            ctx = PairContext.build(*pair_of_shape(*shape))
+            simplified, raw = deligne_period_simplified(ctx), deligne_period_raw(ctx)
+            del built[:]
+            expanded = expand(simplified)
+            qs = [(index, tag) for kind, index, tag in built if kind == "Q"]
+            assert len(qs) == len(set(qs)), shape
+            assert expanded == expand(raw)

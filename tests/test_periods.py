@@ -1,8 +1,10 @@
 """Period monomial algebra: group laws, expansion, rules, derivations."""
 
 import random
+from collections.abc import MutableMapping
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 
@@ -142,6 +144,124 @@ class TestMergePath:
         with pytest.raises(ValueError) as err:
             MotiveTag("M", rank)
         assert str(err.value) == f"rank must be a positive int or None, got {rank!r}"
+
+
+class TestExponentMap:
+    """A monomial is its exponent map, private; the print order is made where it is read."""
+
+    def test_no_public_attribute_hands_out_a_writable_mapping(self):
+        x = PeriodMonomial((q(1, M2) ** 2 * delta(M3.conj()) * two_pi_i(-1)).factors, "E")
+        before = (x.factors, x.text(), x.to_json(), hash(x), x.field_label)
+        for name in dir(x):
+            if name.startswith("_"):
+                continue
+            value = getattr(x, name)
+            if callable(value):
+                try:
+                    value = value()
+                except TypeError:  # it takes arguments: exponent
+                    continue
+            assert not isinstance(value, MutableMapping) or name == "to_json", name
+            if name == "to_json":  # a fresh dict: clearing it leaves the monomial as it was
+                value["factors"].clear()
+                value.clear()
+        view = x.items()
+        assert isinstance(view.mapping, MappingProxyType)
+        with pytest.raises(TypeError):
+            view.mapping[PeriodSymbol("2pi")] = 5
+        for name in ("_exps", "factors", "field_label"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, {})
+        assert (x.factors, x.text(), x.to_json(), hash(x), x.field_label) == before
+        assert dict(x.items()) == dict(x.factors)
+
+    def test_factors_text_and_json_follow_a_reference_sort(self):
+        # Tags that print alike sit beside each other in the pool, so their
+        # order comes from the key's label and ops alone.
+        tags = [
+            MotiveTag("M^c", rank=2),
+            MotiveTag("M", rank=2).conj(),
+            MotiveTag("M(3)", rank=2),
+            MotiveTag("M", rank=2).twist(3),
+            MotiveTag("M", rank=2, csd=True),
+            MotiveTag("M", rank=3),
+            MotiveTag("M"),
+            MotiveTag("M'", rank=1).dual(),
+            MotiveTag("M", rank=3).det(),
+        ]
+        twins = {tags[0]: tags[1], tags[1]: tags[0], tags[2]: tags[3], tags[3]: tags[2]}
+
+        def symbol(rng):
+            kind, tag = rng.choice(["2pi", "Q", "d", "D", "Qp", "Qs", "P", "Qxi"]), rng.choice(tags)
+            if kind == "2pi":
+                return PeriodSymbol("2pi")
+            if kind in ("d", "D", "Qxi"):
+                return PeriodSymbol(kind, None, tag)
+            return PeriodSymbol(kind, rng.randint(kind == "Q", tag.rank_value or 4), tag)
+
+        def reference(factors):
+            merged = {}
+            for sym, exp in factors:
+                merged[sym] = merged.get(sym, 0) + exp
+            canon = sorted(((s, e) for s, e in merged.items() if e), key=lambda f: f[0].sort_key)
+            shown = [s.text() + (f"^{e}" if s.kind == "2pi" or e != 1 else "") for s, e in canon]
+            return tuple(canon), " * ".join(shown) or "1"
+
+        rng = random.Random(47)
+        seen = {"repeat": 0, "zero sum": 0, "alike": 0}
+        for _ in range(500):
+            factors = [(symbol(rng), rng.choice([-3, -1, 1, 2])) for _ in range(rng.randint(0, 6))]
+            for sym, exp in list(factors):
+                roll = rng.random()
+                if roll < 0.2:  # the same symbol again, built apart
+                    factors.append((PeriodSymbol(sym.kind, sym.index, sym.tag), exp))
+                elif roll < 0.4:  # a pair that cancels
+                    factors.append((sym, -exp))
+                elif roll < 0.5:
+                    factors.append((sym, 0))
+                elif roll < 0.8 and sym.tag in twins:  # its twin, printed alike
+                    factors.append((PeriodSymbol(sym.kind, sym.index, twins[sym.tag]), exp))
+            label = rng.choice(["", "E", "E;K"])
+            x = PeriodMonomial(factors, label)
+            canon, text = reference(factors)
+            assert x.factors == canon and x.text() == text and repr(x) == f"PeriodMonomial({text!r})"
+            assert x.to_json() == {
+                "text": text,
+                "factors": [{"symbol": s.text(), "exp": e} for s, e in canon],
+                "field_label": label,
+            }
+            # The same symbols, each exponent doubled: equal only when x is 1.
+            assert (PeriodMonomial(factors * 2) == x) == (not canon)
+            for _ in range(3):
+                shuffled = rng.sample(factors, len(factors))
+                y = PeriodMonomial(shuffled, rng.choice(["", "EE'"]))
+                assert y == x and hash(y) == hash(x) and y.factors == canon
+            syms = [s for s, _ in factors]
+            seen["repeat"] += len(set(syms)) < len(syms)
+            seen["zero sum"] += len(canon) < len(set(syms))
+            texts = [s.text() for s, _ in canon]
+            seen["alike"] += len(set(texts)) < len(texts)
+        assert min(seen.values()) > 100, seen
+
+    def test_equal_symbols_under_other_exponents_are_unequal(self):
+        x = q(1, M2) * delta(M2) * two_pi_i(2)
+        for k in (-2, -1, 0, 2, 3):
+            assert x ** k != x
+        assert q(1, M2) ** 2 * delta(M2) != q(1, M2) * delta(M2) ** 2
+        assert x.exponent(PeriodSymbol("2pi")) == 2 and x.exponent(PeriodSymbol("Q", 2, M2)) == 0
+
+    def test_expand_returns_its_argument_exactly_when_nothing_expands(self):
+        rng = random.Random(48)
+        hits = [0, 0]
+        for _ in range(400):
+            x = _random_monomial(rng)
+            plain = all(s.kind not in ("D", "Qp", "Qs") for s, _ in x.items())
+            assert (expand(x) is x) == plain
+            hits[plain] += 1
+        assert min(hits) > 50
+        # A Qs factor alone expands, whatever else the monomial holds.
+        for x in (q_sup(0, M2), q_sup(1, M2) * q(1, M2), q_sup(2, M3) ** -1 * two_pi_i(1)):
+            assert expand(x) is not x and expand(x) != x
 
 
 class TestForeignOperands:
@@ -435,6 +555,11 @@ class TestErrorBranches:
             (("Q", 0, M2), "Q index starts at 1, got 0"),
             (("Qs", -1, M2), "Qs index starts at 0, got -1"),
             (("P", 3, M2), "P index 3 exceeds rank 2 of M"),
+            # Two faults at once: the first check in this order names its own.
+            (("Z", 1.5, None), "unknown symbol kind 'Z'"),
+            (("Q", 1.5, None), "symbol Q needs a motive tag"),
+            (("Qxi", 1, M2), "Qxi carries no index"),
+            (("2pi", 1, M2), "(2πi) carries no index or tag"),
         ],
     )
     def test_symbol_check(self, args, message):

@@ -184,3 +184,26 @@ def test_each_rank_delta_square_lemma_is_derived_once_per_rewrite_run(monkeypatc
         assert rows["csd_delta_square_identity"]["instances"] == 8
         assert rows["grouped_period_comparison"]["instances"] == 44
         assert ranks == list(range(1, 9)) * run
+
+
+def test_the_rewrite_suite_builds_no_more_symbols_and_monomials_than_pinned(monkeypatch):
+    # Work counts, unlike wall time, are the same on every run and host.  A
+    # change that lowers a count lowers its bound with it; one that raises
+    # a count says why.  Products, quotients and powers build through no
+    # __init__, so only the constructor's checked builds are counted.
+    built = {pd.PeriodSymbol: 0, pd.PeriodMonomial: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    assert run_suites("rewrite", seed=42, trials=40)["ok"]
+    assert built[pd.PeriodSymbol] <= 2645
+    assert built[pd.PeriodMonomial] <= 1454
