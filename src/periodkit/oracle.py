@@ -8,11 +8,13 @@ in these steps; the code cites them by number.
 1. Layout.  Over a Laurent ring with one variable per A_ia, B_jb, Q_t and
    Q'_u, Mat1's columns are those of A⊗B, permuted by σ, with the T-block
    columns scaled by inverse periods, so sgn(σ) is predicted, not fitted.
-   One column list and the index arithmetic of ``PairVariables`` give
-   Mat1's entries as bare keys (every entry is one term of coefficient
-   1), the cleared period monomial's key, kept out of the rows for the
-   final key sum, the exponent bound and sgn(σ).  No variable name and no
-   determinant is built.
+   One column list and the index arithmetic of ``PairVariables``, run
+   once per row, give Mat1's entries as bare keys (every entry is one
+   term of coefficient 1), the cleared period monomial's key, kept out of
+   the rows for the final key sum, its exponent bound and sgn(σ).  The
+   exponents of Q_a and Q'_b in the cleared key count the scaled columns
+   of index a and of index b, so the bound is the largest count, read
+   without decoding a key.  No variable name and no determinant is built.
 2. Groups against B, by matching.  One factor test serves steps 2 and 3.
    Let G be the generic k x k matrix of A's or of B's variables, g(r, c)
    the key of its entry.  The test takes a matrix M of keys whose rows
@@ -74,6 +76,7 @@ from collections.abc import ItemsView, Mapping
 from functools import cache
 from itertools import permutations
 from math import comb, prod
+from operator import add, sub
 
 from .deligne import PairContext
 from .errors import SizeLimitError
@@ -386,20 +389,25 @@ def _det(rows, k: int) -> dict[int, int]:
 def _classes(rows: list[list[int]]) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """{primitive column: [(c, e) for each member column c]}, in the order of first members.
 
-    ``rows`` holds bare keys; a member is x^e times its class's primitive
-    column, e its row-0 key.
+    ``rows`` holds bare keys, at least one row; a member is x^e times its
+    class's primitive column, e its row-0 key.  Every row less row 0,
+    transposed, gives the primitive columns.
     """
+    primitive = zip(*[map(sub, row, rows[0]) for row in rows])
     classes: dict = {}
-    for c, column in enumerate(zip(*rows)):
-        e = column[0]
-        classes.setdefault(tuple(k - e for k in column), []).append((c, e))
+    for c, (column, e) in enumerate(zip(primitive, rows[0])):
+        classes.setdefault(column, []).append((c, e))
     return classes
 
 
 def _canonical(columns) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(Σ row-0 keys, sign of the sort, sorted columns), each column less its row-0 key (step 2)."""
-    shifted = [tuple(key - column[0] for key in column) for column in columns]
-    return sum(column[0] for column in columns), (-1) ** _parity(shifted), tuple(sorted(shifted))
+    """(Σ row-0 keys, sign of the sort, sorted columns), each column less its row-0 key (step 2).
+
+    A column whose row-0 key is 0, as every primitive column of step 2 is,
+    is kept as it is.
+    """
+    shifted = [tuple([key - col[0] for key in col]) if col[0] else col for col in columns]
+    return sum([col[0] for col in columns]), -1 if _parity(shifted) else 1, tuple(sorted(shifted))
 
 
 def _factor(columns: tuple[tuple[int, ...], ...], idx) -> int | None:
@@ -407,17 +415,21 @@ def _factor(columns: tuple[tuple[int, ...], ...], idx) -> int | None:
 
     The matrix M matches G when it is square and D = M - G is a row key
     plus a column key, D[r][c] = D[r][0] + D[0][c] - D[0][0]: then e is
-    Σ_r D[r][r] (step 2).  Otherwise the result is None.
+    Σ_r D[r][r] (step 2).  Otherwise the result is None.  Each column of
+    D, less its row-0 entry, must equal the lead, column 0 less its own;
+    the first that does not ends the test.
     """
-    k = len(columns)
-    if any(len(column) != k for column in columns):
-        return None
-    # g[c][r] is G[r][c], and d[c][r] is D[r][c].
-    g = [[1 << _WIDTH * idx(r + 1, c + 1) for r in range(k)] for c in range(k)]
-    d = [[x - y for x, y in zip(col, g_col)] for col, g_col in zip(columns, g)]
-    if all(col[r] == d[0][r] + col[0] - d[0][0] for col in d[1:] for r in range(1, k)):
-        return sum(d[r][r] for r in range(k))
-    return None
+    k, lead, e = len(columns), None, 0
+    for c, column in enumerate(columns):
+        if len(column) != k:
+            return None
+        # Column c of D, less its row-0 entry, against the lead.
+        d = [key - (1 << _WIDTH * idx(r, c + 1)) for r, key in enumerate(column, 1)]
+        e, d = e + d[c], [x - d[0] for x in d]
+        lead = lead or d
+        if d != lead:
+            return None
+    return e
 
 
 def _match(columns, idx, tested: dict) -> tuple[int, int] | None:
@@ -474,8 +486,18 @@ def naive_det(rows) -> LaurentPoly:
 
 
 def _parity(seq) -> int:
-    """The parity of the number of inversions of ``seq``: 0 even, 1 odd."""
-    return sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y) % 2
+    """The parity of the number of strict inversions of ``seq``: 0 even, 1 odd.
+
+    The stable argsort keeps ties in their order, so it inverts exactly
+    the strictly inverted pairs, and its parity is that of k less its
+    cycle count.  Each cycle of length L is walked once, L - 1 steps,
+    each member past its start marked -1.
+    """
+    order, odd = sorted(range(len(seq)), key=seq.__getitem__), 0
+    for start, j in enumerate(order):
+        while j > start:
+            order[j], j, odd = -1, order[j], odd ^ 1
+    return odd
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +540,11 @@ def _mat1_columns(ctx: PairContext) -> list[tuple[tuple, int, int, int]]:
     outside T gives (n+1-t, n'+1-u) with s = 1, as a conjugate coefficient
     is the plain one divided by its period.
     """
-    n, np_ = ctx.M.rank, ctx.Mp.rank
+    n, np_, in_a, in_t = ctx.M.rank, ctx.Mp.rank, ctx.A.members, ctx.T.members
     pairs = [(x, y) for x in range(1, n + 1) for y in range(1, np_ + 1)]
-    cols = [(("A-complement", a, b), a, b, 0) for a, b in pairs if (a, b) not in ctx.A.members]
-    cols += [
-        (("T-complement", t, u), n + 1 - t, np_ + 1 - u, 1)
-        for t, u in pairs
-        if (t, u) not in ctx.T.members
+    return [(("A-complement", a, b), a, b, 0) for a, b in pairs if (a, b) not in in_a] + [
+        (("T-complement", t, u), n + 1 - t, np_ + 1 - u, 1) for t, u in pairs if (t, u) not in in_t
     ]
-    return cols
 
 
 def _kronecker_column_sign(cols: list[tuple[tuple, int, int, int]], np_: int) -> int:
@@ -543,25 +561,29 @@ def _layout(ctx: PairContext) -> tuple[PairVariables, list[list[int]], int, int,
     Rows run over (i, j) lexicographically; the entry in the column
     (a, b, s) is A_ia B_jb Q_a^-s Q'_b^-s, as its bare key.
     The cleared key is Π Q_a Q'_b over the scaled columns, and its bound
-    its largest exponent.  A column count other than nn' raises
-    ``ValueError``.
+    its largest exponent: the most scaled columns that share an a, or a
+    b.  A column count other than nn' raises ``ValueError``.
     """
     n, np_ = ctx.M.rank, ctx.Mp.rank
     pv = PairVariables(n, np_)
     cols = _mat1_columns(ctx)
     if len(cols) != n * np_:
         raise ValueError(f"matrix is not square: {len(cols)} columns for {n * np_} rows")
-    nv = pv.qp_idx(np_) + 1
-    unit = [1 << (_WIDTH * v) for v in range(nv)]
-    periods = [s * (unit[pv.q_idx(a)] + unit[pv.qp_idx(b)]) for _, a, b, s in cols]
-    a_rows = [
-        [unit[pv.a_idx(i, a)] - p for (_, a, _, _), p in zip(cols, periods)]
-        for i in range(1, n + 1)
-    ]
-    b_rows = [[unit[pv.b_idx(j, b)] for _, _, b, _ in cols] for j in range(1, np_ + 1)]
-    rows = [[ka + kb for ka, kb in zip(a_row, b_row)] for a_row in a_rows for b_row in b_rows]
-    cleared = sum(periods)
-    return pv, rows, cleared, max(_unpack(cleared, nv)), _kronecker_column_sign(cols, np_)
+    unit = [1 << (_WIDTH * v) for v in range(pv.qp_idx(np_) + 1)]
+    # idx(r, 1) - 1 + c is idx(r, c): PairVariables' arithmetic runs once per row, not per entry.
+    q, qp = pv.q_idx(1) - 1, pv.qp_idx(1) - 1
+    periods = [s and unit[q + a] + unit[qp + b] for _, a, b, s in cols]
+    a_tops = [pv.a_idx(i, 1) - 1 for i in range(1, n + 1)]
+    a_rows = [[unit[top + a] - p for (_, a, _, _), p in zip(cols, periods)] for top in a_tops]
+    b_tops = [pv.b_idx(j, 1) - 1 for j in range(1, np_ + 1)]
+    b_rows = [[unit[top + b] for _, _, b, _ in cols] for top in b_tops]
+    rows = [list(map(add, a_row, b_row)) for a_row in a_rows for b_row in b_rows]
+    # The cleared key's exponent of Q_a is at a, of Q'_b at n + b: the scaled columns of each.
+    exps = [0] * (n + np_ + 1)
+    for _, a, b, s in cols:
+        exps[a] += s
+        exps[n + b] += s
+    return pv, rows, sum(periods), max(exps), _kronecker_column_sign(cols, np_)
 
 
 def build_mat1(ctx: PairContext) -> tuple[tuple[LaurentPoly, ...], ...]:
@@ -606,17 +628,13 @@ def _blocks(groups: list, idx, tested: dict) -> tuple[int, int] | None:
     s_i) from step 2.  Each block goes through ``_match`` against A's
     generic matrix, of the variables idx(i, a), with the memo ``tested``.
     """
-    cuts = {tuple(tuple(c for c, _ in cols) for cols in classes) for classes, _ in groups}
-    if len(cuts) != 1:
+    cut, *rest = {tuple([tuple([c for c, _ in cols]) for cols in classes]) for classes, _ in groups}
+    if rest:
         return None
-    (cut,) = cuts
-    order = [c for cols in cut for c in cols]
-    unit = (-1) ** (comb(len(groups), 2) * comb(len(cut), 2) + _parity(order))
-    unit *= prod(c for _, (c, _) in groups)
-    key = sum(s for _, (_, s) in groups)
+    unit = (-1) ** (comb(len(groups), 2) * comb(len(cut), 2) + _parity(sum(cut, ())))
+    unit, key = unit * prod([c for _, (c, _) in groups]), sum([s for _, (_, s) in groups])
     for b in range(len(cut)):
-        block = zip(*([e for _, e in classes[b]] for classes, _ in groups))
-        found = _match(list(block), idx, tested)
+        found = _match(list(zip(*[[e for _, e in cols[b]] for cols, _ in groups])), idx, tested)
         if found is None:
             return None
         unit, key = unit * found[0], key + found[1]
@@ -665,14 +683,12 @@ def verify_proposition(ctx: PairContext) -> VerificationReport:
     require_shape(n, np_)
     pv, rows, cleared, cleared_bound, predicted = _layout(ctx)
     bound = _checked(len(rows) + cleared_bound)
-    # Step 2: {canonical primitive matrix: its match against B's generic matrix}.
-    tested_b: dict = {}
+    # {canonical form: its match}, against B's generic matrix in step 2, A's in steps 3 and 4.
+    tested_b, tested_a = {}, {}
     splits = [_classes(rows[start : start + np_]) for start in range(0, len(rows), np_)]
     groups = [(list(c.values()), _match(tuple(c), pv.b_idx, tested_b)) for c in splits]
     # A class size is never 0, so a 0 marks a group that did not factor.
-    nonzero_minors = tuple(prod(map(len, cols)) if found else 0 for cols, found in groups)
-    # Steps 3 and 4: {canonical block: its match against A's generic matrix}.
-    tested_a: dict = {}
+    nonzero_minors = tuple([prod(map(len, cols)) if found else 0 for cols, found in groups])
     found = None if 0 in nonzero_minors else _blocks(groups, pv.a_idx, tested_a)
     unit, key = found or (None, None)
     sign = unit if unit in (1, -1) and key + cleared == 0 else None

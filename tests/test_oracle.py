@@ -14,6 +14,7 @@ from periodkit.hodge import RegularMotiveData
 from periodkit.oracle import (
     LaurentPoly,
     PairVariables,
+    _canonical,
     _classes,
     _det,
     _generic_det,
@@ -23,6 +24,7 @@ from periodkit.oracle import (
     _mat1_columns,
     _match,
     _pack,
+    _parity,
     _product,
     _square,
     _summed_product,
@@ -899,6 +901,107 @@ class TestProportionalColumns:
         want = naive_det(rows)
         assert want != LaurentPoly.zero(XV)
         assert sym_det(rows) == want
+
+
+def _strict_inversions(seq):
+    """The number of pairs i < j with seq[i] > seq[j], counted pair by pair."""
+    return sum(seq[i] > seq[j] for j in range(len(seq)) for i in range(j))
+
+
+def _random_columns(rng, count, length):
+    """``count`` key columns of ``length``: some repeat or shift an earlier one, some start at 0."""
+    columns = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind and columns:
+            column = rng.choice(columns)
+            shift = 0 if kind == 1 else rng.randint(-300, 300)
+            column = tuple(key + shift for key in column)
+        else:
+            column = tuple(rng.choice((rng.randint(-3, 3), rng.getrandbits(64))) for _ in range(length))
+        if rng.randrange(2):
+            column = tuple(key - column[0] for key in column)
+        columns.append(column)
+    return columns
+
+
+class TestHelperReferences:
+    """The check's helpers against references written here, one column or pair at a time."""
+
+    def test_parity_is_that_of_the_strict_inversions(self):
+        # Every permutation of length up to 6, then seeded ints and tuples
+        # with ties, of lengths 0-12: ties are no inversion.
+        for k in range(7):
+            for perm in permutations(range(k)):
+                assert _parity(perm) == _strict_inversions(perm) % 2, perm
+        rng = random.Random("parity")
+        for k in range(13):
+            for _ in range(40):
+                ints = [rng.randrange(4) for _ in range(k)]
+                tuples = [(rng.randrange(2), rng.randrange(3)) for _ in range(k)]
+                for seq in (ints, tuples, tuple(ints)):
+                    assert _parity(seq) == _strict_inversions(seq) % 2, seq
+
+    def test_canonical_form_column_by_column(self):
+        # Each column less its row-0 key, sorted; the sign is that of the
+        # strict inversions among the shifted columns, ties counting none.
+        rng, starts = random.Random("canonical"), set()
+        for count in range(7):
+            for length in range(1, 6):
+                for _ in range(10):
+                    columns = _random_columns(rng, count, length)
+                    starts |= {bool(column[0]) for column in columns}
+                    shifted = []
+                    for column in columns:
+                        shifted.append(tuple(key - column[0] for key in column))
+                    want = (
+                        sum(column[0] for column in columns),
+                        (-1) ** _strict_inversions(shifted),
+                        tuple(sorted(shifted)),
+                    )
+                    assert _canonical(columns) == want, columns
+                    assert _canonical(tuple(columns)) == want, columns
+        assert starts == {False, True}
+
+    def test_classes_column_by_column(self):
+        # A column's class is keyed by the column less its row-0 key, in
+        # the order of first members; each member is (column, row-0 key).
+        rng, starts = random.Random("classes"), set()
+        for count in range(8):
+            for length in range(1, 6):
+                for _ in range(10):
+                    columns = _random_columns(rng, count, length)
+                    rows = [[column[r] for column in columns] for r in range(length)]
+                    starts |= {bool(column[0]) for column in columns}
+                    want = {}
+                    for c in range(count):
+                        column = [row[c] for row in rows]
+                        key = tuple(entry - column[0] for entry in column)
+                        if key not in want:
+                            want[key] = []
+                        want[key].append((c, column[0]))
+                    assert list(_classes(rows).items()) == list(want.items()), rows
+        assert starts == {False, True}
+
+    @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)
+    def test_the_layout_bound_is_the_largest_decoded_field(self, n, np_):
+        for slots in combinations(range(n + np_), n):
+            pv, _, cleared, bound, _ = _layout(PairContext.build(*pair_of_shape(n, np_, slots)))
+            assert bound == max(_unpack(cleared, len(pv.names))), (n, np_, slots)
+
+
+def test_the_check_decodes_no_key(monkeypatch):
+    # Every tableau up to the gate: the check reads keys by their sums and
+    # differences alone, never field by field.
+    import periodkit.oracle as orc
+
+    def refuse(key, nv):
+        raise AssertionError("the check decoded a key")
+
+    monkeypatch.setattr(orc, "_unpack", refuse)
+    for n, np_ in ADMITTED_SHAPES:
+        for slots in combinations(range(n + np_), n):
+            assert verify_proposition(PairContext.build(*pair_of_shape(n, np_, slots))).ok
 
 
 @pytest.mark.parametrize("n, np_", ADMITTED_SHAPES)

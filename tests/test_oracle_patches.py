@@ -24,6 +24,8 @@ ALLOWED = {
     "reordered, or with one group split into other than n' classes or into other classes "
     "than the rest; Mat1 with a group's or a block's entries moved by a monomial; or the "
     "check's own layout with a flipped predicted sign or a bound past the field",
+    "_unpack": "raises on any call, to show that the identity check decodes no key and takes "
+    "only the field width and the bound check from the ring",
     # tests/test_suites.py: the oracle suite's schedule.
     "verify_proposition": "stubs a check that fails or raises, and records each pair the "
     "oracle suite checks",

@@ -14,7 +14,8 @@ check's ``sign`` is the predicted sign and the ratio that
 ``tests/test_oracle.py``'s Bareiss evaluation of Mat1 gives at a
 seeded point (``_assert_the_evaluation_agrees``).  It never reads
 the report's ``rhs``, which the gate bounds.  It prints one line per
-shape, with the check's seconds, and exits 1 on the first tableau that
+shape, with the check's seconds in total and its mean milliseconds per
+tableau, the cost of one call, and exits 1 on the first tableau that
 fails.  pytest does not collect this file: its name does not start with
 ``test_``.
 """
@@ -54,7 +55,8 @@ def _run(n: int, np_: int, rng: random.Random | None = None) -> bool:
             return False
         checked += 1
     what = "pass" if rng is None else "agree with the Bareiss evaluation"
-    print(f"{n}x{np_}: {checked} tableaux {what}, check {seconds:.2f} s")
+    mean = seconds / checked * 1e3
+    print(f"{n}x{np_}: {checked} tableaux {what}, check {seconds:.2f} s, {mean:.3f} ms per tableau")
     return True
 
 
