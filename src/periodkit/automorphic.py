@@ -30,7 +30,7 @@ from .deligne import PairContext, conjecture_rhs_motivic, grouped_period_product
 from .errors import AlgebraicityError, NotCriticalPairError
 from .hodge import RegularMotiveData
 from .lfactor import pair_critical_points, require_critical
-from .periods import MotiveTag, PeriodMonomial, PeriodSymbol, motive_tag
+from .periods import MotiveTag, PeriodMonomial, PeriodSymbol
 from .value import Frozen, Value
 
 #: Gap size from which an infinity type counts as very regular.
@@ -161,12 +161,15 @@ def conjecture_rhs_automorphic(
     Substituting P[j;pi] by Qs[j;M(pi)] recovers the Hodge-side formula
     on the dictionary images.
     """
-    m = Fraction(m)
+    return _rhs_automorphic(pi, pip, Fraction(m), rep_tag(pi), rep_tag(pip))
+
+
+def _rhs_automorphic(
+    pi: InfinityTypeData, pip: InfinityTypeData, m: Fraction, tag: MotiveTag, tag_p: MotiveTag
+) -> PeriodMonomial:
+    """The automorphic right-hand side at the Fraction m, over the tags of pi and pip."""
     require_critical(m, pair_critical_points(pi, pip))
-    groups = (
-        (rep_tag(pi), split_indices_auto(pi, pip)),
-        (rep_tag(pip), split_indices_auto(pip, pi)),
-    )
+    groups = ((tag, split_indices_auto(pi, pip)), (tag_p, split_indices_auto(pip, pi)))
     return grouped_period_product("P", m, groups)
 
 
@@ -185,12 +188,17 @@ def substitute_p_periods(
 def crosscheck_conjecture(
     pi: InfinityTypeData, pip: InfinityTypeData, m: Fraction | int
 ) -> bool:
-    """Identify P with Qs on the dictionary images and compare both sides."""
-    auto = conjecture_rhs_automorphic(pi, pip, m)
-    mm, mmp = dict_to_motive(pi), dict_to_motive(pip)
-    mapping = {rep_tag(pi): motive_tag(mm), rep_tag(pip): motive_tag(mmp)}
-    motivic = conjecture_rhs_motivic(PairContext.build(mm, mmp), Fraction(m))
-    return substitute_p_periods(auto, mapping) == motivic
+    """Identify P with Qs on the dictionary images and compare both sides.
+
+    Each side's tags are built once: the representations' here, the
+    motives' by :meth:`PairContext.build`.
+    """
+    m = Fraction(m)
+    tag, tag_p = rep_tag(pi), rep_tag(pip)
+    auto = _rhs_automorphic(pi, pip, m, tag, tag_p)
+    ctx = PairContext.build(dict_to_motive(pi), dict_to_motive(pip))
+    motivic = conjecture_rhs_motivic(ctx, m)
+    return substitute_p_periods(auto, {tag: ctx.tag, tag_p: ctx.tag_p}) == motivic
 
 
 class CaseReport(Frozen):

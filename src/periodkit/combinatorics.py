@@ -47,12 +47,11 @@ class IndexPairSet(Frozen):
         return sorted(self.members)
 
 
-def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
-    """Pairs (a, b) with p_a + r_b > w/2; ties violate the no-(p,p) hypothesis."""
-    w = m.weight + mp.weight
+def _pairs_above_half(ps: Sequence[int], rs: Sequence[int], w: int) -> IndexPairSet:
+    """Pairs (a, b) with p_a + r_b > w/2, indexed from 1; a tie raises PpClassError."""
     members = set()
-    for a, p in enumerate(m.hodge_p, 1):
-        for b, r in enumerate(mp.hodge_p, 1):
+    for a, p in enumerate(ps, 1):
+        for b, r in enumerate(rs, 1):
             d = 2 * (p + r) - w
             if d == 0:
                 raise PpClassError(
@@ -65,9 +64,22 @@ def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
     return IndexPairSet(frozenset(members))
 
 
+def set_A(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
+    """Pairs (a, b) with p_a + r_b > w/2; ties violate the no-(p,p) hypothesis."""
+    return _pairs_above_half(m.hodge_p, mp.hodge_p, m.weight + mp.weight)
+
+
 def set_T(m: RegularMotiveData, mp: RegularMotiveData) -> IndexPairSet:
-    """Pairs (t, u) with p^c_t + r^c_u > w/2 (conjugate-side analogue of A)."""
-    return set_A(m.conjugate(), mp.conjugate())
+    """Pairs (t, u) with p^c_t + r^c_u > w/2 (conjugate-side analogue of A).
+
+    The conjugate p-indices p^c_t = w(M) - p_{n+1-t} are read from the
+    pair; no conjugate motive is built.  A tie names the conjugate indices.
+    """
+    return _pairs_above_half(
+        [m.weight - p for p in reversed(m.hodge_p)],
+        [mp.weight - r for r in reversed(mp.hodge_p)],
+        m.weight + mp.weight,
+    )
 
 
 def split_lengths(values_desc: Sequence, cuts_desc: Sequence) -> tuple[int, ...]:

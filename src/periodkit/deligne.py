@@ -15,7 +15,8 @@ The simplified form, the motivic right-hand side and the automorphic one
 (P[j;Π] in place of Qs[j;M]) are one product with leading exponent nn'm,
 built by :func:`grouped_period_product` from the evaluation point m; the
 simplified form is the case m = -(n+n'-2)/2.  Each caller checks its own
-m for criticality.
+m for criticality.  Every form reads the pair's two motive tags from its
+:class:`PairContext`, which builds them once.
 
 Signs are dropped throughout: for motives restricted from a quadratic
 imaginary field the two Deligne periods agree up to the coefficient
@@ -36,18 +37,21 @@ from .value import Frozen
 
 
 class PairContext(Frozen):
-    """A tensor pair with its index sets and split indices precomputed.
+    """A tensor pair with its index sets, split indices and tags precomputed.
 
     ``M`` and ``Mp`` are the motives, ``A`` and ``T`` their index-pair sets,
-    ``sp`` is sp(., M; M') and ``sp_sym`` is sp(., M'; M).
+    ``sp`` is sp(., M; M') and ``sp_sym`` is sp(., M'; M).  ``tag`` and
+    ``tag_p`` are ``motive_tag(M)`` and ``motive_tag(Mp)``, built once here
+    for every period form of the pair.
     """
 
-    __slots__ = ("M", "Mp", "A", "T", "sp", "sp_sym")
+    __slots__ = ("M", "Mp", "A", "T", "sp", "sp_sym", "tag", "tag_p")
 
     @classmethod
     def build(cls, m: RegularMotiveData, mp: RegularMotiveData) -> "PairContext":
         return cls(
-            m, mp, set_A(m, mp), set_T(m, mp), split_indices(m, mp), split_indices(mp, m)
+            m, mp, set_A(m, mp), set_T(m, mp), split_indices(m, mp), split_indices(mp, m),
+            motive_tag(m), motive_tag(mp),
         )
 
 
@@ -74,8 +78,7 @@ def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
     Q[a;M] occurs once for each member (a, b) of A, so A's rows and
     columns are counted first and each Q symbol is built once.
     """
-    tm = motive_tag(ctx.M)
-    tmp = motive_tag(ctx.Mp)
+    tm, tmp = ctx.tag, ctx.tag_p
     rows = Counter(a for a, _ in ctx.A.members)
     cols = Counter(b for _, b in ctx.A.members)
     factors = [(PeriodSymbol("Q", a, tm), e) for a, e in rows.items()]
@@ -90,8 +93,7 @@ def deligne_period_raw(ctx: PairContext) -> PeriodMonomial:
 def deligne_period_simplified(ctx: PairContext) -> PeriodMonomial:
     """The Deligne period grouped through the Qs periods and split indices."""
     m = -Fraction(ctx.M.rank + ctx.Mp.rank - 2, 2)
-    groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", m, groups)
+    return grouped_period_product("Qs", m, ((ctx.tag, ctx.sp), (ctx.tag_p, ctx.sp_sym)))
 
 
 def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomial:
@@ -101,5 +103,4 @@ def conjecture_rhs_motivic(ctx: PairContext, m: Fraction | int) -> PeriodMonomia
     shift = Fraction(n + np_ - 2, 2)
     interval = critical_interval(restriction_tensor(ctx.M, ctx.Mp))
     require_critical(m, CriticalInterval(interval.lo - shift, interval.hi - shift))
-    groups = ((motive_tag(ctx.M), ctx.sp), (motive_tag(ctx.Mp), ctx.sp_sym))
-    return grouped_period_product("Qs", m, groups)
+    return grouped_period_product("Qs", m, ((ctx.tag, ctx.sp), (ctx.tag_p, ctx.sp_sym)))

@@ -47,7 +47,7 @@ class CriticalInterval(Value):
         object.__setattr__(self, "hi", hi)
 
     def __contains__(self, m) -> bool:
-        return self.lo <= m <= self.hi and Fraction(m - self.lo).denominator == 1
+        return self.lo <= m <= self.hi and (m - self.lo).denominator == 1
 
     def points(self) -> Iterator[int | Fraction]:
         m = self.lo

@@ -14,7 +14,8 @@ exponents over a fixed alphabet of symbols:
 
 A tag names a motive together with functor decorations (conjugate, dual,
 Tate twist, determinant).  Conjugation and dual cancel in pairs at the
-tag level, mirroring that both functors are involutions.
+tag level, mirroring that both functors are involutions.  Each decoration
+is checked once, when it is added to a tag.
 
 Scalars from the coefficient field are invisible at this level, so a
 monomial carries only exponents; the ``field_label`` annotation records
@@ -70,7 +71,10 @@ class MotiveTag(Value):
     need it raise :class:`~periodkit.errors.UnknownRankError`.  ``csd``
     marks the underlying motive as conjugate self-dual, which gates the
     rules that are only valid in that case.  The printed text is built
-    once, with the tag.
+    once, with the tag.  The constructor checks every decoration it is
+    given; :meth:`conj`, :meth:`dual`, :meth:`twist` and :meth:`det` check
+    only the one they add, and a rule that strips the last decoration
+    checks none, since what is left was checked when it was added.
     """
 
     __slots__ = ("label", "rank", "csd", "ops", "_text")
@@ -83,28 +87,14 @@ class MotiveTag(Value):
         for op in ops:
             twist = type(op) is tuple and len(op) == 2 and op[0] == "t" and type(op[1]) is int
             if op not in (_CONJ, _DUAL, _DET) and not (twist and op[1]):
-                raise ValueError(
-                    f"unknown tag decoration {op!r}: expected ('c', None), ('v', None),"
-                    " ('det', None) or ('t', k) with k a nonzero int"
-                )
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "csd", csd)
-        object.__setattr__(self, "ops", ops)
-        text = label
-        for kind, arg in ops:
-            if kind == "c":
-                text += "^c"
-            elif kind == "v":
-                text += "^v"
-            elif kind == "det":
-                text = f"det({text})"
-            else:
-                text += f"({arg})"
-        object.__setattr__(self, "_text", text)
+                raise ValueError(_unknown_decoration(op))
+        Frozen.__init__(self, label, rank, csd, ops, _tag_text(label, ops))
 
     def _with_ops(self, ops: tuple) -> "MotiveTag":
-        return MotiveTag(self.label, self.rank, self.csd, ops)
+        """This tag's motive with ``ops``, each checked when it was added to a tag."""
+        tag = object.__new__(MotiveTag)
+        Frozen.__init__(tag, self.label, self.rank, self.csd, ops, _tag_text(self.label, ops))
+        return tag
 
     def _toggle(self, op) -> "MotiveTag":
         if self.ops and self.ops[-1] == op:
@@ -118,13 +108,15 @@ class MotiveTag(Value):
         return self._toggle(_DUAL)
 
     def twist(self, k: int) -> "MotiveTag":
-        if self.ops and self.ops[-1][0] == "t":
-            k = k + self.ops[-1][1]
-            base = self.ops[:-1]
-        else:
-            base = self.ops
+        """The tag twisted by k: a trailing twist merges with it, and a sum of 0 drops it."""
+        base = self.ops
+        if base and base[-1][0] == "t":
+            k = k + base[-1][1]
+            base = base[:-1]
         if k == 0:
             return self._with_ops(base)
+        if type(k) is not int:
+            raise ValueError(_unknown_decoration(("t", k)))
         return self._with_ops(base + (("t", k),))
 
     def det(self) -> "MotiveTag":
@@ -142,6 +134,28 @@ class MotiveTag(Value):
 
     def text(self) -> str:
         return self._text
+
+
+def _unknown_decoration(op) -> str:
+    return (
+        f"unknown tag decoration {op!r}: expected ('c', None), ('v', None),"
+        " ('det', None) or ('t', k) with k a nonzero int"
+    )
+
+
+def _tag_text(label: str, ops: tuple) -> str:
+    """The printed tag: ``label`` with each decoration of ``ops`` applied in turn."""
+    text = label
+    for kind, arg in ops:
+        if kind == "c":
+            text += "^c"
+        elif kind == "v":
+            text += "^v"
+        elif kind == "det":
+            text = f"det({text})"
+        else:
+            text += f"({arg})"
+    return text
 
 
 #: The trivial motive (rank one, weight zero); its twists are the Tate motives.

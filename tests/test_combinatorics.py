@@ -20,7 +20,7 @@ from periodkit.errors import PpClassError
 from periodkit.hodge import RegularMotiveData, has_no_pp_class, restriction_tensor
 from periodkit.lfactor import pair_critical_points
 from periodkit.periods import expand
-from periodkit.sampling import pair_of_shape, random_pp_free_pair
+from periodkit.sampling import pair_of_shape, random_motive, random_pp_free_pair
 from shapes import every_shape, rep_pair_of_shape, word_spec
 
 M = RegularMotiveData("M", 1, (1, 0))
@@ -222,3 +222,45 @@ class TestEveryShape:
             ctx = PairContext.build(*pair_of_shape(n, np_, slots))
             assert expand(deligne_period_simplified(ctx)) == expand(deligne_period_raw(ctx)), (
                 n, np_, slots)
+
+
+def _set_T_reference(m, mp):
+    """set_T as the set A of the conjugate motives, each built in full."""
+    return set_A(m.conjugate(), mp.conjugate())
+
+
+class TestSetTAgainstTheConjugates:
+    """``set_T`` reads the conjugate indices w - p_{n+1-t} off the pair; the
+    reference builds the conjugate motives and takes their set A."""
+
+    def test_every_shape_up_to_rank_6(self):
+        shapes = 0
+        for n, np_, slots in every_shape(6):
+            m, mp = pair_of_shape(n, np_, slots)
+            assert set_T(m, mp).members == _set_T_reference(m, mp).members, (n, np_, slots)
+            shapes += 1
+        assert shapes == 3418
+
+    def test_a_tied_pair_raises_the_reference_message(self):
+        # Random pairs of ranks up to 4, about one in seven tied, some more
+        # than once: the message names the first tie in the order the
+        # conjugate indices are read.
+        rng = random.Random(2049)
+        messages = []
+        for _ in range(600):
+            m = random_motive(rng, rng.randint(1, 4), "M")
+            mp = random_motive(rng, rng.randint(1, 4), "M'")
+            try:
+                want = _set_T_reference(m, mp).members
+            except PpClassError as exc:
+                with pytest.raises(PpClassError) as err:
+                    set_T(m, mp)
+                assert str(err.value) == str(exc), (m, mp)
+                messages.append(str(exc))
+            else:
+                assert set_T(m, mp).members == want, (m, mp)
+        assert len(messages) > 60
+        # Ties at many index pairs, rows and columns past the first included.
+        tied_at = {text.rsplit(" ", 1)[1] for text in messages}
+        assert len(tied_at) >= 10
+        assert {"(4,1)", "(1,4)", "(3,3)"} <= tied_at

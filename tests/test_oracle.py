@@ -1056,7 +1056,7 @@ class TestMat1:
         # With T in place of A, the pairs outside A give columns twice:
         # 2 (nn' - |A|) of them, where nn' = |A| + |T| would be square.
         ctx = PairContext.build(*pair_of_shape(2, 2, range(2)))
-        forged = PairContext(ctx.M, ctx.Mp, ctx.A, ctx.A, ctx.sp, ctx.sp_sym)
+        forged = PairContext(ctx.M, ctx.Mp, ctx.A, ctx.A, ctx.sp, ctx.sp_sym, ctx.tag, ctx.tag_p)
         cols = 2 * (4 - len(ctx.A.members))
         assert cols != 4
         for check in (verify_proposition, build_mat1, cleared_period_product):

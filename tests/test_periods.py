@@ -10,6 +10,7 @@ import pytest
 
 from periodkit.errors import RuleNotApplicable, UnknownRankError
 from periodkit.periods import (
+    RULES,
     TRIVIAL,
     MotiveTag,
     PeriodMonomial,
@@ -591,3 +592,75 @@ class TestErrorBranches:
         with pytest.raises(ValueError) as err:
             derive_grouped_period_identity(n, s, derive_delta_square_identity(2))
         assert str(err.value) == f"need 0 <= s <= n, got s={s}, n={n}"
+
+
+def _slots(tag):
+    return [getattr(tag, name) for name in MotiveTag.__slots__]
+
+
+def _checked(tag):
+    """The tag rebuilt by the constructor, which checks every decoration."""
+    return MotiveTag(tag.label, tag.rank, tag.csd, tag.ops)
+
+
+def _random_chain(rng, tag, steps):
+    for _ in range(steps):
+        step = rng.choice(["conj", "dual", "twist", "det"])
+        tag = tag.twist(rng.choice([-3, -1, 0, 1, 2])) if step == "twist" else getattr(tag, step)()
+    return tag
+
+
+class TestDerivedTags:
+    """``conj``, ``dual``, ``twist``, ``det`` and a rule's strip build a tag
+    without the constructor; each equals the constructor's tag on the same
+    ops in every slot, the printed text included."""
+
+    def test_seeded_chains_give_the_checked_tag_at_every_step(self):
+        rng = random.Random(4099)
+        lengths = set()
+        for _ in range(300):
+            tag = MotiveTag(
+                rng.choice(["M", "M'", "Pi", "M(3)"]),
+                rank=rng.choice([None, 1, 2, 5]),
+                csd=rng.random() < 0.5,
+            )
+            for _ in range(rng.randint(1, 6)):
+                tag = _random_chain(rng, tag, 1)
+                assert type(tag) is MotiveTag
+                assert _slots(tag) == _slots(_checked(tag)), tag.ops
+                lengths.add(len(tag.ops))
+        # Toggles and merged twists that cancel are met too: ops grow and shrink.
+        assert lengths == set(range(7))
+
+    @pytest.mark.parametrize(
+        "rule", ["delta_conj", "delta_twist", "delta_dual", "conj_as_dual", "q_dual", "det_q"]
+    )
+    def test_a_rule_strips_to_the_checked_tag(self, rule):
+        kind, decoration, _, _, _ = RULES[rule]
+        rng = random.Random(rule)
+        for _ in range(100):
+            base = _random_chain(rng, MotiveTag(rng.choice(["M", "M'"]), rng.randint(1, 4), True),
+                                 rng.randint(0, 3))
+            op = ("t", rng.choice([-2, 1, 3])) if decoration == "t" else (decoration, None)
+            tag = MotiveTag(base.label, base.rank, base.csd, base.ops + (op,))
+            index = rng.randint(1, tag.rank_value) if kind == "Q" else None
+            out = apply_rule(PeriodMonomial([(PeriodSymbol(kind, index, tag), 1)]), rule)
+            tags = [sym.tag for sym, _ in out.items() if sym.tag is not None]
+            for t in tags:
+                assert _slots(t) == _slots(_checked(t)), (rule, t.ops)
+            if rule != "conj_as_dual":  # it rewrites to the stripped tag's dual twist
+                assert base.ops in [t.ops for t in tags], rule
+
+    @pytest.mark.parametrize(
+        "tag, k, named",
+        [(M2, 1.5, "1.5"), (M2.conj(), 1.5, "1.5"), (M2, True, "True"), (M2.det(), True, "True"),
+         # On a trailing twist the two merge first, and the merged k is named.
+         (M2.twist(2), 1.5, "3.5")],
+    )
+    def test_a_twist_that_is_not_an_int_raises_the_constructors_message(self, tag, k, named):
+        with pytest.raises(ValueError) as err:
+            tag.twist(k)
+        assert str(err.value) == (
+            f"unknown tag decoration ('t', {named}): expected ('c', None), ('v', None),"
+            " ('det', None) or ('t', k) with k a nonzero int"
+        )

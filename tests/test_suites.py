@@ -1,10 +1,12 @@
 """The verification suites behind ``pk verify``."""
 
+import random
 from math import comb
 from types import SimpleNamespace
 
 import pytest
 
+import periodkit.hodge as hg
 import periodkit.oracle as orc
 import periodkit.periods as pd
 from periodkit import suites
@@ -186,12 +188,14 @@ def test_each_rank_delta_square_lemma_is_derived_once_per_rewrite_run(monkeypatc
         assert ranks == list(range(1, 9)) * run
 
 
-def test_the_rewrite_suite_builds_no_more_symbols_and_monomials_than_pinned(monkeypatch):
-    # Work counts, unlike wall time, are the same on every run and host.  A
-    # change that lowers a count lowers its bound with it; one that raises
-    # a count says why.  Products, quotients and powers build through no
-    # __init__, so only the constructor's checked builds are counted.
-    built = {pd.PeriodSymbol: 0, pd.PeriodMonomial: 0}
+# Work counts, unlike wall time, are the same on every run and host.  A
+# change that lowers a count lowers its bound with it; one that raises a
+# count says why.
+
+
+def _constructor_calls(monkeypatch, classes, suite):
+    """``__init__`` calls of each class in ``run_suites(suite, seed=42, trials=40)``."""
+    built = dict.fromkeys(classes, 0)
 
     def counting(cls):
         init = cls.__init__
@@ -202,8 +206,57 @@ def test_the_rewrite_suite_builds_no_more_symbols_and_monomials_than_pinned(monk
 
         return counted
 
-    for cls in built:
+    for cls in classes:
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    assert run_suites("rewrite", seed=42, trials=40)["ok"]
+    assert run_suites(suite, seed=42, trials=40)["ok"]
+    return built
+
+
+def test_the_rewrite_suite_builds_no_more_symbols_and_monomials_than_pinned(monkeypatch):
+    # Products, quotients and powers build through no __init__, so only the
+    # constructor's checked builds are counted.
+    built = _constructor_calls(monkeypatch, (pd.PeriodSymbol, pd.PeriodMonomial), "rewrite")
     assert built[pd.PeriodSymbol] <= 2645
     assert built[pd.PeriodMonomial] <= 1454
+
+
+def test_the_rewrite_suite_checks_no_more_tags_than_pinned(monkeypatch):
+    # A pair context builds its two tags once for every period form, and
+    # conj, dual, twist, det and a rule's strip build through no __init__:
+    # 572 checked tags, where a context built its tags three times over and
+    # every derived tag was checked again (1,274).
+    built = _constructor_calls(monkeypatch, (pd.MotiveTag,), "rewrite")
+    assert built[pd.MotiveTag] <= 572
+
+
+def test_the_combinatorics_suite_builds_no_more_motives_than_pinned(monkeypatch):
+    # set_T reads the conjugate indices off the pair: 1,394 motives, where
+    # it built both conjugates (1,474).
+    built = _constructor_calls(monkeypatch, (hg.RegularMotiveData,), "combinatorics")
+    assert built[hg.RegularMotiveData] <= 1394
+
+
+def test_each_check_starts_from_its_trials_own_generator_state(monkeypatch):
+    # (seed, property name, trial index) alone rebuilds a trial: at each
+    # check's entry the generator is in the state of a fresh one seeded
+    # from that triple, whatever the trials before it drew.
+    run = suites._run_property
+    entered, differs = [], []
+
+    def spied(seed, name, trials, check):
+        def spy(rng, t):
+            entered.append(name)
+            if rng.getstate() != random.Random(f"{seed}/{name}/{t}").getstate():
+                differs.append((name, t))
+            return check(rng, t)
+
+        return run(seed, name, trials, spy)
+
+    monkeypatch.setattr(suites, "_run_property", spied)
+    for suite in ("combinatorics", "rewrite"):
+        summary = run_suites(suite, seed=42, trials=5)
+        assert summary["ok"], suite
+        for row in summary["properties"]:
+            assert entered.count(row["name"]) == row["instances"], row
+    assert differs == []
+    assert len(set(entered)) == 19
